@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from .tables import HT_MAGIC, LSS_MAGIC, read_table, write_table
 from .tensors import tensor_write
 
 DEFAULT_WEIGHT_SEED = 11
+MAX_THREADS = 64  # upper bound on --threads; the scatter starts up to this many workers
 
 
 @dataclass
@@ -53,9 +56,14 @@ class RunConfig:
                 doc = json.loads(Path(args.config).read_text())
             except (OSError, json.JSONDecodeError) as e:
                 raise ConfigError(f"cannot read config {args.config}: {e}") from e
+            if not isinstance(doc, dict):
+                raise ConfigError(f"config {args.config} is not a JSON object")
+            hints = typing.get_type_hints(cls)
             for key, value in doc.items():
-                if not hasattr(cfg, key):
+                if key not in hints:
                     raise ConfigError(f"unknown config key {key!r}")
+                if not _value_has_type(value, hints[key]):
+                    raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
                 setattr(cfg, key, value)
         for key in vars(cfg):
             flag = getattr(args, key, None)
@@ -67,11 +75,18 @@ class RunConfig:
             elif ablate == "uniform-D":
                 cfg.uniform_depth = True
             elif ablate.startswith("force-A="):
-                cfg.force_affinity = float(ablate.split("=", 1)[1])
+                try:
+                    cfg.force_affinity = float(ablate.split("=", 1)[1])
+                except ValueError as e:
+                    raise ConfigError(f"bad ablation {ablate!r}: {e}") from e
             else:
                 raise ConfigError(f"unknown ablation {ablate!r}")
-        if cfg.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if not 1 <= cfg.threads <= MAX_THREADS:
+            raise ConfigError(f"threads must be in [1, {MAX_THREADS}], got {cfg.threads}")
+        if cfg.force_affinity is not None and not (
+            math.isfinite(cfg.force_affinity) and 0.0 <= cfg.force_affinity <= 1.0
+        ):
+            raise ConfigError(f"force-A must be finite and in [0, 1], got {cfg.force_affinity}")
         if cfg.weight_mode not in (DEPTH_MASK, DEPTH_ONLY):
             raise ConfigError(f"unknown weight mode {cfg.weight_mode!r}")
         if cfg.sampler not in ("fast", "naive-interp", "naive-round"):
@@ -79,6 +94,17 @@ class RunConfig:
         if cfg.reps < 3:
             raise ConfigError("bench repetitions must be >= 3")
         return cfg
+
+
+def _value_has_type(value, hint) -> bool:
+    """JSON value check against a RunConfig annotation; ints pass as floats, bools never
+    pass as ints."""
+    allowed = typing.get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(value, bool) and bool not in allowed:
+        return False
+    return isinstance(value, allowed)
 
 
 def _load_scene_spec(path) -> tuple:
@@ -205,22 +231,26 @@ def cmd_bench(args) -> int:
     feats, depths, masks = bundle.feats, bundle.depths, bundle.masks
     heights = _heights_from_meta(meta)
 
+    def ht_fast(threads):
+        return ht_transform_fast(feats, depths, masks, ht_table, threads=threads)
+
+    def pool(threads):
+        return lss_pool(feats, depths, masks, lss_table, mode=cfg.weight_mode, threads=threads)
+
     if cfg.threads > 1:
-        seq = ht_transform_fast(feats, depths, masks, ht_table, threads=1)
-        par = ht_transform_fast(feats, depths, masks, ht_table, threads=cfg.threads)
-        if not np.array_equal(seq, par):
-            raise DualVtError("threaded scatter-sum is not bitwise equal to sequential")
+        for name, run in (("ht_transform_fast", ht_fast), ("lss_pool", pool)):
+            seq, par = run(1), run(cfg.threads)
+            if not np.array_equal(seq.view(np.uint32), par.view(np.uint32)):
+                raise DualVtError(
+                    f"{name}: threaded scatter-sum is not bitwise equal to sequential"
+                )
 
     cases = {
         "ht_naive_interp": lambda: ht_transform_naive(
             feats, depths, masks, bundle.rigs, bundle.grid, heights, bundle.dspec, mode=INTERP
         ),
-        "ht_fast": lambda: ht_transform_fast(
-            feats, depths, masks, ht_table, threads=cfg.threads
-        ),
-        "lss_pool": lambda: lss_pool(
-            feats, depths, masks, lss_table, mode=cfg.weight_mode, threads=cfg.threads
-        ),
+        "ht_fast": lambda: ht_fast(cfg.threads),
+        "lss_pool": lambda: pool(cfg.threads),
         "full_pipeline": lambda: run_pipeline(
             feats, depths, masks, ht_table, lss_table, weights,
             threads=cfg.threads, weight_mode=cfg.weight_mode,

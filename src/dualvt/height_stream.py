@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexOutOfRange, ShapeMismatch
 from .geometry import BevGridSpec, HeightSet, bev_cell_centers, project_points
 from .sampling import (
     DepthBinSpec,
@@ -24,7 +23,7 @@ from .sampling import (
     trilinear_sample_3d_many,
 )
 from .scatter import weighted_scatter
-from .tables import HT_MAGIC, IndexTable, stack_camera_tensors
+from .tables import HT_MAGIC, IndexTable, check_camera_tensors, stack_camera_tensors
 
 INTERP = "interp"
 ROUND = "round"
@@ -89,23 +88,11 @@ def precompute_ht_table(
     )
 
 
-def _check_shapes(feats, depths, masks, feat_h, feat_w, n_bins):
-    if not (len(feats) == len(depths) == len(masks)):
-        raise ShapeMismatch("per-camera tensor lists have different lengths")
-    for f, d, m in zip(feats, depths, masks):
-        if f.shape[1:] != (feat_h, feat_w):
-            raise ShapeMismatch(f"feature shape {f.shape} != (*, {feat_h}, {feat_w})")
-        if d.shape != (n_bins, feat_h, feat_w):
-            raise ShapeMismatch(f"depth shape {d.shape} != ({n_bins}, {feat_h}, {feat_w})")
-        if m.shape != (1, feat_h, feat_w):
-            raise ShapeMismatch(f"mask shape {m.shape} != (1, {feat_h}, {feat_w})")
-
-
 def ht_transform_fast(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:
     """Scatter-sum over the precomputed table; returns (C, ny, nx) float32."""
-    _check_shapes(feats, depths, masks, table.feat_h, table.feat_w, table.n_bins)
-    if len(feats) != table.n_cams:
-        raise ShapeMismatch(f"{len(feats)} cameras, table expects {table.n_cams}")
+    check_camera_tensors(
+        feats, depths, masks, table.n_cams, table.feat_h, table.feat_w, table.n_bins
+    )
     feat_stack = stack_camera_tensors(feats)
     depth_flat = np.concatenate([d.ravel() for d in depths])
     mask_flat = stack_camera_tensors(masks)[0]
@@ -131,7 +118,9 @@ def ht_transform_naive(
     of rounding.
     """
     rig0 = rigs[0]
-    _check_shapes(feats, depths, masks, rig0.feat_h, rig0.feat_w, dspec.n_bins)
+    check_camera_tensors(
+        feats, depths, masks, len(rigs), rig0.feat_h, rig0.feat_w, dspec.n_bins
+    )
     if mode == ROUND:
         rec = _correspondences(rigs, grid, heights, dspec)
         feat_stack = stack_camera_tensors(feats)

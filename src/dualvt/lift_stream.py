@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
 from .geometry import BevGridSpec
 from .sampling import DepthBinSpec
 from .scatter import weighted_scatter
-from .tables import LSS_MAGIC, IndexTable, stack_camera_tensors
+from .tables import LSS_MAGIC, IndexTable, check_camera_tensors, stack_camera_tensors
 
 DEPTH_ONLY = "depth_only"
 DEPTH_MASK = "depth_mask"
@@ -80,10 +79,11 @@ def lss_pool(
     """Weighted scatter-sum pooling; returns (C, ny, nx) float32."""
     if mode not in (DEPTH_ONLY, DEPTH_MASK):
         raise ValueError(f"unknown weight mode {mode!r}")
-    if len(feats) != table.n_cams:
-        raise ShapeMismatch(f"{len(feats)} cameras, table expects {table.n_cams}")
+    check_camera_tensors(
+        feats, depths, masks, table.n_cams, table.feat_h, table.feat_w, table.n_bins
+    )
     feat_stack = stack_camera_tensors(feats)
-    depth_flat = np.concatenate([np.asarray(d).ravel() for d in depths])
+    depth_flat = np.concatenate([d.ravel() for d in depths])
     if mode == DEPTH_MASK:
         mask_flat = stack_camera_tensors(masks)[0]
     else:

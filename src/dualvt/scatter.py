@@ -1,11 +1,29 @@
 """Deterministic weighted scatter-sum shared by both view-transform streams.
 
-Accumulation contract: contributions are processed strictly in entry
-order (entries are pre-sorted by BEV cell) into float64 accumulators via
-``np.add.at``, which applies unbuffered, sequential updates.  A plain
-per-entry Python loop therefore reproduces the result bitwise, and
-splitting the work across threads by cell ranges cannot change any
-cell's value because per-cell entry runs are contiguous and disjoint.
+Accumulation contract:
+
+- Every entry contributes ``w * feature`` to its BEV cell, where
+  ``w = float64(depth) * float64(mask)``.  Contributions go into float64
+  accumulators that start at +0.0, strictly in entry order (entries are
+  pre-sorted by BEV cell), via ``np.add.at``, which applies unbuffered,
+  sequential updates.  A plain per-entry Python loop
+  (``scatter_reference``) reproduces the result bitwise.
+- Entries whose weight is zero are dropped before the feature gather.
+  With finite features their contribution is +0.0 or -0.0, and adding
+  either leaves an accumulator unchanged: ``x + ±0.0 == x`` for every
+  finite nonzero ``x``, and ``+0.0 + ±0.0 == +0.0``.  An accumulator
+  that starts at +0.0 can never become -0.0 (a sum of opposite nonzero
+  values rounds to +0.0), so skipping keeps every bit.  Finite inputs
+  are therefore a precondition: ``0 * inf`` would contribute NaN, which
+  a skipped entry does not.  The stream front ends reject non-finite
+  tensors (``tables.check_camera_tensors``) before they get here.
+- The surviving entries are walked in chunks of ``CHUNK_ENTRIES`` in
+  entry order, so per-cell order is the same as in one pass.  A chunk's
+  temporaries (the float32 gather and its float64 product) take
+  ``CHUNK_ENTRIES * C * 12`` bytes, which bounds the scatter's working
+  memory per worker independently of the table size.
+- Splitting the work across threads by cell ranges cannot change any
+  cell's value because per-cell entry runs are contiguous and disjoint.
 """
 
 from __future__ import annotations
@@ -13,6 +31,10 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+# entries gathered per np.add.at call; at 64 channels one chunk's
+# temporaries take 8192 * 64 * 12 bytes = 6.3 MB
+CHUNK_ENTRIES = 8192
 
 
 def weighted_scatter(
@@ -33,6 +55,7 @@ def weighted_scatter(
     cells:    (N,) int64 target cell per entry, sorted ascending
     feat_idx: (N,) int64 index into the P axis
     depth_idx:(N,) int64 index into depth_w
+    All inputs must be finite (see the module docstring).
     Returns (n_cells, C) float64 accumulators.
     """
     C = feats.shape[0]
@@ -69,13 +92,20 @@ def weighted_scatter(
 
 def _scatter_range(feats_t, depth_w, mask_w, cells, feat_idx, depth_idx, out):
     w = depth_w[depth_idx].astype(np.float64) * mask_w[feat_idx].astype(np.float64)
-    # float32 gather upcasts exactly; contrib matches the float64 reference bitwise
-    contrib = w[:, None] * feats_t[feat_idx]
-    np.add.at(out, cells, contrib)
+    keep = np.flatnonzero(w)  # ascending, so entry order is kept
+    for start in range(0, keep.size, CHUNK_ENTRIES):
+        sel = keep[start:start + CHUNK_ENTRIES]
+        # float32 gather upcasts exactly; contrib matches the float64 reference bitwise
+        contrib = w[sel, None] * feats_t[feat_idx[sel]]
+        np.add.at(out, cells[sel], contrib)
 
 
 def scatter_reference(feats, depth_w, mask_w, cells, feat_idx, depth_idx, n_cells):
-    """Per-entry loop oracle with the same order and precision as weighted_scatter."""
+    """Per-entry loop oracle with the same order and precision as weighted_scatter.
+
+    It adds every entry, zero weights included, so it also checks that
+    skipping them changes no bit.
+    """
     C = feats.shape[0]
     out = np.zeros((n_cells, C), dtype=np.float64)
     for c, fi, di in zip(cells, feat_idx, depth_idx):

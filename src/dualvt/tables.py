@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, IndexOutOfRange, TruncatedPayload
+from .errors import BadMagic, IndexOutOfRange, NonFiniteValue, ShapeMismatch, TruncatedPayload
 
 HT_MAGIC = b"HTLT"
 LSS_MAGIC = b"LSPT"
@@ -130,3 +130,26 @@ def stack_camera_tensors(per_cam, expected_shape=None) -> np.ndarray:
     if expected_shape is not None and shape != expected_shape:
         raise IndexOutOfRange(f"camera tensor shape {shape} != expected {expected_shape}")
     return np.concatenate([a.reshape(shape[0], -1) for a in arrs], axis=1)
+
+
+def check_camera_tensors(feats, depths, masks, n_cams, feat_h, feat_w, n_bins) -> None:
+    """Input check shared by both streams: per-camera shapes, camera count, finiteness.
+
+    Finite inputs are the precondition of the scatter's zero-weight skip
+    (``0 * inf`` is NaN, a skipped entry is not), so NaN or Inf anywhere
+    raises NonFiniteValue.
+    """
+    if not (len(feats) == len(depths) == len(masks)):
+        raise ShapeMismatch("per-camera tensor lists have different lengths")
+    if len(feats) != n_cams:
+        raise ShapeMismatch(f"{len(feats)} cameras, geometry has {n_cams}")
+    for f, d, m in zip(feats, depths, masks):
+        if f.shape[1:] != (feat_h, feat_w):
+            raise ShapeMismatch(f"feature shape {f.shape} != (*, {feat_h}, {feat_w})")
+        if d.shape != (n_bins, feat_h, feat_w):
+            raise ShapeMismatch(f"depth shape {d.shape} != ({n_bins}, {feat_h}, {feat_w})")
+        if m.shape != (1, feat_h, feat_w):
+            raise ShapeMismatch(f"mask shape {m.shape} != (1, {feat_h}, {feat_w})")
+    for name, arrs in (("feature", feats), ("depth", depths), ("mask", masks)):
+        if not all(np.isfinite(a).all() for a in arrs):
+            raise NonFiniteValue(f"{name} tensor has NaN or Inf values")

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualvt.cli import main
+from dualvt import cli
+from dualvt.cli import MAX_THREADS, RunConfig, build_parser, main
+from dualvt.errors import ConfigError
 from dualvt.tensors import tensor_read
 
 
@@ -195,7 +197,90 @@ class TestTransform:
         assert dir_digest(tmp_path / "disk") == dir_digest(tmp_path / "seeded")
 
 
+class TestRunConfigValidation:
+    """Bad options end in exit code 2 with a one-line message, never a traceback."""
+
+    def assert_config_error(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
+        {"threads": "2"},
+        {"threads": True},
+        {"weight_seed": 1.5},
+        {"disable_mask": 1},
+        {"force_affinity": "0.5"},
+        {"weights_dir": 3},
+    ])
+    def test_config_value_types_checked(self, workspace, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = run_transform(workspace, tmp_path / "x", "--config", str(cfg))
+        self.assert_config_error(code, capsys)
+
+    def test_config_not_an_object_exits_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code = run_transform(workspace, tmp_path / "x", "--config", str(cfg))
+        self.assert_config_error(code, capsys)
+
+    def test_threads_capped(self, tmp_path, capsys):
+        # the scene does not exist: without the cap this ends in exit 3, before any thread starts
+        code = main(["transform", "--scene", str(tmp_path / "none"),
+                     "--tables", str(tmp_path / "none"), "--out", str(tmp_path / "x"),
+                     "--threads", str(MAX_THREADS + 1)])
+        self.assert_config_error(code, capsys)
+
+    def test_threads_cap_is_inclusive(self):
+        args = build_parser().parse_args(
+            ["transform", "--scene", "s", "--tables", "t", "--out", "o",
+             "--threads", str(MAX_THREADS)]
+        )
+        assert RunConfig.merge(args).threads == MAX_THREADS
+        args.threads = MAX_THREADS + 1
+        with pytest.raises(ConfigError):
+            RunConfig.merge(args)
+
+    @pytest.mark.parametrize("value", ["2", "-0.1", "nan", "inf", "abc"])
+    def test_force_affinity_must_be_finite_unit(self, workspace, tmp_path, capsys, value):
+        code = run_transform(workspace, tmp_path / "x", "--ablate", f"force-A={value}")
+        self.assert_config_error(code, capsys)
+        assert not (tmp_path / "x").exists()
+
+    def test_force_affinity_from_config_checked(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"force_affinity": 1.5}))
+        code = run_transform(workspace, tmp_path / "x", "--config", str(cfg))
+        self.assert_config_error(code, capsys)
+
+
 class TestBench:
+    def test_threaded_self_check_covers_lss_pool(self, workspace, monkeypatch, capsys):
+        real = cli.lss_pool
+
+        def drifting(*args, threads=1, **kwargs):
+            out = real(*args, threads=threads, **kwargs)
+            return out + np.float32(1.0) if threads > 1 else out
+
+        monkeypatch.setattr(cli, "lss_pool", drifting)
+        code = main(
+            ["bench", "--scene", str(workspace / "scene"),
+             "--tables", str(workspace / "tables"), "--threads", "2", "--reps", "3"]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "lss_pool" in err and "bitwise" in err
+        assert "Traceback" not in err
+
+    def test_threaded_bench_passes_self_check(self, workspace, capsys):
+        assert main(
+            ["bench", "--scene", str(workspace / "scene"),
+             "--tables", str(workspace / "tables"), "--threads", "2",
+             "--reps", "3", "--warmup", "1"]
+        ) == 0
+
     def test_bench_runs_and_writes_json(self, workspace, tmp_path, capsys):
         out = tmp_path / "bench.json"
         assert main(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import forward_camera, small_geometry, small_scene
-from dualvt.errors import ShapeMismatch
+from dualvt.errors import NonFiniteValue, ShapeMismatch
 from dualvt.geometry import BevGridSpec, HeightSet, make_height_samples
 from dualvt.height_stream import (
     INTERP,
@@ -169,6 +169,17 @@ class TestTransform:
         bad_masks = [m[:, :5, :] for m in bundle.masks]
         with pytest.raises(ShapeMismatch):
             ht_transform_fast(bundle.feats, bundle.depths, bad_masks, table)
+
+    @pytest.mark.parametrize("which", ["feats", "depths", "masks"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, small_bundle, which, bad):
+        bundle, heights = small_bundle
+        table = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
+        inputs = {"feats": bundle.feats, "depths": bundle.depths, "masks": bundle.masks}
+        inputs[which] = [t.copy() for t in inputs[which]]
+        inputs[which][-1].flat[-1] = bad
+        with pytest.raises(NonFiniteValue):
+            ht_transform_fast(**inputs, table=table)
 
 
 def smooth_fields(rig, dspec, channels=6):

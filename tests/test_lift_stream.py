@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import forward_camera, small_geometry, small_scene
+from dualvt.errors import NonFiniteValue, ShapeMismatch
 from dualvt.geometry import BevGridSpec, project_point
 from dualvt.lift_stream import (
     DEPTH_MASK,
@@ -127,6 +128,23 @@ class TestPool:
             & (pts[:, 1] >= grid.y_min) & (pts[:, 1] < grid.y_max)
         )
         assert out[0].sum() == pytest.approx(int((hot & in_grid).sum()), rel=1e-6)
+
+    @pytest.mark.parametrize("which", ["depths", "masks"])
+    def test_shape_mismatch_rejected(self, small_bundle, which):
+        bundle, _ = small_bundle
+        table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+        inputs = {"feats": bundle.feats, "depths": bundle.depths, "masks": bundle.masks}
+        inputs[which] = [t[:, :5, :] for t in inputs[which]]
+        with pytest.raises(ShapeMismatch):
+            lss_pool(**inputs, table=table)
+
+    def test_nan_feature_rejected(self, small_bundle):
+        bundle, _ = small_bundle
+        table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+        feats = [f.copy() for f in bundle.feats]
+        feats[1][0, 0, 0] = np.nan
+        with pytest.raises(NonFiniteValue):
+            lss_pool(feats, bundle.depths, bundle.masks, table)
 
     def test_conservation_per_channel(self, small_bundle):
         """Total BEV mass equals the direct weighted sum over table records."""
