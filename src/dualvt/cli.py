@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import sys
 import typing
 from dataclasses import dataclass
@@ -112,9 +114,16 @@ def _load_scene_spec(path) -> tuple:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read scene spec {path}: {e}") from e
-    grid = BevGridSpec.from_json(doc["grid"]) if "grid" in doc else BevGridSpec()
-    dspec = DepthBinSpec.from_json(doc["dspec"]) if "dspec" in doc else DepthBinSpec()
-    fields = {k: v for k, v in doc.items() if k not in ("grid", "dspec")}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"scene spec {path} is not a JSON object")
+    blocks = {}
+    for key, cls in (("grid", BevGridSpec), ("dspec", DepthBinSpec)):
+        try:
+            blocks[key] = cls.from_json(doc[key]) if key in doc else cls()
+        except KeyError as e:
+            raise ConfigError(f"scene spec {key!r} block is missing key {e}") from None
+    grid, dspec = blocks["grid"], blocks["dspec"]
+    fields = {k: v for k, v in doc.items() if k not in blocks}
     try:
         spec = SceneSpec.from_json(fields)
     except TypeError as e:
@@ -172,11 +181,31 @@ def _load_run_inputs(args, cfg: RunConfig):
     ht_table = read_table(tables / "ht_table.htlt", HT_MAGIC)
     lss_table = read_table(tables / "lss_table.lspt", LSS_MAGIC)
     meta = json.loads((tables / "meta.json").read_text())
+    _check_tables_match_scene(bundle, meta, (ht_table, lss_table))
     if cfg.weights_dir:
         weights = WeightBundle.load(cfg.weights_dir)
     else:
         weights = make_seeded_weights(cfg.weight_seed, bundle.spec.channels)
     return bundle, ht_table, lss_table, meta, weights
+
+
+def _check_tables_match_scene(bundle, meta: dict, tables) -> None:
+    """Tables are bound to the geometry they were built for: refuse a scene
+    whose grid, depth bins, camera count or feature size differ."""
+    if BevGridSpec.from_json(meta["grid"]) != bundle.grid:
+        raise ConfigError(f"tables were built for grid {meta['grid']}, "
+                          f"scene has {bundle.grid.to_json()}")
+    if DepthBinSpec.from_json(meta["dspec"]) != bundle.dspec:
+        raise ConfigError(f"tables were built for depth bins {meta['dspec']}, "
+                          f"scene has {bundle.dspec.to_json()}")
+    spec = bundle.spec
+    scene = {"ny": bundle.grid.ny, "nx": bundle.grid.nx, "n_cams": len(bundle.rigs),
+             "feat_h": spec.feat_h, "feat_w": spec.feat_w, "n_bins": bundle.dspec.n_bins}
+    for table in tables:
+        for key, value in scene.items():
+            if getattr(table, key) != value:
+                raise ConfigError(f"{table.magic.decode()} table has {key}="
+                                  f"{getattr(table, key)}, scene has {value}")
 
 
 def _transform(bundle, ht_table, lss_table, meta, weights, cfg: RunConfig):
@@ -206,17 +235,29 @@ def cmd_transform(args) -> int:
     bundle, ht_table, lss_table, meta, weights = _load_run_inputs(args, cfg)
     result = _transform(bundle, ht_table, lss_table, meta, weights, cfg)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     arrays = {
         "F": result.f_final, "P": result.p_bev,
         "F_ht": result.f_ht, "F_lss": result.f_lss,
         "F_channel": result.f_channel, "A": result.affinity,
     }
-    for name, arr in arrays.items():
-        tensor_write(arr, out / f"{name}.btsr")
     summary = summarize_outputs(arrays, gt_bev=bundle.gt_bev)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    out = Path(args.out).resolve()
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # write beside --out and move into place, so a failed run leaves no partial outputs
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    tmp.mkdir()
+    try:
+        for name, arr in arrays.items():
+            tensor_write(arr, tmp / f"{name}.btsr")
+        (tmp / "summary.json").write_text(json.dumps(summary, indent=2))
+        if out.is_dir():  # replace our files, keep any others
+            for f in tmp.iterdir():
+                os.replace(f, out / f.name)
+            tmp.rmdir()
+        else:
+            os.rename(tmp, out)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     occ = summary.get("occupancy", {})
     print(
         f"F shape {result.f_final.shape}, occupied/empty energy "

@@ -4,6 +4,25 @@ Just enough machinery for the attention/probability heads: same-padded
 stride-1 2D convolution, channel statistics, global average pooling,
 activations, and seeded weight containers with BTSR-backed persistence.
 No training, no normalization layers.
+
+Arithmetic contract of ``conv2d`` (every kernel size, so the fusion and
+occupancy heads share it):
+
+- Each output value is the float32 rounding, done once, of a float64
+  sum of ``kernel * input`` products plus the bias.  Inputs and weights
+  are float32, and a product of two float32 values is exact in float64,
+  so the only float64 error is in the summation: at most about
+  ``C_in*kh*kw * 2**-53`` of the sum of the products' magnitudes.
+- The sum is a BLAS ``dgemm``, whose order depends on the BLAS build,
+  its CPU kernel and its thread count.  The order reaches an output
+  bit only when the float64 sum lies within that error of a float32
+  rounding boundary.  The tests pin the heads' output digests across
+  OpenBLAS core types and thread counts, and check every kernel size
+  against a fixed-order float64 loop to within one float32 ulp.  No
+  stronger guarantee is made.
+- The output is walked in blocks of ``BLOCK_ROWS`` rows, so the float64
+  window matrix takes ``C_in*kh*kw * BLOCK_ROWS * W * 8`` bytes
+  whatever the height of the input.
 """
 
 from __future__ import annotations
@@ -17,6 +36,10 @@ import numpy as np
 from .errors import ConfigError, ShapeMismatch
 from .rng import Rng
 from .tensors import tensor_read, tensor_write
+
+# output rows per GEMM block; for the 3x3 64->16 layer on a 128-wide
+# grid the window matrix takes 64*9 * 16*128 * 8 bytes = 9.4 MB
+BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -37,15 +60,33 @@ class Conv2dWeights:
 
 
 def conv2d(x: np.ndarray, w: Conv2dWeights) -> np.ndarray:
-    """Zero-padded cross-correlation preserving spatial size."""
+    """Zero-padded cross-correlation preserving spatial size.
+
+    For each block of ``BLOCK_ROWS`` output rows, the float32 input
+    windows are copied into a float64 ``(C_in*kh*kw, rows*W)`` matrix,
+    multiplied by the float64 kernel and offset by the float64 bias;
+    the result is rounded to float32 once (see the module docstring).
+    """
     c_out, c_in, kh, kw = w.kernel.shape
     if x.shape[0] != c_in:
         raise ShapeMismatch(f"input has {x.shape[0]} channels, kernel expects {c_in}")
+    _, H, W = x.shape
     ph, pw = kh // 2, kw // 2
     xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    out = np.einsum("oikl,ihwkl->ohw", w.kernel, windows, optimize=False)
-    return (out + w.bias[:, None, None]).astype(np.float32)
+    kernel = w.kernel.reshape(c_out, -1).astype(np.float64)
+    bias = w.bias.astype(np.float64)[:, None]
+    out = np.empty((c_out, H, W), dtype=np.float32)
+    # one window buffer for every block; a short last block uses its head
+    buf = np.empty(c_in * kh * kw * min(BLOCK_ROWS, H) * W, dtype=np.float64)
+    for r0 in range(0, H, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, H - r0)
+        cols = buf[: c_in * kh * kw * rows * W].reshape(c_in, kh, kw, rows, W)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = xp[:, r0 + i:r0 + i + rows, j:j + W]  # exact upcast
+        acc = kernel @ cols.reshape(c_in * kh * kw, rows * W) + bias
+        out[:, r0:r0 + rows] = acc.reshape(c_out, rows, W)  # the one float32 rounding
+    return out
 
 
 def channel_stats(x: np.ndarray) -> np.ndarray:

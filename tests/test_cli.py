@@ -72,6 +72,25 @@ class TestSynth:
         bad.write_text(json.dumps({"seed": 1, "bogus_field": 2}))
         assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("doc, missing", [
+        ({"seed": 1, "grid": {"nx": 64, "ny": 64}}, "x_min"),
+        ({"seed": 1, "dspec": {"d_min": 2.0, "step": 1.0}}, "d_max"),
+    ])
+    def test_partial_block_names_missing_key(self, tmp_path, capsys, doc, missing):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and missing in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_spec_not_an_object_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1, 2]")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestPrecompute:
     def test_outputs(self, workspace):
@@ -195,6 +214,77 @@ class TestTransform:
         assert run_transform(workspace, tmp_path / "disk", "--weights", str(wdir)) == 0
         assert run_transform(workspace, tmp_path / "seeded") == 0
         assert dir_digest(tmp_path / "disk") == dir_digest(tmp_path / "seeded")
+
+
+def other_tables(root, **overrides):
+    """Tables built for SCENE_SPEC with some fields replaced."""
+    root.mkdir()
+    spec = root / "spec.json"
+    spec.write_text(json.dumps({**SCENE_SPEC, **overrides}))
+    assert main(["synth", "--spec", str(spec), "--out", str(root / "scene")]) == 0
+    assert main(["precompute", "--scene", str(root / "scene"), "--out", str(root / "tables")]) == 0
+    return root / "tables"
+
+
+class TestTablesBoundToGeometry:
+    """Tables from another geometry end in exit 2 before any compute or output."""
+
+    def assert_refused(self, workspace, tables, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["transform", "--scene", str(workspace / "scene"),
+                     "--tables", str(tables), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".out.")]
+        return err
+
+    @pytest.mark.parametrize("overrides", [
+        {"grid": {**SCENE_SPEC["grid"], "nx": 16, "ny": 16}},
+        {"grid": {**SCENE_SPEC["grid"], "x_min": -20.0, "x_max": 12.0}},
+        {"dspec": {"d_min": 2.0, "d_max": 22.0, "step": 1.0}},
+        {"n_cameras": 4},
+        {"feat_h": 6},
+        {"feat_w": 12},
+    ], ids=["grid-size", "grid-extent", "dspec", "n_cams", "feat_h", "feat_w"])
+    def test_mismatch_exits_2(self, workspace, tmp_path, capsys, overrides):
+        tables = other_tables(tmp_path / "other", **overrides)
+        self.assert_refused(workspace, tables, tmp_path, capsys)
+
+    def test_table_header_checked_beside_meta(self, workspace, tmp_path, capsys):
+        # meta.json agrees with the scene, the table headers do not
+        tables = other_tables(tmp_path / "other", grid={**SCENE_SPEC["grid"], "nx": 16, "ny": 16})
+        (tables / "meta.json").write_bytes((workspace / "tables" / "meta.json").read_bytes())
+        err = self.assert_refused(workspace, tables, tmp_path, capsys)
+        assert "ny=16" in err
+
+    def test_failed_write_leaves_no_output(self, workspace, tmp_path, monkeypatch, capsys):
+        real, calls = cli.tensor_write, []
+
+        def failing(arr, path):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real(arr, path)
+
+        monkeypatch.setattr(cli, "tensor_write", failing)
+        assert run_transform(workspace, tmp_path / "out") == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_out_keeps_other_files(self, workspace, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep")
+        assert run_transform(workspace, out) == 0
+        assert run_transform(workspace, tmp_path / "fresh") == 0
+        assert (out / "notes.txt").read_text() == "keep"
+        digests = dir_digest(out)
+        del digests["notes.txt"]
+        assert digests == dir_digest(tmp_path / "fresh")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
 
 
 class TestRunConfigValidation:

@@ -1,0 +1,100 @@
+"""Golden digests of the fusion and occupancy heads on one pinned scene.
+
+The heads' arithmetic contract (see ``dualvt.nnops``) is one float32
+rounding of float64 sums whose order the BLAS picks.  These digests pin
+the resulting bytes; the subprocess test recomputes the heads under
+another OpenBLAS CPU kernel and BLAS thread count.
+"""
+
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dualvt
+from conftest import small_scene
+from dualvt.fusion import fuse_and_finalize, make_seeded_weights, run_pipeline
+from dualvt.height_stream import precompute_ht_table
+from dualvt.lift_stream import precompute_lss_table
+
+WEIGHT_SEED = 11
+# small_scene(0) with make_seeded_weights(11, 8), at threads 1 and 2
+GOLDEN = {
+    "F_channel": "ae525f94464b2a27846b4cfe4d4cf660e5edf035c72a978e61084c293c5befe1",
+    "A": "dddb10c3288c11a8a1b9edf50df6ea77eab48eb3fd7abcbdad948856110afd31",
+    "P": "eece4700ec1b9aa314dae3303339deeca4187eb025f6f2022b888256425bd7e4",
+    "F": "ad8f2b67cfcdee0c3bff9b8fd4303dab4bc89779610ee5c10e2700e450ff9757",
+}
+
+
+def head_digests(result) -> dict:
+    return {
+        name: hashlib.sha256(np.ascontiguousarray(arr, dtype="<f4").tobytes()).hexdigest()
+        for name, arr in (
+            ("F_channel", result.f_channel), ("A", result.affinity),
+            ("P", result.p_bev), ("F", result.f_final),
+        )
+    }
+
+
+def saved_stream_digests(directory) -> dict:
+    """Head digests from the stream outputs saved in `directory`."""
+    directory = Path(directory)
+    f_lss, f_ht = np.load(directory / "f_lss.npy"), np.load(directory / "f_ht.npy")
+    weights = make_seeded_weights(WEIGHT_SEED, f_ht.shape[0])
+    return head_digests(fuse_and_finalize(f_lss, f_ht, weights))
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    bundle, heights = small_scene(0)
+    ht = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
+    lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    return bundle, ht, lss, make_seeded_weights(WEIGHT_SEED, bundle.spec.channels)
+
+
+def run_pinned(pinned, threads):
+    bundle, ht, lss, weights = pinned
+    return run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, weights,
+                        threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_head_matches_golden_digests(pinned, threads):
+    assert head_digests(run_pinned(pinned, threads)) == GOLDEN
+
+
+def _numpy_on_openblas_x86() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.lower() and platform.machine().lower() in ("x86_64", "amd64")
+
+
+@pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, x86-64")
+def test_head_digests_hold_on_another_openblas_core(pinned, tmp_path):
+    """Nehalem kernels run on any x86-64 CPU and sum in another order than
+    the AVX kernels picked on newer ones."""
+    result = run_pinned(pinned, threads=1)
+    np.save(tmp_path / "f_lss.npy", result.f_lss)
+    np.save(tmp_path / "f_ht.npy", result.f_ht)
+    paths = [str(Path(dualvt.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
+        "OPENBLAS_CORETYPE": "Nehalem",
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+    code = ("import sys, json, test_golden; "
+            "print(json.dumps(test_golden.saved_stream_digests(sys.argv[1])))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == head_digests(result) == GOLDEN

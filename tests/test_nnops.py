@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualvt import nnops
 from dualvt.errors import ConfigError, ShapeMismatch
 from dualvt.nnops import (
     Conv2dWeights,
@@ -21,6 +24,31 @@ def identity_kernel(channels, k=3):
     for c in range(channels):
         kern[c, c, k // 2, k // 2] = 1.0
     return Conv2dWeights(kernel=kern, bias=np.zeros(channels, dtype=np.float32))
+
+
+def conv_reference(x, kernel, bias):
+    """Fixed-order float64 tap loop: for each (c_in, dy, dx) tap in turn,
+    add kernel * shifted input to every output channel, then add the bias
+    and round to float32 once."""
+    c_out, c_in, kh, kw = kernel.shape
+    _, H, W = x.shape
+    xp = np.zeros((c_in, H + kh - 1, W + kw - 1))
+    xp[:, kh // 2:kh // 2 + H, kw // 2:kw // 2 + W] = x
+    acc = np.zeros((c_out, H, W))
+    for i in range(c_in):
+        for dy in range(kh):
+            for dx in range(kw):
+                tap = kernel[:, i, dy, dx, None, None].astype(np.float64)
+                acc += tap * xp[i, dy:dy + H, dx:dx + W]
+    return (acc + bias[:, None, None].astype(np.float64)).astype(np.float32)
+
+
+def ulp_distance(a, b):
+    """Distance in float32 ulps, on an integer line where -0.0 == +0.0."""
+    def line(v):
+        i = v.view(np.int32).astype(np.int64)
+        return np.where(i < 0, -(i & 0x7FFFFFFF), i)
+    return np.abs(line(a) - line(b))
 
 
 class TestConv2d:
@@ -88,6 +116,44 @@ class TestConv2d:
         a = conv2d(x, w)
         b = conv2d(x, w)
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([1, 3, 5, 7]), st.sampled_from([1, 3, 5, 7]),
+        st.integers(1, 2 * nnops.BLOCK_ROWS + 5), st.integers(1, 2 * nnops.BLOCK_ROWS + 5),
+        st.integers(1, 20), st.integers(1, 20),
+    )
+    def test_within_one_ulp_of_tap_loop(self, seed, kh, kw, H, W, c_in, c_out):
+        rng = Rng(seed)
+        x = rng.uniform((c_in, H, W), -2.0, 2.0)
+        kernel = rng.uniform((c_out, c_in, kh, kw), -0.5, 0.5)
+        bias = rng.uniform((c_out,), -0.5, 0.5)
+        out = conv2d(x, Conv2dWeights(kernel=kernel, bias=bias))
+        ref = conv_reference(x, kernel, bias)
+        assert out.shape == ref.shape == (c_out, H, W)
+        assert out.dtype == np.float32
+        assert ulp_distance(out, ref).max() <= 1
+
+    def test_memory_is_row_blocked(self):
+        """The 3x3 64->16 layer on a 128x128 grid stays below half of one
+        unblocked float64 window matrix (C_in*9*H*W*8 bytes)."""
+        c_in, c_out, H, W = 64, 16, 128, 128
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, (c_in, H, W)).astype(np.float32)
+        w = Conv2dWeights(
+            kernel=rng.uniform(-0.1, 0.1, (c_out, c_in, 3, 3)).astype(np.float32),
+            bias=np.zeros(c_out, dtype=np.float32),
+        )
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        unblocked = c_in * 9 * H * W * 8
+        assert peak >= out.nbytes  # numpy's allocations are traced
+        assert peak < unblocked / 2
 
 
 class TestReductions:
