@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bench as bench_mod
 from .errors import ConfigError, DualVtError
-from .fusion import fuse_and_finalize, make_seeded_weights, run_pipeline
-from .geometry import BevGridSpec, HeightSet, make_height_samples
+from .fusion import apply_ablations, fuse_and_finalize, make_seeded_weights, run_pipeline
+from .geometry import BevGridSpec, HeightSet, geometry_fingerprint, make_height_samples
 from .height_stream import INTERP, ROUND, ht_transform_fast, ht_transform_naive, precompute_ht_table
 from .lift_stream import DEPTH_MASK, DEPTH_ONLY, lss_pool, precompute_lss_table
 from .nnops import WeightBundle
@@ -161,6 +161,7 @@ def cmd_precompute(args) -> int:
         "heights": {"mode": heights.mode, "z_values": list(heights.z_values)},
         "grid": bundle.grid.to_json(),
         "dspec": bundle.dspec.to_json(),
+        "geometry_sha256": geometry_fingerprint(bundle.rigs, heights),
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2))
     for name, table in (("ht", ht), ("lss", lss)):
@@ -191,7 +192,11 @@ def _load_run_inputs(args, cfg: RunConfig):
 
 def _check_tables_match_scene(bundle, meta: dict, tables) -> None:
     """Tables are bound to the geometry they were built for: refuse a scene
-    whose grid, depth bins, camera count or feature size differ."""
+    whose grid, depth bins, camera count, feature size or camera rigs differ,
+    or a meta.json whose height set is not the one the tables were built with."""
+    for key in ("heights", "grid", "dspec", "geometry_sha256"):
+        if key not in meta:
+            raise ConfigError(f"tables' meta.json has no {key!r}; rebuild them with precompute")
     if BevGridSpec.from_json(meta["grid"]) != bundle.grid:
         raise ConfigError(f"tables were built for grid {meta['grid']}, "
                           f"scene has {bundle.grid.to_json()}")
@@ -206,21 +211,21 @@ def _check_tables_match_scene(bundle, meta: dict, tables) -> None:
             if getattr(table, key) != value:
                 raise ConfigError(f"{table.magic.decode()} table has {key}="
                                   f"{getattr(table, key)}, scene has {value}")
+    if meta["geometry_sha256"] != geometry_fingerprint(bundle.rigs, _heights_from_meta(meta)):
+        raise ConfigError("tables were built for other camera rigs or heights "
+                          "(geometry fingerprint differs); rebuild them with precompute")
 
 
 def _transform(bundle, ht_table, lss_table, meta, weights, cfg: RunConfig):
-    feats, depths, masks = bundle.feats, bundle.depths, bundle.masks
+    feats = bundle.feats
+    depths, masks = apply_ablations(bundle.depths, bundle.masks,
+                                    cfg.disable_mask, cfg.uniform_depth)
     if cfg.sampler == "fast":
         return run_pipeline(
             feats, depths, masks, ht_table, lss_table, weights,
             threads=cfg.threads, weight_mode=cfg.weight_mode,
             force_affinity=cfg.force_affinity,
-            disable_mask=cfg.disable_mask, uniform_depth=cfg.uniform_depth,
         )
-    if cfg.disable_mask:
-        masks = [np.ones_like(m) for m in masks]
-    if cfg.uniform_depth:
-        depths = [np.full_like(d, 1.0 / d.shape[0]) for d in depths]
     heights = _heights_from_meta(meta)
     mode = INTERP if cfg.sampler == "naive-interp" else ROUND
     f_ht = ht_transform_naive(

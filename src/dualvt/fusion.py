@@ -148,6 +148,17 @@ class PipelineResult:
     affinity: np.ndarray
 
 
+def apply_ablations(depths, masks, disable_mask: bool, uniform_depth: bool):
+    """The input ablations: `disable_mask` replaces the instance masks with
+    ones, `uniform_depth` flattens the depth distributions.  Returns
+    (depths, masks); the caller's lists are not changed."""
+    if disable_mask:
+        masks = [np.ones_like(m) for m in masks]
+    if uniform_depth:
+        depths = [np.full_like(d, 1.0 / d.shape[0]) for d in depths]
+    return depths, masks
+
+
 def run_pipeline(
     feats, depths, masks,
     ht_table, lss_table,
@@ -160,15 +171,11 @@ def run_pipeline(
 ) -> PipelineResult:
     """Full forward pass: both streams, fusion, probability, final feature.
 
-    Ablation switches: `uniform_depth` flattens the depth distributions,
-    `disable_mask` replaces the instance masks with ones, and
-    `force_affinity` pins the fusion affinity to a constant (1.0 yields a
-    pure lift-stream pipeline).
+    Ablation switches: `disable_mask` and `uniform_depth` as in
+    `apply_ablations`, and `force_affinity` pins the fusion affinity to a
+    constant (1.0 yields a pure lift-stream pipeline).
     """
-    if disable_mask:
-        masks = [np.ones_like(m) for m in masks]
-    if uniform_depth:
-        depths = [np.full_like(d, 1.0 / d.shape[0]) for d in depths]
+    depths, masks = apply_ablations(depths, masks, disable_mask, uniform_depth)
 
     f_ht = ht_transform_fast(feats, depths, masks, ht_table, threads=threads)
     f_lss = lss_pool(feats, depths, masks, lss_table, mode=weight_mode, threads=threads)

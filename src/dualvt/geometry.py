@@ -10,6 +10,7 @@ Conventions (fixed across the whole library):
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +139,19 @@ class HeightSet:
 
     def __len__(self) -> int:
         return len(self.z_values)
+
+
+def geometry_fingerprint(rigs, heights: HeightSet) -> str:
+    """SHA-256 of what a lookup table depends on beyond the grid and the depth
+    bins: every rig's intrinsics, extrinsics and feature size, in camera
+    order, and the height set."""
+    h = hashlib.sha256()
+    for rig in rigs:
+        h.update(np.asarray(rig.intrinsics, dtype="<f8").tobytes())
+        h.update(np.asarray(rig.extrinsics, dtype="<f8").tobytes())
+        h.update(np.array([rig.feat_w, rig.feat_h], dtype="<i8").tobytes())
+    h.update(np.asarray(heights.z_values, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def make_height_samples(mode: str = "multires", n: int | None = None) -> HeightSet:

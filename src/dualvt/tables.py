@@ -93,7 +93,11 @@ def write_table(table: IndexTable, path) -> None:
     records[:, 1] = table.cams
     records[:, 2] = table.feat_idx
     records[:, 3] = table.depth_idx
-    Path(path).write_bytes(header + records.tobytes(order="C"))
+    # write the records from their own buffer: joining them into one bytes
+    # object would hold two more copies of the table at the peak
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(records.data)
 
 
 def read_table(path, expect_magic: bytes) -> IndexTable:

@@ -8,6 +8,7 @@ import pytest
 from dualvt import cli
 from dualvt.cli import MAX_THREADS, RunConfig, build_parser, main
 from dualvt.errors import ConfigError
+from dualvt.synth import random_scene_spec
 from dualvt.tensors import tensor_read
 
 
@@ -185,6 +186,18 @@ class TestTransform:
         b = tensor_read(tmp_path / "nomask" / "F.btsr")
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("ablation", ["disable-M", "uniform-D"])
+    def test_ablations_reach_naive_sampler(self, workspace, tmp_path, ablation):
+        # the naive samplers see the same ablated inputs as the fast path
+        assert run_transform(workspace, tmp_path / "fast", "--ablate", ablation) == 0
+        assert run_transform(workspace, tmp_path / "round", "--ablate", ablation,
+                             "--sampler", "naive-round") == 0
+        assert run_transform(workspace, tmp_path / "base", "--sampler", "naive-round") == 0
+        a = tensor_read(tmp_path / "fast" / "F_ht.btsr")
+        b = tensor_read(tmp_path / "round" / "F_ht.btsr")
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+        assert not np.array_equal(b, tensor_read(tmp_path / "base" / "F_ht.btsr"))
+
     def test_unknown_ablation_exits_2(self, workspace, tmp_path):
         assert run_transform(workspace, tmp_path / "x", "--ablate", "bogus") == 2
 
@@ -259,6 +272,35 @@ class TestTablesBoundToGeometry:
         (tables / "meta.json").write_bytes((workspace / "tables" / "meta.json").read_bytes())
         err = self.assert_refused(workspace, tables, tmp_path, capsys)
         assert "ny=16" in err
+
+    def test_other_rig_with_same_sizes_exits_2(self, tmp_path, capsys):
+        # same grid, depth bins, camera count and feature size; the cameras sit higher
+        for name, height in (("built", 1.5), ("applied", 1.8)):
+            (tmp_path / name).mkdir()
+            spec = tmp_path / name / "spec.json"
+            spec.write_text(json.dumps(random_scene_spec(3, cam_height=height).to_json()))
+            assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / name / "scene")]) == 0
+        assert main(["precompute", "--scene", str(tmp_path / "built" / "scene"),
+                     "--out", str(tmp_path / "tables")]) == 0
+        err = self.assert_refused(tmp_path / "applied", tmp_path / "tables", tmp_path, capsys)
+        assert "fingerprint" in err
+
+    def test_other_heights_in_meta_exits_2(self, workspace, tmp_path, capsys):
+        tables = other_tables(tmp_path / "other")
+        meta = json.loads((tables / "meta.json").read_text())
+        meta["heights"]["z_values"] = meta["heights"]["z_values"][1:]
+        (tables / "meta.json").write_text(json.dumps(meta))
+        err = self.assert_refused(workspace, tables, tmp_path, capsys)
+        assert "fingerprint" in err
+
+    @pytest.mark.parametrize("key", ["geometry_sha256", "heights", "grid", "dspec"])
+    def test_meta_missing_key_exits_2(self, workspace, tmp_path, capsys, key):
+        tables = other_tables(tmp_path / "other")
+        meta = json.loads((tables / "meta.json").read_text())
+        del meta[key]
+        (tables / "meta.json").write_text(json.dumps(meta))
+        err = self.assert_refused(workspace, tables, tmp_path, capsys)
+        assert repr(key) in err
 
     def test_failed_write_leaves_no_output(self, workspace, tmp_path, monkeypatch, capsys):
         real, calls = cli.tensor_write, []

@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualvt import scatter
+from dualvt.geometry import BevGridSpec
+from dualvt.lift_stream import lss_pool, precompute_lss_table
 from dualvt.rng import Rng
+from dualvt.sampling import DepthBinSpec
 from dualvt.scatter import scatter_reference, weighted_scatter
+from dualvt.synth import generate_scene, random_scene_spec
+from dualvt.tables import stack_camera_tensors
 
 
 def _random_problem(seed, n_entries, n_cells, channels=5, pixels=40, bins=60):
@@ -82,6 +87,68 @@ def test_zero_weight_skip_is_bitwise(seed, n_entries, n_cells, zero_frac, chunk,
         fast = weighted_scatter(*args, n_cells, threads=threads)
     slow = scatter_reference(*args, n_cells)
     assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 10_000), st.integers(100, 400), st.integers(1, 60),
+    st.sampled_from([0.0, 0.5, 0.9]), st.integers(1, 16), st.sampled_from([1, 2, 3]),
+)
+def test_skewed_runs_are_bitwise(seed, hot_len, n_cells, zero_frac, chunk, threads):
+    """One cell with hundreds of entries beside single-entry cells, as in the
+    lift table (whose longest run is 400): the hot cell spans hundreds of
+    ranks, every other cell only the first."""
+    hot = seed % n_cells
+    cells = np.concatenate(
+        [np.arange(hot), np.full(hot_len, hot), np.arange(hot + 1, n_cells)]
+    )
+    feats, depth_w, mask_w, _, feat_idx, depth_idx = _mostly_zero_problem(
+        seed, cells.size, n_cells, zero_frac
+    )
+    args = (feats, depth_w, mask_w, cells, feat_idx, depth_idx)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scatter, "CHUNK_ENTRIES", chunk)
+        fast = weighted_scatter(*args, n_cells, threads=threads)
+    slow = scatter_reference(*args, n_cells)
+    assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def desk_lift():
+    """Desk-scale scene with all-ones masks and its lift table."""
+    bundle = generate_scene(random_scene_spec(1), BevGridSpec(), DepthBinSpec())
+    table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    masks = [np.ones_like(m) for m in bundle.masks]
+    return bundle, masks, table
+
+
+def test_desk_scale_dense_lift_is_sequential(desk_lift):
+    """Every entry carries weight: the rank-major scatter equals one sequential
+    np.add.at pass over the table in entry order, bitwise."""
+    bundle, masks, table = desk_lift
+    feats = stack_camera_tensors(bundle.feats)
+    depth_w = np.concatenate([d.ravel() for d in bundle.depths])
+    mask_w = stack_camera_tensors(masks)[0]
+    feat_idx, depth_idx = table.global_feat_idx(), table.global_depth_idx()
+    w = depth_w[depth_idx].astype(np.float64) * mask_w[feat_idx].astype(np.float64)
+    assert np.count_nonzero(w) > 0.8 * table.n_entries
+    assert table.per_cell_counts().max() >= 100
+    expected = np.zeros((table.n_cells, feats.shape[0]))
+    for a in range(0, table.n_entries, 8192):  # in entry order, chunked for memory
+        b = a + 8192
+        np.add.at(expected, table.cells[a:b],
+                  w[a:b, None] * feats[:, feat_idx[a:b]].T.astype(np.float64))
+    got = weighted_scatter(feats, depth_w, mask_w, table.cells, feat_idx, depth_idx,
+                           table.n_cells)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_desk_scale_dense_lss_pool_threads_bitwise(desk_lift):
+    bundle, masks, table = desk_lift
+    seq = lss_pool(bundle.feats, bundle.depths, masks, table, threads=1)
+    for threads in (2, 3):
+        par = lss_pool(bundle.feats, bundle.depths, masks, table, threads=threads)
+        assert np.array_equal(seq.view(np.uint32), par.view(np.uint32))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
