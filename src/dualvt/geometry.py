@@ -11,7 +11,7 @@ Conventions (fixed across the whole library):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,15 +21,6 @@ BEHIND_EPS = 1e-6
 
 FULL_HEIGHT_RANGE = (-5.0, 3.0)
 ROI_HEIGHT_RANGE = (-2.0, 2.0)
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Image-feature coordinates (u, v) and camera-frame depth d of a 3D point."""
-
-    u: float
-    v: float
-    d: float
 
 
 @dataclass(frozen=True)
@@ -177,14 +168,6 @@ def make_height_samples(mode: str = "multires", n: int | None = None) -> HeightS
     raise ConfigError(f"unknown height mode {mode!r}")
 
 
-def project_point(p3d, cam: CameraRig):
-    """Project one ego-frame point; returns Projection or None if behind the camera."""
-    u, v, d, valid = project_points(np.asarray(p3d, dtype=np.float64)[None, :], cam)
-    if not valid[0]:
-        return None
-    return Projection(float(u[0]), float(v[0]), float(d[0]))
-
-
 def project_points(p3d: np.ndarray, cam: CameraRig):
     """Vectorized projection of (N, 3) ego points.
 
@@ -200,15 +183,6 @@ def project_points(p3d: np.ndarray, cam: CameraRig):
     u = K[0, 0] * q[:, 0] / safe_z + K[0, 2]
     v = K[1, 1] * q[:, 1] / safe_z + K[1, 2]
     return u, v, z, valid
-
-
-def back_project(proj: Projection, cam: CameraRig) -> np.ndarray:
-    """Inverse of project_point for a known depth; returns the ego-frame point."""
-    K = cam.intrinsics
-    x = (proj.u - K[0, 2]) / K[0, 0] * proj.d
-    y = (proj.v - K[1, 2]) / K[1, 1] * proj.d
-    cam_pt = np.array([x, y, proj.d, 1.0])
-    return (np.linalg.inv(cam.extrinsics) @ cam_pt)[:3]
 
 
 def bev_cell_centers(spec: BevGridSpec) -> np.ndarray:

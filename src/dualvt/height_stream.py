@@ -2,10 +2,11 @@
 
 Each BEV cell spawns one 3D point per height; points are projected into
 every camera and weighted by the depth distribution (projection
-probability) and the instance mask (image probability).  The reference
-path samples with interpolating samplers; the accelerated path rounds
-all coordinates so the indices become input-independent and can be
-precomputed into a scatter-sum lookup table.
+probability) and the instance mask (image probability).  The accelerated
+path rounds all coordinates so the indices become input-independent and
+can be precomputed into a scatter-sum lookup table.  The reference path
+samples every point directly, by rounding (a table-free check of the
+table path) or with interpolating samplers.
 
 The BEV occupancy probability is deliberately NOT applied here; the
 fusion stage applies it exactly once to the fused feature.
@@ -34,9 +35,14 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def _correspondences(rigs, grid: BevGridSpec, heights: HeightSet, dspec: DepthBinSpec):
-    """All valid rounded (cell, cam, height) -> (feat_idx, depth_idx) records,
-    sorted by cell, then camera, then height index."""
+def precompute_ht_table(
+    rigs, grid: BevGridSpec, heights: HeightSet, dspec: DepthBinSpec
+) -> IndexTable:
+    """Build the lookup table; a pure function of the geometry (empty is legal).
+
+    Every valid rounded (cell, camera, height) correspondence becomes one
+    entry, sorted by cell, then camera, then height index.
+    """
     centers = bev_cell_centers(grid).reshape(-1, 2).astype(np.float64)
     n_cells = centers.shape[0]
     nz = len(heights)
@@ -68,23 +74,15 @@ def _correspondences(rigs, grid: BevGridSpec, heights: HeightSet, dspec: DepthBi
         cols["fi"].append(vi * rig.feat_w + ui)
         cols["di"].append((kk * rig.feat_h + vi) * rig.feat_w + ui)
 
-    cat = {k: np.concatenate(v) if v else np.empty(0, np.int64) for k, v in cols.items()}
-    order = np.lexsort((cat["h"], cat["cam"], cat["cell"]))
-    return {k: v[order] for k, v in cat.items()}
-
-
-def precompute_ht_table(
-    rigs, grid: BevGridSpec, heights: HeightSet, dspec: DepthBinSpec
-) -> IndexTable:
-    """Build the lookup table; a pure function of the geometry (empty is legal)."""
-    rec = _correspondences(rigs, grid, heights, dspec)
+    rec = {k: np.concatenate(v) if v else np.empty(0, np.int64) for k, v in cols.items()}
+    order = np.lexsort((rec["h"], rec["cam"], rec["cell"]))
     rig0 = rigs[0]
     return IndexTable(
         magic=HT_MAGIC,
         ny=grid.ny, nx=grid.nx, n_cams=len(rigs),
         feat_h=rig0.feat_h, feat_w=rig0.feat_w, n_bins=dspec.n_bins,
-        cells=rec["cell"], cams=rec["cam"],
-        feat_idx=rec["fi"], depth_idx=rec["di"],
+        cells=rec["cell"][order], cams=rec["cam"][order],
+        feat_idx=rec["fi"][order], depth_idx=rec["di"][order],
     )
 
 
@@ -112,51 +110,59 @@ def ht_transform_naive(
 ) -> np.ndarray:
     """Reference path computing the projection sums without a lookup table.
 
-    ROUND mode re-derives the rounded correspondences on the fly and
-    accumulates them in the table order, matching ht_transform_fast
-    bitwise.  INTERP mode uses the bilinear/trilinear samplers instead
-    of rounding.
+    One loop over cameras and, inside it, heights: every cell's anchor
+    point at that height is projected into the camera and sampled there.
+    ROUND takes the nearest depth, mask and feature values (halves away
+    from zero, points outside the feature map or the bin range dropped);
+    INTERP uses the trilinear and bilinear samplers.  Each sample adds
+    ``depth * mask * feature`` to its cell with one row update.  A cell
+    occurs at most once per (camera, height), so the loop nesting alone
+    gives every cell its additions in (camera, height) order from +0.0,
+    the order of the table's entries: ROUND equals ht_transform_fast
+    bitwise without using the table, its builder or the scatter.
     """
+    if mode not in (ROUND, INTERP):
+        raise ValueError(f"unknown sampler mode {mode!r}")
     rig0 = rigs[0]
     check_camera_tensors(
         feats, depths, masks, len(rigs), rig0.feat_h, rig0.feat_w, dspec.n_bins
     )
-    if mode == ROUND:
-        rec = _correspondences(rigs, grid, heights, dspec)
-        feat_stack = stack_camera_tensors(feats)
-        depth_flat = np.concatenate([d.ravel() for d in depths])
-        mask_flat = stack_camera_tensors(masks)[0]
-        hw = rig0.feat_h * rig0.feat_w
-        acc = weighted_scatter(
-            feat_stack, depth_flat, mask_flat,
-            rec["cell"],
-            rec["cam"] * hw + rec["fi"],
-            rec["cam"] * (dspec.n_bins * hw) + rec["di"],
-            grid.n_cells,
-        )
-        C = feat_stack.shape[0]
-        return acc.T.reshape(C, grid.ny, grid.nx).astype(np.float32)
-    if mode != INTERP:
-        raise ValueError(f"unknown sampler mode {mode!r}")
-
-    centers = bev_cell_centers(grid).reshape(-1, 2).astype(np.float64)
-    n_cells = centers.shape[0]
+    sample = _nearest_samples if mode == ROUND else _interp_samples
+    n_cells, nz = grid.n_cells, len(heights)
+    # (cell, height) points, height-minor as in the table build, so that
+    # projecting them gives the table's coordinates bit for bit
+    pts = np.empty((n_cells, nz, 3), dtype=np.float64)
+    pts[:, :, :2] = bev_cell_centers(grid).reshape(n_cells, 1, 2)
+    pts[:, :, 2] = heights.z_values
     C = feats[0].shape[0]
     acc = np.zeros((n_cells, C), dtype=np.float64)
-    pts = np.empty((n_cells, 3), dtype=np.float64)
-    pts[:, :2] = centers
-    for cam_i, rig in enumerate(rigs):
-        feat = feats[cam_i]
-        depth = depths[cam_i]
-        mask = masks[cam_i]
-        for z in heights.z_values:
-            pts[:, 2] = z
-            u, v, d, valid = project_points(pts, rig)
-            if not valid.any():
-                continue
-            uu, vv, dd = u[valid], v[valid], d[valid]
-            d_s = trilinear_sample_3d_many(depth, uu, vv, dd, dspec)
-            m_s = bilinear_sample_2d_many(mask, uu, vv)[:, 0]
-            i_s = bilinear_sample_2d_many(feat, uu, vv)
-            np.add.at(acc, np.nonzero(valid)[0], (d_s * m_s)[:, None] * i_s)
+    for feat, depth, mask, rig in zip(feats, depths, masks, rigs):
+        u, v, d, valid = (
+            a.reshape(n_cells, nz) for a in project_points(pts.reshape(-1, 3), rig)
+        )
+        for h in range(nz):
+            rows, w, f = sample(feat, depth, mask, u[:, h], v[:, h], d[:, h], valid[:, h], dspec)
+            acc[rows] += w[:, None] * f
     return acc.T.reshape(C, grid.ny, grid.nx).astype(np.float32)
+
+
+def _nearest_samples(feat, depth, mask, u, v, d, valid, dspec):
+    """Rows of the in-range points, their depth*mask weights and (n, C) features."""
+    n_bins, H, W = depth.shape
+    j = round_half_away(u)
+    i = round_half_away(v)
+    k = round_half_away(depth_to_coord(d, dspec))
+    rows = np.flatnonzero(
+        valid & (j >= 0) & (j < W) & (i >= 0) & (i < H) & (k >= 0) & (k < n_bins)
+    )
+    j, i, k = (a[rows].astype(np.int64) for a in (j, i, k))
+    w = depth[k, i, j].astype(np.float64) * mask[0, i, j].astype(np.float64)
+    return rows, w, feat[:, i, j].T
+
+
+def _interp_samples(feat, depth, mask, u, v, d, valid, dspec):
+    """As _nearest_samples, for every point in front of the camera, interpolated."""
+    rows = np.flatnonzero(valid)
+    u, v, d = u[rows], v[rows], d[rows]
+    w = trilinear_sample_3d_many(depth, u, v, d, dspec) * bilinear_sample_2d_many(mask, u, v)[:, 0]
+    return rows, w, bilinear_sample_2d_many(feat, u, v)

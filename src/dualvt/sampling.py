@@ -50,11 +50,6 @@ def depth_to_coord(d, spec: DepthBinSpec) -> np.ndarray:
     return (np.asarray(d, dtype=np.float64) - spec.d_min) / spec.step - 0.5
 
 
-def depth_map_is_normalized(depth: np.ndarray, tol: float = 1e-4) -> bool:
-    """True if every pixel's depth distribution sums to 1 within `tol`."""
-    return bool(np.all(np.abs(depth.sum(axis=0) - 1.0) <= tol))
-
-
 def bilinear_sample_2d_many(feat: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sample (C, H, W) at N points; returns (N, C) float64."""
     C, H, W = feat.shape
@@ -79,11 +74,6 @@ def bilinear_sample_2d_many(feat: np.ndarray, u: np.ndarray, v: np.ndarray) -> n
         idx = np.where(ok, ii * W + jj, 0)
         out += (w * ok)[:, None] * flat[idx]
     return out
-
-
-def bilinear_sample_2d(feat: np.ndarray, u: float, v: float) -> np.ndarray:
-    """Sample (C, H, W) at one point; returns a length-C vector."""
-    return bilinear_sample_2d_many(feat, np.array([u]), np.array([v]))[0]
 
 
 def trilinear_sample_3d_many(
@@ -125,14 +115,3 @@ def trilinear_sample_3d_many(
         idx = np.where(ok, (kk * H + ii) * W + jj, 0)
         out += w * ok * flat[idx]
     return out
-
-
-def trilinear_sample_3d(
-    depth: np.ndarray, u: float, v: float, d: float, spec: DepthBinSpec
-) -> float:
-    """Scalar form of trilinear_sample_3d_many."""
-    return float(
-        trilinear_sample_3d_many(
-            depth, np.array([u]), np.array([v]), np.array([d]), spec
-        )[0]
-    )

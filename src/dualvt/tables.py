@@ -125,14 +125,12 @@ def read_table(path, expect_magic: bytes) -> IndexTable:
     )
 
 
-def stack_camera_tensors(per_cam, expected_shape=None) -> np.ndarray:
+def stack_camera_tensors(per_cam) -> np.ndarray:
     """Stack per-camera (C, H, W) tensors into (C, n_cams*H*W)."""
     arrs = [np.asarray(a) for a in per_cam]
     shape = arrs[0].shape
     if any(a.shape != shape for a in arrs):
         raise IndexOutOfRange("camera tensors have differing shapes")
-    if expected_shape is not None and shape != expected_shape:
-        raise IndexOutOfRange(f"camera tensor shape {shape} != expected {expected_shape}")
     return np.concatenate([a.reshape(shape[0], -1) for a in arrs], axis=1)
 
 

@@ -47,8 +47,11 @@ def tensor_write(t: np.ndarray, path) -> None:
     t = as_tensor(t)
     header = _HEADER.pack(MAGIC, VERSION, t.ndim, b"\x00" * 6)
     extents = struct.pack(f"<{t.ndim}Q", *t.shape) if t.ndim else b""
-    payload = t.astype("<f4", copy=False).tobytes(order="C")
-    Path(path).write_bytes(header + extents + payload)
+    # write the payload from the array's own buffer: joining it into one
+    # bytes object would hold two more copies of the tensor at the peak
+    with open(path, "wb") as f:
+        f.write(header + extents)
+        f.write(t.astype("<f4", copy=False).data)
 
 
 def tensor_read(path) -> np.ndarray:

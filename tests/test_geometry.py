@@ -7,31 +7,33 @@ from dualvt.errors import ConfigError, InvalidCount
 from dualvt.geometry import (
     BevGridSpec,
     CameraRig,
-    Projection,
-    back_project,
     bev_cell_centers,
     make_height_samples,
-    project_point,
+    project_points,
 )
 
 K = np.array([[100.0, 0.0, 22.0], [0.0, 100.0, 8.0], [0.0, 0.0, 1.0]])
 IDENTITY_RIG = CameraRig(intrinsics=K, extrinsics=np.eye(4), feat_w=44, feat_h=16)
 
 
+def project_one(p3d):
+    """(u, v, d) of one ego point, or None when it is behind the camera."""
+    u, v, d, valid = project_points(np.array([p3d], dtype=np.float64), IDENTITY_RIG)
+    return (u[0], v[0], d[0]) if valid[0] else None
+
+
 class TestProjectPoint:
     def test_principal_point(self):
-        p = project_point((0.0, 0.0, 10.0), IDENTITY_RIG)
-        assert (p.u, p.v, p.d) == (22.0, 8.0, 10.0)
+        assert project_one((0.0, 0.0, 10.0)) == (22.0, 8.0, 10.0)
 
     def test_pinhole_offset(self):
-        p = project_point((1.0, 0.0, 10.0), IDENTITY_RIG)
-        assert (p.u, p.v, p.d) == (32.0, 8.0, 10.0)
+        assert project_one((1.0, 0.0, 10.0)) == (32.0, 8.0, 10.0)
 
     def test_behind_camera(self):
-        assert project_point((0.0, 0.0, -1.0), IDENTITY_RIG) is None
+        assert project_one((0.0, 0.0, -1.0)) is None
 
     def test_image_plane_epsilon(self):
-        assert project_point((0.0, 0.0, 0.0), IDENTITY_RIG) is None
+        assert project_one((0.0, 0.0, 0.0)) is None
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -39,18 +41,11 @@ class TestProjectPoint:
         st.floats(1.5, 10),
     )
     def test_scale_consistency(self, x, y, z, lam):
-        p = project_point((x, y, z), IDENTITY_RIG)
-        q = project_point((lam * x, lam * y, lam * z), IDENTITY_RIG)
-        assert q.u == pytest.approx(p.u, abs=1e-4)
-        assert q.v == pytest.approx(p.v, abs=1e-4)
-        assert q.d == pytest.approx(lam * p.d, rel=1e-9)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.1, 100))
-    def test_back_projection_roundtrip(self, x, y, z):
-        p = project_point((x, y, z), IDENTITY_RIG)
-        recovered = back_project(p, IDENTITY_RIG)
-        assert np.allclose(recovered, [x, y, z], atol=1e-4)
+        pu, pv, pd = project_one((x, y, z))
+        qu, qv, qd = project_one((lam * x, lam * y, lam * z))
+        assert qu == pytest.approx(pu, abs=1e-4)
+        assert qv == pytest.approx(pv, abs=1e-4)
+        assert qd == pytest.approx(lam * pd, rel=1e-9)
 
 
 class TestRigValidation:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import forward_camera, small_geometry, small_scene
+from dualvt import height_stream
 from dualvt.errors import NonFiniteValue, ShapeMismatch
 from dualvt.geometry import BevGridSpec, HeightSet, make_height_samples
 from dualvt.height_stream import (
@@ -14,6 +15,7 @@ from dualvt.height_stream import (
 )
 from dualvt.rng import Rng
 from dualvt.sampling import DepthBinSpec
+from dualvt.synth import generate_scene, random_scene_spec
 from dualvt.tables import HT_MAGIC, read_table, write_table
 
 
@@ -40,6 +42,16 @@ class TestPrecompute:
         assert np.all(table.cells == 0)
         # all 13 heights land in the 10 m depth bin
         assert np.all(table.depth_idx // (rig.feat_h * rig.feat_w) == 8)
+
+    def test_entry_order_is_camera_then_height(self):
+        """Within a cell, entries run camera by camera, heights ascending."""
+        rig, grid, dspec, heights = one_cell_fixture()
+        one = precompute_ht_table([rig], grid, heights, dspec)
+        # higher points project higher in the image: feature rows fall
+        assert np.all(np.diff(one.feat_idx) <= 0) and one.feat_idx[0] > one.feat_idx[-1]
+        two = precompute_ht_table([rig, rig], grid, heights, dspec)
+        assert two.cams.tolist() == [0] * 13 + [1] * 13
+        assert np.array_equal(two.feat_idx, np.tile(one.feat_idx, 2))
 
     def test_camera_facing_away_is_empty(self):
         rig = forward_camera()
@@ -116,9 +128,35 @@ class TestTransform:
         assert out[:, 0, 0] == pytest.approx(feats[0].reshape(4, -1)[:, fi], rel=1e-6)
 
     def test_fast_equals_naive_round_bitwise(self, small_bundle):
+        """Small scene, and desk-scale random_scene_spec(1) masked and
+        with the masks disabled, at threads 1 and 2."""
+        bundle, heights = small_bundle
+        desk = generate_scene(random_scene_spec(1), BevGridSpec(), DepthBinSpec())
+        cases = [
+            (bundle, bundle.masks, (1,)),
+            (desk, desk.masks, (1, 2)),
+            (desk, [np.ones_like(m) for m in desk.masks], (1, 2)),
+        ]
+        for b, masks, thread_counts in cases:
+            table = precompute_ht_table(b.rigs, b.grid, heights, b.dspec)
+            naive = ht_transform_naive(
+                b.feats, b.depths, masks, b.rigs, b.grid, heights, b.dspec, mode=ROUND,
+            )
+            for threads in thread_counts:
+                fast = ht_transform_fast(b.feats, b.depths, masks, table, threads=threads)
+                assert np.array_equal(fast.view(np.uint32), naive.view(np.uint32))
+
+    def test_naive_round_is_table_free(self, small_bundle, monkeypatch):
+        """The ROUND oracle shares no code with the table path it checks."""
         bundle, heights = small_bundle
         table = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
         fast = ht_transform_fast(bundle.feats, bundle.depths, bundle.masks, table)
+
+        def table_code(*args, **kwargs):
+            raise AssertionError("the ROUND oracle called table-path code")
+
+        for name in ("weighted_scatter", "stack_camera_tensors", "precompute_ht_table"):
+            monkeypatch.setattr(height_stream, name, table_code)
         naive = ht_transform_naive(
             bundle.feats, bundle.depths, bundle.masks,
             bundle.rigs, bundle.grid, heights, bundle.dspec, mode=ROUND,

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import forward_camera, small_geometry, small_scene
 from dualvt.errors import NonFiniteValue, ShapeMismatch
-from dualvt.geometry import BevGridSpec, project_point
+from dualvt.geometry import BevGridSpec, project_points
 from dualvt.lift_stream import (
     DEPTH_MASK,
     DEPTH_ONLY,
@@ -39,11 +39,11 @@ class TestLiftFrustum:
         rig = forward_camera()
         u, v, k, pts = lift_frustum(rig, DSPEC)
         sel = Rng(0).integers((64,), pts.shape[0])
-        for i in sel:
-            proj = project_point(pts[i], rig)
-            assert proj.u == pytest.approx(u[i], abs=1e-4)
-            assert proj.v == pytest.approx(v[i], abs=1e-4)
-            assert proj.d == pytest.approx(float(DSPEC.bin_center(k[i])), abs=1e-4)
+        pu, pv, pd, valid = project_points(pts[sel], rig)
+        assert valid.all()
+        assert pu == pytest.approx(u[sel], abs=1e-4)
+        assert pv == pytest.approx(v[sel], abs=1e-4)
+        assert pd == pytest.approx(DSPEC.bin_center(k[sel]), abs=1e-4)
 
 
 class TestPrecompute:

@@ -7,15 +7,22 @@ from dualvt.errors import ConfigError
 from dualvt.rng import Rng
 from dualvt.sampling import (
     DepthBinSpec,
-    bilinear_sample_2d,
     bilinear_sample_2d_many,
-    depth_map_is_normalized,
     depth_to_coord,
-    trilinear_sample_3d,
     trilinear_sample_3d_many,
 )
 
 SPEC = DepthBinSpec(d_min=2.0, d_max=10.0, step=0.5)
+
+
+def bilinear(feat, u, v):
+    """bilinear_sample_2d_many at one point: a length-C vector."""
+    return bilinear_sample_2d_many(feat, np.array([u]), np.array([v]))[0]
+
+
+def trilinear(depth, u, v, d):
+    """trilinear_sample_3d_many at one point, under SPEC."""
+    return trilinear_sample_3d_many(depth, np.array([u]), np.array([v]), np.array([d]), SPEC)[0]
 
 
 class TestDepthBinSpec:
@@ -41,36 +48,33 @@ class TestBilinear:
     def test_constant_field(self):
         feat = np.full((3, 4, 5), 2.5, dtype=np.float32)
         for u, v in [(0.0, 0.0), (1.3, 2.7), (3.99, 2.0)]:
-            assert bilinear_sample_2d(feat, u, v) == pytest.approx([2.5] * 3)
+            assert bilinear(feat, u, v) == pytest.approx([2.5] * 3)
 
     def test_midpoint_average(self):
         feat = np.array([[[1.0, 3.0]]], dtype=np.float32)  # 1x1x2
-        assert bilinear_sample_2d(feat, 0.5, 0.0)[0] == pytest.approx(2.0)
+        assert bilinear(feat, 0.5, 0.0)[0] == pytest.approx(2.0)
 
     def test_far_out_of_range_is_zero(self):
         feat = np.ones((2, 4, 4), dtype=np.float32)
-        assert bilinear_sample_2d(feat, -10.0, 0.0).tolist() == [0.0, 0.0]
+        assert bilinear(feat, -10.0, 0.0).tolist() == [0.0, 0.0]
 
     def test_border_blends_with_zero_padding(self):
         feat = np.ones((1, 4, 4), dtype=np.float32)
-        assert bilinear_sample_2d(feat, -0.5, 0.0)[0] == pytest.approx(0.5)
+        assert bilinear(feat, -0.5, 0.0)[0] == pytest.approx(0.5)
 
     def test_integer_coordinates_exact(self):
         feat = Rng(3).uniform((2, 5, 6), -10.0, 10.0)
-        for v in range(5):
-            for u in range(6):
-                assert np.array_equal(
-                    bilinear_sample_2d(feat, float(u), float(v)),
-                    feat[:, v, u].astype(np.float64),
-                )
+        v, u = np.mgrid[0:5, 0:6].astype(np.float64)
+        got = bilinear_sample_2d_many(feat, u.ravel(), v.ravel())
+        assert np.array_equal(got, feat.reshape(2, -1).T.astype(np.float64))
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-2, 7), st.floats(-2, 6), st.floats(-3, 3), st.floats(-3, 3))
     def test_linearity(self, u, v, alpha, beta):
         a = Rng(1).uniform((2, 4, 5), -1.0, 1.0)
         b = Rng(2).uniform((2, 4, 5), -1.0, 1.0)
-        lhs = bilinear_sample_2d(alpha * a + beta * b, u, v)
-        rhs = alpha * bilinear_sample_2d(a, u, v) + beta * bilinear_sample_2d(b, u, v)
+        lhs = bilinear(alpha * a + beta * b, u, v)
+        rhs = alpha * bilinear(a, u, v) + beta * bilinear(b, u, v)
         assert lhs == pytest.approx(rhs, abs=1e-5)
 
 
@@ -80,7 +84,7 @@ class TestTrilinear:
         depth = np.zeros((16, 3, 3), dtype=np.float32)
         depth[k] = 1.0
         d = SPEC.bin_center(k)
-        assert trilinear_sample_3d(depth, 1.0, 1.0, float(d), SPEC) == pytest.approx(1.0)
+        assert trilinear(depth, 1.0, 1.0, float(d)) == pytest.approx(1.0)
 
     def test_one_hot_miss(self):
         k = 5
@@ -88,11 +92,11 @@ class TestTrilinear:
         depth[k] = 1.0
         for off in (-2, 2):
             d = SPEC.bin_center(k + off)
-            assert trilinear_sample_3d(depth, 1.0, 1.0, float(d), SPEC) == 0.0
+            assert trilinear(depth, 1.0, 1.0, float(d)) == 0.0
 
     def test_uniform_field(self):
         depth = np.full((16, 3, 3), 1.0 / 16, dtype=np.float32)
-        assert trilinear_sample_3d(depth, 1.0, 1.2, 5.0, SPEC) == pytest.approx(1.0 / 16)
+        assert trilinear(depth, 1.0, 1.2, 5.0) == pytest.approx(1.0 / 16)
 
     def test_monotone_under_domination(self):
         rng = Rng(4)
@@ -110,23 +114,6 @@ class TestTrilinear:
     def test_linearity(self, u, v, d, alpha):
         a = Rng(5).uniform((16, 3, 3), 0.0, 1.0)
         b = Rng(6).uniform((16, 3, 3), 0.0, 1.0)
-        lhs = trilinear_sample_3d(alpha * a + b, u, v, d, SPEC)
-        rhs = alpha * trilinear_sample_3d(a, u, v, d, SPEC) + trilinear_sample_3d(
-            b, u, v, d, SPEC
-        )
+        lhs = trilinear(alpha * a + b, u, v, d)
+        rhs = alpha * trilinear(a, u, v, d) + trilinear(b, u, v, d)
         assert lhs == pytest.approx(rhs, abs=1e-5)
-
-
-def test_normalization_check():
-    good = np.full((4, 2, 2), 0.25, dtype=np.float32)
-    assert depth_map_is_normalized(good)
-    assert not depth_map_is_normalized(good * 1.01)
-
-
-def test_many_matches_scalar():
-    feat = Rng(7).uniform((3, 6, 8), -1.0, 1.0)
-    u = np.array([0.5, -0.2, 7.9])
-    v = np.array([1.5, 5.5, -0.4])
-    many = bilinear_sample_2d_many(feat, u, v)
-    for i in range(3):
-        assert np.array_equal(many[i], bilinear_sample_2d(feat, u[i], v[i]))

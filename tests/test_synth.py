@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import small_geometry
-from dualvt.geometry import BevGridSpec, project_point
+from dualvt.geometry import BevGridSpec, project_points
 from dualvt.sampling import DepthBinSpec
 from dualvt.synth import (
     Box,
@@ -32,10 +32,10 @@ class TestRig:
 
     def test_front_camera_sees_forward_point(self):
         rigs = make_ring_rigs(SceneSpec(seed=0, n_cameras=6))
-        proj = project_point(np.array([10.0, 0.0, 1.5]), rigs[0])
-        assert proj is not None
-        assert proj.d == pytest.approx(10.0)
-        assert proj.u == pytest.approx((rigs[0].feat_w - 1) / 2)
+        u, _, d, valid = project_points(np.array([[10.0, 0.0, 1.5]]), rigs[0])
+        assert valid[0]
+        assert d[0] == pytest.approx(10.0)
+        assert u[0] == pytest.approx((rigs[0].feat_w - 1) / 2)
 
     def test_cameras_cover_distinct_yaws(self):
         rigs = make_ring_rigs(SceneSpec(seed=0, n_cameras=4))

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,3 +98,18 @@ def test_roundtrip_any_finite_float32(tmp_path_factory, values):
     t = np.array(values, dtype=np.float32)
     tensor_write(t, path)
     assert np.array_equal(tensor_read(path).view(np.uint32), t.view(np.uint32))
+
+
+def test_write_holds_no_copy_of_the_payload(tmp_path):
+    """tensor_write writes from the array's buffer, bytes unchanged."""
+    t = Rng(9).uniform((64, 128, 128), -1.0, 1.0)
+    path = tmp_path / "big.btsr"
+    tracemalloc.start()
+    try:
+        tensor_write(t, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes / 2
+    expected = b"BTSR\x01\x03" + b"\x00" * 6 + struct.pack("<3Q", 64, 128, 128)
+    assert path.read_bytes() == expected + t.astype("<f4").tobytes()
