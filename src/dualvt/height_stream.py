@@ -24,7 +24,7 @@ from .sampling import (
     trilinear_sample_3d_many,
 )
 from .scatter import weighted_scatter
-from .tables import HT_MAGIC, IndexTable, check_camera_tensors, stack_camera_tensors
+from .tables import HT_MAGIC, IndexTable, build_table, check_camera_tensors, stack_camera_tensors
 
 INTERP = "interp"
 ROUND = "round"
@@ -41,20 +41,18 @@ def precompute_ht_table(
     """Build the lookup table; a pure function of the geometry (empty is legal).
 
     Every valid rounded (cell, camera, height) correspondence becomes one
-    entry, sorted by cell, then camera, then height index.
+    entry.  Each camera emits its entries in (cell, height) order, so the
+    table runs by cell, then camera, then height index.
     """
     centers = bev_cell_centers(grid).reshape(-1, 2).astype(np.float64)
     n_cells = centers.shape[0]
     nz = len(heights)
     cell_ids = np.repeat(np.arange(n_cells, dtype=np.int64), nz)
-    h_ids = np.tile(np.arange(nz, dtype=np.int64), n_cells)
     pts = np.empty((n_cells * nz, 3), dtype=np.float64)
     pts[:, :2] = np.repeat(centers, nz, axis=0)
-    pts[:, 2] = np.asarray(heights.z_values)[h_ids]
+    pts[:, 2] = np.tile(np.asarray(heights.z_values, dtype=np.float64), n_cells)
 
-    # camera index = position in the rig list (cam_id is informational)
-    cols = {k: [] for k in ("cell", "cam", "h", "fi", "di")}
-    for cam_pos, rig in enumerate(rigs):
+    def emit(rig):
         u, v, d, valid = project_points(pts, rig)
         ui = round_half_away(u)
         vi = round_half_away(v)
@@ -65,25 +63,10 @@ def precompute_ht_table(
             & (vi >= 0) & (vi <= rig.feat_h - 1)
             & (k >= 0) & (k <= dspec.n_bins - 1)
         )
-        ui = ui[keep].astype(np.int64)
-        vi = vi[keep].astype(np.int64)
-        kk = k[keep].astype(np.int64)
-        cols["cell"].append(cell_ids[keep])
-        cols["cam"].append(np.full(ui.shape[0], cam_pos, dtype=np.int64))
-        cols["h"].append(h_ids[keep])
-        cols["fi"].append(vi * rig.feat_w + ui)
-        cols["di"].append((kk * rig.feat_h + vi) * rig.feat_w + ui)
+        ui, vi, kk = (a[keep].astype(np.int64) for a in (ui, vi, k))
+        return cell_ids[keep], vi * rig.feat_w + ui, (kk * rig.feat_h + vi) * rig.feat_w + ui
 
-    rec = {k: np.concatenate(v) if v else np.empty(0, np.int64) for k, v in cols.items()}
-    order = np.lexsort((rec["h"], rec["cam"], rec["cell"]))
-    rig0 = rigs[0]
-    return IndexTable(
-        magic=HT_MAGIC,
-        ny=grid.ny, nx=grid.nx, n_cams=len(rigs),
-        feat_h=rig0.feat_h, feat_w=rig0.feat_w, n_bins=dspec.n_bins,
-        cells=rec["cell"][order], cams=rec["cam"][order],
-        feat_idx=rec["fi"][order], depth_idx=rec["di"][order],
-    )
+    return build_table(HT_MAGIC, grid, rigs, dspec.n_bins, map(emit, rigs))
 
 
 def ht_transform_fast(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:
@@ -96,7 +79,7 @@ def ht_transform_fast(feats, depths, masks, table: IndexTable, threads: int = 1)
     mask_flat = stack_camera_tensors(masks)[0]
     acc = weighted_scatter(
         feat_stack, depth_flat, mask_flat,
-        table.cells, table.global_feat_idx(), table.global_depth_idx(),
+        table.cells, table.feat_idx, table.depth_idx,
         table.n_cells, threads=threads,
     )
     C = feat_stack.shape[0]

@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import BevGridSpec
 from .sampling import DepthBinSpec
 from .scatter import weighted_scatter
-from .tables import LSS_MAGIC, IndexTable, check_camera_tensors, stack_camera_tensors
+from .tables import LSS_MAGIC, IndexTable, build_table, check_camera_tensors, stack_camera_tensors
 
 DEPTH_ONLY = "depth_only"
 DEPTH_MASK = "depth_mask"
@@ -47,29 +47,20 @@ def lift_frustum(cam, dspec: DepthBinSpec):
 
 
 def precompute_lss_table(rigs, grid: BevGridSpec, dspec: DepthBinSpec) -> IndexTable:
-    """Assign in-grid frustum points to cells; half-open cells [min, max)."""
-    cols = {k: [] for k in ("cell", "cam", "fi", "di")}
-    for cam_pos, rig in enumerate(rigs):
+    """Assign in-grid frustum points to cells; half-open cells [min, max).
+
+    Each camera emits its entries in ascending depth index, so the table
+    runs by cell, then camera, then depth index.
+    """
+    def emit(rig):
         u, v, k, pts = lift_frustum(rig, dspec)
         ix = np.floor((pts[:, 0] - grid.x_min) / grid.cell_w).astype(np.int64)
         iy = np.floor((pts[:, 1] - grid.y_min) / grid.cell_h).astype(np.int64)
         keep = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
-        cols["cell"].append(iy[keep] * grid.nx + ix[keep])
-        cols["cam"].append(np.full(int(keep.sum()), cam_pos, dtype=np.int64))
         fi = v[keep] * rig.feat_w + u[keep]
-        cols["fi"].append(fi)
-        cols["di"].append(k[keep] * (rig.feat_h * rig.feat_w) + fi)
+        return iy[keep] * grid.nx + ix[keep], fi, k[keep] * (rig.feat_h * rig.feat_w) + fi
 
-    cat = {k: np.concatenate(v) if v else np.empty(0, np.int64) for k, v in cols.items()}
-    order = np.lexsort((cat["di"], cat["cam"], cat["cell"]))
-    rig0 = rigs[0]
-    return IndexTable(
-        magic=LSS_MAGIC,
-        ny=grid.ny, nx=grid.nx, n_cams=len(rigs),
-        feat_h=rig0.feat_h, feat_w=rig0.feat_w, n_bins=dspec.n_bins,
-        cells=cat["cell"][order], cams=cat["cam"][order],
-        feat_idx=cat["fi"][order], depth_idx=cat["di"][order],
-    )
+    return build_table(LSS_MAGIC, grid, rigs, dspec.n_bins, map(emit, rigs))
 
 
 def lss_pool(
@@ -90,7 +81,7 @@ def lss_pool(
         mask_flat = np.ones(feat_stack.shape[1], dtype=np.float32)
     acc = weighted_scatter(
         feat_stack, depth_flat, mask_flat,
-        table.cells, table.global_feat_idx(), table.global_depth_idx(),
+        table.cells, table.feat_idx, table.depth_idx,
         table.n_cells, threads=threads,
     )
     C = feat_stack.shape[0]

@@ -101,11 +101,10 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x64 = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x64)
-    pos = x64 >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x64[pos]))
-    ex = np.exp(x64[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x64))  # never overflows
+    out = np.where(x64 >= 0, 1.0, e)
+    e += 1.0
+    out /= e  # in place: no further float64 temporaries
     return out.astype(np.float32)
 
 

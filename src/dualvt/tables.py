@@ -1,17 +1,23 @@
 """Precomputed index tables mapping BEV cells to feature/depth indices.
 
-Both streams share one record layout: per entry a target BEV cell, a
-camera id, a flat (v, u) index into the camera's feature map, and a flat
-(k, v, u) index into its depth volume.  Entries are sorted by cell (then
-camera, then a stream-specific key), so each cell owns one contiguous
-run.  The binary form is:
+This module owns the one record layout both streams share and the order
+of entries within a cell.  An entry is a target BEV cell, an index into
+all cameras' feature pixels stacked camera-major, and an index into
+their depth volumes stacked the same way.  `build_table` takes each
+camera's entries in its stream's emission order and sorts them by cell
+with one stable sort, so every cell owns one contiguous run that goes
+camera by camera and, within a camera, in emission order.  The binary
+form stores the runs as per-cell offsets:
 
     4 bytes  magic ("HTLT" or "LSPT")
-    1 byte   version = 1
+    1 byte   version = 2
     3 bytes  reserved, zero
     6 * u32  little-endian: ny, nx, n_cams, feat_h, feat_w, n_bins
     1 * u64  n_entries
-    n_entries * 4 * u32  records (bev_cell, cam, feat_index, depth_index)
+    (ny*nx + 1) * u32  offsets: cell c owns entries [offsets[c], offsets[c+1])
+    n_entries * 2 * u32  records (feat_index, depth_index)
+
+Version 1 files (a cell and a camera column per entry) are refused.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, IndexOutOfRange, NonFiniteValue, ShapeMismatch, TruncatedPayload
+from .errors import (
+    BadMagic, ConfigError, IndexOutOfRange, NonFiniteValue, ShapeMismatch, TruncatedPayload,
+)
 
 HT_MAGIC = b"HTLT"
 LSS_MAGIC = b"LSPT"
@@ -31,7 +39,7 @@ _HEADER = struct.Struct("<4sB3s6IQ")
 
 @dataclass(frozen=True)
 class IndexTable:
-    """Sorted scatter-sum table plus the geometry it was built for."""
+    """Scatter-sum table sorted by cell, plus the geometry it was built for."""
 
     magic: bytes
     ny: int
@@ -41,25 +49,22 @@ class IndexTable:
     feat_w: int
     n_bins: int
     cells: np.ndarray
-    cams: np.ndarray
     feat_idx: np.ndarray
     depth_idx: np.ndarray
 
     def __post_init__(self):
         n = self.cells.shape[0]
-        for name in ("cams", "feat_idx", "depth_idx"):
-            if getattr(self, name).shape != (n,):
-                raise IndexOutOfRange("table column lengths disagree")
+        if self.feat_idx.shape != (n,) or self.depth_idx.shape != (n,):
+            raise IndexOutOfRange("table column lengths disagree")
         if n:
-            if self.cells.min() < 0 or self.cells.max() >= self.ny * self.nx:
+            pixels = self.n_cams * self.feat_h * self.feat_w
+            if self.cells.min() < 0 or self.cells.max() >= self.n_cells:
                 raise IndexOutOfRange("bev cell index out of range")
-            if self.cams.min() < 0 or self.cams.max() >= self.n_cams:
-                raise IndexOutOfRange("camera index out of range")
-            if self.feat_idx.min() < 0 or self.feat_idx.max() >= self.feat_h * self.feat_w:
+            if np.any(self.cells[1:] < self.cells[:-1]):
+                raise IndexOutOfRange("table entries are not sorted by cell")
+            if self.feat_idx.min() < 0 or self.feat_idx.max() >= pixels:
                 raise IndexOutOfRange("feature index out of range")
-            if self.depth_idx.min() < 0 or (
-                self.depth_idx.max() >= self.n_bins * self.feat_h * self.feat_w
-            ):
+            if self.depth_idx.min() < 0 or self.depth_idx.max() >= self.n_bins * pixels:
                 raise IndexOutOfRange("depth index out of range")
 
     @property
@@ -70,33 +75,49 @@ class IndexTable:
     def n_cells(self) -> int:
         return self.ny * self.nx
 
-    def global_feat_idx(self) -> np.ndarray:
-        """Index into all cameras' feature pixels stacked camera-major."""
-        return self.cams * (self.feat_h * self.feat_w) + self.feat_idx
-
-    def global_depth_idx(self) -> np.ndarray:
-        return self.cams * (self.n_bins * self.feat_h * self.feat_w) + self.depth_idx
-
     def per_cell_counts(self) -> np.ndarray:
         return np.bincount(self.cells, minlength=self.n_cells)
 
 
+def build_table(magic: bytes, grid, rigs, n_bins: int, per_cam) -> IndexTable:
+    """Stack per-camera entries and sort them by cell.
+
+    per_cam yields one (cells, feat_idx, depth_idx) triple per rig, in rig
+    order, with indices into that camera's own feature map and depth
+    volume and entries in the stream's emission order.  The indices are
+    shifted to the camera-stacked layout and one stable sort by cell
+    orders the entries by (cell, camera, emission order).
+    """
+    feat_h, feat_w = rigs[0].feat_h, rigs[0].feat_w
+    pixels = feat_h * feat_w
+    stacked = [(cell, fi + cam * pixels, di + cam * n_bins * pixels)
+               for cam, (cell, fi, di) in enumerate(per_cam)]
+    cells, feat_idx, depth_idx = (np.concatenate(col, dtype=np.int64) for col in zip(*stacked))
+    order = np.argsort(cells, kind="stable")
+    return IndexTable(
+        magic=magic, ny=grid.ny, nx=grid.nx, n_cams=len(rigs),
+        feat_h=feat_h, feat_w=feat_w, n_bins=n_bins,
+        cells=cells[order], feat_idx=feat_idx[order], depth_idx=depth_idx[order],
+    )
+
+
 def write_table(table: IndexTable, path) -> None:
     header = _HEADER.pack(
-        table.magic, 1, b"\x00" * 3,
+        table.magic, 2, b"\x00" * 3,
         table.ny, table.nx, table.n_cams,
         table.feat_h, table.feat_w, table.n_bins,
         table.n_entries,
     )
-    records = np.empty((table.n_entries, 4), dtype="<u4")
-    records[:, 0] = table.cells
-    records[:, 1] = table.cams
-    records[:, 2] = table.feat_idx
-    records[:, 3] = table.depth_idx
+    # cell c's run starts at the first entry whose cell is >= c
+    offsets = np.searchsorted(table.cells, np.arange(table.n_cells + 1)).astype("<u4")
+    records = np.empty((table.n_entries, 2), dtype="<u4")
+    records[:, 0] = table.feat_idx
+    records[:, 1] = table.depth_idx
     # write the records from their own buffer: joining them into one bytes
     # object would hold two more copies of the table at the peak
     with open(path, "wb") as f:
         f.write(header)
+        f.write(offsets.data)
         f.write(records.data)
 
 
@@ -109,19 +130,24 @@ def read_table(path, expect_magic: bytes) -> IndexTable:
     )
     if magic != expect_magic:
         raise BadMagic(f"{path}: expected {expect_magic!r}, got {magic!r}")
-    if version != 1:
-        raise BadMagic(f"{path}: unsupported version {version}")
-    expected = _HEADER.size + n_entries * 16
+    if version != 2:
+        raise ConfigError(f"{path}: table format version {version}, this dualvt reads "
+                          "version 2; run precompute again")
+    n_cells = ny * nx
+    expected = _HEADER.size + (n_cells + 1) * 4 + n_entries * 8
     if len(raw) != expected:
         raise TruncatedPayload(f"{path}: {len(raw)} bytes, expected {expected}")
-    records = np.frombuffer(raw, dtype="<u4", offset=_HEADER.size).reshape(-1, 4)
+    offsets = np.frombuffer(raw, dtype="<u4", count=n_cells + 1, offset=_HEADER.size)
+    counts = np.diff(offsets.astype(np.int64))
+    if offsets[0] != 0 or offsets[-1] != n_entries or np.any(counts < 0):
+        raise IndexOutOfRange(f"{path}: cell offsets do not run from 0 up to {n_entries}")
+    records = np.frombuffer(raw, "<u4", offset=_HEADER.size + offsets.nbytes).reshape(-1, 2)
     return IndexTable(
         magic=magic, ny=ny, nx=nx, n_cams=n_cams,
         feat_h=feat_h, feat_w=feat_w, n_bins=n_bins,
-        cells=records[:, 0].astype(np.int64),
-        cams=records[:, 1].astype(np.int64),
-        feat_idx=records[:, 2].astype(np.int64),
-        depth_idx=records[:, 3].astype(np.int64),
+        cells=np.repeat(np.arange(n_cells, dtype=np.int64), counts),
+        feat_idx=records[:, 0].astype(np.int64),
+        depth_idx=records[:, 1].astype(np.int64),
     )
 
 

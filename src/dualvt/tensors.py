@@ -32,7 +32,7 @@ _HEADER = struct.Struct("<4sBB6s")
 
 def as_tensor(values, shape=None) -> np.ndarray:
     """Coerce to a C-contiguous float32 array, rejecting NaN/Inf."""
-    arr = np.ascontiguousarray(values, dtype=np.float32)
+    arr = np.asarray(values, dtype=np.float32, order="C")  # keeps rank 0, unlike ascontiguousarray
     if shape is not None:
         arr = arr.reshape(shape)
     if arr.ndim > MAX_RANK:
@@ -46,7 +46,7 @@ def tensor_write(t: np.ndarray, path) -> None:
     """Write a tensor to `path` in BTSR format."""
     t = as_tensor(t)
     header = _HEADER.pack(MAGIC, VERSION, t.ndim, b"\x00" * 6)
-    extents = struct.pack(f"<{t.ndim}Q", *t.shape) if t.ndim else b""
+    extents = struct.pack(f"<{t.ndim}Q", *t.shape)
     # write the payload from the array's own buffer: joining it into one
     # bytes object would hold two more copies of the tensor at the peak
     with open(path, "wb") as f:
@@ -69,9 +69,9 @@ def tensor_read(path) -> np.ndarray:
     offset = _HEADER.size
     if len(raw) < offset + 8 * rank:
         raise TruncatedPayload(f"{path}: truncated extent table")
-    shape = struct.unpack_from(f"<{rank}Q", raw, offset) if rank else ()
+    shape = struct.unpack_from(f"<{rank}Q", raw, offset)
     offset += 8 * rank
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = int(np.prod(shape, dtype=np.int64))
     expected = count * 4
     if len(raw) - offset != expected:
         raise TruncatedPayload(

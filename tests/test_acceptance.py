@@ -87,7 +87,7 @@ def test_criterion_2_conservation():
         )
         depth_flat = np.concatenate([d.ravel() for d in bundle.depths])
         mask_flat = np.concatenate([m.ravel() for m in bundle.masks])
-        gf, gd = table.global_feat_idx(), table.global_depth_idx()
+        gf, gd = table.feat_idx, table.depth_idx
         w = depth_flat[gd].astype(np.float64) * mask_flat[gf].astype(np.float64)
         direct = (w[None, :] * feat_stack[:, gf].astype(np.float64)).sum(axis=1)
         pooled = out.reshape(out.shape[0], -1).astype(np.float64).sum(axis=1)

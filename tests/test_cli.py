@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +294,15 @@ class TestTablesBoundToGeometry:
         (tables / "meta.json").write_text(json.dumps(meta))
         err = self.assert_refused(workspace, tables, tmp_path, capsys)
         assert "fingerprint" in err
+
+    def test_version_1_table_exits_2(self, workspace, tmp_path, capsys):
+        tables = tmp_path / "old"
+        shutil.copytree(workspace / "tables", tables)
+        # the version-1 layout: this scene's header, then (cell, cam, feat, depth) records
+        header = struct.pack("<4sB3s6IQ", b"HTLT", 1, b"\0" * 3, 32, 32, 3, 8, 16, 18, 1)
+        (tables / "ht_table.htlt").write_bytes(header + struct.pack("<4I", 0, 0, 0, 0))
+        err = self.assert_refused(workspace, tables, tmp_path, capsys)
+        assert "version 1" in err and "precompute again" in err
 
     @pytest.mark.parametrize("key", ["geometry_sha256", "heights", "grid", "dspec"])
     def test_meta_missing_key_exits_2(self, workspace, tmp_path, capsys, key):

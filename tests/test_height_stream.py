@@ -50,8 +50,9 @@ class TestPrecompute:
         # higher points project higher in the image: feature rows fall
         assert np.all(np.diff(one.feat_idx) <= 0) and one.feat_idx[0] > one.feat_idx[-1]
         two = precompute_ht_table([rig, rig], grid, heights, dspec)
-        assert two.cams.tolist() == [0] * 13 + [1] * 13
-        assert np.array_equal(two.feat_idx, np.tile(one.feat_idx, 2))
+        pixels = rig.feat_h * rig.feat_w
+        assert (two.feat_idx // pixels).tolist() == [0] * 13 + [1] * 13
+        assert np.array_equal(two.feat_idx % pixels, np.tile(one.feat_idx, 2))
 
     def test_camera_facing_away_is_empty(self):
         rig = forward_camera()
@@ -84,7 +85,7 @@ class TestPrecompute:
         path = tmp_path / "t.htlt"
         write_table(table, path)
         back = read_table(path, HT_MAGIC)
-        for field in ("cells", "cams", "feat_idx", "depth_idx"):
+        for field in ("cells", "feat_idx", "depth_idx"):
             assert np.array_equal(getattr(back, field), getattr(table, field))
         assert (back.ny, back.nx, back.n_bins) == (table.ny, table.nx, table.n_bins)
 

@@ -65,6 +65,25 @@ class TestPrecompute:
         grid = BevGridSpec(x_min=-30.0, x_max=-10.0, y_min=-5.0, y_max=5.0, nx=8, ny=8)
         assert precompute_lss_table([rig], grid, DSPEC).n_entries == 0
 
+    def test_entry_order_is_camera_then_depth(self):
+        """Within a cell, entries run camera by camera, depth index ascending."""
+        rig = forward_camera()
+        grid = BevGridSpec(x_min=0.0, x_max=30.0, y_min=-15.0, y_max=15.0, nx=6, ny=6)
+        one = precompute_lss_table([rig], grid, DSPEC)
+        two = precompute_lss_table([rig, rig], grid, DSPEC)
+        pixels, volume = rig.feat_h * rig.feat_w, DSPEC.n_bins * rig.feat_h * rig.feat_w
+        assert two.n_entries == 2 * one.n_entries
+        assert np.array_equal(np.unique(two.cells), np.unique(one.cells))
+        cams = two.feat_idx // pixels
+        assert np.array_equal(two.depth_idx // volume, cams)
+        for cell in np.unique(one.cells):
+            run = two.cells == cell
+            n = int(np.count_nonzero(one.cells == cell))
+            assert n > 0 and cams[run].tolist() == [0] * n + [1] * n
+            di = two.depth_idx[run] % volume
+            assert np.array_equal(di, np.tile(one.depth_idx[one.cells == cell], 2))
+            assert np.all(np.diff(di[:n]) > 0) and np.all(np.diff(di[n:]) > 0)
+
     def test_rebuild_determinism(self, tmp_path, small_bundle):
         bundle, _ = small_bundle
         a, b = tmp_path / "a.lspt", tmp_path / "b.lspt"
@@ -79,6 +98,7 @@ class TestPrecompute:
         write_table(table, path)
         back = read_table(path, LSS_MAGIC)
         assert np.array_equal(back.cells, table.cells)
+        assert np.array_equal(back.feat_idx, table.feat_idx)
         assert np.array_equal(back.depth_idx, table.depth_idx)
 
     def test_dynamic_per_cell_counts(self, small_bundle):
@@ -154,7 +174,7 @@ class TestPool:
         feat_stack = np.concatenate([f.reshape(f.shape[0], -1) for f in bundle.feats], axis=1)
         depth_flat = np.concatenate([d.ravel() for d in bundle.depths])
         mask_flat = np.concatenate([m.ravel() for m in bundle.masks])
-        gf, gd = table.global_feat_idx(), table.global_depth_idx()
+        gf, gd = table.feat_idx, table.depth_idx
         w = depth_flat[gd].astype(np.float64) * mask_flat[gf].astype(np.float64)
         direct = (w[None, :] * feat_stack[:, gf].astype(np.float64)).sum(axis=1)
         pooled = out.reshape(out.shape[0], -1).astype(np.float64).sum(axis=1)

@@ -176,12 +176,21 @@ class TestReductions:
 
 class TestActivations:
     def test_sigmoid_values(self):
-        x = np.array([0.0, 100.0, -100.0], dtype=np.float32)
+        x = np.array([0.0, 100.0, -100.0, -0.0, 88.7, -104.0, 1e-30, -1e-30],
+                     dtype=np.float32)
         s = sigmoid(x)
         assert s[0] == 0.5
         assert s[1] == pytest.approx(1.0)
         assert s[2] == pytest.approx(0.0)
         assert np.all(np.isfinite(s))
+        # same bits as the two-branch form that splits the input by sign
+        x64 = x.astype(np.float64)
+        two_branch = np.empty_like(x64)
+        pos = x64 >= 0
+        two_branch[pos] = 1.0 / (1.0 + np.exp(-x64[pos]))
+        ex = np.exp(x64[~pos])
+        two_branch[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(s.view(np.uint32), two_branch.astype(np.float32).view(np.uint32))
 
     def test_sigmoid_symmetry(self):
         x = Rng(11).uniform((100,), -20.0, 20.0)

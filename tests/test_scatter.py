@@ -129,7 +129,7 @@ def test_desk_scale_dense_lift_is_sequential(desk_lift):
     feats = stack_camera_tensors(bundle.feats)
     depth_w = np.concatenate([d.ravel() for d in bundle.depths])
     mask_w = stack_camera_tensors(masks)[0]
-    feat_idx, depth_idx = table.global_feat_idx(), table.global_depth_idx()
+    feat_idx, depth_idx = table.feat_idx, table.depth_idx
     w = depth_w[depth_idx].astype(np.float64) * mask_w[feat_idx].astype(np.float64)
     assert np.count_nonzero(w) > 0.8 * table.n_entries
     assert table.per_cell_counts().max() >= 100

@@ -19,6 +19,15 @@ def test_known_payload_roundtrip(tmp_path):
     assert t.tolist() == [1.0, 2.0, 3.0]
 
 
+def test_rank_zero_roundtrip(tmp_path):
+    path = tmp_path / "s.btsr"
+    tensor_write(np.float32(3.5), path)
+    t = tensor_read(path)
+    assert t.shape == ()
+    assert t.view(np.uint32) == np.float32(3.5).view(np.uint32)
+    assert len(path.read_bytes()) == 12 + 4  # header, no extents, one float
+
+
 def test_zero_tensor_payload_bytes(tmp_path):
     path = tmp_path / "z.btsr"
     tensor_write(np.zeros((2, 2), dtype=np.float32), path)
