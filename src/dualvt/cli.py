@@ -1,4 +1,4 @@
-"""Command-line surface: synth | precompute | transform | bench | compare.
+"""Command-line surface: synth | precompute | transform | compare.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/shape error.
 Options may come from a JSON config file (--config); explicit flags win.
@@ -16,13 +16,10 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import bench as bench_mod
-from .errors import ConfigError, DualVtError
+from .errors import ConfigError, DualVtError, InvalidCount
 from .fusion import apply_ablations, fuse_and_finalize, make_seeded_weights, run_pipeline
 from .geometry import BevGridSpec, HeightSet, geometry_fingerprint, make_height_samples
-from .height_stream import INTERP, ROUND, ht_transform_fast, ht_transform_naive, precompute_ht_table
+from .height_stream import INTERP, ROUND, ht_transform_naive, precompute_ht_table
 from .lift_stream import DEPTH_MASK, DEPTH_ONLY, lss_pool, precompute_lss_table
 from .nnops import WeightBundle
 from .report import diff_directories, summarize_outputs
@@ -37,7 +34,7 @@ MAX_THREADS = 64  # upper bound on --threads; the scatter starts up to this many
 
 @dataclass
 class RunConfig:
-    """Options shared by transform and bench, merged config-file-then-flags."""
+    """Transform options, merged config-file-then-flags."""
 
     threads: int = 1
     weight_seed: int = DEFAULT_WEIGHT_SEED
@@ -47,8 +44,6 @@ class RunConfig:
     force_affinity: float | None = None
     disable_mask: bool = False
     uniform_depth: bool = False
-    reps: int = 10
-    warmup: int = 2
 
     @classmethod
     def merge(cls, args) -> "RunConfig":
@@ -93,8 +88,6 @@ class RunConfig:
             raise ConfigError(f"unknown weight mode {cfg.weight_mode!r}")
         if cfg.sampler not in ("fast", "naive-interp", "naive-round"):
             raise ConfigError(f"unknown sampler {cfg.sampler!r}")
-        if cfg.reps < 3:
-            raise ConfigError("bench repetitions must be >= 3")
         return cfg
 
 
@@ -143,7 +136,10 @@ def _parse_heights(text: str):
     if text == "multires":
         return make_height_samples("multires")
     if text.startswith("uniform:"):
-        return make_height_samples("uniform", n=int(text.split(":", 1)[1]))
+        try:
+            return make_height_samples("uniform", n=int(text.split(":", 1)[1]))
+        except (ValueError, InvalidCount) as e:
+            raise ConfigError(f"bad heights {text!r}: {e}") from None
     raise ConfigError(f"heights must be 'multires' or 'uniform:N', got {text!r}")
 
 
@@ -181,7 +177,12 @@ def _load_run_inputs(args, cfg: RunConfig):
     tables = Path(args.tables)
     ht_table = read_table(tables / "ht_table.htlt", HT_MAGIC)
     lss_table = read_table(tables / "lss_table.lspt", LSS_MAGIC)
-    meta = json.loads((tables / "meta.json").read_text())
+    try:
+        meta = json.loads((tables / "meta.json").read_text())
+    except json.JSONDecodeError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise ConfigError("tables' meta.json is not a JSON object; rebuild them with precompute")
     _check_tables_match_scene(bundle, meta, (ht_table, lss_table))
     if cfg.weights_dir:
         weights = WeightBundle.load(cfg.weights_dir)
@@ -271,48 +272,6 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = RunConfig.merge(args)
-    bundle, ht_table, lss_table, meta, weights = _load_run_inputs(args, cfg)
-    feats, depths, masks = bundle.feats, bundle.depths, bundle.masks
-    heights = _heights_from_meta(meta)
-
-    def ht_fast(threads):
-        return ht_transform_fast(feats, depths, masks, ht_table, threads=threads)
-
-    def pool(threads):
-        return lss_pool(feats, depths, masks, lss_table, mode=cfg.weight_mode, threads=threads)
-
-    if cfg.threads > 1:
-        for name, run in (("ht_transform_fast", ht_fast), ("lss_pool", pool)):
-            seq, par = run(1), run(cfg.threads)
-            if not np.array_equal(seq.view(np.uint32), par.view(np.uint32)):
-                raise DualVtError(
-                    f"{name}: threaded scatter-sum is not bitwise equal to sequential"
-                )
-
-    cases = {
-        "ht_naive_interp": lambda: ht_transform_naive(
-            feats, depths, masks, bundle.rigs, bundle.grid, heights, bundle.dspec, mode=INTERP
-        ),
-        "ht_fast": lambda: ht_fast(cfg.threads),
-        "lss_pool": lambda: pool(cfg.threads),
-        "full_pipeline": lambda: run_pipeline(
-            feats, depths, masks, ht_table, lss_table, weights,
-            threads=cfg.threads, weight_mode=cfg.weight_mode,
-        ),
-    }
-    results = bench_mod.run_suite(cases, cfg.reps, cfg.warmup)
-    results["speedup_fast_vs_interp"] = (
-        results["ht_naive_interp"]["median_ms"] / results["ht_fast"]["median_ms"]
-    )
-    print(bench_mod.render_table({k: v for k, v in results.items() if isinstance(v, dict)}))
-    print(f"fast vs naive-interp speedup: {results['speedup_fast_vs_interp']:.1f}x")
-    if args.out:
-        Path(args.out).write_text(json.dumps(results, indent=2))
-    return 0
-
-
 def cmd_compare(args) -> int:
     report = diff_directories(args.baseline, args.variant)
     for name, entry in report["files"].items():
@@ -346,27 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heights", default="multires", help="'multires' or 'uniform:N'")
     p.set_defaults(fn=cmd_precompute)
 
-    for name, fn in (("transform", cmd_transform), ("bench", cmd_bench)):
-        p = sub.add_parser(name)
-        p.add_argument("--scene", required=True)
-        p.add_argument("--tables", required=True)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--weight-seed", dest="weight_seed", type=int)
-        p.add_argument("--weights", dest="weights_dir")
-        p.add_argument("--weight-mode", dest="weight_mode", choices=[DEPTH_MASK, DEPTH_ONLY])
-        if name == "transform":
-            p.add_argument("--out", required=True)
-            p.add_argument("--sampler", choices=["fast", "naive-interp", "naive-round"])
-            p.add_argument(
-                "--ablate", action="append",
-                help="repeatable: disable-M | uniform-D | force-A=<value>",
-            )
-        else:
-            p.add_argument("--out", help="write JSON results here")
-            p.add_argument("--reps", type=int)
-            p.add_argument("--warmup", type=int)
-        p.set_defaults(fn=fn)
+    p = sub.add_parser("transform", help="run both streams and fusion on precomputed tables")
+    p.add_argument("--scene", required=True)
+    p.add_argument("--tables", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--config", help="JSON config file; flags override it")
+    p.add_argument("--threads", type=int)
+    p.add_argument("--weight-seed", dest="weight_seed", type=int)
+    p.add_argument("--weights", dest="weights_dir")
+    p.add_argument("--weight-mode", dest="weight_mode", choices=[DEPTH_MASK, DEPTH_ONLY])
+    p.add_argument("--sampler", choices=["fast", "naive-interp", "naive-round"])
+    p.add_argument(
+        "--ablate", action="append",
+        help="repeatable: disable-M | uniform-D | force-A=<value>",
+    )
+    p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("compare", help="diff two transform output directories")
     p.add_argument("baseline")

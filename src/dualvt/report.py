@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .tensors import tensor_read
 
 
@@ -44,13 +45,23 @@ def summarize_outputs(arrays: dict, gt_bev=None) -> dict:
 
 
 def diff_directories(dir_a, dir_b) -> dict:
-    """Compare every BTSR file the two directories share."""
+    """Compare the BTSR files of two directories; a file on one side only, like a
+    shape mismatch, is an error entry and makes the overall max_abs_diff inf."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
-    names = sorted(
-        {p.name for p in dir_a.glob("*.btsr")} & {p.name for p in dir_b.glob("*.btsr")}
-    )
+    for d in (dir_a, dir_b):
+        if not d.is_dir():
+            raise ConfigError(f"{d} is not a directory")
+    names_a = {p.name for p in dir_a.glob("*.btsr")}
+    names_b = {p.name for p in dir_b.glob("*.btsr")}
+    shared = names_a & names_b
+    if not shared:
+        raise ConfigError(f"{dir_a} and {dir_b} share no .btsr tensor")
     report = {"files": {}, "max_abs_diff": 0.0}
-    for name in names:
+    for name in sorted(names_a | names_b):
+        if name not in shared:
+            report["files"][name] = {"error": f"only in {dir_a if name in names_a else dir_b}"}
+            report["max_abs_diff"] = float("inf")
+            continue
         a = tensor_read(dir_a / name).astype(np.float64)
         b = tensor_read(dir_b / name).astype(np.float64)
         if a.shape != b.shape:

@@ -116,11 +116,15 @@ class TestPrecompute:
         meta = json.loads((tmp_path / "t" / "meta.json").read_text())
         assert len(meta["heights"]["z_values"]) == 5
 
-    def test_bad_heights_exits_2(self, workspace, tmp_path):
-        assert main(
-            ["precompute", "--scene", str(workspace / "scene"),
-             "--out", str(tmp_path / "t"), "--heights", "nonsense"]
-        ) == 2
+    def test_bad_heights_exits_2(self, workspace, tmp_path, capsys):
+        for heights in ("nonsense", "uniform:abc", "uniform:1", "uniform:"):
+            code = main(["precompute", "--scene", str(workspace / "scene"),
+                         "--out", str(tmp_path / "t"), "--heights", heights])
+            err = capsys.readouterr().err
+            assert code == 2, heights
+            assert "config error" in err and len(err.strip().splitlines()) == 1
+            assert "Traceback" not in err
+            assert not (tmp_path / "t").exists()
 
     def test_missing_scene_exits_3(self, tmp_path):
         assert main(
@@ -216,10 +220,12 @@ class TestTransform:
         assert da != dc  # different weight seed changes fusion outputs
         assert db == dc  # flag wins over config file
 
-    def test_unknown_config_key_exits_2(self, workspace, tmp_path):
+    def test_unknown_config_key_exits_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"no_such_option": 1}))
-        assert run_transform(workspace, tmp_path / "x", "--config", str(cfg)) == 2
+        for key in ("no_such_option", "reps", "warmup"):
+            cfg.write_text(json.dumps({key: 3}))
+            assert run_transform(workspace, tmp_path / "x", "--config", str(cfg)) == 2, key
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_weights_roundtrip_through_disk(self, workspace, tmp_path):
         from dualvt.fusion import make_seeded_weights
@@ -313,6 +319,14 @@ class TestTablesBoundToGeometry:
         err = self.assert_refused(workspace, tables, tmp_path, capsys)
         assert repr(key) in err
 
+    @pytest.mark.parametrize("text", ["{not json", "5"], ids=["not-json", "not-object"])
+    def test_meta_unparsable_exits_2(self, workspace, tmp_path, capsys, text):
+        tables = tmp_path / "other"
+        shutil.copytree(workspace / "tables", tables)
+        (tables / "meta.json").write_text(text)
+        err = self.assert_refused(workspace, tables, tmp_path, capsys)
+        assert "rebuild them with precompute" in err
+
     def test_failed_write_leaves_no_output(self, workspace, tmp_path, monkeypatch, capsys):
         real, calls = cli.tensor_write, []
 
@@ -399,51 +413,6 @@ class TestRunConfigValidation:
         self.assert_config_error(code, capsys)
 
 
-class TestBench:
-    def test_threaded_self_check_covers_lss_pool(self, workspace, monkeypatch, capsys):
-        real = cli.lss_pool
-
-        def drifting(*args, threads=1, **kwargs):
-            out = real(*args, threads=threads, **kwargs)
-            return out + np.float32(1.0) if threads > 1 else out
-
-        monkeypatch.setattr(cli, "lss_pool", drifting)
-        code = main(
-            ["bench", "--scene", str(workspace / "scene"),
-             "--tables", str(workspace / "tables"), "--threads", "2", "--reps", "3"]
-        )
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "lss_pool" in err and "bitwise" in err
-        assert "Traceback" not in err
-
-    def test_threaded_bench_passes_self_check(self, workspace, capsys):
-        assert main(
-            ["bench", "--scene", str(workspace / "scene"),
-             "--tables", str(workspace / "tables"), "--threads", "2",
-             "--reps", "3", "--warmup", "1"]
-        ) == 0
-
-    def test_bench_runs_and_writes_json(self, workspace, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(
-            ["bench", "--scene", str(workspace / "scene"),
-             "--tables", str(workspace / "tables"),
-             "--reps", "3", "--warmup", "1", "--out", str(out)]
-        ) == 0
-        doc = json.loads(out.read_text())
-        for case in ("ht_naive_interp", "ht_fast", "lss_pool", "full_pipeline"):
-            assert doc[case]["median_ms"] > 0
-        assert doc["speedup_fast_vs_interp"] > 0
-        assert "speedup" in capsys.readouterr().out
-
-    def test_too_few_reps_exits_2(self, workspace, tmp_path):
-        assert main(
-            ["bench", "--scene", str(workspace / "scene"),
-             "--tables", str(workspace / "tables"), "--reps", "1"]
-        ) == 2
-
-
 class TestCompare:
     def test_identical_dirs(self, workspace, tmp_path, capsys):
         assert run_transform(workspace, tmp_path / "a") == 0
@@ -465,3 +434,33 @@ class TestCompare:
         ) == 0
         report = json.loads(out.read_text())
         assert report["max_abs_diff"] > 0.0
+
+    def assert_compare_refused(self, a, b, capsys):
+        assert main(["compare", str(a), str(b)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_missing_dirs_exit_2(self, workspace, tmp_path, capsys):
+        assert run_transform(workspace, tmp_path / "a") == 0
+        self.assert_compare_refused(tmp_path / "none1", tmp_path / "none2", capsys)
+        self.assert_compare_refused(tmp_path / "a", tmp_path / "none", capsys)
+
+    def test_no_shared_tensor_exits_2(self, workspace, tmp_path, capsys):
+        assert run_transform(workspace, tmp_path / "a") == 0
+        (tmp_path / "empty").mkdir()
+        self.assert_compare_refused(tmp_path / "a", tmp_path / "empty", capsys)
+
+    @pytest.mark.parametrize("side", ["baseline", "variant"])
+    def test_one_sided_file_is_an_error(self, workspace, tmp_path, capsys, side):
+        assert run_transform(workspace, tmp_path / "baseline") == 0
+        assert run_transform(workspace, tmp_path / "variant") == 0
+        (tmp_path / side / "F.btsr").unlink()
+        out = tmp_path / "report.json"
+        assert main(["compare", str(tmp_path / "baseline"), str(tmp_path / "variant"),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert "error" in report["files"]["F.btsr"]
+        assert report["max_abs_diff"] == float("inf")
+        assert report["files"]["P.btsr"]["bitwise_equal"]
+        assert "F.btsr: only in" in capsys.readouterr().out

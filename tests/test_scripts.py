@@ -1,26 +1,42 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from dualvt.cli import build_parser
+
 REPO = Path(__file__).resolve().parents[1]
+SCRIPTS = ["run_demo.py", "run_ablations.py"]
 
 
-@pytest.mark.parametrize("script", [
-    ["run_demo.py"],
-    ["run_ablations.py"],
-    ["run_bench.py", "--reps", "3", "--warmup", "1"],
-], ids=["run_demo", "run_ablations", "run_bench"])
+@pytest.mark.parametrize("script", SCRIPTS, ids=[Path(s).stem for s in SCRIPTS])
 def test_run_demo_exits_zero(tmp_path, script):
     """Each committed script runs the CLI end to end (synth, precompute,
-    then transform or bench on the tables it wrote); the demo also checks
-    the fast outputs against the table-free naive-round sampler bit for bit."""
+    then transform on the tables it wrote); the demo also checks the fast
+    outputs against the table-free naive-round sampler bit for bit."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / script[0]), *script[1:],
-         "--workdir", str(tmp_path)],
+        [sys.executable, str(REPO / "scripts" / script), "--workdir", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def readme_block(heading: str) -> str:
+    """The first fenced code block under a `## heading` of the README."""
+    section = (REPO / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split("```", 2)[1]
+
+
+def test_readme_names_every_subcommand_and_script():
+    """The README's CLI and Scripts blocks follow the parser and scripts/,
+    and this file runs every script."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(re.findall(r"^dualvt (\w+)", readme_block("CLI"), re.M)) == set(sub.choices)
+    files = {p.name for p in (REPO / "scripts").iterdir() if p.is_file()}
+    assert set(re.findall(r"^python3 scripts/(\S+)", readme_block("Scripts"), re.M)) == files
+    assert set(SCRIPTS) == files
