@@ -20,7 +20,7 @@ from .errors import ConfigError, DualVtError, InvalidCount
 from .fusion import apply_ablations, fuse_and_finalize, make_seeded_weights, run_pipeline
 from .geometry import BevGridSpec, HeightSet, geometry_fingerprint, make_height_samples
 from .height_stream import INTERP, ROUND, ht_transform_naive, precompute_ht_table
-from .lift_stream import DEPTH_MASK, DEPTH_ONLY, lss_pool, precompute_lss_table
+from .lift_stream import lss_pool, precompute_lss_table
 from .nnops import WeightBundle
 from .report import diff_directories, summarize_outputs
 from .sampling import DepthBinSpec
@@ -39,7 +39,6 @@ class RunConfig:
     threads: int = 1
     weight_seed: int = DEFAULT_WEIGHT_SEED
     weights_dir: str | None = None
-    weight_mode: str = DEPTH_MASK
     sampler: str = "fast"
     force_affinity: float | None = None
     disable_mask: bool = False
@@ -84,8 +83,6 @@ class RunConfig:
             math.isfinite(cfg.force_affinity) and 0.0 <= cfg.force_affinity <= 1.0
         ):
             raise ConfigError(f"force-A must be finite and in [0, 1], got {cfg.force_affinity}")
-        if cfg.weight_mode not in (DEPTH_MASK, DEPTH_ONLY):
-            raise ConfigError(f"unknown weight mode {cfg.weight_mode!r}")
         if cfg.sampler not in ("fast", "naive-interp", "naive-round"):
             raise ConfigError(f"unknown sampler {cfg.sampler!r}")
         return cfg
@@ -115,6 +112,8 @@ def _load_scene_spec(path) -> tuple:
             blocks[key] = cls.from_json(doc[key]) if key in doc else cls()
         except KeyError as e:
             raise ConfigError(f"scene spec {key!r} block is missing key {e}") from None
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"scene spec {key!r} block is malformed: {e}") from None
     grid, dspec = blocks["grid"], blocks["dspec"]
     fields = {k: v for k, v in doc.items() if k not in blocks}
     try:
@@ -167,9 +166,19 @@ def cmd_precompute(args) -> int:
     return 0
 
 
-def _heights_from_meta(meta: dict):
-    doc = meta["heights"]
-    return HeightSet(tuple(doc["z_values"]), mode=doc["mode"])
+def _meta_block(meta: dict, key: str, parse):
+    """One block of the tables' meta.json, parsed; a block with missing keys or
+    values of the wrong type is refused like a missing block."""
+    try:
+        return parse(meta[key])
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as e:
+        raise ConfigError(f"tables' meta.json has a bad {key!r} block "
+                          f"({type(e).__name__}: {e}); rebuild them with precompute") from None
+
+
+def _heights_from_meta(meta: dict) -> HeightSet:
+    return _meta_block(meta, "heights",
+                       lambda doc: HeightSet(tuple(doc["z_values"]), mode=doc["mode"]))
 
 
 def _load_run_inputs(args, cfg: RunConfig):
@@ -198,10 +207,10 @@ def _check_tables_match_scene(bundle, meta: dict, tables) -> None:
     for key in ("heights", "grid", "dspec", "geometry_sha256"):
         if key not in meta:
             raise ConfigError(f"tables' meta.json has no {key!r}; rebuild them with precompute")
-    if BevGridSpec.from_json(meta["grid"]) != bundle.grid:
+    if _meta_block(meta, "grid", BevGridSpec.from_json) != bundle.grid:
         raise ConfigError(f"tables were built for grid {meta['grid']}, "
                           f"scene has {bundle.grid.to_json()}")
-    if DepthBinSpec.from_json(meta["dspec"]) != bundle.dspec:
+    if _meta_block(meta, "dspec", DepthBinSpec.from_json) != bundle.dspec:
         raise ConfigError(f"tables were built for depth bins {meta['dspec']}, "
                           f"scene has {bundle.dspec.to_json()}")
     spec = bundle.spec
@@ -224,15 +233,14 @@ def _transform(bundle, ht_table, lss_table, meta, weights, cfg: RunConfig):
     if cfg.sampler == "fast":
         return run_pipeline(
             feats, depths, masks, ht_table, lss_table, weights,
-            threads=cfg.threads, weight_mode=cfg.weight_mode,
-            force_affinity=cfg.force_affinity,
+            threads=cfg.threads, force_affinity=cfg.force_affinity,
         )
     heights = _heights_from_meta(meta)
     mode = INTERP if cfg.sampler == "naive-interp" else ROUND
     f_ht = ht_transform_naive(
         feats, depths, masks, bundle.rigs, bundle.grid, heights, bundle.dspec, mode=mode
     )
-    f_lss = lss_pool(feats, depths, masks, lss_table, mode=cfg.weight_mode, threads=cfg.threads)
+    f_lss = lss_pool(feats, depths, masks, lss_table, threads=cfg.threads)
     return fuse_and_finalize(f_lss, f_ht, weights, force_affinity=cfg.force_affinity)
 
 
@@ -313,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int)
     p.add_argument("--weight-seed", dest="weight_seed", type=int)
     p.add_argument("--weights", dest="weights_dir")
-    p.add_argument("--weight-mode", dest="weight_mode", choices=[DEPTH_MASK, DEPTH_ONLY])
     p.add_argument("--sampler", choices=["fast", "naive-interp", "naive-round"])
     p.add_argument(
         "--ablate", action="append",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
 from .height_stream import ht_transform_fast
-from .lift_stream import DEPTH_MASK, lss_pool
+from .lift_stream import lss_pool
 from .nnops import (
     WeightBundle,
     channel_stats,
@@ -164,7 +164,6 @@ def run_pipeline(
     ht_table, lss_table,
     weights: WeightBundle,
     threads: int = 1,
-    weight_mode: str = DEPTH_MASK,
     force_affinity: float | None = None,
     disable_mask: bool = False,
     uniform_depth: bool = False,
@@ -178,7 +177,7 @@ def run_pipeline(
     depths, masks = apply_ablations(depths, masks, disable_mask, uniform_depth)
 
     f_ht = ht_transform_fast(feats, depths, masks, ht_table, threads=threads)
-    f_lss = lss_pool(feats, depths, masks, lss_table, mode=weight_mode, threads=threads)
+    f_lss = lss_pool(feats, depths, masks, lss_table, threads=threads)
     return fuse_and_finalize(f_lss, f_ht, weights, force_affinity=force_affinity)
 
 

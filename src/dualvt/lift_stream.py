@@ -2,7 +2,7 @@
 
 Every feature pixel is lifted to one 3D point per depth bin (at the bin
 center); points landing inside the BEV grid are pooled into their cell,
-weighted by the depth distribution and optionally the instance mask.
+weighted by the depth distribution and the instance mask.
 Unlike the multi-height stream, the per-cell record count is dynamic: it
 depends on how the lifted frustum intersects the grid.
 
@@ -17,9 +17,6 @@ from .geometry import BevGridSpec
 from .sampling import DepthBinSpec
 from .scatter import weighted_scatter
 from .tables import LSS_MAGIC, IndexTable, build_table, check_camera_tensors, stack_camera_tensors
-
-DEPTH_ONLY = "depth_only"
-DEPTH_MASK = "depth_mask"
 
 
 def lift_frustum(cam, dspec: DepthBinSpec):
@@ -63,22 +60,14 @@ def precompute_lss_table(rigs, grid: BevGridSpec, dspec: DepthBinSpec) -> IndexT
     return build_table(LSS_MAGIC, grid, rigs, dspec.n_bins, map(emit, rigs))
 
 
-def lss_pool(
-    feats, depths, masks, table: IndexTable,
-    mode: str = DEPTH_MASK, threads: int = 1,
-) -> np.ndarray:
+def lss_pool(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:
     """Weighted scatter-sum pooling; returns (C, ny, nx) float32."""
-    if mode not in (DEPTH_ONLY, DEPTH_MASK):
-        raise ValueError(f"unknown weight mode {mode!r}")
     check_camera_tensors(
         feats, depths, masks, table.n_cams, table.feat_h, table.feat_w, table.n_bins
     )
     feat_stack = stack_camera_tensors(feats)
     depth_flat = np.concatenate([d.ravel() for d in depths])
-    if mode == DEPTH_MASK:
-        mask_flat = stack_camera_tensors(masks)[0]
-    else:
-        mask_flat = np.ones(feat_stack.shape[1], dtype=np.float32)
+    mask_flat = stack_camera_tensors(masks)[0]
     acc = weighted_scatter(
         feat_stack, depth_flat, mask_flat,
         table.cells, table.feat_idx, table.depth_idx,
@@ -89,8 +78,7 @@ def lss_pool(
 
 
 def lss_pool_reference(
-    feats, depths, masks, rigs, grid: BevGridSpec, dspec: DepthBinSpec,
-    mode: str = DEPTH_MASK,
+    feats, depths, masks, rigs, grid: BevGridSpec, dspec: DepthBinSpec
 ) -> np.ndarray:
     """Table-free oracle: per-point loop that lifts, locates, accumulates.
 
@@ -125,8 +113,6 @@ def lss_pool_reference(
     C = feats[0].shape[0]
     acc = np.zeros((grid.n_cells, C), dtype=np.float64)
     for cell, cam, di, fi in records:
-        w = np.float64(depths[cam].ravel()[di])
-        if mode == DEPTH_MASK:
-            w = w * np.float64(masks[cam].ravel()[fi])
+        w = np.float64(depths[cam].ravel()[di]) * np.float64(masks[cam].ravel()[fi])
         acc[cell] += w * feats[cam].reshape(C, -1)[:, fi].astype(np.float64)
     return acc.T.reshape(C, grid.ny, grid.nx).astype(np.float32)

@@ -75,9 +75,6 @@ class IndexTable:
     def n_cells(self) -> int:
         return self.ny * self.nx
 
-    def per_cell_counts(self) -> np.ndarray:
-        return np.bincount(self.cells, minlength=self.n_cells)
-
 
 def build_table(magic: bytes, grid, rigs, n_bins: int, per_cam) -> IndexTable:
     """Stack per-camera entries and sort them by cell.

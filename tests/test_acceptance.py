@@ -23,7 +23,6 @@ from dualvt.height_stream import (
     precompute_ht_table,
 )
 from dualvt.lift_stream import (
-    DEPTH_MASK,
     lift_frustum,
     lss_pool,
     lss_pool_reference,
@@ -59,12 +58,10 @@ def test_criterion_1_oracle_equivalence():
             bundle.rigs, bundle.grid, heights, bundle.dspec, mode=ROUND,
         )
         ok &= np.array_equal(fast.view(np.uint32), naive.view(np.uint32))
-        pooled = lss_pool(
-            bundle.feats, bundle.depths, bundle.masks, lss_table, mode=DEPTH_MASK
-        )
+        pooled = lss_pool(bundle.feats, bundle.depths, bundle.masks, lss_table)
         loop = lss_pool_reference(
             bundle.feats, bundle.depths, bundle.masks,
-            bundle.rigs, bundle.grid, bundle.dspec, mode=DEPTH_MASK,
+            bundle.rigs, bundle.grid, bundle.dspec,
         )
         ok &= np.array_equal(pooled.view(np.uint32), loop.view(np.uint32))
     elapsed = time.perf_counter() - t0
@@ -81,7 +78,7 @@ def test_criterion_2_conservation():
     for seed in range(10):
         bundle, _ = small_scene(seed)
         table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
-        out = lss_pool(bundle.feats, bundle.depths, bundle.masks, table, mode=DEPTH_MASK)
+        out = lss_pool(bundle.feats, bundle.depths, bundle.masks, table)
         feat_stack = np.concatenate(
             [f.reshape(f.shape[0], -1) for f in bundle.feats], axis=1
         )

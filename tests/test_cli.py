@@ -78,6 +78,8 @@ class TestSynth:
     @pytest.mark.parametrize("doc, missing", [
         ({"seed": 1, "grid": {"nx": 64, "ny": 64}}, "x_min"),
         ({"seed": 1, "dspec": {"d_min": 2.0, "step": 1.0}}, "d_max"),
+        ({"seed": 1, "grid": 5}, "grid"),
+        ({"seed": 1, "dspec": 5}, "dspec"),
     ])
     def test_partial_block_names_missing_key(self, tmp_path, capsys, doc, missing):
         spec = tmp_path / "spec.json"
@@ -222,10 +224,14 @@ class TestTransform:
 
     def test_unknown_config_key_exits_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        for key in ("no_such_option", "reps", "warmup"):
+        for key in ("no_such_option", "reps", "warmup", "weight_mode"):
             cfg.write_text(json.dumps({key: 3}))
             assert run_transform(workspace, tmp_path / "x", "--config", str(cfg)) == 2, key
             assert f"unknown config key {key!r}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            run_transform(workspace, tmp_path / "x", "--weight-mode", "depth_only")
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --weight-mode" in capsys.readouterr().err
 
     def test_weights_roundtrip_through_disk(self, workspace, tmp_path):
         from dualvt.fusion import make_seeded_weights
@@ -310,22 +316,37 @@ class TestTablesBoundToGeometry:
         err = self.assert_refused(workspace, tables, tmp_path, capsys)
         assert "version 1" in err and "precompute again" in err
 
-    @pytest.mark.parametrize("key", ["geometry_sha256", "heights", "grid", "dspec"])
+    @pytest.mark.parametrize("key", ["geometry_sha256", "heights", "grid", "dspec",
+                                     "heights.mode", "dspec.d_min"])
     def test_meta_missing_key_exits_2(self, workspace, tmp_path, capsys, key):
         tables = other_tables(tmp_path / "other")
         meta = json.loads((tables / "meta.json").read_text())
-        del meta[key]
+        block, _, inner = key.partition(".")
+        if inner:
+            del meta[block][inner]
+        else:
+            del meta[block]
         (tables / "meta.json").write_text(json.dumps(meta))
         err = self.assert_refused(workspace, tables, tmp_path, capsys)
-        assert repr(key) in err
+        assert repr(inner or block) in err
+        assert err.rstrip().endswith("rebuild them with precompute")
 
-    @pytest.mark.parametrize("text", ["{not json", "5"], ids=["not-json", "not-object"])
-    def test_meta_unparsable_exits_2(self, workspace, tmp_path, capsys, text):
+    @pytest.mark.parametrize("edit", [
+        "{not json",
+        "5",
+        {"grid": 5},
+        {"heights": [1, 2]},
+        {"dspec": {"d_min": 2.0, "d_max": 20.0, "step": "1"}},
+    ], ids=["not-json", "not-object", "grid-not-object", "heights-not-object", "dspec-str-step"])
+    def test_meta_unparsable_exits_2(self, workspace, tmp_path, capsys, edit):
+        """`edit` is the whole meta.json text, or blocks replaced in the real one."""
         tables = tmp_path / "other"
         shutil.copytree(workspace / "tables", tables)
-        (tables / "meta.json").write_text(text)
+        if isinstance(edit, dict):
+            edit = json.dumps({**json.loads((tables / "meta.json").read_text()), **edit})
+        (tables / "meta.json").write_text(edit)
         err = self.assert_refused(workspace, tables, tmp_path, capsys)
-        assert "rebuild them with precompute" in err
+        assert err.rstrip().endswith("rebuild them with precompute")
 
     def test_failed_write_leaves_no_output(self, workspace, tmp_path, monkeypatch, capsys):
         real, calls = cli.tensor_write, []

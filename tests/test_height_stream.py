@@ -77,7 +77,8 @@ class TestPrecompute:
     def test_per_cell_bound(self, small_bundle):
         bundle, heights = small_bundle
         table = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
-        assert table.per_cell_counts().max() <= len(heights) * len(bundle.rigs)
+        counts = np.bincount(table.cells, minlength=table.n_cells)
+        assert counts.max() <= len(heights) * len(bundle.rigs)
 
     def test_serialization_roundtrip(self, tmp_path, small_bundle):
         bundle, heights = small_bundle

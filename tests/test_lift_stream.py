@@ -5,8 +5,6 @@ from conftest import forward_camera, small_geometry, small_scene
 from dualvt.errors import NonFiniteValue, ShapeMismatch
 from dualvt.geometry import BevGridSpec, project_points
 from dualvt.lift_stream import (
-    DEPTH_MASK,
-    DEPTH_ONLY,
     lift_frustum,
     lss_pool,
     lss_pool_reference,
@@ -105,26 +103,18 @@ class TestPrecompute:
         """Pooling counts vary per cell, unlike the fixed multi-height stream."""
         bundle, _ = small_bundle
         table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
-        counts = table.per_cell_counts()
+        counts = np.bincount(table.cells, minlength=table.n_cells)
         nonzero = counts[counts > 0]
         assert nonzero.size > 1
         assert nonzero.min() != nonzero.max()
 
 
 class TestPool:
-    def test_mask_of_ones_matches_depth_only(self, small_bundle):
-        bundle, _ = small_bundle
-        table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
-        ones = [np.ones_like(m) for m in bundle.masks]
-        a = lss_pool(bundle.feats, bundle.depths, ones, table, mode=DEPTH_MASK)
-        b = lss_pool(bundle.feats, bundle.depths, ones, table, mode=DEPTH_ONLY)
-        assert np.array_equal(a, b)
-
     def test_zero_mask_gives_zero(self, small_bundle):
         bundle, _ = small_bundle
         table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
         zeros = [np.zeros_like(m) for m in bundle.masks]
-        out = lss_pool(bundle.feats, bundle.depths, zeros, table, mode=DEPTH_MASK)
+        out = lss_pool(bundle.feats, bundle.depths, zeros, table)
         assert np.all(out == 0.0)
 
     def test_one_hot_conservation_count(self):
@@ -139,7 +129,7 @@ class TestPool:
         for vv in range(6):
             for uu in range(8):
                 depth[hot_bins[vv, uu], vv, uu] = 1.0
-        out = lss_pool(feats, [depth], masks, table, mode=DEPTH_MASK)
+        out = lss_pool(feats, [depth], masks, table)
         # count one-hot points landing inside the grid
         u, v, k, pts = lift_frustum(rig, DSPEC)
         hot = hot_bins[v, u] == k
@@ -170,7 +160,7 @@ class TestPool:
         """Total BEV mass equals the direct weighted sum over table records."""
         bundle, _ = small_bundle
         table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
-        out = lss_pool(bundle.feats, bundle.depths, bundle.masks, table, mode=DEPTH_MASK)
+        out = lss_pool(bundle.feats, bundle.depths, bundle.masks, table)
         feat_stack = np.concatenate([f.reshape(f.shape[0], -1) for f in bundle.feats], axis=1)
         depth_flat = np.concatenate([d.ravel() for d in bundle.depths])
         mask_flat = np.concatenate([m.ravel() for m in bundle.masks])
@@ -185,8 +175,9 @@ class TestPool:
         bundle, _ = small_bundle
         table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
         feats = [np.abs(f) for f in bundle.feats]
-        masked = lss_pool(feats, bundle.depths, bundle.masks, table, mode=DEPTH_MASK)
-        plain = lss_pool(feats, bundle.depths, bundle.masks, table, mode=DEPTH_ONLY)
+        ones = [np.ones_like(m) for m in bundle.masks]
+        masked = lss_pool(feats, bundle.depths, bundle.masks, table)
+        plain = lss_pool(feats, bundle.depths, ones, table)
         assert np.all(np.abs(masked) <= np.abs(plain) + 1e-6)
 
     def test_reference_loop_matches_bitwise(self):
@@ -198,9 +189,7 @@ class TestPool:
         spec = random_scene_spec(3, n_cameras=2, feat_w=10, feat_h=6, channels=4)
         bundle = generate_scene(spec, grid, dspec)
         table = precompute_lss_table(bundle.rigs, grid, dspec)
-        for mode in (DEPTH_MASK, DEPTH_ONLY):
-            fast = lss_pool(bundle.feats, bundle.depths, bundle.masks, table, mode=mode)
-            ref = lss_pool_reference(
-                bundle.feats, bundle.depths, bundle.masks, bundle.rigs, grid, dspec, mode=mode
-            )
+        for masks in (bundle.masks, [np.ones_like(m) for m in bundle.masks]):
+            fast = lss_pool(bundle.feats, bundle.depths, masks, table)
+            ref = lss_pool_reference(bundle.feats, bundle.depths, masks, bundle.rigs, grid, dspec)
             assert np.array_equal(fast.view(np.uint32), ref.view(np.uint32))

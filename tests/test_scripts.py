@@ -26,17 +26,38 @@ def test_run_demo_exits_zero(tmp_path, script):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def readme_section(heading: str) -> str:
+    """The text under a `## heading` of the README, up to the next heading."""
+    text = (REPO / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
+    return text.split("\n## ", 1)[0]
+
+
 def readme_block(heading: str) -> str:
     """The first fenced code block under a `## heading` of the README."""
-    section = (REPO / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
-    return section.split("```", 2)[1]
+    return readme_section(heading).split("```", 2)[1]
+
+
+def subcommands() -> dict:
+    """build_parser()'s subcommand parsers by name."""
+    return next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
 
 
 def test_readme_names_every_subcommand_and_script():
     """The README's CLI and Scripts blocks follow the parser and scripts/,
     and this file runs every script."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(re.findall(r"^dualvt (\w+)", readme_block("CLI"), re.M)) == set(sub.choices)
+    assert set(re.findall(r"^dualvt (\w+)", readme_block("CLI"), re.M)) == set(subcommands())
     files = {p.name for p in (REPO / "scripts").iterdir() if p.is_file()}
     assert set(re.findall(r"^python3 scripts/(\S+)", readme_block("Scripts"), re.M)) == files
     assert set(SCRIPTS) == files
+
+
+def test_readme_names_every_flag():
+    """The README's CLI section names exactly the parser's long flags, across
+    every subcommand, leaving out --help."""
+    flags = {
+        opt for parser in subcommands().values() for action in parser._actions
+        for opt in action.option_strings if opt.startswith("--")
+    } - {"--help"}
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme_section("CLI"))) == flags

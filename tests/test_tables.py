@@ -45,7 +45,7 @@ def test_file_layout(tmp_path, small_bundle):
     assert raw[4] == 2
     assert len(raw) == HEADER_BYTES + 4 * (table.n_cells + 1) + 8 * table.n_entries
     offsets = np.frombuffer(raw, "<u4", table.n_cells + 1, HEADER_BYTES)
-    assert np.array_equal(np.diff(offsets), table.per_cell_counts())
+    assert np.array_equal(np.diff(offsets), np.bincount(table.cells, minlength=table.n_cells))
     records = np.frombuffer(raw, "<u4", offset=HEADER_BYTES + offsets.nbytes).reshape(-1, 2)
     assert np.array_equal(records[:, 0], table.feat_idx)
     assert np.array_equal(records[:, 1], table.depth_idx)
