@@ -18,14 +18,14 @@ from pathlib import Path
 
 from .errors import ConfigError, DualVtError, InvalidCount
 from .fusion import apply_ablations, fuse_and_finalize, make_seeded_weights, run_pipeline
-from .geometry import BevGridSpec, HeightSet, geometry_fingerprint, make_height_samples
+from .geometry import BevGridSpec, HeightSet, make_height_samples
 from .height_stream import INTERP, ROUND, ht_transform_naive, precompute_ht_table
 from .lift_stream import lss_pool, precompute_lss_table
 from .nnops import WeightBundle
 from .report import diff_directories, summarize_outputs
 from .sampling import DepthBinSpec
 from .synth import SceneSpec, generate_scene, load_bundle, save_bundle
-from .tables import HT_MAGIC, LSS_MAGIC, read_table, write_table
+from .tables import HT_MAGIC, LSS_MAGIC, geometry_fingerprint, read_table, write_table
 from .tensors import tensor_write
 
 DEFAULT_WEIGHT_SEED = 11
@@ -152,13 +152,6 @@ def cmd_precompute(args) -> int:
     lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
     write_table(ht, out / "ht_table.htlt")
     write_table(lss, out / "lss_table.lspt")
-    meta = {
-        "heights": {"mode": heights.mode, "z_values": list(heights.z_values)},
-        "grid": bundle.grid.to_json(),
-        "dspec": bundle.dspec.to_json(),
-        "geometry_sha256": geometry_fingerprint(bundle.rigs, heights),
-    }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2))
     for name, table in (("ht", ht), ("lss", lss)):
         if table.n_entries == 0:
             print(f"warning: {name} table is empty (no points in view)", file=sys.stderr)
@@ -166,67 +159,40 @@ def cmd_precompute(args) -> int:
     return 0
 
 
-def _meta_block(meta: dict, key: str, parse):
-    """One block of the tables' meta.json, parsed; a block with missing keys or
-    values of the wrong type is refused like a missing block."""
-    try:
-        return parse(meta[key])
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as e:
-        raise ConfigError(f"tables' meta.json has a bad {key!r} block "
-                          f"({type(e).__name__}: {e}); rebuild them with precompute") from None
-
-
-def _heights_from_meta(meta: dict) -> HeightSet:
-    return _meta_block(meta, "heights",
-                       lambda doc: HeightSet(tuple(doc["z_values"]), mode=doc["mode"]))
-
-
 def _load_run_inputs(args, cfg: RunConfig):
     bundle = load_bundle(args.scene)
     tables = Path(args.tables)
     ht_table = read_table(tables / "ht_table.htlt", HT_MAGIC)
     lss_table = read_table(tables / "lss_table.lspt", LSS_MAGIC)
-    try:
-        meta = json.loads((tables / "meta.json").read_text())
-    except json.JSONDecodeError:
-        meta = None
-    if not isinstance(meta, dict):
-        raise ConfigError("tables' meta.json is not a JSON object; rebuild them with precompute")
-    _check_tables_match_scene(bundle, meta, (ht_table, lss_table))
+    _check_tables_match_scene(bundle, (ht_table, lss_table))
     if cfg.weights_dir:
         weights = WeightBundle.load(cfg.weights_dir)
     else:
         weights = make_seeded_weights(cfg.weight_seed, bundle.spec.channels)
-    return bundle, ht_table, lss_table, meta, weights
+    return bundle, ht_table, lss_table, weights
 
 
-def _check_tables_match_scene(bundle, meta: dict, tables) -> None:
-    """Tables are bound to the geometry they were built for: refuse a scene
-    whose grid, depth bins, camera count, feature size or camera rigs differ,
-    or a meta.json whose height set is not the one the tables were built with."""
-    for key in ("heights", "grid", "dspec", "geometry_sha256"):
-        if key not in meta:
-            raise ConfigError(f"tables' meta.json has no {key!r}; rebuild them with precompute")
-    if _meta_block(meta, "grid", BevGridSpec.from_json) != bundle.grid:
-        raise ConfigError(f"tables were built for grid {meta['grid']}, "
-                          f"scene has {bundle.grid.to_json()}")
-    if _meta_block(meta, "dspec", DepthBinSpec.from_json) != bundle.dspec:
-        raise ConfigError(f"tables were built for depth bins {meta['dspec']}, "
-                          f"scene has {bundle.dspec.to_json()}")
+def _check_tables_match_scene(bundle, tables) -> None:
+    """Tables are bound to the geometry they were built for: refuse a table
+    whose header sizes differ from the scene's, or whose geometry fingerprint
+    is not that of the scene's rigs, grid and depth bins and its own heights."""
     spec = bundle.spec
     scene = {"ny": bundle.grid.ny, "nx": bundle.grid.nx, "n_cams": len(bundle.rigs),
              "feat_h": spec.feat_h, "feat_w": spec.feat_w, "n_bins": bundle.dspec.n_bins}
     for table in tables:
+        name = table.magic.decode()
         for key, value in scene.items():
             if getattr(table, key) != value:
-                raise ConfigError(f"{table.magic.decode()} table has {key}="
-                                  f"{getattr(table, key)}, scene has {value}")
-    if meta["geometry_sha256"] != geometry_fingerprint(bundle.rigs, _heights_from_meta(meta)):
-        raise ConfigError("tables were built for other camera rigs or heights "
-                          "(geometry fingerprint differs); rebuild them with precompute")
+                raise ConfigError(f"{name} table has {key}={getattr(table, key)}, "
+                                  f"scene has {value}")
+        if table.geometry_sha256 != geometry_fingerprint(
+            bundle.rigs, bundle.grid, bundle.dspec, table.heights
+        ):
+            raise ConfigError(f"{name} table was built for another geometry (geometry "
+                              "fingerprint differs); rebuild it with precompute")
 
 
-def _transform(bundle, ht_table, lss_table, meta, weights, cfg: RunConfig):
+def _transform(bundle, ht_table, lss_table, weights, cfg: RunConfig):
     feats = bundle.feats
     depths, masks = apply_ablations(bundle.depths, bundle.masks,
                                     cfg.disable_mask, cfg.uniform_depth)
@@ -235,10 +201,10 @@ def _transform(bundle, ht_table, lss_table, meta, weights, cfg: RunConfig):
             feats, depths, masks, ht_table, lss_table, weights,
             threads=cfg.threads, force_affinity=cfg.force_affinity,
         )
-    heights = _heights_from_meta(meta)
     mode = INTERP if cfg.sampler == "naive-interp" else ROUND
     f_ht = ht_transform_naive(
-        feats, depths, masks, bundle.rigs, bundle.grid, heights, bundle.dspec, mode=mode
+        feats, depths, masks, bundle.rigs, bundle.grid, HeightSet(ht_table.heights),
+        bundle.dspec, mode=mode,
     )
     f_lss = lss_pool(feats, depths, masks, lss_table, threads=cfg.threads)
     return fuse_and_finalize(f_lss, f_ht, weights, force_affinity=cfg.force_affinity)
@@ -246,8 +212,8 @@ def _transform(bundle, ht_table, lss_table, meta, weights, cfg: RunConfig):
 
 def cmd_transform(args) -> int:
     cfg = RunConfig.merge(args)
-    bundle, ht_table, lss_table, meta, weights = _load_run_inputs(args, cfg)
-    result = _transform(bundle, ht_table, lss_table, meta, weights, cfg)
+    bundle, ht_table, lss_table, weights = _load_run_inputs(args, cfg)
+    result = _transform(bundle, ht_table, lss_table, weights, cfg)
 
     arrays = {
         "F": result.f_final, "P": result.p_bev,

@@ -10,7 +10,6 @@ Conventions (fixed across the whole library):
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +116,6 @@ class HeightSet:
     """Ordered heights (meters, ego z) at which BEV anchor points are placed."""
 
     z_values: tuple
-    mode: str = "multires"
 
     def __post_init__(self):
         z = tuple(float(v) for v in self.z_values)
@@ -130,19 +128,6 @@ class HeightSet:
 
     def __len__(self) -> int:
         return len(self.z_values)
-
-
-def geometry_fingerprint(rigs, heights: HeightSet) -> str:
-    """SHA-256 of what a lookup table depends on beyond the grid and the depth
-    bins: every rig's intrinsics, extrinsics and feature size, in camera
-    order, and the height set."""
-    h = hashlib.sha256()
-    for rig in rigs:
-        h.update(np.asarray(rig.intrinsics, dtype="<f8").tobytes())
-        h.update(np.asarray(rig.extrinsics, dtype="<f8").tobytes())
-        h.update(np.array([rig.feat_w, rig.feat_h], dtype="<i8").tobytes())
-    h.update(np.asarray(heights.z_values, dtype="<f8").tobytes())
-    return h.hexdigest()
 
 
 def make_height_samples(mode: str = "multires", n: int | None = None) -> HeightSet:
@@ -159,12 +144,12 @@ def make_height_samples(mode: str = "multires", n: int | None = None) -> HeightS
         fine = np.arange(roi_lo, roi_hi + 0.25, 0.5)
         coarse_above = np.arange(roi_hi + 1.0, hi + 0.5, 1.0)
         z = np.concatenate([coarse_below, fine, coarse_above])
-        return HeightSet(tuple(np.round(z, 6)), mode="multires")
+        return HeightSet(tuple(np.round(z, 6)))
     if mode == "uniform":
         if n is None or n < 2:
             raise InvalidCount("uniform height sampling needs n >= 2")
         z = np.linspace(FULL_HEIGHT_RANGE[0], FULL_HEIGHT_RANGE[1], n)
-        return HeightSet(tuple(z), mode=f"uniform{n}")
+        return HeightSet(tuple(z))
     raise ConfigError(f"unknown height mode {mode!r}")
 
 

@@ -66,7 +66,7 @@ def precompute_ht_table(
         ui, vi, kk = (a[keep].astype(np.int64) for a in (ui, vi, k))
         return cell_ids[keep], vi * rig.feat_w + ui, (kk * rig.feat_h + vi) * rig.feat_w + ui
 
-    return build_table(HT_MAGIC, grid, rigs, dspec.n_bins, map(emit, rigs))
+    return build_table(HT_MAGIC, grid, rigs, dspec, heights.z_values, map(emit, rigs))
 
 
 def ht_transform_fast(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:

@@ -57,7 +57,7 @@ def precompute_lss_table(rigs, grid: BevGridSpec, dspec: DepthBinSpec) -> IndexT
         fi = v[keep] * rig.feat_w + u[keep]
         return iy[keep] * grid.nx + ix[keep], fi, k[keep] * (rig.feat_h * rig.feat_w) + fi
 
-    return build_table(LSS_MAGIC, grid, rigs, dspec.n_bins, map(emit, rigs))
+    return build_table(LSS_MAGIC, grid, rigs, dspec, (), map(emit, rigs))
 
 
 def lss_pool(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
 from .rng import Rng
-from .tensors import tensor_read, tensor_write
+from .tensors import parse_manifest, tensor_read, tensor_write
 
 # output rows per GEMM block; for the 3x3 64->16 layer on a 128-wide
 # grid the window matrix takes 64*9 * 16*128 * 8 bytes = 9.4 MB
@@ -154,12 +154,12 @@ class WeightBundle:
     @classmethod
     def load(cls, directory) -> "WeightBundle":
         directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
-        layers = {
-            name: Conv2dWeights(
-                kernel=tensor_read(directory / entry["kernel"]),
-                bias=tensor_read(directory / entry["bias"]),
-            )
+        files = parse_manifest(directory / "manifest.json", lambda manifest: {
+            name: (directory / entry["kernel"], directory / entry["bias"])
             for name, entry in manifest["layers"].items()
+        })
+        layers = {
+            name: Conv2dWeights(kernel=tensor_read(kernel), bias=tensor_read(bias))
+            for name, (kernel, bias) in files.items()
         }
         return cls(layers, provenance=f"loaded({directory})")

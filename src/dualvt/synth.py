@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .geometry import BevGridSpec, CameraRig, bev_cell_centers
 from .rng import Rng
 from .sampling import DepthBinSpec
-from .tensors import tensor_read, tensor_write
+from .tensors import parse_manifest, tensor_read, tensor_write
 
 FEATURE_NOISE = 0.05
 
@@ -278,18 +278,16 @@ def save_bundle(bundle: SceneBundle, directory) -> None:
 
 def load_bundle(directory) -> SceneBundle:
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    spec = SceneSpec.from_json(manifest["spec"])
-    rigs, feats, depths, masks = [], [], [], []
-    for entry in manifest["cameras"]:
-        rigs.append(CameraRig.from_json(entry["rig"]))
-        feats.append(tensor_read(directory / entry["feat"]))
-        depths.append(tensor_read(directory / entry["depth"]))
-        masks.append(tensor_read(directory / entry["mask"]))
-    return SceneBundle(
-        rigs=rigs, feats=feats, depths=depths, masks=masks,
-        gt_bev=tensor_read(directory / manifest["gt_bev"]),
-        spec=spec,
-        grid=BevGridSpec.from_json(manifest["grid"]),
-        dspec=DepthBinSpec.from_json(manifest["dspec"]),
-    )
+
+    def parse(manifest):
+        cams = manifest["cameras"]
+        return (SceneSpec.from_json(manifest["spec"]), BevGridSpec.from_json(manifest["grid"]),
+                DepthBinSpec.from_json(manifest["dspec"]),
+                [CameraRig.from_json(cam["rig"]) for cam in cams],
+                [[directory / cam[kind] for cam in cams] for kind in ("feat", "depth", "mask")],
+                directory / manifest["gt_bev"])
+
+    spec, grid, dspec, rigs, files, gt_bev = parse_manifest(directory / "manifest.json", parse)
+    feats, depths, masks = ([tensor_read(path) for path in paths] for paths in files)
+    return SceneBundle(rigs=rigs, feats=feats, depths=depths, masks=masks,
+                       gt_bev=tensor_read(gt_bev), spec=spec, grid=grid, dspec=dspec)

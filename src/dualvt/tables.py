@@ -1,27 +1,34 @@
 """Precomputed index tables mapping BEV cells to feature/depth indices.
 
-This module owns the one record layout both streams share and the order
-of entries within a cell.  An entry is a target BEV cell, an index into
-all cameras' feature pixels stacked camera-major, and an index into
-their depth volumes stacked the same way.  `build_table` takes each
-camera's entries in its stream's emission order and sorts them by cell
-with one stable sort, so every cell owns one contiguous run that goes
-camera by camera and, within a camera, in emission order.  The binary
-form stores the runs as per-cell offsets:
+This module owns the one record layout both streams share, the order
+of entries within a cell, and the binding of a table to the geometry it
+was built from.  An entry is a target BEV cell, an index into all
+cameras' feature pixels stacked camera-major, and an index into their
+depth volumes stacked the same way.  `build_table` takes each camera's
+entries in its stream's emission order and sorts them by cell with one
+stable sort, so every cell owns one contiguous run that goes camera by
+camera and, within a camera, in emission order.  The binary form
+stores the table's `geometry_fingerprint` and heights, then the runs as
+per-cell offsets:
 
     4 bytes  magic ("HTLT" or "LSPT")
-    1 byte   version = 2
+    1 byte   version = 3
     3 bytes  reserved, zero
     6 * u32  little-endian: ny, nx, n_cams, feat_h, feat_w, n_bins
     1 * u64  n_entries
+    32 bytes geometry fingerprint (SHA-256 digest)
+    1 * u32  n_heights (0 for the lift table)
+    n_heights * f8  little-endian heights, meters
     (ny*nx + 1) * u32  offsets: cell c owns entries [offsets[c], offsets[c+1])
     n_entries * 2 * u32  records (feat_index, depth_index)
 
-Version 1 files (a cell and a camera column per entry) are refused.
+Version 1 files (a cell and a camera column per entry) and version 2
+files (no fingerprint, no heights) are refused.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,12 +41,13 @@ from .errors import (
 
 HT_MAGIC = b"HTLT"
 LSS_MAGIC = b"LSPT"
-_HEADER = struct.Struct("<4sB3s6IQ")
+_HEADER = struct.Struct("<4sB3s6IQ32sI")
 
 
 @dataclass(frozen=True)
 class IndexTable:
-    """Scatter-sum table sorted by cell, plus the geometry it was built for."""
+    """Scatter-sum table sorted by cell, plus the geometry it was built for: its
+    sizes, its heights (none for the lift table) and their geometry_fingerprint."""
 
     magic: bytes
     ny: int
@@ -51,6 +59,8 @@ class IndexTable:
     cells: np.ndarray
     feat_idx: np.ndarray
     depth_idx: np.ndarray
+    heights: tuple
+    geometry_sha256: bytes
 
     def __post_init__(self):
         n = self.cells.shape[0]
@@ -76,35 +86,54 @@ class IndexTable:
         return self.ny * self.nx
 
 
-def build_table(magic: bytes, grid, rigs, n_bins: int, per_cam) -> IndexTable:
-    """Stack per-camera entries and sort them by cell.
+def geometry_fingerprint(rigs, grid, dspec, heights) -> bytes:
+    """SHA-256 of everything a table is a function of: every rig's intrinsics,
+    extrinsics and feature size, in camera order; the grid's extents and cell
+    counts; the depth bins; and the heights."""
+    h = hashlib.sha256()
+    for rig in rigs:
+        h.update(np.asarray(rig.intrinsics, dtype="<f8").tobytes())
+        h.update(np.asarray(rig.extrinsics, dtype="<f8").tobytes())
+        h.update(np.array([rig.feat_w, rig.feat_h], dtype="<i8").tobytes())
+    h.update(np.array([grid.x_min, grid.x_max, grid.y_min, grid.y_max,
+                       dspec.d_min, dspec.d_max, dspec.step], dtype="<f8").tobytes())
+    h.update(np.array([grid.nx, grid.ny], dtype="<i8").tobytes())
+    h.update(np.asarray(heights, dtype="<f8").tobytes())
+    return h.digest()
+
+
+def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam) -> IndexTable:
+    """Stack per-camera entries, sort them by cell and fingerprint the geometry.
 
     per_cam yields one (cells, feat_idx, depth_idx) triple per rig, in rig
     order, with indices into that camera's own feature map and depth
     volume and entries in the stream's emission order.  The indices are
     shifted to the camera-stacked layout and one stable sort by cell
-    orders the entries by (cell, camera, emission order).
+    orders the entries by (cell, camera, emission order).  heights are the
+    z values the table was built for, empty for the lift table.
     """
     feat_h, feat_w = rigs[0].feat_h, rigs[0].feat_w
     pixels = feat_h * feat_w
-    stacked = [(cell, fi + cam * pixels, di + cam * n_bins * pixels)
+    stacked = [(cell, fi + cam * pixels, di + cam * dspec.n_bins * pixels)
                for cam, (cell, fi, di) in enumerate(per_cam)]
     cells, feat_idx, depth_idx = (np.concatenate(col, dtype=np.int64) for col in zip(*stacked))
     order = np.argsort(cells, kind="stable")
     return IndexTable(
         magic=magic, ny=grid.ny, nx=grid.nx, n_cams=len(rigs),
-        feat_h=feat_h, feat_w=feat_w, n_bins=n_bins,
+        feat_h=feat_h, feat_w=feat_w, n_bins=dspec.n_bins,
         cells=cells[order], feat_idx=feat_idx[order], depth_idx=depth_idx[order],
+        heights=tuple(heights), geometry_sha256=geometry_fingerprint(rigs, grid, dspec, heights),
     )
 
 
 def write_table(table: IndexTable, path) -> None:
     header = _HEADER.pack(
-        table.magic, 2, b"\x00" * 3,
+        table.magic, 3, b"\x00" * 3,
         table.ny, table.nx, table.n_cams,
         table.feat_h, table.feat_w, table.n_bins,
-        table.n_entries,
+        table.n_entries, table.geometry_sha256, len(table.heights),
     )
+    heights = np.asarray(table.heights, dtype="<f8")
     # cell c's run starts at the first entry whose cell is >= c
     offsets = np.searchsorted(table.cells, np.arange(table.n_cells + 1)).astype("<u4")
     records = np.empty((table.n_entries, 2), dtype="<u4")
@@ -114,37 +143,42 @@ def write_table(table: IndexTable, path) -> None:
     # object would hold two more copies of the table at the peak
     with open(path, "wb") as f:
         f.write(header)
+        f.write(heights.data)
         f.write(offsets.data)
         f.write(records.data)
 
 
 def read_table(path, expect_magic: bytes) -> IndexTable:
     raw = Path(path).read_bytes()
+    # magic and version first: an older, shorter header must still read as old
+    if raw[:4] != expect_magic:
+        raise BadMagic(f"{path}: expected {expect_magic!r}, got {raw[:4]!r}")
+    if len(raw) > 4 and raw[4] != 3:
+        raise ConfigError(f"{path}: table format version {raw[4]}, this dualvt reads "
+                          "version 3; run precompute again")
     if len(raw) < _HEADER.size:
         raise TruncatedPayload(f"{path}: file shorter than header")
-    magic, version, _, ny, nx, n_cams, feat_h, feat_w, n_bins, n_entries = (
-        _HEADER.unpack_from(raw)
-    )
-    if magic != expect_magic:
-        raise BadMagic(f"{path}: expected {expect_magic!r}, got {magic!r}")
-    if version != 2:
-        raise ConfigError(f"{path}: table format version {version}, this dualvt reads "
-                          "version 2; run precompute again")
+    (magic, _, _, ny, nx, n_cams, feat_h, feat_w, n_bins, n_entries,
+     digest, n_heights) = _HEADER.unpack_from(raw)
     n_cells = ny * nx
-    expected = _HEADER.size + (n_cells + 1) * 4 + n_entries * 8
+    expected = _HEADER.size + n_heights * 8 + (n_cells + 1) * 4 + n_entries * 8
     if len(raw) != expected:
         raise TruncatedPayload(f"{path}: {len(raw)} bytes, expected {expected}")
-    offsets = np.frombuffer(raw, dtype="<u4", count=n_cells + 1, offset=_HEADER.size)
+    heights = np.frombuffer(raw, "<f8", count=n_heights, offset=_HEADER.size)
+    offsets = np.frombuffer(raw, "<u4", count=n_cells + 1, offset=_HEADER.size + heights.nbytes)
     counts = np.diff(offsets.astype(np.int64))
     if offsets[0] != 0 or offsets[-1] != n_entries or np.any(counts < 0):
         raise IndexOutOfRange(f"{path}: cell offsets do not run from 0 up to {n_entries}")
-    records = np.frombuffer(raw, "<u4", offset=_HEADER.size + offsets.nbytes).reshape(-1, 2)
+    records = np.frombuffer(
+        raw, "<u4", offset=_HEADER.size + heights.nbytes + offsets.nbytes
+    ).reshape(-1, 2)
     return IndexTable(
         magic=magic, ny=ny, nx=nx, n_cams=n_cams,
         feat_h=feat_h, feat_w=feat_w, n_bins=n_bins,
         cells=np.repeat(np.arange(n_cells, dtype=np.int64), counts),
         feat_idx=records[:, 0].astype(np.int64),
         depth_idx=records[:, 1].astype(np.int64),
+        heights=tuple(heights.tolist()), geometry_sha256=digest,
     )
 
 

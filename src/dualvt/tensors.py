@@ -16,12 +16,13 @@ bitwise, which the golden/oracle tests rely on.
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, NonFiniteValue, RankOverflow, TruncatedPayload
+from .errors import BadMagic, ConfigError, NonFiniteValue, RankOverflow, TruncatedPayload
 
 MAGIC = b"BTSR"
 VERSION = 1
@@ -82,3 +83,13 @@ def tensor_read(path) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue(f"{path}: payload contains NaN or Inf")
     return arr
+
+
+def parse_manifest(path, parse):
+    """Parse a bundle's JSON manifest with `parse`; a manifest that is not JSON
+    or that `parse` cannot read raises ConfigError naming it."""
+    raw = Path(path).read_bytes()
+    try:
+        return parse(json.loads(raw))
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, ConfigError) as e:
+        raise ConfigError(f"bad manifest {path} ({type(e).__name__}: {e})") from None

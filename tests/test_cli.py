@@ -10,7 +10,9 @@ import pytest
 from dualvt import cli
 from dualvt.cli import MAX_THREADS, RunConfig, build_parser, main
 from dualvt.errors import ConfigError
+from dualvt.fusion import make_seeded_weights
 from dualvt.synth import random_scene_spec
+from dualvt.tables import HT_MAGIC, LSS_MAGIC, read_table
 from dualvt.tensors import tensor_read
 
 
@@ -20,6 +22,13 @@ def dir_digest(directory) -> dict:
         for p in sorted(Path(directory).iterdir())
         if p.is_file()
     }
+
+
+def rewrite_json(path, edit):
+    """Write `edit` to path: the whole text, or blocks replaced in the JSON there."""
+    if isinstance(edit, dict):
+        edit = json.dumps({**json.loads(path.read_text()), **edit})
+    path.write_text(edit)
 
 
 SCENE_SPEC = {
@@ -99,10 +108,10 @@ class TestSynth:
 
 class TestPrecompute:
     def test_outputs(self, workspace):
-        names = set(dir_digest(workspace / "tables"))
-        assert names == {"ht_table.htlt", "lss_table.lspt", "meta.json"}
-        meta = json.loads((workspace / "tables" / "meta.json").read_text())
-        assert len(meta["heights"]["z_values"]) == 13
+        tables = workspace / "tables"
+        assert set(dir_digest(tables)) == {"ht_table.htlt", "lss_table.lspt"}
+        assert len(read_table(tables / "ht_table.htlt", HT_MAGIC).heights) == 13
+        assert read_table(tables / "lss_table.lspt", LSS_MAGIC).heights == ()
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         assert main(
@@ -115,8 +124,8 @@ class TestPrecompute:
             ["precompute", "--scene", str(workspace / "scene"),
              "--out", str(tmp_path / "t"), "--heights", "uniform:5"]
         ) == 0
-        meta = json.loads((tmp_path / "t" / "meta.json").read_text())
-        assert len(meta["heights"]["z_values"]) == 5
+        assert set(dir_digest(tmp_path / "t")) == {"ht_table.htlt", "lss_table.lspt"}
+        assert len(read_table(tmp_path / "t" / "ht_table.htlt", HT_MAGIC).heights) == 5
 
     def test_bad_heights_exits_2(self, workspace, tmp_path, capsys):
         for heights in ("nonsense", "uniform:abc", "uniform:1", "uniform:"):
@@ -132,6 +141,22 @@ class TestPrecompute:
         assert main(
             ["precompute", "--scene", str(tmp_path / "nope"), "--out", str(tmp_path / "t")]
         ) == 3
+
+    @pytest.mark.parametrize("edit", [{"grid": 5}, "{not json"],
+                             ids=["grid-not-object", "not-json"])
+    def test_bad_scene_manifest_exits_2(self, workspace, tmp_path, capsys, edit):
+        scene = tmp_path / "scene"
+        shutil.copytree(workspace / "scene", scene)
+        manifest = scene / "manifest.json"
+        rewrite_json(manifest, edit)
+        for argv in (["precompute", "--scene", str(scene), "--out", str(tmp_path / "t")],
+                     ["transform", "--scene", str(scene), "--tables", str(workspace / "tables"),
+                      "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert "config error" in err and str(manifest) in err, argv[0]
+            assert len(err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 
 
 def run_transform(workspace, out, *extra):
@@ -234,13 +259,24 @@ class TestTransform:
         assert "unrecognized arguments: --weight-mode" in capsys.readouterr().err
 
     def test_weights_roundtrip_through_disk(self, workspace, tmp_path):
-        from dualvt.fusion import make_seeded_weights
-
         wdir = tmp_path / "weights"
         make_seeded_weights(11, SCENE_SPEC["channels"]).save(wdir)
         assert run_transform(workspace, tmp_path / "disk", "--weights", str(wdir)) == 0
         assert run_transform(workspace, tmp_path / "seeded") == 0
         assert dir_digest(tmp_path / "disk") == dir_digest(tmp_path / "seeded")
+
+    @pytest.mark.parametrize("edit", [{"layers": 5}, "{not json"],
+                             ids=["layers-not-object", "not-json"])
+    def test_bad_weight_manifest_exits_2(self, workspace, tmp_path, capsys, edit):
+        wdir = tmp_path / "weights"
+        make_seeded_weights(11, SCENE_SPEC["channels"]).save(wdir)
+        manifest = wdir / "manifest.json"
+        rewrite_json(manifest, edit)
+        assert run_transform(workspace, tmp_path / "out", "--weights", str(wdir)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(manifest) in err
+        assert len(err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["weights"]
 
 
 def other_tables(root, **overrides):
@@ -251,6 +287,20 @@ def other_tables(root, **overrides):
     assert main(["synth", "--spec", str(spec), "--out", str(root / "scene")]) == 0
     assert main(["precompute", "--scene", str(root / "scene"), "--out", str(root / "tables")]) == 0
     return root / "tables"
+
+
+@pytest.fixture(scope="module")
+def two_rigs(tmp_path_factory):
+    """Scenes and tables for random_scene_spec(3) with the cameras 1.5 m and 1.8 m
+    high: the same grid, depth bins, camera count and feature size, other rigs."""
+    root = tmp_path_factory.mktemp("rigs")
+    for height in (1.5, 1.8):
+        d = root / str(height)
+        d.mkdir()
+        (d / "spec.json").write_text(json.dumps(random_scene_spec(3, cam_height=height).to_json()))
+        assert main(["synth", "--spec", str(d / "spec.json"), "--out", str(d / "scene")]) == 0
+        assert main(["precompute", "--scene", str(d / "scene"), "--out", str(d / "tables")]) == 0
+    return {height: root / str(height) for height in (1.5, 1.8)}
 
 
 class TestTablesBoundToGeometry:
@@ -268,44 +318,43 @@ class TestTablesBoundToGeometry:
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".out.")]
         return err
 
-    @pytest.mark.parametrize("overrides", [
-        {"grid": {**SCENE_SPEC["grid"], "nx": 16, "ny": 16}},
-        {"grid": {**SCENE_SPEC["grid"], "x_min": -20.0, "x_max": 12.0}},
-        {"dspec": {"d_min": 2.0, "d_max": 22.0, "step": 1.0}},
-        {"n_cameras": 4},
-        {"feat_h": 6},
-        {"feat_w": 12},
+    @pytest.mark.parametrize("overrides, message", [
+        ({"grid": {**SCENE_SPEC["grid"], "nx": 16, "ny": 16}}, "HTLT table has ny=16"),
+        ({"grid": {**SCENE_SPEC["grid"], "x_min": -20.0, "x_max": 12.0}}, "fingerprint"),
+        ({"dspec": {"d_min": 2.0, "d_max": 22.0, "step": 1.0}}, "n_bins=20"),
+        ({"n_cameras": 4}, "n_cams=4"),
+        ({"feat_h": 6}, "feat_h=6"),
+        ({"feat_w": 12}, "feat_w=12"),
     ], ids=["grid-size", "grid-extent", "dspec", "n_cams", "feat_h", "feat_w"])
-    def test_mismatch_exits_2(self, workspace, tmp_path, capsys, overrides):
+    def test_mismatch_exits_2(self, workspace, tmp_path, capsys, overrides, message):
         tables = other_tables(tmp_path / "other", **overrides)
-        self.assert_refused(workspace, tables, tmp_path, capsys)
+        assert message in self.assert_refused(workspace, tables, tmp_path, capsys)
 
-    def test_table_header_checked_beside_meta(self, workspace, tmp_path, capsys):
-        # meta.json agrees with the scene, the table headers do not
-        tables = other_tables(tmp_path / "other", grid={**SCENE_SPEC["grid"], "nx": 16, "ny": 16})
-        (tables / "meta.json").write_bytes((workspace / "tables" / "meta.json").read_bytes())
-        err = self.assert_refused(workspace, tables, tmp_path, capsys)
-        assert "ny=16" in err
-
-    def test_other_rig_with_same_sizes_exits_2(self, tmp_path, capsys):
+    def test_other_rig_with_same_sizes_exits_2(self, two_rigs, tmp_path, capsys):
         # same grid, depth bins, camera count and feature size; the cameras sit higher
-        for name, height in (("built", 1.5), ("applied", 1.8)):
-            (tmp_path / name).mkdir()
-            spec = tmp_path / name / "spec.json"
-            spec.write_text(json.dumps(random_scene_spec(3, cam_height=height).to_json()))
-            assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / name / "scene")]) == 0
-        assert main(["precompute", "--scene", str(tmp_path / "built" / "scene"),
-                     "--out", str(tmp_path / "tables")]) == 0
-        err = self.assert_refused(tmp_path / "applied", tmp_path / "tables", tmp_path, capsys)
+        err = self.assert_refused(two_rigs[1.8], two_rigs[1.5] / "tables", tmp_path, capsys)
         assert "fingerprint" in err
 
-    def test_other_heights_in_meta_exits_2(self, workspace, tmp_path, capsys):
-        tables = other_tables(tmp_path / "other")
-        meta = json.loads((tables / "meta.json").read_text())
-        meta["heights"]["z_values"] = meta["heights"]["z_values"][1:]
-        (tables / "meta.json").write_text(json.dumps(meta))
+    @pytest.mark.parametrize("name", ["ht_table.htlt", "lss_table.lspt"])
+    def test_table_swapped_in_from_other_rigs_exits_2(self, two_rigs, tmp_path, capsys, name):
+        # one table file copied in from a table set with the same sizes but other rigs
+        tables = tmp_path / "tables"
+        shutil.copytree(two_rigs[1.5] / "tables", tables)
+        shutil.copy(two_rigs[1.8] / "tables" / name, tables / name)
+        err = self.assert_refused(two_rigs[1.5], tables, tmp_path, capsys)
+        magic = {"ht_table.htlt": "HTLT", "lss_table.lspt": "LSPT"}[name]
+        assert f"{magic} table" in err and "fingerprint" in err
+
+    def test_edited_height_exits_2(self, workspace, tmp_path, capsys):
+        tables = tmp_path / "tables"
+        shutil.copytree(workspace / "tables", tables)
+        path = tables / "ht_table.htlt"
+        raw = bytearray(path.read_bytes())
+        first, = struct.unpack_from("<d", raw, 76)  # the first height, after the header
+        struct.pack_into("<d", raw, 76, first + 0.25)
+        path.write_bytes(bytes(raw))
         err = self.assert_refused(workspace, tables, tmp_path, capsys)
-        assert "fingerprint" in err
+        assert "HTLT table" in err and "fingerprint" in err
 
     def test_version_1_table_exits_2(self, workspace, tmp_path, capsys):
         tables = tmp_path / "old"
@@ -316,37 +365,16 @@ class TestTablesBoundToGeometry:
         err = self.assert_refused(workspace, tables, tmp_path, capsys)
         assert "version 1" in err and "precompute again" in err
 
-    @pytest.mark.parametrize("key", ["geometry_sha256", "heights", "grid", "dspec",
-                                     "heights.mode", "dspec.d_min"])
-    def test_meta_missing_key_exits_2(self, workspace, tmp_path, capsys, key):
-        tables = other_tables(tmp_path / "other")
-        meta = json.loads((tables / "meta.json").read_text())
-        block, _, inner = key.partition(".")
-        if inner:
-            del meta[block][inner]
-        else:
-            del meta[block]
-        (tables / "meta.json").write_text(json.dumps(meta))
-        err = self.assert_refused(workspace, tables, tmp_path, capsys)
-        assert repr(inner or block) in err
-        assert err.rstrip().endswith("rebuild them with precompute")
-
-    @pytest.mark.parametrize("edit", [
-        "{not json",
-        "5",
-        {"grid": 5},
-        {"heights": [1, 2]},
-        {"dspec": {"d_min": 2.0, "d_max": 20.0, "step": "1"}},
-    ], ids=["not-json", "not-object", "grid-not-object", "heights-not-object", "dspec-str-step"])
-    def test_meta_unparsable_exits_2(self, workspace, tmp_path, capsys, edit):
-        """`edit` is the whole meta.json text, or blocks replaced in the real one."""
-        tables = tmp_path / "other"
+    def test_version_2_table_exits_2(self, workspace, tmp_path, capsys):
+        tables = tmp_path / "old"
         shutil.copytree(workspace / "tables", tables)
-        if isinstance(edit, dict):
-            edit = json.dumps({**json.loads((tables / "meta.json").read_text()), **edit})
-        (tables / "meta.json").write_text(edit)
+        # the version-2 file: the version-3 one without its digest, height count and heights
+        path = tables / "ht_table.htlt"
+        raw = path.read_bytes()
+        n_heights, = struct.unpack_from("<I", raw, 72)
+        path.write_bytes(raw[:4] + bytes([2]) + raw[5:40] + raw[76 + 8 * n_heights:])
         err = self.assert_refused(workspace, tables, tmp_path, capsys)
-        assert err.rstrip().endswith("rebuild them with precompute")
+        assert "version 2" in err and "precompute again" in err
 
     def test_failed_write_leaves_no_output(self, workspace, tmp_path, monkeypatch, capsys):
         real, calls = cli.tensor_write, []

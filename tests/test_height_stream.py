@@ -89,6 +89,8 @@ class TestPrecompute:
         for field in ("cells", "feat_idx", "depth_idx"):
             assert np.array_equal(getattr(back, field), getattr(table, field))
         assert (back.ny, back.nx, back.n_bins) == (table.ny, table.nx, table.n_bins)
+        assert back.heights == heights.z_values
+        assert back.geometry_sha256 == table.geometry_sha256
 
 
 class TestTransform:
@@ -179,9 +181,7 @@ class TestTransform:
 
     def test_single_entry_multiply_accumulate(self):
         rig, grid, dspec, heights = one_cell_fixture()
-        table = precompute_ht_table(
-            [rig], grid, HeightSet((0.0,), mode="uniform1"), dspec
-        )
+        table = precompute_ht_table([rig], grid, HeightSet((0.0,)), dspec)
         assert table.n_entries == 1
         feats = [np.zeros((2, 16, 16), dtype=np.float32)]
         feats[0].reshape(2, -1)[0, table.feat_idx[0]] = 2.0

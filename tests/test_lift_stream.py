@@ -98,6 +98,8 @@ class TestPrecompute:
         assert np.array_equal(back.cells, table.cells)
         assert np.array_equal(back.feat_idx, table.feat_idx)
         assert np.array_equal(back.depth_idx, table.depth_idx)
+        assert back.heights == ()
+        assert back.geometry_sha256 == table.geometry_sha256
 
     def test_dynamic_per_cell_counts(self, small_bundle):
         """Pooling counts vary per cell, unlike the fixed multi-height stream."""

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from dualvt.errors import ConfigError, IndexOutOfRange
 from dualvt.height_stream import precompute_ht_table
-from dualvt.tables import HT_MAGIC, IndexTable, read_table, write_table
+from dualvt.lift_stream import precompute_lss_table
+from dualvt.tables import HT_MAGIC, IndexTable, geometry_fingerprint, read_table, write_table
 
-HEADER_BYTES = 40
+HEADER_BYTES = 76  # the 40-byte version-2 header, a SHA-256 digest and a u32 height count
 
 
-def tiny_table(cells, feat_idx=None, depth_idx=None):
+def tiny_table(cells, feat_idx=None, depth_idx=None, heights=(0.0, 1.0)):
     cells = np.asarray(cells, dtype=np.int64)
     zeros = np.zeros_like(cells)
     return IndexTable(
@@ -18,6 +20,7 @@ def tiny_table(cells, feat_idx=None, depth_idx=None):
         cells=cells,
         feat_idx=zeros if feat_idx is None else np.asarray(feat_idx, dtype=np.int64),
         depth_idx=zeros if depth_idx is None else np.asarray(depth_idx, dtype=np.int64),
+        heights=heights, geometry_sha256=bytes(32),
     )
 
 
@@ -42,11 +45,18 @@ def test_file_layout(tmp_path, small_bundle):
     path = tmp_path / "t.htlt"
     write_table(table, path)
     raw = path.read_bytes()
-    assert raw[4] == 2
-    assert len(raw) == HEADER_BYTES + 4 * (table.n_cells + 1) + 8 * table.n_entries
-    offsets = np.frombuffer(raw, "<u4", table.n_cells + 1, HEADER_BYTES)
+    assert raw[4] == 3
+    assert raw[40:72] == table.geometry_sha256 == geometry_fingerprint(
+        bundle.rigs, bundle.grid, bundle.dspec, heights.z_values
+    )
+    n_heights, = struct.unpack_from("<I", raw, 72)
+    assert n_heights == len(heights) == 13
+    start = HEADER_BYTES + 8 * n_heights
+    assert len(raw) == start + 4 * (table.n_cells + 1) + 8 * table.n_entries
+    assert np.array_equal(np.frombuffer(raw, "<f8", n_heights, HEADER_BYTES), heights.z_values)
+    offsets = np.frombuffer(raw, "<u4", table.n_cells + 1, start)
     assert np.array_equal(np.diff(offsets), np.bincount(table.cells, minlength=table.n_cells))
-    records = np.frombuffer(raw, "<u4", offset=HEADER_BYTES + offsets.nbytes).reshape(-1, 2)
+    records = np.frombuffer(raw, "<u4", offset=start + offsets.nbytes).reshape(-1, 2)
     assert np.array_equal(records[:, 0], table.feat_idx)
     assert np.array_equal(records[:, 1], table.depth_idx)
 
@@ -54,9 +64,11 @@ def test_file_layout(tmp_path, small_bundle):
 def corrupt_offsets(path, edit):
     raw = bytearray(path.read_bytes())
     n_cells = int(np.prod(struct.unpack_from("<2I", raw, 8)))
-    offsets = np.frombuffer(raw, "<u4", n_cells + 1, HEADER_BYTES).copy()
+    n_heights, = struct.unpack_from("<I", raw, HEADER_BYTES - 4)
+    start = HEADER_BYTES + 8 * n_heights
+    offsets = np.frombuffer(raw, "<u4", n_cells + 1, start).copy()
     edit(offsets)
-    raw[HEADER_BYTES:HEADER_BYTES + offsets.nbytes] = offsets.tobytes()
+    raw[start:start + offsets.nbytes] = offsets.tobytes()
     path.write_bytes(bytes(raw))
 
 
@@ -89,3 +101,40 @@ def test_version_1_refused(tmp_path):
     path.write_bytes(header + struct.pack("<4I", 0, 0, 0, 0))
     with pytest.raises(ConfigError, match="version 1.*precompute again"):
         read_table(path, HT_MAGIC)
+
+
+def test_version_2_refused(tmp_path):
+    """A version-2 file may be shorter than a version-3 header; it still reads as old."""
+    path = tmp_path / "old.htlt"
+    header = struct.pack("<4sB3s6IQ", HT_MAGIC, 2, b"\0" * 3, 2, 2, 2, 1, 2, 3, 1)
+    # 5 cell offsets, then one (feat, depth) record: 68 bytes in all
+    path.write_bytes(header + struct.pack("<7I", 0, 1, 1, 1, 1, 0, 0))
+    with pytest.raises(ConfigError, match="version 2.*precompute again"):
+        read_table(path, HT_MAGIC)
+
+
+def test_fingerprint_covers_rigs_grid_bins_and_heights(small_bundle):
+    bundle, heights = small_bundle
+    grid, dspec, rig = bundle.grid, bundle.dspec, bundle.rigs[0]
+    moved = rig.extrinsics.copy()
+    moved[2, 3] += 0.1
+    built = dict(rigs=bundle.rigs, grid=grid, dspec=dspec, heights=heights.z_values)
+    base = geometry_fingerprint(**built)
+    assert precompute_ht_table(bundle.rigs, grid, heights, dspec).geometry_sha256 == base
+    assert (precompute_lss_table(bundle.rigs, grid, dspec).geometry_sha256
+            == geometry_fingerprint(**{**built, "heights": ()}))
+    changes = {
+        "rig-pose": {"rigs": [dataclasses.replace(rig, extrinsics=moved), *bundle.rigs[1:]]},
+        "rig-feat-size": {"rigs": [dataclasses.replace(rig, feat_w=rig.feat_w + 1),
+                                   *bundle.rigs[1:]]},
+        "rig-count": {"rigs": bundle.rigs[:-1]},
+        "grid-extent": {"grid": dataclasses.replace(grid, x_min=grid.x_min - 1.0)},
+        "grid-nx": {"grid": dataclasses.replace(grid, nx=grid.nx + 1)},
+        "grid-ny": {"grid": dataclasses.replace(grid, ny=grid.ny + 1)},
+        "d_min": {"dspec": dataclasses.replace(dspec, d_min=dspec.d_min + dspec.step)},
+        "d_max": {"dspec": dataclasses.replace(dspec, d_max=dspec.d_max + dspec.step)},
+        "step": {"dspec": dataclasses.replace(dspec, step=dspec.step / 2)},
+        "heights": {"heights": heights.z_values[1:]},
+    }
+    for name, change in changes.items():
+        assert geometry_fingerprint(**{**built, **change}) != base, name
