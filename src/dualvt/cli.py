@@ -145,18 +145,44 @@ def _parse_heights(text: str):
 def cmd_precompute(args) -> int:
     bundle = load_bundle(args.scene)
     heights = _parse_heights(args.heights)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     ht = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
     lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
-    write_table(ht, out / "ht_table.htlt")
-    write_table(lss, out / "lss_table.lspt")
+
+    def write(directory):
+        write_table(ht, directory / "ht_table.htlt")
+        write_table(lss, directory / "lss_table.lspt")
+
+    _write_outputs(args.out, write)
     for name, table in (("ht", ht), ("lss", lss)):
         if table.n_entries == 0:
             print(f"warning: {name} table is empty (no points in view)", file=sys.stderr)
     print(f"ht table: {ht.n_entries} entries, lss table: {lss.n_entries} entries")
     return 0
+
+
+def _write_outputs(out, write) -> None:
+    """Run write(directory) on a new directory beside out, then move its files
+    into out, replacing ours and keeping any others: a failed run changes no
+    file in out and leaves no temporary directory."""
+    out = Path(out).resolve()
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    tmp.mkdir()
+    try:
+        write(tmp)
+        if not out.is_dir():
+            os.rename(tmp, out)
+            return
+        names = sorted(f.name for f in tmp.iterdir())
+        # a target that is a directory is the one failure that can stop some
+        # renames and not others, so check every target before the first
+        for name in names:
+            if (out / name).is_dir():
+                raise IsADirectoryError(f"{out / name} is a directory")
+        for name in names:
+            os.replace(tmp / name, out / name)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _load_run_inputs(args, cfg: RunConfig):
@@ -221,23 +247,13 @@ def cmd_transform(args) -> int:
         "F_channel": result.f_channel, "A": result.affinity,
     }
     summary = summarize_outputs(arrays, gt_bev=bundle.gt_bev)
-    out = Path(args.out).resolve()
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # write beside --out and move into place, so a failed run leaves no partial outputs
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    tmp.mkdir()
-    try:
+
+    def write(directory):
         for name, arr in arrays.items():
-            tensor_write(arr, tmp / f"{name}.btsr")
-        (tmp / "summary.json").write_text(json.dumps(summary, indent=2))
-        if out.is_dir():  # replace our files, keep any others
-            for f in tmp.iterdir():
-                os.replace(f, out / f.name)
-            tmp.rmdir()
-        else:
-            os.rename(tmp, out)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+            tensor_write(arr, directory / f"{name}.btsr")
+        (directory / "summary.json").write_text(json.dumps(summary, indent=2))
+
+    _write_outputs(args.out, write)
     occ = summary.get("occupancy", {})
     print(
         f"F shape {result.f_final.shape}, occupied/empty energy "

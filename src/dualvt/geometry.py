@@ -41,7 +41,8 @@ class CameraRig:
         if K[2, 2] != 1.0 or K[2, 0] != 0.0 or K[2, 1] != 0.0:
             raise ConfigError("last intrinsics row must be [0, 0, 1]")
         R = T[:3, :3]
-        if not np.allclose(R @ R.T, np.eye(3), atol=1e-5):
+        # R R^T as an elementwise sum: no BLAS call anywhere in the table build
+        if not np.allclose((R[:, None] * R).sum(axis=2), np.eye(3), atol=1e-5):
             raise ConfigError("extrinsics rotation block is not orthonormal")
         if not np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0]):
             raise ConfigError("last extrinsics row must be [0, 0, 0, 1]")
@@ -153,21 +154,23 @@ def make_height_samples(mode: str = "multires", n: int | None = None) -> HeightS
     raise ConfigError(f"unknown height mode {mode!r}")
 
 
-def project_points(p3d: np.ndarray, cam: CameraRig):
-    """Vectorized projection of (N, 3) ego points.
+def project_points(x, y, z, cam: CameraRig):
+    """Project ego points with fixed-order elementwise arithmetic (no BLAS).
 
-    Returns (u, v, d, valid); u/v/d are only meaningful where valid
-    (camera-frame depth > BEHIND_EPS).
+    x, y and z are the ego coordinates, arrays that broadcast together.
+    Camera coordinate i is ``x*T[i,0] + y*T[i,1] + z*T[i,2] + T[i,3]``,
+    summed left to right, so its bits do not depend on the BLAS, and a term
+    that broadcasting shares (a cell's x and y) is computed once.  Returns
+    (u, v, d, valid); u/v/d are only meaningful where valid (camera-frame
+    depth > BEHIND_EPS).
     """
-    T = cam.extrinsics
-    q = p3d @ T[:3, :3].T + T[:3, 3]
-    z = q[:, 2]
-    valid = z > BEHIND_EPS
-    safe_z = np.where(valid, z, 1.0)
-    K = cam.intrinsics
-    u = K[0, 0] * q[:, 0] / safe_z + K[0, 2]
-    v = K[1, 1] * q[:, 1] / safe_z + K[1, 2]
-    return u, v, z, valid
+    T, K = cam.extrinsics, cam.intrinsics
+    qx, qy, qz = (x * T[i, 0] + y * T[i, 1] + z * T[i, 2] + T[i, 3] for i in range(3))
+    valid = qz > BEHIND_EPS
+    safe_z = np.where(valid, qz, 1.0)
+    u = K[0, 0] * qx / safe_z + K[0, 2]
+    v = K[1, 1] * qy / safe_z + K[1, 2]
+    return u, v, qz, valid
 
 
 def bev_cell_centers(spec: BevGridSpec) -> np.ndarray:

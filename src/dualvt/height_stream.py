@@ -35,6 +35,13 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
+def _anchor_points(grid: BevGridSpec, heights: HeightSet):
+    """Every (cell, height) anchor point as an (x, y, z) triple that broadcasts
+    to (n_heights, n_cells): cell-center rows x and y, a column of heights z."""
+    centers = bev_cell_centers(grid).reshape(-1, 2).T.astype(np.float64)
+    return centers[:1], centers[1:], np.asarray(heights.z_values, dtype=np.float64)[:, None]
+
+
 def precompute_ht_table(
     rigs, grid: BevGridSpec, heights: HeightSet, dspec: DepthBinSpec
 ) -> IndexTable:
@@ -42,29 +49,28 @@ def precompute_ht_table(
 
     Every valid rounded (cell, camera, height) correspondence becomes one
     entry.  Each camera emits its entries in (cell, height) order, so the
-    table runs by cell, then camera, then height index.
+    table runs by cell, then camera, then height index.  Only points in
+    front of the camera and within one pixel of its map are rounded:
+    rounding moves a coordinate by at most 0.5, so no kept point is culled.
     """
-    centers = bev_cell_centers(grid).reshape(-1, 2).astype(np.float64)
-    n_cells = centers.shape[0]
+    points = _anchor_points(grid, heights)
     nz = len(heights)
-    cell_ids = np.repeat(np.arange(n_cells, dtype=np.int64), nz)
-    pts = np.empty((n_cells * nz, 3), dtype=np.float64)
-    pts[:, :2] = np.repeat(centers, nz, axis=0)
-    pts[:, 2] = np.tile(np.asarray(heights.z_values, dtype=np.float64), n_cells)
 
     def emit(rig):
-        u, v, d, valid = project_points(pts, rig)
-        ui = round_half_away(u)
-        vi = round_half_away(v)
-        k = round_half_away(depth_to_coord(d, dspec))
+        W, H = rig.feat_w, rig.feat_h
+        u, v, d, valid = project_points(*points, rig)
+        # transposed, the mask lists the points in (cell, height) order
+        cell, h = np.divmod(
+            np.flatnonzero((valid & (u > -1) & (u < W) & (v > -1) & (v < H)).T), nz
+        )
+        ui, vi = round_half_away(u[h, cell]), round_half_away(v[h, cell])
+        k = round_half_away(depth_to_coord(d[h, cell], dspec))
         keep = (
-            valid
-            & (ui >= 0) & (ui <= rig.feat_w - 1)
-            & (vi >= 0) & (vi <= rig.feat_h - 1)
+            (ui >= 0) & (ui <= W - 1) & (vi >= 0) & (vi <= H - 1)
             & (k >= 0) & (k <= dspec.n_bins - 1)
         )
         ui, vi, kk = (a[keep].astype(np.int64) for a in (ui, vi, k))
-        return cell_ids[keep], vi * rig.feat_w + ui, (kk * rig.feat_h + vi) * rig.feat_w + ui
+        return cell[keep], vi * W + ui, (kk * H + vi) * W + ui
 
     return build_table(HT_MAGIC, grid, rigs, dspec, heights.z_values, map(emit, rigs))
 
@@ -111,20 +117,14 @@ def ht_transform_naive(
         feats, depths, masks, len(rigs), rig0.feat_h, rig0.feat_w, dspec.n_bins
     )
     sample = _nearest_samples if mode == ROUND else _interp_samples
-    n_cells, nz = grid.n_cells, len(heights)
-    # (cell, height) points, height-minor as in the table build, so that
-    # projecting them gives the table's coordinates bit for bit
-    pts = np.empty((n_cells, nz, 3), dtype=np.float64)
-    pts[:, :, :2] = bev_cell_centers(grid).reshape(n_cells, 1, 2)
-    pts[:, :, 2] = heights.z_values
+    # the table build's points and projection, so the coordinates are its bits
+    points = _anchor_points(grid, heights)
     C = feats[0].shape[0]
-    acc = np.zeros((n_cells, C), dtype=np.float64)
+    acc = np.zeros((grid.n_cells, C), dtype=np.float64)
     for feat, depth, mask, rig in zip(feats, depths, masks, rigs):
-        u, v, d, valid = (
-            a.reshape(n_cells, nz) for a in project_points(pts.reshape(-1, 3), rig)
-        )
-        for h in range(nz):
-            rows, w, f = sample(feat, depth, mask, u[:, h], v[:, h], d[:, h], valid[:, h], dspec)
+        u, v, d, valid = project_points(*points, rig)
+        for h in range(len(heights)):
+            rows, w, f = sample(feat, depth, mask, u[h], v[h], d[h], valid[h], dspec)
             acc[rows] += w[:, None] * f
     return acc.T.reshape(C, grid.ny, grid.nx).astype(np.float32)
 

@@ -22,40 +22,37 @@ from .tables import LSS_MAGIC, IndexTable, build_table, check_camera_tensors, st
 def lift_frustum(cam, dspec: DepthBinSpec):
     """Lift every (pixel, depth-bin) pair of one camera into the ego frame.
 
-    Returns (u, v, k, points) where points is (feat_h*feat_w*n_bins, 3),
-    ordered bin-major then row-major over pixels.
+    Returns the ego (x, y, z) arrays, each (n_bins, feat_h, feat_w): entry
+    [k, v, u] is pixel (u, v) lifted to the center of bin k.  The inverse
+    extrinsics are the rigid inverse (R^T, -R^T t) and every coordinate is
+    a fixed-order elementwise sum, so no BLAS call picks the bits.
     """
-    H, W, nb = cam.feat_h, cam.feat_w, dspec.n_bins
-    k, v, u = np.meshgrid(
-        np.arange(nb), np.arange(H), np.arange(W), indexing="ij"
+    K, R, t = cam.intrinsics, cam.extrinsics[:3, :3], cam.extrinsics[:3, 3]
+    d = dspec.bin_center(np.arange(dspec.n_bins))[:, None, None]
+    x_cam = (np.arange(cam.feat_w) - K[0, 2]) / K[0, 0] * d
+    y_cam = (np.arange(cam.feat_h)[:, None] - K[1, 2]) / K[1, 1] * d
+    return tuple(
+        x_cam * R[0, i] + y_cam * R[1, i] + d * R[2, i]
+        - (R[0, i] * t[0] + R[1, i] * t[1] + R[2, i] * t[2])
+        for i in range(3)
     )
-    k = k.ravel()
-    v = v.ravel()
-    u = u.ravel()
-    d = dspec.bin_center(k)
-
-    K = cam.intrinsics
-    x_cam = (u - K[0, 2]) / K[0, 0] * d
-    y_cam = (v - K[1, 2]) / K[1, 1] * d
-    cam_pts = np.stack([x_cam, y_cam, d], axis=1)
-    T_inv = np.linalg.inv(cam.extrinsics)
-    pts = cam_pts @ T_inv[:3, :3].T + T_inv[:3, 3]
-    return u, v, k, pts
 
 
 def precompute_lss_table(rigs, grid: BevGridSpec, dspec: DepthBinSpec) -> IndexTable:
     """Assign in-grid frustum points to cells; half-open cells [min, max).
 
     Each camera emits its entries in ascending depth index, so the table
-    runs by cell, then camera, then depth index.
+    runs by cell, then camera, then depth index.  A point's depth index is
+    its flat position in the frustum, (k * feat_h + v) * feat_w + u.
     """
     def emit(rig):
-        u, v, k, pts = lift_frustum(rig, dspec)
-        ix = np.floor((pts[:, 0] - grid.x_min) / grid.cell_w).astype(np.int64)
-        iy = np.floor((pts[:, 1] - grid.y_min) / grid.cell_h).astype(np.int64)
-        keep = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
-        fi = v[keep] * rig.feat_w + u[keep]
-        return iy[keep] * grid.nx + ix[keep], fi, k[keep] * (rig.feat_h * rig.feat_w) + fi
+        x, y, _ = lift_frustum(rig, dspec)
+        # floor(q) lies in [0, n) exactly when q does, and there it equals int(q)
+        qx = ((x - grid.x_min) / grid.cell_w).ravel()
+        qy = ((y - grid.y_min) / grid.cell_h).ravel()
+        di = np.flatnonzero((qx >= 0) & (qx < grid.nx) & (qy >= 0) & (qy < grid.ny))
+        cells = qy[di].astype(np.int64) * grid.nx + qx[di].astype(np.int64)
+        return cells, di % (rig.feat_h * rig.feat_w), di
 
     return build_table(LSS_MAGIC, grid, rigs, dspec, (), map(emit, rigs))
 
@@ -82,28 +79,28 @@ def lss_pool_reference(
 ) -> np.ndarray:
     """Table-free oracle: per-point loop that lifts, locates, accumulates.
 
-    Records are ordered (cell, cam, depth index) as in the table, and the
-    accumulation is a sequential float64 loop, so the result must match
-    lss_pool bitwise.
+    Each point is lifted with scalar arithmetic in the order lift_frustum
+    uses (the rigid inverse, sums left to right) and located by the same
+    division, so it lands in the table's cell.  Records are ordered (cell,
+    cam, depth index) as in the table, and the accumulation is a sequential
+    float64 loop, so the result must match lss_pool bitwise.
     """
     records = []
-    inv_cw = 1.0 / grid.cell_w
-    inv_ch = 1.0 / grid.cell_h
     for cam_pos, rig in enumerate(rigs):
-        K = rig.intrinsics
-        T_inv = np.linalg.inv(rig.extrinsics)
-        R, t = T_inv[:3, :3], T_inv[:3, 3]
+        K, R, t = rig.intrinsics, rig.extrinsics[:3, :3], rig.extrinsics[:3, 3]
+        # rigid inverse: ego = R^T cam - R^T t
+        t_inv = [R[0, i] * t[0] + R[1, i] * t[1] + R[2, i] * t[2] for i in range(2)]
         W, H = rig.feat_w, rig.feat_h
         for k in range(dspec.n_bins):
             d = dspec.d_min + (k + 0.5) * dspec.step
             for v in range(H):
                 for u in range(W):
-                    cam_pt = np.array(
-                        [(u - K[0, 2]) / K[0, 0] * d, (v - K[1, 2]) / K[1, 1] * d, d]
-                    )
-                    p = R @ cam_pt + t
-                    ix = int(np.floor((p[0] - grid.x_min) * inv_cw))
-                    iy = int(np.floor((p[1] - grid.y_min) * inv_ch))
+                    xc = (u - K[0, 2]) / K[0, 0] * d
+                    yc = (v - K[1, 2]) / K[1, 1] * d
+                    px = xc * R[0, 0] + yc * R[1, 0] + d * R[2, 0] - t_inv[0]
+                    py = xc * R[0, 1] + yc * R[1, 1] + d * R[2, 1] - t_inv[1]
+                    ix = int(np.floor((px - grid.x_min) / grid.cell_w))
+                    iy = int(np.floor((py - grid.y_min) / grid.cell_h))
                     if 0 <= ix < grid.nx and 0 <= iy < grid.ny:
                         fi = v * W + u
                         di = k * (H * W) + fi

@@ -114,10 +114,19 @@ def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam) -> IndexTable
     """
     feat_h, feat_w = rigs[0].feat_h, rigs[0].feat_w
     pixels = feat_h * feat_w
-    stacked = [(cell, fi + cam * pixels, di + cam * dspec.n_bins * pixels)
-               for cam, (cell, fi, di) in enumerate(per_cam)]
-    cells, feat_idx, depth_idx = (np.concatenate(col, dtype=np.int64) for col in zip(*stacked))
-    order = np.argsort(cells, kind="stable")
+    per_cam = list(per_cam)
+    cells, feat_idx, depth_idx = (
+        np.empty(sum(len(c) for c, _, _ in per_cam), dtype=np.int64) for _ in range(3)
+    )
+    start = 0
+    for cam, (cell, fi, di) in enumerate(per_cam):
+        run = slice(start, start + len(cell))
+        cells[run] = cell
+        np.add(fi, cam * pixels, out=feat_idx[run])
+        np.add(di, cam * dspec.n_bins * pixels, out=depth_idx[run])
+        start = run.stop
+    # a stable sort's permutation is unique; on a key of 16 bits or less numpy radix-sorts
+    order = np.argsort(cells.astype(np.min_scalar_type(grid.n_cells - 1)), kind="stable")
     return IndexTable(
         magic=magic, ny=grid.ny, nx=grid.nx, n_cams=len(rigs),
         feat_h=feat_h, feat_w=feat_w, n_bins=dspec.n_bins,

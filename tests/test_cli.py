@@ -127,6 +127,20 @@ class TestPrecompute:
         assert set(dir_digest(tmp_path / "t")) == {"ht_table.htlt", "lss_table.lspt"}
         assert len(read_table(tmp_path / "t" / "ht_table.htlt", HT_MAGIC).heights) == 5
 
+    def test_failed_replace_keeps_old_tables(self, workspace, tmp_path, capsys):
+        """A table set is replaced whole or not at all."""
+        scene, out = str(workspace / "scene"), tmp_path / "t"
+        assert main(["precompute", "--scene", scene, "--out", str(out),
+                     "--heights", "uniform:5"]) == 0
+        old_ht = (out / "ht_table.htlt").read_bytes()
+        (out / "lss_table.lspt").unlink()
+        (out / "lss_table.lspt").mkdir()
+        assert main(["precompute", "--scene", scene, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "lss_table.lspt" in err and "Traceback" not in err
+        assert (out / "ht_table.htlt").read_bytes() == old_ht
+        assert [p.name for p in tmp_path.iterdir()] == ["t"]
+
     def test_bad_heights_exits_2(self, workspace, tmp_path, capsys):
         for heights in ("nonsense", "uniform:abc", "uniform:1", "uniform:"):
             code = main(["precompute", "--scene", str(workspace / "scene"),

@@ -18,7 +18,7 @@ IDENTITY_RIG = CameraRig(intrinsics=K, extrinsics=np.eye(4), feat_w=44, feat_h=1
 
 def project_one(p3d):
     """(u, v, d) of one ego point, or None when it is behind the camera."""
-    u, v, d, valid = project_points(np.array([p3d], dtype=np.float64), IDENTITY_RIG)
+    u, v, d, valid = project_points(*np.array([p3d], dtype=np.float64).T, IDENTITY_RIG)
     return (u[0], v[0], d[0]) if valid[0] else None
 
 

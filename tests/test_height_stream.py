@@ -4,7 +4,9 @@ import pytest
 from conftest import forward_camera, small_geometry, small_scene
 from dualvt import height_stream
 from dualvt.errors import NonFiniteValue, ShapeMismatch
-from dualvt.geometry import BevGridSpec, HeightSet, make_height_samples
+from dualvt.geometry import (
+    BevGridSpec, CameraRig, HeightSet, bev_cell_centers, make_height_samples, project_points,
+)
 from dualvt.height_stream import (
     INTERP,
     ROUND,
@@ -14,7 +16,7 @@ from dualvt.height_stream import (
     round_half_away,
 )
 from dualvt.rng import Rng
-from dualvt.sampling import DepthBinSpec
+from dualvt.sampling import DepthBinSpec, depth_to_coord
 from dualvt.synth import generate_scene, random_scene_spec
 from dualvt.tables import HT_MAGIC, read_table, write_table
 
@@ -32,6 +34,26 @@ def one_cell_fixture():
     dspec = DepthBinSpec(d_min=2.0, d_max=26.0, step=1.0)
     heights = make_height_samples("multires")
     return rig, grid, dspec, heights
+
+
+def round_then_filter(rigs, grid, heights, dspec):
+    """The table's columns from rounding every (cell, height) point of every
+    camera and then keeping the in-range ones, in (cell, camera, height) order."""
+    centers = bev_cell_centers(grid).reshape(-1, 2).astype(np.float64)
+    pts = np.array([(x, y, z) for x, y in centers for z in heights.z_values])
+    records = []
+    for cam, rig in enumerate(rigs):
+        W, H = rig.feat_w, rig.feat_h
+        u, v, d, valid = project_points(*pts.T, rig)
+        ui, vi = round_half_away(u).astype(int), round_half_away(v).astype(int)
+        k = round_half_away(depth_to_coord(d, dspec)).astype(int)
+        kept = valid & (ui >= 0) & (ui < W) & (vi >= 0) & (vi < H) & (k >= 0) & (k < dspec.n_bins)
+        for p in np.flatnonzero(kept):
+            pixel = vi[p] * W + ui[p]
+            records.append((p // len(heights), cam, p, cam * H * W + pixel,
+                            (cam * dspec.n_bins + k[p]) * H * W + pixel))
+    records.sort()
+    return tuple([int(r[i]) for r in records] for i in (0, 3, 4))
 
 
 class TestPrecompute:
@@ -53,6 +75,36 @@ class TestPrecompute:
         pixels = rig.feat_h * rig.feat_w
         assert (two.feat_idx // pixels).tolist() == [0] * 13 + [1] * 13
         assert np.array_equal(two.feat_idx % pixels, np.tile(one.feat_idx, 2))
+
+    def test_cull_keeps_every_point_rounding_keeps(self):
+        """Points within 1e-9 of the cull's and the keep test's pixel bounds and of
+        the depth-bin bounds give the entries of rounding every point, then filtering."""
+        _, grid, dspec, heights = one_cell_fixture()
+        W, H = 8, 6
+
+        def near(b):
+            return [b - 1e-9, np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf), b + 1e-9]
+
+        mid_u, mid_v, mid_d = (W - 1) / 2, (H - 1) / 2, 10.0
+        targets = (
+            [(u, mid_v, mid_d) for b in (-1.0, -0.5, W - 1.0, W - 0.5) for u in near(b)]
+            + [(mid_u, v, mid_d) for b in (-1.0, -0.5, H - 1.0, H - 0.5) for v in near(b)]
+            + [(mid_u, mid_v, d) for b in (dspec.d_min, dspec.d_max) for d in near(b)]
+        )
+        rigs = []
+        for u, v, d in targets:
+            # the cell center (10, 0) projects to u at every height, to v at height
+            # 0 (others land within 0.25 of it) and to depth d
+            rig = forward_camera(feat_w=W, feat_h=H, fx=1.0, fy=0.5)
+            K, T = rig.intrinsics.copy(), rig.extrinsics.copy()
+            K[0, 2], K[1, 2], T[2, 3] = u, v, d - 10.0
+            rigs.append(CameraRig(intrinsics=K, extrinsics=T, feat_w=W, feat_h=H))
+        table = precompute_ht_table(rigs, grid, heights, dspec)
+        cells, feat_idx, depth_idx = round_then_filter(rigs, grid, heights, dspec)
+        assert 0 < len(cells) < len(rigs) * len(heights)
+        assert table.cells.tolist() == cells
+        assert table.feat_idx.tolist() == feat_idx
+        assert table.depth_idx.tolist() == depth_idx
 
     def test_camera_facing_away_is_empty(self):
         rig = forward_camera()

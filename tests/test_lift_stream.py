@@ -20,28 +20,24 @@ DSPEC = DepthBinSpec(d_min=2.0, d_max=26.0, step=1.0)
 class TestLiftFrustum:
     def test_frustum_cardinality(self):
         rig = forward_camera(feat_w=12, feat_h=6)
-        u, v, k, pts = lift_frustum(rig, DSPEC)
-        assert pts.shape == (12 * 6 * DSPEC.n_bins, 3)
+        assert [a.shape for a in lift_frustum(rig, DSPEC)] == [(DSPEC.n_bins, 6, 12)] * 3
 
     def test_principal_pixel_lifts_along_axis(self):
         rig = forward_camera()
-        u, v, k, pts = lift_frustum(rig, DSPEC)
+        x, _, _ = lift_frustum(rig, DSPEC)
         # principal point (7.5, 7.5) is between pixels; use an explicit check
         # on pixel (8, 8): slight offset from the optical axis
-        sel = (u == 8) & (v == 8) & (k == 0)
-        p = pts[sel][0]
         d_c = DSPEC.bin_center(0)
-        assert p[0] == pytest.approx(d_c)  # forward distance = bin-center depth
+        assert x[0, 8, 8] == pytest.approx(d_c)  # forward distance = bin-center depth
 
     def test_project_roundtrip(self):
         rig = forward_camera()
-        u, v, k, pts = lift_frustum(rig, DSPEC)
-        sel = Rng(0).integers((64,), pts.shape[0])
-        pu, pv, pd, valid = project_points(pts[sel], rig)
+        pu, pv, pd, valid = project_points(*lift_frustum(rig, DSPEC), rig)
+        k, v, u = np.indices(pu.shape)
         assert valid.all()
-        assert pu == pytest.approx(u[sel], abs=1e-4)
-        assert pv == pytest.approx(v[sel], abs=1e-4)
-        assert pd == pytest.approx(DSPEC.bin_center(k[sel]), abs=1e-4)
+        assert pu == pytest.approx(u, abs=1e-4)
+        assert pv == pytest.approx(v, abs=1e-4)
+        assert pd == pytest.approx(DSPEC.bin_center(k), abs=1e-4)
 
 
 class TestPrecompute:
@@ -50,11 +46,8 @@ class TestPrecompute:
         # a grid covering everything the camera can possibly reach
         grid = BevGridSpec(x_min=0.0, x_max=60.0, y_min=-60.0, y_max=60.0, nx=60, ny=120)
         table = precompute_lss_table([rig], grid, DSPEC)
-        u, v, k, pts = lift_frustum(rig, DSPEC)
-        in_grid = (
-            (pts[:, 0] >= grid.x_min) & (pts[:, 0] < grid.x_max)
-            & (pts[:, 1] >= grid.y_min) & (pts[:, 1] < grid.y_max)
-        )
+        x, y, _ = lift_frustum(rig, DSPEC)
+        in_grid = (x >= grid.x_min) & (x < grid.x_max) & (y >= grid.y_min) & (y < grid.y_max)
         assert table.n_entries == int(in_grid.sum())
         assert table.n_entries > 0
 
@@ -133,12 +126,9 @@ class TestPool:
                 depth[hot_bins[vv, uu], vv, uu] = 1.0
         out = lss_pool(feats, [depth], masks, table)
         # count one-hot points landing inside the grid
-        u, v, k, pts = lift_frustum(rig, DSPEC)
-        hot = hot_bins[v, u] == k
-        in_grid = (
-            (pts[:, 0] >= grid.x_min) & (pts[:, 0] < grid.x_max)
-            & (pts[:, 1] >= grid.y_min) & (pts[:, 1] < grid.y_max)
-        )
+        x, y, _ = lift_frustum(rig, DSPEC)
+        hot = hot_bins == np.arange(DSPEC.n_bins)[:, None, None]
+        in_grid = (x >= grid.x_min) & (x < grid.x_max) & (y >= grid.y_min) & (y < grid.y_max)
         assert out[0].sum() == pytest.approx(int((hot & in_grid).sum()), rel=1e-6)
 
     @pytest.mark.parametrize("which", ["depths", "masks"])

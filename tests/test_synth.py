@@ -32,7 +32,7 @@ class TestRig:
 
     def test_front_camera_sees_forward_point(self):
         rigs = make_ring_rigs(SceneSpec(seed=0, n_cameras=6))
-        u, _, d, valid = project_points(np.array([[10.0, 0.0, 1.5]]), rigs[0])
+        u, _, d, valid = project_points(*np.array([[10.0, 0.0, 1.5]]).T, rigs[0])
         assert valid[0]
         assert d[0] == pytest.approx(10.0)
         assert u[0] == pytest.approx((rigs[0].feat_w - 1) / 2)
