@@ -83,11 +83,8 @@ def ht_transform_fast(feats, depths, masks, table: IndexTable, threads: int = 1)
     feat_stack = stack_camera_tensors(feats)
     depth_flat = np.concatenate([d.ravel() for d in depths])
     mask_flat = stack_camera_tensors(masks)[0]
-    acc = weighted_scatter(
-        feat_stack, depth_flat, mask_flat,
-        table.cells, table.feat_idx, table.depth_idx,
-        table.n_cells, threads=threads,
-    )
+    acc = weighted_scatter(feat_stack, depth_flat, mask_flat, table.offsets,
+                           table.feat_idx, table.depth_idx, threads=threads)
     C = feat_stack.shape[0]
     return acc.T.reshape(C, table.ny, table.nx).astype(np.float32)
 

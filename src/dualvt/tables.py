@@ -22,6 +22,10 @@ per-cell offsets:
     (ny*nx + 1) * u32  offsets: cell c owns entries [offsets[c], offsets[c+1])
     n_entries * 2 * u32  records (feat_index, depth_index)
 
+In memory a table is this layout: `IndexTable` holds the u32 offsets and
+(n_entries, 2) records, as read-only views of the bytes read by `read_table`.
+So `build_table` refuses a depth volume or an entry count above 2**32 - 1.
+
 Version 1 files (a cell and a camera column per entry) and version 2
 files (no fingerprint, no heights) are refused.
 """
@@ -46,8 +50,8 @@ _HEADER = struct.Struct("<4sB3s6IQ32sI")
 
 @dataclass(frozen=True)
 class IndexTable:
-    """Scatter-sum table sorted by cell, plus the geometry it was built for: its
-    sizes, its heights (none for the lift table) and their geometry_fingerprint."""
+    """Scatter-sum table as stored (u32 cell offsets and records), plus the geometry it
+    was built for: its sizes, its heights (none for the lift table) and their fingerprint."""
 
     magic: bytes
     ny: int
@@ -56,30 +60,35 @@ class IndexTable:
     feat_h: int
     feat_w: int
     n_bins: int
-    cells: np.ndarray
-    feat_idx: np.ndarray
-    depth_idx: np.ndarray
+    offsets: np.ndarray
+    records: np.ndarray
     heights: tuple
     geometry_sha256: bytes
 
     def __post_init__(self):
-        n = self.cells.shape[0]
-        if self.feat_idx.shape != (n,) or self.depth_idx.shape != (n,):
-            raise IndexOutOfRange("table column lengths disagree")
+        o, n = self.offsets, self.records.shape[0]
+        if o.dtype != "<u4" or self.records.dtype != "<u4" or self.records.shape != (n, 2):
+            raise IndexOutOfRange("table offsets and (n, 2) records must be little-endian u32")
+        if o.shape != (self.n_cells + 1,) or o[0] != 0 or o[-1] != n or np.any(o[1:] < o[:-1]):
+            raise IndexOutOfRange(f"cell offsets do not run from 0 up to {n}")
         if n:
             pixels = self.n_cams * self.feat_h * self.feat_w
-            if self.cells.min() < 0 or self.cells.max() >= self.n_cells:
-                raise IndexOutOfRange("bev cell index out of range")
-            if np.any(self.cells[1:] < self.cells[:-1]):
-                raise IndexOutOfRange("table entries are not sorted by cell")
-            if self.feat_idx.min() < 0 or self.feat_idx.max() >= pixels:
+            if self.feat_idx.max() >= pixels:
                 raise IndexOutOfRange("feature index out of range")
-            if self.depth_idx.min() < 0 or self.depth_idx.max() >= self.n_bins * pixels:
+            if self.depth_idx.max() >= self.n_bins * pixels:
                 raise IndexOutOfRange("depth index out of range")
 
     @property
+    def feat_idx(self) -> np.ndarray:
+        return self.records[:, 0]
+
+    @property
+    def depth_idx(self) -> np.ndarray:
+        return self.records[:, 1]
+
+    @property
     def n_entries(self) -> int:
-        return int(self.cells.shape[0])
+        return int(self.records.shape[0])
 
     @property
     def n_cells(self) -> int:
@@ -110,27 +119,38 @@ def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam) -> IndexTable
     volume and entries in the stream's emission order.  The indices are
     shifted to the camera-stacked layout and one stable sort by cell
     orders the entries by (cell, camera, emission order).  heights are the
-    z values the table was built for, empty for the lift table.
+    z values the table was built for, empty for the lift table.  Sizes that
+    u32 cannot index raise ConfigError, the geometry's before per_cam is read.
     """
-    feat_h, feat_w = rigs[0].feat_h, rigs[0].feat_w
+    n_cams, feat_h, feat_w = len(rigs), rigs[0].feat_h, rigs[0].feat_w
     pixels = feat_h * feat_w
+    limit = np.iinfo("<u4").max
+    if n_cams * dspec.n_bins * pixels > limit:
+        raise ConfigError(f"{n_cams} cameras x {dspec.n_bins} depth bins x {feat_h}x{feat_w} "
+                          f"pixels exceed the table's u32 index limit {limit}")
     per_cam = list(per_cam)
-    cells, feat_idx, depth_idx = (
-        np.empty(sum(len(c) for c, _, _ in per_cam), dtype=np.int64) for _ in range(3)
-    )
+    n = sum(len(c) for c, _, _ in per_cam)
+    if n > limit:
+        raise ConfigError(f"{n} table entries exceed the table's u32 limit {limit}")
+    cells = np.empty(n, dtype=np.min_scalar_type(grid.n_cells - 1))
+    unsorted = np.empty((n, 2), dtype="<u4")
     start = 0
     for cam, (cell, fi, di) in enumerate(per_cam):
         run = slice(start, start + len(cell))
         cells[run] = cell
-        np.add(fi, cam * pixels, out=feat_idx[run])
-        np.add(di, cam * dspec.n_bins * pixels, out=depth_idx[run])
+        # in range by the limit check: an in-camera index plus its camera's shift
+        np.add(fi, cam * pixels, out=unsorted[run, 0], casting="unsafe")
+        np.add(di, cam * dspec.n_bins * pixels, out=unsorted[run, 1], casting="unsafe")
         start = run.stop
+    del per_cam  # the emitted int64 columns are not needed through the sort
+    offsets = np.zeros(grid.n_cells + 1, dtype="<u4")
+    np.cumsum(np.bincount(cells, minlength=grid.n_cells), out=offsets[1:])
     # a stable sort's permutation is unique; on a key of 16 bits or less numpy radix-sorts
-    order = np.argsort(cells.astype(np.min_scalar_type(grid.n_cells - 1)), kind="stable")
+    order = np.argsort(cells, kind="stable")
     return IndexTable(
-        magic=magic, ny=grid.ny, nx=grid.nx, n_cams=len(rigs),
+        magic=magic, ny=grid.ny, nx=grid.nx, n_cams=n_cams,
         feat_h=feat_h, feat_w=feat_w, n_bins=dspec.n_bins,
-        cells=cells[order], feat_idx=feat_idx[order], depth_idx=depth_idx[order],
+        offsets=offsets, records=unsorted.take(order, axis=0),
         heights=tuple(heights), geometry_sha256=geometry_fingerprint(rigs, grid, dspec, heights),
     )
 
@@ -142,19 +162,13 @@ def write_table(table: IndexTable, path) -> None:
         table.feat_h, table.feat_w, table.n_bins,
         table.n_entries, table.geometry_sha256, len(table.heights),
     )
-    heights = np.asarray(table.heights, dtype="<f8")
-    # cell c's run starts at the first entry whose cell is >= c
-    offsets = np.searchsorted(table.cells, np.arange(table.n_cells + 1)).astype("<u4")
-    records = np.empty((table.n_entries, 2), dtype="<u4")
-    records[:, 0] = table.feat_idx
-    records[:, 1] = table.depth_idx
-    # write the records from their own buffer: joining them into one bytes
+    # write the arrays from their own buffers: joining them into one bytes
     # object would hold two more copies of the table at the peak
     with open(path, "wb") as f:
         f.write(header)
-        f.write(heights.data)
-        f.write(offsets.data)
-        f.write(records.data)
+        f.write(np.asarray(table.heights, dtype="<f8").data)
+        f.write(np.ascontiguousarray(table.offsets).data)
+        f.write(np.ascontiguousarray(table.records).data)
 
 
 def read_table(path, expect_magic: bytes) -> IndexTable:
@@ -175,20 +189,16 @@ def read_table(path, expect_magic: bytes) -> IndexTable:
         raise TruncatedPayload(f"{path}: {len(raw)} bytes, expected {expected}")
     heights = np.frombuffer(raw, "<f8", count=n_heights, offset=_HEADER.size)
     offsets = np.frombuffer(raw, "<u4", count=n_cells + 1, offset=_HEADER.size + heights.nbytes)
-    counts = np.diff(offsets.astype(np.int64))
-    if offsets[0] != 0 or offsets[-1] != n_entries or np.any(counts < 0):
-        raise IndexOutOfRange(f"{path}: cell offsets do not run from 0 up to {n_entries}")
-    records = np.frombuffer(
-        raw, "<u4", offset=_HEADER.size + heights.nbytes + offsets.nbytes
-    ).reshape(-1, 2)
-    return IndexTable(
-        magic=magic, ny=ny, nx=nx, n_cams=n_cams,
-        feat_h=feat_h, feat_w=feat_w, n_bins=n_bins,
-        cells=np.repeat(np.arange(n_cells, dtype=np.int64), counts),
-        feat_idx=records[:, 0].astype(np.int64),
-        depth_idx=records[:, 1].astype(np.int64),
-        heights=tuple(heights.tolist()), geometry_sha256=digest,
-    )
+    records = np.frombuffer(raw, "<u4", offset=expected - 8 * n_entries).reshape(-1, 2)
+    try:
+        return IndexTable(
+            magic=magic, ny=ny, nx=nx, n_cams=n_cams,
+            feat_h=feat_h, feat_w=feat_w, n_bins=n_bins,
+            offsets=offsets, records=records,
+            heights=tuple(heights.tolist()), geometry_sha256=digest,
+        )
+    except IndexOutOfRange as e:
+        raise IndexOutOfRange(f"{path}: {e}") from None
 
 
 def stack_camera_tensors(per_cam) -> np.ndarray:

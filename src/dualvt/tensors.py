@@ -17,6 +17,7 @@ bitwise, which the golden/oracle tests rely on.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -56,30 +57,31 @@ def tensor_write(t: np.ndarray, path) -> None:
 
 
 def tensor_read(path) -> np.ndarray:
-    """Read a BTSR file, returning the exact stored bits as float32."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise TruncatedPayload(f"{path}: file shorter than header")
-    magic, version, rank, _ = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise BadMagic(f"{path}: expected {MAGIC!r}, got {magic!r}")
-    if version != VERSION:
-        raise BadMagic(f"{path}: unsupported version {version}")
-    if rank > MAX_RANK:
-        raise RankOverflow(f"{path}: rank {rank} exceeds maximum {MAX_RANK}")
-    offset = _HEADER.size
-    if len(raw) < offset + 8 * rank:
-        raise TruncatedPayload(f"{path}: truncated extent table")
-    shape = struct.unpack_from(f"<{rank}Q", raw, offset)
-    offset += 8 * rank
-    count = int(np.prod(shape, dtype=np.int64))
-    expected = count * 4
-    if len(raw) - offset != expected:
-        raise TruncatedPayload(
-            f"{path}: payload is {len(raw) - offset} bytes, expected {expected}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    arr = data.reshape(shape).astype(np.float32, copy=True)
+    """Read a BTSR file into a fresh float32 array, its one copy: the exact stored bits."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TruncatedPayload(f"{path}: file shorter than header")
+        magic, version, rank, _ = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise BadMagic(f"{path}: expected {MAGIC!r}, got {magic!r}")
+        if version != VERSION:
+            raise BadMagic(f"{path}: unsupported version {version}")
+        if rank > MAX_RANK:
+            raise RankOverflow(f"{path}: rank {rank} exceeds maximum {MAX_RANK}")
+        extents = f.read(8 * rank)
+        if len(extents) < 8 * rank:
+            raise TruncatedPayload(f"{path}: truncated extent table")
+        shape = struct.unpack(f"<{rank}Q", extents)
+        payload = size - _HEADER.size - 8 * rank
+        expected = int(np.prod(shape, dtype=np.int64)) * 4
+        if payload != expected:
+            raise TruncatedPayload(f"{path}: payload is {payload} bytes, expected {expected}")
+        arr = np.empty(shape, dtype="<f4")
+        got = f.readinto(arr.data)
+        if got != expected:
+            raise TruncatedPayload(f"{path}: payload is {got} bytes, expected {expected}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue(f"{path}: payload contains NaN or Inf")
     return arr

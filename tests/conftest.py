@@ -6,6 +6,11 @@ from dualvt.sampling import DepthBinSpec
 from dualvt.synth import SceneSpec, generate_scene, random_scene_spec
 
 
+def table_cells(table):
+    """Each entry's cell, expanded from the table's offsets."""
+    return np.repeat(np.arange(table.n_cells), np.diff(table.offsets))
+
+
 def small_geometry():
     """Desk-scale geometry small enough for exhaustive oracles."""
     grid = BevGridSpec(x_min=-24.0, x_max=24.0, y_min=-24.0, y_max=24.0, nx=48, ny=48)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import forward_camera, small_geometry, small_scene
+from conftest import forward_camera, small_geometry, small_scene, table_cells
 from dualvt.errors import NonFiniteValue, ShapeMismatch
 from dualvt.geometry import BevGridSpec, project_points
 from dualvt.lift_stream import (
@@ -64,15 +64,16 @@ class TestPrecompute:
         two = precompute_lss_table([rig, rig], grid, DSPEC)
         pixels, volume = rig.feat_h * rig.feat_w, DSPEC.n_bins * rig.feat_h * rig.feat_w
         assert two.n_entries == 2 * one.n_entries
-        assert np.array_equal(np.unique(two.cells), np.unique(one.cells))
+        one_cells, two_cells = table_cells(one), table_cells(two)
+        assert np.array_equal(np.unique(two_cells), np.unique(one_cells))
         cams = two.feat_idx // pixels
         assert np.array_equal(two.depth_idx // volume, cams)
-        for cell in np.unique(one.cells):
-            run = two.cells == cell
-            n = int(np.count_nonzero(one.cells == cell))
+        for cell in np.unique(one_cells):
+            run = two_cells == cell
+            n = int(np.count_nonzero(one_cells == cell))
             assert n > 0 and cams[run].tolist() == [0] * n + [1] * n
-            di = two.depth_idx[run] % volume
-            assert np.array_equal(di, np.tile(one.depth_idx[one.cells == cell], 2))
+            di = two.depth_idx[run].astype(np.int64) % volume
+            assert np.array_equal(di, np.tile(one.depth_idx[one_cells == cell], 2))
             assert np.all(np.diff(di[:n]) > 0) and np.all(np.diff(di[n:]) > 0)
 
     def test_rebuild_determinism(self, tmp_path, small_bundle):
@@ -88,7 +89,7 @@ class TestPrecompute:
         path = tmp_path / "t.lspt"
         write_table(table, path)
         back = read_table(path, LSS_MAGIC)
-        assert np.array_equal(back.cells, table.cells)
+        assert np.array_equal(back.offsets, table.offsets)
         assert np.array_equal(back.feat_idx, table.feat_idx)
         assert np.array_equal(back.depth_idx, table.depth_idx)
         assert back.heights == ()
@@ -98,7 +99,7 @@ class TestPrecompute:
         """Pooling counts vary per cell, unlike the fixed multi-height stream."""
         bundle, _ = small_bundle
         table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
-        counts = np.bincount(table.cells, minlength=table.n_cells)
+        counts = np.diff(table.offsets)
         nonzero = counts[counts > 0]
         assert nonzero.size > 1
         assert nonzero.min() != nonzero.max()

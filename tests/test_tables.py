@@ -1,42 +1,77 @@
 import dataclasses
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dualvt.errors import ConfigError, IndexOutOfRange
+from dualvt.geometry import BevGridSpec
 from dualvt.height_stream import precompute_ht_table
 from dualvt.lift_stream import precompute_lss_table
-from dualvt.tables import HT_MAGIC, IndexTable, geometry_fingerprint, read_table, write_table
+from dualvt.sampling import DepthBinSpec
+from dualvt.synth import generate_scene, random_scene_spec
+from dualvt.tables import (
+    HT_MAGIC, LSS_MAGIC, IndexTable, build_table, geometry_fingerprint, read_table, write_table,
+)
 
 HEADER_BYTES = 76  # the 40-byte version-2 header, a SHA-256 digest and a u32 height count
 
 
-def tiny_table(cells, feat_idx=None, depth_idx=None, heights=(0.0, 1.0)):
-    cells = np.asarray(cells, dtype=np.int64)
-    zeros = np.zeros_like(cells)
+def tiny_table(offsets, feat_idx=None, depth_idx=None, heights=(0.0, 1.0)):
+    """A 2x2-cell table; offsets has 5 entries, the last one the entry count."""
+    n = offsets[-1]
+    records = np.zeros((n, 2), dtype="<u4")
+    if feat_idx is not None:
+        records[:, 0] = feat_idx
+    if depth_idx is not None:
+        records[:, 1] = depth_idx
     return IndexTable(
         magic=HT_MAGIC, ny=2, nx=2, n_cams=2, feat_h=1, feat_w=2, n_bins=3,
-        cells=cells,
-        feat_idx=zeros if feat_idx is None else np.asarray(feat_idx, dtype=np.int64),
-        depth_idx=zeros if depth_idx is None else np.asarray(depth_idx, dtype=np.int64),
+        offsets=np.asarray(offsets, dtype="<u4"), records=records,
         heights=heights, geometry_sha256=bytes(32),
     )
 
 
 def test_unsorted_cells_rejected():
-    tiny_table([0, 2, 2, 3])
-    with pytest.raises(IndexOutOfRange):
-        tiny_table([0, 2, 1, 3])
+    """Cells sorted as [0, 2, 2, 3] have offsets [0, 1, 1, 3, 4]; offsets that
+    go back, as an unsorted cell column would need, are refused."""
+    tiny_table([0, 1, 1, 3, 4])
+    with pytest.raises(IndexOutOfRange, match="offsets"):
+        tiny_table([0, 1, 3, 2, 4])
 
 
 def test_indices_bounded_by_all_cameras():
     # 2 cameras of 1x2 pixels and 3 bins: 4 feature pixels, 12 depth cells
-    tiny_table([0, 1], feat_idx=[3, 0], depth_idx=[11, 0])
+    tiny_table([0, 1, 2, 2, 2], feat_idx=[3, 0], depth_idx=[11, 0])
     with pytest.raises(IndexOutOfRange):
-        tiny_table([0, 1], feat_idx=[4, 0])
+        tiny_table([0, 1, 2, 2, 2], feat_idx=[4, 0])
     with pytest.raises(IndexOutOfRange):
-        tiny_table([0, 1], depth_idx=[12, 0])
+        tiny_table([0, 1, 2, 2, 2], depth_idx=[12, 0])
+
+
+def test_indices_beyond_u32_refused():
+    """The records are u32: wider columns are refused, and a geometry or an entry
+    count that u32 cannot index raises ConfigError before anything large exists."""
+    with pytest.raises(IndexOutOfRange, match="u32"):  # a depth index u32 would wrap to 5
+        IndexTable(magic=HT_MAGIC, ny=1, nx=1, n_cams=1, feat_h=65536, feat_w=65536, n_bins=2,
+                   offsets=np.array([0, 1]), records=np.array([[0, 2**32 + 5]]),
+                   heights=(0.0,), geometry_sha256=bytes(32))
+    grid, dspec = BevGridSpec(nx=2, ny=2), DepthBinSpec(d_min=2.0, d_max=4.0, step=1.0)
+
+    def never():
+        raise AssertionError("per_cam consumed")
+        yield
+
+    wide = SimpleNamespace(feat_h=65536, feat_w=65536)
+    with pytest.raises(ConfigError, match=r"1 cameras x 2 depth bins x 65536x65536 pixels") as e:
+        build_table(HT_MAGIC, grid, [wide], dspec, (0.0,), never())
+    assert "\n" not in str(e.value)
+    rig = SimpleNamespace(feat_h=1, feat_w=2)
+    huge = np.broadcast_to(np.int64(0), (2**32,))  # no memory behind it
+    with pytest.raises(ConfigError, match=f"{2**32} table entries"):
+        build_table(HT_MAGIC, grid, [rig], dspec, (0.0,), [(huge, huge, huge)])
 
 
 def test_file_layout(tmp_path, small_bundle):
@@ -55,7 +90,7 @@ def test_file_layout(tmp_path, small_bundle):
     assert len(raw) == start + 4 * (table.n_cells + 1) + 8 * table.n_entries
     assert np.array_equal(np.frombuffer(raw, "<f8", n_heights, HEADER_BYTES), heights.z_values)
     offsets = np.frombuffer(raw, "<u4", table.n_cells + 1, start)
-    assert np.array_equal(np.diff(offsets), np.bincount(table.cells, minlength=table.n_cells))
+    assert np.array_equal(offsets, table.offsets)
     records = np.frombuffer(raw, "<u4", offset=start + offsets.nbytes).reshape(-1, 2)
     assert np.array_equal(records[:, 0], table.feat_idx)
     assert np.array_equal(records[:, 1], table.depth_idx)
@@ -87,12 +122,35 @@ def set_last(o):
 @pytest.mark.parametrize("edit", [set_first, swap_inner, set_last],
                          ids=["start-not-0", "decreasing", "end-not-n_entries"])
 def test_bad_offsets_rejected(tmp_path, edit):
+    offsets = np.array([0, 1, 1, 3, 4], dtype="<u4")
+    table = tiny_table(offsets.copy())
     path = tmp_path / "t.htlt"
-    write_table(tiny_table([0, 1, 1, 3]), path)
+    write_table(table, path)
     read_table(path, HT_MAGIC)
     corrupt_offsets(path, edit)
-    with pytest.raises(IndexOutOfRange, match="offsets"):
+    with pytest.raises(IndexOutOfRange, match=f"{path}: cell offsets"):
         read_table(path, HT_MAGIC)
+    edit(offsets)
+    with pytest.raises(IndexOutOfRange, match="offsets"):
+        dataclasses.replace(table, offsets=offsets)
+
+
+def test_read_table_allocates_only_the_file(tmp_path):
+    """The table read is views of the bytes read: beyond the file's size, reading
+    the desk lift table allocates under 1 MB, and the arrays are read-only."""
+    bundle = generate_scene(random_scene_spec(1), BevGridSpec(), DepthBinSpec())
+    path = tmp_path / "t.lspt"
+    write_table(precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec), path)
+    size = path.stat().st_size
+    assert size > 3_000_000
+    tracemalloc.start()
+    try:
+        table = read_table(path, LSS_MAGIC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - size < 1_000_000
+    assert not table.offsets.flags.writeable and not table.records.flags.writeable
 
 
 def test_version_1_refused(tmp_path):
