@@ -1,7 +1,8 @@
 """Command-line surface: synth | precompute | transform | compare.
 
+Every option is a flag.  synth, precompute and transform write their files
+beside --out and rename them into place, so a failed run changes no output.
 Exit codes: 0 success, 2 configuration error, 3 runtime/shape error.
-Options may come from a JSON config file (--config); explicit flags win.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 import os
 import shutil
 import sys
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +34,8 @@ MAX_THREADS = 64  # upper bound on --threads; the scatter starts up to this many
 
 @dataclass
 class RunConfig:
-    """Transform options, merged config-file-then-flags."""
+    """Validated transform options: the flags, with the `--ablate` syntax parsed
+    into fields.  A flag left unset keeps the default stated here."""
 
     threads: int = 1
     weight_seed: int = DEFAULT_WEIGHT_SEED
@@ -47,20 +48,6 @@ class RunConfig:
     @classmethod
     def merge(cls, args) -> "RunConfig":
         cfg = cls()
-        if getattr(args, "config", None):
-            try:
-                doc = json.loads(Path(args.config).read_text())
-            except (OSError, json.JSONDecodeError) as e:
-                raise ConfigError(f"cannot read config {args.config}: {e}") from e
-            if not isinstance(doc, dict):
-                raise ConfigError(f"config {args.config} is not a JSON object")
-            hints = typing.get_type_hints(cls)
-            for key, value in doc.items():
-                if key not in hints:
-                    raise ConfigError(f"unknown config key {key!r}")
-                if not _value_has_type(value, hints[key]):
-                    raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
-                setattr(cfg, key, value)
         for key in vars(cfg):
             flag = getattr(args, key, None)
             if flag is not None:
@@ -83,20 +70,7 @@ class RunConfig:
             math.isfinite(cfg.force_affinity) and 0.0 <= cfg.force_affinity <= 1.0
         ):
             raise ConfigError(f"force-A must be finite and in [0, 1], got {cfg.force_affinity}")
-        if cfg.sampler not in ("fast", "naive-interp", "naive-round"):
-            raise ConfigError(f"unknown sampler {cfg.sampler!r}")
         return cfg
-
-
-def _value_has_type(value, hint) -> bool:
-    """JSON value check against a RunConfig annotation; ints pass as floats, bools never
-    pass as ints."""
-    allowed = typing.get_args(hint) or (hint,)
-    if float in allowed:
-        allowed += (int,)
-    if isinstance(value, bool) and bool not in allowed:
-        return False
-    return isinstance(value, allowed)
 
 
 def _load_scene_spec(path) -> tuple:
@@ -126,7 +100,7 @@ def _load_scene_spec(path) -> tuple:
 def cmd_synth(args) -> int:
     spec, grid, dspec = _load_scene_spec(args.spec)
     bundle = generate_scene(spec, grid, dspec)
-    save_bundle(bundle, args.out)
+    _write_outputs(args.out, lambda d: save_bundle(bundle, d))
     print(f"wrote scene with {len(bundle.rigs)} cameras to {args.out}")
     return 0
 
@@ -299,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--tables", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--threads", type=int)
     p.add_argument("--weight-seed", dest="weight_seed", type=int)
     p.add_argument("--weights", dest="weights_dir")

@@ -9,7 +9,7 @@ exactly once to yield the final output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,16 +99,21 @@ def _bottleneck(z: np.ndarray, weights: WeightBundle, prefix: str) -> np.ndarray
     return conv2d(relu(conv2d(z, weights[f"{prefix}.squeeze"])), weights[f"{prefix}.expand"])
 
 
-def caf_fuse(f_lss, f_ht, weights: WeightBundle, cfg: CafConfig):
-    """Blend the streams; returns (fused, affinity)."""
+def caf_fuse(
+    f_lss, f_ht, weights: WeightBundle, cfg: CafConfig, force_affinity: float | None = None
+):
+    """Blend the streams; returns (fused, affinity).  A forced affinity skips the head."""
     if f_lss.shape != f_ht.shape:
         raise ShapeMismatch(f"stream shapes differ: {f_lss.shape} vs {f_ht.shape}")
     if f_lss.shape[0] != cfg.channels:
         raise ShapeMismatch(f"{f_lss.shape[0]} channels, config expects {cfg.channels}")
-    z = conv2d(np.concatenate([f_lss, f_ht], axis=0), weights["caf.reduce"])
-    local = _bottleneck(z, weights, "caf.local")
-    global_ = _bottleneck(global_avg_pool(z), weights, "caf.global")
-    affinity = sigmoid(local + global_)  # broadcast global over H, W
+    if force_affinity is None:
+        z = conv2d(np.concatenate([f_lss, f_ht], axis=0), weights["caf.reduce"])
+        local = _bottleneck(z, weights, "caf.local")
+        global_ = _bottleneck(global_avg_pool(z), weights, "caf.global")
+        affinity = sigmoid(local + global_)  # broadcast global over H, W
+    else:
+        affinity = np.full(f_lss.shape, force_affinity, dtype=np.float32)
     fused = affinity * f_lss + (1.0 - affinity) * f_ht
     return fused.astype(np.float32), affinity
 
@@ -186,10 +191,7 @@ def fuse_and_finalize(
 ) -> PipelineResult:
     """Fusion tail of the pipeline, shared by the fast and reference front ends."""
     channels = f_ht.shape[0]
-    fused, affinity = caf_fuse(f_lss, f_ht, weights, CafConfig(channels))
-    if force_affinity is not None:
-        affinity = np.full_like(affinity, np.float32(force_affinity))
-        fused = (affinity * f_lss + (1.0 - affinity) * f_ht).astype(np.float32)
+    fused, affinity = caf_fuse(f_lss, f_ht, weights, CafConfig(channels), force_affinity)
     p = bev_probability(fused, weights, ProbNetConfig(channels))
     return PipelineResult(
         f_final=assemble_final(fused, p),

@@ -10,7 +10,8 @@ and a uniform depth distribution.  Everything derives from one seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,24 @@ from .tensors import parse_manifest, tensor_read, tensor_write
 FEATURE_NOISE = 0.05
 
 
+def _is_a(value, kind) -> bool:
+    """isinstance for numbers read from JSON: numpy scalars pass, booleans never do."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box: center (x, y, z) and size (length, width, height), meters."""
 
     center: tuple
     size: tuple
+
+    def __post_init__(self):
+        for name in ("center", "size"):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and len(value) == 3
+                    and all(_is_a(v, numbers.Real) for v in value)):
+                raise ConfigError(f"box {name} must be three real numbers, got {value!r}")
 
     def footprint_contains(self, x, y):
         cx, cy, _ = self.center
@@ -41,7 +54,10 @@ class Box:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(center=tuple(doc["center"]), size=tuple(doc["size"]))
+        try:
+            return cls(center=tuple(doc["center"]), size=tuple(doc["size"]))
+        except KeyError as e:
+            raise ConfigError(f"box is missing key {e}") from None
 
 
 @dataclass(frozen=True)
@@ -57,6 +73,12 @@ class SceneSpec:
     hfov_deg: float = 70.0
 
     def __post_init__(self):
+        for name in ("seed", "n_cameras", "feat_w", "feat_h", "channels"):
+            if not _is_a(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("kappa", "cam_height", "hfov_deg"):
+            if not _is_a(getattr(self, name), numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.n_cameras < 1:
             raise ConfigError("need at least one camera")
         if self.kappa <= 0:

@@ -99,6 +99,41 @@ class TestSynth:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"hfov_deg": "70"}, "hfov_deg"),
+        ({"cam_height": "x"}, "cam_height"),
+        ({"boxes": [{"center": [0, 0, "a"], "size": [1, 1, 1]}]}, "center"),
+        ({"feat_w": 4.5}, "feat_w"),
+        ({"boxes": [{"size": [1, 1, 1]}]}, "center"),
+        ({**SCENE_SPEC, "channels": "8"}, "channels"),
+        ({"seed": True}, "seed"),
+        ({"boxes": [{"center": [0, 0, 0], "size": [1, False, 1]}]}, "size"),
+    ], ids=["hfov-str", "cam-height-str", "center-str", "feat-w-float", "box-no-center",
+            "channels-str", "seed-bool", "size-bool"])
+    def test_wrong_value_type_exits_2(self, tmp_path, capsys, doc, field):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_replace_keeps_old_scene(self, workspace, tmp_path, capsys):
+        """A scene is replaced whole or not at all."""
+        out = tmp_path / "scA"
+        assert main(["synth", "--spec", str(workspace / "scene.json"), "--out", str(out)]) == 0
+        (out / "cam2_depth.btsr").unlink()
+        (out / "cam2_depth.btsr").mkdir()
+        old = dir_digest(out)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SCENE_SPEC, "seed": 4}))
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "cam2_depth.btsr" in err and "Traceback" not in err
+        assert dir_digest(out) == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scA", "spec.json"]
+
     def test_spec_not_an_object_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text("[1, 2]")
@@ -156,8 +191,12 @@ class TestPrecompute:
             ["precompute", "--scene", str(tmp_path / "nope"), "--out", str(tmp_path / "t")]
         ) == 3
 
-    @pytest.mark.parametrize("edit", [{"grid": 5}, "{not json"],
-                             ids=["grid-not-object", "not-json"])
+    @pytest.mark.parametrize("edit", [
+        {"grid": 5},
+        "{not json",
+        {"spec": {**{k: v for k, v in SCENE_SPEC.items() if k not in ("grid", "dspec")},
+                  "channels": "8"}},
+    ], ids=["grid-not-object", "not-json", "channels-not-int"])
     def test_bad_scene_manifest_exits_2(self, workspace, tmp_path, capsys, edit):
         scene = tmp_path / "scene"
         shutil.copytree(workspace / "scene", scene)
@@ -248,29 +287,14 @@ class TestTransform:
     def test_unknown_ablation_exits_2(self, workspace, tmp_path):
         assert run_transform(workspace, tmp_path / "x", "--ablate", "bogus") == 2
 
-    def test_config_file_and_flag_override(self, workspace, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"weight_seed": 99}))
-        assert run_transform(workspace, tmp_path / "a", "--config", str(cfg)) == 0
-        # flag overrides the config file value back to the default seed
-        assert run_transform(
-            workspace, tmp_path / "b", "--config", str(cfg), "--weight-seed", "11"
-        ) == 0
-        assert run_transform(workspace, tmp_path / "c") == 0
-        da, db, dc = (dir_digest(tmp_path / n) for n in "abc")
-        assert da != dc  # different weight seed changes fusion outputs
-        assert db == dc  # flag wins over config file
-
     def test_unknown_config_key_exits_2(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        for key in ("no_such_option", "reps", "warmup", "weight_mode"):
-            cfg.write_text(json.dumps({key: 3}))
-            assert run_transform(workspace, tmp_path / "x", "--config", str(cfg)) == 2, key
-            assert f"unknown config key {key!r}" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exit_:
-            run_transform(workspace, tmp_path / "x", "--weight-mode", "depth_only")
-        assert exit_.value.code == 2
-        assert "unrecognized arguments: --weight-mode" in capsys.readouterr().err
+        # removed options are unrecognized arguments, not silently ignored
+        for argv in (["--weight-mode", "depth_only"], ["--config", "x.json"]):
+            with pytest.raises(SystemExit) as exit_:
+                run_transform(workspace, tmp_path / "x", *argv)
+            assert exit_.value.code == 2
+            assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_weights_roundtrip_through_disk(self, workspace, tmp_path):
         wdir = tmp_path / "weights"
@@ -426,26 +450,6 @@ class TestRunConfigValidation:
         assert "config error" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("doc", [
-        {"threads": "2"},
-        {"threads": True},
-        {"weight_seed": 1.5},
-        {"disable_mask": 1},
-        {"force_affinity": "0.5"},
-        {"weights_dir": 3},
-    ])
-    def test_config_value_types_checked(self, workspace, tmp_path, capsys, doc):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        code = run_transform(workspace, tmp_path / "x", "--config", str(cfg))
-        self.assert_config_error(code, capsys)
-
-    def test_config_not_an_object_exits_2(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]")
-        code = run_transform(workspace, tmp_path / "x", "--config", str(cfg))
-        self.assert_config_error(code, capsys)
-
     def test_threads_capped(self, tmp_path, capsys):
         # the scene does not exist: without the cap this ends in exit 3, before any thread starts
         code = main(["transform", "--scene", str(tmp_path / "none"),
@@ -468,12 +472,6 @@ class TestRunConfigValidation:
         code = run_transform(workspace, tmp_path / "x", "--ablate", f"force-A={value}")
         self.assert_config_error(code, capsys)
         assert not (tmp_path / "x").exists()
-
-    def test_force_affinity_from_config_checked(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"force_affinity": 1.5}))
-        code = run_transform(workspace, tmp_path / "x", "--config", str(cfg))
-        self.assert_config_error(code, capsys)
 
 
 class TestCompare:

@@ -151,6 +151,19 @@ class TestFuseAndFinalize:
         res = fuse_and_finalize(f_lss, f_ht, weights(), force_affinity=0.0)
         assert np.array_equal(res.f_channel, f_ht)
 
+    def test_force_affinity_blends_once_without_the_head(self):
+        f_lss, f_ht = streams()
+        # no caf.* layers: a forced affinity does not run the fusion head
+        head_free = WeightBundle(
+            {k: v for k, v in weights().layers.items() if not k.startswith("caf.")}, "no-caf"
+        )
+        res = fuse_and_finalize(f_lss, f_ht, head_free, force_affinity=0.3)
+        a = np.float32(0.3)
+        assert res.affinity.shape == SHAPE and res.affinity.dtype == np.float32
+        assert np.all(res.affinity == a)
+        blend = (a * f_lss + (1.0 - a) * f_ht).astype(np.float32)
+        assert np.array_equal(res.f_channel.view(np.uint32), blend.view(np.uint32))
+
     def test_result_fields_consistent(self):
         f_lss, f_ht = streams()
         res = fuse_and_finalize(f_lss, f_ht, weights())
