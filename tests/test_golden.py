@@ -1,5 +1,9 @@
 """Golden digests of the fusion and occupancy heads on one pinned scene.
 
+The scene is run twice: with its instance masks, where a handful of the
+2,304 cells carry a feature, and with ``disable-M`` (all-ones masks),
+where 1,640 do.
+
 The heads' arithmetic contract (see ``dualvt.nnops``) is one float32
 rounding of float64 sums whose order the BLAS picks.  These digests pin
 the resulting bytes; the subprocess test recomputes the heads under
@@ -31,6 +35,13 @@ GOLDEN = {
     "P": "eece4700ec1b9aa314dae3303339deeca4187eb025f6f2022b888256425bd7e4",
     "F": "ad8f2b67cfcdee0c3bff9b8fd4303dab4bc89779610ee5c10e2700e450ff9757",
 }
+# the same with disable-M, at threads 1 and 2
+GOLDEN_DISABLE_M = {
+    "F_channel": "05a53e575545f4aa1848eca9d9329a8c02b4f8f7f6a897da97a3630cf1cf77a0",
+    "A": "7e36bd85bac6820640a8a42ceace6bc67c840931acdd15a5b506dec7beb33765",
+    "P": "f56b1e259b61974817b15ce7cdb162d8e1b624aaff594a3c1208108b387a4a9a",
+    "F": "b6acff495b46b890b964af047ff0ac66d964bbc18f30304729c3f932ba17ffe7",
+}
 
 
 def head_digests(result) -> dict:
@@ -59,15 +70,20 @@ def pinned():
     return bundle, ht, lss, make_seeded_weights(WEIGHT_SEED, bundle.spec.channels)
 
 
-def run_pinned(pinned, threads):
+def run_pinned(pinned, threads, disable_mask=False):
     bundle, ht, lss, weights = pinned
     return run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, weights,
-                        threads=threads)
+                        threads=threads, disable_mask=disable_mask)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_head_matches_golden_digests(pinned, threads):
     assert head_digests(run_pinned(pinned, threads)) == GOLDEN
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_disable_m_head_matches_golden_digests(pinned, threads):
+    assert head_digests(run_pinned(pinned, threads, disable_mask=True)) == GOLDEN_DISABLE_M
 
 
 def _numpy_on_openblas_x86() -> bool:
@@ -78,11 +94,11 @@ def _numpy_on_openblas_x86() -> bool:
     return "openblas" in blas.lower() and platform.machine().lower() in ("x86_64", "amd64")
 
 
-@pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, x86-64")
-def test_head_digests_hold_on_another_openblas_core(pinned, tmp_path):
-    """Nehalem kernels run on any x86-64 CPU and sum in another order than
-    the AVX kernels picked on newer ones."""
-    result = run_pinned(pinned, threads=1)
+def digests_on_nehalem(pinned, tmp_path, disable_mask):
+    """Head digests of the pinned run, and of the same stream outputs under
+    OpenBLAS's Nehalem kernels, which run on any x86-64 CPU and sum in
+    another order than the AVX kernels picked on newer ones."""
+    result = run_pinned(pinned, threads=1, disable_mask=disable_mask)
     np.save(tmp_path / "f_lss.npy", result.f_lss)
     np.save(tmp_path / "f_ht.npy", result.f_ht)
     paths = [str(Path(dualvt.__file__).parents[1]), str(Path(__file__).parent)]
@@ -97,4 +113,21 @@ def test_head_digests_hold_on_another_openblas_core(pinned, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == head_digests(result) == GOLDEN
+    return json.loads(proc.stdout), head_digests(result)
+
+
+needs_openblas_x86 = pytest.mark.skipif(
+    not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, x86-64"
+)
+
+
+@needs_openblas_x86
+def test_head_digests_hold_on_another_openblas_core(pinned, tmp_path):
+    nehalem, here = digests_on_nehalem(pinned, tmp_path, disable_mask=False)
+    assert nehalem == here == GOLDEN
+
+
+@needs_openblas_x86
+def test_disable_m_head_digests_hold_on_another_openblas_core(pinned, tmp_path):
+    nehalem, here = digests_on_nehalem(pinned, tmp_path, disable_mask=True)
+    assert nehalem == here == GOLDEN_DISABLE_M
