@@ -32,29 +32,6 @@ _P_HI = np.nextafter(np.float32(1.0), np.float32(0.0))
 
 
 @dataclass(frozen=True)
-class CafConfig:
-    """Channel-attention fusion: concat -> 1x1 reduce -> local + global
-    bottleneck branches -> sigmoid affinity."""
-
-    channels: int
-    ratio: int = 4
-
-    def __post_init__(self):
-        if self.channels % self.ratio:
-            raise ConfigError("bottleneck ratio must divide the channel count")
-
-    def layer_shapes(self) -> dict:
-        c, r = self.channels, self.ratio
-        return {
-            "caf.reduce": (c, 2 * c, 1, 1),
-            "caf.local.squeeze": (c // r, c, 1, 1),
-            "caf.local.expand": (c, c // r, 1, 1),
-            "caf.global.squeeze": (c // r, c, 1, 1),
-            "caf.global.expand": (c, c // r, 1, 1),
-        }
-
-
-@dataclass(frozen=True)
 class ProbNetConfig:
     """Occupancy head: local conv stream (3x3 reduce, residual block with a
     channel gate, 1x1 logit) plus a global mean/max 7x7 stream."""
@@ -86,8 +63,18 @@ class ProbNetConfig:
 
 
 def default_weight_shapes(channels: int) -> dict:
-    shapes = CafConfig(channels).layer_shapes()
-    shapes.update(ProbNetConfig(channels).layer_shapes())
+    """Every layer of both heads.  The CAF head concatenates the streams,
+    reduces them back to `channels` and squeezes its two bottlenecks by 4,
+    which the occupancy head's reduce ratio makes exact."""
+    c, cb = channels, channels // 4
+    shapes = ProbNetConfig(channels).layer_shapes()
+    shapes.update({
+        "caf.reduce": (c, 2 * c, 1, 1),
+        "caf.local.squeeze": (cb, c, 1, 1),
+        "caf.local.expand": (c, cb, 1, 1),
+        "caf.global.squeeze": (cb, c, 1, 1),
+        "caf.global.expand": (c, cb, 1, 1),
+    })
     return shapes
 
 
@@ -99,23 +86,55 @@ def _bottleneck(z: np.ndarray, weights: WeightBundle, prefix: str) -> np.ndarray
     return conv2d(relu(conv2d(z, weights[f"{prefix}.squeeze"])), weights[f"{prefix}.expand"])
 
 
-def caf_fuse(
-    f_lss, f_ht, weights: WeightBundle, cfg: CafConfig, force_affinity: float | None = None
-):
-    """Blend the streams; returns (fused, affinity).  A forced affinity skips the head."""
+def _cell_rows(f: np.ndarray) -> np.ndarray:
+    """A (C, ny, nx) stream as (ny*nx, C) rows, one per cell: a view of
+    the streams' cell-major memory, a copy of a channel-major array."""
+    return f.transpose(1, 2, 0).reshape(-1, f.shape[0])
+
+
+def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = None):
+    """Blend the float32 streams; returns (fused, affinity).  A forced
+    affinity skips the head.
+
+    Every layer but the global pool works per position, so it runs on the
+    support (the cells where some input bit is set) plus one column for
+    every other cell, whose input is all +0.0.  The columns are packed
+    into grid-wide rows and each result is expanded back with one `take`;
+    the global pool sees the expanded full grid.
+    """
     if f_lss.shape != f_ht.shape:
         raise ShapeMismatch(f"stream shapes differ: {f_lss.shape} vs {f_ht.shape}")
-    if f_lss.shape[0] != cfg.channels:
-        raise ShapeMismatch(f"{f_lss.shape[0]} channels, config expects {cfg.channels}")
+    if f_lss.dtype != np.float32 or f_ht.dtype != np.float32:
+        raise ShapeMismatch(f"streams must be float32, got {f_lss.dtype} and {f_ht.dtype}")
+    c, ny, nx = f_lss.shape
+    lss_rows, ht_rows = _cell_rows(f_lss), _cell_rows(f_ht)
+    # bit tests, so -0.0 and NaN are support too
+    support = np.flatnonzero(
+        lss_rows.view(np.uint32).any(axis=1) | ht_rows.view(np.uint32).any(axis=1)
+    )
+    n = support.size
+    # column 0 is the background; the columns after the support pad a row
+    packed = np.zeros((2 * c, (n // nx + 1) * nx), dtype=np.float32)
+    for k in range(0, n, nx):  # a grid row of cells at a time: the transpose stays in cache
+        cells = support[k:k + nx]
+        packed[:c, 1 + k:1 + k + cells.size] = np.take(lss_rows, cells, axis=0).T
+        packed[c:, 1 + k:1 + k + cells.size] = np.take(ht_rows, cells, axis=0).T
+    packed = packed.reshape(2 * c, -1, nx)
+    where = np.zeros(ny * nx, dtype=np.intp)
+    where[support] = np.arange(1, n + 1)
+
+    def expand(x):
+        return np.take(x.reshape(c, -1), where, axis=1).reshape(c, ny, nx)
+
     if force_affinity is None:
-        z = conv2d(np.concatenate([f_lss, f_ht], axis=0), weights["caf.reduce"])
+        z = conv2d(packed, weights["caf.reduce"])
         local = _bottleneck(z, weights, "caf.local")
-        global_ = _bottleneck(global_avg_pool(z), weights, "caf.global")
-        affinity = sigmoid(local + global_)  # broadcast global over H, W
+        global_ = _bottleneck(global_avg_pool(expand(z)), weights, "caf.global")
+        affinity = sigmoid(local + global_)  # broadcast global over the columns
     else:
-        affinity = np.full(f_lss.shape, force_affinity, dtype=np.float32)
-    fused = affinity * f_lss + (1.0 - affinity) * f_ht
-    return fused.astype(np.float32), affinity
+        affinity = np.full((c,) + packed.shape[1:], force_affinity, dtype=np.float32)
+    fused = affinity * packed[:c] + (1.0 - affinity) * packed[c:]
+    return expand(fused), expand(affinity)
 
 
 def bev_probability(f_channel, weights: WeightBundle, cfg: ProbNetConfig) -> np.ndarray:
@@ -190,9 +209,9 @@ def fuse_and_finalize(
     f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = None
 ) -> PipelineResult:
     """Fusion tail of the pipeline, shared by the fast and reference front ends."""
-    channels = f_ht.shape[0]
-    fused, affinity = caf_fuse(f_lss, f_ht, weights, CafConfig(channels), force_affinity)
-    p = bev_probability(fused, weights, ProbNetConfig(channels))
+    cfg = ProbNetConfig(f_ht.shape[0])
+    fused, affinity = caf_fuse(f_lss, f_ht, weights, force_affinity)
+    p = bev_probability(fused, weights, cfg)
     return PipelineResult(
         f_final=assemble_final(fused, p),
         p_bev=p, f_ht=f_ht, f_lss=f_lss, f_channel=fused, affinity=affinity,

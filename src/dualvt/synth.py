@@ -10,6 +10,7 @@ and a uniform depth distribution.  Everything derives from one seed.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,6 +82,14 @@ class SceneSpec:
                 raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.n_cameras < 1:
             raise ConfigError("need at least one camera")
+        for name in ("feat_w", "feat_h", "channels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for name in ("kappa", "cam_height", "hfov_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not 0 < self.hfov_deg < 180:
+            raise ConfigError(f"hfov_deg must be in (0, 180), got {self.hfov_deg!r}")
         if self.kappa <= 0:
             raise ConfigError("kappa must be positive")
 

@@ -47,6 +47,18 @@ SCENE_SPEC = {
 }
 
 
+# scene-spec values of the right type outside their range; json writes NaN
+# and Infinity, and its reader takes them back
+OUT_OF_RANGE = [
+    ({"hfov_deg": 0}, "hfov_deg"), ({"hfov_deg": 180.0}, "hfov_deg"),
+    ({"hfov_deg": float("nan")}, "hfov_deg"), ({"channels": 0}, "channels"),
+    ({"channels": -1}, "channels"), ({"feat_w": 0}, "feat_w"), ({"feat_h": -2}, "feat_h"),
+    ({"kappa": float("nan")}, "kappa"), ({"cam_height": float("inf")}, "cam_height"),
+]
+OUT_OF_RANGE_IDS = ["hfov-0", "hfov-180", "hfov-nan", "channels-0", "channels-neg",
+                    "feat-w-0", "feat-h-neg", "kappa-nan", "cam-height-inf"]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Scene + tables shared by the CLI tests."""
@@ -113,6 +125,16 @@ class TestSynth:
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, doc, field):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad, field", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, bad, field):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SCENE_SPEC, **bad}))
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err
@@ -190,6 +212,19 @@ class TestPrecompute:
         assert main(
             ["precompute", "--scene", str(tmp_path / "nope"), "--out", str(tmp_path / "t")]
         ) == 3
+
+    @pytest.mark.parametrize("bad, field", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+    def test_out_of_range_manifest_spec_exits_2(self, workspace, tmp_path, capsys, bad, field):
+        scene = tmp_path / "scene"
+        shutil.copytree(workspace / "scene", scene)
+        manifest = scene / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        rewrite_json(manifest, {"spec": {**doc["spec"], **bad}})
+        assert main(["precompute", "--scene", str(scene), "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(manifest) in err and field in err
+        assert len(err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 
     @pytest.mark.parametrize("edit", [
         {"grid": 5},
@@ -295,6 +330,16 @@ class TestTransform:
             assert exit_.value.code == 2
             assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_channels_not_divisible_by_4_exits_2(self, tmp_path, capsys):
+        tables = other_tables(tmp_path / "six", channels=6)
+        capsys.readouterr()
+        assert main(["transform", "--scene", str(tables.parent / "scene"),
+                     "--tables", str(tables), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "reduce ratio must divide the channel count" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_weights_roundtrip_through_disk(self, workspace, tmp_path):
         wdir = tmp_path / "weights"

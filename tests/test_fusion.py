@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualvt.errors import ConfigError, ShapeMismatch
 from dualvt.fusion import (
-    CafConfig,
     ProbNetConfig,
     assemble_final,
     bev_probability,
@@ -14,7 +15,14 @@ from dualvt.fusion import (
 )
 from dualvt.height_stream import precompute_ht_table
 from dualvt.lift_stream import precompute_lss_table
-from dualvt.nnops import Conv2dWeights, WeightBundle
+from dualvt.nnops import (
+    Conv2dWeights,
+    WeightBundle,
+    conv2d,
+    global_avg_pool,
+    relu,
+    sigmoid,
+)
 from dualvt.rng import Rng
 
 C = 8
@@ -46,13 +54,13 @@ def zero_weights():
 class TestCafFuse:
     def test_affinity_strictly_inside_unit_interval(self):
         f_lss, f_ht = streams()
-        _, affinity = caf_fuse(f_lss, f_ht, weights(), CafConfig(C))
+        _, affinity = caf_fuse(f_lss, f_ht, weights())
         assert np.all(affinity > 0.0)
         assert np.all(affinity < 1.0)
 
     def test_convex_combination_bounds(self):
         f_lss, f_ht = streams()
-        fused, _ = caf_fuse(f_lss, f_ht, weights(), CafConfig(C))
+        fused, _ = caf_fuse(f_lss, f_ht, weights())
         lo = np.minimum(f_lss, f_ht)
         hi = np.maximum(f_lss, f_ht)
         assert np.all(fused >= lo - 1e-6)
@@ -60,29 +68,115 @@ class TestCafFuse:
 
     def test_equal_streams_are_fixed_point(self):
         f, _ = streams()
-        fused, _ = caf_fuse(f, f.copy(), weights(), CafConfig(C))
+        fused, _ = caf_fuse(f, f.copy(), weights())
         assert fused == pytest.approx(f, abs=1e-6)
 
     def test_zero_weights_give_even_blend(self):
         f_lss, f_ht = streams()
-        fused, affinity = caf_fuse(f_lss, f_ht, zero_weights(), CafConfig(C))
+        fused, affinity = caf_fuse(f_lss, f_ht, zero_weights())
         assert np.all(affinity == 0.5)
         assert fused == pytest.approx(0.5 * (f_lss + f_ht), abs=1e-6)
 
     def test_swap_symmetry_at_even_blend(self):
         f_lss, f_ht = streams()
-        a, _ = caf_fuse(f_lss, f_ht, zero_weights(), CafConfig(C))
-        b, _ = caf_fuse(f_ht, f_lss, zero_weights(), CafConfig(C))
+        a, _ = caf_fuse(f_lss, f_ht, zero_weights())
+        b, _ = caf_fuse(f_ht, f_lss, zero_weights())
         assert a == pytest.approx(b, abs=1e-6)
 
     def test_shape_mismatch_rejected(self):
         f_lss, f_ht = streams()
         with pytest.raises(ShapeMismatch):
-            caf_fuse(f_lss[:, :5], f_ht, weights(), CafConfig(C))
+            caf_fuse(f_lss[:, :5], f_ht, weights())
 
-    def test_bad_ratio_rejected(self):
-        with pytest.raises(ConfigError):
-            CafConfig(channels=6, ratio=4)
+    def test_streams_must_be_float32(self):
+        f_lss, f_ht = streams()
+        with pytest.raises(ShapeMismatch, match="float32"):
+            caf_fuse(f_lss.astype(np.float64), f_ht, weights())
+
+
+def full_grid_caf(f_lss, f_ht, w, force_affinity=None):
+    """Reference: the CAF head with every layer on every cell of the grid."""
+    def bottleneck(x, prefix):
+        return conv2d(relu(conv2d(x, w[f"{prefix}.squeeze"])), w[f"{prefix}.expand"])
+
+    if force_affinity is None:
+        z = conv2d(np.concatenate([f_lss, f_ht], axis=0), w["caf.reduce"])
+        affinity = sigmoid(bottleneck(z, "caf.local") + bottleneck(global_avg_pool(z), "caf.global"))
+    else:
+        affinity = np.full(f_lss.shape, force_affinity, dtype=np.float32)
+    fused = affinity * f_lss + (1.0 - affinity) * f_ht
+    return fused.astype(np.float32), affinity
+
+
+def support_cells(kind, n_cells, nx, seed):
+    """Flat indices of the cells that get an input, for one support kind."""
+    if kind == "empty":
+        return np.zeros(0, dtype=np.int64)
+    if kind == "one":
+        return np.array([seed % n_cells])
+    if kind == "full":
+        return np.arange(n_cells)
+    if kind == "row":  # with the background column, exactly one packed row
+        return np.sort(np.argsort(Rng(seed).uniform((n_cells,)))[: nx - 1])
+    return np.flatnonzero(Rng(seed).uniform((n_cells,)) < 0.4)
+
+
+def cell_major_streams(ny, nx, cells, seed, neg_zero_cell):
+    """Two (C, ny, nx) streams laid out as the stream transforms return them:
+    channel-major views of (ny*nx, C) cell-major memory.  Inputs on
+    `cells` only; a quarter of those entries are -0.0, and with
+    `neg_zero_cell` the first cell holds -0.0 in every channel of both."""
+    rng = Rng(seed)
+    out = []
+    for _ in range(2):
+        rows = np.zeros((ny * nx, C), dtype=np.float32)
+        if len(cells):
+            vals = rng.uniform((len(cells), C), -1.0, 1.0)
+            vals[rng.uniform((len(cells), C)) < 0.25] = -0.0
+            rows[cells] = vals
+            if neg_zero_cell:
+                rows[cells[0]] = -0.0
+        out.append(rows.T.reshape(C, ny, nx))
+    return out
+
+
+class TestCafPacking:
+    """`caf_fuse` runs its per-position layers on the support plus one
+    background column; the full-grid formula is the oracle, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ny=st.integers(1, 6), nx=st.integers(1, 9),
+        kind=st.sampled_from(["empty", "one", "full", "row", "random"]),
+        seed=st.integers(0, 2**16), neg_zero_cell=st.booleans(),
+        contiguous=st.booleans(), force=st.sampled_from([None, 0.0, 0.3, 1.0]),
+    )
+    @example(ny=3, nx=5, kind="row", seed=1, neg_zero_cell=True, contiguous=False, force=None)
+    @example(ny=3, nx=5, kind="random", seed=2, neg_zero_cell=True, contiguous=False, force=None)
+    @example(ny=2, nx=4, kind="one", seed=5, neg_zero_cell=True, contiguous=True, force=0.3)
+    @example(ny=4, nx=4, kind="full", seed=3, neg_zero_cell=False, contiguous=False, force=None)
+    @example(ny=4, nx=4, kind="empty", seed=3, neg_zero_cell=False, contiguous=True, force=None)
+    def test_bitwise_equal_to_full_grid(
+        self, ny, nx, kind, seed, neg_zero_cell, contiguous, force
+    ):
+        cells = support_cells(kind, ny * nx, nx, seed)
+        f_lss, f_ht = cell_major_streams(ny, nx, cells, seed + 1, neg_zero_cell)
+        if contiguous:
+            f_lss, f_ht = np.ascontiguousarray(f_lss), np.ascontiguousarray(f_ht)
+        w = make_seeded_weights(seed % 4, C)
+        fused, affinity = caf_fuse(f_lss, f_ht, w, force)
+        ref_fused, ref_affinity = full_grid_caf(f_lss, f_ht, w, force)
+        for got, ref in ((fused, ref_fused), (affinity, ref_affinity)):
+            assert got.shape == ref.shape and got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+    def test_negative_zero_cell_is_support(self):
+        """A cell holding -0.0 in both streams blends to -0.0, not to the
+        background's +0.0."""
+        f_lss, f_ht = cell_major_streams(3, 4, np.array([5]), 0, neg_zero_cell=True)
+        fused, _ = caf_fuse(f_lss, f_ht, weights())
+        assert np.all(np.signbit(fused[:, 1, 1]))
+        assert not np.any(np.signbit(np.delete(fused.reshape(C, -1), 5, axis=1)))
 
 
 class TestBevProbability:
@@ -163,6 +257,15 @@ class TestFuseAndFinalize:
         assert np.all(res.affinity == a)
         blend = (a * f_lss + (1.0 - a) * f_ht).astype(np.float32)
         assert np.array_equal(res.f_channel.view(np.uint32), blend.view(np.uint32))
+
+    def test_channels_not_divisible_by_4_rejected(self):
+        """The occupancy head's reduce ratio fixes the channel count for both
+        heads: a 6-channel bundle or pair of streams is a config error."""
+        with pytest.raises(ConfigError, match="reduce ratio"):
+            make_seeded_weights(11, 6)
+        f6 = np.zeros((6,) + SHAPE[1:], dtype=np.float32)
+        with pytest.raises(ConfigError, match="reduce ratio"):
+            fuse_and_finalize(f6, f6.copy(), weights())
 
     def test_result_fields_consistent(self):
         f_lss, f_ht = streams()
