@@ -5,6 +5,22 @@ The two stream features are blended by a channel-attention affinity
 (local convolutional path plus a global mean/max spatial path) predicts
 the per-cell occupancy probability, which multiplies the fused feature
 exactly once to yield the final output.
+
+The fusion head computes only where the BEV has input.  Its per-position
+layers (the 1x1 ``caf.reduce``, the local bottleneck, the add, the
+sigmoid and the blend) run on the *support*, the cells where some input
+of either stream is not bit-for-bit +0.0 (so -0.0 and NaN are input),
+plus one *background* column: every other cell has the same all-+0.0
+input, so it gets that column's results.  The columns are packed into a
+grid-wide ``(2C, rows, nx)`` image, so ``conv2d`` keeps walking row
+blocks of the grid's width, and each result is expanded to the grid with
+one ``np.take``.  The global pool sees the expanded grid.  The packed
+``dgemm`` shapes are not the full grid's; the golden head digests, taken
+from full-grid code on a masked and on a ``disable-M`` run, pin them as
+giving the same bits (see ``dualvt.nnops`` for the arithmetic contract).
+The occupancy head runs on the full grid: its 3x3 and 7x7 convolutions
+reach across cells, and their zero padding makes border cells differ
+from the background.
 """
 
 from __future__ import annotations
@@ -86,28 +102,21 @@ def _bottleneck(z: np.ndarray, weights: WeightBundle, prefix: str) -> np.ndarray
     return conv2d(relu(conv2d(z, weights[f"{prefix}.squeeze"])), weights[f"{prefix}.expand"])
 
 
-def _cell_rows(f: np.ndarray) -> np.ndarray:
-    """A (C, ny, nx) stream as (ny*nx, C) rows, one per cell: a view of
-    the streams' cell-major memory, a copy of a channel-major array."""
-    return f.transpose(1, 2, 0).reshape(-1, f.shape[0])
-
-
 def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = None):
     """Blend the float32 streams; returns (fused, affinity).  A forced
     affinity skips the head.
 
-    Every layer but the global pool works per position, so it runs on the
-    support (the cells where some input bit is set) plus one column for
-    every other cell, whose input is all +0.0.  The columns are packed
-    into grid-wide rows and each result is expanded back with one `take`;
-    the global pool sees the expanded full grid.
+    Packed column 0 is the background, column 1 + k is ``support[k]``;
+    a blended background is ``a*0 + (1-a)*0``, +0.0 for any affinity in
+    [0, 1].  One body serves masked, dense and forced-affinity inputs.
     """
     if f_lss.shape != f_ht.shape:
         raise ShapeMismatch(f"stream shapes differ: {f_lss.shape} vs {f_ht.shape}")
     if f_lss.dtype != np.float32 or f_ht.dtype != np.float32:
         raise ShapeMismatch(f"streams must be float32, got {f_lss.dtype} and {f_ht.dtype}")
     c, ny, nx = f_lss.shape
-    lss_rows, ht_rows = _cell_rows(f_lss), _cell_rows(f_ht)
+    # (ny*nx, C) rows, one per cell: views of the streams' cell-major memory
+    lss_rows, ht_rows = (f.transpose(1, 2, 0).reshape(-1, c) for f in (f_lss, f_ht))
     # bit tests, so -0.0 and NaN are support too
     support = np.flatnonzero(
         lss_rows.view(np.uint32).any(axis=1) | ht_rows.view(np.uint32).any(axis=1)

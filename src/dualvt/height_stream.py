@@ -76,7 +76,13 @@ def precompute_ht_table(
 
 
 def ht_transform_fast(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:
-    """Scatter-sum over the precomputed table; returns (C, ny, nx) float32."""
+    """Scatter-sum over the precomputed table; returns (C, ny, nx) float32.
+
+    The result is a channel-major view of cell-major memory: the scatter
+    sums (ny*nx, C) rows, so the strides are (4, nx*C*4, C*4) and each
+    cell's C channels are adjacent.  Reading it one cell at a time is
+    cheap; a walk over one channel's plane is a strided one.
+    """
     check_camera_tensors(
         feats, depths, masks, table.n_cams, table.feat_h, table.feat_w, table.n_bins
     )

@@ -31,6 +31,14 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """math.isfinite, False also for an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box: center (x, y, z) and size (length, width, height), meters."""
@@ -86,7 +94,7 @@ class SceneSpec:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         for name in ("kappa", "cam_height", "hfov_deg"):
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 < self.hfov_deg < 180:
             raise ConfigError(f"hfov_deg must be in (0, 180), got {self.hfov_deg!r}")

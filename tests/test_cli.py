@@ -54,9 +54,10 @@ OUT_OF_RANGE = [
     ({"hfov_deg": float("nan")}, "hfov_deg"), ({"channels": 0}, "channels"),
     ({"channels": -1}, "channels"), ({"feat_w": 0}, "feat_w"), ({"feat_h": -2}, "feat_h"),
     ({"kappa": float("nan")}, "kappa"), ({"cam_height": float("inf")}, "cam_height"),
+    ({"cam_height": 10**400}, "cam_height"),
 ]
 OUT_OF_RANGE_IDS = ["hfov-0", "hfov-180", "hfov-nan", "channels-0", "channels-neg",
-                    "feat-w-0", "feat-h-neg", "kappa-nan", "cam-height-inf"]
+                    "feat-w-0", "feat-h-neg", "kappa-nan", "cam-height-inf", "cam-height-huge"]
 
 
 @pytest.fixture(scope="module")

@@ -153,6 +153,8 @@ class TestCafPacking:
     )
     @example(ny=3, nx=5, kind="row", seed=1, neg_zero_cell=True, contiguous=False, force=None)
     @example(ny=3, nx=5, kind="random", seed=2, neg_zero_cell=True, contiguous=False, force=None)
+    @example(ny=3, nx=5, kind="random", seed=2, neg_zero_cell=True, contiguous=False, force=0.0)
+    @example(ny=3, nx=5, kind="random", seed=2, neg_zero_cell=True, contiguous=False, force=1.0)
     @example(ny=2, nx=4, kind="one", seed=5, neg_zero_cell=True, contiguous=True, force=0.3)
     @example(ny=4, nx=4, kind="full", seed=3, neg_zero_cell=False, contiguous=False, force=None)
     @example(ny=4, nx=4, kind="empty", seed=3, neg_zero_cell=False, contiguous=True, force=None)
