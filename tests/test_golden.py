@@ -1,8 +1,10 @@
-"""Golden digests of the fusion and occupancy heads on one pinned scene.
+"""Golden digests of the fusion and occupancy heads.
 
-The scene is run twice: with its instance masks, where a handful of the
-2,304 cells carry a feature, and with ``disable-M`` (all-ones masks),
-where 1,640 do.
+One pinned scene is run twice: with its instance masks, where a handful
+of the 2,304 cells carry a feature, and with ``disable-M`` (all-ones
+masks), where 1,640 do.  A third set pins the heads on seeded streams
+whose input cells sit at a corner, next to each edge and in the
+interior, so that the occupancy head's reach meets the grid's border.
 
 The heads' arithmetic contract (see ``dualvt.nnops``) is one float32
 rounding of float64 sums whose order the BLAS picks.  These digests pin
@@ -26,6 +28,7 @@ from conftest import small_scene
 from dualvt.fusion import fuse_and_finalize, make_seeded_weights, run_pipeline
 from dualvt.height_stream import precompute_ht_table
 from dualvt.lift_stream import precompute_lss_table
+from dualvt.rng import Rng
 
 WEIGHT_SEED = 11
 # small_scene(0) with make_seeded_weights(11, 8), at threads 1 and 2
@@ -41,6 +44,14 @@ GOLDEN_DISABLE_M = {
     "A": "7e36bd85bac6820640a8a42ceace6bc67c840931acdd15a5b506dec7beb33765",
     "P": "f56b1e259b61974817b15ce7cdb162d8e1b624aaff594a3c1208108b387a4a9a",
     "F": "b6acff495b46b890b964af047ff0ac66d964bbc18f30304729c3f932ba17ffe7",
+}
+
+# fuse_and_finalize(*border_streams()) with make_seeded_weights(11, 8)
+GOLDEN_BORDER = {
+    "F_channel": "76486b85acdb11058104af1c16ea34ff232c1716b6d3fdbf79022309b7d51fae",
+    "A": "474ab0a7d14da1f06e0045407637000b2404bb380d141e3c6b2649fea89c02b4",
+    "P": "eaeb4e54f2551e28c12ce4c64b895bcfa33a5e307a9590d7cf63e2ce36409355",
+    "F": "45dec61bfa9c2360b97a521e9e718867f3f559741042434559513ec076eaa37c",
 }
 
 
@@ -60,6 +71,30 @@ def saved_stream_digests(directory) -> dict:
     f_lss, f_ht = np.load(directory / "f_lss.npy"), np.load(directory / "f_ht.npy")
     weights = make_seeded_weights(WEIGHT_SEED, f_ht.shape[0])
     return head_digests(fuse_and_finalize(f_lss, f_ht, weights))
+
+
+def border_streams(n=48, channels=8):
+    """(f_lss, f_ht) on an n x n grid with input on 18 cells: a corner,
+    cells at distances 0-3 from each edge and one interior cell.  Both
+    streams hold seeded values there, a quarter of them -0.0."""
+    cells = [(0, 0), (n // 2, n // 2)]
+    for d in range(4):
+        cells += [(d, 12), (n - 1 - d, 34), (30, d), (14, n - 1 - d)]
+    ys, xs = np.array(cells).T
+    rng = Rng(5)
+    out = []
+    for _ in range(2):
+        f = np.zeros((channels, n, n), dtype=np.float32)
+        vals = rng.uniform((channels, len(cells)), -1.0, 1.0)
+        vals[rng.uniform(vals.shape) < 0.25] = -0.0
+        f[:, ys, xs] = vals
+        out.append(f)
+    return out
+
+
+def border_digests() -> dict:
+    f_lss, f_ht = border_streams()
+    return head_digests(fuse_and_finalize(f_lss, f_ht, make_seeded_weights(WEIGHT_SEED, 8)))
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +121,10 @@ def test_disable_m_head_matches_golden_digests(pinned, threads):
     assert head_digests(run_pinned(pinned, threads, disable_mask=True)) == GOLDEN_DISABLE_M
 
 
+def test_border_head_matches_golden_digests():
+    assert border_digests() == GOLDEN_BORDER
+
+
 def _numpy_on_openblas_x86() -> bool:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -94,26 +133,31 @@ def _numpy_on_openblas_x86() -> bool:
     return "openblas" in blas.lower() and platform.machine().lower() in ("x86_64", "amd64")
 
 
-def digests_on_nehalem(pinned, tmp_path, disable_mask):
-    """Head digests of the pinned run, and of the same stream outputs under
-    OpenBLAS's Nehalem kernels, which run on any x86-64 CPU and sum in
-    another order than the AVX kernels picked on newer ones."""
-    result = run_pinned(pinned, threads=1, disable_mask=disable_mask)
-    np.save(tmp_path / "f_lss.npy", result.f_lss)
-    np.save(tmp_path / "f_ht.npy", result.f_ht)
+def nehalem_digests(call, blas_threads=1):
+    """`test_golden.<call>` run in a subprocess under OpenBLAS's Nehalem
+    kernels, which run on any x86-64 CPU and sum in another order than
+    the AVX kernels picked on newer ones."""
     paths = [str(Path(dualvt.__file__).parents[1]), str(Path(__file__).parent)]
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
         "OPENBLAS_CORETYPE": "Nehalem",
-        "OPENBLAS_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": str(blas_threads),
     }
-    code = ("import sys, json, test_golden; "
-            "print(json.dumps(test_golden.saved_stream_digests(sys.argv[1])))")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+    code = f"import sys, json, test_golden; print(json.dumps(test_golden.{call}))"
+    proc = subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout), head_digests(result)
+    return json.loads(proc.stdout)
+
+
+def digests_on_nehalem(pinned, tmp_path, disable_mask):
+    """Head digests of the pinned run, and of the same stream outputs under
+    the Nehalem kernels."""
+    result = run_pinned(pinned, threads=1, disable_mask=disable_mask)
+    np.save(tmp_path / "f_lss.npy", result.f_lss)
+    np.save(tmp_path / "f_ht.npy", result.f_ht)
+    return nehalem_digests(f"saved_stream_digests({str(tmp_path)!r})"), head_digests(result)
 
 
 needs_openblas_x86 = pytest.mark.skipif(
@@ -131,3 +175,9 @@ def test_head_digests_hold_on_another_openblas_core(pinned, tmp_path):
 def test_disable_m_head_digests_hold_on_another_openblas_core(pinned, tmp_path):
     nehalem, here = digests_on_nehalem(pinned, tmp_path, disable_mask=True)
     assert nehalem == here == GOLDEN_DISABLE_M
+
+
+@needs_openblas_x86
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_border_head_digests_hold_on_another_openblas_core(blas_threads):
+    assert nehalem_digests("border_digests()", blas_threads) == GOLDEN_BORDER
