@@ -18,9 +18,37 @@ one ``np.take``.  The global pool sees the expanded grid.  The packed
 ``dgemm`` shapes are not the full grid's; the golden head digests, taken
 from full-grid code on a masked and on a ``disable-M`` run, pin them as
 giving the same bits (see ``dualvt.nnops`` for the arithmetic contract).
-The occupancy head runs on the full grid: its 3x3 and 7x7 convolutions
-reach across cells, and their zero padding makes border cells differ
-from the background.
+
+The occupancy head does the same where it pays.  Its 3x3 and 7x7
+convolutions reach across cells, so each layer runs on its own *active
+set*, the cells whose value can differ from the layer's background, and
+the set grows by the kernel's reach (``kh // 2``, ``kw // 2``):
+
+- the 3x3 reduce: the support dilated by 1.  Its input is +0.0 off the
+  support, and so is the zero padding.
+- ``res1``: the reduce's set dilated by 1, plus a border band 1 cell
+  wide.  Off the set its input is the reduce's bias, and the zero
+  padding breaks that constant at the edge.
+- ``res2`` and everything after it (the residual add, the gate multiply,
+  the 1x1 ``out``, the sigmoid and the clip): ``res1``'s set dilated by
+  1, plus a band 2 cells wide, joined with the global conv's set.
+- the 7x7 global conv: the support dilated by 3.  The channel stats are
+  +0.0 off the support, as the padding is.
+
+A k x k layer gathers its float32 windows at its active cells into a
+``(C_in*kh*kw, rows, nx)`` image and runs it through ``conv2d`` as a 1x1
+layer, with the kernel flattened in ``conv2d``'s own ``(c_in, i, j)``
+order, so each output sums the same exact products as on the full grid.
+The image's first column is the background: each of its window elements
+is the background value of the layer's input, so the background is
+carried through every layer, not computed apart.  The gate's global
+pool sees ``h + r`` expanded to the grid, and ``P`` is expanded at the
+end.  A gathered window costs about twice a full-grid one, so the head
+runs packed only while its largest active set is at most a quarter of
+the grid (``_PACKED_MAX_SHARE``): masked desk frames need 7-9% of the
+grid, while ``disable-M`` frames, at 95-98%, run every layer on the full
+grid.  The golden digests pin both paths, and a packed frame whose
+reach meets the border.
 """
 
 from __future__ import annotations
@@ -33,6 +61,7 @@ from .errors import ConfigError, ShapeMismatch
 from .height_stream import ht_transform_fast
 from .lift_stream import lss_pool
 from .nnops import (
+    Conv2dWeights,
     WeightBundle,
     channel_stats,
     conv2d,
@@ -47,26 +76,30 @@ _P_LO = np.float32(1e-7)
 _P_HI = np.nextafter(np.float32(1.0), np.float32(0.0))
 
 
+# Largest share of the grid the occupancy head computes as packed active
+# cells.  A packed layer gathers its windows cell by cell, which costs
+# more per cell than conv2d's row-block slices: over the whole 128x128
+# grid the 3x3 reduce took 26-32 ms against 12-14 ms, res1 6.5-8 against
+# 3.5-4 ms and the 7x7 14 against 1.5 ms.  Masked desk frames have active
+# sets of 7-9% of the grid and disable-M frames 95-98%.
+_PACKED_MAX_SHARE = 0.25
+
+
 @dataclass(frozen=True)
 class ProbNetConfig:
     """Occupancy head: local conv stream (3x3 reduce, residual block with a
     channel gate, 1x1 logit) plus a global mean/max 7x7 stream."""
 
     channels: int
-    reduce_ratio: int = 4
-    gate_ratio: int = 4
 
     def __post_init__(self):
-        if self.channels % self.reduce_ratio:
+        # the reduce and the gate squeeze by 4
+        if self.channels % 4:
             raise ConfigError("reduce ratio must divide the channel count")
 
-    @property
-    def reduced(self) -> int:
-        return self.channels // self.reduce_ratio
-
     def layer_shapes(self) -> dict:
-        c, cr = self.channels, self.reduced
-        cg = max(cr // self.gate_ratio, 1)
+        c, cr = self.channels, self.channels // 4
+        cg = max(cr // 4, 1)
         return {
             "prob.local.reduce": (cr, c, 3, 3),
             "prob.local.res1": (cr, cr, 3, 3),
@@ -98,6 +131,12 @@ def make_seeded_weights(seed: int, channels: int) -> WeightBundle:
     return WeightBundle.seeded(seed, default_weight_shapes(channels))
 
 
+def _has_input(x: np.ndarray, axis: int) -> np.ndarray:
+    """Per cell, whether some channel of float32 `x` (channels on `axis`)
+    is not bit-for-bit +0.0: a u32 test, so -0.0 and NaN count as input."""
+    return x.view(np.uint32).any(axis=axis)
+
+
 def _bottleneck(z: np.ndarray, weights: WeightBundle, prefix: str) -> np.ndarray:
     return conv2d(relu(conv2d(z, weights[f"{prefix}.squeeze"])), weights[f"{prefix}.expand"])
 
@@ -117,10 +156,7 @@ def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = 
     c, ny, nx = f_lss.shape
     # (ny*nx, C) rows, one per cell: views of the streams' cell-major memory
     lss_rows, ht_rows = (f.transpose(1, 2, 0).reshape(-1, c) for f in (f_lss, f_ht))
-    # bit tests, so -0.0 and NaN are support too
-    support = np.flatnonzero(
-        lss_rows.view(np.uint32).any(axis=1) | ht_rows.view(np.uint32).any(axis=1)
-    )
+    support = np.flatnonzero(_has_input(lss_rows, axis=1) | _has_input(ht_rows, axis=1))
     n = support.size
     # column 0 is the background; the columns after the support pad a row
     packed = np.zeros((2 * c, (n // nx + 1) * nx), dtype=np.float32)
@@ -146,20 +182,138 @@ def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = 
     return expand(fused), expand(affinity)
 
 
+def _reach(cells: np.ndarray, w: Conv2dWeights, padding_differs: bool) -> np.ndarray:
+    """The cells where layer `w`'s output can differ from its background:
+    those within the kernel's reach of `cells`, where its input can, or
+    of the zero padding when that zero differs from the input's background."""
+    ry, rx = w.kernel.shape[2] // 2, w.kernel.shape[3] // 2
+    ny, nx = cells.shape
+    padded = np.pad(cells, ((ry, ry), (rx, rx)), constant_values=padding_differs)
+    rows = np.logical_or.reduce([padded[i:i + ny] for i in range(2 * ry + 1)])
+    return np.logical_or.reduce([rows[:, j:j + nx] for j in range(2 * rx + 1)])
+
+
+class _FullGrid:
+    """The occupancy head's layers on every cell of the grid."""
+
+    def pack(self, x):
+        return x
+
+    def conv(self, x, w, src, dst):
+        return conv2d(x, w)
+
+    def move(self, x, src, dst):
+        return x
+
+    def expand(self, x, src):
+        return x
+
+
+class _ActiveCells:
+    """The occupancy head's layers on their active sets (module docstring).
+
+    A value on set `name` is a (C, rows, nx) image: flat column 0 is the
+    background, the value of every cell outside the set, column 1 + k is
+    ``cells[name][k]``, and the columns after those pad the last row.
+    """
+
+    def __init__(self, sets: dict):
+        self.shape = sets["input"].shape
+        self.cells = {name: np.flatnonzero(m) for name, m in sets.items()}
+        self.where = {}  # each cell's column in a set's image
+        for name, cells in self.cells.items():
+            self.where[name] = np.zeros(sets[name].size, dtype=np.intp)
+            self.where[name][cells] = np.arange(1, cells.size + 1)
+
+    def _columns(self, name: str) -> int:
+        nx = self.shape[1]
+        return -(-(self.cells[name].size + 1) // nx) * nx
+
+    def _take(self, x2d, idx):
+        return np.take(x2d, idx, axis=1).reshape(-1, idx.shape[-1] // self.shape[1], self.shape[1])
+
+    def pack(self, x):
+        """The grid `x`, +0.0 off the input set, on the input set."""
+        cells = self.cells["input"]
+        out = np.zeros((x.shape[0], self._columns("input")), dtype=x.dtype)
+        out[:, 1:1 + cells.size] = np.take(x.reshape(x.shape[0], -1), cells, axis=1)
+        return out.reshape(x.shape[0], -1, self.shape[1])
+
+    def conv(self, x, w: Conv2dWeights, src: str, dst: str):
+        """Layer `w` from set `src` to set `dst`, as a 1x1 layer on the
+        gathered windows."""
+        c_out, c_in, kh, kw = w.kernel.shape
+        ry, rx = kh // 2, kw // 2
+        ny, nx = self.shape
+        n_src = self.cells[src].size
+        # the zero padding is one more column, after the source's own
+        x2d = np.concatenate(
+            [x.reshape(c_in, -1)[:, :1 + n_src], np.zeros((c_in, 1), dtype=x.dtype)], axis=1
+        )
+        where = np.pad(self.where[src].reshape(ny, nx), ((ry, ry), (rx, rx)),
+                       constant_values=n_src + 1)
+        ys, xs = np.divmod(self.cells[dst], nx)
+        di, dj = np.divmod(np.arange(kh * kw), kw)
+        # the background's window is all column 0, the source's background
+        idx = np.zeros((kh * kw, self._columns(dst)), dtype=np.intp)
+        idx[:, 1:1 + ys.size] = where[ys + di[:, None], xs + dj[:, None]]
+        windows = self._take(x2d, idx)  # rows in conv2d's (c_in, i, j) order
+        return conv2d(windows, Conv2dWeights(w.kernel.reshape(c_out, -1, 1, 1), w.bias))
+
+    def move(self, x, src: str, dst: str):
+        """A value on set `src` onto the larger set `dst`."""
+        idx = np.zeros(self._columns(dst), dtype=np.intp)
+        idx[1:1 + self.cells[dst].size] = self.where[src][self.cells[dst]]
+        return self._take(x.reshape(x.shape[0], -1), idx)
+
+    def expand(self, x, src: str):
+        """A value on set `src` onto the whole grid."""
+        return np.take(x.reshape(x.shape[0], -1), self.where[src], axis=1).reshape(
+            (x.shape[0],) + self.shape
+        )
+
+
+def _active_cells(f_channel: np.ndarray, weights: WeightBundle):
+    """The occupancy head's active sets, or the full grid when the largest
+    would hold more than `_PACKED_MAX_SHARE` of it."""
+    support = _has_input(f_channel, axis=0)
+    limit = _PACKED_MAX_SHARE * support.size
+    if np.count_nonzero(support) > limit:  # a dense frame pays for no dilation
+        return _FullGrid()
+
+    # f_channel and its channel stats are +0.0 off the support, as the padding is
+    reduce = _reach(support, weights["prob.local.reduce"], padding_differs=False)
+    global_ = _reach(support, weights["prob.global.conv"], padding_differs=False)
+    # off their sets, res1's and res2's inputs are constants (the reduce's
+    # bias, and what res1 makes of it), which the padding breaks at the edge
+    res1 = _reach(reduce, weights["prob.local.res1"], padding_differs=True)
+    # the add, the gate, `out`, the sigmoid and the clip run on res2's set
+    out = _reach(res1, weights["prob.local.res2"], padding_differs=True) | global_
+    if np.count_nonzero(out) > limit:
+        return _FullGrid()
+    return _ActiveCells(
+        {"input": support, "reduce": reduce, "res1": res1, "global": global_, "out": out}
+    )
+
+
 def bev_probability(f_channel, weights: WeightBundle, cfg: ProbNetConfig) -> np.ndarray:
     """(1, ny, nx) occupancy probability, strictly inside (0, 1)."""
     if f_channel.shape[0] != cfg.channels:
         raise ShapeMismatch(
             f"{f_channel.shape[0]} channels, config expects {cfg.channels}"
         )
-    h = conv2d(f_channel, weights["prob.local.reduce"])
-    r = conv2d(relu(conv2d(h, weights["prob.local.res1"])), weights["prob.local.res2"])
-    h = h + r
-    gate = sigmoid(_bottleneck(global_avg_pool(h), weights, "prob.local.gate"))
+    if f_channel.dtype != np.float32:
+        raise ShapeMismatch(f"F_channel must be float32, got {f_channel.dtype}")
+    cells = _active_cells(f_channel, weights)
+    x = cells.pack(f_channel)
+    h = cells.conv(x, weights["prob.local.reduce"], "input", "reduce")
+    t = relu(cells.conv(h, weights["prob.local.res1"], "reduce", "res1"))
+    h = cells.move(h, "reduce", "out") + cells.conv(t, weights["prob.local.res2"], "res1", "out")
+    gate = sigmoid(_bottleneck(global_avg_pool(cells.expand(h, "out")), weights, "prob.local.gate"))
     local_logits = conv2d(h * gate, weights["prob.local.out"])
-    global_logits = conv2d(channel_stats(f_channel), weights["prob.global.conv"])
-    p = sigmoid(local_logits + global_logits)
-    return np.clip(p, _P_LO, _P_HI)
+    global_logits = cells.conv(channel_stats(x), weights["prob.global.conv"], "input", "global")
+    p = sigmoid(local_logits + cells.move(global_logits, "global", "out"))
+    return cells.expand(np.clip(p, _P_LO, _P_HI), "out")
 
 
 def assemble_final(f_channel: np.ndarray, p: np.ndarray) -> np.ndarray:
