@@ -43,9 +43,10 @@ The image's first column is the background: each of its window elements
 is the background value of the layer's input, so the background is
 carried through every layer, not computed apart.  The gate's global
 pool sees ``h + r`` expanded to the grid, and ``P`` is expanded at the
-end.  A gathered window costs about twice a full-grid one, so the head
-runs packed only while its largest active set is at most a quarter of
-the grid (``_PACKED_MAX_SHARE``): masked desk frames need 7-9% of the
+end.  A gathered window costs more per cell than ``conv2d``'s row-block
+slices (about 2x for the 3x3 layers, 9x for the 7x7), so the head runs
+packed only while its largest active set is at most a quarter of the
+grid (``_PACKED_MAX_SHARE``): masked desk frames need 7-9% of the
 grid, while ``disable-M`` frames, at 95-98%, run every layer on the full
 grid.  The golden digests pin both paths, and a packed frame whose
 reach meets the border.

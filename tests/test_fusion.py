@@ -3,8 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dualvt.fusion
 from dualvt.errors import ConfigError, ShapeMismatch
 from dualvt.fusion import (
+    _PACKED_MAX_SHARE,
     ProbNetConfig,
     assemble_final,
     bev_probability,
@@ -18,6 +20,7 @@ from dualvt.lift_stream import precompute_lss_table
 from dualvt.nnops import (
     Conv2dWeights,
     WeightBundle,
+    channel_stats,
     conv2d,
     global_avg_pool,
     relu,
@@ -181,6 +184,168 @@ class TestCafPacking:
         assert not np.any(np.signbit(np.delete(fused.reshape(C, -1), 5, axis=1)))
 
 
+def full_grid_probability(f, w):
+    """Reference: the occupancy head with every layer on every cell of the grid."""
+    def bottleneck(x, prefix):
+        return conv2d(relu(conv2d(x, w[f"{prefix}.squeeze"])), w[f"{prefix}.expand"])
+
+    h = conv2d(f, w["prob.local.reduce"])
+    h = h + conv2d(relu(conv2d(h, w["prob.local.res1"])), w["prob.local.res2"])
+    gate = sigmoid(bottleneck(global_avg_pool(h), "prob.local.gate"))
+    logits = conv2d(h * gate, w["prob.local.out"]) + conv2d(channel_stats(f), w["prob.global.conv"])
+    return np.clip(sigmoid(logits), np.float32(1e-7), np.nextafter(np.float32(1), np.float32(0)))
+
+
+def near(cells, ny, nx, r, band=0):
+    """Mask of the cells within `r` rows and columns of a cell in `cells`,
+    or within `band` cells of the grid's edge."""
+    yy, xx = np.mgrid[:ny, :nx]
+    out = np.minimum.reduce([yy, xx, ny - 1 - yy, nx - 1 - xx]) < band
+    for cell in cells:
+        y, x = divmod(int(cell), nx)
+        out |= (np.abs(yy - y) <= r) & (np.abs(xx - x) <= r)
+    return out
+
+
+def cut_straddle(ny, nx, seed):
+    """Two supports, one cell apart, whose largest active set (3 cells
+    around the support, 2 along the edge) is just within and just beyond
+    the share of the grid the occupancy head packs."""
+    order = np.argsort(Rng(seed).uniform((ny * nx,)))
+    covered = near([], ny, nx, 3, band=2)
+    for k, cell in enumerate(order):
+        covered |= near([cell], ny, nx, 3)
+        if np.count_nonzero(covered) > _PACKED_MAX_SHARE * ny * nx:
+            return np.sort(order[:k]), np.sort(order[:k + 1])
+    raise AssertionError("the whole grid is within the cut")
+
+
+def prob_support(kind, ny, nx, seed):
+    """Flat indices of the cells that get an input, for one support kind."""
+    rng = Rng(seed)
+    if kind == "corner":
+        y, x = [(0, 0), (0, nx - 1), (ny - 1, 0), (ny - 1, nx - 1)][seed % 4]
+        return np.array([y * nx + x])
+    if kind == "edges":  # one cell at the same distance 0-4 from each edge
+        d = seed % 5
+        y, x = (int(v) for v in rng.uniform((2,)) * [ny, nx])
+        cells = [(d, x), (ny - 1 - d, x), (y, d), (y, nx - 1 - d)]
+        return np.unique([cy * nx + cx for cy, cx in cells])
+    if kind == "clusters":
+        centres = (rng.uniform((3, 2)) * [ny, nx]).astype(int)
+        offsets = (rng.uniform((3, 6, 2)) * 5).astype(int) - 2
+        cells = np.clip(centres[:, None] + offsets, 0, [ny - 1, nx - 1]).reshape(-1, 2)
+        return np.unique(cells[:, 0] * nx + cells[:, 1])
+    if kind in ("under_cut", "over_cut"):
+        return cut_straddle(ny, nx, seed)[kind == "over_cut"]
+    return support_cells(kind, ny * nx, nx, seed)
+
+
+class TestProbPacking:
+    """The occupancy head runs each layer on its active cells plus one
+    background column while they are few; the full-grid formula is the
+    oracle for P, bit for bit, and for the fused feature it is given."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ny=st.integers(24, 44), nx=st.integers(24, 44),
+        kind=st.sampled_from(["empty", "one", "corner", "edges", "clusters", "full",
+                              "under_cut", "over_cut"]),
+        seed=st.integers(0, 2**16), neg_zero_cell=st.booleans(),
+    )
+    @example(ny=40, nx=36, kind="edges", seed=0, neg_zero_cell=False)
+    @example(ny=40, nx=36, kind="edges", seed=1, neg_zero_cell=False)
+    @example(ny=40, nx=36, kind="edges", seed=2, neg_zero_cell=False)
+    @example(ny=40, nx=36, kind="edges", seed=3, neg_zero_cell=False)
+    @example(ny=40, nx=36, kind="edges", seed=4, neg_zero_cell=True)
+    @example(ny=33, nx=41, kind="corner", seed=0, neg_zero_cell=True)
+    @example(ny=33, nx=41, kind="corner", seed=1, neg_zero_cell=False)
+    @example(ny=33, nx=41, kind="corner", seed=2, neg_zero_cell=False)
+    @example(ny=33, nx=41, kind="corner", seed=3, neg_zero_cell=False)
+    @example(ny=36, nx=36, kind="under_cut", seed=5, neg_zero_cell=True)
+    @example(ny=36, nx=36, kind="over_cut", seed=5, neg_zero_cell=True)
+    @example(ny=32, nx=40, kind="one", seed=7, neg_zero_cell=True)
+    @example(ny=32, nx=40, kind="empty", seed=7, neg_zero_cell=False)
+    @example(ny=30, nx=30, kind="full", seed=7, neg_zero_cell=True)
+    def test_bitwise_equal_to_full_grid(self, ny, nx, kind, seed, neg_zero_cell):
+        cells = prob_support(kind, ny, nx, seed)
+        f_lss, f_ht = cell_major_streams(ny, nx, cells, seed + 1, neg_zero_cell)
+        w = make_seeded_weights(seed % 4, C)
+        res = fuse_and_finalize(f_lss, f_ht, w)
+        ref_fused, _ = full_grid_caf(f_lss, f_ht, w)
+        ref_p = full_grid_probability(ref_fused, w)
+        for got, ref in ((res.f_channel, ref_fused), (res.p_bev, ref_p)):
+            assert got.shape == ref.shape and got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+
+def fused_frame(kind):
+    """(F_channel, weights) of a masked scene, of the border streams, or of
+    seeded streams just within or just beyond the packing cut."""
+    w = weights()
+    if kind == "masked":
+        from conftest import small_scene
+
+        bundle, heights = small_scene(0)
+        ht = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
+        lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+        return run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, w).f_channel, w
+    if kind == "border":
+        from test_golden import border_streams
+
+        f_lss, f_ht = border_streams()
+    else:
+        cells = cut_straddle(40, 40, 3)[kind == "over_cut"]
+        f_lss, f_ht = cell_major_streams(40, 40, cells, 4, neg_zero_cell=False)
+    return caf_fuse(f_lss, f_ht, w)[0], w
+
+
+class TestProbConvAccounting:
+    """The benchmark counts the heads' convolutions by wrapping
+    `fusion.conv2d`: every occupancy-head layer goes through it, a k x k
+    layer on its active set as a 1x1 layer of its gathered windows."""
+
+    @pytest.mark.parametrize("kind", ["masked", "border", "under_cut", "over_cut"])
+    def test_each_layer_computes_its_active_set(self, monkeypatch, kind):
+        f, w = fused_frame(kind)
+        c, ny, nx = f.shape
+        calls = {}
+
+        def counted(x, layer):
+            for name, ref in w.layers.items():
+                if (ref.kernel.size == layer.kernel.size and np.array_equal(
+                        ref.kernel.ravel(), layer.kernel.ravel())):
+                    assert name not in calls
+                    calls[name] = (x.shape[0], x.shape[1] * x.shape[2], layer.kernel.shape[2:])
+            return conv2d(x, layer)
+
+        monkeypatch.setattr(dualvt.fusion, "conv2d", counted)
+        p = bev_probability(f, w, ProbNetConfig(c))
+        assert np.array_equal(p.view(np.uint32), full_grid_probability(f, w).view(np.uint32))
+
+        support = np.flatnonzero(f.view(np.uint32).any(axis=0))
+        active = {
+            "prob.local.reduce": near(support, ny, nx, 1),
+            "prob.local.res1": near(support, ny, nx, 2, band=1),
+            "prob.local.res2": near(support, ny, nx, 3, band=2),
+            "prob.local.out": near(support, ny, nx, 3, band=2),
+            "prob.global.conv": near(support, ny, nx, 3),
+        }
+        packed = np.count_nonzero(active["prob.local.res2"]) <= _PACKED_MAX_SHARE * ny * nx
+        assert packed == (kind != "over_cut")
+        expected = {}
+        for name, shape in ProbNetConfig(c).layer_shapes().items():
+            c_out, c_in, kh, kw = shape
+            if name not in active:  # the gate, on the pooled (C, 1, 1) feature
+                expected[name] = (c_in, 1, (kh, kw))
+            elif packed:
+                rows = -(-(np.count_nonzero(active[name]) + 1) // nx)
+                expected[name] = (c_in * kh * kw, rows * nx, (1, 1))
+            else:
+                expected[name] = (c_in, ny * nx, (kh, kw))
+        assert calls == expected
+
+
 class TestBevProbability:
     def test_strictly_open_interval(self):
         f, _ = streams()
@@ -213,6 +378,11 @@ class TestBevProbability:
         f, _ = streams()
         p = bev_probability(f, zero_weights(), ProbNetConfig(C))
         assert np.all(p == 0.5)
+
+    def test_input_must_be_float32(self):
+        f, _ = streams()
+        with pytest.raises(ShapeMismatch, match="float32"):
+            bev_probability(f.astype(np.float64), weights(), ProbNetConfig(C))
 
     def test_determinism(self):
         f, _ = streams()
