@@ -305,6 +305,8 @@ def bev_probability(f_channel, weights: WeightBundle, cfg: ProbNetConfig) -> np.
         )
     if f_channel.dtype != np.float32:
         raise ShapeMismatch(f"F_channel must be float32, got {f_channel.dtype}")
+    # channel_stats' float32 mean sums in an order set by the memory layout
+    f_channel = np.ascontiguousarray(f_channel)
     cells = _active_cells(f_channel, weights)
     x = cells.pack(f_channel)
     h = cells.conv(x, weights["prob.local.reduce"], "input", "reduce")

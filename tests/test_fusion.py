@@ -384,6 +384,16 @@ class TestBevProbability:
         with pytest.raises(ShapeMismatch, match="float32"):
             bev_probability(f.astype(np.float64), weights(), ProbNetConfig(C))
 
+    @pytest.mark.parametrize("kind", ["one", "full"])
+    def test_memory_layout_does_not_change_bits(self, kind):
+        """A cell-major view of F_channel, as the streams lay theirs out,
+        gives the bits of its C-contiguous copy, packed or on the full grid."""
+        cells = prob_support(kind, 32, 32, 1)
+        f, _ = cell_major_streams(32, 32, cells, 2, neg_zero_cell=False)
+        a = bev_probability(f, weights(), ProbNetConfig(C))
+        b = bev_probability(np.ascontiguousarray(f), weights(), ProbNetConfig(C))
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
     def test_determinism(self):
         f, _ = streams()
         a = bev_probability(f, weights(), ProbNetConfig(C))
