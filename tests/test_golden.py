@@ -144,7 +144,7 @@ def nehalem_digests(call, blas_threads=1):
         "OPENBLAS_CORETYPE": "Nehalem",
         "OPENBLAS_NUM_THREADS": str(blas_threads),
     }
-    code = f"import sys, json, test_golden; print(json.dumps(test_golden.{call}))"
+    code = f"import json, test_golden; print(json.dumps(test_golden.{call}))"
     proc = subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
