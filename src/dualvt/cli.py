@@ -301,6 +301,9 @@ def main(argv=None) -> int:
     except (DualVtError, OSError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # a scene, grid or bin count too large to allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

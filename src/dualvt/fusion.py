@@ -6,18 +6,22 @@ The two stream features are blended by a channel-attention affinity
 the per-cell occupancy probability, which multiplies the fused feature
 exactly once to yield the final output.
 
-The fusion head computes only where the BEV has input.  Its per-position
-layers (the 1x1 ``caf.reduce``, the local bottleneck, the add, the
-sigmoid and the blend) run on the *support*, the cells where some input
-of either stream is not bit-for-bit +0.0 (so -0.0 and NaN are input),
-plus one *background* column: every other cell has the same all-+0.0
-input, so it gets that column's results.  The columns are packed into a
-grid-wide ``(2C, rows, nx)`` image, so ``conv2d`` keeps walking row
-blocks of the grid's width, and each result is expanded to the grid with
-one ``np.take``.  The global pool sees the expanded grid.  The packed
-``dgemm`` shapes are not the full grid's; the golden head digests, taken
-from full-grid code on a masked and on a ``disable-M`` run, pin them as
-giving the same bits (see ``dualvt.nnops`` for the arithmetic contract).
+Both heads compute only where the BEV has input, on one packed image
+(``_ActiveCells``): flat column 0 is the *background*, the value of
+every cell off a set of cells, column 1 + k is the set's k-th cell, and
+rows are ``nx`` wide, so ``conv2d`` keeps walking row blocks of the
+grid's width.  A grid is gathered a grid row of cells at a time, which
+reads channel-major and cell-major memory alike, and each result is
+expanded back to the grid with one ``np.take``.
+
+The fusion head packs both streams on the *support*, the cells where
+some input of either stream is not bit-for-bit +0.0 (so -0.0 and NaN
+are input), and runs its per-position layers (the 1x1 ``caf.reduce``,
+the local bottleneck, the add, the sigmoid and the blend) on the image;
+the global pool sees the expanded grid.  The packed ``dgemm`` shapes
+are not the full grid's; the golden head digests, taken from full-grid
+code on a masked and on a ``disable-M`` run, pin them as giving the
+same bits (see ``dualvt.nnops`` for the arithmetic contract).
 
 The occupancy head does the same where it pays.  Its 3x3 and 7x7
 convolutions reach across cells, so each layer runs on its own *active
@@ -39,17 +43,16 @@ A k x k layer gathers its float32 windows at its active cells into a
 ``(C_in*kh*kw, rows, nx)`` image and runs it through ``conv2d`` as a 1x1
 layer, with the kernel flattened in ``conv2d``'s own ``(c_in, i, j)``
 order, so each output sums the same exact products as on the full grid.
-The image's first column is the background: each of its window elements
-is the background value of the layer's input, so the background is
-carried through every layer, not computed apart.  The gate's global
-pool sees ``h + r`` expanded to the grid, and ``P`` is expanded at the
-end.  A gathered window costs more per cell than ``conv2d``'s row-block
-slices (about 2x for the 3x3 layers, 9x for the 7x7), so the head runs
-packed only while its largest active set is at most a quarter of the
-grid (``_PACKED_MAX_SHARE``): masked desk frames need 7-9% of the
-grid, while ``disable-M`` frames, at 95-98%, run every layer on the full
-grid.  The golden digests pin both paths, and a packed frame whose
-reach meets the border.
+The background's window holds the background value of the layer's input,
+so the background is carried through every layer.  The gate's global pool
+sees ``h + r`` expanded to the grid, and ``P`` is expanded at the end.  A
+gathered window costs more per cell than ``conv2d``'s row-block slices
+(about 2x for the 3x3 layers, 9x for the 7x7), so the head runs packed
+only while its largest active set is at most a quarter of the grid
+(``_PACKED_MAX_SHARE``): masked desk frames need 7-9% of the grid, while
+``disable-M`` frames, at 95-98%, run every layer on the full grid.  The
+golden digests pin both paths, and a packed frame whose reach meets the
+border.
 """
 
 from __future__ import annotations
@@ -144,43 +147,24 @@ def _bottleneck(z: np.ndarray, weights: WeightBundle, prefix: str) -> np.ndarray
 
 def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = None):
     """Blend the float32 streams; returns (fused, affinity).  A forced
-    affinity skips the head.
-
-    Packed column 0 is the background, column 1 + k is ``support[k]``;
-    a blended background is ``a*0 + (1-a)*0``, +0.0 for any affinity in
-    [0, 1].  One body serves masked, dense and forced-affinity inputs.
-    """
+    affinity skips the head.  The blended background is ``a*0 + (1-a)*0``,
+    +0.0 for any affinity in [0, 1]."""
     if f_lss.shape != f_ht.shape:
         raise ShapeMismatch(f"stream shapes differ: {f_lss.shape} vs {f_ht.shape}")
     if f_lss.dtype != np.float32 or f_ht.dtype != np.float32:
         raise ShapeMismatch(f"streams must be float32, got {f_lss.dtype} and {f_ht.dtype}")
-    c, ny, nx = f_lss.shape
-    # (ny*nx, C) rows, one per cell: views of the streams' cell-major memory
-    lss_rows, ht_rows = (f.transpose(1, 2, 0).reshape(-1, c) for f in (f_lss, f_ht))
-    support = np.flatnonzero(_has_input(lss_rows, axis=1) | _has_input(ht_rows, axis=1))
-    n = support.size
-    # column 0 is the background; the columns after the support pad a row
-    packed = np.zeros((2 * c, (n // nx + 1) * nx), dtype=np.float32)
-    for k in range(0, n, nx):  # a grid row of cells at a time: the transpose stays in cache
-        cells = support[k:k + nx]
-        packed[:c, 1 + k:1 + k + cells.size] = np.take(lss_rows, cells, axis=0).T
-        packed[c:, 1 + k:1 + k + cells.size] = np.take(ht_rows, cells, axis=0).T
-    packed = packed.reshape(2 * c, -1, nx)
-    where = np.zeros(ny * nx, dtype=np.intp)
-    where[support] = np.arange(1, n + 1)
-
-    def expand(x):
-        return np.take(x.reshape(c, -1), where, axis=1).reshape(c, ny, nx)
-
+    c = f_lss.shape[0]
+    cells = _ActiveCells({"input": _has_input(f_lss, axis=0) | _has_input(f_ht, axis=0)})
+    packed = cells.pack(f_lss, f_ht)
     if force_affinity is None:
         z = conv2d(packed, weights["caf.reduce"])
         local = _bottleneck(z, weights, "caf.local")
-        global_ = _bottleneck(global_avg_pool(expand(z)), weights, "caf.global")
+        global_ = _bottleneck(global_avg_pool(cells.expand(z, "input")), weights, "caf.global")
         affinity = sigmoid(local + global_)  # broadcast global over the columns
     else:
         affinity = np.full((c,) + packed.shape[1:], force_affinity, dtype=np.float32)
     fused = affinity * packed[:c] + (1.0 - affinity) * packed[c:]
-    return expand(fused), expand(affinity)
+    return cells.expand(fused, "input"), cells.expand(affinity, "input")
 
 
 def _reach(cells: np.ndarray, w: Conv2dWeights, padding_differs: bool) -> np.ndarray:
@@ -211,7 +195,8 @@ class _FullGrid:
 
 
 class _ActiveCells:
-    """The occupancy head's layers on their active sets (module docstring).
+    """The one packed image of both heads (module docstring): the fusion
+    head's support, and the occupancy head's layers on their active sets.
 
     A value on set `name` is a (C, rows, nx) image: flat column 0 is the
     background, the value of every cell outside the set, column 1 + k is
@@ -233,12 +218,19 @@ class _ActiveCells:
     def _take(self, x2d, idx):
         return np.take(x2d, idx, axis=1).reshape(-1, idx.shape[-1] // self.shape[1], self.shape[1])
 
-    def pack(self, x):
-        """The grid `x`, +0.0 off the input set, on the input set."""
-        cells = self.cells["input"]
-        out = np.zeros((x.shape[0], self._columns("input")), dtype=x.dtype)
-        out[:, 1:1 + cells.size] = np.take(x.reshape(x.shape[0], -1), cells, axis=1)
-        return out.reshape(x.shape[0], -1, self.shape[1])
+    def pack(self, *grids):
+        """The (C, ny, nx) `grids`, +0.0 off the input set, stacked by channel
+        on the input set.  A grid row of cells at a time, by fancy index, reads
+        cell-major memory in cache; `np.take` would copy a strided grid first."""
+        cells, nx = self.cells["input"], self.shape[1]
+        flat = [x.reshape(x.shape[0], -1) for x in grids]
+        out = np.zeros((sum(map(len, flat)), self._columns("input")), dtype=flat[0].dtype)
+        parts = np.split(out, np.cumsum([len(f) for f in flat])[:-1])
+        for k in range(0, cells.size, nx):
+            row = cells[k:k + nx]
+            for part, f in zip(parts, flat):
+                part[:, 1 + k:1 + k + row.size] = f[:, row]
+        return out.reshape(out.shape[0], -1, nx)
 
     def conv(self, x, w: Conv2dWeights, src: str, dst: str):
         """Layer `w` from set `src` to set `dst`, as a 1x1 layer on the

@@ -32,11 +32,9 @@ MAX_RANK = 8
 _HEADER = struct.Struct("<4sBB6s")
 
 
-def as_tensor(values, shape=None) -> np.ndarray:
+def as_tensor(values) -> np.ndarray:
     """Coerce to a C-contiguous float32 array, rejecting NaN/Inf."""
     arr = np.asarray(values, dtype=np.float32, order="C")  # keeps rank 0, unlike ascontiguousarray
-    if shape is not None:
-        arr = arr.reshape(shape)
     if arr.ndim > MAX_RANK:
         raise RankOverflow(f"rank {arr.ndim} exceeds maximum {MAX_RANK}")
     if not np.all(np.isfinite(arr)):

@@ -163,6 +163,24 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["generate_scene", "save_bundle"])
+    def test_out_of_memory_exits_3(self, workspace, tmp_path, monkeypatch, capsys, step):
+        """A scene too large to allocate (a huge grid, bin count or channel
+        count) ends in one line, whether building or writing it.  The
+        allocation is faked: on a machine that overcommits memory a real
+        one need not fail fast."""
+        def oversized(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                              "(100000000000,) and data type int64")
+
+        monkeypatch.setattr(cli, step, oversized)
+        out = tmp_path / "o"
+        assert main(["synth", "--spec", str(workspace / "scene.json"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "745. GiB" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPrecompute:
     def test_outputs(self, workspace):

@@ -7,6 +7,7 @@ import dualvt.fusion
 from dualvt.errors import ConfigError, ShapeMismatch
 from dualvt.fusion import (
     _PACKED_MAX_SHARE,
+    _ActiveCells,
     ProbNetConfig,
     assemble_final,
     bev_probability,
@@ -182,6 +183,59 @@ class TestCafPacking:
         fused, _ = caf_fuse(f_lss, f_ht, weights())
         assert np.all(np.signbit(fused[:, 1, 1]))
         assert not np.any(np.signbit(np.delete(fused.reshape(C, -1), 5, axis=1)))
+
+
+def packer_grid(c, ny, nx, seed, cell_major):
+    """A (c, ny, nx) float32 grid in which a quarter of the entries are
+    -0.0 and an eighth are NaNs of two payloads, C-contiguous or as a
+    view of (ny*nx, c) cell-major memory, as the streams return it."""
+    rng = Rng(seed)
+    bits = rng.uniform((ny * nx, c), -1.0, 1.0).view(np.uint32)
+    draw = rng.uniform((ny * nx, c))
+    bits[draw < 0.25] = 0x80000000
+    bits[(draw >= 0.25) & (draw < 0.3125)] = 0x7FC00001
+    bits[(draw >= 0.3125) & (draw < 0.375)] = 0xFFC12345
+    grid = bits.view(np.float32).T.reshape(c, ny, nx)
+    return grid if cell_major else np.ascontiguousarray(grid)
+
+
+class TestActiveCellsPack:
+    """`_ActiveCells.pack`, the one packer of both heads, bit for bit
+    against the packed image written out cell by cell: the grids'
+    channels stacked in order, column 0 the background (+0.0), cell k of
+    the input set in column 1 + k, and `nx`-wide rows up to the last
+    one that holds a cell."""
+
+    NY, NX = 4, 7
+
+    @staticmethod
+    def reference(mask, *grids):
+        nx = mask.shape[1]
+        stacked = np.concatenate([g.reshape(g.shape[0], -1) for g in grids])
+        cells = np.flatnonzero(mask)
+        rows = cells.size // nx + 1
+        out = np.zeros((stacked.shape[0], rows * nx), dtype=np.float32)
+        for k, cell in enumerate(cells):
+            out[:, 1 + k] = stacked[:, cell]
+        return out.reshape(stacked.shape[0], rows, nx)
+
+    @pytest.mark.parametrize("n", [0, 1, NX - 1, NX, 2 * NX - 1, NY * NX],
+                             ids=["empty", "one", "nx-1", "nx", "2nx-1", "full"])
+    @pytest.mark.parametrize("cell_major", [(False, False), (True, True), (False, True),
+                                            (True, False)],
+                             ids=["contiguous", "cell-major", "mixed", "mixed-swapped"])
+    def test_bitwise_equal_to_cell_by_cell_reference(self, n, cell_major):
+        ny, nx = self.NY, self.NX
+        mask = np.zeros(ny * nx, dtype=bool)
+        mask[np.argsort(Rng(n).uniform((ny * nx,)))[:n]] = True
+        mask = mask.reshape(ny, nx)
+        # channel counts that differ, so each grid's rows land apart; the
+        # grids hold values off the set too, which the image must leave out
+        a, b = (packer_grid(c, ny, nx, c, cm) for c, cm in zip((3, 5), cell_major))
+        got = _ActiveCells({"input": mask}).pack(a, b)
+        ref = self.reference(mask, a, b)
+        assert got.shape == ref.shape and got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
 
 def full_grid_probability(f, w):

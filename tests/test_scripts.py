@@ -61,3 +61,11 @@ def test_readme_names_every_flag():
         for opt in action.option_strings if opt.startswith("--")
     } - {"--help"}
     assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme_section("CLI"))) == flags
+
+
+def test_readme_names_every_module():
+    """The README's Library layout table names exactly the modules of
+    src/dualvt, leaving out the package's __init__ and __main__."""
+    modules = {p.stem for p in (REPO / "src" / "dualvt").glob("*.py")} - {"__init__", "__main__"}
+    table = re.findall(r"^\| `dualvt\.(\w+)` \|", readme_section("Library layout"), re.M)
+    assert sorted(table) == sorted(modules)
