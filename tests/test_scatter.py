@@ -8,12 +8,47 @@ from hypothesis import strategies as st
 from conftest import table_cells
 from dualvt import scatter
 from dualvt.geometry import BevGridSpec
-from dualvt.lift_stream import lss_pool, precompute_lss_table
+from dualvt.lift_stream import lss_apply, lss_pool, precompute_lss_table
 from dualvt.rng import Rng
 from dualvt.sampling import DepthBinSpec
-from dualvt.scatter import scatter_reference, weighted_scatter
+from dualvt.scatter import weighted_scatter
 from dualvt.synth import generate_scene, random_scene_spec
-from dualvt.tables import stack_camera_tensors
+from dualvt.tables import stack_camera_tensors, stack_frame
+
+
+def scatter_reference(feats, depth_w, mask_w, cells, feat_idx, depth_idx, n_cells):
+    """Per-entry loop oracle with the same order and precision as weighted_scatter,
+    on every cell: (n_cells, C) float64 accumulators.
+
+    It adds every entry, zero weights included, so it also checks that
+    skipping them changes no bit.
+    """
+    C = feats.shape[0]
+    out = np.zeros((n_cells, C), dtype=np.float64)
+    for c, fi, di in zip(cells, feat_idx, depth_idx):
+        w = np.float64(depth_w[di]) * np.float64(mask_w[fi])
+        out[c] += w * feats[:, fi].astype(np.float64)
+    return out
+
+
+def expand(support, n_cells):
+    """weighted_scatter's support as (n_cells, C) float32 rows, +0.0 off it."""
+    cells, sums = support
+    assert cells.dtype == np.intp and sums.dtype == np.float32
+    assert sums.shape[0] == cells.size and np.all(np.diff(cells) > 0)
+    out = np.zeros((n_cells, sums.shape[1]), dtype=np.float32)
+    out[cells] = sums
+    return out
+
+
+def assert_matches_reference(support, args, n_cells):
+    """The support is the cells with an entry of nonzero weight, and expanded
+    it is the oracle's sums rounded to float32, bit for bit."""
+    feats, depth_w, mask_w, cells, feat_idx, depth_idx = args
+    live = (np.asarray(depth_w)[depth_idx] != 0) & (np.asarray(mask_w)[feat_idx] != 0)
+    assert np.array_equal(support[0], np.unique(np.asarray(cells)[live]))
+    slow = scatter_reference(*args, n_cells).astype(np.float32)
+    assert np.array_equal(expand(support, n_cells).view(np.uint32), slow.view(np.uint32))
 
 
 def _random_problem(seed, n_entries, n_cells, channels=5, pixels=40, bins=60):
@@ -43,17 +78,15 @@ def _fast(args, n_cells, threads=1):
 @given(st.integers(0, 10_000), st.integers(0, 300), st.integers(1, 30))
 def test_matches_reference_bitwise(seed, n_entries, n_cells):
     args = _random_problem(seed, n_entries, n_cells)
-    fast = _fast(args, n_cells)
-    slow = scatter_reference(*args, n_cells)
-    assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+    assert_matches_reference(_fast(args, n_cells), args, n_cells)
 
 
 def test_threaded_matches_sequential_bitwise():
     args = _random_problem(99, 5000, 64)
-    seq = _fast(args, 64, threads=1)
+    seq = expand(_fast(args, 64, threads=1), 64)
     for threads in (2, 4, 7):
-        par = _fast(args, 64, threads=threads)
-        assert np.array_equal(seq.view(np.uint64), par.view(np.uint64))
+        par = expand(_fast(args, 64, threads=threads), 64)
+        assert np.array_equal(seq.view(np.uint32), par.view(np.uint32))
 
 
 def test_empty_entries():
@@ -63,8 +96,8 @@ def test_empty_entries():
         feats, np.ones(5, np.float32), np.ones(4, np.float32),
         np.zeros(11, np.uint32), empty, empty,
     )
-    assert out.shape == (10, 3)
-    assert np.all(out == 0.0)
+    assert out[0].shape == (0,) and out[1].shape == (0, 3)
+    assert np.array_equal(expand(out, 10), np.zeros((10, 3), np.float32))
 
 
 def _mostly_zero_problem(seed, n_entries, n_cells, zero_frac):
@@ -98,8 +131,7 @@ def test_zero_weight_skip_is_bitwise(seed, n_entries, n_cells, zero_frac, chunk,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scatter, "CHUNK_ENTRIES", chunk)  # spans several chunks
         fast = _fast(args, n_cells, threads=threads)
-    slow = scatter_reference(*args, n_cells)
-    assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+    assert_matches_reference(fast, args, n_cells)
 
 
 @settings(max_examples=25, deadline=None)
@@ -122,8 +154,7 @@ def test_skewed_runs_are_bitwise(seed, hot_len, n_cells, zero_frac, chunk, threa
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scatter, "CHUNK_ENTRIES", chunk)
         fast = _fast(args, n_cells, threads=threads)
-    slow = scatter_reference(*args, n_cells)
-    assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+    assert_matches_reference(fast, args, n_cells)
 
 
 @st.composite
@@ -162,13 +193,12 @@ def test_offsets_walk_matches_reference_bitwise(problem, chunk):
     if zero_range is not None:  # every entry of that range reads the zero depth
         depth_idx[offsets[edges[zero_range]]:offsets[edges[zero_range + 1]]] = depth_w.size - 1
     records = np.stack([feat_idx, depth_idx], axis=1).astype("<u4")
-    slow = scatter_reference(feats, depth_w, mask_w, cells, records[:, 0], records[:, 1],
-                             n_cells)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scatter, "CHUNK_ENTRIES", chunk)
         fast = weighted_scatter(feats, depth_w, mask_w, offsets.astype("<u4"),
                                 records[:, 0], records[:, 1], threads=threads)
-    assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+    args = (feats, depth_w, mask_w, cells, records[:, 0], records[:, 1])
+    assert_matches_reference(fast, args, n_cells)
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +212,7 @@ def desk_lift():
 
 def test_desk_scale_dense_lift_is_sequential(desk_lift):
     """Every entry carries weight: the rank-major scatter equals one sequential
-    np.add.at pass over the table in entry order, bitwise."""
+    np.add.at pass over the table in entry order, rounded to float32, bitwise."""
     bundle, masks, table = desk_lift
     feats = stack_camera_tensors(bundle.feats)
     depth_w = np.concatenate([d.ravel() for d in bundle.depths])
@@ -198,7 +228,8 @@ def test_desk_scale_dense_lift_is_sequential(desk_lift):
         np.add.at(expected, cells[a:b],
                   w[a:b, None] * feats[:, feat_idx[a:b]].T.astype(np.float64))
     got = weighted_scatter(feats, depth_w, mask_w, table.offsets, feat_idx, depth_idx)
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    expected = expected.astype(np.float32)
+    assert np.array_equal(expand(got, table.n_cells).view(np.uint32), expected.view(np.uint32))
 
 
 def test_desk_scale_dense_lss_pool_threads_bitwise(desk_lift):
@@ -216,6 +247,8 @@ def test_all_zero_weights_give_positive_zero(threads):
     depth_w[::2] = -0.0
     depth_w[1::2] = 0.0
     out = _fast((feats, depth_w, mask_w, cells, feat_idx, depth_idx), 16, threads=threads)
+    assert out[0].size == 0  # no cell has an entry of nonzero weight
+    out = expand(out, 16)
     assert np.all(out == 0.0)
     assert not np.any(np.signbit(out))
 
@@ -239,5 +272,24 @@ def test_dense_scatter_memory_is_bounded():
     finally:
         tracemalloc.stop()
     unchunked = n_entries * channels * 12
-    assert peak >= out.nbytes  # numpy's allocations are traced
+    assert peak >= out[1].nbytes  # numpy's allocations are traced
     assert peak < unchunked / 8
+
+
+def test_masked_desk_apply_allocates_less_than_one_grid():
+    """Applying the lift table to a masked desk frame, front end excluded,
+    allocates at its peak less than one (n_cells, C) float64 accumulator
+    grid: the scatter's memory follows its support, not the grid."""
+    bundle = generate_scene(random_scene_spec(1), BevGridSpec(), DepthBinSpec())
+    table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    frame = stack_frame(bundle.feats, bundle.depths, bundle.masks, table)
+    grid_bytes = table.n_cells * bundle.spec.channels * 8
+    tracemalloc.start()
+    try:
+        cells, sums = lss_apply(frame, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < cells.size < table.n_cells // 100  # a masked frame: a small support
+    assert peak >= sums.nbytes  # numpy's allocations are traced
+    assert peak < grid_bytes
