@@ -93,6 +93,12 @@ _P_HI = np.nextafter(np.float32(1.0), np.float32(0.0))
 # sets of 7-9% of the grid and disable-M frames 95-98%.
 _PACKED_MAX_SHARE = 0.25
 
+# Largest share of the grid whose columns `_ActiveCells.expand` writes one
+# by one.  A column costs about 0.5 us at 64 channels, as its values lie a
+# grid apart; one np.take through the where map costs about 1 ms whatever
+# the set's size.  Masked desk supports hold ~21 cells, disable-M ones 15k.
+_WRITE_MAX_SHARE = 1 / 8
+
 
 @dataclass(frozen=True)
 class ProbNetConfig:
@@ -275,10 +281,17 @@ class _ActiveCells:
         return self._take(x.reshape(x.shape[0], -1), idx)
 
     def expand(self, x, src: str):
-        """A value on set `src` onto the whole grid."""
-        return np.take(x.reshape(x.shape[0], -1), self.where[src], axis=1).reshape(
-            (x.shape[0],) + self.shape
-        )
+        """A value on set `src` onto the whole grid, C-contiguous.  A set of
+        at most `_WRITE_MAX_SHARE` of the grid writes its columns over the
+        background; a larger one is one `np.take` through the where map."""
+        x2d, cells, where = x.reshape(x.shape[0], -1), self.cells[src], self.where[src]
+        if cells.size > _WRITE_MAX_SHARE * where.size:
+            out = np.take(x2d, where, axis=1)
+        else:
+            out = np.empty((x2d.shape[0], where.size), dtype=x.dtype)
+            out[:] = x2d[:, :1]
+            out[:, cells] = x2d[:, 1:1 + cells.size]
+        return out.reshape((x.shape[0],) + self.shape)
 
 
 def _active_cells(f_channel: np.ndarray, weights: WeightBundle):
@@ -379,11 +392,15 @@ def run_pipeline(
     ny, nx = ht_table.ny, ht_table.nx
     if (lss_table.ny, lss_table.nx) != (ny, nx):
         raise ShapeMismatch(f"stream grids differ: {(ny, nx)} vs {(lss_table.ny, lss_table.nx)}")
-    ht, lss = ht_apply(frame, ht_table, threads), lss_apply(frame, lss_table, threads)
     support = np.zeros(ny * nx, dtype=bool)
-    support[ht[0]] = support[lss[0]] = True
-    return _finalize(support_grid(*lss, ny, nx), support_grid(*ht, ny, nx),
-                     support.reshape(ny, nx), weights, force_affinity)
+    grids = []
+    for apply, table in ((ht_apply, ht_table), (lss_apply, lss_table)):
+        cells, sums = apply(frame, table, threads)
+        support[cells] = True
+        grids.append(support_grid(cells, sums, ny, nx))
+    del frame, cells, sums  # only the grids live on through the heads
+    f_ht, f_lss = grids
+    return _finalize(f_lss, f_ht, support.reshape(ny, nx), weights, force_affinity)
 
 
 def fuse_and_finalize(

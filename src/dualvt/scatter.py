@@ -52,6 +52,7 @@ Accumulation contract:
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -85,24 +86,24 @@ def weighted_scatter(
     n_cells = offsets.shape[0] - 1
     # split at cell boundaries so every worker owns whole cells
     edges = np.linspace(0, n_cells, max(threads, 1) + 1).astype(np.int64)
-    jobs = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if offsets[a] < offsets[b]]
-    feats_t = np.ascontiguousarray(feats.T)  # (P, C), row gathers are cheap
-    args = (feats_t, depth_w, mask_w, offsets, feat_idx, depth_idx)
-    if len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            parts = list(pool.map(lambda job: _scatter_range(*args, *job), jobs))
-    else:
-        parts = [_scatter_range(*args, *job) for job in jobs]
-    parts = [p for p in parts if p[0].size] or [
-        (np.empty(0, dtype=np.intp), np.empty((0, feats.shape[0]), dtype=np.float32))
-    ]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    ranges = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if offsets[a] < offsets[b]]
+    # one pool for both passes, so each range's arrays stay with its thread
+    with ThreadPoolExecutor(len(ranges)) if len(ranges) > 1 else nullcontext() as pool:
+        each = pool.map if pool else map
+        runs = list(each(
+            lambda r: _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, *r), ranges))
+        cells = np.concatenate([run[0] for run in runs] or [np.empty(0, dtype=np.intp)])
+        out = np.zeros((cells.size, feats.shape[0]), dtype=np.float64)
+        feats_t = np.ascontiguousarray(feats.T)  # (P, C), row gathers are cheap
+        starts = np.cumsum([0] + [run[0].size for run in runs])
+        list(each(lambda j: _accumulate(out[starts[j]:starts[j + 1]], feats_t, *runs[j][1:]),
+                  range(len(runs))))
+    return cells, out.astype(np.float32)
 
 
-def _scatter_range(feats_t, depth_w, mask_w, offsets, feat_idx, depth_idx, a, b):
-    """The support of cells [a, b) and its sums."""
+def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, a, b):
+    """Cells [a, b)'s support, its survivors' weights and feature indices, and
+    each support cell's run of survivors [first, end)."""
     lo, hi = offsets[a], offsets[b]
     fi = feat_idx[lo:hi]
     keep = np.flatnonzero(mask_w.take(fi) != 0)  # ascending: runs keep entry order
@@ -113,11 +114,14 @@ def _scatter_range(feats_t, depth_w, mask_w, offsets, feat_idx, depth_idx, a, b)
     w = d.astype(np.float64) * mask_w.take(fi)
     # cell a + j's survivors are survivors bounds[j] to bounds[j + 1] - 1
     bounds = np.searchsorted(keep, offsets[a:b + 1] - lo)
-    del d, keep
     cells = np.flatnonzero(bounds[1:] > bounds[:-1])
-    out = np.zeros((cells.size, feats_t.shape[1]), dtype=np.float64)
+    return cells + a, w, fi, bounds[cells], bounds[cells + 1]
+
+
+def _accumulate(out, feats_t, w, fi, first, end):
+    """Add each row's run of survivors [first, end) to its row of out, rank by rank."""
     # pos: each unfinished run's rank-r survivor; end: its run's end; row: its row of out
-    pos, end, row = bounds[cells], bounds[cells + 1], np.arange(cells.size)
+    pos, row = first, np.arange(out.shape[0])
     while pos.size:
         for start in range(0, pos.size, CHUNK_ENTRIES):
             sel = pos[start:start + CHUNK_ENTRIES]
@@ -130,7 +134,6 @@ def _scatter_range(feats_t, depth_w, mask_w, offsets, feat_idx, depth_idx, a, b)
         pos += 1
         alive = pos < end
         pos, end, row = pos[alive], end[alive], row[alive]
-    return cells + a, out.astype(np.float32)
 
 
 def support_grid(cells: np.ndarray, sums: np.ndarray, ny: int, nx: int) -> np.ndarray:
