@@ -10,50 +10,33 @@ Both heads compute only where the BEV has input, on one packed image
 (``_ActiveCells``): flat column 0 is the *background*, the value of
 every cell off a set of cells, column 1 + k is the set's k-th cell, and
 rows are ``nx`` wide, so ``conv2d`` keeps walking row blocks of the
-grid's width.  A grid is gathered a grid row of cells at a time, which
-reads channel-major and cell-major memory alike, and each result is
-expanded back to the grid with one ``np.take``.
+grid's width.  A result is expanded to the grid only for a global pool
+and once per output field.  The packed ``dgemm`` shapes are not the
+full grid's; the golden head digests, taken from full-grid code on a
+masked and on a ``disable-M`` run, pin them as giving the same bits
+(see ``dualvt.nnops`` for the arithmetic contract).
 
-The fusion head packs both streams on the *support*, the cells where
-some input of either stream is not bit-for-bit +0.0 (so -0.0 and NaN
-are input), and runs its per-position layers (the 1x1 ``caf.reduce``,
-the local bottleneck, the add, the sigmoid and the blend) on the image;
-the global pool sees the expanded grid.  The packed ``dgemm`` shapes
-are not the full grid's; the golden head digests, taken from full-grid
-code on a masked and on a ``disable-M`` run, pin them as giving the
-same bits (see ``dualvt.nnops`` for the arithmetic contract).
+The fusion head packs both streams on the *support*.  ``run_pipeline``
+takes it from the scatter (the cells with an entry of nonzero weight),
+the grid front ends from the grids (the cells where some input is not
+bit-for-bit +0.0, so -0.0 and NaN are input).  A support cell whose
+inputs are +0.0 computes the background's bits, so both agree.  Off the
+support ``F_channel`` is +0.0 and ``P`` lies in (0, 1), so ``F = P *
+F_channel`` is taken on the image too.
 
-The occupancy head does the same where it pays.  Its 3x3 and 7x7
-convolutions reach across cells, so each layer runs on its own *active
-set*, the cells whose value can differ from the layer's background, and
-the set grows by the kernel's reach (``kh // 2``, ``kw // 2``):
-
-- the 3x3 reduce: the support dilated by 1.  Its input is +0.0 off the
-  support, and so is the zero padding.
-- ``res1``: the reduce's set dilated by 1, plus a border band 1 cell
-  wide.  Off the set its input is the reduce's bias, and the zero
-  padding breaks that constant at the edge.
-- ``res2`` and everything after it (the residual add, the gate multiply,
-  the 1x1 ``out``, the sigmoid and the clip): ``res1``'s set dilated by
-  1, plus a band 2 cells wide, joined with the global conv's set.
-- the 7x7 global conv: the support dilated by 3.  The channel stats are
-  +0.0 off the support, as the padding is.
-
-A k x k layer gathers its float32 windows at its active cells into a
-``(C_in*kh*kw, rows, nx)`` image and runs it through ``conv2d`` as a 1x1
-layer, with the kernel flattened in ``conv2d``'s own ``(c_in, i, j)``
-order, so each output sums the same exact products as on the full grid.
-The background's window holds the background value of the layer's input,
-so the background is carried through every layer.  The gate's global pool
-sees ``h + r`` expanded to the grid, and ``P`` is expanded at the end.  A
-gathered window costs more per cell than ``conv2d``'s row-block slices
-(about 2x for the 3x3 layers, 9x for the 7x7), so the head runs packed
-only while its largest active set is at most a quarter of the grid
-(``_PACKED_MAX_SHARE``): masked desk frames need 7-9% of the grid, while
-``disable-M`` frames, at 95-98%, run every layer on the full grid.  The
-golden digests pin both paths, and a packed frame whose reach meets the
-border.
+The occupancy head runs each layer on its own *active set*, the cells
+whose value can differ from the layer's background: its input's set
+grown by the kernel's reach, plus a border band where the zero padding
+differs from that background (``_active_cells``).  A k x k layer runs
+its float32 windows at its active cells through ``conv2d`` as a 1x1
+layer with the kernel flattened in ``conv2d``'s ``(c_in, i, j)`` order,
+so each output sums the full grid's products.  A gathered window costs
+2-9x more per cell than ``conv2d``'s row-block slices, so the head packs
+only while its largest set is at most ``_PACKED_MAX_SHARE`` of the grid
+(masked desk frames 7-9%, ``disable-M`` 95-98%).  The golden digests pin
+both paths, and a packed frame whose reach meets the border.
 """
+
 
 from __future__ import annotations
 
@@ -62,11 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
-from .height_stream import ht_apply
-# perfbench's tracer resolves wrap sites at these names; nothing here calls them
-from .height_stream import ht_transform_fast  # noqa: F401
-from .lift_stream import lss_apply
-from .lift_stream import lss_pool  # noqa: F401
+# ht_transform_fast and lss_pool: wrap sites of perfbench's tracer, not called here
+from .height_stream import ht_apply, ht_transform_fast  # noqa: F401
+from .lift_stream import lss_apply, lss_pool  # noqa: F401
 from .nnops import (
     Conv2dWeights,
     WeightBundle,
@@ -86,17 +67,12 @@ _P_HI = np.nextafter(np.float32(1.0), np.float32(0.0))
 
 
 # Largest share of the grid the occupancy head computes as packed active
-# cells.  A packed layer gathers its windows cell by cell, which costs
-# more per cell than conv2d's row-block slices: over the whole 128x128
-# grid the 3x3 reduce took 26-32 ms against 12-14 ms, res1 6.5-8 against
-# 3.5-4 ms and the 7x7 14 against 1.5 ms.  Masked desk frames have active
-# sets of 7-9% of the grid and disable-M frames 95-98%.
+# cells: packed over the whole 128x128 grid, the 3x3 reduce took 26-32 ms
+# against conv2d's 12-14 ms, res1 6.5-8 against 3.5-4 and the 7x7 14 against 1.5.
 _PACKED_MAX_SHARE = 0.25
 
 # Largest share of the grid whose columns `_ActiveCells.expand` writes one
-# by one.  A column costs about 0.5 us at 64 channels, as its values lie a
-# grid apart; one np.take through the where map costs about 1 ms whatever
-# the set's size.  Masked desk supports hold ~21 cells, disable-M ones 15k.
+# by one, at ~0.5 us a 64-channel column; one np.take costs ~1 ms at any size.
 _WRITE_MAX_SHARE = 1 / 8
 
 
@@ -173,10 +149,9 @@ def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = 
 
 
 def _caf(cells, packed, weights: WeightBundle, force_affinity: float | None):
-    """The CAF head on the packed (2C, rows, nx) image of the streams, lift
-    stream first; returns the packed (fused, affinity).  A forced affinity
-    skips the head.  The blended background is ``a*0 + (1-a)*0``, +0.0 for
-    any affinity in [0, 1]."""
+    """The CAF head on the packed (2C, rows, nx) image, lift stream first: the packed
+    (fused, affinity).  A forced affinity skips the head.  The fused background,
+    ``a*0 + (1-a)*0``, is +0.0 for any affinity in [0, 1]."""
     c = packed.shape[0] // 2
     if force_affinity is None:
         z = conv2d(packed, weights["caf.reduce"])
@@ -320,9 +295,7 @@ def _active_cells(f_channel: np.ndarray, weights: WeightBundle):
 def bev_probability(f_channel, weights: WeightBundle, cfg: ProbNetConfig) -> np.ndarray:
     """(1, ny, nx) occupancy probability, strictly inside (0, 1)."""
     if f_channel.shape[0] != cfg.channels:
-        raise ShapeMismatch(
-            f"{f_channel.shape[0]} channels, config expects {cfg.channels}"
-        )
+        raise ShapeMismatch(f"{f_channel.shape[0]} channels, config expects {cfg.channels}")
     if f_channel.dtype != np.float32:
         raise ShapeMismatch(f"F_channel must be float32, got {f_channel.dtype}")
     # channel_stats' float32 mean sums in an order set by the memory layout
@@ -379,9 +352,7 @@ def run_pipeline(
     uniform_depth: bool = False,
 ) -> PipelineResult:
     """Full forward pass: both streams, fusion, probability, final feature.
-
-    The frame is checked and stacked once for both tables, and the heads
-    start from the streams' supports (module docstring).
+    The frame is stacked once, and the heads start from the streams' supports.
 
     Ablation switches: `disable_mask` and `uniform_depth` as in
     `apply_ablations`, and `force_affinity` pins the fusion affinity to a
@@ -390,8 +361,6 @@ def run_pipeline(
     depths, masks = apply_ablations(depths, masks, disable_mask, uniform_depth)
     frame = stack_frame(feats, depths, masks, ht_table, lss_table)
     ny, nx = ht_table.ny, ht_table.nx
-    if (lss_table.ny, lss_table.nx) != (ny, nx):
-        raise ShapeMismatch(f"stream grids differ: {(ny, nx)} vs {(lss_table.ny, lss_table.nx)}")
     support = np.zeros(ny * nx, dtype=bool)
     grids = []
     for apply, table in ((ht_apply, ht_table), (lss_apply, lss_table)):
@@ -411,9 +380,8 @@ def fuse_and_finalize(
 
 
 def _finalize(f_lss, f_ht, support, weights, force_affinity) -> PipelineResult:
-    """The heads' one tail.  `support` holds every cell where a stream grid
-    is not bit-for-bit +0.0; its other cells run as the background.  Both
-    the fused feature and F are +0.0 off it (P is in (0, 1))."""
+    """The heads' one tail.  `support` holds every cell where a stream grid is
+    not bit-for-bit +0.0; its other cells run as the background."""
     cfg = ProbNetConfig(f_ht.shape[0])  # a channel count the heads refuse fails first
     cells = _ActiveCells({"input": support})
     fused, affinity = _caf(cells, cells.pack(f_lss, f_ht), weights, force_affinity)

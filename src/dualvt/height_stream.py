@@ -25,8 +25,7 @@ from .sampling import (
 )
 from .scatter import support_grid, weighted_scatter
 from .tables import HT_MAGIC, IndexTable, build_table, check_camera_tensors, stack_frame
-# perfbench's tracer resolves a wrap site at this name; nothing here calls it
-from .tables import stack_camera_tensors  # noqa: F401
+from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench's tracer
 
 INTERP = "interp"
 ROUND = "round"
@@ -78,12 +77,8 @@ def precompute_ht_table(
 
 
 def ht_transform_fast(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:
-    """Scatter-sum over the precomputed table; returns (C, ny, nx) float32.
-
-    The full-grid form of `ht_apply`: its support expanded by
-    `scatter.support_grid`, +0.0 off it, a channel-major view of
-    cell-major memory.
-    """
+    """Scatter-sum over the precomputed table: `ht_apply`'s support as a (C, ny, nx)
+    float32 grid (`scatter.support_grid`)."""
     frame = stack_frame(feats, depths, masks, table)
     return support_grid(*ht_apply(frame, table, threads), table.ny, table.nx)
 

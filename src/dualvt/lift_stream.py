@@ -17,8 +17,7 @@ from .geometry import BevGridSpec
 from .sampling import DepthBinSpec
 from .scatter import support_grid, weighted_scatter
 from .tables import LSS_MAGIC, IndexTable, build_table, stack_frame
-# perfbench's tracer resolves a wrap site at this name; nothing here calls it
-from .tables import stack_camera_tensors  # noqa: F401
+from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench's tracer
 
 
 def lift_frustum(cam, dspec: DepthBinSpec):
@@ -60,12 +59,8 @@ def precompute_lss_table(rigs, grid: BevGridSpec, dspec: DepthBinSpec) -> IndexT
 
 
 def lss_pool(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:
-    """Weighted scatter-sum pooling; returns (C, ny, nx) float32.
-
-    The full-grid form of `lss_apply`: its support expanded by
-    `scatter.support_grid`, +0.0 off it, a channel-major view of
-    cell-major memory.
-    """
+    """Weighted scatter-sum pooling: `lss_apply`'s support as a (C, ny, nx)
+    float32 grid (`scatter.support_grid`)."""
     frame = stack_frame(feats, depths, masks, table)
     return support_grid(*lss_apply(frame, table, threads), table.ny, table.nx)
 
@@ -80,39 +75,33 @@ def lss_apply(frame, table: IndexTable, threads: int = 1):
 def lss_pool_reference(
     feats, depths, masks, rigs, grid: BevGridSpec, dspec: DepthBinSpec
 ) -> np.ndarray:
-    """Table-free oracle: per-point loop that lifts, locates, accumulates.
-
-    Each point is lifted with scalar arithmetic in the order lift_frustum
-    uses (the rigid inverse, sums left to right) and located by the same
-    division, so it lands in the table's cell.  Records are ordered (cell,
-    cam, depth index) as in the table, and the accumulation is a sequential
-    float64 loop, so the result must match lss_pool bitwise.
+    """Table-free oracle, one (camera, depth bin) at a time: the bin's pixels
+    are lifted with lift_frustum's expressions (the rigid inverse, sums left
+    to right) and located by the same division, so each lands in the
+    table's cell.  One ``np.add.at`` per bin adds them in pixel order from
+    +0.0 in float64; cameras, then bins, run in the table's within-cell
+    order (camera, depth index), so the result must match lss_pool bitwise.
     """
-    records = []
-    for cam_pos, rig in enumerate(rigs):
+    C = feats[0].shape[0]
+    acc = np.zeros((grid.n_cells, C), dtype=np.float64)
+    for feat, depth, mask, rig in zip(feats, depths, masks, rigs):
         K, R, t = rig.intrinsics, rig.extrinsics[:3, :3], rig.extrinsics[:3, 3]
         # rigid inverse: ego = R^T cam - R^T t
         t_inv = [R[0, i] * t[0] + R[1, i] * t[1] + R[2, i] * t[2] for i in range(2)]
         W, H = rig.feat_w, rig.feat_h
+        u, v = np.arange(W), np.arange(H)[:, None]
+        feat = feat.reshape(C, -1).T.astype(np.float64)  # (H*W, C), exact
+        mask = mask.ravel().astype(np.float64)
         for k in range(dspec.n_bins):
             d = dspec.d_min + (k + 0.5) * dspec.step
-            for v in range(H):
-                for u in range(W):
-                    xc = (u - K[0, 2]) / K[0, 0] * d
-                    yc = (v - K[1, 2]) / K[1, 1] * d
-                    px = xc * R[0, 0] + yc * R[1, 0] + d * R[2, 0] - t_inv[0]
-                    py = xc * R[0, 1] + yc * R[1, 1] + d * R[2, 1] - t_inv[1]
-                    ix = int(np.floor((px - grid.x_min) / grid.cell_w))
-                    iy = int(np.floor((py - grid.y_min) / grid.cell_h))
-                    if 0 <= ix < grid.nx and 0 <= iy < grid.ny:
-                        fi = v * W + u
-                        di = k * (H * W) + fi
-                        records.append((iy * grid.nx + ix, cam_pos, di, fi))
-    records.sort()
-
-    C = feats[0].shape[0]
-    acc = np.zeros((grid.n_cells, C), dtype=np.float64)
-    for cell, cam, di, fi in records:
-        w = np.float64(depths[cam].ravel()[di]) * np.float64(masks[cam].ravel()[fi])
-        acc[cell] += w * feats[cam].reshape(C, -1)[:, fi].astype(np.float64)
+            xc = (u - K[0, 2]) / K[0, 0] * d
+            yc = (v - K[1, 2]) / K[1, 1] * d
+            px = xc * R[0, 0] + yc * R[1, 0] + d * R[2, 0] - t_inv[0]
+            py = xc * R[0, 1] + yc * R[1, 1] + d * R[2, 1] - t_inv[1]
+            ix = np.floor((px - grid.x_min) / grid.cell_w).ravel()
+            iy = np.floor((py - grid.y_min) / grid.cell_h).ravel()
+            pix = np.flatnonzero((ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny))
+            w = depth[k].ravel()[pix].astype(np.float64) * mask[pix]
+            cells = iy[pix].astype(np.int64) * grid.nx + ix[pix].astype(np.int64)
+            np.add.at(acc, cells, w[:, None] * feat[pix])
     return acc.T.reshape(C, grid.ny, grid.nx).astype(np.float32)

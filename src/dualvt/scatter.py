@@ -6,48 +6,35 @@ Accumulation contract:
   ``w = float64(depth) * float64(mask)``.  Contributions go into float64
   accumulators that start at +0.0, and each cell receives its own
   contributions strictly in entry order: cell c owns the entries
-  ``[offsets[c], offsets[c+1])``.  A plain per-entry Python loop over
-  an expanded cell column (the oracle in ``tests/test_scatter.py``)
-  reproduces the result bitwise.
+  ``[offsets[c], offsets[c+1])``.  A per-entry loop over an expanded
+  cell column (the oracle in ``tests/test_scatter.py``) gives the same
+  bits.
 - Entries whose weight is zero are dropped before the feature gather.
-  With finite features their contribution is +0.0 or -0.0, and adding
-  either leaves an accumulator unchanged: ``x + ±0.0 == x`` for every
-  finite nonzero ``x``, and ``+0.0 + ±0.0 == +0.0``.  An accumulator
-  that starts at +0.0 can never become -0.0 (a sum of opposite nonzero
-  values rounds to +0.0), so skipping keeps every bit.  Finite inputs
-  are therefore a precondition: ``0 * inf`` would contribute NaN, which
-  a skipped entry does not.  The stream front ends reject non-finite
-  tensors (``tables.check_camera_tensors``) before they get here.
+  With finite features their contribution is ±0.0, and ``x + ±0.0 == x``
+  for every finite nonzero ``x`` and ``+0.0 + ±0.0 == +0.0``; an
+  accumulator that starts at +0.0 never becomes -0.0, so skipping keeps
+  every bit.  Finite inputs are therefore a precondition (``0 * inf`` is
+  NaN); the front ends reject others (``tables.check_camera_tensors``).
   A float64 product of finite float32 values is zero only when a factor
-  is, so the skip test reads the float32 mask of every entry, one read
-  from a P-value array that stays in cache, and the depth only of the
-  entries whose mask is nonzero: instance masks are the sparse factor.
-- The result is the *support*: the ascending cells that have a
-  surviving entry, and their sums rounded to float32 once, (n, C) rows.
-  Every other cell's sum is +0.0 (its accumulator was never touched),
-  and float64 accumulators exist only for the support's rows.  A
-  support cell's sum may still round to +0.0 or -0.0.
-- The surviving entries are applied in rank-major order.  An entry's
-  rank is its position in its cell's run of surviving entries: all
-  rank-0 entries go first, then all rank-1 entries, and so on.  A cell
-  occurs at most once per rank, so one rank is a plain row update
-  ``out[c] = out[c] + contrib`` with no repeated index, and a cell's
-  rank-r contribution is added only after its rank r-1 one: per cell
-  the additions, and so the rounded sums, are those of one sequential
-  pass.  Only the interleaving across cells changes, and no cell's
-  value depends on it.  The number of ranks is the longest run.  One
-  ``searchsorted`` of the offsets into the survivors' positions gives
-  every cell's run of survivors, so no per-entry cell column exists.
-- A rank's entries are applied in chunks of at most ``CHUNK_ENTRIES``.
-  A chunk's temporaries (the float32 gather, its float64 product and
-  the gathered accumulator rows) peak at ``CHUNK_ENTRIES * C * 16``
-  bytes, which bounds the scatter's working memory per worker
-  independently of the table size.  Beyond the surviving entries'
-  weights and feature indices, bookkeeping is three arrays per run.
-- Threads split the work into cell ranges cut at their offsets, which
-  cannot change any cell's value: per-cell runs are contiguous and
-  disjoint, and the ranges' supports concatenate in cell order.
+  is, so the skip test reads each entry's mask (a P-value array, in
+  cache) and the depth only where the mask is nonzero, the sparse factor.
+- The result is the *support*: the ascending cells that have a surviving
+  entry, and their sums rounded once to float32, as (n, C) rows.  Every
+  other cell's sum is +0.0, and float64 accumulators exist only for the
+  support's rows.  A support cell's sum may still round to ±0.0.
+- Surviving entries are applied rank by rank: first every cell's first
+  survivor, then every cell's second, and so on.  A cell occurs at most
+  once per rank, so a rank is a plain row update ``out[c] = out[c] +
+  contrib``, and each cell adds its survivors in entry order, bit for
+  bit as one sequential pass.  One ``searchsorted`` of the offsets into
+  the survivors' positions gives every cell's run, so no per-entry cell
+  column exists.
+- A rank goes through in chunks of ``CHUNK_ENTRIES`` entries, whose
+  temporaries stay below ``CHUNK_ENTRIES * C * 16`` bytes per worker.
+- Threads split the cells into ranges cut at their offsets: runs are
+  disjoint, so no value depends on the split.
 """
+
 
 from __future__ import annotations
 
@@ -61,31 +48,20 @@ import numpy as np
 CHUNK_ENTRIES = 8192
 
 
-def weighted_scatter(
-    feats: np.ndarray,
-    depth_w: np.ndarray,
-    mask_w: np.ndarray,
-    offsets: np.ndarray,
-    feat_idx: np.ndarray,
-    depth_idx: np.ndarray,
-    threads: int = 1,
-):
+def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threads: int = 1):
     """Accumulate depth_w * mask_w * feature into BEV cells.
 
-    feats:    (C, P) float32, all cameras' feature pixels flattened; a
-              transposed view of (P, C) memory is read without a copy
+    feats:    (C, P) float32 feature pixels; a view of (P, C) memory is not copied
     depth_w:  (Q,) float32 flattened depth volumes
     mask_w:   (P,) float32 flattened masks
     offsets:  (n_cells + 1,) cell c owns entries [offsets[c], offsets[c+1])
     feat_idx: (N,) index into the P axis
     depth_idx:(N,) index into depth_w
-    All inputs must be finite (see the module docstring).
-    Returns the support (cells, sums): the ascending (n,) intp cells that
-    have an entry of nonzero weight and their (n, C) float32 sums.
+    All inputs must be finite (see the module docstring).  Returns the support:
+    the ascending (n,) intp cells with an entry of nonzero weight, (n, C) float32 sums.
     """
-    n_cells = offsets.shape[0] - 1
     # split at cell boundaries so every worker owns whole cells
-    edges = np.linspace(0, n_cells, max(threads, 1) + 1).astype(np.int64)
+    edges = np.linspace(0, offsets.shape[0] - 1, max(threads, 1) + 1).astype(np.int64)
     ranges = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if offsets[a] < offsets[b]]
     # one pool for both passes, so each range's arrays stay with its thread
     with ThreadPoolExecutor(len(ranges)) if len(ranges) > 1 else nullcontext() as pool:
@@ -102,8 +78,7 @@ def weighted_scatter(
 
 
 def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, a, b):
-    """Cells [a, b)'s support, its survivors' weights and feature indices, and
-    each support cell's run of survivors [first, end)."""
+    """Cells [a, b)'s support, survivors' weights and feature indices, runs [first, end)."""
     lo, hi = offsets[a], offsets[b]
     fi = feat_idx[lo:hi]
     keep = np.flatnonzero(mask_w.take(fi) != 0)  # ascending: runs keep entry order
@@ -137,9 +112,8 @@ def _accumulate(out, feats_t, w, fi, first, end):
 
 
 def support_grid(cells: np.ndarray, sums: np.ndarray, ny: int, nx: int) -> np.ndarray:
-    """A support as the (C, ny, nx) float32 grid, +0.0 off it: a channel-major
-    view of cell-major memory, strides (4, nx*C*4, C*4), so each cell's C
-    channels are adjacent and a walk over one channel's plane is strided."""
+    """A support as the (C, ny, nx) float32 grid, +0.0 off it: a channel-major view
+    of cell-major memory, strides (4, nx*C*4, C*4), each cell's channels adjacent."""
     grid = np.zeros((ny * nx, sums.shape[1]), dtype=np.float32)
     grid[cells] = sums
     return grid.T.reshape(sums.shape[1], ny, nx)

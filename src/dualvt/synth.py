@@ -24,6 +24,8 @@ from .sampling import DepthBinSpec
 from .tensors import parse_manifest, tensor_read, tensor_write
 
 FEATURE_NOISE = 0.05
+# a ring rig is built, written and read one camera at a time
+MAX_CAMERAS = 256
 
 
 def _is_a(value, kind) -> bool:
@@ -88,8 +90,8 @@ class SceneSpec:
         for name in ("kappa", "cam_height", "hfov_deg"):
             if not _is_a(getattr(self, name), numbers.Real):
                 raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if self.n_cameras < 1:
-            raise ConfigError("need at least one camera")
+        if not 1 <= self.n_cameras <= MAX_CAMERAS:
+            raise ConfigError(f"n_cameras must be in [1, {MAX_CAMERAS}], got {self.n_cameras!r}")
         for name in ("feat_w", "feat_h", "channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")

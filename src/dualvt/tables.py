@@ -202,9 +202,8 @@ def read_table(path, expect_magic: bytes) -> IndexTable:
 
 
 def stack_camera_tensors(per_cam) -> np.ndarray:
-    """Stack per-camera (C, H, W) tensors into (C, n_cams*H*W), a transposed
-    view of (n_cams*H*W, C) memory: the scatter gathers its rows, one pixel's
-    C channels, without another copy."""
+    """Stack per-camera (C, H, W) tensors into (C, n_cams*H*W): a view of
+    (n_cams*H*W, C) memory, whose rows the scatter gathers without a copy."""
     arrs = [np.asarray(a) for a in per_cam]
     shape = arrs[0].shape
     if any(a.shape != shape for a in arrs):
@@ -215,11 +214,10 @@ def stack_camera_tensors(per_cam) -> np.ndarray:
 def stack_frame(feats, depths, masks, *tables):
     """Check one frame's camera tensors against every table and stack them
     once, as `weighted_scatter` reads them: (feats, depth_w, mask_w)."""
-    t = tables[0]
-    key = (t.n_cams, t.feat_h, t.feat_w, t.n_bins)
-    if any((u.n_cams, u.feat_h, u.feat_w, u.n_bins) != key for u in tables):
-        raise ShapeMismatch("the tables were built for different camera tensors")
-    check_camera_tensors(feats, depths, masks, *key)
+    keys = {(t.n_cams, t.feat_h, t.feat_w, t.n_bins, t.ny, t.nx) for t in tables}
+    if len(keys) > 1:
+        raise ShapeMismatch(f"the tables were built for different geometries: {sorted(keys)}")
+    check_camera_tensors(feats, depths, masks, *next(iter(keys))[:4])
     depth_w = np.concatenate([d.ravel() for d in depths])
     return stack_camera_tensors(feats), depth_w, stack_camera_tensors(masks)[0]
 

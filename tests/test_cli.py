@@ -55,9 +55,11 @@ OUT_OF_RANGE = [
     ({"channels": -1}, "channels"), ({"feat_w": 0}, "feat_w"), ({"feat_h": -2}, "feat_h"),
     ({"kappa": float("nan")}, "kappa"), ({"cam_height": float("inf")}, "cam_height"),
     ({"cam_height": 10**400}, "cam_height"),
+    ({"n_cameras": 0}, "n_cameras"), ({"n_cameras": 10**11}, "n_cameras"),
 ]
 OUT_OF_RANGE_IDS = ["hfov-0", "hfov-180", "hfov-nan", "channels-0", "channels-neg",
-                    "feat-w-0", "feat-h-neg", "kappa-nan", "cam-height-inf", "cam-height-huge"]
+                    "feat-w-0", "feat-h-neg", "kappa-nan", "cam-height-inf", "cam-height-huge",
+                    "n-cameras-0", "n-cameras-huge"]
 
 
 @pytest.fixture(scope="module")

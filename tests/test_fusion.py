@@ -16,8 +16,8 @@ from dualvt.fusion import (
     make_seeded_weights,
     run_pipeline,
 )
-from dualvt.height_stream import precompute_ht_table
-from dualvt.lift_stream import precompute_lss_table
+from dualvt.height_stream import ht_apply, ht_transform_fast, precompute_ht_table
+from dualvt.lift_stream import lss_apply, lss_pool, precompute_lss_table
 from dualvt.nnops import (
     Conv2dWeights,
     WeightBundle,
@@ -28,6 +28,7 @@ from dualvt.nnops import (
     sigmoid,
 )
 from dualvt.rng import Rng
+from dualvt.tables import stack_frame
 
 C = 8
 SHAPE = (C, 12, 10)
@@ -557,3 +558,34 @@ class TestRunPipeline:
         b = run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, w, threads=4)
         assert np.array_equal(a.f_final.view(np.uint32), b.f_final.view(np.uint32))
         assert np.array_equal(a.p_bev.view(np.uint32), b.p_bev.view(np.uint32))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("frame", ["zero-sum-support", "empty-support"])
+    def test_equals_grid_front_end_bitwise(self, frame, threads):
+        """run_pipeline starts the heads from the streams' supports, the grid
+        front end (fuse_and_finalize of lss_pool and ht_transform_fast) from
+        the cells its grids show input at.  All six fields agree bit for bit:
+        on a frame where some support cells sum to exactly +0.0, a feature
+        pixel zeroed under a nonzero mask, and on one with no support."""
+        bundle, ht, lss = self.fixture()
+        feats, depths = [f.copy() for f in bundle.feats], bundle.depths
+        masks = [np.zeros_like(m) for m in bundle.masks]
+        if frame == "zero-sum-support":
+            for f, m in zip(feats, masks):  # two lit pixels, one without features
+                m[0, 4, 5] = m[0, 6, 17] = 0.75
+                f[:, 4, 5] = 0.0
+        stacked = stack_frame(feats, depths, masks, ht, lss)
+        sums = np.concatenate([ht_apply(stacked, ht)[1], lss_apply(stacked, lss)[1]])
+        zero_rows = np.count_nonzero(~sums.view(np.uint32).any(axis=1))
+        if frame == "zero-sum-support":
+            assert 0 < zero_rows < sums.shape[0]
+        else:
+            assert sums.shape[0] == 0
+        w = make_seeded_weights(11, feats[0].shape[0])
+        got = run_pipeline(feats, depths, masks, ht, lss, w, threads=threads)
+        ref = fuse_and_finalize(lss_pool(feats, depths, masks, lss, threads=threads),
+                                ht_transform_fast(feats, depths, masks, ht, threads=threads), w)
+        for name in ("f_final", "p_bev", "f_ht", "f_lss", "f_channel", "affinity"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float32, name
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32)), name
