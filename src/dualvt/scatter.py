@@ -80,12 +80,13 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threa
 def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, a, b):
     """Cells [a, b)'s support, survivors' weights and feature indices, runs [first, end)."""
     lo, hi = offsets[a], offsets[b]
+    # fancy indexing reads the strided record columns in place; take copies them
     fi = feat_idx[lo:hi]
-    keep = np.flatnonzero(mask_w.take(fi) != 0)  # ascending: runs keep entry order
-    d = depth_w.take(depth_idx[lo:hi].take(keep))
+    keep = np.flatnonzero((mask_w != 0)[fi])  # ascending: runs keep entry order
+    d = depth_w.take(depth_idx[lo:hi][keep])
     live = d != 0
     keep, d = keep[live], d[live]
-    fi = fi.take(keep).astype(np.intp)
+    fi = fi[keep].astype(np.intp)
     w = d.astype(np.float64) * mask_w.take(fi)
     # cell a + j's survivors are survivors bounds[j] to bounds[j + 1] - 1
     bounds = np.searchsorted(keep, offsets[a:b + 1] - lo)

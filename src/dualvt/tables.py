@@ -212,8 +212,7 @@ def stack_camera_tensors(per_cam) -> np.ndarray:
 
 
 def stack_frame(feats, depths, masks, *tables):
-    """Check one frame's camera tensors against every table and stack them
-    once, as `weighted_scatter` reads them: (feats, depth_w, mask_w)."""
+    """(feats, depth_w, mask_w) for `weighted_scatter`, checked against every table."""
     keys = {(t.n_cams, t.feat_h, t.feat_w, t.n_bins, t.ny, t.nx) for t in tables}
     if len(keys) > 1:
         raise ShapeMismatch(f"the tables were built for different geometries: {sorted(keys)}")
