@@ -31,10 +31,10 @@ Accumulation contract:
   column exists.
 - A rank goes through in chunks of ``CHUNK_ENTRIES`` entries, whose
   temporaries stay below ``CHUNK_ENTRIES * C * 16`` bytes per worker.
-- Threads split the cells into ranges cut at their offsets: runs are
+- The survivors are found on the calling thread.  Threads then split the
+  support's rows into ranges of about equal survivors: runs are
   disjoint, so no value depends on the split.
 """
-
 
 from __future__ import annotations
 
@@ -60,44 +60,38 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threa
     All inputs must be finite (see the module docstring).  Returns the support:
     the ascending (n,) intp cells with an entry of nonzero weight, (n, C) float32 sums.
     """
-    # split at cell boundaries so every worker owns whole cells
-    edges = np.linspace(0, offsets.shape[0] - 1, max(threads, 1) + 1).astype(np.int64)
-    ranges = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if offsets[a] < offsets[b]]
-    # one pool for both passes, so each range's arrays stay with its thread
-    with ThreadPoolExecutor(len(ranges)) if len(ranges) > 1 else nullcontext() as pool:
-        each = pool.map if pool else map
-        runs = list(each(
-            lambda r: _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, *r), ranges))
-        cells = np.concatenate([run[0] for run in runs] or [np.empty(0, dtype=np.intp)])
-        out = np.zeros((cells.size, feats.shape[0]), dtype=np.float64)
-        feats_t = np.ascontiguousarray(feats.T)  # (P, C), row gathers are cheap
-        starts = np.cumsum([0] + [run[0].size for run in runs])
-        list(each(lambda j: _accumulate(out[starts[j]:starts[j + 1]], feats_t, *runs[j][1:]),
-                  range(len(runs))))
+    cells, w, fi, first, end = _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx)
+    out = np.zeros((cells.size, feats.shape[0]), dtype=np.float64)
+    feats_t = np.ascontiguousarray(feats.T)  # (P, C), row gathers are cheap
+    # split the rows, one per support cell, into ranges of about equal survivors
+    cuts = np.searchsorted(first, np.linspace(0, w.size, max(threads, 1) + 1)[1:-1])
+    jobs = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, cells.size]) if a < b]
+    with ThreadPoolExecutor(len(jobs)) if len(jobs) > 1 else nullcontext() as pool:
+        list((pool.map if pool else map)(
+            lambda j: _accumulate(out[j], feats_t, w, fi, first[j], end[j]), jobs))
     return cells, out.astype(np.float32)
 
 
-def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, a, b):
-    """Cells [a, b)'s support, survivors' weights and feature indices, runs [first, end)."""
-    lo, hi = offsets[a], offsets[b]
+def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx):
+    """The support, the survivors' weights and feature indices, and each
+    support cell's run of survivors [first, end)."""
     # fancy indexing reads the strided record columns in place; take copies them
-    fi = feat_idx[lo:hi]
-    keep = np.flatnonzero((mask_w != 0)[fi])  # ascending: runs keep entry order
-    d = depth_w.take(depth_idx[lo:hi][keep])
+    keep = np.flatnonzero((mask_w != 0)[feat_idx])  # ascending: runs keep entry order
+    d = depth_w.take(depth_idx[keep])
     live = d != 0
     keep, d = keep[live], d[live]
-    fi = fi[keep].astype(np.intp)
+    fi = feat_idx[keep].astype(np.intp)
     w = d.astype(np.float64) * mask_w.take(fi)
-    # cell a + j's survivors are survivors bounds[j] to bounds[j + 1] - 1
-    bounds = np.searchsorted(keep, offsets[a:b + 1] - lo)
+    # cell c's survivors are survivors bounds[c] to bounds[c + 1] - 1
+    bounds = np.searchsorted(keep, offsets)
     cells = np.flatnonzero(bounds[1:] > bounds[:-1])
-    return cells + a, w, fi, bounds[cells], bounds[cells + 1]
+    return cells, w, fi, bounds[cells], bounds[cells + 1]
 
 
 def _accumulate(out, feats_t, w, fi, first, end):
     """Add each row's run of survivors [first, end) to its row of out, rank by rank."""
     # pos: each unfinished run's rank-r survivor; end: its run's end; row: its row of out
-    pos, row = first, np.arange(out.shape[0])
+    pos, row = first.copy(), np.arange(out.shape[0])
     while pos.size:
         for start in range(0, pos.size, CHUNK_ENTRIES):
             sel = pos[start:start + CHUNK_ENTRIES]
