@@ -160,8 +160,9 @@ def test_skewed_runs_are_bitwise(seed, hot_len, n_cells, zero_frac, chunk, threa
 @st.composite
 def _offsets_problems(draw):
     """Offsets with runs of length 1 and of 100 or more among short and empty
-    ones; then the thread count, whose split may start or end a range on empty
-    cells and may give one range entries that all weigh zero."""
+    ones; then the thread count.  Around even cuts of the cells there may be
+    empty cells, and one cut range may hold entries that all weigh zero, so
+    the threads' split of the survivors meets gaps in the support."""
     counts = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 7]), min_size=10, max_size=40))
     threads = draw(st.sampled_from([1, 2, 3]))
     n_cells = len(counts)
@@ -180,8 +181,9 @@ def _offsets_problems(draw):
 @settings(max_examples=40, deadline=None)
 @given(_offsets_problems(), st.sampled_from([1, 3, 8192]))
 def test_offsets_walk_matches_reference_bitwise(problem, chunk):
-    """The runs and the thread split read from the offsets give the per-entry
-    reference's bits, on u32 record columns as a table holds them."""
+    """The runs read from the offsets and the threads' split of the survivors
+    give the per-entry reference's bits, on u32 record columns as a table
+    holds them."""
     counts, threads, edges, zero_range, seed = problem
     n_cells = counts.size
     cells = np.repeat(np.arange(n_cells), counts)
