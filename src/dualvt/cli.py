@@ -13,11 +13,10 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DualVtError, InvalidCount
-from .fusion import apply_ablations, fuse_and_finalize, make_seeded_weights, run_pipeline
+from .fusion import apply_ablations, default_weight_shapes, fuse_and_finalize, run_pipeline
 from .geometry import BevGridSpec, HeightSet, make_height_samples
 from .height_stream import INTERP, ROUND, ht_transform_naive, precompute_ht_table
 from .lift_stream import lss_pool, precompute_lss_table
@@ -32,45 +31,24 @@ DEFAULT_WEIGHT_SEED = 11
 MAX_THREADS = 64  # upper bound on --threads; the scatter starts up to this many workers
 
 
-@dataclass
-class RunConfig:
-    """Validated transform options: the flags, with the `--ablate` syntax parsed
-    into fields.  A flag left unset keeps the default stated here."""
-
-    threads: int = 1
-    weight_seed: int = DEFAULT_WEIGHT_SEED
-    weights_dir: str | None = None
-    sampler: str = "fast"
-    force_affinity: float | None = None
-    disable_mask: bool = False
-    uniform_depth: bool = False
-
-    @classmethod
-    def merge(cls, args) -> "RunConfig":
-        cfg = cls()
-        for key in vars(cfg):
-            flag = getattr(args, key, None)
-            if flag is not None:
-                setattr(cfg, key, flag)
-        for ablate in getattr(args, "ablate", None) or []:
-            if ablate == "disable-M":
-                cfg.disable_mask = True
-            elif ablate == "uniform-D":
-                cfg.uniform_depth = True
-            elif ablate.startswith("force-A="):
-                try:
-                    cfg.force_affinity = float(ablate.split("=", 1)[1])
-                except ValueError as e:
-                    raise ConfigError(f"bad ablation {ablate!r}: {e}") from e
-            else:
-                raise ConfigError(f"unknown ablation {ablate!r}")
-        if not 1 <= cfg.threads <= MAX_THREADS:
-            raise ConfigError(f"threads must be in [1, {MAX_THREADS}], got {cfg.threads}")
-        if cfg.force_affinity is not None and not (
-            math.isfinite(cfg.force_affinity) and 0.0 <= cfg.force_affinity <= 1.0
-        ):
-            raise ConfigError(f"force-A must be finite and in [0, 1], got {cfg.force_affinity}")
-        return cfg
+def _parse_ablations(ablate) -> tuple:
+    """The repeatable --ablate values as (disable_mask, uniform_depth, force_affinity)."""
+    disable_mask, uniform_depth, force_affinity = False, False, None
+    for value in ablate or []:
+        if value == "disable-M":
+            disable_mask = True
+        elif value == "uniform-D":
+            uniform_depth = True
+        elif value.startswith("force-A="):
+            try:
+                force_affinity = float(value.split("=", 1)[1])
+            except ValueError as e:
+                raise ConfigError(f"bad ablation {value!r}: {e}") from e
+            if not (math.isfinite(force_affinity) and 0.0 <= force_affinity <= 1.0):
+                raise ConfigError(f"force-A must be finite and in [0, 1], got {force_affinity}")
+        else:
+            raise ConfigError(f"unknown ablation {value!r}")
+    return disable_mask, uniform_depth, force_affinity
 
 
 def _load_scene_spec(path) -> tuple:
@@ -159,16 +137,22 @@ def _write_outputs(out, write) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _load_run_inputs(args, cfg: RunConfig):
+def _load_run_inputs(args):
     bundle = load_bundle(args.scene)
     tables = Path(args.tables)
     ht_table = read_table(tables / "ht_table.htlt", HT_MAGIC)
     lss_table = read_table(tables / "lss_table.lspt", LSS_MAGIC)
     _check_tables_match_scene(bundle, (ht_table, lss_table))
-    if cfg.weights_dir:
-        weights = WeightBundle.load(cfg.weights_dir)
-    else:
-        weights = make_seeded_weights(cfg.weight_seed, bundle.spec.channels)
+    shapes = default_weight_shapes(bundle.spec.channels)  # refuses a count the heads cannot take
+    if not args.weights_dir:
+        return bundle, ht_table, lss_table, WeightBundle.seeded(args.weight_seed, shapes)
+    weights = WeightBundle.load(args.weights_dir)
+    for name in sorted(shapes.keys() | weights.layers.keys()):
+        if name not in shapes:
+            raise ConfigError(f"weight bundle has unknown layer {name!r}")
+        if weights[name].kernel.shape != shapes[name]:  # weights[name] names a missing one
+            raise ConfigError(f"weight layer {name!r} has kernel shape "
+                              f"{weights[name].kernel.shape}, the heads take {shapes[name]}")
     return bundle, ht_table, lss_table, weights
 
 
@@ -192,28 +176,30 @@ def _check_tables_match_scene(bundle, tables) -> None:
                               "fingerprint differs); rebuild it with precompute")
 
 
-def _transform(bundle, ht_table, lss_table, weights, cfg: RunConfig):
+def _transform(bundle, ht_table, lss_table, weights, args, ablations):
     feats = bundle.feats
-    depths, masks = apply_ablations(bundle.depths, bundle.masks,
-                                    cfg.disable_mask, cfg.uniform_depth)
-    if cfg.sampler == "fast":
+    disable_mask, uniform_depth, force_affinity = ablations
+    depths, masks = apply_ablations(bundle.depths, bundle.masks, disable_mask, uniform_depth)
+    if args.sampler == "fast":
         return run_pipeline(
             feats, depths, masks, ht_table, lss_table, weights,
-            threads=cfg.threads, force_affinity=cfg.force_affinity,
+            threads=args.threads, force_affinity=force_affinity,
         )
-    mode = INTERP if cfg.sampler == "naive-interp" else ROUND
+    mode = INTERP if args.sampler == "naive-interp" else ROUND
     f_ht = ht_transform_naive(
         feats, depths, masks, bundle.rigs, bundle.grid, HeightSet(ht_table.heights),
         bundle.dspec, mode=mode,
     )
-    f_lss = lss_pool(feats, depths, masks, lss_table, threads=cfg.threads)
-    return fuse_and_finalize(f_lss, f_ht, weights, force_affinity=cfg.force_affinity)
+    f_lss = lss_pool(feats, depths, masks, lss_table, threads=args.threads)
+    return fuse_and_finalize(f_lss, f_ht, weights, force_affinity=force_affinity)
 
 
 def cmd_transform(args) -> int:
-    cfg = RunConfig.merge(args)
-    bundle, ht_table, lss_table, weights = _load_run_inputs(args, cfg)
-    result = _transform(bundle, ht_table, lss_table, weights, cfg)
+    ablations = _parse_ablations(args.ablate)
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise ConfigError(f"threads must be in [1, {MAX_THREADS}], got {args.threads}")
+    bundle, ht_table, lss_table, weights = _load_run_inputs(args)
+    result = _transform(bundle, ht_table, lss_table, weights, args, ablations)
 
     arrays = {
         "F": result.f_final, "P": result.p_bev,
@@ -273,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--tables", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--weight-seed", dest="weight_seed", type=int)
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--weight-seed", dest="weight_seed", type=int, default=DEFAULT_WEIGHT_SEED)
     p.add_argument("--weights", dest="weights_dir")
-    p.add_argument("--sampler", choices=["fast", "naive-interp", "naive-round"])
+    p.add_argument("--sampler", choices=["fast", "naive-interp", "naive-round"], default="fast")
     p.add_argument(
         "--ablate", action="append",
         help="repeatable: disable-M | uniform-D | force-A=<value>",

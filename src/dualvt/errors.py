@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the library and mapped to CLI exit codes."""
+"""Exception taxonomy shared across the library and mapped to CLI exit codes,
+and the number tests that the configuration checks share."""
+
+import math
 
 
 class DualVtError(Exception):
@@ -39,3 +42,16 @@ class EmptyShape(DualVtError):
 
 class InvalidCount(DualVtError):
     """A count parameter is below its legal minimum."""
+
+
+def is_a(value, kind) -> bool:
+    """isinstance for numbers read from JSON: numpy scalars pass, booleans never do."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """math.isfinite, False also for an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

@@ -21,8 +21,9 @@ takes it from the scatter (the cells with an entry of nonzero weight),
 the grid front ends from the grids (the cells where some input is not
 bit-for-bit +0.0, so -0.0 and NaN are input).  A support cell whose
 inputs are +0.0 computes the background's bits, so both agree.  Off the
-support ``F_channel`` is +0.0 and ``P`` lies in (0, 1), so ``F = P *
-F_channel`` is taken on the image too.
+support ``F_channel`` is +0.0, so the occupancy head is given the same
+support, and ``P`` lies in (0, 1), so ``F = P * F_channel`` is taken on
+the image too.
 
 The occupancy head runs each layer on its own *active set*, the cells
 whose value can differ from the layer's background: its input's set
@@ -76,56 +77,34 @@ _PACKED_MAX_SHARE = 0.25
 _WRITE_MAX_SHARE = 1 / 8
 
 
-@dataclass(frozen=True)
-class ProbNetConfig:
-    """Occupancy head: local conv stream (3x3 reduce, residual block with a
-    channel gate, 1x1 logit) plus a global mean/max 7x7 stream."""
-
-    channels: int
-
-    def __post_init__(self):
-        # the reduce and the gate squeeze by 4
-        if self.channels % 4:
-            raise ConfigError("reduce ratio must divide the channel count")
-
-    def layer_shapes(self) -> dict:
-        c, cr = self.channels, self.channels // 4
-        cg = max(cr // 4, 1)
-        return {
-            "prob.local.reduce": (cr, c, 3, 3),
-            "prob.local.res1": (cr, cr, 3, 3),
-            "prob.local.res2": (cr, cr, 3, 3),
-            "prob.local.gate.squeeze": (cg, cr, 1, 1),
-            "prob.local.gate.expand": (cr, cg, 1, 1),
-            "prob.local.out": (1, cr, 1, 1),
-            "prob.global.conv": (1, 2, 7, 7),
-        }
-
-
 def default_weight_shapes(channels: int) -> dict:
-    """Every layer of both heads.  The CAF head concatenates the streams,
-    reduces them back to `channels` and squeezes its two bottlenecks by 4,
-    which the occupancy head's reduce ratio makes exact."""
-    c, cb = channels, channels // 4
-    shapes = ProbNetConfig(channels).layer_shapes()
-    shapes.update({
+    """Every layer of both heads.  The occupancy head has a local conv stream
+    (3x3 reduce, residual block with a channel gate, 1x1 logit) and a global
+    mean/max 7x7 stream.  The CAF head concatenates the streams, reduces them
+    back to `channels` and squeezes its two bottlenecks.  The occupancy reduce
+    and the CAF squeezes divide the channel count by 4, which must be exact."""
+    if channels % 4:
+        raise ConfigError("reduce ratio must divide the channel count")
+    c, cr = channels, channels // 4
+    cg = max(cr // 4, 1)
+    return {
+        "prob.local.reduce": (cr, c, 3, 3),
+        "prob.local.res1": (cr, cr, 3, 3),
+        "prob.local.res2": (cr, cr, 3, 3),
+        "prob.local.gate.squeeze": (cg, cr, 1, 1),
+        "prob.local.gate.expand": (cr, cg, 1, 1),
+        "prob.local.out": (1, cr, 1, 1),
+        "prob.global.conv": (1, 2, 7, 7),
         "caf.reduce": (c, 2 * c, 1, 1),
-        "caf.local.squeeze": (cb, c, 1, 1),
-        "caf.local.expand": (c, cb, 1, 1),
-        "caf.global.squeeze": (cb, c, 1, 1),
-        "caf.global.expand": (c, cb, 1, 1),
-    })
-    return shapes
+        "caf.local.squeeze": (cr, c, 1, 1),
+        "caf.local.expand": (c, cr, 1, 1),
+        "caf.global.squeeze": (cr, c, 1, 1),
+        "caf.global.expand": (c, cr, 1, 1),
+    }
 
 
 def make_seeded_weights(seed: int, channels: int) -> WeightBundle:
     return WeightBundle.seeded(seed, default_weight_shapes(channels))
-
-
-def _has_input(x: np.ndarray, axis: int) -> np.ndarray:
-    """Per cell, whether some channel of float32 `x` (channels on `axis`)
-    is not bit-for-bit +0.0: a u32 test, so -0.0 and NaN count as input."""
-    return x.view(np.uint32).any(axis=axis)
 
 
 def _bottleneck(z: np.ndarray, weights: WeightBundle, prefix: str) -> np.ndarray:
@@ -133,12 +112,13 @@ def _bottleneck(z: np.ndarray, weights: WeightBundle, prefix: str) -> np.ndarray
 
 
 def _stream_support(f_lss, f_ht) -> np.ndarray:
-    """Check the float32 stream grids; the (ny, nx) cells where either has input."""
+    """Check the float32 stream grids; the (ny, nx) cells where either has input,
+    a channel not bit-for-bit +0.0 (a u32 test, so -0.0 and NaN count as input)."""
     if f_lss.shape != f_ht.shape:
         raise ShapeMismatch(f"stream shapes differ: {f_lss.shape} vs {f_ht.shape}")
     if f_lss.dtype != np.float32 or f_ht.dtype != np.float32:
         raise ShapeMismatch(f"streams must be float32, got {f_lss.dtype} and {f_ht.dtype}")
-    return _has_input(f_lss, axis=0) | _has_input(f_ht, axis=0)
+    return f_lss.view(np.uint32).any(axis=0) | f_ht.view(np.uint32).any(axis=0)
 
 
 def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = None):
@@ -232,6 +212,8 @@ class _ActiveCells:
         """Layer `w` from set `src` to set `dst`, as a 1x1 layer on the
         gathered windows."""
         c_out, c_in, kh, kw = w.kernel.shape
+        if len(x) != c_in:  # as conv2d would, before the windows hide the count
+            raise ShapeMismatch(f"input has {len(x)} channels, kernel expects {c_in}")
         ry, rx = kh // 2, kw // 2
         ny, nx = self.shape
         n_src = self.cells[src].size
@@ -269,10 +251,9 @@ class _ActiveCells:
         return out.reshape((x.shape[0],) + self.shape)
 
 
-def _active_cells(f_channel: np.ndarray, weights: WeightBundle):
-    """The occupancy head's active sets, or the full grid when the largest
-    would hold more than `_PACKED_MAX_SHARE` of it."""
-    support = _has_input(f_channel, axis=0)
+def _active_cells(support: np.ndarray, weights: WeightBundle):
+    """The occupancy head's active sets, grown from the (ny, nx) `support`, or
+    the full grid when the largest would hold more than `_PACKED_MAX_SHARE` of it."""
     limit = _PACKED_MAX_SHARE * support.size
     if np.count_nonzero(support) > limit:  # a dense frame pays for no dilation
         return _FullGrid()
@@ -292,15 +273,20 @@ def _active_cells(f_channel: np.ndarray, weights: WeightBundle):
     )
 
 
-def bev_probability(f_channel, weights: WeightBundle, cfg: ProbNetConfig) -> np.ndarray:
-    """(1, ny, nx) occupancy probability, strictly inside (0, 1)."""
-    if f_channel.shape[0] != cfg.channels:
-        raise ShapeMismatch(f"{f_channel.shape[0]} channels, config expects {cfg.channels}")
+def bev_probability(f_channel, weights: WeightBundle, support: np.ndarray) -> np.ndarray:
+    """(1, ny, nx) occupancy probability, strictly inside (0, 1).
+
+    `support` is an (ny, nx) bool mask, and `f_channel` must be bit-for-bit
+    +0.0 at every cell off it.  Any larger support gives the same bits: a
+    support cell whose input is +0.0 computes the background's.  The reduce
+    refuses a channel count the weights do not take."""
     if f_channel.dtype != np.float32:
         raise ShapeMismatch(f"F_channel must be float32, got {f_channel.dtype}")
+    if support.shape != f_channel.shape[1:]:
+        raise ShapeMismatch(f"support shape {support.shape} does not match {f_channel.shape}")
     # channel_stats' float32 mean sums in an order set by the memory layout
     f_channel = np.ascontiguousarray(f_channel)
-    cells = _active_cells(f_channel, weights)
+    cells = _active_cells(support, weights)
     x = cells.pack(f_channel)
     h = cells.conv(x, weights["prob.local.reduce"], "input", "reduce")
     t = relu(cells.conv(h, weights["prob.local.res1"], "reduce", "res1"))
@@ -382,11 +368,10 @@ def fuse_and_finalize(
 def _finalize(f_lss, f_ht, support, weights, force_affinity) -> PipelineResult:
     """The heads' one tail.  `support` holds every cell where a stream grid is
     not bit-for-bit +0.0; its other cells run as the background."""
-    cfg = ProbNetConfig(f_ht.shape[0])  # a channel count the heads refuse fails first
     cells = _ActiveCells({"input": support})
     fused, affinity = _caf(cells, cells.pack(f_lss, f_ht), weights, force_affinity)
     f_channel = cells.expand(fused, "input")
-    p = bev_probability(f_channel, weights, cfg)
+    p = bev_probability(f_channel, weights, support)
     return PipelineResult(
         f_final=cells.expand(assemble_final(fused, cells.pack(p)), "input"),
         p_bev=p, f_ht=f_ht, f_lss=f_lss, f_channel=f_channel,

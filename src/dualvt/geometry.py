@@ -10,11 +10,13 @@ Conventions (fixed across the whole library):
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidCount
+from .errors import ConfigError, InvalidCount, is_a, is_finite
 
 BEHIND_EPS = 1e-6
 
@@ -38,6 +40,11 @@ class CameraRig:
         T = np.asarray(self.extrinsics, dtype=np.float64)
         if K.shape != (3, 3) or T.shape != (4, 4):
             raise ConfigError("intrinsics must be 3x3 and extrinsics 4x4")
+        for name, m in (("intrinsics", K), ("extrinsics", T)):
+            if not np.isfinite(m).all():
+                raise ConfigError(f"camera {name} must be finite")
+        if not (K[0, 0] > 0 and K[1, 1] > 0):
+            raise ConfigError(f"camera fx and fy must be positive, got {K[0, 0]} and {K[1, 1]}")
         if K[2, 2] != 1.0 or K[2, 0] != 0.0 or K[2, 1] != 0.0:
             raise ConfigError("last intrinsics row must be [0, 0, 1]")
         R = T[:3, :3]
@@ -83,10 +90,21 @@ class BevGridSpec:
     ny: int = 128
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            if not is_a(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"grid {name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            if not (is_a(getattr(self, name), numbers.Real) and is_finite(getattr(self, name))):
+                raise ConfigError(f"grid {name} must be a finite real number, "
+                                  f"got {getattr(self, name)!r}")
         if self.nx < 1 or self.ny < 1:
             raise ConfigError("grid cell counts must be >= 1")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ConfigError("grid extents must be nonempty")
+        for name in ("cell_w", "cell_h"):  # finite extents can still be too far apart
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"grid {name} must be finite and positive, "
+                                  f"got {getattr(self, name)}")
 
     @property
     def cell_w(self) -> float:

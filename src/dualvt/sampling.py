@@ -24,6 +24,8 @@ class DepthBinSpec:
     step: float = 0.5
 
     def __post_init__(self):
+        if not self.d_min >= 0:  # a bin behind the camera
+            raise ConfigError(f"depth d_min must be at least 0, got {self.d_min!r}")
         if self.step <= 0:
             raise ConfigError("depth step must be positive")
         n = (self.d_max - self.d_min) / self.step

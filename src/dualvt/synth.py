@@ -10,14 +10,13 @@ and a uniform depth distribution.  Everything derives from one seed.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_a, is_finite
 from .geometry import BevGridSpec, CameraRig, bev_cell_centers
 from .rng import Rng
 from .sampling import DepthBinSpec
@@ -26,19 +25,6 @@ from .tensors import parse_manifest, tensor_read, tensor_write
 FEATURE_NOISE = 0.05
 # a ring rig is built, written and read one camera at a time
 MAX_CAMERAS = 256
-
-
-def _is_a(value, kind) -> bool:
-    """isinstance for numbers read from JSON: numpy scalars pass, booleans never do."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """math.isfinite, False also for an integer too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -52,7 +38,7 @@ class Box:
         for name in ("center", "size"):
             value = getattr(self, name)
             if not (isinstance(value, tuple) and len(value) == 3
-                    and all(_is_a(v, numbers.Real) for v in value)):
+                    and all(is_a(v, numbers.Real) for v in value)):
                 raise ConfigError(f"box {name} must be three real numbers, got {value!r}")
 
     def footprint_contains(self, x, y):
@@ -85,10 +71,10 @@ class SceneSpec:
 
     def __post_init__(self):
         for name in ("seed", "n_cameras", "feat_w", "feat_h", "channels"):
-            if not _is_a(getattr(self, name), numbers.Integral):
+            if not is_a(getattr(self, name), numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("kappa", "cam_height", "hfov_deg"):
-            if not _is_a(getattr(self, name), numbers.Real):
+            if not is_a(getattr(self, name), numbers.Real):
                 raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not 1 <= self.n_cameras <= MAX_CAMERAS:
             raise ConfigError(f"n_cameras must be in [1, {MAX_CAMERAS}], got {self.n_cameras!r}")
@@ -96,7 +82,7 @@ class SceneSpec:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         for name in ("kappa", "cam_height", "hfov_deg"):
-            if not _is_finite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 < self.hfov_deg < 180:
             raise ConfigError(f"hfov_deg must be in (0, 180), got {self.hfov_deg!r}")

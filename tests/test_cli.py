@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from dualvt import cli
-from dualvt.cli import MAX_THREADS, RunConfig, build_parser, main
-from dualvt.errors import ConfigError
+from dualvt.cli import MAX_THREADS, main
 from dualvt.fusion import make_seeded_weights
+from dualvt.nnops import WeightBundle
 from dualvt.synth import random_scene_spec
 from dualvt.tables import HT_MAGIC, LSS_MAGIC, read_table
 from dualvt.tensors import tensor_read
@@ -56,10 +56,41 @@ OUT_OF_RANGE = [
     ({"kappa": float("nan")}, "kappa"), ({"cam_height": float("inf")}, "cam_height"),
     ({"cam_height": 10**400}, "cam_height"),
     ({"n_cameras": 0}, "n_cameras"), ({"n_cameras": 10**11}, "n_cameras"),
+    ({"grid": {**SCENE_SPEC["grid"], "x_max": float("inf")}}, "x_max"),
+    ({"grid": {**SCENE_SPEC["grid"], "x_min": -1e308, "x_max": 1e308}}, "cell_w"),
+    ({"dspec": {**SCENE_SPEC["dspec"], "d_min": -20.0}}, "d_min"),
 ]
 OUT_OF_RANGE_IDS = ["hfov-0", "hfov-180", "hfov-nan", "channels-0", "channels-neg",
                     "feat-w-0", "feat-h-neg", "kappa-nan", "cam-height-inf", "cam-height-huge",
-                    "n-cameras-0", "n-cameras-huge"]
+                    "n-cameras-0", "n-cameras-huge", "grid-x-max-inf", "grid-cell-w-inf",
+                    "dspec-d-min-neg"]
+
+# scene-spec values of another JSON type
+WRONG_TYPE = [
+    ({"hfov_deg": "70"}, "hfov_deg"),
+    ({"cam_height": "x"}, "cam_height"),
+    ({"boxes": [{"center": [0, 0, "a"], "size": [1, 1, 1]}]}, "center"),
+    ({"feat_w": 4.5}, "feat_w"),
+    ({"boxes": [{"size": [1, 1, 1]}]}, "center"),
+    ({**SCENE_SPEC, "channels": "8"}, "channels"),
+    ({"seed": True}, "seed"),
+    ({"boxes": [{"center": [0, 0, 0], "size": [1, False, 1]}]}, "size"),
+    ({"grid": {**SCENE_SPEC["grid"], "nx": 16.5}}, "nx"),
+    ({"grid": {**SCENE_SPEC["grid"], "ny": True}}, "ny"),
+]
+WRONG_TYPE_IDS = ["hfov-str", "cam-height-str", "center-str", "feat-w-float", "box-no-center",
+                  "channels-str", "seed-bool", "size-bool", "grid-nx-float", "grid-ny-bool"]
+
+# a rig matrix entry set to a bad value, in a scene's manifest
+BAD_RIG = [
+    ("intrinsics", (0, 0), float("nan"), "intrinsics"),
+    ("intrinsics", (0, 0), 0.0, "fx"),
+    ("intrinsics", (0, 0), -3.0, "fx"),
+    ("intrinsics", (0, 0), float("inf"), "intrinsics"),
+    ("intrinsics", (1, 1), 0.0, "fy"),
+    ("extrinsics", (0, 3), float("nan"), "extrinsics"),
+]
+BAD_RIG_IDS = ["fx-nan", "fx-0", "fx-neg", "fx-inf", "fy-0", "translation-nan"]
 
 
 @pytest.fixture(scope="module")
@@ -114,17 +145,7 @@ class TestSynth:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("doc, field", [
-        ({"hfov_deg": "70"}, "hfov_deg"),
-        ({"cam_height": "x"}, "cam_height"),
-        ({"boxes": [{"center": [0, 0, "a"], "size": [1, 1, 1]}]}, "center"),
-        ({"feat_w": 4.5}, "feat_w"),
-        ({"boxes": [{"size": [1, 1, 1]}]}, "center"),
-        ({**SCENE_SPEC, "channels": "8"}, "channels"),
-        ({"seed": True}, "seed"),
-        ({"boxes": [{"center": [0, 0, 0], "size": [1, False, 1]}]}, "size"),
-    ], ids=["hfov-str", "cam-height-str", "center-str", "feat-w-float", "box-no-center",
-            "channels-str", "seed-bool", "size-bool"])
+    @pytest.mark.parametrize("doc, field", WRONG_TYPE, ids=WRONG_TYPE_IDS)
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, doc, field):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
@@ -236,16 +257,21 @@ class TestPrecompute:
 
     @pytest.mark.parametrize("bad, field", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
     def test_out_of_range_manifest_spec_exits_2(self, workspace, tmp_path, capsys, bad, field):
-        scene = tmp_path / "scene"
-        shutil.copytree(workspace / "scene", scene)
-        manifest = scene / "manifest.json"
+        manifest = edited_manifest(workspace, tmp_path, bad)
+        assert_manifest_refused(workspace, tmp_path, capsys, manifest, field)
+
+    @pytest.mark.parametrize("bad, field", WRONG_TYPE, ids=WRONG_TYPE_IDS)
+    def test_wrong_type_manifest_spec_exits_2(self, workspace, tmp_path, capsys, bad, field):
+        manifest = edited_manifest(workspace, tmp_path, bad)
+        assert_manifest_refused(workspace, tmp_path, capsys, manifest, field)
+
+    @pytest.mark.parametrize("matrix, at, value, field", BAD_RIG, ids=BAD_RIG_IDS)
+    def test_bad_manifest_rig_exits_2(self, workspace, tmp_path, capsys, matrix, at, value, field):
+        manifest = edited_manifest(workspace, tmp_path, {})
         doc = json.loads(manifest.read_text())
-        rewrite_json(manifest, {"spec": {**doc["spec"], **bad}})
-        assert main(["precompute", "--scene", str(scene), "--out", str(tmp_path / "t")]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and str(manifest) in err and field in err
-        assert len(err.strip().splitlines()) == 1
-        assert [p.name for p in tmp_path.iterdir()] == ["scene"]
+        doc["cameras"][1]["rig"][matrix][at[0]][at[1]] = value
+        rewrite_json(manifest, json.dumps(doc))
+        assert_manifest_refused(workspace, tmp_path, capsys, manifest, field)
 
     @pytest.mark.parametrize("edit", [
         {"grid": 5},
@@ -266,6 +292,32 @@ class TestPrecompute:
             assert "config error" in err and str(manifest) in err, argv[0]
             assert len(err.strip().splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["scene"]
+
+
+def edited_manifest(workspace, tmp_path, bad):
+    """A copy of the workspace scene whose manifest takes `bad`: its grid and
+    dspec blocks replace the manifest's own, its other keys go into the spec."""
+    shutil.copytree(workspace / "scene", tmp_path / "scene")
+    manifest = tmp_path / "scene" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    blocks = {k: v for k, v in bad.items() if k in doc}  # grid, dspec
+    spec = {k: v for k, v in bad.items() if k not in doc}
+    rewrite_json(manifest, {**blocks, "spec": {**doc["spec"], **spec}})
+    return manifest
+
+
+def assert_manifest_refused(workspace, tmp_path, capsys, manifest, field):
+    """precompute and transform both exit 2 on the scene, with one line that
+    names the manifest and the field, and write no --out."""
+    scene = str(manifest.parent)
+    for argv in (["precompute", "--scene", scene, "--out", str(tmp_path / "t")],
+                 ["transform", "--scene", scene, "--tables", str(workspace / "tables"),
+                  "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "config error" in err and str(manifest) in err and field in err, argv[0]
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 
 
 def run_transform(workspace, out, *extra):
@@ -354,13 +406,37 @@ class TestTransform:
 
     def test_channels_not_divisible_by_4_exits_2(self, tmp_path, capsys):
         tables = other_tables(tmp_path / "six", channels=6)
+        wdir = tmp_path / "weights"
+        make_seeded_weights(11, SCENE_SPEC["channels"]).save(wdir)
         capsys.readouterr()
-        assert main(["transform", "--scene", str(tables.parent / "scene"),
-                     "--tables", str(tables), "--out", str(tmp_path / "out")]) == 2
+        for weights in ([], ["--weights", str(wdir)]):  # seeded, and a bundle from disk
+            assert main(["transform", "--scene", str(tables.parent / "scene"),
+                         "--tables", str(tables), "--out", str(tmp_path / "out"), *weights]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "reduce ratio must divide the channel count" in err
+            assert len(err.strip().splitlines()) == 1
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "wrong-shape"])
+    def test_weights_must_match_the_heads(self, workspace, tmp_path, capsys, edit):
+        """A --weights bundle holds exactly the heads' layers, at their kernel
+        shapes for the scene's channel count."""
+        layers = dict(make_seeded_weights(11, SCENE_SPEC["channels"]).layers)
+        name = "prob.local.reduce"
+        if edit == "missing":
+            del layers[name]
+        elif edit == "extra":
+            name = "prob.local.extra"
+            layers[name] = layers["prob.local.out"]
+        else:
+            layers[name] = make_seeded_weights(11, 2 * SCENE_SPEC["channels"]).layers[name]
+        WeightBundle(layers, edit).save(tmp_path / "weights")
+        assert run_transform(workspace, tmp_path / "out", "--weights",
+                             str(tmp_path / "weights")) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "reduce ratio must divide the channel count" in err
-        assert len(err.strip().splitlines()) == 1
-        assert not (tmp_path / "out").exists()
+        assert "config error" in err and repr(name) in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["weights"]
 
     def test_weights_roundtrip_through_disk(self, workspace, tmp_path):
         wdir = tmp_path / "weights"
@@ -523,15 +599,13 @@ class TestRunConfigValidation:
                      "--threads", str(MAX_THREADS + 1)])
         self.assert_config_error(code, capsys)
 
-    def test_threads_cap_is_inclusive(self):
-        args = build_parser().parse_args(
-            ["transform", "--scene", "s", "--tables", "t", "--out", "o",
-             "--threads", str(MAX_THREADS)]
-        )
-        assert RunConfig.merge(args).threads == MAX_THREADS
-        args.threads = MAX_THREADS + 1
-        with pytest.raises(ConfigError):
-            RunConfig.merge(args)
+    def test_threads_cap_is_inclusive(self, tmp_path, capsys):
+        # at the cap the options pass, and the missing scene ends the run in exit 3
+        code = main(["transform", "--scene", str(tmp_path / "none"),
+                     "--tables", str(tmp_path / "none"), "--out", str(tmp_path / "x"),
+                     "--threads", str(MAX_THREADS)])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["2", "-0.1", "nan", "inf", "abc"])
     def test_force_affinity_must_be_finite_unit(self, workspace, tmp_path, capsys, value):

@@ -8,10 +8,10 @@ from dualvt.errors import ConfigError, ShapeMismatch
 from dualvt.fusion import (
     _PACKED_MAX_SHARE,
     _ActiveCells,
-    ProbNetConfig,
     assemble_final,
     bev_probability,
     caf_fuse,
+    default_weight_shapes,
     fuse_and_finalize,
     make_seeded_weights,
     run_pipeline,
@@ -44,8 +44,6 @@ def weights(seed=11):
 
 
 def zero_weights():
-    from dualvt.fusion import default_weight_shapes
-
     layers = {
         name: Conv2dWeights(
             kernel=np.zeros(shape, dtype=np.float32),
@@ -239,6 +237,11 @@ class TestActiveCellsPack:
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
 
+def exact_support(f):
+    """The cells where some channel of `f` is not bit-for-bit +0.0."""
+    return f.view(np.uint32).any(axis=0)
+
+
 def full_grid_probability(f, w):
     """Reference: the occupancy head with every layer on every cell of the grid."""
     def bottleneck(x, prefix):
@@ -375,10 +378,10 @@ class TestProbConvAccounting:
             return conv2d(x, layer)
 
         monkeypatch.setattr(dualvt.fusion, "conv2d", counted)
-        p = bev_probability(f, w, ProbNetConfig(c))
+        p = bev_probability(f, w, exact_support(f))
         assert np.array_equal(p.view(np.uint32), full_grid_probability(f, w).view(np.uint32))
 
-        support = np.flatnonzero(f.view(np.uint32).any(axis=0))
+        support = np.flatnonzero(exact_support(f))
         active = {
             "prob.local.reduce": near(support, ny, nx, 1),
             "prob.local.res1": near(support, ny, nx, 2, band=1),
@@ -389,7 +392,9 @@ class TestProbConvAccounting:
         packed = np.count_nonzero(active["prob.local.res2"]) <= _PACKED_MAX_SHARE * ny * nx
         assert packed == (kind != "over_cut")
         expected = {}
-        for name, shape in ProbNetConfig(c).layer_shapes().items():
+        for name, shape in default_weight_shapes(c).items():
+            if not name.startswith("prob."):
+                continue
             c_out, c_in, kh, kw = shape
             if name not in active:  # the gate, on the pooled (C, 1, 1) feature
                 expected[name] = (c_in, 1, (kh, kw))
@@ -404,7 +409,7 @@ class TestProbConvAccounting:
 class TestBevProbability:
     def test_strictly_open_interval(self):
         f, _ = streams()
-        p = bev_probability(f, weights(), ProbNetConfig(C))
+        p = bev_probability(f, weights(), exact_support(f))
         assert p.shape == (1,) + SHAPE[1:]
         assert np.all(p > 0.0)
         assert np.all(p < 1.0)
@@ -418,26 +423,60 @@ class TestBevProbability:
             bias=np.array([100.0], dtype=np.float32),
         )
         f, _ = streams()
-        p = bev_probability(f, w, ProbNetConfig(C))
+        p = bev_probability(f, w, exact_support(f))
         assert np.all(p < 1.0)
         assert p == pytest.approx(np.ones_like(p), abs=1e-6)
         w.layers["prob.local.out"] = Conv2dWeights(
             kernel=np.zeros((1, C // 4, 1, 1), dtype=np.float32),
             bias=np.array([-100.0], dtype=np.float32),
         )
-        p = bev_probability(f, w, ProbNetConfig(C))
+        p = bev_probability(f, w, exact_support(f))
         assert np.all(p > 0.0)
         assert p == pytest.approx(np.zeros_like(p), abs=1e-6)
 
     def test_zero_weights_give_half(self):
         f, _ = streams()
-        p = bev_probability(f, zero_weights(), ProbNetConfig(C))
+        p = bev_probability(f, zero_weights(), exact_support(f))
         assert np.all(p == 0.5)
 
     def test_input_must_be_float32(self):
         f, _ = streams()
         with pytest.raises(ShapeMismatch, match="float32"):
-            bev_probability(f.astype(np.float64), weights(), ProbNetConfig(C))
+            bev_probability(f.astype(np.float64), weights(), exact_support(f))
+
+    def test_support_must_match_the_grid(self):
+        f, _ = streams()
+        with pytest.raises(ShapeMismatch, match="support shape"):
+            bev_probability(f, weights(), exact_support(f)[:, :-1])
+
+    @pytest.mark.parametrize("kind", ["masked", "over_cut"])
+    def test_reduce_refuses_another_channel_count(self, kind):
+        """The reduce is the channel check, with one message packed ("masked")
+        and on the full grid ("over_cut")."""
+        f, _ = fused_frame(kind)
+        f12 = np.concatenate([f, f[:4]])
+        with pytest.raises(ShapeMismatch, match="input has 12 channels, kernel expects 8"):
+            bev_probability(f12, weights(), exact_support(f12))
+
+    @pytest.mark.parametrize("kind", ["masked", "over_cut"])
+    def test_any_larger_support_gives_the_same_bits(self, kind):
+        """`f_channel` is +0.0 off the support it is given.  Its exact support,
+        that support with random extra cells, and the whole grid give the
+        same P bits, packed ("masked") and on the full grid ("over_cut").
+        The extra cells lie next to the support, so the masked frame stays
+        within the share of the grid that the head packs."""
+        f, w = fused_frame(kind)
+        exact = exact_support(f)
+        ring = np.flatnonzero(near(np.flatnonzero(exact), *exact.shape, 1) & ~exact)
+        extra = exact.copy()
+        extra.flat[ring[Rng(0).integers((3,), ring.size)]] = True
+        assert np.count_nonzero(extra) > np.count_nonzero(exact)
+        ref = bev_probability(f, w, exact)
+        for support in (exact, extra, np.ones_like(exact)):
+            packed = isinstance(dualvt.fusion._active_cells(support, w), _ActiveCells)
+            assert packed == (kind == "masked" and not support.all())
+            p = bev_probability(f, w, support)
+            assert np.array_equal(p.view(np.uint32), ref.view(np.uint32))
 
     @pytest.mark.parametrize("kind", ["one", "full"])
     def test_memory_layout_does_not_change_bits(self, kind):
@@ -445,14 +484,14 @@ class TestBevProbability:
         gives the bits of its C-contiguous copy, packed or on the full grid."""
         cells = prob_support(kind, 32, 32, 1)
         f, _ = cell_major_streams(32, 32, cells, 2, neg_zero_cell=False)
-        a = bev_probability(f, weights(), ProbNetConfig(C))
-        b = bev_probability(np.ascontiguousarray(f), weights(), ProbNetConfig(C))
+        a = bev_probability(f, weights(), exact_support(f))
+        b = bev_probability(np.ascontiguousarray(f), weights(), exact_support(f))
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
     def test_determinism(self):
         f, _ = streams()
-        a = bev_probability(f, weights(), ProbNetConfig(C))
-        b = bev_probability(f, weights(), ProbNetConfig(C))
+        a = bev_probability(f, weights(), exact_support(f))
+        b = bev_probability(f, weights(), exact_support(f))
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
@@ -496,12 +535,12 @@ class TestFuseAndFinalize:
         assert np.array_equal(res.f_channel.view(np.uint32), blend.view(np.uint32))
 
     def test_channels_not_divisible_by_4_rejected(self):
-        """The occupancy head's reduce ratio fixes the channel count for both
-        heads: a 6-channel bundle or pair of streams is a config error."""
+        """The heads' reduce ratio fixes the channel count: a 6-channel bundle
+        is a config error, and the heads' conv2d refuses 6-channel streams."""
         with pytest.raises(ConfigError, match="reduce ratio"):
             make_seeded_weights(11, 6)
         f6 = np.zeros((6,) + SHAPE[1:], dtype=np.float32)
-        with pytest.raises(ConfigError, match="reduce ratio"):
+        with pytest.raises(ShapeMismatch, match="kernel expects"):
             fuse_and_finalize(f6, f6.copy(), weights())
 
     def test_result_fields_consistent(self):

@@ -61,6 +61,24 @@ class TestRigValidation:
         with pytest.raises(ConfigError):
             CameraRig(intrinsics=K, extrinsics=T, feat_w=4, feat_h=4)
 
+    @pytest.mark.parametrize("at, value, field", [
+        ((0, 0), np.nan, "intrinsics"), ((0, 0), np.inf, "intrinsics"),
+        ((0, 2), np.nan, "intrinsics"), ((0, 0), 0.0, "fx"), ((0, 0), -3.0, "fx"),
+        ((1, 1), 0.0, "fy"),
+    ])
+    def test_intrinsics_finite_with_positive_focal_lengths(self, at, value, field):
+        bad = K.copy()
+        bad[at] = value
+        with pytest.raises(ConfigError, match=field):
+            CameraRig(intrinsics=bad, extrinsics=np.eye(4), feat_w=4, feat_h=4)
+
+    @pytest.mark.parametrize("at", [(0, 3), (2, 3), (1, 1)])
+    def test_extrinsics_finite(self, at):
+        T = np.eye(4)
+        T[at] = np.nan
+        with pytest.raises(ConfigError, match="extrinsics must be finite"):
+            CameraRig(intrinsics=K, extrinsics=T, feat_w=4, feat_h=4)
+
 
 class TestHeightSamples:
     def test_multires_exact_values(self):
@@ -111,3 +129,17 @@ class TestBevGrid:
     def test_invalid_extents(self):
         with pytest.raises(ConfigError):
             BevGridSpec(x_min=1.0, x_max=-1.0)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"nx": 16.5}, "nx"), ({"ny": True}, "ny"), ({"nx": "8"}, "nx"),
+        ({"x_max": np.inf}, "x_max"), ({"y_min": np.nan}, "y_min"), ({"x_min": "0"}, "x_min"),
+        ({"y_max": 10**400}, "y_max"), ({"x_min": -1e308, "x_max": 1e308}, "cell_w"),
+        ({"y_min": -1e308, "y_max": 1e308}, "cell_h"),
+    ])
+    def test_meaningless_geometry_names_the_field(self, fields, name):
+        with pytest.raises(ConfigError, match=name):
+            BevGridSpec(**fields)
+
+    def test_numpy_and_integer_values_pass(self):
+        spec = BevGridSpec(x_min=np.float32(-2), x_max=2, nx=np.int64(4), ny=np.uint8(2))
+        assert (spec.cell_w, spec.cell_h) == (1.0, 51.2)

@@ -34,6 +34,14 @@ class TestDepthBinSpec:
         with pytest.raises(ConfigError):
             DepthBinSpec(d_min=0.0, d_max=1.0, step=0.3)
 
+    @pytest.mark.parametrize("d_min", [-20.0, -1e-9, np.nan, -np.inf])
+    def test_bins_behind_the_camera_rejected(self, d_min):
+        with pytest.raises(ConfigError, match="d_min"):
+            DepthBinSpec(d_min=d_min, d_max=20.0, step=1.0)
+
+    def test_bins_from_the_camera_centre_allowed(self):
+        assert DepthBinSpec(d_min=0.0, d_max=1.0, step=0.5).n_bins == 2
+
     def test_coord_at_bin_center(self):
         assert depth_to_coord(2.25, SPEC) == 0.0
 
