@@ -21,7 +21,6 @@ from .errors import ConfigError, InvalidCount, is_a, is_finite
 BEHIND_EPS = 1e-6
 
 FULL_HEIGHT_RANGE = (-5.0, 3.0)
-ROI_HEIGHT_RANGE = (-2.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -152,18 +151,12 @@ class HeightSet:
 def make_height_samples(mode: str = "multires", n: int | None = None) -> HeightSet:
     """Height sampling set over [-5, 3] m.
 
-    "multires": 0.5 m spacing inside the [-2, 2] m region of interest,
-    1.0 m spacing outside (13 values total).  "uniform": `n` evenly
-    spaced values including both endpoints.
+    "multires": the 13 heights -5, -4, -3, then -2 to 2 m by 0.5 m (the
+    region of interest), then 3.  "uniform": `n` evenly spaced values
+    including both endpoints.
     """
     if mode == "multires":
-        lo, hi = FULL_HEIGHT_RANGE
-        roi_lo, roi_hi = ROI_HEIGHT_RANGE
-        coarse_below = np.arange(lo, roi_lo, 1.0)
-        fine = np.arange(roi_lo, roi_hi + 0.25, 0.5)
-        coarse_above = np.arange(roi_hi + 1.0, hi + 0.5, 1.0)
-        z = np.concatenate([coarse_below, fine, coarse_above])
-        return HeightSet(tuple(np.round(z, 6)))
+        return HeightSet((-5.0, -4.0, -3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0))
     if mode == "uniform":
         if n is None or n < 2:
             raise InvalidCount("uniform height sampling needs n >= 2")

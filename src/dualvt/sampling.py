@@ -4,10 +4,21 @@ Coordinates are unnormalized feature-pixel coordinates with pixel centers
 at integers: pixel (row i, col j) sits at (u=j, v=i).  Out-of-range
 samples use zero padding, so a query fully outside [-1, W] x [-1, H]
 returns zeros and border queries blend with implicit zero neighbors.
+
+Both samplers walk the same interpolation corners, in float64: axes
+(v, u) for the bilinear sampler and (depth bin, v, u) for the trilinear
+one.  The 2^k corners run in lexicographic 0/1 order, the last axis
+fastest, and each adds weight * value to the point's sum, from +0.0.  A
+corner's weight is its per-axis factors (1 - frac, or frac for the upper
+corner) multiplied left to right, then times 1 where the corner lies in
+range and 0 where it does not (zero padding).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,29 +63,32 @@ def depth_to_coord(d, spec: DepthBinSpec) -> np.ndarray:
     return (np.asarray(d, dtype=np.float64) - spec.d_min) / spec.step - 0.5
 
 
+def _corners(shape, *coords):
+    """Yield (flat index, weight) per interpolation corner of the points at
+    `coords`, one float64 array per axis of `shape`, in the order and with
+    the weights the module docstring states; an out-of-range corner has
+    index 0 and weight 0."""
+    axes = []  # per axis: (index, in range, factor) of its lower and upper corner
+    for c, n in zip(coords, shape):
+        lo = np.floor(c).astype(np.int64)
+        frac = c - lo
+        axes.append([(i, (i >= 0) & (i < n), f) for i, f in ((lo, 1 - frac), (lo + 1, frac))])
+    for corner in itertools.product(*axes):
+        at, ok, factors = zip(*corner)
+        ok = functools.reduce(operator.and_, ok)
+        w = functools.reduce(operator.mul, factors)
+        yield np.where(ok, np.ravel_multi_index(at, shape, mode="clip"), 0), w * ok
+
+
 def bilinear_sample_2d_many(feat: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sample (C, H, W) at N points; returns (N, C) float64."""
     C, H, W = feat.shape
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    j0 = np.floor(u).astype(np.int64)
-    i0 = np.floor(v).astype(np.int64)
-    fu = u - j0
-    fv = v - i0
-
-    out = np.zeros((u.shape[0], C), dtype=np.float64)
     flat = feat.reshape(C, -1).T.astype(np.float64)  # (H*W, C)
-    for di, dj, w in (
-        (0, 0, (1 - fv) * (1 - fu)),
-        (0, 1, (1 - fv) * fu),
-        (1, 0, fv * (1 - fu)),
-        (1, 1, fv * fu),
-    ):
-        ii = i0 + di
-        jj = j0 + dj
-        ok = (ii >= 0) & (ii < H) & (jj >= 0) & (jj < W)
-        idx = np.where(ok, ii * W + jj, 0)
-        out += (w * ok)[:, None] * flat[idx]
+    out = np.zeros((u.shape[0], C), dtype=np.float64)
+    for idx, w in _corners((H, W), v, u):
+        out += w[:, None] * flat[idx]
     return out
 
 
@@ -86,34 +100,10 @@ def trilinear_sample_3d_many(
     Linear along the bin axis between the two bilinear slices, zero
     padded outside the bin range.  Returns (N,) float64.
     """
-    n_bins, H, W = depth.shape
-    c = depth_to_coord(d, spec)
-    k0 = np.floor(c).astype(np.int64)
-    fk = c - k0
-
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    j0 = np.floor(u).astype(np.int64)
-    i0 = np.floor(v).astype(np.int64)
-    fu = u - j0
-    fv = v - i0
-
     flat = depth.reshape(-1).astype(np.float64)
     out = np.zeros(u.shape[0], dtype=np.float64)
-    for dk, di, dj, w in (
-        (0, 0, 0, (1 - fk) * (1 - fv) * (1 - fu)),
-        (0, 0, 1, (1 - fk) * (1 - fv) * fu),
-        (0, 1, 0, (1 - fk) * fv * (1 - fu)),
-        (0, 1, 1, (1 - fk) * fv * fu),
-        (1, 0, 0, fk * (1 - fv) * (1 - fu)),
-        (1, 0, 1, fk * (1 - fv) * fu),
-        (1, 1, 0, fk * fv * (1 - fu)),
-        (1, 1, 1, fk * fv * fu),
-    ):
-        kk = k0 + dk
-        ii = i0 + di
-        jj = j0 + dj
-        ok = (kk >= 0) & (kk < n_bins) & (ii >= 0) & (ii < H) & (jj >= 0) & (jj < W)
-        idx = np.where(ok, (kk * H + ii) * W + jj, 0)
-        out += w * ok * flat[idx]
+    for idx, w in _corners(depth.shape, depth_to_coord(d, spec), v, u):
+        out += w * flat[idx]
     return out

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, is_a, is_finite
+from .errors import ConfigError, ShapeMismatch, is_a, is_finite
 from .geometry import BevGridSpec, CameraRig, bev_cell_centers
 from .rng import Rng
 from .sampling import DepthBinSpec
@@ -40,6 +40,10 @@ class Box:
             if not (isinstance(value, tuple) and len(value) == 3
                     and all(is_a(v, numbers.Real) for v in value)):
                 raise ConfigError(f"box {name} must be three real numbers, got {value!r}")
+            if not all(is_finite(v) for v in value):
+                raise ConfigError(f"box {name} must be finite, got {value!r}")
+        if min(self.size) <= 0:
+            raise ConfigError(f"box size must be positive, got {self.size!r}")
 
     def footprint_contains(self, x, y):
         cx, cy, _ = self.center
@@ -316,5 +320,9 @@ def load_bundle(directory) -> SceneBundle:
 
     spec, grid, dspec, rigs, files, gt_bev = parse_manifest(directory / "manifest.json", parse)
     feats, depths, masks = ([tensor_read(path) for path in paths] for paths in files)
+    gt = tensor_read(gt_bev)
+    if gt.shape != (1, grid.ny, grid.nx):
+        raise ShapeMismatch(f"{gt_bev} has shape {gt.shape}, the grid needs "
+                            f"{(1, grid.ny, grid.nx)}")
     return SceneBundle(rigs=rigs, feats=feats, depths=depths, masks=masks,
-                       gt_bev=tensor_read(gt_bev), spec=spec, grid=grid, dspec=dspec)
+                       gt_bev=gt, spec=spec, grid=grid, dspec=dspec)

@@ -13,7 +13,7 @@ from dualvt.fusion import make_seeded_weights
 from dualvt.nnops import WeightBundle
 from dualvt.synth import random_scene_spec
 from dualvt.tables import HT_MAGIC, LSS_MAGIC, read_table
-from dualvt.tensors import tensor_read
+from dualvt.tensors import tensor_read, tensor_write
 
 
 def dir_digest(directory) -> dict:
@@ -59,11 +59,16 @@ OUT_OF_RANGE = [
     ({"grid": {**SCENE_SPEC["grid"], "x_max": float("inf")}}, "x_max"),
     ({"grid": {**SCENE_SPEC["grid"], "x_min": -1e308, "x_max": 1e308}}, "cell_w"),
     ({"dspec": {**SCENE_SPEC["dspec"], "d_min": -20.0}}, "d_min"),
+    ({"boxes": [{"center": [float("nan"), 0, 0.5], "size": [4, 2, 1]}]}, "center"),
+    ({"boxes": [{"center": [10, 0, 0.5], "size": [float("inf"), 2, 1]}]}, "size"),
+    ({"boxes": [{"center": [10, 0, 0.5], "size": [-2, 2, 1]}]}, "size"),
+    ({"boxes": [{"center": [10, 0, 0.5], "size": [0, 2, 1]}]}, "size"),
 ]
 OUT_OF_RANGE_IDS = ["hfov-0", "hfov-180", "hfov-nan", "channels-0", "channels-neg",
                     "feat-w-0", "feat-h-neg", "kappa-nan", "cam-height-inf", "cam-height-huge",
                     "n-cameras-0", "n-cameras-huge", "grid-x-max-inf", "grid-cell-w-inf",
-                    "dspec-d-min-neg"]
+                    "dspec-d-min-neg", "box-center-nan", "box-size-inf", "box-size-neg",
+                    "box-size-0"]
 
 # scene-spec values of another JSON type
 WRONG_TYPE = [
@@ -404,6 +409,24 @@ class TestTransform:
             assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (32, 32), (2, 32, 32)],
+                             ids=["1x4x4", "32x32", "2x32x32"])
+    def test_gt_bev_of_another_shape_exits_3(self, workspace, tmp_path, capsys, shape):
+        """A scene's gt_bev is (1, ny, nx); precompute and transform refuse
+        another shape in one line that names the file and both shapes."""
+        scene = tmp_path / "scene"
+        shutil.copytree(workspace / "scene", scene)
+        tensor_write(np.ones(shape, dtype=np.float32), scene / "gt_bev.btsr")
+        for argv in (["precompute", "--scene", str(scene), "--out", str(tmp_path / "t")],
+                     ["transform", "--scene", str(scene), "--tables", str(workspace / "tables"),
+                      "--out", str(tmp_path / "o")]):
+            assert main(argv) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(scene / "gt_bev.btsr") in err, argv[0]
+            assert str(shape) in err and "(1, 32, 32)" in err, argv[0]
+            assert len(err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["scene"]
+
     def test_channels_not_divisible_by_4_exits_2(self, tmp_path, capsys):
         tables = other_tables(tmp_path / "six", channels=6)
         wdir = tmp_path / "weights"
@@ -583,7 +606,7 @@ class TestTablesBoundToGeometry:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
 
 
-class TestRunConfigValidation:
+class TestTransformOptions:
     """Bad options end in exit code 2 with a one-line message, never a traceback."""
 
     def assert_config_error(self, code, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,3 +127,94 @@ class TestTrilinear:
         lhs = trilinear(alpha * a + b, u, v, d)
         rhs = alpha * trilinear(a, u, v, d) + trilinear(b, u, v, d)
         assert lhs == pytest.approx(rhs, abs=1e-5)
+
+
+def coordinate(lo, hi):
+    """A float in [lo, hi], often a whole number (a pixel centre or bin
+    centre) or a half-integer (a pixel edge)."""
+    return st.one_of(
+        st.floats(lo, hi),
+        st.integers(lo, hi).map(float),
+        st.integers(2 * lo, 2 * hi).map(lambda k: k / 2),
+    )
+
+
+# 0 to 12 m, often by quarters (bin centres and edges); SPEC's bins cover [2, 10)
+depth_in_meters = st.one_of(st.floats(0.0, 12.0), st.integers(0, 48).map(lambda k: k / 4))
+
+
+def factor(frac, upper):
+    return frac if upper else 1 - frac
+
+
+def bilinear_by_hand(feat, u, v):
+    """One point's bilinear sample in Python floats, a corner at a time:
+    (di, dj) in lexicographic order, weight (v factor) * (u factor) times
+    the in-range flag, index 0 out of range, summed from +0.0."""
+    C, H, W = feat.shape
+    flat = feat.reshape(C, -1)
+    i0, j0 = math.floor(v), math.floor(u)
+    fv, fu = v - i0, u - j0
+    total = [0.0] * C
+    for di in (0, 1):
+        for dj in (0, 1):
+            i, j = i0 + di, j0 + dj
+            ok = 0 <= i < H and 0 <= j < W
+            w = factor(fv, di) * factor(fu, dj) * ok
+            at = i * W + j if ok else 0
+            total = [t + w * float(x) for t, x in zip(total, flat[:, at])]
+    return total
+
+
+def trilinear_by_hand(depth, u, v, d):
+    """As bilinear_by_hand over (dk, di, dj), the depth bin first, under SPEC."""
+    K, H, W = depth.shape
+    flat = depth.reshape(-1)
+    c = (d - SPEC.d_min) / SPEC.step - 0.5
+    k0, i0, j0 = math.floor(c), math.floor(v), math.floor(u)
+    fk, fv, fu = c - k0, v - i0, u - j0
+    total = 0.0
+    for dk in (0, 1):
+        for di in (0, 1):
+            for dj in (0, 1):
+                k, i, j = k0 + dk, i0 + di, j0 + dj
+                ok = 0 <= k < K and 0 <= i < H and 0 <= j < W
+                w = factor(fk, dk) * factor(fv, di) * factor(fu, dj) * ok
+                at = (k * H + i) * W + j if ok else 0
+                total = total + w * float(flat[at])
+    return total
+
+
+def with_generic_points(seed, points, lows, highs):
+    """`points` plus 16 points drawn uniformly in float64 from the box [lows, highs]:
+    their fractions have full 53-bit mantissas, so each product of weight
+    factors rounds and its order shows in the bits."""
+    drawn = np.random.default_rng(seed).uniform(lows, highs, (16, len(lows)))
+    return points + [tuple(p) for p in drawn.tolist()]
+
+
+class TestCornerBits:
+    """Both samplers equal the by-hand corner walks bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(coordinate(-3, 7), coordinate(-3, 6)), max_size=12))
+    def test_bilinear(self, seed, points):
+        feat = Rng(seed).uniform((3, 4, 5), -2.0, 2.0)
+        points = with_generic_points(seed, points, (-3, -3), (7, 6))
+        u, v = (np.array(c, dtype=np.float64) for c in zip(*points))
+        got = bilinear_sample_2d_many(feat, u, v)
+        want = np.array([bilinear_by_hand(feat, *p) for p in points], dtype=np.float64)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(coordinate(-3, 7), coordinate(-3, 6), depth_in_meters),
+                    max_size=12))
+    def test_trilinear(self, seed, points):
+        depth = Rng(seed).uniform((16, 4, 5), 0.0, 1.0)
+        points = with_generic_points(seed, points, (-3, -3, 0), (7, 6, 12))
+        u, v, d = (np.array(c, dtype=np.float64) for c in zip(*points))
+        got = trilinear_sample_3d_many(depth, u, v, d, SPEC)
+        want = np.array([trilinear_by_hand(depth, *p) for p in points], dtype=np.float64)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import small_geometry
+from dualvt.errors import ConfigError
 from dualvt.geometry import BevGridSpec, project_points
 from dualvt.sampling import DepthBinSpec
 from dualvt.synth import (
@@ -105,6 +106,27 @@ class TestDepthKernel:
         assert mass[-1, 0] == pytest.approx(1.0)
         mass = _triangular_depth_mass(np.array([0.5]), DSPEC, kappa=4.0)
         assert mass[0, 0] == pytest.approx(1.0)
+
+
+class TestBox:
+    @pytest.mark.parametrize("center, size, field", [
+        ((np.nan, 0.0, 0.5), (4.0, 2.0, 1.0), "center"),
+        ((0.0, -np.inf, 0.5), (4.0, 2.0, 1.0), "center"),
+        ((0.0, 0.0, 0.5), (np.inf, 2.0, 1.0), "size"),
+        ((0.0, 0.0, 0.5), (4.0, np.nan, 1.0), "size"),
+        ((0.0, 0.0, 0.5), (-2.0, 2.0, 1.0), "size"),
+        ((0.0, 0.0, 0.5), (4.0, 2.0, 0.0), "size"),
+        ((0.0, 0.0, 0.5), (4.0, 2.0, -0.0), "size"),
+        ((10**400, 0, 0), (1, 1, 1), "center"),
+    ], ids=["center-nan", "center-neg-inf", "size-inf", "size-nan", "size-neg", "size-0",
+            "size-neg-0", "center-huge-int"])
+    def test_non_finite_or_empty_box_refused(self, center, size, field):
+        with pytest.raises(ConfigError, match=f"box {field}"):
+            Box(center=center, size=size)
+
+    def test_any_finite_center_and_positive_size_accepted(self):
+        box = Box(center=(-1e6, 0, -3), size=(1e-9, 2, 1e6))
+        assert box.to_json() == {"center": [-1e6, 0, -3], "size": [1e-9, 2, 1e6]}
 
 
 class TestFootprint:
