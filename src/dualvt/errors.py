@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the library and mapped to CLI exit codes,
 and the number tests that the configuration checks share."""
 
+import dataclasses
 import math
+import numbers
 
 
 class DualVtError(Exception):
@@ -55,3 +57,15 @@ def is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def check_field_types(obj) -> None:
+    """Raise a ConfigError naming the first `int` field of a dataclass that holds no
+    integer or `float` field that holds no finite real number (booleans never pass).
+    The kind is the annotation: a class, or its name under postponed annotations."""
+    for field in dataclasses.fields(obj):
+        kind, value = getattr(field.type, "__name__", field.type), getattr(obj, field.name)
+        if kind == "int" and not is_a(value, numbers.Integral):
+            raise ConfigError(f"{field.name} must be an integer, got {value!r}")
+        if kind == "float" and not (is_a(value, numbers.Real) and is_finite(value)):
+            raise ConfigError(f"{field.name} must be a finite real number, got {value!r}")

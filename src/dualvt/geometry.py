@@ -11,12 +11,11 @@ Conventions (fixed across the whole library):
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidCount, is_a, is_finite
+from .errors import ConfigError, InvalidCount, check_field_types
 
 BEHIND_EPS = 1e-6
 
@@ -35,6 +34,7 @@ class CameraRig:
     cam_id: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         K = np.asarray(self.intrinsics, dtype=np.float64)
         T = np.asarray(self.extrinsics, dtype=np.float64)
         if K.shape != (3, 3) or T.shape != (4, 4):
@@ -71,9 +71,7 @@ class CameraRig:
         return cls(
             intrinsics=np.array(doc["intrinsics"], dtype=np.float64),
             extrinsics=np.array(doc["extrinsics"], dtype=np.float64),
-            feat_w=int(doc["feat_w"]),
-            feat_h=int(doc["feat_h"]),
-            cam_id=int(doc.get("cam_id", 0)),
+            feat_w=doc["feat_w"], feat_h=doc["feat_h"], cam_id=doc.get("cam_id", 0),
         )
 
 
@@ -89,13 +87,7 @@ class BevGridSpec:
     ny: int = 128
 
     def __post_init__(self):
-        for name in ("nx", "ny"):
-            if not is_a(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"grid {name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("x_min", "x_max", "y_min", "y_max"):
-            if not (is_a(getattr(self, name), numbers.Real) and is_finite(getattr(self, name))):
-                raise ConfigError(f"grid {name} must be a finite real number, "
-                                  f"got {getattr(self, name)!r}")
+        check_field_types(self)
         if self.nx < 1 or self.ny < 1:
             raise ConfigError("grid cell counts must be >= 1")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):

@@ -71,7 +71,7 @@ def precompute_ht_table(
             & (k >= 0) & (k <= dspec.n_bins - 1)
         )
         ui, vi, kk = (a[keep].astype(np.int64) for a in (ui, vi, k))
-        return cell[keep], vi * W + ui, (kk * H + vi) * W + ui
+        return cell[keep], (kk * H + vi) * W + ui
 
     return build_table(HT_MAGIC, grid, rigs, dspec, heights.z_values, map(emit, rigs))
 

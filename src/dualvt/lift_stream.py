@@ -53,7 +53,7 @@ def precompute_lss_table(rigs, grid: BevGridSpec, dspec: DepthBinSpec) -> IndexT
         qy = ((y - grid.y_min) / grid.cell_h).ravel()
         di = np.flatnonzero((qx >= 0) & (qx < grid.nx) & (qy >= 0) & (qy < grid.ny))
         cells = qy[di].astype(np.int64) * grid.nx + qx[di].astype(np.int64)
-        return cells, di % (rig.feat_h * rig.feat_w), di
+        return cells, di
 
     return build_table(LSS_MAGIC, grid, rigs, dspec, (), map(emit, rigs))
 

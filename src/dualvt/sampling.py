@@ -10,8 +10,8 @@ Both samplers walk the same interpolation corners, in float64: axes
 one.  The 2^k corners run in lexicographic 0/1 order, the last axis
 fastest, and each adds weight * value to the point's sum, from +0.0.  A
 corner's weight is its per-axis factors (1 - frac, or frac for the upper
-corner) multiplied left to right, then times 1 where the corner lies in
-range and 0 where it does not (zero padding).
+corner) multiplied left to right.  A corner out of range reads a one-cell
+zero border, so a point fully outside the map sums to exactly +0.0.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class DepthBinSpec:
     step: float = 0.5
 
     def __post_init__(self):
-        if not self.d_min >= 0:  # a bin behind the camera
+        check_field_types(self)
+        if self.d_min < 0:  # a bin behind the camera
             raise ConfigError(f"depth d_min must be at least 0, got {self.d_min!r}")
         if self.step <= 0:
             raise ConfigError("depth step must be positive")
@@ -66,18 +67,17 @@ def depth_to_coord(d, spec: DepthBinSpec) -> np.ndarray:
 def _corners(shape, *coords):
     """Yield (flat index, weight) per interpolation corner of the points at
     `coords`, one float64 array per axis of `shape`, in the order and with
-    the weights the module docstring states; an out-of-range corner has
-    index 0 and weight 0."""
-    axes = []  # per axis: (index, in range, factor) of its lower and upper corner
+    the weights the module docstring states; the indices address the map
+    padded with one zero cell on each side of every axis."""
+    axes = []  # per axis: (padded index, factor) of its lower and upper corner
     for c, n in zip(coords, shape):
         lo = np.floor(c).astype(np.int64)
         frac = c - lo
-        axes.append([(i, (i >= 0) & (i < n), f) for i, f in ((lo, 1 - frac), (lo + 1, frac))])
+        axes.append([(np.clip(i, -1, n) + 1, f) for i, f in ((lo, 1 - frac), (lo + 1, frac))])
+    padded = tuple(n + 2 for n in shape)
     for corner in itertools.product(*axes):
-        at, ok, factors = zip(*corner)
-        ok = functools.reduce(operator.and_, ok)
-        w = functools.reduce(operator.mul, factors)
-        yield np.where(ok, np.ravel_multi_index(at, shape, mode="clip"), 0), w * ok
+        at, factors = zip(*corner)
+        yield np.ravel_multi_index(at, padded), functools.reduce(operator.mul, factors)
 
 
 def bilinear_sample_2d_many(feat: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -85,7 +85,7 @@ def bilinear_sample_2d_many(feat: np.ndarray, u: np.ndarray, v: np.ndarray) -> n
     C, H, W = feat.shape
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    flat = feat.reshape(C, -1).T.astype(np.float64)  # (H*W, C)
+    flat = np.pad(feat, ((0, 0), (1, 1), (1, 1))).reshape(C, -1).T.astype(np.float64)
     out = np.zeros((u.shape[0], C), dtype=np.float64)
     for idx, w in _corners((H, W), v, u):
         out += w[:, None] * flat[idx]
@@ -102,7 +102,7 @@ def trilinear_sample_3d_many(
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    flat = depth.reshape(-1).astype(np.float64)
+    flat = np.pad(depth, 1).reshape(-1).astype(np.float64)
     out = np.zeros(u.shape[0], dtype=np.float64)
     for idx, w in _corners(depth.shape, depth_to_coord(d, spec), v, u):
         out += w * flat[idx]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, is_a, is_finite
+from .errors import ConfigError, ShapeMismatch, check_field_types, is_a, is_finite
 from .geometry import BevGridSpec, CameraRig, bev_cell_centers
 from .rng import Rng
 from .sampling import DepthBinSpec
@@ -74,20 +74,12 @@ class SceneSpec:
     hfov_deg: float = 70.0
 
     def __post_init__(self):
-        for name in ("seed", "n_cameras", "feat_w", "feat_h", "channels"):
-            if not is_a(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("kappa", "cam_height", "hfov_deg"):
-            if not is_a(getattr(self, name), numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        check_field_types(self)
         if not 1 <= self.n_cameras <= MAX_CAMERAS:
             raise ConfigError(f"n_cameras must be in [1, {MAX_CAMERAS}], got {self.n_cameras!r}")
         for name in ("feat_w", "feat_h", "channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        for name in ("kappa", "cam_height", "hfov_deg"):
-            if not is_finite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 < self.hfov_deg < 180:
             raise ConfigError(f"hfov_deg must be in (0, 180), got {self.hfov_deg!r}")
         if self.kappa <= 0:

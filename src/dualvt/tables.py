@@ -4,8 +4,9 @@ This module owns the one record layout both streams share, the order
 of entries within a cell, and the binding of a table to the geometry it
 was built from.  An entry is a target BEV cell, an index into all
 cameras' feature pixels stacked camera-major, and an index into their
-depth volumes stacked the same way.  `build_table` takes each camera's
-entries in its stream's emission order and sorts them by cell with one
+depth volumes stacked the same way.  The streams emit each camera's
+(cell, voxel) pairs in their emission order; `build_table` derives each
+entry's pixel, the voxel's (v, u), and sorts the entries by cell with one
 stable sort, so every cell owns one contiguous run that goes camera by
 camera and, within a camera, in emission order.  The binary form
 stores the table's `geometry_fingerprint` and heights, then the runs as
@@ -114,11 +115,11 @@ def geometry_fingerprint(rigs, grid, dspec, heights) -> bytes:
 def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam) -> IndexTable:
     """Stack per-camera entries, sort them by cell and fingerprint the geometry.
 
-    per_cam yields one (cells, feat_idx, depth_idx) triple per rig, in rig
-    order, with indices into that camera's own feature map and depth
-    volume and entries in the stream's emission order.  The indices are
-    shifted to the camera-stacked layout and one stable sort by cell
-    orders the entries by (cell, camera, emission order).  heights are the
+    per_cam yields one (cells, depth_idx) pair per rig, in rig order, with
+    voxels of that camera's own depth volume in the stream's emission order;
+    an entry's pixel is its voxel's (v, u), ``depth_idx % (feat_h*feat_w)``.
+    Both are shifted to the camera-stacked layout and one stable sort by
+    cell orders the entries by (cell, camera, emission order).  heights are the
     z values the table was built for, empty for the lift table.  Sizes that
     u32 cannot index raise ConfigError, the geometry's before per_cam is read.
     """
@@ -129,17 +130,17 @@ def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam) -> IndexTable
         raise ConfigError(f"{n_cams} cameras x {dspec.n_bins} depth bins x {feat_h}x{feat_w} "
                           f"pixels exceed the table's u32 index limit {limit}")
     per_cam = list(per_cam)
-    n = sum(len(c) for c, _, _ in per_cam)
+    n = sum(len(c) for c, _ in per_cam)
     if n > limit:
         raise ConfigError(f"{n} table entries exceed the table's u32 limit {limit}")
     cells = np.empty(n, dtype=np.min_scalar_type(grid.n_cells - 1))
     unsorted = np.empty((n, 2), dtype="<u4")
     start = 0
-    for cam, (cell, fi, di) in enumerate(per_cam):
+    for cam, (cell, di) in enumerate(per_cam):
         run = slice(start, start + len(cell))
         cells[run] = cell
         # in range by the limit check: an in-camera index plus its camera's shift
-        np.add(fi, cam * pixels, out=unsorted[run, 0], casting="unsafe")
+        np.add(di % pixels, cam * pixels, out=unsorted[run, 0], casting="unsafe")
         np.add(di, cam * dspec.n_bins * pixels, out=unsorted[run, 1], casting="unsafe")
         start = run.stop
     del per_cam  # the emitted int64 columns are not needed through the sort

@@ -82,20 +82,28 @@ WRONG_TYPE = [
     ({"boxes": [{"center": [0, 0, 0], "size": [1, False, 1]}]}, "size"),
     ({"grid": {**SCENE_SPEC["grid"], "nx": 16.5}}, "nx"),
     ({"grid": {**SCENE_SPEC["grid"], "ny": True}}, "ny"),
+    ({"dspec": {**SCENE_SPEC["dspec"], "d_min": False}}, "d_min"),
+    ({"dspec": {**SCENE_SPEC["dspec"], "step": "1"}}, "step"),
 ]
 WRONG_TYPE_IDS = ["hfov-str", "cam-height-str", "center-str", "feat-w-float", "box-no-center",
-                  "channels-str", "seed-bool", "size-bool", "grid-nx-float", "grid-ny-bool"]
+                  "channels-str", "seed-bool", "size-bool", "grid-nx-float", "grid-ny-bool",
+                  "dspec-d-min-bool", "dspec-step-str"]
 
-# a rig matrix entry set to a bad value, in a scene's manifest
+# a rig value, or a rig matrix entry, set to a bad value in a scene's manifest
 BAD_RIG = [
-    ("intrinsics", (0, 0), float("nan"), "intrinsics"),
-    ("intrinsics", (0, 0), 0.0, "fx"),
-    ("intrinsics", (0, 0), -3.0, "fx"),
-    ("intrinsics", (0, 0), float("inf"), "intrinsics"),
-    ("intrinsics", (1, 1), 0.0, "fy"),
-    ("extrinsics", (0, 3), float("nan"), "extrinsics"),
+    (("intrinsics", 0, 0), float("nan"), "intrinsics"),
+    (("intrinsics", 0, 0), 0.0, "fx"),
+    (("intrinsics", 0, 0), -3.0, "fx"),
+    (("intrinsics", 0, 0), float("inf"), "intrinsics"),
+    (("intrinsics", 1, 1), 0.0, "fy"),
+    (("extrinsics", 0, 3), float("nan"), "extrinsics"),
+    (("feat_w",), 44.9, "feat_w"),
+    (("feat_w",), "44", "feat_w"),
+    (("feat_w",), True, "feat_w"),
+    (("cam_id",), 1.5, "cam_id"),
 ]
-BAD_RIG_IDS = ["fx-nan", "fx-0", "fx-neg", "fx-inf", "fy-0", "translation-nan"]
+BAD_RIG_IDS = ["fx-nan", "fx-0", "fx-neg", "fx-inf", "fy-0", "translation-nan",
+               "feat-w-float", "feat-w-str", "feat-w-bool", "cam-id-float"]
 
 
 @pytest.fixture(scope="module")
@@ -270,11 +278,15 @@ class TestPrecompute:
         manifest = edited_manifest(workspace, tmp_path, bad)
         assert_manifest_refused(workspace, tmp_path, capsys, manifest, field)
 
-    @pytest.mark.parametrize("matrix, at, value, field", BAD_RIG, ids=BAD_RIG_IDS)
-    def test_bad_manifest_rig_exits_2(self, workspace, tmp_path, capsys, matrix, at, value, field):
+    @pytest.mark.parametrize("path, value, field", BAD_RIG, ids=BAD_RIG_IDS)
+    def test_bad_manifest_rig_exits_2(self, workspace, tmp_path, capsys, path, value, field):
         manifest = edited_manifest(workspace, tmp_path, {})
         doc = json.loads(manifest.read_text())
-        doc["cameras"][1]["rig"][matrix][at[0]][at[1]] = value
+        *where, last = path
+        target = doc["cameras"][1]["rig"]
+        for key in where:
+            target = target[key]
+        target[last] = value
         rewrite_json(manifest, json.dumps(doc))
         assert_manifest_refused(workspace, tmp_path, capsys, manifest, field)
 

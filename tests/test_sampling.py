@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,17 @@ class TestBilinear:
         feat = np.ones((2, 4, 4), dtype=np.float32)
         assert bilinear(feat, -10.0, 0.0).tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_outside_point_is_a_true_zero(self, value):
+        """An out-of-range corner reads the zero border, never the map: a
+        non-finite value at flat index 0 leaves a point fully outside at +0.0."""
+        feat = np.ones((1, 4, 4), dtype=np.float32)
+        feat[0, 0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bilinear_sample_2d_many(feat, np.array([-10.0, 0.0]), np.array([0.0, 9.0]))
+        assert got.view(np.uint64).tolist() == [[0], [0]]
+
     def test_border_blends_with_zero_padding(self):
         feat = np.ones((1, 4, 4), dtype=np.float32)
         assert bilinear(feat, -0.5, 0.0)[0] == pytest.approx(0.5)
@@ -103,6 +115,17 @@ class TestTrilinear:
         for off in (-2, 2):
             d = SPEC.bin_center(k + off)
             assert trilinear(depth, 1.0, 1.0, float(d)) == 0.0
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_outside_point_is_a_true_zero(self, value):
+        """As for the bilinear sampler, off the map and off the bin range alike."""
+        depth = np.ones((16, 3, 3), dtype=np.float32)
+        depth.flat[0] = value
+        u, v, d = (np.array(c) for c in ([-10.0, 1.0, 1.0], [0.0, 1.0, -5.0], [5.0, 0.5, 5.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = trilinear_sample_3d_many(depth, u, v, d, SPEC)
+        assert got.view(np.uint64).tolist() == [0, 0, 0]
 
     def test_uniform_field(self):
         depth = np.full((16, 3, 3), 1.0 / 16, dtype=np.float32)
@@ -150,26 +173,23 @@ def factor(frac, upper):
 def bilinear_by_hand(feat, u, v):
     """One point's bilinear sample in Python floats, a corner at a time:
     (di, dj) in lexicographic order, weight (v factor) * (u factor) times
-    the in-range flag, index 0 out of range, summed from +0.0."""
+    the corner's value, +0.0 out of range, summed from +0.0."""
     C, H, W = feat.shape
-    flat = feat.reshape(C, -1)
     i0, j0 = math.floor(v), math.floor(u)
     fv, fu = v - i0, u - j0
     total = [0.0] * C
     for di in (0, 1):
         for dj in (0, 1):
             i, j = i0 + di, j0 + dj
-            ok = 0 <= i < H and 0 <= j < W
-            w = factor(fv, di) * factor(fu, dj) * ok
-            at = i * W + j if ok else 0
-            total = [t + w * float(x) for t, x in zip(total, flat[:, at])]
+            w = factor(fv, di) * factor(fu, dj)
+            values = feat[:, i, j].tolist() if 0 <= i < H and 0 <= j < W else [0.0] * C
+            total = [t + w * x for t, x in zip(total, values)]
     return total
 
 
 def trilinear_by_hand(depth, u, v, d):
     """As bilinear_by_hand over (dk, di, dj), the depth bin first, under SPEC."""
     K, H, W = depth.shape
-    flat = depth.reshape(-1)
     c = (d - SPEC.d_min) / SPEC.step - 0.5
     k0, i0, j0 = math.floor(c), math.floor(v), math.floor(u)
     fk, fv, fu = c - k0, v - i0, u - j0
@@ -178,10 +198,9 @@ def trilinear_by_hand(depth, u, v, d):
         for di in (0, 1):
             for dj in (0, 1):
                 k, i, j = k0 + dk, i0 + di, j0 + dj
-                ok = 0 <= k < K and 0 <= i < H and 0 <= j < W
-                w = factor(fk, dk) * factor(fv, di) * factor(fu, dj) * ok
-                at = (k * H + i) * W + j if ok else 0
-                total = total + w * float(flat[at])
+                w = factor(fk, dk) * factor(fv, di) * factor(fu, dj)
+                inside = 0 <= k < K and 0 <= i < H and 0 <= j < W
+                total = total + w * (float(depth[k, i, j]) if inside else 0.0)
     return total
 
 

@@ -71,7 +71,7 @@ def test_indices_beyond_u32_refused():
     rig = SimpleNamespace(feat_h=1, feat_w=2)
     huge = np.broadcast_to(np.int64(0), (2**32,))  # no memory behind it
     with pytest.raises(ConfigError, match=f"{2**32} table entries"):
-        build_table(HT_MAGIC, grid, [rig], dspec, (0.0,), [(huge, huge, huge)])
+        build_table(HT_MAGIC, grid, [rig], dspec, (0.0,), [(huge, huge)])
 
 
 def test_file_layout(tmp_path, small_bundle):
