@@ -15,7 +15,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DualVtError, InvalidCount
+from .errors import ConfigError, DualVtError, InvalidCount, from_json
 from .fusion import apply_ablations, default_weight_shapes, fuse_and_finalize, run_pipeline
 from .geometry import BevGridSpec, HeightSet, make_height_samples
 from .height_stream import INTERP, ROUND, ht_transform_naive, precompute_ht_table
@@ -61,18 +61,10 @@ def _load_scene_spec(path) -> tuple:
     blocks = {}
     for key, cls in (("grid", BevGridSpec), ("dspec", DepthBinSpec)):
         try:
-            blocks[key] = cls.from_json(doc[key]) if key in doc else cls()
-        except KeyError as e:
-            raise ConfigError(f"scene spec {key!r} block is missing key {e}") from None
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigError(f"scene spec {key!r} block is malformed: {e}") from None
-    grid, dspec = blocks["grid"], blocks["dspec"]
-    fields = {k: v for k, v in doc.items() if k not in blocks}
-    try:
-        spec = SceneSpec.from_json(fields)
-    except TypeError as e:
-        raise ConfigError(f"bad scene spec: {e}") from e
-    return spec, grid, dspec
+            blocks[key] = from_json(cls, doc.pop(key)) if key in doc else cls()
+        except ConfigError as e:
+            raise ConfigError(f"scene spec {key!r} block: {e}") from None
+    return SceneSpec.from_json(doc), blocks["grid"], blocks["dspec"]
 
 
 def cmd_synth(args) -> int:

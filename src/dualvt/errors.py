@@ -1,9 +1,11 @@
 """Exception taxonomy shared across the library and mapped to CLI exit codes,
-and the number tests that the configuration checks share."""
+and the one JSON decoder and one number check that every spec block shares."""
 
 import dataclasses
 import math
 import numbers
+import re
+import reprlib
 
 
 class DualVtError(Exception):
@@ -59,13 +61,45 @@ def is_finite(value) -> bool:
         return False
 
 
+def _misfits(value, shape, at=""):
+    """Yield (index, entry) where nested lists or ndarrays `value` leave `shape`
+    or hold no finite real number, the outer index first."""
+    if hasattr(value, "tolist"):  # an ndarray or a numpy number
+        value = value.tolist()
+    if shape and isinstance(value, (list, tuple)) and len(value) == shape[0]:
+        for i, item in enumerate(value):
+            yield from _misfits(item, shape[1:], f"{at}[{i}]")
+    elif shape or not (is_a(value, numbers.Real) and is_finite(value)):
+        yield at, value
+
+
 def check_field_types(obj) -> None:
-    """Raise a ConfigError naming the first `int` field of a dataclass that holds no
-    integer or `float` field that holds no finite real number (booleans never pass).
-    The kind is the annotation: a class, or its name under postponed annotations."""
+    """Raise a ConfigError naming the first field of a dataclass that holds no
+    integer for an `int` annotation (a class, or its name under postponed
+    annotations), no finite real number for a `float` one (booleans never pass),
+    or, under ``metadata={"shape": ...}``, no list or ndarray of such numbers."""
     for field in dataclasses.fields(obj):
         kind, value = getattr(field.type, "__name__", field.type), getattr(obj, field.name)
         if kind == "int" and not is_a(value, numbers.Integral):
             raise ConfigError(f"{field.name} must be an integer, got {value!r}")
         if kind == "float" and not (is_a(value, numbers.Real) and is_finite(value)):
             raise ConfigError(f"{field.name} must be a finite real number, got {value!r}")
+        shape = field.metadata.get("shape")
+        for at, entry in _misfits(value, shape) if shape is not None else ():
+            owner = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", type(obj).__name__).lower()
+            raise ConfigError(f"{owner} {field.name} must be finite real numbers of shape "
+                              f"{shape}, got {reprlib.repr(entry)} at {field.name}{at}")
+
+
+def from_json(cls, doc):
+    """``cls(**doc)`` for a dataclass `cls` and a JSON object `doc` that holds
+    exactly its fields; else a ConfigError names the first problem: no object,
+    then a missing field in declaration order, then an undeclared key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
+    names = [field.name for field in dataclasses.fields(cls)]
+    problems = [f"is missing key {name!r}" for name in names if name not in doc]
+    problems += [f"has unknown key {key!r}" for key in doc if key not in names]
+    if problems:
+        raise ConfigError(f"{cls.__name__} {problems[0]}")
+    return cls(**doc)

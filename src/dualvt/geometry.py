@@ -11,7 +11,7 @@ Conventions (fixed across the whole library):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,8 +27,8 @@ class CameraRig:
     """One camera: intrinsics K (3x3), extrinsics T (4x4, ego -> camera),
     feature-map extents, and an id."""
 
-    intrinsics: np.ndarray
-    extrinsics: np.ndarray
+    intrinsics: np.ndarray = field(metadata={"shape": (3, 3)})
+    extrinsics: np.ndarray = field(metadata={"shape": (4, 4)})
     feat_w: int
     feat_h: int
     cam_id: int = 0
@@ -37,11 +37,6 @@ class CameraRig:
         check_field_types(self)
         K = np.asarray(self.intrinsics, dtype=np.float64)
         T = np.asarray(self.extrinsics, dtype=np.float64)
-        if K.shape != (3, 3) or T.shape != (4, 4):
-            raise ConfigError("intrinsics must be 3x3 and extrinsics 4x4")
-        for name, m in (("intrinsics", K), ("extrinsics", T)):
-            if not np.isfinite(m).all():
-                raise ConfigError(f"camera {name} must be finite")
         if not (K[0, 0] > 0 and K[1, 1] > 0):
             raise ConfigError(f"camera fx and fy must be positive, got {K[0, 0]} and {K[1, 1]}")
         if K[2, 2] != 1.0 or K[2, 0] != 0.0 or K[2, 1] != 0.0:
@@ -65,14 +60,6 @@ class CameraRig:
             "feat_w": self.feat_w,
             "feat_h": self.feat_h,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "CameraRig":
-        return cls(
-            intrinsics=np.array(doc["intrinsics"], dtype=np.float64),
-            extrinsics=np.array(doc["extrinsics"], dtype=np.float64),
-            feat_w=doc["feat_w"], feat_h=doc["feat_h"], cam_id=doc.get("cam_id", 0),
-        )
 
 
 @dataclass(frozen=True)
@@ -115,10 +102,6 @@ class BevGridSpec:
             "y_min": self.y_min, "y_max": self.y_max,
             "nx": self.nx, "ny": self.ny,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "BevGridSpec":
-        return cls(**{k: doc[k] for k in ("x_min", "x_max", "y_min", "y_max", "nx", "ny")})
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -40,9 +41,10 @@ class DepthBinSpec:
             raise ConfigError(f"depth d_min must be at least 0, got {self.d_min!r}")
         if self.step <= 0:
             raise ConfigError("depth step must be positive")
-        n = (self.d_max - self.d_min) / self.step
-        if n < 1 or abs(n - round(n)) > 1e-9:
-            raise ConfigError("depth range must be a positive whole number of bins")
+        n = (self.d_max - self.d_min) / self.step  # inf when step is too small to count
+        if not (1 <= n < math.inf and abs(n - round(n)) <= 1e-9):
+            raise ConfigError(f"depth step must cut the range into a positive whole number "
+                              f"of bins, got {n!r} bins of step {self.step!r}")
 
     @property
     def n_bins(self) -> int:
@@ -53,10 +55,6 @@ class DepthBinSpec:
 
     def to_json(self) -> dict:
         return {"d_min": self.d_min, "d_max": self.d_max, "step": self.step}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "DepthBinSpec":
-        return cls(d_min=doc["d_min"], d_max=doc["d_max"], step=doc["step"])
 
 
 def depth_to_coord(d, spec: DepthBinSpec) -> np.ndarray:

@@ -10,13 +10,12 @@ and a uniform depth distribution.  Everything derives from one seed.
 from __future__ import annotations
 
 import json
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, check_field_types, is_a, is_finite
+from .errors import ConfigError, ShapeMismatch, check_field_types, from_json
 from .geometry import BevGridSpec, CameraRig, bev_cell_centers
 from .rng import Rng
 from .sampling import DepthBinSpec
@@ -31,17 +30,13 @@ MAX_CAMERAS = 256
 class Box:
     """Axis-aligned box: center (x, y, z) and size (length, width, height), meters."""
 
-    center: tuple
-    size: tuple
+    center: tuple = field(metadata={"shape": (3,)})
+    size: tuple = field(metadata={"shape": (3,)})
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("center", "size"):
-            value = getattr(self, name)
-            if not (isinstance(value, tuple) and len(value) == 3
-                    and all(is_a(v, numbers.Real) for v in value)):
-                raise ConfigError(f"box {name} must be three real numbers, got {value!r}")
-            if not all(is_finite(v) for v in value):
-                raise ConfigError(f"box {name} must be finite, got {value!r}")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if min(self.size) <= 0:
             raise ConfigError(f"box size must be positive, got {self.size!r}")
 
@@ -52,13 +47,6 @@ class Box:
 
     def to_json(self):
         return {"center": list(self.center), "size": list(self.size)}
-
-    @classmethod
-    def from_json(cls, doc):
-        try:
-            return cls(center=tuple(doc["center"]), size=tuple(doc["size"]))
-        except KeyError as e:
-            raise ConfigError(f"box is missing key {e}") from None
 
 
 @dataclass(frozen=True)
@@ -97,9 +85,11 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, doc):
-        doc = dict(doc)
-        doc["boxes"] = tuple(Box.from_json(b) for b in doc.get("boxes", ()))
-        return cls(**doc)
+        """The decoder's rules, except that a field left out keeps its default."""
+        doc = {**vars(cls()), **doc}
+        if not isinstance(doc["boxes"], (list, tuple)):
+            raise ConfigError(f"boxes must be a list of box objects, got {doc['boxes']!r}")
+        return from_json(cls, {**doc, "boxes": tuple(from_json(Box, b) for b in doc["boxes"])})
 
 
 def standard_scene_spec(seed: int = 5) -> SceneSpec:
@@ -304,9 +294,9 @@ def load_bundle(directory) -> SceneBundle:
 
     def parse(manifest):
         cams = manifest["cameras"]
-        return (SceneSpec.from_json(manifest["spec"]), BevGridSpec.from_json(manifest["grid"]),
-                DepthBinSpec.from_json(manifest["dspec"]),
-                [CameraRig.from_json(cam["rig"]) for cam in cams],
+        return (SceneSpec.from_json(manifest["spec"]), from_json(BevGridSpec, manifest["grid"]),
+                from_json(DepthBinSpec, manifest["dspec"]),
+                [from_json(CameraRig, cam["rig"]) for cam in cams],
                 [[directory / cam[kind] for cam in cams] for kind in ("feat", "depth", "mask")],
                 directory / manifest["gt_bev"])
 

@@ -63,14 +63,15 @@ OUT_OF_RANGE = [
     ({"boxes": [{"center": [10, 0, 0.5], "size": [float("inf"), 2, 1]}]}, "size"),
     ({"boxes": [{"center": [10, 0, 0.5], "size": [-2, 2, 1]}]}, "size"),
     ({"boxes": [{"center": [10, 0, 0.5], "size": [0, 2, 1]}]}, "size"),
+    ({"dspec": {"d_min": 0, "d_max": 1e308, "step": 1e-300}}, "step"),
 ]
 OUT_OF_RANGE_IDS = ["hfov-0", "hfov-180", "hfov-nan", "channels-0", "channels-neg",
                     "feat-w-0", "feat-h-neg", "kappa-nan", "cam-height-inf", "cam-height-huge",
                     "n-cameras-0", "n-cameras-huge", "grid-x-max-inf", "grid-cell-w-inf",
                     "dspec-d-min-neg", "box-center-nan", "box-size-inf", "box-size-neg",
-                    "box-size-0"]
+                    "box-size-0", "dspec-bins-overflow"]
 
-# scene-spec values of another JSON type
+# scene-spec values of another JSON type, and keys that no block declares
 WRONG_TYPE = [
     ({"hfov_deg": "70"}, "hfov_deg"),
     ({"cam_height": "x"}, "cam_height"),
@@ -84,10 +85,19 @@ WRONG_TYPE = [
     ({"grid": {**SCENE_SPEC["grid"], "ny": True}}, "ny"),
     ({"dspec": {**SCENE_SPEC["dspec"], "d_min": False}}, "d_min"),
     ({"dspec": {**SCENE_SPEC["dspec"], "step": "1"}}, "step"),
+    ({"boxes": 5}, "boxes"),
+    ({"boxes": [5]}, "Box"),
+    ({"boxes": [{"center": [0, 0], "size": [1, 1, 1]}]}, "center"),
+    ({"bogus": 1}, "unknown key 'bogus'"),
+    ({"grid": {**SCENE_SPEC["grid"], "bogus": 1}}, "unknown key 'bogus'"),
+    ({"dspec": {**SCENE_SPEC["dspec"], "bogus": 1}}, "unknown key 'bogus'"),
+    ({"boxes": [{**SCENE_SPEC["boxes"][0], "bogus": 1}]}, "unknown key 'bogus'"),
 ]
 WRONG_TYPE_IDS = ["hfov-str", "cam-height-str", "center-str", "feat-w-float", "box-no-center",
                   "channels-str", "seed-bool", "size-bool", "grid-nx-float", "grid-ny-bool",
-                  "dspec-d-min-bool", "dspec-step-str"]
+                  "dspec-d-min-bool", "dspec-step-str", "boxes-int", "boxes-of-int",
+                  "center-short", "scene-unknown-key", "grid-unknown-key", "dspec-unknown-key",
+                  "box-unknown-key"]
 
 # a rig value, or a rig matrix entry, set to a bad value in a scene's manifest
 BAD_RIG = [
@@ -101,9 +111,15 @@ BAD_RIG = [
     (("feat_w",), "44", "feat_w"),
     (("feat_w",), True, "feat_w"),
     (("cam_id",), 1.5, "cam_id"),
+    (("intrinsics", 0, 0), True, "intrinsics"),
+    (("intrinsics", 0, 0), "10", "intrinsics"),
+    (("extrinsics", 0, 3), "0.5", "extrinsics"),
+    (("intrinsics",), [[21.5, 0, 7.5], [0, 21.5, 3.5]], "intrinsics"),
+    (("bogus",), 1, "unknown key 'bogus'"),
 ]
 BAD_RIG_IDS = ["fx-nan", "fx-0", "fx-neg", "fx-inf", "fy-0", "translation-nan",
-               "feat-w-float", "feat-w-str", "feat-w-bool", "cam-id-float"]
+               "feat-w-float", "feat-w-str", "feat-w-bool", "cam-id-float", "fx-bool",
+               "fx-str", "translation-str", "intrinsics-2x3", "unknown-key"]
 
 
 @pytest.fixture(scope="module")
