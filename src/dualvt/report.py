@@ -11,6 +11,12 @@ from .errors import ConfigError
 from .tensors import tensor_read
 
 
+def l2(x: np.ndarray) -> float:
+    """L2 norm as numpy's pairwise sum of the float64 squares, one temporary;
+    `np.linalg.norm` is a BLAS dot product, whose order depends on the machine."""
+    return float(np.sqrt(np.sum(np.square(x, dtype=np.float64))))
+
+
 def cell_energy(f: np.ndarray) -> np.ndarray:
     """(ny, nx) per-cell L2 norm over channels."""
     return np.sqrt(np.sum(f.astype(np.float64) ** 2, axis=0))
@@ -34,7 +40,7 @@ def summarize_outputs(arrays: dict, gt_bev=None) -> dict:
     summary = {
         name: {
             "shape": list(a.shape),
-            "l2": float(np.linalg.norm(a.astype(np.float64))),
+            "l2": l2(a),
             "max_abs": float(np.abs(a).max()) if a.size else 0.0,
         }
         for name, a in arrays.items()
@@ -68,9 +74,10 @@ def diff_directories(dir_a, dir_b) -> dict:
             report["files"][name] = {"error": f"shape {a.shape} vs {b.shape}"}
             report["max_abs_diff"] = float("inf")
             continue
-        max_abs = float(np.abs(a - b).max()) if a.size else 0.0
-        denom = np.linalg.norm(a)
-        rel_l2 = float(np.linalg.norm(a - b) / denom) if denom > 0 else 0.0
+        diff = a - b
+        max_abs = float(np.abs(diff).max()) if a.size else 0.0
+        denom = l2(a)
+        rel_l2 = l2(diff) / denom if denom > 0 else 0.0
         report["files"][name] = {
             "max_abs_diff": max_abs,
             "rel_l2": rel_l2,

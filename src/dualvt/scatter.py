@@ -23,14 +23,17 @@ Accumulation contract:
   other cell's sum is +0.0, and float64 accumulators exist only for the
   support's rows.  A support cell's sum may still round to ±0.0.
 - Surviving entries are applied rank by rank: first every cell's first
-  survivor, then every cell's second, and so on.  A cell occurs at most
-  once per rank, so a rank is a plain row update ``out[c] = out[c] +
-  contrib``, and each cell adds its survivors in entry order, bit for
-  bit as one sequential pass.  One ``searchsorted`` of the offsets into
-  the survivors' positions gives every cell's run, so no per-entry cell
-  column exists.
+  survivor, then every cell's second, and so on.  Each worker orders its
+  rows by descending run length, ties in cell order, so the runs that
+  reach rank r are its first n_r rows and a rank is one in-place add
+  ``acc[s:e] += contrib`` into contiguous float64 rows.  Each cell adds
+  its survivors in entry order, bit for bit as one sequential pass, and
+  each row is rounded to float32 once, as the worker writes it out.  One
+  ``searchsorted`` of the offsets into the survivors' positions gives
+  every cell's run, so no per-entry cell column exists.
 - A rank goes through in chunks of ``CHUNK_ENTRIES`` entries, whose
-  temporaries stay below ``CHUNK_ENTRIES * C * 16`` bytes per worker.
+  float32 feature gather and float64 product take ``CHUNK_ENTRIES * C *
+  12`` bytes; each worker also holds a float64 accumulator for its rows.
 - The survivors are found on the calling thread.  Threads then split the
   support's rows into ranges of about equal survivors: runs are
   disjoint, so no value depends on the split.
@@ -43,8 +46,8 @@ from contextlib import nullcontext
 
 import numpy as np
 
-# entries applied per row update; at 64 channels one chunk's
-# temporaries peak at 8192 * 64 * 16 bytes = 8.4 MB
+# entries per in-place add; at 64 channels a chunk's float32 gather and
+# float64 product take 8192 * 64 * 12 bytes = 6.3 MB
 CHUNK_ENTRIES = 8192
 
 
@@ -61,7 +64,7 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threa
     the ascending (n,) intp cells with an entry of nonzero weight, (n, C) float32 sums.
     """
     cells, w, fi, first, end = _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx)
-    out = np.zeros((cells.size, feats.shape[0]), dtype=np.float64)
+    out = np.empty((cells.size, feats.shape[0]), dtype=np.float32)
     feats_t = np.ascontiguousarray(feats.T)  # (P, C), row gathers are cheap
     # split the rows, one per support cell, into ranges of about equal survivors
     cuts = np.searchsorted(first, np.linspace(0, w.size, max(threads, 1) + 1)[1:-1])
@@ -69,7 +72,7 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threa
     with ThreadPoolExecutor(len(jobs)) if len(jobs) > 1 else nullcontext() as pool:
         list((pool.map if pool else map)(
             lambda j: _accumulate(out[j], feats_t, w, fi, first[j], end[j]), jobs))
-    return cells, out.astype(np.float32)
+    return cells, out
 
 
 def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx):
@@ -89,21 +92,19 @@ def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx):
 
 
 def _accumulate(out, feats_t, w, fi, first, end):
-    """Add each row's run of survivors [first, end) to its row of out, rank by rank."""
-    # pos: each unfinished run's rank-r survivor; end: its run's end; row: its row of out
-    pos, row = first.copy(), np.arange(out.shape[0])
-    while pos.size:
-        for start in range(0, pos.size, CHUNK_ENTRIES):
-            sel = pos[start:start + CHUNK_ENTRIES]
-            rows = row[start:start + CHUNK_ENTRIES]  # distinct: one entry per cell
-            # float32 gather upcasts exactly; acc matches the float64 reference
-            # bitwise, and IEEE addition commutes, so acc + out[rows] == out[rows] + acc
-            acc = w[sel, None] * feats_t[fi[sel]]
-            acc += out[rows]
-            out[rows] = acc
-        pos += 1
-        alive = pos < end
-        pos, end, row = pos[alive], end[alive], row[alive]
+    """Sum each row's run of survivors [first, end), rank by rank, into its row of out."""
+    neg_len = first - end  # minus each run's length
+    order = np.argsort(neg_len, kind="stable")  # longest run first, ties in row order
+    first, neg_len = first[order], neg_len[order]
+    acc = np.zeros(out.shape, dtype=np.float64)
+    for r in range(-neg_len[0]):
+        n = np.searchsorted(neg_len, -r)  # the runs longer than r: a prefix
+        for s in range(0, n, CHUNK_ENTRIES):
+            pos = first[s:min(s + CHUNK_ENTRIES, n)] + r
+            # float32 gather upcasts exactly: each add is the float64
+            # reference's acc + w * feature, bit for bit
+            acc[s:s + pos.size] += w[pos, None] * feats_t[fi[pos]]
+    out[order] = acc  # one float32 rounding per row
 
 
 def support_grid(cells: np.ndarray, sums: np.ndarray, ny: int, nx: int) -> np.ndarray:

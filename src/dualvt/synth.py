@@ -10,6 +10,7 @@ and a uniform depth distribution.  Everything derives from one seed.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,6 +73,9 @@ class SceneSpec:
             raise ConfigError(f"hfov_deg must be in (0, 180), got {self.hfov_deg!r}")
         if self.kappa <= 0:
             raise ConfigError("kappa must be positive")
+        if not (isinstance(self.boxes, tuple) and all(isinstance(b, Box) for b in self.boxes)):
+            raise ConfigError(
+                f"boxes must be a tuple of Box objects, got {reprlib.repr(self.boxes)}")
 
     def to_json(self):
         return {
@@ -86,6 +90,8 @@ class SceneSpec:
     @classmethod
     def from_json(cls, doc):
         """The decoder's rules, except that a field left out keeps its default."""
+        if not isinstance(doc, dict):
+            return from_json(cls, doc)  # refused in the decoder's words
         doc = {**vars(cls()), **doc}
         if not isinstance(doc["boxes"], (list, tuple)):
             raise ConfigError(f"boxes must be a list of box objects, got {doc['boxes']!r}")

@@ -326,6 +326,12 @@ class TestPrecompute:
             assert len(err.strip().splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 
+    @pytest.mark.parametrize("spec", [5, [], "spec"], ids=["int", "list", "str"])
+    def test_manifest_spec_not_an_object_exits_2(self, workspace, tmp_path, capsys, spec):
+        manifest = edited_manifest(workspace, tmp_path, {})
+        rewrite_json(manifest, {"spec": spec})
+        assert_manifest_refused(workspace, tmp_path, capsys, manifest, "SceneSpec")
+
 
 def edited_manifest(workspace, tmp_path, bad):
     """A copy of the workspace scene whose manifest takes `bad`: its grid and

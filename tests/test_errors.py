@@ -159,3 +159,16 @@ def test_to_json_round_trips_through_the_decoder(spec):
         got, want = getattr(back, field.name), getattr(spec, field.name)
         assert type(got) is type(want) and np.array_equal(got, want), field.name
     assert getattr(back, "intrinsics", np.zeros(1)).dtype == np.float64
+
+
+@pytest.mark.parametrize("boxes", [(5,), (BOX, {"center": [0, 0, 0], "size": [1, 1, 1]}), 5,
+                                   [BOX]], ids=["int", "dict", "not-a-tuple", "list"])
+def test_scene_spec_refuses_boxes_that_are_not_box_objects(boxes):
+    with pytest.raises(ConfigError, match="^boxes must be a tuple of Box objects"):
+        SceneSpec(boxes=boxes)
+
+
+@pytest.mark.parametrize("doc, kind", [(5, "int"), ([], "list"), (None, "NoneType")])
+def test_scene_spec_from_json_refuses_a_non_object(doc, kind):
+    with pytest.raises(ConfigError, match=f"^SceneSpec must be a JSON object, got {kind}$"):
+        SceneSpec.from_json(doc)

@@ -1,9 +1,10 @@
-"""The table build and the scatter make no BLAS call, by construction.
+"""The table build, the scatter and the report make no BLAS call, by construction.
 
 A BLAS picks its own summation order (by CPU kernel and thread count), so
 any BLAS-backed operation in the modules that build the tables (the depth
 bins and their centres included) or apply them could make their bytes
-depend on the machine.  This guard parses those modules and refuses
+depend on the machine.  The same holds for the norms in the output
+summaries and diffs (`report`).  This guard parses those modules and refuses
 matrix products and the numpy functions that dispatch to a BLAS.
 """
 
@@ -14,8 +15,8 @@ import pytest
 
 import dualvt
 
-TABLE_MODULES = ("geometry.py", "height_stream.py", "lift_stream.py", "sampling.py",
-                 "scatter.py", "tables.py")
+TABLE_MODULES = ("geometry.py", "height_stream.py", "lift_stream.py", "report.py",
+                 "sampling.py", "scatter.py", "tables.py")
 BLAS_FUNCTIONS = {"dot", "matmul", "einsum", "tensordot", "inner"}
 
 

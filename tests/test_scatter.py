@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import table_cells
 from dualvt import scatter
-from dualvt.geometry import BevGridSpec
+from dualvt.geometry import BevGridSpec, make_height_samples
+from dualvt.height_stream import precompute_ht_table
 from dualvt.lift_stream import lss_apply, lss_pool, precompute_lss_table
 from dualvt.rng import Rng
 from dualvt.sampling import DepthBinSpec
@@ -203,6 +204,42 @@ def test_offsets_walk_matches_reference_bitwise(problem, chunk):
     assert_matches_reference(fast, args, n_cells)
 
 
+@st.composite
+def _tied_runs(draw):
+    """Offsets whose support is ten or more runs of one length between two
+    end runs of at most twice that length, with empty cells anywhere; then
+    a seed.  The first run ends before half the entries and the last tied
+    run starts after it, so the cut of the survivors into halves falls
+    between two tied runs, as do most cuts into thirds and quarters."""
+    tie = draw(st.integers(1, 6))
+    ends = draw(st.lists(st.integers(1, 2 * tie), min_size=2, max_size=2))
+    runs = [ends[0], *[tie] * draw(st.integers(10, 40)), ends[1]]
+    counts = []
+    for run in runs:
+        counts += [0] * draw(st.integers(0, 2)) + [run]
+    return np.array(counts), draw(st.integers(0, 10_000))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tied_runs(), st.integers(1, 5))
+def test_tied_run_lengths_are_bitwise(problem, chunk):
+    """Many runs of one length, a thread cut inside a block of them and ranks
+    that span several chunks: threads 1 to 4 give the per-entry reference's
+    bits, so no rank's prefix takes a run that has ended."""
+    counts, seed = problem
+    n_cells = counts.size
+    cells = np.repeat(np.arange(n_cells), counts)
+    feats, depth_w, mask_w, _, feat_idx, depth_idx = _mostly_zero_problem(
+        seed, cells.size, n_cells, 0.0
+    )
+    args = (feats, depth_w, mask_w, cells, feat_idx, depth_idx)
+    for threads in (1, 2, 3, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scatter, "CHUNK_ENTRIES", chunk)
+            fast = _fast(args, n_cells, threads=threads)
+        assert_matches_reference(fast, args, n_cells)
+
+
 @pytest.fixture(scope="module")
 def desk_lift():
     """Desk-scale scene with all-ones masks and its lift table."""
@@ -232,6 +269,34 @@ def test_desk_scale_dense_lift_is_sequential(desk_lift):
     got = weighted_scatter(feats, depth_w, mask_w, table.offsets, feat_idx, depth_idx)
     expected = expected.astype(np.float32)
     assert np.array_equal(expand(got, table.n_cells).view(np.uint32), expected.view(np.uint32))
+
+
+def test_desk_scale_dense_height_is_sequential(desk_lift):
+    """The height table, whose runs are at most cameras × heights long, in the
+    same dense frame: the rank-major scatter at threads 1 and 2 equals one
+    sequential np.add.at pass over the table in entry order, bitwise."""
+    bundle, masks, _ = desk_lift
+    table = precompute_ht_table(bundle.rigs, bundle.grid, make_height_samples("multires"),
+                                bundle.dspec)
+    feats = stack_camera_tensors(bundle.feats)
+    depth_w = np.concatenate([d.ravel() for d in bundle.depths])
+    mask_w = stack_camera_tensors(masks)[0]
+    feat_idx, depth_idx = table.feat_idx, table.depth_idx
+    w = depth_w[depth_idx].astype(np.float64) * mask_w[feat_idx].astype(np.float64)
+    assert np.count_nonzero(w) > 0.8 * table.n_entries
+    cells = table_cells(table)
+    assert np.bincount(cells, minlength=table.n_cells).max() >= 13  # ranks past one height
+    expected = np.zeros((table.n_cells, feats.shape[0]))
+    for a in range(0, table.n_entries, 8192):  # in entry order, chunked for memory
+        b = a + 8192
+        np.add.at(expected, cells[a:b],
+                  w[a:b, None] * feats[:, feat_idx[a:b]].T.astype(np.float64))
+    expected = expected.astype(np.float32)
+    for threads in (1, 2):
+        got = weighted_scatter(feats, depth_w, mask_w, table.offsets, feat_idx, depth_idx,
+                               threads=threads)
+        assert np.array_equal(expand(got, table.n_cells).view(np.uint32),
+                              expected.view(np.uint32))
 
 
 def test_desk_scale_dense_lss_pool_threads_bitwise(desk_lift):
