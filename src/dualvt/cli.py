@@ -64,7 +64,8 @@ def _load_scene_spec(path) -> tuple:
             blocks[key] = from_json(cls, doc.pop(key)) if key in doc else cls()
         except ConfigError as e:
             raise ConfigError(f"scene spec {key!r} block: {e}") from None
-    return SceneSpec.from_json(doc), blocks["grid"], blocks["dspec"]
+    # a scene field left out of a spec file takes its default; a manifest holds them all
+    return from_json(SceneSpec, {**SceneSpec().to_json(), **doc}), blocks["grid"], blocks["dspec"]
 
 
 def cmd_synth(args) -> int:

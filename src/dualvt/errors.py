@@ -1,5 +1,6 @@
 """Exception taxonomy shared across the library and mapped to CLI exit codes,
-and the one JSON decoder and one number check that every spec block shares."""
+and what every spec block shares: one JSON encoder (`SpecBlock.to_json`), one
+JSON decoder (`from_json`) and one field check (`check_field_types`)."""
 
 import dataclasses
 import math
@@ -73,17 +74,40 @@ def _misfits(value, shape, at=""):
         yield at, value
 
 
+class SpecBlock:
+    """Base of the spec dataclasses, whose JSON form follows their declaration."""
+
+    def to_json(self) -> dict:
+        """Every declared field in declaration order: a block by this same rule,
+        a tuple or ndarray as a list, a numpy number as a JSON number."""
+        return {field.name: _plain(getattr(self, field.name))
+                for field in dataclasses.fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, SpecBlock):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
 def check_field_types(obj) -> None:
     """Raise a ConfigError naming the first field of a dataclass that holds no
     integer for an `int` annotation (a class, or its name under postponed
     annotations), no finite real number for a `float` one (booleans never pass),
-    or, under ``metadata={"shape": ...}``, no list or ndarray of such numbers."""
+    under ``metadata={"shape": ...}`` no list or ndarray of such numbers, or
+    under ``metadata={"items": cls}`` no tuple of `cls` objects."""
     for field in dataclasses.fields(obj):
         kind, value = getattr(field.type, "__name__", field.type), getattr(obj, field.name)
         if kind == "int" and not is_a(value, numbers.Integral):
             raise ConfigError(f"{field.name} must be an integer, got {value!r}")
         if kind == "float" and not (is_a(value, numbers.Real) and is_finite(value)):
             raise ConfigError(f"{field.name} must be a finite real number, got {value!r}")
+        items = field.metadata.get("items")
+        if items and not (isinstance(value, tuple) and all(isinstance(v, items) for v in value)):
+            raise ConfigError(f"{field.name} must be a tuple of {items.__name__} objects, "
+                              f"got {reprlib.repr(value)}")
         shape = field.metadata.get("shape")
         for at, entry in _misfits(value, shape) if shape is not None else ():
             owner = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", type(obj).__name__).lower()
@@ -93,8 +117,10 @@ def check_field_types(obj) -> None:
 
 def from_json(cls, doc):
     """``cls(**doc)`` for a dataclass `cls` and a JSON object `doc` that holds
-    exactly its fields; else a ConfigError names the first problem: no object,
-    then a missing field in declaration order, then an undeclared key."""
+    exactly its fields, a field declared with ``metadata={"items": item}`` as a
+    list of `item` objects decoded by this same rule; else a ConfigError names
+    the first problem: no object, then a missing field in declaration order,
+    then an undeclared key, then a field of items that is no list."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
     names = [field.name for field in dataclasses.fields(cls)]
@@ -102,4 +128,11 @@ def from_json(cls, doc):
     problems += [f"has unknown key {key!r}" for key in doc if key not in names]
     if problems:
         raise ConfigError(f"{cls.__name__} {problems[0]}")
-    return cls(**doc)
+    fields = {}
+    for field in dataclasses.fields(cls):
+        items, value = field.metadata.get("items"), doc[field.name]
+        if items and not isinstance(value, list):
+            raise ConfigError(f"{field.name} must be a list of {items.__name__} objects, "
+                              f"got {reprlib.repr(value)}")
+        fields[field.name] = tuple(from_json(items, item) for item in value) if items else value
+    return cls(**fields)

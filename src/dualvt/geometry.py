@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidCount, check_field_types
+from .errors import ConfigError, InvalidCount, SpecBlock, check_field_types
 
 BEHIND_EPS = 1e-6
 
@@ -23,7 +23,7 @@ FULL_HEIGHT_RANGE = (-5.0, 3.0)
 
 
 @dataclass(frozen=True)
-class CameraRig:
+class CameraRig(SpecBlock):
     """One camera: intrinsics K (3x3), extrinsics T (4x4, ego -> camera),
     feature-map extents, and an id."""
 
@@ -52,18 +52,9 @@ class CameraRig:
         object.__setattr__(self, "intrinsics", K)
         object.__setattr__(self, "extrinsics", T)
 
-    def to_json(self) -> dict:
-        return {
-            "cam_id": self.cam_id,
-            "intrinsics": self.intrinsics.tolist(),
-            "extrinsics": self.extrinsics.tolist(),
-            "feat_w": self.feat_w,
-            "feat_h": self.feat_h,
-        }
-
 
 @dataclass(frozen=True)
-class BevGridSpec:
+class BevGridSpec(SpecBlock):
     """Axis-aligned BEV grid; cell (i, j) spans x index i, y index j."""
 
     x_min: float = -51.2
@@ -95,13 +86,6 @@ class BevGridSpec:
     @property
     def n_cells(self) -> int:
         return self.nx * self.ny
-
-    def to_json(self) -> dict:
-        return {
-            "x_min": self.x_min, "x_max": self.x_max,
-            "y_min": self.y_min, "y_max": self.y_max,
-            "nx": self.nx, "ny": self.ny,
-        }
 
 
 @dataclass(frozen=True)

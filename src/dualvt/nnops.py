@@ -113,11 +113,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 class WeightBundle:
-    """Named Conv2dWeights with provenance, persisted as a manifest + BTSR files."""
+    """Named Conv2dWeights, persisted as a manifest + BTSR files."""
 
-    def __init__(self, layers: dict, provenance: str):
+    def __init__(self, layers: dict):
         self.layers = dict(layers)
-        self.provenance = provenance
 
     def __getitem__(self, name: str) -> Conv2dWeights:
         try:
@@ -138,12 +137,12 @@ class WeightBundle:
                 kernel=sub.uniform((c_out, c_in, kh, kw), -bound, bound),
                 bias=sub.uniform((c_out,), -bound, bound),
             )
-        return cls(layers, provenance=f"seeded({seed})")
+        return cls(layers)
 
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        manifest = {"provenance": self.provenance, "layers": {}}
+        manifest = {"layers": {}}
         for name, w in sorted(self.layers.items()):
             kfile, bfile = f"{name}.kernel.btsr", f"{name}.bias.btsr"
             tensor_write(w.kernel, directory / kfile)
@@ -162,4 +161,4 @@ class WeightBundle:
             name: Conv2dWeights(kernel=tensor_read(kernel), bias=tensor_read(bias))
             for name, (kernel, bias) in files.items()
         }
-        return cls(layers, provenance=f"loaded({directory})")
+        return cls(layers)

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, SpecBlock, check_field_types
 
 
 @dataclass(frozen=True)
-class DepthBinSpec:
+class DepthBinSpec(SpecBlock):
     """Uniform depth binning; bin k covers [d_min + k*step, d_min + (k+1)*step)."""
 
     d_min: float = 2.0
@@ -52,9 +52,6 @@ class DepthBinSpec:
 
     def bin_center(self, k) -> np.ndarray:
         return self.d_min + (np.asarray(k, dtype=np.float64) + 0.5) * self.step
-
-    def to_json(self) -> dict:
-        return {"d_min": self.d_min, "d_max": self.d_max, "step": self.step}
 
 
 def depth_to_coord(d, spec: DepthBinSpec) -> np.ndarray:

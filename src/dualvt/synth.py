@@ -10,13 +10,12 @@ and a uniform depth distribution.  Everything derives from one seed.
 from __future__ import annotations
 
 import json
-import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, check_field_types, from_json
+from .errors import ConfigError, ShapeMismatch, SpecBlock, check_field_types, from_json
 from .geometry import BevGridSpec, CameraRig, bev_cell_centers
 from .rng import Rng
 from .sampling import DepthBinSpec
@@ -28,7 +27,7 @@ MAX_CAMERAS = 256
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(SpecBlock):
     """Axis-aligned box: center (x, y, z) and size (length, width, height), meters."""
 
     center: tuple = field(metadata={"shape": (3,)})
@@ -46,18 +45,15 @@ class Box:
         lx, ly, _ = self.size
         return (np.abs(x - cx) <= lx / 2) & (np.abs(y - cy) <= ly / 2)
 
-    def to_json(self):
-        return {"center": list(self.center), "size": list(self.size)}
-
 
 @dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(SpecBlock):
     seed: int = 0
     n_cameras: int = 6
     feat_w: int = 44
     feat_h: int = 16
     channels: int = 64
-    boxes: tuple = ()
+    boxes: tuple = field(default=(), metadata={"items": Box})
     kappa: float = 4.0  # depth concentration; kernel half-width = step / kappa
     cam_height: float = 1.5
     hfov_deg: float = 70.0
@@ -73,29 +69,6 @@ class SceneSpec:
             raise ConfigError(f"hfov_deg must be in (0, 180), got {self.hfov_deg!r}")
         if self.kappa <= 0:
             raise ConfigError("kappa must be positive")
-        if not (isinstance(self.boxes, tuple) and all(isinstance(b, Box) for b in self.boxes)):
-            raise ConfigError(
-                f"boxes must be a tuple of Box objects, got {reprlib.repr(self.boxes)}")
-
-    def to_json(self):
-        return {
-            "seed": self.seed, "n_cameras": self.n_cameras,
-            "feat_w": self.feat_w, "feat_h": self.feat_h,
-            "channels": self.channels,
-            "boxes": [b.to_json() for b in self.boxes],
-            "kappa": self.kappa, "cam_height": self.cam_height,
-            "hfov_deg": self.hfov_deg,
-        }
-
-    @classmethod
-    def from_json(cls, doc):
-        """The decoder's rules, except that a field left out keeps its default."""
-        if not isinstance(doc, dict):
-            return from_json(cls, doc)  # refused in the decoder's words
-        doc = {**vars(cls()), **doc}
-        if not isinstance(doc["boxes"], (list, tuple)):
-            raise ConfigError(f"boxes must be a list of box objects, got {doc['boxes']!r}")
-        return from_json(cls, {**doc, "boxes": tuple(from_json(Box, b) for b in doc["boxes"])})
 
 
 def standard_scene_spec(seed: int = 5) -> SceneSpec:
@@ -175,14 +148,12 @@ def _ray_cast(rig: CameraRig, boxes, eps: float = 1e-6):
     for bi, box in enumerate(boxes):
         lo = np.asarray(box.center) - np.asarray(box.size) / 2
         hi = np.asarray(box.center) + np.asarray(box.size) / 2
+        # a ray parallel to a slab gets infinite bounds of one sign outside it
+        # (a miss) and of both signs inside; only a ray starting on one of its
+        # planes gets 0/0, a NaN the nanmax/nanmin below skip, as inside
         with np.errstate(divide="ignore", invalid="ignore"):
             t1 = (lo - origin) / dirs
             t2 = (hi - origin) / dirs
-        # rays parallel to a slab: inside -> +-inf bounds, outside -> miss
-        par = dirs == 0
-        inside = (origin >= lo) & (origin <= hi)
-        t1 = np.where(par, np.where(inside, -np.inf, np.nan), t1)
-        t2 = np.where(par, np.where(inside, np.inf, np.nan), t2)
         t_enter = np.nanmax(np.minimum(t1, t2), axis=-1)
         t_exit = np.nanmin(np.maximum(t1, t2), axis=-1)
         hit = (t_exit >= t_enter) & (t_enter > eps)
@@ -300,7 +271,7 @@ def load_bundle(directory) -> SceneBundle:
 
     def parse(manifest):
         cams = manifest["cameras"]
-        return (SceneSpec.from_json(manifest["spec"]), from_json(BevGridSpec, manifest["grid"]),
+        return (from_json(SceneSpec, manifest["spec"]), from_json(BevGridSpec, manifest["grid"]),
                 from_json(DepthBinSpec, manifest["dspec"]),
                 [from_json(CameraRig, cam["rig"]) for cam in cams],
                 [[directory / cam[kind] for cam in cams] for kind in ("feat", "depth", "mask")],

@@ -11,7 +11,7 @@ from dualvt import cli
 from dualvt.cli import MAX_THREADS, main
 from dualvt.fusion import make_seeded_weights
 from dualvt.nnops import WeightBundle
-from dualvt.synth import random_scene_spec
+from dualvt.synth import SceneSpec, random_scene_spec
 from dualvt.tables import HT_MAGIC, LSS_MAGIC, read_table
 from dualvt.tensors import tensor_read, tensor_write
 
@@ -311,7 +311,10 @@ class TestPrecompute:
         "{not json",
         {"spec": {**{k: v for k, v in SCENE_SPEC.items() if k not in ("grid", "dspec")},
                   "channels": "8"}},
-    ], ids=["grid-not-object", "not-json", "channels-not-int"])
+        # a manifest holds every scene field: none takes its default there
+        {"spec": {k: v for k, v in {**SceneSpec().to_json(), **SCENE_SPEC}.items()
+                  if k not in ("grid", "dspec", "channels")}},
+    ], ids=["grid-not-object", "not-json", "channels-not-int", "channels-missing"])
     def test_bad_scene_manifest_exits_2(self, workspace, tmp_path, capsys, edit):
         scene = tmp_path / "scene"
         shutil.copytree(workspace / "scene", scene)
@@ -487,7 +490,7 @@ class TestTransform:
             layers[name] = layers["prob.local.out"]
         else:
             layers[name] = make_seeded_weights(11, 2 * SCENE_SPEC["channels"]).layers[name]
-        WeightBundle(layers, edit).save(tmp_path / "weights")
+        WeightBundle(layers).save(tmp_path / "weights")
         assert run_transform(workspace, tmp_path / "out", "--weights",
                              str(tmp_path / "weights")) == 2
         err = capsys.readouterr().err
@@ -498,6 +501,8 @@ class TestTransform:
     def test_weights_roundtrip_through_disk(self, workspace, tmp_path):
         wdir = tmp_path / "weights"
         make_seeded_weights(11, SCENE_SPEC["channels"]).save(wdir)
+        # older bundles also wrote a "provenance" string, which loading ignores
+        rewrite_json(wdir / "manifest.json", {"provenance": "seeded(11)"})
         assert run_transform(workspace, tmp_path / "disk", "--weights", str(wdir)) == 0
         assert run_transform(workspace, tmp_path / "seeded") == 0
         assert dir_digest(tmp_path / "disk") == dir_digest(tmp_path / "seeded")

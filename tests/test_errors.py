@@ -28,7 +28,7 @@ CASES = [(spec, f.name, bad) for spec in SPECS for f in dataclasses.fields(spec)
 def test_every_field_is_checked_or_not_a_number():
     """A numeric field declared any other way (``int | None``, ``np.float64``)
     would escape the check: every field is an int, a float or a container, and
-    every container but the boxes, which are decoded one by one, has a shape."""
+    every container but the boxes, which declare their items instead, has a shape."""
     kinds = {declared(f) for spec in SPECS for f in dataclasses.fields(spec)}
     assert kinds == {"int", "float", "tuple", "np.ndarray"}
     unshaped = {f"{type(spec).__name__}.{f.name}" for spec in SPECS
@@ -142,22 +142,36 @@ GRID = BevGridSpec().to_json()
      "^CameraRig is missing key 'cam_id'$"),
     (BevGridSpec, {**GRID, "bogus": 1, "other": 2}, "^BevGridSpec has unknown key 'bogus'$"),
     (BevGridSpec, {**GRID, "NX": 4}, "^BevGridSpec has unknown key 'NX'$"),
+    (SceneSpec, {**SceneSpec().to_json(), "boxes": 5},
+     "^boxes must be a list of Box objects, got 5$"),
+    (SceneSpec, {**SceneSpec().to_json(), "boxes": [BOX.to_json(), [1, 2]]},
+     "^Box must be a JSON object, got list$"),
 ], ids=["int", "list", "null", "first-missing", "missing-before-unknown", "last-missing",
-        "defaulted-missing", "unknown", "unknown-case"])
+        "defaulted-missing", "unknown", "unknown-case", "boxes-not-a-list", "box-not-an-object"])
 def test_decoder_names_the_first_problem(cls, doc, message):
     with pytest.raises(ConfigError, match=message):
         from_json(cls, doc)
 
 
-@pytest.mark.parametrize("spec", [BOX, BevGridSpec(), DepthBinSpec(d_min=0, d_max=3, step=0.25),
-                                  dataclasses.replace(RIG, cam_id=5, feat_h=2)],
-                         ids=["box", "grid", "dspec", "rig"])
+NUMPY_BOX = Box(center=(np.float32(0.1), np.float64(-2), np.int64(3)), size=(1, 2.5, 3))
+
+
+@pytest.mark.parametrize("spec", [
+    BOX, BevGridSpec(), DepthBinSpec(d_min=0, d_max=3, step=0.25),
+    dataclasses.replace(RIG, cam_id=5, feat_h=2), SceneSpec(boxes=(BOX, NUMPY_BOX)),
+    NUMPY_BOX, SceneSpec(seed=np.int64(3)), BevGridSpec(x_min=np.float64(-8), nx=np.int32(4)),
+], ids=["box", "grid", "dspec", "rig", "scene-with-boxes", "box-numpy", "scene-numpy-seed",
+        "grid-numpy"])
 def test_to_json_round_trips_through_the_decoder(spec):
-    """to_json writes exactly the fields the decoder wants, and nothing is lost on the way."""
-    back = from_json(type(spec), json.loads(json.dumps(spec.to_json())))
+    """to_json writes exactly the fields the decoder wants, a numpy number as a
+    JSON number, and nothing is lost on the way."""
+    doc = json.loads(json.dumps(spec.to_json()))
+    back = from_json(type(spec), doc)
+    assert back.to_json() == doc == spec.to_json()
     for field in dataclasses.fields(spec):
         got, want = getattr(back, field.name), getattr(spec, field.name)
-        assert type(got) is type(want) and np.array_equal(got, want), field.name
+        want = want.item() if isinstance(want, np.generic) else want
+        assert type(got) is type(want), field.name
     assert getattr(back, "intrinsics", np.zeros(1)).dtype == np.float64
 
 
@@ -171,4 +185,4 @@ def test_scene_spec_refuses_boxes_that_are_not_box_objects(boxes):
 @pytest.mark.parametrize("doc, kind", [(5, "int"), ([], "list"), (None, "NoneType")])
 def test_scene_spec_from_json_refuses_a_non_object(doc, kind):
     with pytest.raises(ConfigError, match=f"^SceneSpec must be a JSON object, got {kind}$"):
-        SceneSpec.from_json(doc)
+        from_json(SceneSpec, doc)

@@ -51,7 +51,7 @@ def zero_weights():
         )
         for name, shape in default_weight_shapes(C).items()
     }
-    return WeightBundle(layers, provenance="zeros")
+    return WeightBundle(layers)
 
 
 class TestCafFuse:
@@ -525,7 +525,7 @@ class TestFuseAndFinalize:
         f_lss, f_ht = streams()
         # no caf.* layers: a forced affinity does not run the fusion head
         head_free = WeightBundle(
-            {k: v for k, v in weights().layers.items() if not k.startswith("caf.")}, "no-caf"
+            {k: v for k, v in weights().layers.items() if not k.startswith("caf.")}
         )
         res = fuse_and_finalize(f_lss, f_ht, head_free, force_affinity=0.3)
         a = np.float32(0.3)

@@ -71,6 +71,17 @@ class TestRayCast:
         vc, uc = rig.feat_h // 2, int(round((rig.feat_w - 1) / 2))
         assert bi[vc, uc] == 1
 
+    @pytest.mark.parametrize("z, hits", [(0.5, False), (1.5, True)],
+                             ids=["below-camera", "straddling-camera"])
+    def test_horizontal_centre_row(self, z, hits):
+        """An odd feat_h gives a centre row of exactly horizontal rays at the
+        camera's 1.5 m height: they pass over a box whose top is at 1.0 m and
+        meet one that spans the camera's height at its near face."""
+        rig = make_ring_rigs(SceneSpec(n_cameras=1, feat_w=9, feat_h=5))[0]
+        hit, t, _ = _ray_cast(rig, [Box(center=(10.0, 0.0, z), size=(2.0, 2.0, 1.0))])
+        assert hit[2, 4] == hits and hit[2].any() == hits
+        assert t[2, 4] == pytest.approx(9.0 if hits else 0.0)
+
     def test_empty_scene_no_hits(self):
         rigs = make_ring_rigs(SceneSpec(seed=0, n_cameras=2))
         for rig in rigs:
