@@ -63,9 +63,13 @@ def _load_scene_spec(path) -> tuple:
         try:
             blocks[key] = from_json(cls, doc.pop(key)) if key in doc else cls()
         except ConfigError as e:
-            raise ConfigError(f"scene spec {key!r} block: {e}") from None
-    # a scene field left out of a spec file takes its default; a manifest holds them all
-    return from_json(SceneSpec, {**SceneSpec().to_json(), **doc}), blocks["grid"], blocks["dspec"]
+            raise ConfigError(f"scene spec {path}: {key!r} block: {e}") from None
+    try:
+        # a scene field left out of a spec file takes its default; a manifest holds them all
+        spec = from_json(SceneSpec, {**SceneSpec().to_json(), **doc})
+    except ConfigError as e:
+        raise ConfigError(f"scene spec {path}: {e}") from None
+    return spec, blocks["grid"], blocks["dspec"]
 
 
 def cmd_synth(args) -> int:

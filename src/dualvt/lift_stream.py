@@ -69,7 +69,7 @@ def lss_apply(frame, table: IndexTable, threads: int = 1):
     """The table applied to a stacked frame (`tables.stack_frame`): the
     support (cells, sums) of `weighted_scatter`."""
     return weighted_scatter(*frame, table.offsets, table.feat_idx, table.depth_idx,
-                            threads=threads)
+                            threads=threads, by_pixel=table.pixel_index)
 
 
 def lss_pool_reference(

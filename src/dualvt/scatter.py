@@ -16,8 +16,14 @@ Accumulation contract:
   every bit.  Finite inputs are therefore a precondition (``0 * inf`` is
   NaN); the front ends reject others (``tables.check_camera_tensors``).
   A float64 product of finite float32 values is zero only when a factor
-  is, so the skip test reads each entry's mask (a P-value array, in
-  cache) and the depth only where the mask is nonzero, the sparse factor.
+  is, so the survivors are found from the mask, the sparse factor,
+  first.  `pixel_index` groups a table's entry positions by feature
+  pixel, with a count per pixel; the positions of the pixels whose mask
+  is nonzero, sorted, are the entries with a nonzero mask in entry
+  order, and only their depth is read.  A masked frame so reads the
+  entries of its masked-in pixels, not every entry.  The index is 4
+  bytes per entry; `tables.IndexTable.pixel_index` builds it on a
+  table's first apply (8 bytes more per entry meanwhile) and keeps it.
 - The result is the *support*: the ascending cells that have a surviving
   entry, and their sums rounded once to float32, as (n, C) rows.  Every
   other cell's sum is +0.0, and float64 accumulators exist only for the
@@ -51,7 +57,8 @@ import numpy as np
 CHUNK_ENTRIES = 8192
 
 
-def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threads: int = 1):
+def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threads: int = 1,
+                     by_pixel=None):
     """Accumulate depth_w * mask_w * feature into BEV cells.
 
     feats:    (C, P) float32 feature pixels; a view of (P, C) memory is not copied
@@ -60,10 +67,14 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threa
     offsets:  (n_cells + 1,) cell c owns entries [offsets[c], offsets[c+1])
     feat_idx: (N,) index into the P axis
     depth_idx:(N,) index into depth_w
+    by_pixel: `pixel_index(feat_idx, P)`, built here when not given
     All inputs must be finite (see the module docstring).  Returns the support:
     the ascending (n,) intp cells with an entry of nonzero weight, (n, C) float32 sums.
     """
-    cells, w, fi, first, end = _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx)
+    if by_pixel is None:
+        by_pixel = pixel_index(feat_idx, mask_w.size)
+    cells, w, fi, first, end = _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx,
+                                          by_pixel)
     out = np.empty((cells.size, feats.shape[0]), dtype=np.float32)
     feats_t = np.ascontiguousarray(feats.T)  # (P, C), row gathers are cheap
     # split the rows, one per support cell, into ranges of about equal survivors
@@ -75,11 +86,30 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threa
     return cells, out
 
 
-def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx):
+def pixel_index(feat_idx, n_pixels):
+    """The entries grouped by feature pixel: (positions, counts), where pixel p
+    owns the next counts[p] u32 positions, ascending, after those of pixels < p.
+
+    One in-place sort of the unique u64 keys ``(pixel << 32) | position``, so
+    any sort algorithm gives the same bytes; the positions are the keys' low
+    halves.  Needs N < 2**32, which tables keep.  Memory: 4 bytes per entry
+    kept, 8 more per entry while the keys live.
+    """
+    keys = np.arange(feat_idx.size, dtype="<u8")
+    keys.view("<u4")[1::2] = feat_idx  # the high halves, zero until now
+    keys.sort()
+    starts = np.searchsorted(keys, np.arange(n_pixels + 1, dtype="<u8") << np.uint64(32))
+    return keys.view("<u4")[::2].copy(), np.diff(starts)
+
+
+def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, by_pixel):
     """The support, the survivors' weights and feature indices, and each
     support cell's run of survivors [first, end)."""
+    pos, counts = by_pixel
+    # the masked-in pixels' entries in ascending order, so runs keep entry order;
+    # the positions are unique, so any sort gives the same array
+    keep = np.sort(pos[np.repeat(mask_w != 0, counts)])
     # fancy indexing reads the strided record columns in place; take copies them
-    keep = np.flatnonzero((mask_w != 0)[feat_idx])  # ascending: runs keep entry order
     d = depth_w.take(depth_idx[keep])
     live = d != 0
     keep, d = keep[live], d[live]

@@ -26,6 +26,8 @@ per-cell offsets:
 In memory a table is this layout: `IndexTable` holds the u32 offsets and
 (n_entries, 2) records, as read-only views of the bytes read by `read_table`.
 So `build_table` refuses a depth volume or an entry count above 2**32 - 1.
+The scatter's pixel index (`IndexTable.pixel_index`) is not part of the
+file: it is built in memory the first time a table is applied.
 
 Version 1 files (a cell and a camera column per entry) and version 2
 files (no fingerprint, no heights) are refused.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,7 @@ import numpy as np
 from .errors import (
     BadMagic, ConfigError, IndexOutOfRange, NonFiniteValue, ShapeMismatch, TruncatedPayload,
 )
+from . import scatter
 
 HT_MAGIC = b"HTLT"
 LSS_MAGIC = b"LSPT"
@@ -86,6 +90,12 @@ class IndexTable:
     @property
     def depth_idx(self) -> np.ndarray:
         return self.records[:, 1]
+
+    @cached_property
+    def pixel_index(self):
+        """`scatter.pixel_index` of the feature column: built in memory the first
+        time the table is applied, kept on the table, never written to its file."""
+        return scatter.pixel_index(self.feat_idx, self.n_cams * self.feat_h * self.feat_w)
 
     @property
     def n_entries(self) -> int:
@@ -209,7 +219,9 @@ def stack_camera_tensors(per_cam) -> np.ndarray:
     shape = arrs[0].shape
     if any(a.shape != shape for a in arrs):
         raise IndexOutOfRange("camera tensors have differing shapes")
-    return np.concatenate([a.reshape(shape[0], -1).T for a in arrs]).T
+    # concatenate alone would keep its inputs' column-major order
+    stacked = np.empty((len(arrs) * arrs[0][0].size, shape[0]), dtype=np.result_type(*arrs))
+    return np.concatenate([a.reshape(shape[0], -1).T for a in arrs], out=stacked).T
 
 
 def stack_frame(feats, depths, masks, *tables):

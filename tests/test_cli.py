@@ -170,7 +170,7 @@ class TestSynth:
         spec.write_text(json.dumps(doc))
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and missing in err
+        assert "config error" in err and missing in err and f"scene spec {spec}: " in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -180,7 +180,7 @@ class TestSynth:
         spec.write_text(json.dumps(doc))
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and field in err
+        assert "config error" in err and field in err and f"scene spec {spec}: " in err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -190,7 +190,7 @@ class TestSynth:
         spec.write_text(json.dumps({**SCENE_SPEC, **bad}))
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and field in err
+        assert "config error" in err and field in err and f"scene spec {spec}: " in err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 

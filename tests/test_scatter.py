@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from conftest import table_cells
 from dualvt import scatter
 from dualvt.geometry import BevGridSpec, make_height_samples
-from dualvt.height_stream import precompute_ht_table
+from dualvt.height_stream import ht_apply, precompute_ht_table
 from dualvt.lift_stream import lss_apply, lss_pool, precompute_lss_table
 from dualvt.rng import Rng
 from dualvt.sampling import DepthBinSpec
 from dualvt.scatter import weighted_scatter
 from dualvt.synth import generate_scene, random_scene_spec
-from dualvt.tables import stack_camera_tensors, stack_frame
+from dualvt.tables import read_table, stack_camera_tensors, stack_frame, write_table
 
 
 def scatter_reference(feats, depth_w, mask_w, cells, feat_idx, depth_idx, n_cells):
@@ -360,3 +360,147 @@ def test_masked_desk_apply_allocates_less_than_one_grid():
     assert 0 < cells.size < table.n_cells // 100  # a masked frame: a small support
     assert peak >= sums.nbytes  # numpy's allocations are traced
     assert peak < grid_bytes
+
+
+def survivors_oracle(depth_w, mask_w, offsets, feat_idx, depth_idx):
+    """`scatter._survivors` without a pixel index: every entry's mask bit read
+    through its feature index, in entry order."""
+    keep = np.flatnonzero((mask_w != 0)[feat_idx])
+    keep = keep[depth_w[depth_idx[keep]] != 0]
+    fi = np.asarray(feat_idx)[keep].astype(np.intp)
+    w = depth_w[depth_idx[keep]].astype(np.float64) * mask_w[fi].astype(np.float64)
+    entry_cells = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))[keep]
+    cells, first, count = np.unique(entry_cells, return_index=True, return_counts=True)
+    return cells, w, fi, first, first + count
+
+
+def assert_survivors_match_oracle(problem, threads):
+    """The pixel index is the entries stably sorted by pixel; `_survivors` through
+    it equals the oracle, and `weighted_scatter` at `threads` the per-entry reference."""
+    feats, depth_w, mask_w, cells, feat_idx, depth_idx = problem
+    n_cells = int(cells.max()) + 1 if cells.size else 1
+    offsets = _offsets(cells, n_cells).astype("<u4")
+    pos, counts = scatter.pixel_index(feat_idx, mask_w.size)
+    assert pos.dtype == "<u4" and np.array_equal(pos, np.argsort(feat_idx, kind="stable"))
+    assert np.array_equal(counts, np.bincount(feat_idx, minlength=mask_w.size))
+    got = scatter._survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, (pos, counts))
+    want = survivors_oracle(depth_w, mask_w, offsets, feat_idx, depth_idx)
+    assert [a.dtype for a in got] == [np.intp, np.float64, np.intp, np.intp, np.intp]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+    assert_matches_reference(_fast(problem, n_cells, threads), problem, n_cells)
+
+
+# float32 mask and depth values: signed zeros, the least subnormal, a larger
+# subnormal and normal numbers
+_WEIGHTS = [0.0, -0.0, 1e-45, -1e-45, 1e-40, 0.5, 1.0]
+
+
+@st.composite
+def _survivor_problems(draw):
+    """A problem over a few pixels: some pixels own no entry, others repeat
+    within a cell; masks all zero, all one or drawn from `_WEIGHTS`."""
+    n_pixels, n = draw(st.integers(1, 12)), draw(st.integers(0, 60))
+    used = draw(st.lists(st.integers(0, n_pixels - 1), min_size=1, max_size=n_pixels))
+    feat_idx = np.array(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)),
+                        dtype="<u4")
+    cells = np.sort(np.array(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)),
+                             dtype=np.int64))
+    fill = draw(st.sampled_from([0.0, 1.0, None]))
+    mask = draw(st.lists(st.sampled_from(_WEIGHTS), min_size=n_pixels, max_size=n_pixels))
+    mask_w = np.array(mask if fill is None else [fill] * n_pixels, dtype=np.float32)
+    depth = draw(st.lists(st.sampled_from(_WEIGHTS), min_size=1, max_size=10))
+    depth_w = np.array(depth, dtype=np.float32)
+    depth_idx = np.array(draw(st.lists(st.integers(0, len(depth) - 1), min_size=n,
+                                       max_size=n)), dtype="<u4")
+    feats = Rng(draw(st.integers(0, 10_000))).uniform((3, n_pixels), -10.0, 10.0)
+    return feats, depth_w, mask_w, cells, feat_idx, depth_idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(_survivor_problems(), st.integers(1, 4))
+def test_survivors_match_index_free_oracle(problem, threads):
+    assert_survivors_match_oracle(problem, threads)
+
+
+def _edge_problem(cells, feat_idx, mask, n_pixels=5):
+    mask_w = np.full(n_pixels, mask, dtype=np.float32) if np.isscalar(mask) else mask
+    feats = Rng(3).uniform((2, n_pixels), -10.0, 10.0)
+    n = len(feat_idx)
+    return (feats, np.array([0.5, 0.0, 1e-45], dtype=np.float32), mask_w,
+            np.array(cells, dtype=np.int64), np.array(feat_idx, dtype="<u4"),
+            np.arange(n, dtype="<u4") % 3)
+
+
+@pytest.mark.parametrize("problem", [
+    _edge_problem([], [], 1.0),  # an empty table
+    _edge_problem([0, 0, 1, 2], [4, 0, 4, 4], 1.0),  # pixels 1-3 own no entry
+    _edge_problem([1, 1, 1, 1, 1, 1], [2, 2, 0, 2, 2, 2], 1.0),  # pixel 2 repeats in a cell
+    _edge_problem([0, 1, 2, 3], [0, 1, 2, 3], 0.0),  # all zero
+    _edge_problem([0, 1, 2, 3], [0, 1, 2, 3], -0.0),  # all negative zero
+    _edge_problem([0, 0, 1, 1, 2, 2], [0, 1, 2, 3, 4, 0],
+                  np.array([-0.0, 1e-45, 0.0, -1e-40, 1.0], dtype=np.float32)),
+], ids=["empty", "pixels-without-entries", "pixel-repeated", "mask-zero", "mask-neg-zero",
+        "mask-signed-zero-subnormal"])
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_survivors_edge_cases_match_oracle(problem, threads):
+    assert_survivors_match_oracle(problem, threads)
+
+
+def test_tables_are_built_written_and_read_without_pixel_index(small_bundle, tmp_path,
+                                                                monkeypatch):
+    """Building, writing and reading a table never builds its pixel index; the
+    index of a table read back equals the index of the table built in memory."""
+    bundle, heights = small_bundle
+
+    def refuse(*args):
+        raise AssertionError("pixel index built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(scatter, "pixel_index", refuse)
+        ht = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
+        lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+        read = []
+        for table in (ht, lss):
+            write_table(table, tmp_path / "t")
+            read.append(read_table(tmp_path / "t", table.magic))
+    for built, back in zip((ht, lss), read):
+        assert "pixel_index" not in vars(built) and "pixel_index" not in vars(back)
+        assert built.n_entries > 0
+        for a, b in zip(built.pixel_index, back.pixel_index):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert built.pixel_index is built.pixel_index  # kept on the table
+
+
+def test_second_apply_builds_no_pixel_index():
+    """A table's second masked desk frame allocates less than the index build's
+    8-byte key per entry: the index is built once per table, not per frame."""
+    bundle = generate_scene(random_scene_spec(1), BevGridSpec(), DepthBinSpec())
+    ht = precompute_ht_table(bundle.rigs, bundle.grid, make_height_samples("multires"),
+                             bundle.dspec)
+    lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    frame = stack_frame(bundle.feats, bundle.depths, bundle.masks, ht, lss)
+    for apply, table in ((ht_apply, ht), (lss_apply, lss)):
+        first = apply(frame, table)
+        index = table.pixel_index
+        tracemalloc.start()
+        try:
+            second = apply(frame, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.pixel_index is index
+        assert peak >= second[1].nbytes  # numpy's allocations are traced
+        assert peak < 8 * table.n_entries
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def test_stacked_features_are_pixel_major(small_bundle):
+    """`stack_camera_tensors` returns (C, P) as a view of (P, C) rows, so the
+    scatter's row-major features are that memory, not a copy per apply."""
+    bundle, _ = small_bundle
+    feats = stack_camera_tensors(bundle.feats)
+    assert np.shares_memory(np.ascontiguousarray(feats.T), feats)
+    assert np.array_equal(feats, np.concatenate([f.reshape(f.shape[0], -1)
+                                                 for f in bundle.feats], axis=1))
