@@ -53,19 +53,31 @@ def precompute_ht_table(
     table runs by cell, then camera, then height index.  Only points in
     front of the camera and within one pixel of its map are rounded:
     rounding moves a coordinate by at most 0.5, so no kept point is culled.
+
+    Every height is projected only for the candidate cells of
+    `_reachable_cells`, found from the first and last heights alone.  A
+    cell's anchors lie on one vertical segment.  Its depth is monotone
+    along it, also as computed, so the segment reaches in front of the
+    camera iff an end does.  A segment wholly in front images to the
+    segment between its ends' images, so the ends' bounding box holds
+    every height's (u, v), and its one-pixel slack is far larger than any
+    float64 rounding.  A segment that crosses the camera plane is always a
+    candidate.  The candidates' columns go through the same elementwise
+    `project_points`, so every kept point has the bits of projecting them all.
     """
-    points = _anchor_points(grid, heights)
+    x, y, z = _anchor_points(grid, heights)
     nz = len(heights)
 
     def emit(rig):
         W, H = rig.feat_w, rig.feat_h
-        u, v, d, valid = project_points(*points, rig)
-        # transposed, the mask lists the points in (cell, height) order
-        cell, h = np.divmod(
-            np.flatnonzero((valid & (u > -1) & (u < W) & (v > -1) & (v < H)).T), nz
-        )
-        ui, vi = round_half_away(u[h, cell]), round_half_away(v[h, cell])
-        k = round_half_away(depth_to_coord(d[h, cell], dspec))
+        cand = _reachable_cells(x, y, z, rig)
+        # candidates as a column, heights as a row: flat, the points run in
+        # (cell, height) order
+        u, v, d, valid = project_points(x[0, cand, None], y[0, cand, None], z.T, rig)
+        pts = np.flatnonzero(valid & (u > -1) & (u < W) & (v > -1) & (v < H))
+        cell = cand[pts // nz]  # ascending, so still (cell, height) order
+        ui, vi = round_half_away(u.take(pts)), round_half_away(v.take(pts))
+        k = round_half_away(depth_to_coord(d.take(pts), dspec))
         keep = (
             (ui >= 0) & (ui <= W - 1) & (vi >= 0) & (vi <= H - 1)
             & (k >= 0) & (k <= dspec.n_bins - 1)
@@ -74,6 +86,20 @@ def precompute_ht_table(
         return cell[keep], (kk * H + vi) * W + ui
 
     return build_table(HT_MAGIC, grid, rigs, dspec, heights.z_values, map(emit, rigs))
+
+
+def _reachable_cells(x, y, z, rig) -> np.ndarray:
+    """The ascending cells whose anchor segment, heights z[0] to z[-1], can
+    reach the cull's window (-1, W) x (-1, H): it crosses the camera plane,
+    or it lies wholly in front and its end rows' bounding box comes within
+    one pixel of the window (see `precompute_ht_table`)."""
+    if z.size == 0:
+        return np.empty(0, dtype=np.intp)
+    u, v, _, valid = project_points(x, y, z[[0, -1]], rig)
+    near = valid[0] & valid[1]
+    for c, n in ((u, rig.feat_w), (v, rig.feat_h)):
+        near &= (np.maximum(c[0], c[1]) > -2) & (np.minimum(c[0], c[1]) < n + 1)
+    return np.flatnonzero(near | (valid[0] != valid[1]))
 
 
 def ht_transform_fast(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:

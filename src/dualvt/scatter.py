@@ -23,7 +23,7 @@ Accumulation contract:
   order, and only their depth is read.  A masked frame so reads the
   entries of its masked-in pixels, not every entry.  The index is 4
   bytes per entry; `tables.IndexTable.pixel_index` builds it on a
-  table's first apply (8 bytes more per entry meanwhile) and keeps it.
+  table's first apply and keeps it.
 - The result is the *support*: the ascending cells that have a surviving
   entry, and their sums rounded once to float32, as (n, C) rows.  Every
   other cell's sum is +0.0, and float64 accumulators exist only for the
@@ -90,16 +90,24 @@ def pixel_index(feat_idx, n_pixels):
     """The entries grouped by feature pixel: (positions, counts), where pixel p
     owns the next counts[p] u32 positions, ascending, after those of pixels < p.
 
-    One in-place sort of the unique u64 keys ``(pixel << 32) | position``, so
-    any sort algorithm gives the same bytes; the positions are the keys' low
-    halves.  Needs N < 2**32, which tables keep.  Memory: 4 bytes per entry
-    kept, 8 more per entry while the keys live.
+    One in-place sort of the unique keys ``(pixel << bits(N - 1)) | position``,
+    so any sort algorithm gives the same bytes; the positions are the keys'
+    low bits.  The keys are u32 when pixel and position bits fit in 32 (both
+    desk tables), else u64.  Needs N < 2**32, which tables keep.  Memory: 4
+    bytes per entry kept; u64 keys take 8 more per entry while they live.
     """
-    keys = np.arange(feat_idx.size, dtype="<u8")
-    keys.view("<u4")[1::2] = feat_idx  # the high halves, zero until now
+    n = feat_idx.size
+    shift = max(n - 1, 0).bit_length()
+    key = np.dtype("<u4" if int(n_pixels - 1).bit_length() + shift <= 32 else "<u8")
+    keys = feat_idx.astype(key)
+    keys <<= key.type(shift)
+    keys |= np.arange(n, dtype=key)
     keys.sort()
-    starts = np.searchsorted(keys, np.arange(n_pixels + 1, dtype="<u8") << np.uint64(32))
-    return keys.view("<u4")[::2].copy(), np.diff(starts)
+    # pixel p's first key is >= p << shift; pixel 0 starts at 0 and the last
+    # pixel ends at n, so no boundary past the largest pixel is computed
+    starts = np.searchsorted(keys, np.arange(1, n_pixels, dtype=key) << key.type(shift))
+    keys &= key.type((1 << shift) - 1)
+    return keys.astype("<u4", copy=False), np.diff(starts, prepend=0, append=n)
 
 
 def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, by_pixel):

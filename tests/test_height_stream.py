@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import forward_camera, small_geometry, small_scene, table_cells
 from dualvt import height_stream
@@ -56,6 +58,31 @@ def round_then_filter(rigs, grid, heights, dspec):
     return tuple([int(r[i]) for r in records] for i in (0, 3, 4))
 
 
+@st.composite
+def tilted_rigs(draw, W, H):
+    """A camera inside the anchor height range [-5, 3] m with any yaw, pitch
+    up to +-90 degrees and any roll, fx and fy from 0.2 to 2000 pixels."""
+    yaw, roll = draw(st.floats(-np.pi, np.pi)), draw(st.floats(-np.pi, np.pi))
+    pitch = draw(st.floats(-np.pi / 2, np.pi / 2))
+    center = np.array([draw(st.floats(-4, 4)), draw(st.floats(-4, 4)), draw(st.floats(-5, 3))])
+    fx, fy = (draw(st.one_of(st.floats(0.2, 8), st.floats(8, 2000))) for _ in range(2))
+    cx, cy = draw(st.floats(-2, W + 1)), draw(st.floats(-2, H + 1))
+
+    def about(axis, angle):  # rotation about ego axis 0 (x), 1 (y) or 2 (z)
+        i, j = [a for a in range(3) if a != axis]
+        m = np.eye(3)
+        m[[i, i, j, j], [i, j, i, j]] = np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)
+        return m
+
+    turn = about(2, yaw) @ about(1, pitch) @ about(0, roll)
+    # rows: camera right, down and forward in ego coordinates, level and facing +x at zero
+    R = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]) @ turn.T
+    T = np.eye(4)
+    T[:3, :3], T[:3, 3] = R, -R @ center
+    K = np.array([[fx, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
+    return CameraRig(intrinsics=K, extrinsics=T, feat_w=W, feat_h=H)
+
+
 class TestPrecompute:
     def test_all_heights_hit_single_cell(self):
         rig, grid, dspec, heights = one_cell_fixture()
@@ -106,6 +133,35 @@ class TestPrecompute:
         assert table_cells(table).tolist() == cells
         assert table.feat_idx.tolist() == feat_idx
         assert table.depth_idx.tolist() == depth_idx
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_candidate_cull_equals_round_then_filter(self, data):
+        """Rigs of any yaw, pitch up to +-90 degrees and any roll, at heights
+        inside the anchor range, so the camera plane cuts anchor segments:
+        projecting only `_reachable_cells`' candidates keeps every entry."""
+        W = data.draw(st.integers(1, 44), label="feat_w")
+        H = data.draw(st.integers(1, 16), label="feat_h")
+        rigs = data.draw(st.lists(tilted_rigs(W, H), min_size=1, max_size=3), label="rigs")
+        nx, ny = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        x0, y0 = data.draw(st.floats(-10, 2)), data.draw(st.floats(-10, 2))
+        span = data.draw(st.floats(0.5, 16), label="span")
+        grid = BevGridSpec(x_min=x0, x_max=x0 + span, y_min=y0, y_max=y0 + span, nx=nx, ny=ny)
+        heights = data.draw(st.one_of(
+            st.just(make_height_samples("multires")),
+            st.just(make_height_samples("uniform", 2)),
+            st.floats(-5, 3).map(lambda z: HeightSet((z,))),
+        ), label="heights")
+        dspec = DepthBinSpec(d_min=0.0, d_max=32.0, step=0.5)
+        table = precompute_ht_table(rigs, grid, heights, dspec)
+        cells, feat_idx, depth_idx = round_then_filter(rigs, grid, heights, dspec)
+        assert table_cells(table).tolist() == cells
+        assert table.feat_idx.tolist() == feat_idx
+        assert table.depth_idx.tolist() == depth_idx
+
+    def test_no_heights_is_empty(self):
+        rig, grid, dspec, _ = one_cell_fixture()
+        assert precompute_ht_table([rig], grid, HeightSet(()), dspec).n_entries == 0
 
     def test_camera_facing_away_is_empty(self):
         rig = forward_camera()

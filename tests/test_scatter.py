@@ -448,6 +448,35 @@ def test_survivors_edge_cases_match_oracle(problem, threads):
     assert_survivors_match_oracle(problem, threads)
 
 
+@pytest.mark.parametrize("n_pixels,key_bits", [(2**15, 32), (2**15 + 1, 33)])
+def test_pixel_index_at_the_key_width_boundary(n_pixels, key_bits):
+    """2**16 + 1 entries take 17 position bits; 2**15 pixels take 15 pixel bits
+    and fit u32 keys, 2**15 + 1 take 16 and need u64.  Both equal a stable
+    argsort and a bincount, the largest pixel's last key included."""
+    n = 2**16 + 1
+    feat_idx = Rng(key_bits).integers((n,), n_pixels).astype("<u4")
+    feat_idx[[0, -1]] = n_pixels - 1  # the largest pixel, at the first and last position
+    assert (n_pixels - 1).bit_length() + (n - 1).bit_length() == key_bits
+    pos, counts = scatter.pixel_index(feat_idx, n_pixels)
+    assert pos.dtype == "<u4" and np.array_equal(pos, np.argsort(feat_idx, kind="stable"))
+    assert np.array_equal(counts, np.bincount(feat_idx, minlength=n_pixels))
+
+
+def test_pixel_index_keys_are_the_narrowest_that_hold_them():
+    """u32 keys where pixel and position bits fit in 32 take 8 bytes per entry
+    less, keys and positions together, than the u64 keys one more pixel needs."""
+    n, peaks = 2**16 + 1, []
+    for n_pixels in (2**15, 2**15 + 1):
+        feat_idx = np.full(n, n_pixels - 1, dtype="<u4")
+        tracemalloc.start()
+        try:
+            scatter.pixel_index(feat_idx, n_pixels)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] >= 6 * n
+
+
 def test_tables_are_built_written_and_read_without_pixel_index(small_bundle, tmp_path,
                                                                 monkeypatch):
     """Building, writing and reading a table never builds its pixel index; the
@@ -474,8 +503,9 @@ def test_tables_are_built_written_and_read_without_pixel_index(small_bundle, tmp
 
 
 def test_second_apply_builds_no_pixel_index():
-    """A table's second masked desk frame allocates less than the index build's
-    8-byte key per entry: the index is built once per table, not per frame."""
+    """A table's second masked desk frame allocates less than the 8 bytes per
+    entry an index build holds at once (its keys and the positions it ORs into
+    them): the index is built once per table, not per frame."""
     bundle = generate_scene(random_scene_spec(1), BevGridSpec(), DepthBinSpec())
     ht = precompute_ht_table(bundle.rigs, bundle.grid, make_height_samples("multires"),
                              bundle.dspec)
