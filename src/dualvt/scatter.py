@@ -117,7 +117,6 @@ def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, by_pixel):
     # the masked-in pixels' entries in ascending order, so runs keep entry order;
     # the positions are unique, so any sort gives the same array
     keep = np.sort(pos[np.repeat(mask_w != 0, counts)])
-    # fancy indexing reads the strided record columns in place; take copies them
     d = depth_w.take(depth_idx[keep])
     live = d != 0
     keep, d = keep[live], d[live]

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import shutil
 import struct
+import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualvt import cli
 from dualvt.cli import MAX_THREADS, main
@@ -531,6 +537,21 @@ def other_tables(root, **overrides):
     return root / "tables"
 
 
+def old_ht_table(path, version) -> bytes:
+    """The version-4 height table at path, in an older format's layout."""
+    if version == 1:  # this scene's header, then (cell, cam, feat, depth) records
+        header = struct.pack("<4sB3s6IQ", b"HTLT", 1, b"\0" * 3, 32, 32, 3, 8, 16, 18, 1)
+        return header + struct.pack("<4I", 0, 0, 0, 0)
+    raw = path.read_bytes()
+    table = read_table(path, HT_MAGIC)
+    start = 76 + 8 * len(table.heights)  # the offsets, after the header and heights
+    offsets = raw[start:start + table.offsets.nbytes]
+    records = np.stack([table.feat_idx, table.depth_idx], axis=1).tobytes()
+    if version == 2:  # no digest, height count or heights
+        return raw[:4] + bytes([2]) + raw[5:40] + offsets + records
+    return raw[:4] + bytes([3]) + raw[5:start] + offsets + records  # no checksum
+
+
 @pytest.fixture(scope="module")
 def two_rigs(tmp_path_factory):
     """Scenes and tables for random_scene_spec(3) with the cameras 1.5 m and 1.8 m
@@ -594,29 +615,20 @@ class TestTablesBoundToGeometry:
         raw = bytearray(path.read_bytes())
         first, = struct.unpack_from("<d", raw, 76)  # the first height, after the header
         struct.pack_into("<d", raw, 76, first + 0.25)
+        # a new checksum, so the edit reaches the fingerprint check
+        struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
         path.write_bytes(bytes(raw))
         err = self.assert_refused(workspace, tables, tmp_path, capsys)
         assert "HTLT table" in err and "fingerprint" in err
 
-    def test_version_1_table_exits_2(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_old_version_table_exits_2(self, workspace, tmp_path, capsys, version):
         tables = tmp_path / "old"
         shutil.copytree(workspace / "tables", tables)
-        # the version-1 layout: this scene's header, then (cell, cam, feat, depth) records
-        header = struct.pack("<4sB3s6IQ", b"HTLT", 1, b"\0" * 3, 32, 32, 3, 8, 16, 18, 1)
-        (tables / "ht_table.htlt").write_bytes(header + struct.pack("<4I", 0, 0, 0, 0))
-        err = self.assert_refused(workspace, tables, tmp_path, capsys)
-        assert "version 1" in err and "precompute again" in err
-
-    def test_version_2_table_exits_2(self, workspace, tmp_path, capsys):
-        tables = tmp_path / "old"
-        shutil.copytree(workspace / "tables", tables)
-        # the version-2 file: the version-3 one without its digest, height count and heights
         path = tables / "ht_table.htlt"
-        raw = path.read_bytes()
-        n_heights, = struct.unpack_from("<I", raw, 72)
-        path.write_bytes(raw[:4] + bytes([2]) + raw[5:40] + raw[76 + 8 * n_heights:])
+        path.write_bytes(old_ht_table(path, version))
         err = self.assert_refused(workspace, tables, tmp_path, capsys)
-        assert "version 2" in err and "precompute again" in err
+        assert f"version {version}" in err and "precompute again" in err
 
     def test_failed_write_leaves_no_output(self, workspace, tmp_path, monkeypatch, capsys):
         real, calls = cli.tensor_write, []
@@ -643,6 +655,32 @@ class TestTablesBoundToGeometry:
         del digests["notes.txt"]
         assert digests == dir_digest(tmp_path / "fresh")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["ht_table.htlt", "lss_table.lspt"]), data=st.data())
+def test_damaged_table_exits_2_or_3(workspace, name, data):
+    """A table truncated at any length, or with any one bit flipped (the header's
+    half the time), ends transform in exit 2 or 3 with one stderr line, no
+    traceback and no output."""
+    raw = bytearray((workspace / "tables" / name).read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * 80 - 1) | st.integers(0, 8 * len(raw) - 1),
+                        label="bit")
+        raw[bit // 8] ^= 1 << bit % 8
+    with tempfile.TemporaryDirectory() as tmp:
+        tables, out, err = Path(tmp) / "tables", Path(tmp) / "out", io.StringIO()
+        shutil.copytree(workspace / "tables", tables)
+        (tables / name).write_bytes(bytes(raw))
+        with contextlib.redirect_stderr(err):
+            code = main(["transform", "--scene", str(workspace / "scene"),
+                         "--tables", str(tables), "--out", str(out)])
+        assert code in (2, 3)
+        assert len(err.getvalue().strip().splitlines()) == 1
+        assert "Traceback" not in err.getvalue()
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["tables"]
 
 
 class TestTransformOptions:

@@ -1,6 +1,7 @@
 import dataclasses
 import struct
 import tracemalloc
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,19 +20,21 @@ from dualvt.tables import (
 HEADER_BYTES = 76  # the 40-byte version-2 header, a SHA-256 digest and a u32 height count
 
 
-def tiny_table(offsets, feat_idx=None, depth_idx=None, heights=(0.0, 1.0)):
+def tiny_table(offsets, depth_idx=None, heights=(0.0, 1.0)):
     """A 2x2-cell table; offsets has 5 entries, the last one the entry count."""
     n = offsets[-1]
-    records = np.zeros((n, 2), dtype="<u4")
-    if feat_idx is not None:
-        records[:, 0] = feat_idx
-    if depth_idx is not None:
-        records[:, 1] = depth_idx
     return IndexTable(
         magic=HT_MAGIC, ny=2, nx=2, n_cams=2, feat_h=1, feat_w=2, n_bins=3,
-        offsets=np.asarray(offsets, dtype="<u4"), records=records,
+        offsets=np.asarray(offsets, dtype="<u4"),
+        depth_idx=np.zeros(n, dtype="<u4") if depth_idx is None else np.asarray(depth_idx, "<u4"),
         heights=heights, geometry_sha256=bytes(32),
     )
+
+
+def reseal(raw: bytearray) -> bytearray:
+    """raw with its trailing CRC-32 recomputed over every byte before it."""
+    struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
+    return raw
 
 
 def test_unsorted_cells_rejected():
@@ -43,20 +46,27 @@ def test_unsorted_cells_rejected():
 
 
 def test_indices_bounded_by_all_cameras():
-    # 2 cameras of 1x2 pixels and 3 bins: 4 feature pixels, 12 depth cells
-    tiny_table([0, 1, 2, 2, 2], feat_idx=[3, 0], depth_idx=[11, 0])
-    with pytest.raises(IndexOutOfRange):
-        tiny_table([0, 1, 2, 2, 2], feat_idx=[4, 0])
+    """2 cameras of 1x2 pixels and 3 bins: 12 voxels, whose pixels are the 4
+    feature pixels; voxel 11 is camera 1's bin 2 at pixel 1, feature pixel 3."""
+    table = tiny_table([0, 1, 2, 2, 2], depth_idx=[11, 0])
+    assert table.feat_idx.tolist() == [3, 0] and table.feat_idx.dtype == "<u4"
+    assert tiny_table([0, 1, 3, 4, 6], depth_idx=[6, 7, 8, 9, 4, 5]).feat_idx.tolist() == [
+        2, 3, 2, 3, 0, 1]
     with pytest.raises(IndexOutOfRange):
         tiny_table([0, 1, 2, 2, 2], depth_idx=[12, 0])
 
 
 def test_indices_beyond_u32_refused():
-    """The records are u32: wider columns are refused, and a geometry or an entry
-    count that u32 cannot index raises ConfigError before anything large exists."""
+    """The voxels are u32: wider columns and depth volumes that u32 cannot index
+    are refused, and a geometry or an entry count that u32 cannot index raises
+    ConfigError before anything large exists."""
     with pytest.raises(IndexOutOfRange, match="u32"):  # a depth index u32 would wrap to 5
         IndexTable(magic=HT_MAGIC, ny=1, nx=1, n_cams=1, feat_h=65536, feat_w=65536, n_bins=2,
-                   offsets=np.array([0, 1]), records=np.array([[0, 2**32 + 5]]),
+                   offsets=np.array([0, 1]), depth_idx=np.array([2**32 + 5]),
+                   heights=(0.0,), geometry_sha256=bytes(32))
+    with pytest.raises(IndexOutOfRange, match="u32"):  # a u32 voxel, 2 * 2**32 voxels
+        IndexTable(magic=HT_MAGIC, ny=1, nx=1, n_cams=1, feat_h=65536, feat_w=65536, n_bins=2,
+                   offsets=np.array([0, 1], "<u4"), depth_idx=np.array([5], "<u4"),
                    heights=(0.0,), geometry_sha256=bytes(32))
     grid, dspec = BevGridSpec(nx=2, ny=2), DepthBinSpec(d_min=2.0, d_max=4.0, step=1.0)
 
@@ -80,23 +90,24 @@ def test_file_layout(tmp_path, small_bundle):
     path = tmp_path / "t.htlt"
     write_table(table, path)
     raw = path.read_bytes()
-    assert raw[4] == 3
+    assert raw[4] == 4
     assert raw[40:72] == table.geometry_sha256 == geometry_fingerprint(
         bundle.rigs, bundle.grid, bundle.dspec, heights.z_values
     )
     n_heights, = struct.unpack_from("<I", raw, 72)
     assert n_heights == len(heights) == 13
     start = HEADER_BYTES + 8 * n_heights
-    assert len(raw) == start + 4 * (table.n_cells + 1) + 8 * table.n_entries
+    assert len(raw) == start + 4 * (table.n_cells + 1) + 4 * table.n_entries + 4
     assert np.array_equal(np.frombuffer(raw, "<f8", n_heights, HEADER_BYTES), heights.z_values)
     offsets = np.frombuffer(raw, "<u4", table.n_cells + 1, start)
     assert np.array_equal(offsets, table.offsets)
-    records = np.frombuffer(raw, "<u4", offset=start + offsets.nbytes).reshape(-1, 2)
-    assert np.array_equal(records[:, 0], table.feat_idx)
-    assert np.array_equal(records[:, 1], table.depth_idx)
+    voxels = np.frombuffer(raw, "<u4", table.n_entries, start + offsets.nbytes)
+    assert np.array_equal(voxels, table.depth_idx)
+    assert struct.unpack_from("<I", raw, len(raw) - 4) == (zlib.crc32(raw[:-4]),)
 
 
 def corrupt_offsets(path, edit):
+    """Apply edit to the file's offsets and recompute its checksum."""
     raw = bytearray(path.read_bytes())
     n_cells = int(np.prod(struct.unpack_from("<2I", raw, 8)))
     n_heights, = struct.unpack_from("<I", raw, HEADER_BYTES - 4)
@@ -104,7 +115,7 @@ def corrupt_offsets(path, edit):
     offsets = np.frombuffer(raw, "<u4", n_cells + 1, start).copy()
     edit(offsets)
     raw[start:start + offsets.nbytes] = offsets.tobytes()
-    path.write_bytes(bytes(raw))
+    path.write_bytes(bytes(reseal(raw)))
 
 
 def set_first(o):
@@ -135,14 +146,30 @@ def test_bad_offsets_rejected(tmp_path, edit):
         dataclasses.replace(table, offsets=offsets)
 
 
+def test_unsealed_edit_refused_by_checksum(tmp_path):
+    """An edit that leaves every index in range, without a new checksum, is refused:
+    here a voxel moved by one, which would move its entry to the next pixel."""
+    table = tiny_table([0, 1, 1, 3, 4], depth_idx=[0, 5, 6, 11])
+    path = tmp_path / "t.htlt"
+    write_table(table, path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, len(raw) - 8, 10)  # the last voxel, 11
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError, match=f"{path}: table checksum.*run precompute again$"):
+        read_table(path, HT_MAGIC)
+    path.write_bytes(bytes(reseal(raw)))
+    assert read_table(path, HT_MAGIC).feat_idx.tolist() == [0, 1, 2, 2]
+
+
 def test_read_table_allocates_only_the_file(tmp_path):
     """The table read is views of the bytes read: beyond the file's size, reading
-    the desk lift table allocates under 1 MB, and the arrays are read-only."""
+    the desk lift table allocates under 1 MB, the arrays are read-only, and the
+    feature pixels are not derived until they are read."""
     bundle = generate_scene(random_scene_spec(1), BevGridSpec(), DepthBinSpec())
     path = tmp_path / "t.lspt"
     write_table(precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec), path)
     size = path.stat().st_size
-    assert size > 3_000_000
+    assert size > 1_700_000
     tracemalloc.start()
     try:
         table = read_table(path, LSS_MAGIC)
@@ -150,24 +177,30 @@ def test_read_table_allocates_only_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - size < 1_000_000
-    assert not table.offsets.flags.writeable and not table.records.flags.writeable
+    assert not table.offsets.flags.writeable and not table.depth_idx.flags.writeable
+    assert "feat_idx" not in vars(table)
 
 
-def test_version_1_refused(tmp_path):
+# files of the older formats; those of versions 1 and 2 are shorter than the current header
+OLD_VERSIONS = {
+    # header, then one (cell, cam, feat, depth) record
+    1: struct.pack("<4sB3s6IQ", HT_MAGIC, 1, b"\0" * 3, 2, 2, 2, 1, 2, 3, 1)
+    + struct.pack("<4I", 0, 0, 0, 0),
+    # header, 5 cell offsets, then one (feat, depth) record: 68 bytes in all
+    2: struct.pack("<4sB3s6IQ", HT_MAGIC, 2, b"\0" * 3, 2, 2, 2, 1, 2, 3, 1)
+    + struct.pack("<7I", 0, 1, 1, 1, 1, 0, 0),
+    # the version-3 header with no heights, 5 cell offsets, one (feat, depth) record
+    3: struct.pack("<4sB3s6IQ32sI", HT_MAGIC, 3, b"\0" * 3, 2, 2, 2, 1, 2, 3, 1, bytes(32), 0)
+    + struct.pack("<7I", 0, 1, 1, 1, 1, 0, 0),
+}
+
+
+@pytest.mark.parametrize("version", sorted(OLD_VERSIONS))
+def test_old_version_refused(tmp_path, version):
+    """An older file reads as old, even one shorter than the current header."""
     path = tmp_path / "old.htlt"
-    header = struct.pack("<4sB3s6IQ", HT_MAGIC, 1, b"\0" * 3, 2, 2, 2, 1, 2, 3, 1)
-    path.write_bytes(header + struct.pack("<4I", 0, 0, 0, 0))
-    with pytest.raises(ConfigError, match="version 1.*precompute again"):
-        read_table(path, HT_MAGIC)
-
-
-def test_version_2_refused(tmp_path):
-    """A version-2 file may be shorter than a version-3 header; it still reads as old."""
-    path = tmp_path / "old.htlt"
-    header = struct.pack("<4sB3s6IQ", HT_MAGIC, 2, b"\0" * 3, 2, 2, 2, 1, 2, 3, 1)
-    # 5 cell offsets, then one (feat, depth) record: 68 bytes in all
-    path.write_bytes(header + struct.pack("<7I", 0, 1, 1, 1, 1, 0, 0))
-    with pytest.raises(ConfigError, match="version 2.*precompute again"):
+    path.write_bytes(OLD_VERSIONS[version])
+    with pytest.raises(ConfigError, match=f"version {version}.*precompute again"):
         read_table(path, HT_MAGIC)
 
 
