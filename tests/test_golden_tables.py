@@ -28,10 +28,10 @@ from test_golden import _numpy_on_openblas_x86
 # SHA-256 of the files `dualvt precompute` writes (multires heights): small_scene(0)'s
 # rigs and geometry, and standard_scene_spec() at the desk scale
 GOLDEN = {
-    "small/ht_table.htlt": "1fb368101d126e06a71ab257411fa60f4af48baa6995f925a0b2d9801eb8d31d",
-    "small/lss_table.lspt": "d5a756512fd96e2f5fd2d43525e39c9ae55775cd7f57fd01e3a096ac065b6728",
-    "desk/ht_table.htlt": "4a7d32ba13372982dcca4c0206b1c6d475ffce22a41445347a1a654f5f61349c",
-    "desk/lss_table.lspt": "370e9378ffb207e675dfd14e79ba4b10c17bd9b211c212d1df01d3e3bb540f56",
+    "small/ht_table.htlt": "b166234a128b0bce718ad0d5d6b3ce523ea1625a59f45bf8aee0f085b78ffec3",
+    "small/lss_table.lspt": "7637edb83e0456cd38fe96a8d822790218871e212fdb2a32632db1999b5fbe8f",
+    "desk/ht_table.htlt": "810076f73f95d005561fd43881a7ba4ab8e19254f89f3900a7474f6cbea85466",
+    "desk/lss_table.lspt": "dae4359e66c6fb381680efd994ec1793a699d6ad161eee3197046d7360273965",
 }
 
 
