@@ -3,7 +3,7 @@
 Every feature pixel is lifted to one 3D point per depth bin (at the bin
 center); points landing inside the BEV grid are pooled into their cell,
 weighted by the depth distribution and the instance mask.
-Unlike the multi-height stream, the per-cell record count is dynamic: it
+Unlike the multi-height stream, the per-cell entry count is dynamic: it
 depends on how the lifted frustum intersects the grid.
 
 The BEV occupancy probability is applied later, in the fusion stage.

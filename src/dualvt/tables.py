@@ -89,8 +89,8 @@ class IndexTable:
         o, d = self.offsets, self.depth_idx
         volume = self.n_cams * self.n_bins * self.feat_h * self.feat_w
         if o.dtype != "<u4" or d.dtype != "<u4" or d.ndim != 1 or volume > _U32_MAX:
-            raise IndexOutOfRange("table offsets and voxels must be little-endian u32 "
-                                  "and its depth volumes u32-indexable")
+            raise IndexOutOfRange("table offsets and voxels must be little-endian u32, "
+                                  "and its depth volumes indexable in u32")
         if (o.shape != (self.n_cells + 1,) or o[0] != 0 or o[-1] != d.size
                 or np.any(o[1:] < o[:-1])):
             raise IndexOutOfRange(f"cell offsets do not run from 0 up to {d.size}")
