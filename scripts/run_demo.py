@@ -2,8 +2,10 @@
 """End-to-end demo: synthesize a scene, build tables, transform, verify.
 
 Runs the whole toolchain through the CLI into a work directory, then
-cross-checks the fast lookup-table sampler against the naive rounding
-oracle (must be bitwise identical) and prints the occupancy summary.
+checks the written stream grids against the library's table-free oracles
+bit for bit (F_ht against ht_transform_naive in ROUND mode, F_lss against
+lss_pool_reference), checks with `dualvt compare` that --threads 2 writes
+the tensors of --threads 1, and prints the occupancy summary.
 """
 
 import argparse
@@ -11,8 +13,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from dualvt.cli import main as dualvt
-from dualvt.synth import standard_scene_spec
+from dualvt.geometry import HeightSet
+from dualvt.height_stream import ROUND, ht_transform_naive
+from dualvt.lift_stream import lss_pool_reference
+from dualvt.synth import load_bundle, standard_scene_spec
+from dualvt.tables import HT_MAGIC, read_table
+from dualvt.tensors import tensor_read
 
 
 def run(argv):
@@ -22,11 +31,15 @@ def run(argv):
         sys.exit(code)
 
 
+def fail(message):
+    print(f"ERROR: {message}", file=sys.stderr)
+    sys.exit(1)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--workdir", default="demo_out", help="output directory")
     ap.add_argument("--seed", type=int, default=5, help="scene seed")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     work = Path(args.workdir)
@@ -37,22 +50,30 @@ def main():
 
     run(["synth", "--spec", str(spec_file), "--out", str(work / "scene")])
     run(["precompute", "--scene", str(work / "scene"), "--out", str(work / "tables")])
-    run([
-        "transform", "--scene", str(work / "scene"), "--tables", str(work / "tables"),
-        "--out", str(work / "fast"), "--threads", str(args.threads),
-    ])
-    run([
-        "transform", "--scene", str(work / "scene"), "--tables", str(work / "tables"),
-        "--out", str(work / "naive"), "--sampler", "naive-round",
-    ])
-    run(["compare", str(work / "fast"), str(work / "naive"),
+    for threads in ("1", "2"):
+        run([
+            "transform", "--scene", str(work / "scene"), "--tables", str(work / "tables"),
+            "--out", str(work / f"threads{threads}"), "--threads", threads,
+        ])
+    run(["compare", str(work / "threads1"), str(work / "threads2"),
          "--out", str(work / "compare.json")])
 
     report = json.loads((work / "compare.json").read_text())
     if report["max_abs_diff"] != 0.0:
-        print("ERROR: fast sampler diverged from the rounding oracle", file=sys.stderr)
-        sys.exit(1)
-    summary = json.loads((work / "fast" / "summary.json").read_text())
+        fail("--threads 2 diverged from --threads 1")
+    b = load_bundle(work / "scene")
+    heights = HeightSet(read_table(work / "tables" / "ht_table.htlt", HT_MAGIC).heights)
+    oracles = {
+        "F_ht": ht_transform_naive(b.feats, b.depths, b.masks, b.rigs, b.grid, heights,
+                                   b.dspec, mode=ROUND),
+        "F_lss": lss_pool_reference(b.feats, b.depths, b.masks, b.rigs, b.grid, b.dspec),
+    }
+    for name, oracle in oracles.items():
+        written = tensor_read(work / "threads1" / f"{name}.btsr")
+        if not np.array_equal(written.view(np.uint32), oracle.view(np.uint32)):
+            fail(f"{name}.btsr diverged from its table-free oracle")
+    print("F_ht and F_lss equal their table-free oracles bit for bit")
+    summary = json.loads((work / "threads1" / "summary.json").read_text())
     print(json.dumps(summary.get("occupancy", {}), indent=2))
     print(f"done; outputs in {work}/")
 

@@ -15,11 +15,13 @@ import shutil
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DualVtError, InvalidCount, from_json
-from .fusion import apply_ablations, default_weight_shapes, fuse_and_finalize, run_pipeline
-from .geometry import BevGridSpec, HeightSet, make_height_samples
-from .height_stream import INTERP, ROUND, ht_transform_naive, precompute_ht_table
-from .lift_stream import lss_pool, precompute_lss_table
+import numpy as np
+
+from .errors import ConfigError, DualVtError, from_json
+from .fusion import default_weight_shapes, run_pipeline
+from .geometry import BevGridSpec, make_height_samples
+from .height_stream import precompute_ht_table
+from .lift_stream import precompute_lss_table
 from .nnops import WeightBundle
 from .report import diff_directories, summarize_outputs
 from .sampling import DepthBinSpec
@@ -54,7 +56,7 @@ def _parse_ablations(ablate) -> tuple:
 def _load_scene_spec(path) -> tuple:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
         raise ConfigError(f"cannot read scene spec {path}: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"scene spec {path} is not a JSON object")
@@ -80,20 +82,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _parse_heights(text: str):
-    if text == "multires":
-        return make_height_samples("multires")
-    if text.startswith("uniform:"):
-        try:
-            return make_height_samples("uniform", n=int(text.split(":", 1)[1]))
-        except (ValueError, InvalidCount) as e:
-            raise ConfigError(f"bad heights {text!r}: {e}") from None
-    raise ConfigError(f"heights must be 'multires' or 'uniform:N', got {text!r}")
-
-
 def cmd_precompute(args) -> int:
     bundle = load_bundle(args.scene)
-    heights = _parse_heights(args.heights)
+    heights = make_height_samples(args.heights)
     ht = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
     lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
 
@@ -173,30 +164,16 @@ def _check_tables_match_scene(bundle, tables) -> None:
                               "fingerprint differs); rebuild it with precompute")
 
 
-def _transform(bundle, ht_table, lss_table, weights, args, ablations):
-    feats = bundle.feats
-    disable_mask, uniform_depth, force_affinity = ablations
-    depths, masks = apply_ablations(bundle.depths, bundle.masks, disable_mask, uniform_depth)
-    if args.sampler == "fast":
-        return run_pipeline(
-            feats, depths, masks, ht_table, lss_table, weights,
-            threads=args.threads, force_affinity=force_affinity,
-        )
-    mode = INTERP if args.sampler == "naive-interp" else ROUND
-    f_ht = ht_transform_naive(
-        feats, depths, masks, bundle.rigs, bundle.grid, HeightSet(ht_table.heights),
-        bundle.dspec, mode=mode,
-    )
-    f_lss = lss_pool(feats, depths, masks, lss_table, threads=args.threads)
-    return fuse_and_finalize(f_lss, f_ht, weights, force_affinity=force_affinity)
-
-
 def cmd_transform(args) -> int:
-    ablations = _parse_ablations(args.ablate)
+    disable_mask, uniform_depth, force_affinity = _parse_ablations(args.ablate)
     if not 1 <= args.threads <= MAX_THREADS:
         raise ConfigError(f"threads must be in [1, {MAX_THREADS}], got {args.threads}")
     bundle, ht_table, lss_table, weights = _load_run_inputs(args)
-    result = _transform(bundle, ht_table, lss_table, weights, args, ablations)
+    result = run_pipeline(
+        bundle.feats, bundle.depths, bundle.masks, ht_table, lss_table, weights,
+        threads=args.threads, force_affinity=force_affinity,
+        disable_mask=disable_mask, uniform_depth=uniform_depth,
+    )
 
     arrays = {
         "F": result.f_final, "P": result.p_bev,
@@ -259,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--weight-seed", dest="weight_seed", type=int, default=DEFAULT_WEIGHT_SEED)
     p.add_argument("--weights", dest="weights_dir")
-    p.add_argument("--sampler", choices=["fast", "naive-interp", "naive-round"], default="fast")
     p.add_argument(
         "--ablate", action="append",
         help="repeatable: disable-M | uniform-D | force-A=<value>",
@@ -277,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # tensor_write refuses a NaN or Inf output in one line; numpy's
+        # warnings on the way to it (huge finite weights) would add more
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -45,10 +45,6 @@ class EmptyShape(DualVtError):
     """Requested tensor shape has no elements."""
 
 
-class InvalidCount(DualVtError):
-    """A count parameter is below its legal minimum."""
-
-
 def is_a(value, kind) -> bool:
     """isinstance for numbers read from JSON: numpy scalars pass, booleans never do."""
     return isinstance(value, kind) and not isinstance(value, bool)

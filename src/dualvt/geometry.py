@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidCount, SpecBlock, check_field_types
+from .errors import ConfigError, SpecBlock, check_field_types
 
 BEHIND_EPS = 1e-6
 
@@ -107,21 +107,25 @@ class HeightSet:
         return len(self.z_values)
 
 
-def make_height_samples(mode: str = "multires", n: int | None = None) -> HeightSet:
-    """Height sampling set over [-5, 3] m.
+def make_height_samples(spec: str = "multires") -> HeightSet:
+    """Height sampling set over [-5, 3] m, from the text of `precompute --heights`.
 
     "multires": the 13 heights -5, -4, -3, then -2 to 2 m by 0.5 m (the
-    region of interest), then 3.  "uniform": `n` evenly spaced values
-    including both endpoints.
+    region of interest), then 3.  "uniform:N": N >= 2 evenly spaced values
+    including both endpoints, N read by ``int()``.  Other text raises a
+    one-line ConfigError.
     """
-    if mode == "multires":
+    if spec == "multires":
         return HeightSet((-5.0, -4.0, -3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0))
-    if mode == "uniform":
-        if n is None or n < 2:
-            raise InvalidCount("uniform height sampling needs n >= 2")
-        z = np.linspace(FULL_HEIGHT_RANGE[0], FULL_HEIGHT_RANGE[1], n)
-        return HeightSet(tuple(z))
-    raise ConfigError(f"unknown height mode {mode!r}")
+    if not spec.startswith("uniform:"):
+        raise ConfigError(f"heights must be 'multires' or 'uniform:N', got {spec!r}")
+    try:
+        n = int(spec.split(":", 1)[1])
+    except ValueError as e:
+        raise ConfigError(f"bad heights {spec!r}: {e}") from None
+    if n < 2:
+        raise ConfigError(f"bad heights {spec!r}: uniform height sampling needs N >= 2")
+    return HeightSet(tuple(np.linspace(FULL_HEIGHT_RANGE[0], FULL_HEIGHT_RANGE[1], n)))
 
 
 def project_points(x, y, z, cam: CameraRig):

@@ -101,7 +101,8 @@ class Rng:
         return np.clip(vals, np.float32(lo), top).reshape(shape)
 
     def integers(self, shape, n: int) -> np.ndarray:
-        """Int64 tensor of values in [0, n) (used by fixtures, not part of the core contract)."""
+        """Int64 tensor of values in [0, n), each the next raw word mod `n`.  Part
+        of the stream contract: `random_scene_spec` draws every scene's box count here."""
         if n <= 0:
             raise ValueError("n must be positive")
         shape = tuple(int(s) for s in np.atleast_1d(shape))

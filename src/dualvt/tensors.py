@@ -17,6 +17,7 @@ bitwise, which the golden/oracle tests rely on.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -61,11 +62,13 @@ def tensor_read(path) -> np.ndarray:
         head = f.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise TruncatedPayload(f"{path}: file shorter than header")
-        magic, version, rank, _ = _HEADER.unpack(head)
+        magic, version, rank, reserved = _HEADER.unpack(head)
         if magic != MAGIC:
             raise BadMagic(f"{path}: expected {MAGIC!r}, got {magic!r}")
         if version != VERSION:
             raise BadMagic(f"{path}: unsupported version {version}")
+        if reserved != bytes(6):
+            raise BadMagic(f"{path}: reserved header bytes are not zero")
         if rank > MAX_RANK:
             raise RankOverflow(f"{path}: rank {rank} exceeds maximum {MAX_RANK}")
         extents = f.read(8 * rank)
@@ -73,7 +76,7 @@ def tensor_read(path) -> np.ndarray:
             raise TruncatedPayload(f"{path}: truncated extent table")
         shape = struct.unpack(f"<{rank}Q", extents)
         payload = size - _HEADER.size - 8 * rank
-        expected = int(np.prod(shape, dtype=np.int64)) * 4
+        expected = math.prod(shape) * 4  # Python ints: no extent wraps around
         if payload != expected:
             raise TruncatedPayload(f"{path}: payload is {payload} bytes, expected {expected}")
         arr = np.empty(shape, dtype="<f4")

@@ -5,6 +5,7 @@ import json
 import shutil
 import struct
 import tempfile
+import warnings
 import zlib
 from pathlib import Path
 
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 
 from dualvt import cli
 from dualvt.cli import MAX_THREADS, main
-from dualvt.fusion import make_seeded_weights
+from dualvt.fusion import make_seeded_weights, run_pipeline
 from dualvt.nnops import WeightBundle
-from dualvt.synth import SceneSpec, random_scene_spec
+from dualvt.synth import SceneSpec, load_bundle, random_scene_spec
 from dualvt.tables import HT_MAGIC, LSS_MAGIC, read_table
 from dualvt.tensors import tensor_read, tensor_write
 
@@ -156,9 +157,13 @@ class TestSynth:
 
     def test_bad_spec_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
-        assert "config error" in capsys.readouterr().err
+        for raw in (b"{not json", b'{"seed": \xb3}'):  # not JSON; not UTF-8
+            bad.write_bytes(raw)
+            assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and str(bad) in err
+            assert len(err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     def test_unknown_spec_field_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -375,6 +380,19 @@ def run_transform(workspace, out, *extra):
     )
 
 
+def run_cli(argv) -> tuple:
+    """main(argv) in process: its exit code and the lines it writes to stderr,
+    with the two lines each warning would print there outside pytest."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([str(arg) for arg in argv])
+    text = err.getvalue() + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+    )
+    return code, text.strip().splitlines()
+
+
 class TestTransform:
     def test_outputs_and_shapes(self, workspace, tmp_path):
         assert run_transform(workspace, tmp_path / "out") == 0
@@ -399,20 +417,6 @@ class TestTransform:
         assert run_transform(workspace, tmp_path / "b", "--threads", "4") == 0
         assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
 
-    def test_fast_equals_naive_round(self, workspace, tmp_path):
-        assert run_transform(workspace, tmp_path / "fast", "--sampler", "fast") == 0
-        assert run_transform(workspace, tmp_path / "round", "--sampler", "naive-round") == 0
-        a = tensor_read(tmp_path / "fast" / "F.btsr")
-        b = tensor_read(tmp_path / "round" / "F.btsr")
-        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
-
-    def test_interp_differs_from_round(self, workspace, tmp_path):
-        assert run_transform(workspace, tmp_path / "interp", "--sampler", "naive-interp") == 0
-        assert run_transform(workspace, tmp_path / "round", "--sampler", "naive-round") == 0
-        a = tensor_read(tmp_path / "interp" / "F_ht.btsr")
-        b = tensor_read(tmp_path / "round" / "F_ht.btsr")
-        assert not np.array_equal(a, b)
-
     def test_ablation_force_affinity(self, workspace, tmp_path):
         assert run_transform(workspace, tmp_path / "a", "--ablate", "force-A=1.0") == 0
         f_channel = tensor_read(tmp_path / "a" / "F_channel.btsr")
@@ -428,24 +432,36 @@ class TestTransform:
         b = tensor_read(tmp_path / "nomask" / "F.btsr")
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("ablation", ["disable-M", "uniform-D"])
-    def test_ablations_reach_naive_sampler(self, workspace, tmp_path, ablation):
-        # the naive samplers see the same ablated inputs as the fast path
-        assert run_transform(workspace, tmp_path / "fast", "--ablate", ablation) == 0
-        assert run_transform(workspace, tmp_path / "round", "--ablate", ablation,
-                             "--sampler", "naive-round") == 0
-        assert run_transform(workspace, tmp_path / "base", "--sampler", "naive-round") == 0
-        a = tensor_read(tmp_path / "fast" / "F_ht.btsr")
-        b = tensor_read(tmp_path / "round" / "F_ht.btsr")
-        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
-        assert not np.array_equal(b, tensor_read(tmp_path / "base" / "F_ht.btsr"))
+    @pytest.mark.parametrize("ablation, switch", [("disable-M", "disable_mask"),
+                                                  ("uniform-D", "uniform_depth")])
+    def test_ablation_writes_run_pipeline_bits(self, workspace, tmp_path, ablation, switch):
+        """--ablate hands its switch to run_pipeline, the one place ablations
+        are applied: every tensor written has the in-process run's bits, and
+        the ablation moves F_ht."""
+        assert run_transform(workspace, tmp_path / "base") == 0
+        assert run_transform(workspace, tmp_path / "out", "--ablate", ablation) == 0
+        bundle = load_bundle(workspace / "scene")
+        result = run_pipeline(
+            bundle.feats, bundle.depths, bundle.masks,
+            read_table(workspace / "tables" / "ht_table.htlt", HT_MAGIC),
+            read_table(workspace / "tables" / "lss_table.lspt", LSS_MAGIC),
+            make_seeded_weights(cli.DEFAULT_WEIGHT_SEED, SCENE_SPEC["channels"]),
+            **{switch: True},
+        )
+        arrays = {"F": result.f_final, "P": result.p_bev, "F_ht": result.f_ht,
+                  "F_lss": result.f_lss, "F_channel": result.f_channel, "A": result.affinity}
+        for name, arr in arrays.items():
+            written = tensor_read(tmp_path / "out" / f"{name}.btsr")
+            assert np.array_equal(written.view(np.uint32), arr.view(np.uint32)), name
+        assert not np.array_equal(arrays["F_ht"], tensor_read(tmp_path / "base" / "F_ht.btsr"))
 
     def test_unknown_ablation_exits_2(self, workspace, tmp_path):
         assert run_transform(workspace, tmp_path / "x", "--ablate", "bogus") == 2
 
     def test_unknown_config_key_exits_2(self, workspace, tmp_path, capsys):
         # removed options are unrecognized arguments, not silently ignored
-        for argv in (["--weight-mode", "depth_only"], ["--config", "x.json"]):
+        for argv in (["--weight-mode", "depth_only"], ["--config", "x.json"],
+                     ["--sampler", "naive-round"]):
             with pytest.raises(SystemExit) as exit_:
                 run_transform(workspace, tmp_path / "x", *argv)
             assert exit_.value.code == 2
@@ -469,6 +485,35 @@ class TestTransform:
             assert str(shape) in err and "(1, 32, 32)" in err, argv[0]
             assert len(err.strip().splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["scene"]
+
+    @pytest.mark.parametrize("byte", [19, 27, 35])
+    def test_gt_bev_extent_of_2_pow_63_exits_3(self, workspace, tmp_path, byte):
+        """A gt_bev extent with its top bit flipped ends transform in exit 3
+        with one stderr line, no warning, and no output."""
+        scene = tmp_path / "scene"
+        shutil.copytree(workspace / "scene", scene)
+        raw = bytearray((scene / "gt_bev.btsr").read_bytes())
+        raw[byte] ^= 0x80
+        (scene / "gt_bev.btsr").write_bytes(bytes(raw))
+        code, lines = run_cli(["transform", "--scene", scene, "--tables", workspace / "tables",
+                               "--out", tmp_path / "o"])
+        assert code == 3 and len(lines) == 1, lines
+        assert lines[0].startswith("error:") and "gt_bev.btsr" in lines[0]
+        assert [p.name for p in tmp_path.iterdir()] == ["scene"]
+
+    @pytest.mark.parametrize("index, expected", [(0, 0), (2, 3)])
+    def test_overflowing_weight_prints_no_warning(self, workspace, tmp_path, index, expected):
+        """A finite caf.reduce bias of ~1e38 overflows the heads: with a finite
+        output transform exits 0 with nothing on stderr, and with a NaN or Inf
+        one it exits 3 with one line, no numpy warning either way."""
+        weights = make_seeded_weights(cli.DEFAULT_WEIGHT_SEED, SCENE_SPEC["channels"])
+        weights["caf.reduce"].bias.view(np.uint32)[index] ^= 1 << 30
+        weights.save(tmp_path / "w")
+        code, lines = run_cli(["transform", "--scene", workspace / "scene", "--tables",
+                               workspace / "tables", "--out", tmp_path / "o",
+                               "--weights", tmp_path / "w"])
+        assert code == expected and len(lines) == (code != 0), lines
+        assert (tmp_path / "o").exists() == (code == 0)
 
     def test_channels_not_divisible_by_4_exits_2(self, tmp_path, capsys):
         tables = other_tables(tmp_path / "six", channels=6)
@@ -681,6 +726,103 @@ def test_damaged_table_exits_2_or_3(workspace, name, data):
         assert len(err.getvalue().strip().splitlines()) == 1
         assert "Traceback" not in err.getvalue()
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["tables"]
+
+
+# the files damaged by test_damaged_input_exits_2_or_3, under the `inputs` fixture
+DAMAGED_INPUTS = {"scene spec": "scene.json", "scene manifest": "scene/manifest.json",
+                  "scene tensor": "scene/*.btsr", "weight manifest": "weights/manifest.json",
+                  "weight tensor": "weights/*.btsr"}
+# one value of each JSON type: null, boolean, number, string, array, object
+JSON_VALUES = [None, True, 7, "x", [], {}]
+
+
+def json_kind(value) -> type:
+    return float if type(value) is int else type(value)
+
+
+def json_values(doc, at=()):
+    """(key path, value) of every value in a JSON document, the document first."""
+    yield at, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, item in items:
+        yield from json_values(item, (*at, key))
+
+
+def json_swapped(doc, at, value):
+    """doc with the value at key path `at` replaced by `value`."""
+    if not at:
+        return value
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = value
+    return doc
+
+
+def decodes(raw) -> bool:
+    try:
+        json.loads(bytes(raw))
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def inputs(workspace, tmp_path_factory):
+    """The workspace's scene spec and scene, and a weight bundle on disk."""
+    root = tmp_path_factory.mktemp("inputs")
+    shutil.copy(workspace / "scene.json", root / "scene.json")
+    shutil.copytree(workspace / "scene", root / "scene")
+    make_seeded_weights(cli.DEFAULT_WEIGHT_SEED, SCENE_SPEC["channels"]).save(root / "weights")
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(DAMAGED_INPUTS)), data=st.data())
+def test_damaged_input_exits_2_or_3(workspace, inputs, kind, data):
+    """A scene spec, scene manifest, scene tensor, weight manifest or weight
+    tensor truncated at any length, with any one bit flipped (a tensor's
+    header half the time), or with a JSON value swapped for one of another
+    type, ends synth (the spec) or transform (the others) in exit 2 or 3
+    with one stderr line, no traceback and no output.  Exit 0 is allowed
+    only where no file check can see the damage: a flipped bit in a tensor's
+    payload, or a JSON bit flip that still decodes."""
+    name = data.draw(st.sampled_from(sorted(inputs.glob(DAMAGED_INPUTS[kind]))),
+                     label="file").relative_to(inputs)
+    raw, is_json = bytearray((inputs / name).read_bytes()), name.suffix == ".json"
+    damage = data.draw(st.sampled_from(["truncate", "flip", "swap"] if is_json
+                                       else ["truncate", "flip"]), label="damage")
+    unseen = False
+    if damage == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    elif damage == "flip":
+        header = len(raw) if is_json else 12 + 8 * raw[5]
+        bit = data.draw(st.integers(0, 8 * header - 1) | st.integers(0, 8 * len(raw) - 1),
+                        label="bit")
+        raw[bit // 8] ^= 1 << bit % 8
+        unseen = decodes(raw) if is_json else bit >= 8 * header
+    else:
+        doc = json.loads(raw)
+        at, old = data.draw(st.sampled_from(list(json_values(doc))), label="at")
+        value = data.draw(st.sampled_from(
+            [v for v in JSON_VALUES if json_kind(v) is not json_kind(old)]), label="value")
+        raw = json.dumps(json_swapped(doc, at, value)).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        root, out = Path(tmp) / "in", Path(tmp) / "out"
+        shutil.copytree(inputs, root)
+        (root / name).write_bytes(bytes(raw))
+        if kind == "scene spec":
+            argv = ["synth", "--spec", root / name, "--out", out]
+        else:
+            argv = ["transform", "--scene", root / "scene", "--tables", workspace / "tables",
+                    "--out", out, *(["--weights", root / "weights"] if "weight" in kind else [])]
+        code, lines = run_cli(argv)
+        if code == 0:
+            assert unseen and lines == [], lines
+        else:
+            assert code in (2, 3) and len(lines) == 1, lines
+            assert "Traceback" not in lines[0]
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["in"]
 
 
 class TestTransformOptions:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualvt.errors import ConfigError, InvalidCount
+from dualvt.errors import ConfigError
 from dualvt.geometry import (
     BevGridSpec,
     CameraRig,
@@ -94,15 +94,15 @@ class TestHeightSamples:
         assert all(b > a for a, b in zip(z, z[1:]))
 
     def test_uniform_four(self):
-        z = make_height_samples("uniform", n=4).z_values
+        z = make_height_samples("uniform:4").z_values
         assert z == pytest.approx([-5.0, -7.0 / 3.0, 1.0 / 3.0, 3.0])
 
     def test_uniform_endpoints(self):
-        assert make_height_samples("uniform", n=2).z_values == (-5.0, 3.0)
+        assert make_height_samples("uniform:2").z_values == (-5.0, 3.0)
 
     def test_uniform_too_few(self):
-        with pytest.raises(InvalidCount):
-            make_height_samples("uniform", n=1)
+        with pytest.raises(ConfigError):
+            make_height_samples("uniform:1")
 
 
 class TestBevGrid:

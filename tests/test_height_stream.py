@@ -149,7 +149,7 @@ class TestPrecompute:
         grid = BevGridSpec(x_min=x0, x_max=x0 + span, y_min=y0, y_max=y0 + span, nx=nx, ny=ny)
         heights = data.draw(st.one_of(
             st.just(make_height_samples("multires")),
-            st.just(make_height_samples("uniform", 2)),
+            st.just(make_height_samples("uniform:2")),
             st.floats(-5, 3).map(lambda z: HeightSet((z,))),
         ), label="heights")
         dspec = DepthBinSpec(d_min=0.0, d_max=32.0, step=0.5)

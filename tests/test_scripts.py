@@ -16,8 +16,9 @@ SCRIPTS = ["run_demo.py", "run_ablations.py"]
 @pytest.mark.parametrize("script", SCRIPTS, ids=[Path(s).stem for s in SCRIPTS])
 def test_run_demo_exits_zero(tmp_path, script):
     """Each committed script runs the CLI end to end (synth, precompute,
-    then transform on the tables it wrote); the demo also checks the fast
-    outputs against the table-free naive-round sampler bit for bit."""
+    then transform on the tables it wrote); the demo also checks the written
+    F_ht and F_lss against the library's table-free oracles bit for bit, and
+    --threads 2 against --threads 1 with `dualvt compare`."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / script), "--workdir", str(tmp_path)],

@@ -1,5 +1,7 @@
+import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +53,24 @@ def test_truncated_payload_rejected(tmp_path):
         tensor_read(path)
 
 
+@pytest.mark.parametrize("byte", [19, 27, 35])
+def test_extent_of_2_pow_63_names_its_true_size(tmp_path, byte):
+    """An extent of 2**63 or more (the top bit of one flipped) is refused as
+    a payload of its true byte count, with no numpy warning."""
+    path = tmp_path / "big.btsr"
+    shape = [1, 4, 4]
+    tensor_write(np.ones(shape, dtype=np.float32), path)
+    raw = bytearray(path.read_bytes())
+    raw[byte] ^= 0x80
+    path.write_bytes(bytes(raw))
+    shape[(byte - 12) // 8] += 2**63
+    expected = f"payload is 64 bytes, expected {math.prod(shape) * 4}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncatedPayload, match=expected):
+            tensor_read(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.btsr"
     tensor_write(np.array([1.0], dtype=np.float32), path)
@@ -58,6 +78,17 @@ def test_bad_magic_rejected(tmp_path):
     raw[:4] = b"NOPE"
     path.write_bytes(bytes(raw))
     with pytest.raises(BadMagic):
+        tensor_read(path)
+
+
+@pytest.mark.parametrize("byte", range(6, 12))
+def test_nonzero_reserved_byte_rejected(tmp_path, byte):
+    path = tmp_path / "bad.btsr"
+    tensor_write(np.array([1.0], dtype=np.float32), path)
+    raw = bytearray(path.read_bytes())
+    raw[byte] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(BadMagic, match="reserved"):
         tensor_read(path)
 
 
