@@ -5,7 +5,8 @@ Runs the whole toolchain through the CLI into a work directory, then
 checks the written stream grids against the library's table-free oracles
 bit for bit (F_ht against ht_transform_naive in ROUND mode, F_lss against
 lss_pool_reference), checks with `dualvt compare` that --threads 2 writes
-the tensors of --threads 1, and prints the occupancy summary.
+the tensors of --threads 1, checks that each transform gives back the
+BLAS thread count it found, and prints the occupancy summary.
 """
 
 import argparse
@@ -19,6 +20,7 @@ from dualvt.cli import main as dualvt
 from dualvt.geometry import HeightSet
 from dualvt.height_stream import ROUND, ht_transform_naive
 from dualvt.lift_stream import lss_pool_reference
+from dualvt.nnops import _BLAS_THREADS
 from dualvt.synth import load_bundle, standard_scene_spec
 from dualvt.tables import HT_MAGIC, read_table
 from dualvt.tensors import tensor_read
@@ -50,11 +52,18 @@ def main():
 
     run(["synth", "--spec", str(spec_file), "--out", str(work / "scene")])
     run(["precompute", "--scene", str(work / "scene"), "--out", str(work / "tables")])
+    # the bundled OpenBLAS's thread count, which transform holds at one
+    # while the heads run; None when numpy is on another BLAS
+    blas_threads = _BLAS_THREADS[0] if _BLAS_THREADS else lambda: None
     for threads in ("1", "2"):
+        before = blas_threads()
         run([
             "transform", "--scene", str(work / "scene"), "--tables", str(work / "tables"),
             "--out", str(work / f"threads{threads}"), "--threads", threads,
         ])
+        if blas_threads() != before:
+            fail(f"transform left the BLAS at {blas_threads()} threads, not {before}")
+    print(f"BLAS thread count after each transform: {blas_threads()}, as before")
     run(["compare", str(work / "threads1"), str(work / "threads2"),
          "--out", str(work / "compare.json")])
 

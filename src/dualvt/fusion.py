@@ -55,6 +55,7 @@ from .nnops import (
     channel_stats,
     conv2d,
     global_avg_pool,
+    one_blas_thread,
     relu,
     sigmoid,
 )
@@ -367,11 +368,13 @@ def fuse_and_finalize(
 
 def _finalize(f_lss, f_ht, support, weights, force_affinity) -> PipelineResult:
     """The heads' one tail.  `support` holds every cell where a stream grid is
-    not bit-for-bit +0.0; its other cells run as the background."""
+    not bit-for-bit +0.0; its other cells run as the background.  The heads
+    run with the BLAS at one thread (`nnops.one_blas_thread`)."""
     cells = _ActiveCells({"input": support})
-    fused, affinity = _caf(cells, cells.pack(f_lss, f_ht), weights, force_affinity)
-    f_channel = cells.expand(fused, "input")
-    p = bev_probability(f_channel, weights, support)
+    with one_blas_thread():  # the heads' GEMMs run on the calling thread
+        fused, affinity = _caf(cells, cells.pack(f_lss, f_ht), weights, force_affinity)
+        f_channel = cells.expand(fused, "input")
+        p = bev_probability(f_channel, weights, support)
     return PipelineResult(
         f_final=cells.expand(assemble_final(fused, cells.pack(p)), "input"),
         p_bev=p, f_ht=f_ht, f_lss=f_lss, f_channel=f_channel,

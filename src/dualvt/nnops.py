@@ -17,17 +17,29 @@ occupancy heads share it):
   its CPU kernel and its thread count.  The order reaches an output
   bit only when the float64 sum lies within that error of a float32
   rounding boundary.  The tests pin the heads' output digests across
-  OpenBLAS core types and thread counts, and check every kernel size
+  OpenBLAS core types, check ``conv2d``'s bytes across BLAS thread
+  counts on every layer shape of the heads, and check every kernel size
   against a fixed-order float64 loop to within one float32 ulp.  No
   stronger guarantee is made.
 - The output is walked in blocks of ``BLOCK_ROWS`` rows, so the float64
   window matrix takes ``C_in*kh*kw * BLOCK_ROWS * W * 8`` bytes
   whatever the height of the input.
+
+Thread budget: ``one_blas_thread`` holds numpy's bundled scipy-openblas
+to one thread for the length of a block and then gives back the count it
+found.  The count is process-global, so blocks on several threads share
+one budget: the first to enter saves the count and the last to leave
+restores it.  Where numpy links another BLAS, or a build without the
+scipy-openblas symbols, the block runs with the BLAS as the caller left
+it.  Bits do not depend on this (see the contract above).
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +52,46 @@ from .tensors import parse_manifest, tensor_read, tensor_write
 # output rows per GEMM block; for the 3x3 64->16 layer on a 128-wide
 # grid the window matrix takes 64*9 * 16*128 * 8 bytes = 9.4 MB
 BLOCK_ROWS = 16
+# values per sigmoid block: its float64 scratch, 2 * 16K * 8 bytes, stays in cache
+SIGMOID_BLOCK = 16384
+
+
+def _find_blas_threads():
+    """(get, set) of numpy's bundled scipy-openblas thread count, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+
+
+_BLAS_THREADS = _find_blas_threads()
+_budget_lock = threading.Lock()
+_budget_depth = 0  # open one_blas_thread blocks, on any thread
+_budget_caller = 0  # the count the first of them found
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with the BLAS at one thread; the caller's count comes
+    back when the last open block ends, also when it raises."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    global _budget_depth, _budget_caller
+    get, set_ = _BLAS_THREADS
+    with _budget_lock:
+        if _budget_depth == 0:
+            _budget_caller = get()
+            set_(1)
+        _budget_depth += 1
+    try:
+        yield
+    finally:
+        with _budget_lock:
+            _budget_depth -= 1
+            if _budget_depth == 0:
+                set_(_budget_caller)
 
 
 @dataclass(frozen=True)
@@ -100,12 +152,23 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    x64 = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x64))  # never overflows
-    out = np.where(x64 >= 0, 1.0, e)
-    e += 1.0
-    out /= e  # in place: no further float64 temporaries
-    return out.astype(np.float32)
+    """float32 of the float64 ``where(x >= 0, 1, e) / (1 + e)``, ``e = exp(-|x|)``
+    (never overflows), rounded once.  Runs in blocks of ``SIGMOID_BLOCK``
+    values through one reused float64 scratch buffer."""
+    x = np.asarray(x)
+    out = np.empty(x.shape, dtype=np.float32)
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    buf = np.empty((2, min(SIGMOID_BLOCK, x.size)), dtype=np.float64)
+    for s in range(0, x.size, SIGMOID_BLOCK):
+        xb = xs[s:s + SIGMOID_BLOCK]
+        e, den = buf[0, :xb.size], buf[1, :xb.size]
+        np.abs(xb, out=e)  # exact upcast
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.add(e, 1.0, out=den)
+        np.copyto(e, 1.0, where=xb >= 0)  # the numerator
+        np.divide(e, den, out=outs[s:s + SIGMOID_BLOCK])  # the one float32 rounding
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -192,6 +192,21 @@ class TestActivations:
         two_branch[~pos] = ex / (1.0 + ex)
         assert np.array_equal(s.view(np.uint32), two_branch.astype(np.float32).view(np.uint32))
 
+    def test_blocked_sigmoid_keeps_the_unblocked_bytes(self):
+        """Blocks of SIGMOID_BLOCK values give the bytes of the formula on the
+        whole array at once, across block edges and a short last block."""
+        n = 2 * nnops.SIGMOID_BLOCK + 123
+        x = Rng(4).uniform((n,), -30.0, 30.0)
+        x[:6] = [0.0, -0.0, 3.4e38, -3.4e38, 1e-45, -1e-45]  # ±0, near ±inf, subnormal
+        x[nnops.SIGMOID_BLOCK - 1:nnops.SIGMOID_BLOCK + 1] = [-0.0, 0.0]  # a block edge
+        x64 = x.astype(np.float64)
+        e = np.exp(-np.abs(x64))
+        unblocked = (np.where(x64 >= 0, 1.0, e) / (1.0 + e)).astype(np.float32)
+        assert np.array_equal(sigmoid(x).view(np.uint32), unblocked.view(np.uint32))
+        grid = x[:3 * 7 * 811].reshape(3, 7, 811)
+        assert np.array_equal(sigmoid(grid).view(np.uint32),
+                              unblocked[:grid.size].reshape(grid.shape).view(np.uint32))
+
     def test_sigmoid_symmetry(self):
         x = Rng(11).uniform((100,), -20.0, 20.0)
         assert sigmoid(x) + sigmoid(-x) == pytest.approx(np.ones(100), abs=1e-6)
