@@ -25,17 +25,28 @@ support ``F_channel`` is +0.0, so the occupancy head is given the same
 support, and ``P`` lies in (0, 1), so ``F = P * F_channel`` is taken on
 the image too.
 
-The occupancy head runs each layer on its own *active set*, the cells
-whose value can differ from the layer's background: its input's set
-grown by the kernel's reach, plus a border band where the zero padding
-differs from that background (``_active_cells``).  A k x k layer runs
-its float32 windows at its active cells through ``conv2d`` as a 1x1
-layer with the kernel flattened in ``conv2d``'s ``(c_in, i, j)`` order,
-so each output sums the full grid's products.  A gathered window costs
-2-9x more per cell than ``conv2d``'s row-block slices, so the head packs
-only while its largest set is at most ``_PACKED_MAX_SHARE`` of the grid
-(masked desk frames 7-9%, ``disable-M`` 95-98%).  The golden digests pin
-both paths, and a packed frame whose reach meets the border.
+The occupancy head runs each layer's windows on its own *window set*,
+the cells whose value can differ from the layer's background: its
+input's set grown by the kernel's reach (`_active_cells`).  Off the
+support, `res1`'s and `res2`'s inputs are constants that the zero
+padding breaks within their reach of the grid's edge.  That *border
+band* stays in their sets, so the elementwise tail covers it, but runs
+no windows: its cells take the *border background*, `res1` and `res2`
+run by `conv2d` on a grid of at most 5 x 5 cells filled with the
+reduce's background, at their twins, the cells at the same distance
+(0, 1, or 2 and more) from each edge, whose windows hold the same
+inputs.  A k x k layer runs its float32 windows at its window cells
+through ``conv2d`` as a 1x1 layer with the kernel flattened in
+``conv2d``'s ``(c_in, i, j)`` order, so each output sums the full
+grid's products.  A gathered window costs 2-9x more per cell than
+``conv2d``'s row-block slices, so the head packs only while its largest
+window set is at most ``_PACKED_MAX_SHARE`` of the grid (masked desk
+frames 1-3%, ``disable-M`` 95-98%).  The golden digests pin both paths,
+and a packed frame whose reach meets the border.
+
+An output that is +0.0 off its set (``F_channel``, ``F``) is expanded
+into zeroed pages, which only its cells touch, and the affinity grid is
+the CAF pool's, which nothing reads after the pool.
 """
 
 
@@ -126,33 +137,62 @@ def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = 
     """Blend the float32 stream grids; returns the (fused, affinity) grids."""
     cells = _ActiveCells({"input": _stream_support(f_lss, f_ht)})
     fused, affinity = _caf(cells, cells.pack(f_lss, f_ht), weights, force_affinity)
-    return cells.expand(fused, "input"), cells.expand(affinity, "input")
+    return cells.expand(fused, "input"), affinity
 
 
 def _caf(cells, packed, weights: WeightBundle, force_affinity: float | None):
     """The CAF head on the packed (2C, rows, nx) image, lift stream first: the packed
-    (fused, affinity).  A forced affinity skips the head.  The fused background,
-    ``a*0 + (1-a)*0``, is +0.0 for any affinity in [0, 1]."""
+    fused feature and the affinity grid.  A forced affinity skips the head.  The
+    fused background, ``a*0 + (1-a)*0``, is +0.0 for any affinity in [0, 1]."""
     c = packed.shape[0] // 2
     if force_affinity is None:
         z = conv2d(packed, weights["caf.reduce"])
-        local = _bottleneck(z, weights, "caf.local")
-        global_ = _bottleneck(global_avg_pool(cells.expand(z, "input")), weights, "caf.global")
-        affinity = sigmoid(local + global_)  # broadcast global over the columns
+        pooled = cells.expand(z, "input")
+        logits = _bottleneck(z, weights, "caf.local")
+        del z  # the pool's grid lives on as the affinity's, so free what can be
+        logits += _bottleneck(global_avg_pool(pooled), weights, "caf.global")  # over columns
+        affinity = sigmoid(logits)
+        del logits
+        grid = cells.expand(affinity, "input", out=pooled)  # the pool is done with it
     else:
         affinity = np.full((c,) + packed.shape[1:], force_affinity, dtype=np.float32)
-    return affinity * packed[:c] + (1.0 - affinity) * packed[c:], affinity
+        grid = cells.expand(affinity, "input")
+    fused = affinity * packed[:c]
+    fused += (1.0 - affinity) * packed[c:]  # float32 either way: the same rounding
+    return fused, grid
 
 
-def _reach(cells: np.ndarray, w: Conv2dWeights, padding_differs: bool) -> np.ndarray:
-    """The cells where layer `w`'s output can differ from its background:
-    those within the kernel's reach of `cells`, where its input can, or
-    of the zero padding when that zero differs from the input's background."""
-    ry, rx = w.kernel.shape[2] // 2, w.kernel.shape[3] // 2
+def _radius(w: Conv2dWeights) -> tuple:
+    """Layer `w`'s reach in rows and columns."""
+    return w.kernel.shape[2] // 2, w.kernel.shape[3] // 2
+
+
+def _reach(cells: np.ndarray, w: Conv2dWeights) -> np.ndarray:
+    """The cells within layer `w`'s reach of `cells`: where its output can
+    differ from its background when its input can only at `cells`."""
+    ry, rx = _radius(w)
     ny, nx = cells.shape
-    padded = np.pad(cells, ((ry, ry), (rx, rx)), constant_values=padding_differs)
+    padded = np.pad(cells, ((ry, ry), (rx, rx)))
     rows = np.logical_or.reduce([padded[i:i + ny] for i in range(2 * ry + 1)])
     return np.logical_or.reduce([rows[:, j:j + nx] for j in range(2 * rx + 1)])
+
+
+def _edge(shape: tuple, ry: int, rx: int) -> np.ndarray:
+    """The cells within `ry` rows or `rx` columns of the grid's edge."""
+    inner = np.zeros(shape, dtype=bool)
+    inner[ry:shape[0] - ry, rx:shape[1] - rx] = True
+    return ~inner
+
+
+def _twin_axis(n: int, r: int) -> np.ndarray:
+    """Each index of an n-cell axis onto its twin on the min(n, 2r + 1)-cell
+    axis of the border grid: the same distance to the nearer edge, up to r."""
+    if n <= 2 * r + 1:
+        return np.arange(n)
+    m = np.full(n, r)
+    m[:r] = np.arange(r)
+    m[n - r:] = np.arange(r + 1, 2 * r + 1)
+    return m
 
 
 class _FullGrid:
@@ -161,7 +201,10 @@ class _FullGrid:
     def pack(self, x):
         return x
 
-    def conv(self, x, w, src, dst):
+    def border_background(self, h, w1, w2):
+        return None, None  # every cell runs its own windows
+
+    def conv(self, x, w, src, dst, border=None):
         return conv2d(x, w)
 
     def move(self, x, src, dst):
@@ -178,19 +221,34 @@ class _ActiveCells:
     A value on set `name` is a (C, rows, nx) image: flat column 0 is the
     background, the value of every cell outside the set, column 1 + k is
     ``cells[name][k]``, and the columns after those pad the last row.
+
+    `bands` gives some sets a border band, cells near the grid's edge whose
+    values a layer takes from the border grid, not from windows; a set's
+    cells are its own, ascending, then its band's other cells, ascending.
+    `twin` maps each row and each column onto the border grid.
     """
 
-    def __init__(self, sets: dict):
+    def __init__(self, sets: dict, bands: dict | None = None, twin: tuple | None = None):
         self.shape = sets["input"].shape
-        self.cells = {name: np.flatnonzero(m) for name, m in sets.items()}
-        self.where = {}  # each cell's column in a set's image
-        for name, cells in self.cells.items():
-            self.where[name] = np.zeros(sets[name].size, dtype=np.intp)
-            self.where[name][cells] = np.arange(1, cells.size + 1)
+        bands = bands or {}
+        if twin is not None:
+            self.border_shape = (int(twin[0].max()) + 1, int(twin[1].max()) + 1)
+        self.cells, self.twins, self.where = {}, {}, {}
+        for name, m in sets.items():
+            band = np.flatnonzero(bands[name] & ~m) if name in bands else np.zeros(0, np.intp)
+            self.cells[name] = np.concatenate([np.flatnonzero(m), band])
+            if band.size:  # each band cell's twin, flat on the border grid
+                ys, xs = np.divmod(band, self.shape[1])
+                self.twins[name] = twin[0][ys] * self.border_shape[1] + twin[1][xs]
+            # each cell's column in the set's image
+            self.where[name] = np.zeros(m.size, dtype=np.intp)
+            self.where[name][self.cells[name]] = np.arange(1, self.cells[name].size + 1)
 
-    def _columns(self, name: str) -> int:
+    def _columns(self, name: str, n: int | None = None) -> int:
+        """The image's flat columns for set `name`, or for its first `n` cells."""
         nx = self.shape[1]
-        return -(-(self.cells[name].size + 1) // nx) * nx
+        n = self.cells[name].size if n is None else n
+        return -(-(n + 1) // nx) * nx
 
     def _take(self, x2d, idx):
         return np.take(x2d, idx, axis=1).reshape(-1, idx.shape[-1] // self.shape[1], self.shape[1])
@@ -209,28 +267,50 @@ class _ActiveCells:
                 part[:, 1 + k:1 + k + row.size] = f[:, row]
         return out.reshape(out.shape[0], -1, nx)
 
-    def conv(self, x, w: Conv2dWeights, src: str, dst: str):
+    def border_background(self, h, w1, w2):
+        """The *border background*: `w1` run by `conv2d` on the border grid
+        filled with `h`'s background column, and `w2` on its ReLU.  Off its
+        set, `h` is that column, so a band cell's window holds the same
+        inputs, zero padding included, as its twin's."""
+        c = len(h)
+        grid = np.repeat(h.reshape(c, -1)[:, :1], np.prod(self.border_shape), axis=1)
+        r1 = conv2d(grid.reshape((c,) + self.border_shape), w1)
+        return r1, conv2d(relu(r1), w2)
+
+    def conv(self, x, w: Conv2dWeights, src: str, dst: str, border=None):
         """Layer `w` from set `src` to set `dst`, as a 1x1 layer on the
-        gathered windows."""
+        gathered windows; `dst`'s band cells take `border`, the layer's
+        output on the border grid, at their twins."""
         c_out, c_in, kh, kw = w.kernel.shape
         if len(x) != c_in:  # as conv2d would, before the windows hide the count
             raise ShapeMismatch(f"input has {len(x)} channels, kernel expects {c_in}")
         ry, rx = kh // 2, kw // 2
         ny, nx = self.shape
         n_src = self.cells[src].size
+        twins = self.twins.get(dst, np.zeros(0, np.intp))
+        n = self.cells[dst].size - twins.size  # the cells that run windows
         # the zero padding is one more column, after the source's own
         x2d = np.concatenate(
             [x.reshape(c_in, -1)[:, :1 + n_src], np.zeros((c_in, 1), dtype=x.dtype)], axis=1
         )
         where = np.pad(self.where[src].reshape(ny, nx), ((ry, ry), (rx, rx)),
                        constant_values=n_src + 1)
-        ys, xs = np.divmod(self.cells[dst], nx)
+        ys, xs = np.divmod(self.cells[dst][:n], nx)
         di, dj = np.divmod(np.arange(kh * kw), kw)
         # the background's window is all column 0, the source's background
-        idx = np.zeros((kh * kw, self._columns(dst)), dtype=np.intp)
-        idx[:, 1:1 + ys.size] = where[ys + di[:, None], xs + dj[:, None]]
+        idx = np.zeros((kh * kw, self._columns(dst, n)), dtype=np.intp)
+        idx[:, 1:1 + n] = where[ys + di[:, None], xs + dj[:, None]]
         windows = self._take(x2d, idx)  # rows in conv2d's (c_in, i, j) order
-        return conv2d(windows, Conv2dWeights(w.kernel.reshape(c_out, -1, 1, 1), w.bias))
+        out = conv2d(windows, Conv2dWeights(w.kernel.reshape(c_out, -1, 1, 1), w.bias))
+        if not twins.size:
+            return out
+        # the band's columns after the windows', from the border grid
+        both = np.concatenate([out.reshape(c_out, -1)[:, :1 + n], border.reshape(c_out, -1)],
+                              axis=1)
+        idx = np.zeros(self._columns(dst), dtype=np.intp)
+        idx[:1 + n] = np.arange(1 + n)
+        idx[1 + n:1 + n + twins.size] = 1 + n + twins
+        return self._take(both, idx)
 
     def move(self, x, src: str, dst: str):
         """A value on set `src` onto the larger set `dst`."""
@@ -238,39 +318,55 @@ class _ActiveCells:
         idx[1:1 + self.cells[dst].size] = self.where[src][self.cells[dst]]
         return self._take(x.reshape(x.shape[0], -1), idx)
 
-    def expand(self, x, src: str):
-        """A value on set `src` onto the whole grid, C-contiguous.  A set of
-        at most `_WRITE_MAX_SHARE` of the grid writes its columns over the
-        background; a larger one is one `np.take` through the where map."""
+    def expand(self, x, src: str, out=None):
+        """A value on set `src` onto the whole grid, C-contiguous, written into
+        `out` when given (a C-contiguous grid of that shape).  A set of at most
+        `_WRITE_MAX_SHARE` of the grid writes its columns over the background,
+        and a fresh grid whose background is bit-for-bit +0.0 starts as zeroed
+        pages, so only the pages holding a cell are touched.  A larger set is
+        one `np.take` through the where map."""
         x2d, cells, where = x.reshape(x.shape[0], -1), self.cells[src], self.where[src]
+        shape = (x2d.shape[0], where.size)
+        grid = None if out is None else out.reshape(shape)
         if cells.size > _WRITE_MAX_SHARE * where.size:
-            out = np.take(x2d, where, axis=1)
+            # mode "raise" would write through a temporary copy of `out`
+            grid = np.take(x2d, where, axis=1, out=grid, mode="clip")
+        elif grid is None and not np.ascontiguousarray(x2d[:, 0]).view(np.uint8).any():
+            grid = np.zeros(shape, dtype=x.dtype)
+            grid[:, cells] = x2d[:, 1:1 + cells.size]
         else:
-            out = np.empty((x2d.shape[0], where.size), dtype=x.dtype)
-            out[:] = x2d[:, :1]
-            out[:, cells] = x2d[:, 1:1 + cells.size]
-        return out.reshape((x.shape[0],) + self.shape)
+            grid = np.empty(shape, dtype=x.dtype) if grid is None else grid
+            grid[:] = x2d[:, :1]
+            grid[:, cells] = x2d[:, 1:1 + cells.size]
+        return grid.reshape((x.shape[0],) + self.shape)
 
 
 def _active_cells(support: np.ndarray, weights: WeightBundle):
     """The occupancy head's active sets, grown from the (ny, nx) `support`, or
-    the full grid when the largest would hold more than `_PACKED_MAX_SHARE` of it."""
+    the full grid when the windows of one would cover more than
+    `_PACKED_MAX_SHARE` of it."""
     limit = _PACKED_MAX_SHARE * support.size
     if np.count_nonzero(support) > limit:  # a dense frame pays for no dilation
         return _FullGrid()
 
     # f_channel and its channel stats are +0.0 off the support, as the padding is
-    reduce = _reach(support, weights["prob.local.reduce"], padding_differs=False)
-    global_ = _reach(support, weights["prob.global.conv"], padding_differs=False)
-    # off their sets, res1's and res2's inputs are constants (the reduce's
-    # bias, and what res1 makes of it), which the padding breaks at the edge
-    res1 = _reach(reduce, weights["prob.local.res1"], padding_differs=True)
+    w1, w2 = weights["prob.local.res1"], weights["prob.local.res2"]
+    reduce = _reach(support, weights["prob.local.reduce"])
+    global_ = _reach(support, weights["prob.global.conv"])
+    res1 = _reach(reduce, w1)
     # the add, the gate, `out`, the sigmoid and the clip run on res2's set
-    out = _reach(res1, weights["prob.local.res2"], padding_differs=True) | global_
+    out = _reach(res1, w2) | global_
     if np.count_nonzero(out) > limit:
         return _FullGrid()
+    # off those sets, res1's and res2's inputs are constants (the reduce's
+    # bias, and what res1 makes of it), which the zero padding breaks within
+    # their reach of the edge: there they take the border background
+    (y1, x1), (y2, x2) = _radius(w1), _radius(w2)
+    ny, nx = support.shape
     return _ActiveCells(
-        {"input": support, "reduce": reduce, "res1": res1, "global": global_, "out": out}
+        {"input": support, "reduce": reduce, "res1": res1, "global": global_, "out": out},
+        bands={"res1": _edge(support.shape, y1, x1), "out": _edge(support.shape, y1 + y2, x1 + x2)},
+        twin=(_twin_axis(ny, y1 + y2), _twin_axis(nx, x1 + x2)),
     )
 
 
@@ -289,9 +385,11 @@ def bev_probability(f_channel, weights: WeightBundle, support: np.ndarray) -> np
     f_channel = np.ascontiguousarray(f_channel)
     cells = _active_cells(support, weights)
     x = cells.pack(f_channel)
+    w1, w2 = weights["prob.local.res1"], weights["prob.local.res2"]
     h = cells.conv(x, weights["prob.local.reduce"], "input", "reduce")
-    t = relu(cells.conv(h, weights["prob.local.res1"], "reduce", "res1"))
-    h = cells.move(h, "reduce", "out") + cells.conv(t, weights["prob.local.res2"], "res1", "out")
+    r1, r2 = cells.border_background(h, w1, w2)
+    t = relu(cells.conv(h, w1, "reduce", "res1", r1))
+    h = cells.move(h, "reduce", "out") + cells.conv(t, w2, "res1", "out", r2)
     gate = sigmoid(_bottleneck(global_avg_pool(cells.expand(h, "out")), weights, "prob.local.gate"))
     local_logits = conv2d(h * gate, weights["prob.local.out"])
     global_logits = cells.conv(channel_stats(x), weights["prob.global.conv"], "input", "global")
@@ -377,6 +475,5 @@ def _finalize(f_lss, f_ht, support, weights, force_affinity) -> PipelineResult:
         p = bev_probability(f_channel, weights, support)
     return PipelineResult(
         f_final=cells.expand(assemble_final(fused, cells.pack(p)), "input"),
-        p_bev=p, f_ht=f_ht, f_lss=f_lss, f_channel=f_channel,
-        affinity=cells.expand(affinity, "input"),
+        p_bev=p, f_ht=f_ht, f_lss=f_lss, f_channel=f_channel, affinity=affinity,
     )

@@ -35,8 +35,9 @@ Accumulation contract:
   ``acc[s:e] += contrib`` into contiguous float64 rows.  Each cell adds
   its survivors in entry order, bit for bit as one sequential pass, and
   each row is rounded to float32 once, as the worker writes it out.  One
-  ``searchsorted`` of the offsets into the survivors' positions gives
-  every cell's run, so no per-entry cell column exists.
+  ``searchsorted`` gives every cell's run, so no per-entry cell column
+  exists: of the survivors' positions into the offsets while the
+  survivors are fewer (a masked frame), else of the offsets into them.
 - A rank goes through in chunks of ``CHUNK_ENTRIES`` entries, whose
   float32 feature gather and float64 product take ``CHUNK_ENTRIES * C *
   12`` bytes; each worker also holds a float64 accumulator for its rows.
@@ -122,10 +123,27 @@ def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, by_pixel):
     keep, d = keep[live], d[live]
     fi = feat_idx[keep].astype(np.intp)
     w = d.astype(np.float64) * mask_w.take(fi)
+    # one binary search per survivor or per offset, whichever are fewer
+    runs = _runs_by_survivor if keep.size < offsets.size else _runs_by_cell
+    cells, first, end = runs(keep, offsets)
+    return cells, w, fi, first, end
+
+
+def _runs_by_cell(keep, offsets):
+    """The cells that own a survivor at ascending entry positions `keep`,
+    and each one's run of survivors [first, end): one search per offset."""
     # cell c's survivors are survivors bounds[c] to bounds[c + 1] - 1
     bounds = np.searchsorted(keep, offsets)
     cells = np.flatnonzero(bounds[1:] > bounds[:-1])
-    return cells, w, fi, bounds[cells], bounds[cells + 1]
+    return cells, bounds[cells], bounds[cells + 1]
+
+
+def _runs_by_survivor(keep, offsets):
+    """`_runs_by_cell`'s result from one search per survivor: each survivor's
+    cell, and a run starting wherever the cell changes."""
+    cell = np.searchsorted(offsets, keep, side="right") - 1
+    bounds = np.flatnonzero(np.diff(cell, prepend=-1, append=-1))  # 0, each change, n
+    return cell[bounds[:-1]], bounds[:-1], bounds[1:]
 
 
 def _accumulate(out, feats_t, w, fi, first, end):

@@ -237,6 +237,35 @@ class TestActiveCellsPack:
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
 
+class TestActiveCellsExpand:
+    """`_ActiveCells.expand` writes a set's columns over its background while
+    the set is at most `_WRITE_MAX_SHARE` of the grid, else takes them in
+    one `np.take`; into a fresh grid, or into the `out=` grid it is given."""
+
+    NY, NX = 8, 8  # the write path holds up to 8 cells
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 9, 64],
+                             ids=["empty", "one", "write-max", "take-min", "full"])
+    @pytest.mark.parametrize("background", [0.0, -0.0, 0.75],
+                             ids=["positive-zero", "negative-zero", "value"])
+    def test_out_gives_the_allocating_bytes(self, n, background):
+        ny, nx = self.NY, self.NX
+        mask = np.zeros(ny * nx, dtype=bool)
+        mask[np.argsort(Rng(n).uniform((ny * nx,)))[:n]] = True
+        cells = _ActiveCells({"input": mask.reshape(ny, nx)})
+        x = packer_grid(3, -(-(n + 1) // nx), nx, n, cell_major=False)
+        x[:, 0, 0] = background
+        ref = np.broadcast_to(x[:, :1, :1], (3, ny, nx)).copy()
+        ref.reshape(3, -1)[:, np.flatnonzero(mask)] = x.reshape(3, -1)[:, 1:1 + n]
+        got = cells.expand(x, "input")
+        stale = np.full((3, ny, nx), np.nan, dtype=np.float32)  # every byte is written
+        into = cells.expand(x, "input", out=stale)
+        assert np.shares_memory(into, stale)
+        for grid in (got, into):
+            assert grid.shape == ref.shape and grid.flags.c_contiguous
+            assert np.array_equal(grid.view(np.uint32), ref.view(np.uint32))
+
+
 def exact_support(f):
     """The cells where some channel of `f` is not bit-for-bit +0.0."""
     return f.view(np.uint32).any(axis=0)
@@ -266,11 +295,11 @@ def near(cells, ny, nx, r, band=0):
 
 
 def cut_straddle(ny, nx, seed):
-    """Two supports, one cell apart, whose largest active set (3 cells
-    around the support, 2 along the edge) is just within and just beyond
-    the share of the grid the occupancy head packs."""
+    """Two supports, one cell apart, whose largest window set (3 cells
+    around the support) is just within and just beyond the share of the
+    grid the occupancy head packs."""
     order = np.argsort(Rng(seed).uniform((ny * nx,)))
-    covered = near([], ny, nx, 3, band=2)
+    covered = np.zeros((ny, nx), dtype=bool)
     for k, cell in enumerate(order):
         covered |= near([cell], ny, nx, 3)
         if np.count_nonzero(covered) > _PACKED_MAX_SHARE * ny * nx:
@@ -337,6 +366,51 @@ class TestProbPacking:
             assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
 
+def placed_cell(place, d, ny, nx, along):
+    """The flat cell `d` cells from edge `place` (at fraction `along` of the
+    way along it) or from both edges of corner `place`."""
+    y = {"top": d, "bottom": ny - 1 - d}.get(place, int(along * ny))
+    x = {"left": d, "right": nx - 1 - d}.get(place, int(along * nx))
+    if len(place) == 2:  # a corner: top or bottom, then left or right
+        y = d if place[0] == "t" else ny - 1 - d
+        x = d if place[1] == "l" else nx - 1 - d
+    return y * nx + x
+
+
+class TestBorderBackground:
+    """On a packed frame the border band runs no windows: its cells take the
+    layers' outputs on the border grid at their twins.  A support at each
+    distance 0-5 from each edge and corner meets the band at every offset;
+    P and F_channel stay the full-grid formula's, bit for bit."""
+
+    @pytest.mark.parametrize("place", ["top", "bottom", "left", "right",
+                                       "tl", "tr", "bl", "br"])
+    @pytest.mark.parametrize("d", range(6))
+    @settings(max_examples=3, deadline=None)
+    @given(
+        ny=st.one_of(st.just(16), st.integers(17, 48)),
+        nx=st.one_of(st.just(16), st.integers(17, 48)),
+        along=st.floats(0, 0.999), pair=st.booleans(), seed=st.integers(0, 2**16),
+    )
+    @example(ny=16, nx=48, along=0.5, pair=True, seed=0)
+    @example(ny=37, nx=16, along=0.0, pair=False, seed=1)
+    def test_bitwise_equal_to_full_grid(self, place, d, ny, nx, along, pair, seed):
+        cell = placed_cell(place, d, ny, nx, along)
+        # with `pair`, the next cell along the row too, if it is on the grid
+        cells = np.unique([cell, cell + 1]) if pair and (cell + 1) % nx else np.array([cell])
+        support = np.zeros(ny * nx, dtype=bool)
+        support[cells] = True
+        w = make_seeded_weights(seed % 4, C)
+        assert isinstance(dualvt.fusion._active_cells(support.reshape(ny, nx), w), _ActiveCells)
+        f_lss, f_ht = cell_major_streams(ny, nx, cells, seed, neg_zero_cell=False)
+        res = fuse_and_finalize(f_lss, f_ht, w)
+        ref_fused, _ = full_grid_caf(f_lss, f_ht, w)
+        ref_p = full_grid_probability(ref_fused, w)
+        for got, ref in ((res.f_channel, ref_fused), (res.p_bev, ref_p)):
+            assert got.shape == ref.shape and got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+
 def fused_frame(kind):
     """(F_channel, weights) of a masked scene, of the border streams, or of
     seeded streams just within or just beyond the packing cut."""
@@ -361,7 +435,9 @@ def fused_frame(kind):
 class TestProbConvAccounting:
     """The benchmark counts the heads' convolutions by wrapping
     `fusion.conv2d`: every occupancy-head layer goes through it, a k x k
-    layer on its active set as a 1x1 layer of its gathered windows."""
+    layer on its window set as a 1x1 layer of its gathered windows.  The
+    border band runs no windows: `res1` and `res2` run once more each, as
+    3x3 layers on the border grid of at most 5 x 5 cells."""
 
     @pytest.mark.parametrize("kind", ["masked", "border", "under_cut", "over_cut"])
     def test_each_layer_computes_its_active_set(self, monkeypatch, kind):
@@ -373,8 +449,8 @@ class TestProbConvAccounting:
             for name, ref in w.layers.items():
                 if (ref.kernel.size == layer.kernel.size and np.array_equal(
                         ref.kernel.ravel(), layer.kernel.ravel())):
-                    assert name not in calls
-                    calls[name] = (x.shape[0], x.shape[1] * x.shape[2], layer.kernel.shape[2:])
+                    calls.setdefault(name, []).append(
+                        (x.shape[0], x.shape[1] * x.shape[2], layer.kernel.shape[2:]))
             return conv2d(x, layer)
 
         monkeypatch.setattr(dualvt.fusion, "conv2d", counted)
@@ -382,27 +458,32 @@ class TestProbConvAccounting:
         assert np.array_equal(p.view(np.uint32), full_grid_probability(f, w).view(np.uint32))
 
         support = np.flatnonzero(exact_support(f))
-        active = {
+        windows = {
             "prob.local.reduce": near(support, ny, nx, 1),
-            "prob.local.res1": near(support, ny, nx, 2, band=1),
-            "prob.local.res2": near(support, ny, nx, 3, band=2),
-            "prob.local.out": near(support, ny, nx, 3, band=2),
+            "prob.local.res1": near(support, ny, nx, 2),
+            "prob.local.res2": near(support, ny, nx, 3),
             "prob.global.conv": near(support, ny, nx, 3),
         }
-        packed = np.count_nonzero(active["prob.local.res2"]) <= _PACKED_MAX_SHARE * ny * nx
+        # the 1x1 `out` runs on res2's set and the band 2 cells wide
+        columns = dict(windows, **{"prob.local.out": near(support, ny, nx, 3, band=2)})
+        packed = np.count_nonzero(windows["prob.local.res2"]) <= _PACKED_MAX_SHARE * ny * nx
         assert packed == (kind != "over_cut")
+        border = min(ny, 5) * min(nx, 5)
         expected = {}
         for name, shape in default_weight_shapes(c).items():
             if not name.startswith("prob."):
                 continue
             c_out, c_in, kh, kw = shape
-            if name not in active:  # the gate, on the pooled (C, 1, 1) feature
-                expected[name] = (c_in, 1, (kh, kw))
+            if name not in columns:  # the gate, on the pooled (C, 1, 1) feature
+                expected[name] = [(c_in, 1, (kh, kw))]
             elif packed:
-                rows = -(-(np.count_nonzero(active[name]) + 1) // nx)
-                expected[name] = (c_in * kh * kw, rows * nx, (1, 1))
+                rows = -(-(np.count_nonzero(columns[name]) + 1) // nx)
+                expected[name] = [(c_in * kh * kw, rows * nx, (1, 1))]
             else:
-                expected[name] = (c_in, ny * nx, (kh, kw))
+                expected[name] = [(c_in, ny * nx, (kh, kw))]
+            if packed and name in ("prob.local.res1", "prob.local.res2"):
+                # the border background comes first, before either layer's windows
+                expected[name].insert(0, (c_in, border, (kh, kw)))
         assert calls == expected
 
 
@@ -542,6 +623,20 @@ class TestFuseAndFinalize:
         f6 = np.zeros((6,) + SHAPE[1:], dtype=np.float32)
         with pytest.raises(ShapeMismatch, match="kernel expects"):
             fuse_and_finalize(f6, f6.copy(), weights())
+
+    @pytest.mark.parametrize("force", [None, 0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("kind", ["one", "random", "full"])
+    def test_affinity_grid_is_the_full_grid_formula(self, kind, force):
+        """The affinity grid is C-contiguous and the full-grid formula's, bit
+        for bit: expanded into the CAF pool's grid, or on its own when forced."""
+        cells = support_cells(kind, 40 * 40, 40, 3)
+        f_lss, f_ht = cell_major_streams(40, 40, cells, 4, neg_zero_cell=False)
+        res = fuse_and_finalize(f_lss, f_ht, weights(), force)
+        ref_fused, ref_affinity = full_grid_caf(f_lss, f_ht, weights(), force)
+        assert res.affinity.flags.c_contiguous
+        for got, ref in ((res.affinity, ref_affinity), (res.f_channel, ref_fused)):
+            assert got.shape == ref.shape and got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
     def test_result_fields_consistent(self):
         f_lss, f_ht = streams()

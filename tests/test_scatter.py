@@ -448,6 +448,27 @@ def test_survivors_edge_cases_match_oracle(problem, threads):
     assert_survivors_match_oracle(problem, threads)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(["0", "1", "n_cells", "n_cells + 1"]),
+       st.integers(0, 10_000))
+def test_run_directions_agree(n_cells, count, seed):
+    """`_survivors` searches the survivors into the offsets while they are
+    fewer than the offsets, else the offsets into the survivors; both give
+    the same (cells, first, end), also on either side of that switch."""
+    rng = Rng(seed)
+    lengths = rng.integers((n_cells,), 5)  # some cells own no entry
+    lengths[-1] += max(n_cells + 1 - int(lengths.sum()), 0)
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype("<u4")
+    n = {"0": 0, "1": 1, "n_cells": n_cells, "n_cells + 1": n_cells + 1}[count]
+    keep = np.sort(np.argsort(rng.uniform((int(offsets[-1]),)))[:n]).astype("<u4")
+    by_cell = scatter._runs_by_cell(keep, offsets)
+    by_survivor = scatter._runs_by_survivor(keep, offsets)
+    for a, b in zip(by_cell, by_survivor):
+        assert a.dtype == b.dtype == np.intp
+        assert np.array_equal(a, b)
+    assert by_cell[0].size == np.unique(np.searchsorted(offsets, keep, side="right")).size
+
+
 @pytest.mark.parametrize("n_pixels,key_bits", [(2**15, 32), (2**15 + 1, 33)])
 def test_pixel_index_at_the_key_width_boundary(n_pixels, key_bits):
     """2**16 + 1 entries take 17 position bits; 2**15 pixels take 15 pixel bits
