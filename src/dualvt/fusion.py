@@ -7,42 +7,43 @@ the per-cell occupancy probability, which multiplies the fused feature
 exactly once to yield the final output.
 
 Both heads compute only where the BEV has input, on one packed image
-(``_ActiveCells``): flat column 0 is the *background*, the value of
-every cell off a set of cells, column 1 + k is the set's k-th cell, and
-rows are ``nx`` wide, so ``conv2d`` keeps walking row blocks of the
-grid's width.  A result is expanded to the grid only for a global pool
-and once per output field.  The packed ``dgemm`` shapes are not the
-full grid's; the golden head digests, taken from full-grid code on a
-masked and on a ``disable-M`` run, pin them as giving the same bits
-(see ``dualvt.nnops`` for the arithmetic contract).
+(``_ActiveCells``): its first flat columns are the *border image*, the
+values of the cells off a set of cells, column ``n_border + k`` is the
+set's k-th cell, and rows are ``nx`` wide, so ``conv2d`` keeps walking
+row blocks of the grid's width.  A result is expanded to the grid only
+for a global pool and once per output field.  The packed ``dgemm``
+shapes are not the full grid's; the golden head digests, taken from
+full-grid code on a masked and on a ``disable-M`` run, pin them as
+giving the same bits (see ``dualvt.nnops`` for the arithmetic contract).
 
 The fusion head packs both streams on the *support*.  ``run_pipeline``
 takes it from the scatter (the cells with an entry of nonzero weight),
 the grid front ends from the grids (the cells where some input is not
-bit-for-bit +0.0, so -0.0 and NaN are input).  A support cell whose
-inputs are +0.0 computes the background's bits, so both agree.  Off the
-support ``F_channel`` is +0.0, so the occupancy head is given the same
-support, and ``P`` lies in (0, 1), so ``F = P * F_channel`` is taken on
-the image too.
+bit-for-bit +0.0, so -0.0 and NaN are input).  Its border image is one
+column, the *background*: a support cell whose inputs are +0.0 computes
+the background's bits, so both supports agree.  Off the support
+``F_channel`` is +0.0, so the occupancy head is given the same support,
+and ``P`` lies in (0, 1), so ``F = P * F_channel`` is taken on the image
+too.
 
 The occupancy head runs each layer's windows on its own *window set*,
 the cells whose value can differ from the layer's background: its
 input's set grown by the kernel's reach (`_active_cells`).  Off the
 support, `res1`'s and `res2`'s inputs are constants that the zero
-padding breaks within their reach of the grid's edge.  That *border
-band* stays in their sets, so the elementwise tail covers it, but runs
-no windows: its cells take the *border background*, `res1` and `res2`
-run by `conv2d` on a grid of at most 5 x 5 cells filled with the
-reduce's background, at their twins, the cells at the same distance
-(0, 1, or 2 and more) from each edge, whose windows hold the same
-inputs.  A k x k layer runs its float32 windows at its window cells
-through ``conv2d`` as a 1x1 layer with the kernel flattened in
-``conv2d``'s ``(c_in, i, j)`` order, so each output sums the full
-grid's products.  A gathered window costs 2-9x more per cell than
-``conv2d``'s row-block slices, so the head packs only while its largest
-window set is at most ``_PACKED_MAX_SHARE`` of the grid (masked desk
-frames 1-3%, ``disable-M`` 95-98%).  The golden digests pin both paths,
-and a packed frame whose reach meets the border.
+padding breaks near the grid's edge, so a value off its set depends only
+on the cell's distance to each edge, up to the two layers' total reach
+r.  Its border image is a grid of at most (2r + 1) x (2r + 1) cells, and
+a cell off the set reads its *twin* there, the cell at the same distance
+(0 to r) from each edge, whose window holds the same inputs.  A k x k
+layer gathers its float32 windows at the border image's cells, over the
+border image with zero padding, and at its window cells, through its
+input's columns, and runs them through one ``conv2d`` call as a 1x1
+layer with the kernel flattened in ``conv2d``'s ``(c_in, i, j)`` order,
+so each output sums the full grid's products.  A gathered window costs
+2-9x more per cell than ``conv2d``'s row-block slices, so the head packs
+only while its largest window set is at most ``_PACKED_MAX_SHARE`` of
+the grid (masked desk frames 1-3%, ``disable-M`` 95-98%).  The golden
+digests pin both paths, and a packed frame whose reach meets the border.
 
 An output that is +0.0 off its set (``F_channel``, ``F``) is expanded
 into zeroed pages, which only its cells touch, and the affinity grid is
@@ -177,16 +178,9 @@ def _reach(cells: np.ndarray, w: Conv2dWeights) -> np.ndarray:
     return np.logical_or.reduce([rows[:, j:j + nx] for j in range(2 * rx + 1)])
 
 
-def _edge(shape: tuple, ry: int, rx: int) -> np.ndarray:
-    """The cells within `ry` rows or `rx` columns of the grid's edge."""
-    inner = np.zeros(shape, dtype=bool)
-    inner[ry:shape[0] - ry, rx:shape[1] - rx] = True
-    return ~inner
-
-
 def _twin_axis(n: int, r: int) -> np.ndarray:
     """Each index of an n-cell axis onto its twin on the min(n, 2r + 1)-cell
-    axis of the border grid: the same distance to the nearer edge, up to r."""
+    axis of the border image: the same distance to each edge, up to r."""
     if n <= 2 * r + 1:
         return np.arange(n)
     m = np.full(n, r)
@@ -201,10 +195,7 @@ class _FullGrid:
     def pack(self, x):
         return x
 
-    def border_background(self, h, w1, w2):
-        return None, None  # every cell runs its own windows
-
-    def conv(self, x, w, src, dst, border=None):
+    def conv(self, x, w, src, dst):
         return conv2d(x, w)
 
     def move(self, x, src, dst):
@@ -218,37 +209,31 @@ class _ActiveCells:
     """The one packed image of both heads (module docstring): the fusion
     head's support, and the occupancy head's layers on their active sets.
 
-    A value on set `name` is a (C, rows, nx) image: flat column 0 is the
-    background, the value of every cell outside the set, column 1 + k is
-    ``cells[name][k]``, and the columns after those pad the last row.
-
-    `bands` gives some sets a border band, cells near the grid's edge whose
-    values a layer takes from the border grid, not from windows; a set's
-    cells are its own, ascending, then its band's other cells, ascending.
-    `twin` maps each row and each column onto the border grid.
+    A value on set `name` is a (C, rows, nx) image.  Its first `n_border`
+    flat columns are the *border image*, the values off the set on a grid
+    of `border_shape` cells, each cell off the set reading its twin there
+    (`_twin_axis` of `reach` on each axis); column ``n_border + k`` is
+    ``cells[name][k]``, and the columns after those pad the last row.  At
+    ``reach=(0, 0)`` the border image is one column, the background.
     """
 
-    def __init__(self, sets: dict, bands: dict | None = None, twin: tuple | None = None):
-        self.shape = sets["input"].shape
-        bands = bands or {}
-        if twin is not None:
-            self.border_shape = (int(twin[0].max()) + 1, int(twin[1].max()) + 1)
-        self.cells, self.twins, self.where = {}, {}, {}
+    def __init__(self, sets: dict, reach: tuple = (0, 0)):
+        self.shape = ny, nx = sets["input"].shape
+        self.twin = _twin_axis(ny, reach[0]), _twin_axis(nx, reach[1])
+        self.border_shape = min(ny, 2 * reach[0] + 1), min(nx, 2 * reach[1] + 1)
+        self.n_border = int(np.prod(self.border_shape))
+        twin_column = (self.twin[0][:, None] * self.border_shape[1] + self.twin[1]).ravel()
+        self.cells, self.where = {}, {}
         for name, m in sets.items():
-            band = np.flatnonzero(bands[name] & ~m) if name in bands else np.zeros(0, np.intp)
-            self.cells[name] = np.concatenate([np.flatnonzero(m), band])
-            if band.size:  # each band cell's twin, flat on the border grid
-                ys, xs = np.divmod(band, self.shape[1])
-                self.twins[name] = twin[0][ys] * self.border_shape[1] + twin[1][xs]
-            # each cell's column in the set's image
-            self.where[name] = np.zeros(m.size, dtype=np.intp)
-            self.where[name][self.cells[name]] = np.arange(1, self.cells[name].size + 1)
+            self.cells[name] = np.flatnonzero(m)
+            # each cell's column in the set's image: its twin's, or its own
+            self.where[name] = twin_column.copy()
+            self.where[name][self.cells[name]] = np.arange(self.cells[name].size) + self.n_border
 
-    def _columns(self, name: str, n: int | None = None) -> int:
-        """The image's flat columns for set `name`, or for its first `n` cells."""
+    def _columns(self, name: str) -> int:
+        """The image's flat columns for set `name`."""
         nx = self.shape[1]
-        n = self.cells[name].size if n is None else n
-        return -(-(n + 1) // nx) * nx
+        return -(-(self.n_border + self.cells[name].size) // nx) * nx
 
     def _take(self, x2d, idx):
         return np.take(x2d, idx, axis=1).reshape(-1, idx.shape[-1] // self.shape[1], self.shape[1])
@@ -257,88 +242,70 @@ class _ActiveCells:
         """The (C, ny, nx) `grids`, +0.0 off the input set, stacked by channel
         on the input set.  A grid row of cells at a time, by fancy index, reads
         cell-major memory in cache; `np.take` would copy a strided grid first."""
-        cells, nx = self.cells["input"], self.shape[1]
+        cells, b, nx = self.cells["input"], self.n_border, self.shape[1]
         flat = [x.reshape(x.shape[0], -1) for x in grids]
         out = np.zeros((sum(map(len, flat)), self._columns("input")), dtype=flat[0].dtype)
         parts = np.split(out, np.cumsum([len(f) for f in flat])[:-1])
         for k in range(0, cells.size, nx):
             row = cells[k:k + nx]
             for part, f in zip(parts, flat):
-                part[:, 1 + k:1 + k + row.size] = f[:, row]
+                part[:, b + k:b + k + row.size] = f[:, row]
         return out.reshape(out.shape[0], -1, nx)
 
-    def border_background(self, h, w1, w2):
-        """The *border background*: `w1` run by `conv2d` on the border grid
-        filled with `h`'s background column, and `w2` on its ReLU.  Off its
-        set, `h` is that column, so a band cell's window holds the same
-        inputs, zero padding included, as its twin's."""
-        c = len(h)
-        grid = np.repeat(h.reshape(c, -1)[:, :1], np.prod(self.border_shape), axis=1)
-        r1 = conv2d(grid.reshape((c,) + self.border_shape), w1)
-        return r1, conv2d(relu(r1), w2)
-
-    def conv(self, x, w: Conv2dWeights, src: str, dst: str, border=None):
-        """Layer `w` from set `src` to set `dst`, as a 1x1 layer on the
-        gathered windows; `dst`'s band cells take `border`, the layer's
-        output on the border grid, at their twins."""
+    def conv(self, x, w: Conv2dWeights, src: str, dst: str):
+        """Layer `w` from set `src` to set `dst`, as one 1x1 layer on the
+        gathered windows: the border image's over the border image, and
+        `dst`'s cells' through `src`'s where map."""
         c_out, c_in, kh, kw = w.kernel.shape
         if len(x) != c_in:  # as conv2d would, before the windows hide the count
             raise ShapeMismatch(f"input has {len(x)} channels, kernel expects {c_in}")
         ry, rx = kh // 2, kw // 2
-        ny, nx = self.shape
-        n_src = self.cells[src].size
-        twins = self.twins.get(dst, np.zeros(0, np.intp))
-        n = self.cells[dst].size - twins.size  # the cells that run windows
-        # the zero padding is one more column, after the source's own
-        x2d = np.concatenate(
-            [x.reshape(c_in, -1)[:, :1 + n_src], np.zeros((c_in, 1), dtype=x.dtype)], axis=1
-        )
-        where = np.pad(self.where[src].reshape(ny, nx), ((ry, ry), (rx, rx)),
-                       constant_values=n_src + 1)
-        ys, xs = np.divmod(self.cells[dst][:n], nx)
+        b = self.n_border
+        zero = b + self.cells[src].size  # the zero padding is one more column
+        x2d = np.concatenate([x.reshape(c_in, -1)[:, :zero], np.zeros((c_in, 1), dtype=x.dtype)],
+                             axis=1)
         di, dj = np.divmod(np.arange(kh * kw), kw)
-        # the background's window is all column 0, the source's background
-        idx = np.zeros((kh * kw, self._columns(dst, n)), dtype=np.intp)
-        idx[:, 1:1 + n] = where[ys + di[:, None], xs + dj[:, None]]
-        windows = self._take(x2d, idx)  # rows in conv2d's (c_in, i, j) order
-        out = conv2d(windows, Conv2dWeights(w.kernel.reshape(c_out, -1, 1, 1), w.bias))
-        if not twins.size:
-            return out
-        # the band's columns after the windows', from the border grid
-        both = np.concatenate([out.reshape(c_out, -1)[:, :1 + n], border.reshape(c_out, -1)],
-                              axis=1)
-        idx = np.zeros(self._columns(dst), dtype=np.intp)
-        idx[:1 + n] = np.arange(1 + n)
-        idx[1 + n:1 + n + twins.size] = 1 + n + twins
-        return self._take(both, idx)
+
+        def windows(where, cells):  # each of `cells`' window columns, flat on `where`
+            ys, xs = np.divmod(cells, where.shape[1])
+            padded = np.pad(where, ((ry, ry), (rx, rx)), constant_values=zero)
+            return padded[ys + di[:, None], xs + dj[:, None]]
+
+        idx = np.zeros((kh * kw, self._columns(dst)), dtype=np.intp)
+        idx[:, :b] = windows(np.arange(b).reshape(self.border_shape), np.arange(b))
+        idx[:, b:b + self.cells[dst].size] = windows(self.where[src].reshape(self.shape),
+                                                     self.cells[dst])
+        gathered = self._take(x2d, idx)  # rows in conv2d's (c_in, i, j) order
+        return conv2d(gathered, Conv2dWeights(w.kernel.reshape(c_out, -1, 1, 1), w.bias))
 
     def move(self, x, src: str, dst: str):
-        """A value on set `src` onto the larger set `dst`."""
+        """A value on set `src` onto the larger set `dst`, border image and all."""
+        b = self.n_border
         idx = np.zeros(self._columns(dst), dtype=np.intp)
-        idx[1:1 + self.cells[dst].size] = self.where[src][self.cells[dst]]
+        idx[:b] = np.arange(b)
+        idx[b:b + self.cells[dst].size] = self.where[src][self.cells[dst]]
         return self._take(x.reshape(x.shape[0], -1), idx)
 
     def expand(self, x, src: str, out=None):
         """A value on set `src` onto the whole grid, C-contiguous, written into
         `out` when given (a C-contiguous grid of that shape).  A set of at most
-        `_WRITE_MAX_SHARE` of the grid writes its columns over the background,
-        and a fresh grid whose background is bit-for-bit +0.0 starts as zeroed
-        pages, so only the pages holding a cell are touched.  A larger set is
-        one `np.take` through the where map."""
+        `_WRITE_MAX_SHARE` of the grid writes its columns over the border image,
+        taken along x and then along y; a fresh grid whose border image is
+        bit-for-bit +0.0 starts as zeroed pages, so only the pages holding a
+        cell are touched.  A larger set is one `np.take` through the where map."""
         x2d, cells, where = x.reshape(x.shape[0], -1), self.cells[src], self.where[src]
-        shape = (x2d.shape[0], where.size)
-        grid = None if out is None else out.reshape(shape)
+        c, b = x2d.shape[0], self.n_border
+        grid = None if out is None else out.reshape((c,) + self.shape)
+        # mode "raise" would write through a temporary copy of `out`
         if cells.size > _WRITE_MAX_SHARE * where.size:
-            # mode "raise" would write through a temporary copy of `out`
-            grid = np.take(x2d, where, axis=1, out=grid, mode="clip")
-        elif grid is None and not np.ascontiguousarray(x2d[:, 0]).view(np.uint8).any():
-            grid = np.zeros(shape, dtype=x.dtype)
-            grid[:, cells] = x2d[:, 1:1 + cells.size]
+            return np.take(x2d, where.reshape(self.shape), axis=1, out=grid, mode="clip")
+        if grid is None and not np.ascontiguousarray(x2d[:, :b]).view(np.uint8).any():
+            grid = np.zeros((c,) + self.shape, dtype=x.dtype)
         else:
-            grid = np.empty(shape, dtype=x.dtype) if grid is None else grid
-            grid[:] = x2d[:, :1]
-            grid[:, cells] = x2d[:, 1:1 + cells.size]
-        return grid.reshape((x.shape[0],) + self.shape)
+            rows = np.take(x2d[:, :b].reshape((c,) + self.border_shape), self.twin[1], axis=2)
+            grid = np.take(rows, self.twin[0], axis=1, out=grid, mode="clip")
+        grid.reshape(c, -1)[:, cells] = x2d[:, b:b + cells.size]
+        return grid
 
 
 def _active_cells(support: np.ndarray, weights: WeightBundle):
@@ -360,13 +327,11 @@ def _active_cells(support: np.ndarray, weights: WeightBundle):
         return _FullGrid()
     # off those sets, res1's and res2's inputs are constants (the reduce's
     # bias, and what res1 makes of it), which the zero padding breaks within
-    # their reach of the edge: there they take the border background
+    # their reach of the edge: the border image holds them, each at its twin
     (y1, x1), (y2, x2) = _radius(w1), _radius(w2)
-    ny, nx = support.shape
     return _ActiveCells(
         {"input": support, "reduce": reduce, "res1": res1, "global": global_, "out": out},
-        bands={"res1": _edge(support.shape, y1, x1), "out": _edge(support.shape, y1 + y2, x1 + x2)},
-        twin=(_twin_axis(ny, y1 + y2), _twin_axis(nx, x1 + x2)),
+        reach=(y1 + y2, x1 + x2),
     )
 
 
@@ -385,11 +350,9 @@ def bev_probability(f_channel, weights: WeightBundle, support: np.ndarray) -> np
     f_channel = np.ascontiguousarray(f_channel)
     cells = _active_cells(support, weights)
     x = cells.pack(f_channel)
-    w1, w2 = weights["prob.local.res1"], weights["prob.local.res2"]
     h = cells.conv(x, weights["prob.local.reduce"], "input", "reduce")
-    r1, r2 = cells.border_background(h, w1, w2)
-    t = relu(cells.conv(h, w1, "reduce", "res1", r1))
-    h = cells.move(h, "reduce", "out") + cells.conv(t, w2, "res1", "out", r2)
+    t = relu(cells.conv(h, weights["prob.local.res1"], "reduce", "res1"))
+    h = cells.move(h, "reduce", "out") + cells.conv(t, weights["prob.local.res2"], "res1", "out")
     gate = sigmoid(_bottleneck(global_avg_pool(cells.expand(h, "out")), weights, "prob.local.gate"))
     local_logits = conv2d(h * gate, weights["prob.local.out"])
     global_logits = cells.conv(channel_stats(x), weights["prob.global.conv"], "input", "global")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ import dualvt.fusion
 from dualvt.errors import ConfigError, ShapeMismatch
 from dualvt.fusion import (
     _PACKED_MAX_SHARE,
+    _WRITE_MAX_SHARE,
     _ActiveCells,
     assemble_final,
     bev_probability,
@@ -201,9 +204,9 @@ def packer_grid(c, ny, nx, seed, cell_major):
 class TestActiveCellsPack:
     """`_ActiveCells.pack`, the one packer of both heads, bit for bit
     against the packed image written out cell by cell: the grids'
-    channels stacked in order, column 0 the background (+0.0), cell k of
-    the input set in column 1 + k, and `nx`-wide rows up to the last
-    one that holds a cell."""
+    channels stacked in order, column 0 the one-column border image
+    (+0.0), cell k of the input set in column 1 + k, and `nx`-wide rows up
+    to the last one that holds a cell."""
 
     NY, NX = 4, 7
 
@@ -237,26 +240,58 @@ class TestActiveCellsPack:
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
 
+def twin_reference(n, r):
+    """Each index of an n-cell axis onto the index of a min(n, 2r + 1)-cell
+    axis at the same distance to each edge, counted up to r, by search."""
+    m = min(n, 2 * r + 1)
+
+    def distances(i, n):
+        return min(i, r), min(n - 1 - i, r)
+
+    return np.array([next(j for j in range(m) if distances(j, m) == distances(i, n))
+                     for i in range(n)])
+
+
 class TestActiveCellsExpand:
-    """`_ActiveCells.expand` writes a set's columns over its background while
-    the set is at most `_WRITE_MAX_SHARE` of the grid, else takes them in
-    one `np.take`; into a fresh grid, or into the `out=` grid it is given."""
+    """`_ActiveCells.expand` writes a set's columns over its border image
+    while the set is at most `_WRITE_MAX_SHARE` of the grid, else takes
+    them in one `np.take`; into a fresh grid, or into the `out=` grid it is
+    given.  Every cell off the set reads its twin's column of the border
+    image: the cell at the same distance to each edge, up to the reach."""
 
-    NY, NX = 8, 8  # the write path holds up to 8 cells
+    @pytest.mark.parametrize("r", range(4))
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_twin_axis_matches_the_distance_search(self, n, r):
+        assert np.array_equal(dualvt.fusion._twin_axis(n, r), twin_reference(n, r))
 
-    @pytest.mark.parametrize("n", [0, 1, 8, 9, 64],
-                             ids=["empty", "one", "write-max", "take-min", "full"])
+    @pytest.mark.parametrize("size", ["empty", "one", "write-max", "take-min", "full"])
     @pytest.mark.parametrize("background", [0.0, -0.0, 0.75],
                              ids=["positive-zero", "negative-zero", "value"])
-    def test_out_gives_the_allocating_bytes(self, n, background):
-        ny, nx = self.NY, self.NX
+    def test_out_gives_the_allocating_bytes(self, size, background):
+        """On 8x8 and 4x12 grids at reach (0, 0) and (2, 2); a "value"
+        border image has columns that all differ."""
+        for shape, reach in itertools.product([(8, 8), (4, 12)], [(0, 0), (2, 2)]):
+            self.check_expand(shape, reach, size, background)
+
+    @staticmethod
+    def check_expand(shape, reach, size, background):
+        ny, nx = shape
+        write_max = int(_WRITE_MAX_SHARE * ny * nx)
+        n = {"empty": 0, "one": 1, "write-max": write_max, "take-min": write_max + 1,
+             "full": ny * nx}[size]
         mask = np.zeros(ny * nx, dtype=bool)
         mask[np.argsort(Rng(n).uniform((ny * nx,)))[:n]] = True
-        cells = _ActiveCells({"input": mask.reshape(ny, nx)})
-        x = packer_grid(3, -(-(n + 1) // nx), nx, n, cell_major=False)
-        x[:, 0, 0] = background
-        ref = np.broadcast_to(x[:, :1, :1], (3, ny, nx)).copy()
-        ref.reshape(3, -1)[:, np.flatnonzero(mask)] = x.reshape(3, -1)[:, 1:1 + n]
+        cells = _ActiveCells({"input": mask.reshape(ny, nx)}, reach)
+        ty, tx = twin_reference(ny, reach[0]), twin_reference(nx, reach[1])
+        b = (ty.max() + 1) * (tx.max() + 1)
+        x = packer_grid(3, -(-(b + n) // nx), nx, n, cell_major=False)
+        border = np.full(b, background, dtype=np.float32)
+        if background:  # every column of the border image differs
+            border += np.arange(b)
+        x.reshape(3, -1)[:, :b] = border
+        ref = x.reshape(3, -1)[:, (ty[:, None] * (tx.max() + 1) + tx).ravel()]
+        ref[:, np.flatnonzero(mask)] = x.reshape(3, -1)[:, b:b + n]
+        ref = ref.reshape(3, ny, nx)
         got = cells.expand(x, "input")
         stale = np.full((3, ny, nx), np.nan, dtype=np.float32)  # every byte is written
         into = cells.expand(x, "input", out=stale)
@@ -264,6 +299,23 @@ class TestActiveCellsExpand:
         for grid in (got, into):
             assert grid.shape == ref.shape and grid.flags.c_contiguous
             assert np.array_equal(grid.view(np.uint32), ref.view(np.uint32))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 12)], ids=["8x8", "4x12"])
+    def test_move_keeps_the_border_image(self, shape):
+        """`move` onto a larger set keeps the border image's columns, and
+        the larger set's new cells read their twins: the grid is the same."""
+        ny, nx = shape
+        small = np.zeros((ny, nx), dtype=bool)
+        small[1, 2] = small[ny - 1, nx - 3] = True
+        large = near(np.flatnonzero(small), ny, nx, 1)
+        cells = _ActiveCells({"input": small, "large": large}, reach=(2, 2))
+        b = cells.n_border
+        x = packer_grid(3, -(-(b + 2) // nx), nx, 0, cell_major=False)
+        x.reshape(3, -1)[:, :b] = 0.75 + np.arange(b)
+        moved = cells.move(x, "input", "large")
+        assert np.array_equal(moved.reshape(3, -1)[:, :b], x.reshape(3, -1)[:, :b])
+        before, after = cells.expand(x, "input"), cells.expand(moved, "large")
+        assert np.array_equal(after.view(np.uint32), before.view(np.uint32))
 
 
 def exact_support(f):
@@ -283,11 +335,10 @@ def full_grid_probability(f, w):
     return np.clip(sigmoid(logits), np.float32(1e-7), np.nextafter(np.float32(1), np.float32(0)))
 
 
-def near(cells, ny, nx, r, band=0):
-    """Mask of the cells within `r` rows and columns of a cell in `cells`,
-    or within `band` cells of the grid's edge."""
+def near(cells, ny, nx, r):
+    """Mask of the cells within `r` rows and columns of a cell in `cells`."""
     yy, xx = np.mgrid[:ny, :nx]
-    out = np.minimum.reduce([yy, xx, ny - 1 - yy, nx - 1 - xx]) < band
+    out = np.zeros((ny, nx), dtype=bool)
     for cell in cells:
         y, x = divmod(int(cell), nx)
         out |= (np.abs(yy - y) <= r) & (np.abs(xx - x) <= r)
@@ -329,8 +380,8 @@ def prob_support(kind, ny, nx, seed):
 
 
 class TestProbPacking:
-    """The occupancy head runs each layer on its active cells plus one
-    background column while they are few; the full-grid formula is the
+    """The occupancy head runs each layer on its active cells plus the
+    border image while they are few; the full-grid formula is the
     oracle for P, bit for bit, and for the fused feature it is given."""
 
     @settings(max_examples=60, deadline=None)
@@ -368,23 +419,40 @@ class TestProbPacking:
 
 def placed_cell(place, d, ny, nx, along):
     """The flat cell `d` cells from edge `place` (at fraction `along` of the
-    way along it) or from both edges of corner `place`."""
+    way along it) or from both edges of corner `place`, on the grid."""
     y = {"top": d, "bottom": ny - 1 - d}.get(place, int(along * ny))
     x = {"left": d, "right": nx - 1 - d}.get(place, int(along * nx))
     if len(place) == 2:  # a corner: top or bottom, then left or right
         y = d if place[0] == "t" else ny - 1 - d
         x = d if place[1] == "l" else nx - 1 - d
-    return y * nx + x
+    return min(max(y, 0), ny - 1) * nx + min(max(x, 0), nx - 1)
+
+
+PLACES = ["top", "bottom", "left", "right", "tl", "tr", "bl", "br"]
 
 
 class TestBorderBackground:
-    """On a packed frame the border band runs no windows: its cells take the
-    layers' outputs on the border grid at their twins.  A support at each
-    distance 0-5 from each edge and corner meets the band at every offset;
-    P and F_channel stay the full-grid formula's, bit for bit."""
+    """On a packed frame every cell off a layer's window set reads its twin
+    in the border image, whose own windows run over the border image.  A
+    support at each distance 0-5 from each edge and corner meets the
+    border at every offset.  The head packs, and P and F_channel stay the
+    full-grid formula's, bit for bit."""
 
-    @pytest.mark.parametrize("place", ["top", "bottom", "left", "right",
-                                       "tl", "tr", "bl", "br"])
+    @staticmethod
+    def check_packed(ny, nx, cells, seed):
+        support = np.zeros(ny * nx, dtype=bool)
+        support[cells] = True
+        w = make_seeded_weights(seed % 4, C)
+        assert isinstance(dualvt.fusion._active_cells(support.reshape(ny, nx), w), _ActiveCells)
+        f_lss, f_ht = cell_major_streams(ny, nx, cells, seed, neg_zero_cell=False)
+        res = fuse_and_finalize(f_lss, f_ht, w)
+        ref_fused, _ = full_grid_caf(f_lss, f_ht, w)
+        ref_p = full_grid_probability(ref_fused, w)
+        for got, ref in ((res.f_channel, ref_fused), (res.p_bev, ref_p)):
+            assert got.shape == ref.shape and got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+    @pytest.mark.parametrize("place", PLACES)
     @pytest.mark.parametrize("d", range(6))
     @settings(max_examples=3, deadline=None)
     @given(
@@ -398,17 +466,29 @@ class TestBorderBackground:
         cell = placed_cell(place, d, ny, nx, along)
         # with `pair`, the next cell along the row too, if it is on the grid
         cells = np.unique([cell, cell + 1]) if pair and (cell + 1) % nx else np.array([cell])
-        support = np.zeros(ny * nx, dtype=bool)
-        support[cells] = True
-        w = make_seeded_weights(seed % 4, C)
-        assert isinstance(dualvt.fusion._active_cells(support.reshape(ny, nx), w), _ActiveCells)
-        f_lss, f_ht = cell_major_streams(ny, nx, cells, seed, neg_zero_cell=False)
-        res = fuse_and_finalize(f_lss, f_ht, w)
-        ref_fused, _ = full_grid_caf(f_lss, f_ht, w)
-        ref_p = full_grid_probability(ref_fused, w)
-        for got, ref in ((res.f_channel, ref_fused), (res.p_bev, ref_p)):
-            assert got.shape == ref.shape and got.dtype == np.float32
-            assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+        self.check_packed(ny, nx, cells, seed)
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("d", range(6))
+    @settings(max_examples=2, deadline=None)
+    @given(
+        short=st.integers(1, 6), long=st.integers(28, 64), wide=st.booleans(),
+        along=st.floats(0, 0.999), pair=st.booleans(), seed=st.integers(0, 2**16),
+    )
+    @example(short=1, long=28, wide=True, along=0.5, pair=False, seed=0)
+    @example(short=6, long=28, wide=False, along=0.0, pair=True, seed=1)
+    def test_thin_grid_bitwise_equal_to_full_grid(self, place, d, short, long, wide,
+                                                  along, pair, seed):
+        """One axis of 1-6 cells, on which every cell is its own twin, and
+        the other of 28-64.  The windows span the short axis and 7 cells of
+        the long one, at most a quarter of the grid, so the head packs."""
+        ny, nx = (short, long) if wide else (long, short)
+        cell = placed_cell(place, d, ny, nx, along)
+        # with `pair`, the next cell across the short axis too, if it is on the grid
+        y, x = divmod(cell, nx)
+        y, x = (y + 1, x) if wide else (y, x + 1)
+        cells = [cell, y * nx + x] if pair and y < ny and x < nx else [cell]
+        self.check_packed(ny, nx, np.array(cells), seed)
 
 
 def fused_frame(kind):
@@ -434,10 +514,10 @@ def fused_frame(kind):
 
 class TestProbConvAccounting:
     """The benchmark counts the heads' convolutions by wrapping
-    `fusion.conv2d`: every occupancy-head layer goes through it, a k x k
-    layer on its window set as a 1x1 layer of its gathered windows.  The
-    border band runs no windows: `res1` and `res2` run once more each, as
-    3x3 layers on the border grid of at most 5 x 5 cells."""
+    `fusion.conv2d`: every occupancy-head layer goes through it once, a
+    k x k layer on the border image and its window set as a 1x1 layer of
+    their gathered windows.  The border image is the min(ny, 5) x
+    min(nx, 5) cells of `res1` then `res2`'s total reach."""
 
     @pytest.mark.parametrize("kind", ["masked", "border", "under_cut", "over_cut"])
     def test_each_layer_computes_its_active_set(self, monkeypatch, kind):
@@ -464,11 +544,11 @@ class TestProbConvAccounting:
             "prob.local.res2": near(support, ny, nx, 3),
             "prob.global.conv": near(support, ny, nx, 3),
         }
-        # the 1x1 `out` runs on res2's set and the band 2 cells wide
-        columns = dict(windows, **{"prob.local.out": near(support, ny, nx, 3, band=2)})
+        # the 1x1 `out` runs on res2's set
+        columns = dict(windows, **{"prob.local.out": windows["prob.local.res2"]})
         packed = np.count_nonzero(windows["prob.local.res2"]) <= _PACKED_MAX_SHARE * ny * nx
         assert packed == (kind != "over_cut")
-        border = min(ny, 5) * min(nx, 5)
+        n_border = min(ny, 5) * min(nx, 5)
         expected = {}
         for name, shape in default_weight_shapes(c).items():
             if not name.startswith("prob."):
@@ -477,13 +557,10 @@ class TestProbConvAccounting:
             if name not in columns:  # the gate, on the pooled (C, 1, 1) feature
                 expected[name] = [(c_in, 1, (kh, kw))]
             elif packed:
-                rows = -(-(np.count_nonzero(columns[name]) + 1) // nx)
+                rows = -(-(n_border + np.count_nonzero(columns[name])) // nx)
                 expected[name] = [(c_in * kh * kw, rows * nx, (1, 1))]
             else:
                 expected[name] = [(c_in, ny * nx, (kh, kw))]
-            if packed and name in ("prob.local.res1", "prob.local.res2"):
-                # the border background comes first, before either layer's windows
-                expected[name].insert(0, (c_in, border, (kh, kw)))
         assert calls == expected
 
 
