@@ -16,15 +16,14 @@ shapes are not the full grid's; the golden head digests, taken from
 full-grid code on a masked and on a ``disable-M`` run, pin them as
 giving the same bits (see ``dualvt.nnops`` for the arithmetic contract).
 
-The fusion head packs both streams on the *support*.  ``run_pipeline``
-takes it from the scatter (the cells with an entry of nonzero weight),
-the grid front ends from the grids (the cells where some input is not
-bit-for-bit +0.0, so -0.0 and NaN are input).  Its border image is one
+``heads`` is their one entry.  The fusion head packs both streams on
+the *support* it is given, which ``run_pipeline`` takes from the scatter
+(the cells with an entry of nonzero weight).  Its border image is one
 column, the *background*: a support cell whose inputs are +0.0 computes
-the background's bits, so both supports agree.  Off the support
-``F_channel`` is +0.0, so the occupancy head is given the same support,
-and ``P`` lies in (0, 1), so ``F = P * F_channel`` is taken on the image
-too.
+the background's bits, so any larger support gives the same bits.  Off
+the support ``F_channel`` is +0.0, so the occupancy head is given the
+same support, and ``P`` lies in (0, 1), so ``F = P * F_channel`` is
+taken on the image too.
 
 The occupancy head runs each layer's windows on its own *window set*,
 the cells whose value can differ from the layer's background: its
@@ -124,24 +123,7 @@ def _bottleneck(z: np.ndarray, weights: WeightBundle, prefix: str) -> np.ndarray
     return conv2d(relu(conv2d(z, weights[f"{prefix}.squeeze"])), weights[f"{prefix}.expand"])
 
 
-def _stream_support(f_lss, f_ht) -> np.ndarray:
-    """Check the float32 stream grids; the (ny, nx) cells where either has input,
-    a channel not bit-for-bit +0.0 (a u32 test, so -0.0 and NaN count as input)."""
-    if f_lss.shape != f_ht.shape:
-        raise ShapeMismatch(f"stream shapes differ: {f_lss.shape} vs {f_ht.shape}")
-    if f_lss.dtype != np.float32 or f_ht.dtype != np.float32:
-        raise ShapeMismatch(f"streams must be float32, got {f_lss.dtype} and {f_ht.dtype}")
-    return f_lss.view(np.uint32).any(axis=0) | f_ht.view(np.uint32).any(axis=0)
-
-
-def caf_fuse(f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = None):
-    """Blend the float32 stream grids; returns the (fused, affinity) grids."""
-    cells = _ActiveCells({"input": _stream_support(f_lss, f_ht)})
-    fused, affinity = _caf(cells, cells.pack(f_lss, f_ht), weights, force_affinity)
-    return cells.expand(fused, "input"), affinity
-
-
-def _caf(cells, packed, weights: WeightBundle, force_affinity: float | None):
+def caf_fuse(cells, packed, weights: WeightBundle, force_affinity: float | None):
     """The CAF head on the packed (2C, rows, nx) image, lift stream first: the packed
     fused feature and the affinity grid.  A forced affinity skips the head.  The
     fused background, ``a*0 + (1-a)*0``, is +0.0 for any affinity in [0, 1]."""
@@ -417,23 +399,25 @@ def run_pipeline(
         grids.append(support_grid(cells, sums, ny, nx))
     del frame, cells, sums  # only the grids live on through the heads
     f_ht, f_lss = grids
-    return _finalize(f_lss, f_ht, support.reshape(ny, nx), weights, force_affinity)
+    return heads(f_lss, f_ht, support.reshape(ny, nx), weights, force_affinity)
 
 
-def fuse_and_finalize(
-    f_lss, f_ht, weights: WeightBundle, force_affinity: float | None = None
-) -> PipelineResult:
-    """The heads from the two stream grids, for front ends that make grids."""
-    return _finalize(f_lss, f_ht, _stream_support(f_lss, f_ht), weights, force_affinity)
-
-
-def _finalize(f_lss, f_ht, support, weights, force_affinity) -> PipelineResult:
-    """The heads' one tail.  `support` holds every cell where a stream grid is
-    not bit-for-bit +0.0; its other cells run as the background.  The heads
-    run with the BLAS at one thread (`nnops.one_blas_thread`)."""
+def heads(f_lss, f_ht, support, weights: WeightBundle,
+          force_affinity: float | None = None) -> PipelineResult:
+    """Both heads on the (C, ny, nx) float32 stream grids, lift stream first.
+    `support` is an (ny, nx) bool mask, and both grids must be bit-for-bit
+    +0.0 at every cell off it; any larger support gives the same bits.  The
+    checks read no grid data.  The BLAS runs one thread (`one_blas_thread`)."""
+    if f_lss.shape != f_ht.shape:
+        raise ShapeMismatch(f"stream shapes differ: {f_lss.shape} vs {f_ht.shape}")
+    if f_lss.dtype != np.float32 or f_ht.dtype != np.float32:
+        raise ShapeMismatch(f"streams must be float32, got {f_lss.dtype} and {f_ht.dtype}")
+    if support.shape != f_lss.shape[1:]:
+        raise ShapeMismatch(f"support shape {support.shape} does not match {f_lss.shape}")
     cells = _ActiveCells({"input": support})
+    # the heads are called by module name, where perfbench's tracer wraps them
     with one_blas_thread():  # the heads' GEMMs run on the calling thread
-        fused, affinity = _caf(cells, cells.pack(f_lss, f_ht), weights, force_affinity)
+        fused, affinity = caf_fuse(cells, cells.pack(f_lss, f_ht), weights, force_affinity)
         f_channel = cells.expand(fused, "input")
         p = bev_probability(f_channel, weights, support)
     return PipelineResult(

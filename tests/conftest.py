@@ -11,6 +11,13 @@ def table_cells(table):
     return np.repeat(np.arange(table.n_cells), np.diff(table.offsets))
 
 
+def exact_support(*grids):
+    """The (ny, nx) cells where some channel of a (C, ny, nx) float32 grid is
+    not bit-for-bit +0.0 (a u32 test, so -0.0 and NaN count as input): the
+    smallest support the grids allow."""
+    return np.logical_or.reduce([g.view(np.uint32).any(axis=0) for g in grids])
+
+
 def small_geometry():
     """Desk-scale geometry small enough for exhaustive oracles."""
     grid = BevGridSpec(x_min=-24.0, x_max=24.0, y_min=-24.0, y_max=24.0, nx=48, ny=48)

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import small_geometry, small_scene
-from dualvt.fusion import fuse_and_finalize, make_seeded_weights, run_pipeline
+from conftest import exact_support, small_geometry, small_scene
+from dualvt.fusion import heads, make_seeded_weights, run_pipeline
 from dualvt.geometry import BevGridSpec, make_height_samples
 from dualvt.height_stream import (
     INTERP,
@@ -120,8 +120,8 @@ def test_criterion_4_probability_bounds_and_structure():
         bundle.feats, bundle.depths, bundle.masks, ht_table, lss_table, weights,
         force_affinity=1.0,
     )
-    pure = fuse_and_finalize(
-        res.f_lss, np.zeros_like(res.f_lss), weights, force_affinity=1.0
+    pure = heads(
+        res.f_lss, np.zeros_like(res.f_lss), exact_support(res.f_lss), weights, force_affinity=1.0
     )
     ok &= np.array_equal(
         forced.f_final.view(np.uint32), pure.f_final.view(np.uint32)

@@ -13,7 +13,7 @@ from dualvt import fusion, nnops
 from dualvt.errors import ConfigError
 from dualvt.fusion import (
     default_weight_shapes,
-    fuse_and_finalize,
+    heads,
     make_seeded_weights,
     run_pipeline,
 )
@@ -73,9 +73,10 @@ def test_run_pipeline_restores_the_callers_count(blas, pinned, caller):  # noqa:
 
 @pytest.mark.parametrize("caller", [1, 2])
 def test_fuse_and_finalize_restores_the_callers_count(blas, caller):
+    """`fusion.heads` called on stream grids, outside `run_pipeline`."""
     get, set_ = blas
     set_checked(set_, get, caller)
-    fuse_and_finalize(*border_streams(), make_seeded_weights(11, 8))
+    heads(*border_streams(), make_seeded_weights(11, 8))
     assert get() == caller
 
 

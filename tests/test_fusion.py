@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dualvt.fusion
+from conftest import exact_support
 from dualvt.errors import ConfigError, ShapeMismatch
 from dualvt.fusion import (
     _PACKED_MAX_SHARE,
@@ -13,12 +14,12 @@ from dualvt.fusion import (
     _ActiveCells,
     assemble_final,
     bev_probability,
-    caf_fuse,
     default_weight_shapes,
-    fuse_and_finalize,
+    heads,
     make_seeded_weights,
     run_pipeline,
 )
+from dualvt.geometry import BevGridSpec
 from dualvt.height_stream import ht_apply, ht_transform_fast, precompute_ht_table
 from dualvt.lift_stream import lss_apply, lss_pool, precompute_lss_table
 from dualvt.nnops import (
@@ -31,6 +32,7 @@ from dualvt.nnops import (
     sigmoid,
 )
 from dualvt.rng import Rng
+from dualvt.synth import generate_scene, random_scene_spec
 from dualvt.tables import stack_frame
 
 C = 8
@@ -40,6 +42,23 @@ SHAPE = (C, 12, 10)
 def streams(seed=0):
     rng = Rng(seed)
     return rng.uniform(SHAPE, -1.0, 1.0), rng.uniform(SHAPE, -1.0, 1.0)
+
+
+# the support of `streams()`, which hold input at every cell
+EVERYWHERE = np.ones(SHAPE[1:], dtype=bool)
+
+
+def support_of(cells, ny, nx):
+    """The (ny, nx) support of the flat `cells` that a test gave input."""
+    support = np.zeros(ny * nx, dtype=bool)
+    support[cells] = True
+    return support.reshape(ny, nx)
+
+
+def fuse(f_lss, f_ht, w, force_affinity=None, support=EVERYWHERE):
+    """The (F_channel, affinity) grids of `heads`."""
+    res = heads(f_lss, f_ht, support, w, force_affinity)
+    return res.f_channel, res.affinity
 
 
 def weights(seed=11):
@@ -58,15 +77,17 @@ def zero_weights():
 
 
 class TestCafFuse:
+    """The fusion head (`caf_fuse`), through `heads`."""
+
     def test_affinity_strictly_inside_unit_interval(self):
         f_lss, f_ht = streams()
-        _, affinity = caf_fuse(f_lss, f_ht, weights())
+        _, affinity = fuse(f_lss, f_ht, weights())
         assert np.all(affinity > 0.0)
         assert np.all(affinity < 1.0)
 
     def test_convex_combination_bounds(self):
         f_lss, f_ht = streams()
-        fused, _ = caf_fuse(f_lss, f_ht, weights())
+        fused, _ = fuse(f_lss, f_ht, weights())
         lo = np.minimum(f_lss, f_ht)
         hi = np.maximum(f_lss, f_ht)
         assert np.all(fused >= lo - 1e-6)
@@ -74,30 +95,39 @@ class TestCafFuse:
 
     def test_equal_streams_are_fixed_point(self):
         f, _ = streams()
-        fused, _ = caf_fuse(f, f.copy(), weights())
+        fused, _ = fuse(f, f.copy(), weights())
         assert fused == pytest.approx(f, abs=1e-6)
 
     def test_zero_weights_give_even_blend(self):
         f_lss, f_ht = streams()
-        fused, affinity = caf_fuse(f_lss, f_ht, zero_weights())
+        fused, affinity = fuse(f_lss, f_ht, zero_weights())
         assert np.all(affinity == 0.5)
         assert fused == pytest.approx(0.5 * (f_lss + f_ht), abs=1e-6)
 
     def test_swap_symmetry_at_even_blend(self):
         f_lss, f_ht = streams()
-        a, _ = caf_fuse(f_lss, f_ht, zero_weights())
-        b, _ = caf_fuse(f_ht, f_lss, zero_weights())
+        a, _ = fuse(f_lss, f_ht, zero_weights())
+        b, _ = fuse(f_ht, f_lss, zero_weights())
         assert a == pytest.approx(b, abs=1e-6)
 
     def test_shape_mismatch_rejected(self):
         f_lss, f_ht = streams()
         with pytest.raises(ShapeMismatch):
-            caf_fuse(f_lss[:, :5], f_ht, weights())
+            fuse(f_lss[:, :5], f_ht, weights())
 
     def test_streams_must_be_float32(self):
+        """`heads` refuses either stream, before the packing would cast a
+        float64 height stream to the lift stream's float32 unnoticed."""
         f_lss, f_ht = streams()
-        with pytest.raises(ShapeMismatch, match="float32"):
-            caf_fuse(f_lss.astype(np.float64), f_ht, weights())
+        with pytest.raises(ShapeMismatch, match="streams must be float32"):
+            fuse(f_lss.astype(np.float64), f_ht, weights())
+        with pytest.raises(ShapeMismatch, match="streams must be float32"):
+            fuse(f_lss, f_ht.astype(np.float64), weights())
+
+    def test_support_must_match_the_grid(self):
+        f_lss, f_ht = streams()
+        with pytest.raises(ShapeMismatch, match="support shape"):
+            heads(f_lss, f_ht, EVERYWHERE[:, :-1], weights())
 
 
 def full_grid_caf(f_lss, f_ht, w, force_affinity=None):
@@ -147,8 +177,9 @@ def cell_major_streams(ny, nx, cells, seed, neg_zero_cell):
 
 
 class TestCafPacking:
-    """`caf_fuse` runs its per-position layers on the support plus one
-    background column; the full-grid formula is the oracle, bit for bit."""
+    """`caf_fuse` runs its per-position layers on the support that `heads`
+    is given plus one background column; the full-grid formula is the
+    oracle, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -172,7 +203,7 @@ class TestCafPacking:
         if contiguous:
             f_lss, f_ht = np.ascontiguousarray(f_lss), np.ascontiguousarray(f_ht)
         w = make_seeded_weights(seed % 4, C)
-        fused, affinity = caf_fuse(f_lss, f_ht, w, force)
+        fused, affinity = fuse(f_lss, f_ht, w, force, support_of(cells, ny, nx))
         ref_fused, ref_affinity = full_grid_caf(f_lss, f_ht, w, force)
         for got, ref in ((fused, ref_fused), (affinity, ref_affinity)):
             assert got.shape == ref.shape and got.dtype == np.float32
@@ -182,7 +213,7 @@ class TestCafPacking:
         """A cell holding -0.0 in both streams blends to -0.0, not to the
         background's +0.0."""
         f_lss, f_ht = cell_major_streams(3, 4, np.array([5]), 0, neg_zero_cell=True)
-        fused, _ = caf_fuse(f_lss, f_ht, weights())
+        fused, _ = fuse(f_lss, f_ht, weights(), support=support_of([5], 3, 4))
         assert np.all(np.signbit(fused[:, 1, 1]))
         assert not np.any(np.signbit(np.delete(fused.reshape(C, -1), 5, axis=1)))
 
@@ -318,11 +349,6 @@ class TestActiveCellsExpand:
         assert np.array_equal(after.view(np.uint32), before.view(np.uint32))
 
 
-def exact_support(f):
-    """The cells where some channel of `f` is not bit-for-bit +0.0."""
-    return f.view(np.uint32).any(axis=0)
-
-
 def full_grid_probability(f, w):
     """Reference: the occupancy head with every layer on every cell of the grid."""
     def bottleneck(x, prefix):
@@ -409,7 +435,7 @@ class TestProbPacking:
         cells = prob_support(kind, ny, nx, seed)
         f_lss, f_ht = cell_major_streams(ny, nx, cells, seed + 1, neg_zero_cell)
         w = make_seeded_weights(seed % 4, C)
-        res = fuse_and_finalize(f_lss, f_ht, w)
+        res = heads(f_lss, f_ht, support_of(cells, ny, nx), w)
         ref_fused, _ = full_grid_caf(f_lss, f_ht, w)
         ref_p = full_grid_probability(ref_fused, w)
         for got, ref in ((res.f_channel, ref_fused), (res.p_bev, ref_p)):
@@ -440,12 +466,11 @@ class TestBorderBackground:
 
     @staticmethod
     def check_packed(ny, nx, cells, seed):
-        support = np.zeros(ny * nx, dtype=bool)
-        support[cells] = True
+        support = support_of(cells, ny, nx)
         w = make_seeded_weights(seed % 4, C)
-        assert isinstance(dualvt.fusion._active_cells(support.reshape(ny, nx), w), _ActiveCells)
+        assert isinstance(dualvt.fusion._active_cells(support, w), _ActiveCells)
         f_lss, f_ht = cell_major_streams(ny, nx, cells, seed, neg_zero_cell=False)
-        res = fuse_and_finalize(f_lss, f_ht, w)
+        res = heads(f_lss, f_ht, support, w)
         ref_fused, _ = full_grid_caf(f_lss, f_ht, w)
         ref_p = full_grid_probability(ref_fused, w)
         for got, ref in ((res.f_channel, ref_fused), (res.p_bev, ref_p)):
@@ -505,11 +530,12 @@ def fused_frame(kind):
     if kind == "border":
         from test_golden import border_streams
 
-        f_lss, f_ht = border_streams()
+        f_lss, f_ht, support = border_streams()
     else:
         cells = cut_straddle(40, 40, 3)[kind == "over_cut"]
         f_lss, f_ht = cell_major_streams(40, 40, cells, 4, neg_zero_cell=False)
-    return caf_fuse(f_lss, f_ht, w)[0], w
+        support = support_of(cells, 40, 40)
+    return fuse(f_lss, f_ht, w, support=support)[0], w
 
 
 class TestProbConvAccounting:
@@ -667,16 +693,18 @@ class TestAssembleFinal:
 
 
 class TestFuseAndFinalize:
+    """`heads`: fuse the streams, then the probability and the final feature."""
+
     def test_force_affinity_one_is_pure_lift(self):
         f_lss, f_ht = streams()
-        res = fuse_and_finalize(f_lss, f_ht, weights(), force_affinity=1.0)
+        res = heads(f_lss, f_ht, EVERYWHERE, weights(), force_affinity=1.0)
         assert np.array_equal(res.f_channel, f_lss)
         # and the final output is the probability-weighted lift stream
         assert res.f_final == pytest.approx(res.p_bev * f_lss, abs=1e-6)
 
     def test_force_affinity_zero_is_pure_height(self):
         f_lss, f_ht = streams()
-        res = fuse_and_finalize(f_lss, f_ht, weights(), force_affinity=0.0)
+        res = heads(f_lss, f_ht, EVERYWHERE, weights(), force_affinity=0.0)
         assert np.array_equal(res.f_channel, f_ht)
 
     def test_force_affinity_blends_once_without_the_head(self):
@@ -685,7 +713,7 @@ class TestFuseAndFinalize:
         head_free = WeightBundle(
             {k: v for k, v in weights().layers.items() if not k.startswith("caf.")}
         )
-        res = fuse_and_finalize(f_lss, f_ht, head_free, force_affinity=0.3)
+        res = heads(f_lss, f_ht, EVERYWHERE, head_free, force_affinity=0.3)
         a = np.float32(0.3)
         assert res.affinity.shape == SHAPE and res.affinity.dtype == np.float32
         assert np.all(res.affinity == a)
@@ -699,7 +727,7 @@ class TestFuseAndFinalize:
             make_seeded_weights(11, 6)
         f6 = np.zeros((6,) + SHAPE[1:], dtype=np.float32)
         with pytest.raises(ShapeMismatch, match="kernel expects"):
-            fuse_and_finalize(f6, f6.copy(), weights())
+            heads(f6, f6.copy(), EVERYWHERE, weights())
 
     @pytest.mark.parametrize("force", [None, 0.0, 0.3, 1.0])
     @pytest.mark.parametrize("kind", ["one", "random", "full"])
@@ -708,7 +736,7 @@ class TestFuseAndFinalize:
         for bit: expanded into the CAF pool's grid, or on its own when forced."""
         cells = support_cells(kind, 40 * 40, 40, 3)
         f_lss, f_ht = cell_major_streams(40, 40, cells, 4, neg_zero_cell=False)
-        res = fuse_and_finalize(f_lss, f_ht, weights(), force)
+        res = heads(f_lss, f_ht, support_of(cells, 40, 40), weights(), force)
         ref_fused, ref_affinity = full_grid_caf(f_lss, f_ht, weights(), force)
         assert res.affinity.flags.c_contiguous
         for got, ref in ((res.affinity, ref_affinity), (res.f_channel, ref_fused)):
@@ -717,7 +745,7 @@ class TestFuseAndFinalize:
 
     def test_result_fields_consistent(self):
         f_lss, f_ht = streams()
-        res = fuse_and_finalize(f_lss, f_ht, weights())
+        res = heads(f_lss, f_ht, EVERYWHERE, weights())
         assert res.f_final == pytest.approx(res.p_bev * res.f_channel, abs=1e-6)
         assert np.array_equal(res.f_lss, f_lss)
         assert np.array_equal(res.f_ht, f_ht)
@@ -773,11 +801,14 @@ class TestRunPipeline:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("frame", ["zero-sum-support", "empty-support"])
     def test_equals_grid_front_end_bitwise(self, frame, threads):
-        """run_pipeline starts the heads from the streams' supports, the grid
-        front end (fuse_and_finalize of lss_pool and ht_transform_fast) from
-        the cells its grids show input at.  All six fields agree bit for bit:
-        on a frame where some support cells sum to exactly +0.0, a feature
-        pixel zeroed under a nonzero mask, and on one with no support."""
+        """run_pipeline hands `heads` the scatter's support.  `heads` on the
+        full-grid transforms (lss_pool and ht_transform_fast) gives the same
+        six fields bit for bit on two other supports off which both grids
+        are +0.0: the cells where a grid holds a channel that is not +0.0
+        (which leaves out support cells that sum to +0.0), and the whole
+        grid.  On a frame where some support cells sum to exactly +0.0, a
+        feature pixel zeroed under a nonzero mask, and on one with no
+        support."""
         bundle, ht, lss = self.fixture()
         feats, depths = [f.copy() for f in bundle.feats], bundle.depths
         masks = [np.zeros_like(m) for m in bundle.masks]
@@ -794,9 +825,38 @@ class TestRunPipeline:
             assert sums.shape[0] == 0
         w = make_seeded_weights(11, feats[0].shape[0])
         got = run_pipeline(feats, depths, masks, ht, lss, w, threads=threads)
-        ref = fuse_and_finalize(lss_pool(feats, depths, masks, lss, threads=threads),
-                                ht_transform_fast(feats, depths, masks, ht, threads=threads), w)
-        for name in ("f_final", "p_bev", "f_ht", "f_lss", "f_channel", "affinity"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.shape == b.shape and a.dtype == b.dtype == np.float32, name
-            assert np.array_equal(a.view(np.uint32), b.view(np.uint32)), name
+        f_lss = lss_pool(feats, depths, masks, lss, threads=threads)
+        f_ht = ht_transform_fast(feats, depths, masks, ht, threads=threads)
+        for support in (exact_support(f_lss, f_ht), np.ones(f_lss.shape[1:], dtype=bool)):
+            assert_same_fields(got, heads(f_lss, f_ht, support, w))
+
+    def test_non_square_grid(self):
+        """On a grid of 40 rows and 56 columns every field has the grid's
+        (ny, nx), and run_pipeline equals `heads` on the full-grid transforms
+        and the cells where they hold input, bit for bit."""
+        from conftest import small_geometry
+
+        _, dspec, heights = small_geometry()
+        grid = BevGridSpec(x_min=-24.0, x_max=32.0, y_min=-20.0, y_max=20.0, nx=56, ny=40)
+        spec = random_scene_spec(0, n_cameras=4, feat_w=24, feat_h=10, channels=C, kappa=4.0)
+        bundle = generate_scene(spec, grid, dspec)
+        ht = precompute_ht_table(bundle.rigs, grid, heights, dspec)
+        lss = precompute_lss_table(bundle.rigs, grid, dspec)
+        w = weights()
+        got = run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, w)
+        for name in ("f_final", "f_ht", "f_lss", "f_channel", "affinity"):
+            assert getattr(got, name).shape == (C, 40, 56), name
+        assert got.p_bev.shape == (1, 40, 56)
+        f_lss = lss_pool(bundle.feats, bundle.depths, bundle.masks, lss)
+        f_ht = ht_transform_fast(bundle.feats, bundle.depths, bundle.masks, ht)
+        support = exact_support(f_lss, f_ht)
+        assert 0 < np.count_nonzero(support) < support.size
+        assert_same_fields(got, heads(f_lss, f_ht, support, w))
+
+
+def assert_same_fields(got, ref):
+    """The six `PipelineResult` fields of `got` and `ref` agree bit for bit."""
+    for name in ("f_final", "p_bev", "f_ht", "f_lss", "f_channel", "affinity"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape and a.dtype == b.dtype == np.float32, name
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32)), name

@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 import dualvt
-from conftest import small_scene
-from dualvt.fusion import fuse_and_finalize, make_seeded_weights, run_pipeline
+from conftest import exact_support, small_scene
+from dualvt.fusion import heads, make_seeded_weights, run_pipeline
 from dualvt.height_stream import precompute_ht_table
 from dualvt.lift_stream import precompute_lss_table
 from dualvt.rng import Rng
@@ -46,7 +46,7 @@ GOLDEN_DISABLE_M = {
     "F": "b6acff495b46b890b964af047ff0ac66d964bbc18f30304729c3f932ba17ffe7",
 }
 
-# fuse_and_finalize(*border_streams()) with make_seeded_weights(11, 8)
+# heads(*border_streams()) with make_seeded_weights(11, 8)
 GOLDEN_BORDER = {
     "F_channel": "76486b85acdb11058104af1c16ea34ff232c1716b6d3fdbf79022309b7d51fae",
     "A": "474ab0a7d14da1f06e0045407637000b2404bb380d141e3c6b2649fea89c02b4",
@@ -66,17 +66,19 @@ def head_digests(result) -> dict:
 
 
 def saved_stream_digests(directory) -> dict:
-    """Head digests from the stream outputs saved in `directory`."""
+    """Head digests from the stream outputs saved in `directory`, on the
+    cells where they hold input."""
     directory = Path(directory)
     f_lss, f_ht = np.load(directory / "f_lss.npy"), np.load(directory / "f_ht.npy")
     weights = make_seeded_weights(WEIGHT_SEED, f_ht.shape[0])
-    return head_digests(fuse_and_finalize(f_lss, f_ht, weights))
+    return head_digests(heads(f_lss, f_ht, exact_support(f_lss, f_ht), weights))
 
 
 def border_streams(n=48, channels=8):
-    """(f_lss, f_ht) on an n x n grid with input on 18 cells: a corner,
-    cells at distances 0-3 from each edge and one interior cell.  Both
-    streams hold seeded values there, a quarter of them -0.0."""
+    """(f_lss, f_ht, support) on an n x n grid with input on 18 cells, the
+    support: a corner, cells at distances 0-3 from each edge and one
+    interior cell.  Both streams hold seeded values there, a quarter of
+    them -0.0."""
     cells = [(0, 0), (n // 2, n // 2)]
     for d in range(4):
         cells += [(d, 12), (n - 1 - d, 34), (30, d), (14, n - 1 - d)]
@@ -89,12 +91,13 @@ def border_streams(n=48, channels=8):
         vals[rng.uniform(vals.shape) < 0.25] = -0.0
         f[:, ys, xs] = vals
         out.append(f)
-    return out
+    support = np.zeros((n, n), dtype=bool)
+    support[ys, xs] = True
+    return out + [support]
 
 
 def border_digests() -> dict:
-    f_lss, f_ht = border_streams()
-    return head_digests(fuse_and_finalize(f_lss, f_ht, make_seeded_weights(WEIGHT_SEED, 8)))
+    return head_digests(heads(*border_streams(), make_seeded_weights(WEIGHT_SEED, 8)))
 
 
 @pytest.fixture(scope="module")
