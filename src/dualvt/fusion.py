@@ -25,9 +25,10 @@ the support ``F_channel`` is +0.0, so the occupancy head is given the
 same support, and ``P`` lies in (0, 1), so ``F = P * F_channel`` is
 taken on the image too.
 
-The occupancy head runs each layer's windows on its own *window set*,
-the cells whose value can differ from the layer's background: its
-input's set grown by the kernel's reach (`_active_cells`).  Off the
+The occupancy head runs each layer's windows on a *window set* that
+holds the cells whose value can differ from the layer's background: its
+input's set grown by the kernel's reach (`_active_cells`; the 7x7 global
+conv shares res2's set, which holds its reach).  Off the
 support, `res1`'s and `res2`'s inputs are constants that the zero
 padding breaks near the grid's edge, so a value off its set depends only
 on the cell's distance to each edge, up to the two layers' total reach
@@ -301,10 +302,10 @@ def _active_cells(support: np.ndarray, weights: WeightBundle):
     # f_channel and its channel stats are +0.0 off the support, as the padding is
     w1, w2 = weights["prob.local.res1"], weights["prob.local.res2"]
     reduce = _reach(support, weights["prob.local.reduce"])
-    global_ = _reach(support, weights["prob.global.conv"])
     res1 = _reach(reduce, w1)
-    # the add, the gate, `out`, the sigmoid and the clip run on res2's set
-    out = _reach(res1, w2) | global_
+    # the add, the gate, `out`, the sigmoid and the clip run on res2's set,
+    # which the global conv's reach joins (with the default shapes it adds none)
+    out = _reach(res1, w2) | _reach(support, weights["prob.global.conv"])
     if np.count_nonzero(out) > limit:
         return _FullGrid()
     # off those sets, res1's and res2's inputs are constants (the reduce's
@@ -312,7 +313,7 @@ def _active_cells(support: np.ndarray, weights: WeightBundle):
     # their reach of the edge: the border image holds them, each at its twin
     (y1, x1), (y2, x2) = _radius(w1), _radius(w2)
     return _ActiveCells(
-        {"input": support, "reduce": reduce, "res1": res1, "global": global_, "out": out},
+        {"input": support, "reduce": reduce, "res1": res1, "out": out},
         reach=(y1 + y2, x1 + x2),
     )
 
@@ -337,8 +338,8 @@ def bev_probability(f_channel, weights: WeightBundle, support: np.ndarray) -> np
     h = cells.move(h, "reduce", "out") + cells.conv(t, weights["prob.local.res2"], "res1", "out")
     gate = sigmoid(_bottleneck(global_avg_pool(cells.expand(h, "out")), weights, "prob.local.gate"))
     local_logits = conv2d(h * gate, weights["prob.local.out"])
-    global_logits = cells.conv(channel_stats(x), weights["prob.global.conv"], "input", "global")
-    p = sigmoid(local_logits + cells.move(global_logits, "global", "out"))
+    global_logits = cells.conv(channel_stats(x), weights["prob.global.conv"], "input", "out")
+    p = sigmoid(local_logits + global_logits)
     return cells.expand(np.clip(p, _P_LO, _P_HI), "out")
 
 

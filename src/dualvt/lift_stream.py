@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import BevGridSpec
+from .geometry import BevGridSpec, back_project
 from .sampling import DepthBinSpec
 from .scatter import support_grid, weighted_scatter
 from .tables import LSS_MAGIC, IndexTable, build_table, stack_frame
@@ -24,19 +24,10 @@ def lift_frustum(cam, dspec: DepthBinSpec):
     """Lift every (pixel, depth-bin) pair of one camera into the ego frame.
 
     Returns the ego (x, y, z) arrays, each (n_bins, feat_h, feat_w): entry
-    [k, v, u] is pixel (u, v) lifted to the center of bin k.  The inverse
-    extrinsics are the rigid inverse (R^T, -R^T t) and every coordinate is
-    a fixed-order elementwise sum, so no BLAS call picks the bits.
+    [k, v, u] is pixel (u, v) lifted to the center of bin k by
+    `geometry.back_project`, with no BLAS call.
     """
-    K, R, t = cam.intrinsics, cam.extrinsics[:3, :3], cam.extrinsics[:3, 3]
-    d = dspec.bin_center(np.arange(dspec.n_bins))[:, None, None]
-    x_cam = (np.arange(cam.feat_w) - K[0, 2]) / K[0, 0] * d
-    y_cam = (np.arange(cam.feat_h)[:, None] - K[1, 2]) / K[1, 1] * d
-    return tuple(
-        x_cam * R[0, i] + y_cam * R[1, i] + d * R[2, i]
-        - (R[0, i] * t[0] + R[1, i] * t[1] + R[2, i] * t[2])
-        for i in range(3)
-    )
+    return back_project(cam, dspec.bin_center(np.arange(dspec.n_bins))[:, None, None])
 
 
 def precompute_lss_table(rigs, grid: BevGridSpec, dspec: DepthBinSpec) -> IndexTable:
@@ -76,7 +67,7 @@ def lss_pool_reference(
     feats, depths, masks, rigs, grid: BevGridSpec, dspec: DepthBinSpec
 ) -> np.ndarray:
     """Table-free oracle, one (camera, depth bin) at a time: the bin's pixels
-    are lifted with lift_frustum's expressions (the rigid inverse, sums left
+    are lifted with back_project's expressions (the rigid inverse, sums left
     to right) and located by the same division, so each lands in the
     table's cell.  One ``np.add.at`` per bin adds them in pixel order from
     +0.0 in float64; cameras, then bins, run in the table's within-cell

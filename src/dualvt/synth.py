@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch, SpecBlock, check_field_types, from_json
-from .geometry import BevGridSpec, CameraRig, bev_cell_centers
+from .geometry import BevGridSpec, CameraRig, back_project, bev_cell_centers
+from .report import l2
 from .rng import Rng
 from .sampling import DepthBinSpec
 from .tensors import parse_manifest, tensor_read, tensor_write
@@ -124,7 +125,7 @@ def make_ring_rigs(spec: SceneSpec) -> list:
         R = np.array([[s, -c, 0.0], [0.0, 0.0, -1.0], [c, s, 0.0]])
         T = np.eye(4)
         T[:3, :3] = R
-        T[:3, 3] = -R @ np.array([0.0, 0.0, spec.cam_height])
+        T[:3, 3] = 0.0 - spec.cam_height * R[:, 2]  # -R (0, 0, h), +0.0 where it is zero
         rigs.append(CameraRig(intrinsics=K, extrinsics=T, feat_w=W, feat_h=H, cam_id=i))
     return rigs
 
@@ -132,16 +133,8 @@ def make_ring_rigs(spec: SceneSpec) -> list:
 def _ray_cast(rig: CameraRig, boxes, eps: float = 1e-6):
     """Nearest-hit depth per pixel: (hit mask (H, W), depth, box index)."""
     H, W = rig.feat_h, rig.feat_w
-    K = rig.intrinsics
-    T_inv = np.linalg.inv(rig.extrinsics)
-    origin = T_inv[:3, 3]
-
-    v, u = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
-    dirs_cam = np.stack(
-        [(u - K[0, 2]) / K[0, 0], (v - K[1, 2]) / K[1, 1], np.ones_like(u, dtype=float)],
-        axis=-1,
-    )
-    dirs = dirs_cam @ T_inv[:3, :3].T  # camera depth at parameter t is exactly t
+    origin = np.stack(back_project(rig, 0.0), axis=-1)
+    dirs = np.stack(back_project(rig, 1.0), axis=-1) - origin  # camera depth at t is t
 
     best_t = np.full((H, W), np.inf)
     best_box = np.full((H, W), -1, dtype=np.int64)
@@ -206,14 +199,15 @@ def footprint_to_bev_mask(boxes, grid: BevGridSpec) -> np.ndarray:
 
 
 def generate_scene(spec: SceneSpec, grid: BevGridSpec, dspec: DepthBinSpec) -> SceneBundle:
-    """Build the full bundle; bitwise-reproducible from (spec, grid, dspec)."""
+    """Build the full bundle; bitwise-reproducible from (spec, grid, dspec),
+    under any BLAS: no step makes a BLAS call."""
     rigs = make_ring_rigs(spec)
     root = Rng(spec.seed)
 
     signatures = []
     for bi in range(len(spec.boxes)):
         raw = root.child(1000 + bi).uniform((spec.channels,), -1.0, 1.0)
-        signatures.append((raw / np.linalg.norm(raw)).astype(np.float32))
+        signatures.append((raw / l2(raw)).astype(np.float32))
 
     feats, depths, masks = [], [], []
     for cam_i, rig in enumerate(rigs):

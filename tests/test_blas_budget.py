@@ -11,21 +11,10 @@ import pytest
 
 from dualvt import fusion, nnops
 from dualvt.errors import ConfigError
-from dualvt.fusion import (
-    default_weight_shapes,
-    heads,
-    make_seeded_weights,
-    run_pipeline,
-)
+from dualvt.fusion import default_weight_shapes, heads, make_seeded_weights, run_pipeline
 from dualvt.nnops import WeightBundle, conv2d, one_blas_thread
 from dualvt.rng import Rng
-from test_golden import (  # noqa: F401  (pinned is a fixture)
-    GOLDEN,
-    GOLDEN_DISABLE_M,
-    border_streams,
-    head_digests,
-    pinned,
-)
+from test_golden import GOLDEN, GOLDEN_DISABLE_M, border_streams, pinned_digests, pinned_inputs
 
 
 @pytest.fixture
@@ -46,7 +35,7 @@ def set_checked(set_, get, n):
         pytest.skip(f"the BLAS does not take {n} threads here")
 
 
-def test_heads_run_with_one_blas_thread(blas, pinned, monkeypatch):  # noqa: F811
+def test_heads_run_with_one_blas_thread(blas, monkeypatch):
     """Every head convolution sees a BLAS at one thread, whatever the caller set."""
     get, set_ = blas
     set_checked(set_, get, 2)
@@ -57,16 +46,16 @@ def test_heads_run_with_one_blas_thread(blas, pinned, monkeypatch):  # noqa: F81
         return conv2d(x, w)
 
     monkeypatch.setattr(fusion, "conv2d", recording)
-    bundle, ht, lss, weights = pinned
+    bundle, ht, lss, weights = pinned_inputs()
     run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, weights, threads=2)
     assert seen and set(seen) == {1}
 
 
 @pytest.mark.parametrize("caller", [1, 2])
-def test_run_pipeline_restores_the_callers_count(blas, pinned, caller):  # noqa: F811
+def test_run_pipeline_restores_the_callers_count(blas, caller):
     get, set_ = blas
     set_checked(set_, get, caller)
-    bundle, ht, lss, weights = pinned
+    bundle, ht, lss, weights = pinned_inputs()
     run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, weights, threads=2)
     assert get() == caller
 
@@ -80,10 +69,10 @@ def test_fuse_and_finalize_restores_the_callers_count(blas, caller):
     assert get() == caller
 
 
-def test_count_is_restored_when_the_heads_raise(blas, pinned):  # noqa: F811
+def test_count_is_restored_when_the_heads_raise(blas):
     get, set_ = blas
     set_checked(set_, get, 2)
-    bundle, ht, lss, weights = pinned
+    bundle, ht, lss, weights = pinned_inputs()
     partial = WeightBundle({k: v for k, v in weights.layers.items() if k != "prob.local.out"})
     with pytest.raises(ConfigError, match="prob.local.out"):
         run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, partial)
@@ -115,13 +104,10 @@ def test_interleaved_budgets_restore_the_callers_count(blas):
     assert get() == 2
 
 
-def test_without_a_handle_the_pipeline_keeps_its_bytes(monkeypatch, pinned):  # noqa: F811
+def test_without_a_handle_the_pipeline_keeps_its_bytes(monkeypatch):
     monkeypatch.setattr(nnops, "_BLAS_THREADS", None)
-    bundle, ht, lss, weights = pinned
-    for disable_mask, golden in ((False, GOLDEN), (True, GOLDEN_DISABLE_M)):
-        result = run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, weights,
-                              threads=2, disable_mask=disable_mask)
-        assert head_digests(result) == golden
+    assert pinned_digests(2) == GOLDEN
+    assert pinned_digests(2, disable_mask=True) == GOLDEN_DISABLE_M
 
 
 def head_layer_inputs(channels=64, n=128):

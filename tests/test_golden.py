@@ -5,30 +5,30 @@ of the 2,304 cells carry a feature, and with ``disable-M`` (all-ones
 masks), where 1,640 do.  A third set pins the heads on seeded streams
 whose input cells sit at a corner, next to each edge and in the
 interior, so that the occupancy head's reach meets the grid's border.
-
 The heads' arithmetic contract (see ``dualvt.nnops``) is one float32
 rounding of float64 sums whose order the BLAS picks.  These digests pin
-the resulting bytes; the subprocess test recomputes the heads under
-another OpenBLAS CPU kernel and BLAS thread count.
+the resulting bytes, also when a subprocess builds the scene from its
+spec under another OpenBLAS CPU kernel and BLAS thread count.  The desk
+``standard_scene_spec()`` scene (pinned in test_synth.py) and its six
+pipeline outputs keep their bytes under another OpenBLAS kernel, one BLAS
+thread, and numpy's dispatch to x86-64-v3 or v4 switched off.
 """
 
-import hashlib
-import json
-import os
-import platform
-import subprocess
-import sys
-from pathlib import Path
+import functools
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
-import dualvt
-from conftest import exact_support, small_scene
+from conftest import (NEHALEM, json_in_child, needs_openblas_x86, numpy_on_openblas_x86,
+                      sha256, small_scene)
 from dualvt.fusion import heads, make_seeded_weights, run_pipeline
+from dualvt.geometry import BevGridSpec, make_height_samples
 from dualvt.height_stream import precompute_ht_table
 from dualvt.lift_stream import precompute_lss_table
 from dualvt.rng import Rng
+from dualvt.sampling import DepthBinSpec
+from dualvt.synth import generate_scene, standard_scene_spec
 
 WEIGHT_SEED = 11
 # small_scene(0) with make_seeded_weights(11, 8), at threads 1 and 2
@@ -56,22 +56,9 @@ GOLDEN_BORDER = {
 
 
 def head_digests(result) -> dict:
-    return {
-        name: hashlib.sha256(np.ascontiguousarray(arr, dtype="<f4").tobytes()).hexdigest()
-        for name, arr in (
-            ("F_channel", result.f_channel), ("A", result.affinity),
-            ("P", result.p_bev), ("F", result.f_final),
-        )
-    }
-
-
-def saved_stream_digests(directory) -> dict:
-    """Head digests from the stream outputs saved in `directory`, on the
-    cells where they hold input."""
-    directory = Path(directory)
-    f_lss, f_ht = np.load(directory / "f_lss.npy"), np.load(directory / "f_ht.npy")
-    weights = make_seeded_weights(WEIGHT_SEED, f_ht.shape[0])
-    return head_digests(heads(f_lss, f_ht, exact_support(f_lss, f_ht), weights))
+    fields = {"F_channel": result.f_channel, "A": result.affinity, "P": result.p_bev,
+              "F": result.f_final}
+    return {name: sha256(arr) for name, arr in fields.items()}
 
 
 def border_streams(n=48, channels=8):
@@ -100,87 +87,82 @@ def border_digests() -> dict:
     return head_digests(heads(*border_streams(), make_seeded_weights(WEIGHT_SEED, 8)))
 
 
-@pytest.fixture(scope="module")
-def pinned():
+@functools.cache
+def pinned_inputs():
     bundle, heights = small_scene(0)
     ht = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
     lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
     return bundle, ht, lss, make_seeded_weights(WEIGHT_SEED, bundle.spec.channels)
 
 
-def run_pinned(pinned, threads, disable_mask=False):
-    bundle, ht, lss, weights = pinned
-    return run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, weights,
-                        threads=threads, disable_mask=disable_mask)
+def pinned_digests(threads=1, disable_mask=False) -> dict:
+    """Head digests of the pinned scene, built from its spec."""
+    bundle, ht, lss, weights = pinned_inputs()
+    return head_digests(run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss,
+                                     weights, threads=threads, disable_mask=disable_mask))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_head_matches_golden_digests(pinned, threads):
-    assert head_digests(run_pinned(pinned, threads)) == GOLDEN
+def test_head_matches_golden_digests(threads):
+    assert pinned_digests(threads) == GOLDEN
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_disable_m_head_matches_golden_digests(pinned, threads):
-    assert head_digests(run_pinned(pinned, threads, disable_mask=True)) == GOLDEN_DISABLE_M
+def test_disable_m_head_matches_golden_digests(threads):
+    assert pinned_digests(threads, disable_mask=True) == GOLDEN_DISABLE_M
 
 
 def test_border_head_matches_golden_digests():
     assert border_digests() == GOLDEN_BORDER
 
 
-def _numpy_on_openblas_x86() -> bool:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):
-        return False
-    return "openblas" in blas.lower() and platform.machine().lower() in ("x86_64", "amd64")
-
-
-def nehalem_digests(call, blas_threads=1):
-    """`test_golden.<call>` run in a subprocess under OpenBLAS's Nehalem
-    kernels, which run on any x86-64 CPU and sum in another order than
-    the AVX kernels picked on newer ones."""
-    paths = [str(Path(dualvt.__file__).parents[1]), str(Path(__file__).parent)]
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
-        "OPENBLAS_CORETYPE": "Nehalem",
-        "OPENBLAS_NUM_THREADS": str(blas_threads),
-    }
-    code = f"import json, test_golden; print(json.dumps(test_golden.{call}))"
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def digests_on_nehalem(pinned, tmp_path, disable_mask):
-    """Head digests of the pinned run, and of the same stream outputs under
-    the Nehalem kernels."""
-    result = run_pinned(pinned, threads=1, disable_mask=disable_mask)
-    np.save(tmp_path / "f_lss.npy", result.f_lss)
-    np.save(tmp_path / "f_ht.npy", result.f_ht)
-    return nehalem_digests(f"saved_stream_digests({str(tmp_path)!r})"), head_digests(result)
-
-
-needs_openblas_x86 = pytest.mark.skipif(
-    not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, x86-64"
-)
+@needs_openblas_x86
+def test_head_digests_hold_on_another_openblas_core():
+    assert json_in_child("test_golden", "pinned_digests()", **NEHALEM) == GOLDEN
 
 
 @needs_openblas_x86
-def test_head_digests_hold_on_another_openblas_core(pinned, tmp_path):
-    nehalem, here = digests_on_nehalem(pinned, tmp_path, disable_mask=False)
-    assert nehalem == here == GOLDEN
-
-
-@needs_openblas_x86
-def test_disable_m_head_digests_hold_on_another_openblas_core(pinned, tmp_path):
-    nehalem, here = digests_on_nehalem(pinned, tmp_path, disable_mask=True)
-    assert nehalem == here == GOLDEN_DISABLE_M
+def test_disable_m_head_digests_hold_on_another_openblas_core():
+    assert json_in_child("test_golden", "pinned_digests(1, True)", **NEHALEM) == GOLDEN_DISABLE_M
 
 
 @needs_openblas_x86
 @pytest.mark.parametrize("blas_threads", [1, 2])
 def test_border_head_digests_hold_on_another_openblas_core(blas_threads):
-    assert nehalem_digests("border_digests()", blas_threads) == GOLDEN_BORDER
+    env = {**NEHALEM, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    assert json_in_child("test_golden", "border_digests()", **env) == GOLDEN_BORDER
+
+
+@functools.cache
+def standard_scene_digests(cpu_group_off=None) -> dict:
+    """SHA-256 of the desk standard scene, built from its spec (pinned in
+    test_synth.py), and of its six pipeline outputs, masked and with
+    disable-M.  With `cpu_group_off`, first checks that numpy's dispatch to
+    that CPU feature group is switched off."""
+    assert cpu_group_off is None or not __cpu_features__[cpu_group_off]
+    bundle = generate_scene(standard_scene_spec(), BevGridSpec(), DepthBinSpec())
+    digests = {"scene": sha256(*bundle.feats, *bundle.depths, *bundle.masks)}
+    ht = precompute_ht_table(bundle.rigs, bundle.grid, make_height_samples("multires"),
+                             bundle.dspec)
+    lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    weights = make_seeded_weights(WEIGHT_SEED, bundle.spec.channels)
+    for mode, disable_mask in (("masked", False), ("disable-M", True)):
+        result = run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, weights,
+                              disable_mask=disable_mask)
+        for name, arr in vars(result).items():
+            digests[f"{mode}/{name}"] = sha256(arr)
+    return digests
+
+
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_CORETYPE": "Nehalem"},
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3"},
+], ids=["nehalem", "blas-1-thread", "no-x86-v4", "no-x86-v3"])
+def test_standard_scene_digests_hold_in_another_environment(env):
+    group = env.get("NPY_DISABLE_CPU_FEATURES")
+    if not (__cpu_features__.get(group) if group else numpy_on_openblas_x86()):
+        pytest.skip(f"this CPU has no {group}" if group else "needs numpy on OpenBLAS, x86-64")
+    assert json_in_child("test_golden", f"standard_scene_digests({group!r})",
+                         **env) == standard_scene_digests()

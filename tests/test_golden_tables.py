@@ -7,23 +7,15 @@ rebuilds the tables under another OpenBLAS CPU kernel and one BLAS thread.
 """
 
 import hashlib
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-import pytest
-
-import dualvt
-from conftest import small_scene
+from conftest import NEHALEM, json_in_child, needs_openblas_x86, small_scene
 from dualvt.geometry import BevGridSpec, make_height_samples
 from dualvt.height_stream import precompute_ht_table
 from dualvt.lift_stream import precompute_lss_table
 from dualvt.sampling import DepthBinSpec
 from dualvt.synth import make_ring_rigs, standard_scene_spec
 from dualvt.tables import write_table
-from test_golden import _numpy_on_openblas_x86
 
 # SHA-256 of the files `dualvt precompute` writes (multires heights): small_scene(0)'s
 # rigs and geometry, and standard_scene_spec() at the desk scale
@@ -63,18 +55,7 @@ def test_tables_match_golden_digests(tmp_path):
     assert table_digests(tmp_path) == GOLDEN
 
 
-@pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, x86-64")
+@needs_openblas_x86
 def test_table_digests_hold_on_another_openblas_core(tmp_path):
-    paths = [str(Path(dualvt.__file__).parents[1]), str(Path(__file__).parent)]
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
-        "OPENBLAS_CORETYPE": "Nehalem",
-        "OPENBLAS_NUM_THREADS": "1",
-    }
-    code = ("import sys, json, test_golden_tables; "
-            "print(json.dumps(test_golden_tables.table_digests(sys.argv[1])))")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == GOLDEN
+    assert json_in_child("test_golden_tables", f"table_digests({str(tmp_path)!r})",
+                         **NEHALEM) == GOLDEN
