@@ -199,8 +199,8 @@ def footprint_to_bev_mask(boxes, grid: BevGridSpec) -> np.ndarray:
 
 
 def generate_scene(spec: SceneSpec, grid: BevGridSpec, dspec: DepthBinSpec) -> SceneBundle:
-    """Build the full bundle; bitwise-reproducible from (spec, grid, dspec),
-    under any BLAS: no step makes a BLAS call."""
+    """Build the full bundle; bitwise-reproducible from (spec, grid, dspec)
+    under any BLAS, as no step makes a BLAS call (trig is the platform libm's)."""
     rigs = make_ring_rigs(spec)
     root = Rng(spec.seed)
 

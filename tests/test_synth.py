@@ -20,8 +20,7 @@ from dualvt.synth import (
 )
 
 GRID, DSPEC, _ = small_geometry()
-# generate_scene(standard_scene_spec(), BevGridSpec(), DepthBinSpec()): every
-# camera's features, then every camera's depths, then every camera's masks
+# SHA-256 of the desk standard scene's features, then depths, then masks
 GOLDEN_SCENE = "8253b0ec4aefa93011faaf33ba06ab566c40139fa9a725d61252054c7028b344"
 
 
@@ -160,11 +159,12 @@ class TestFootprint:
 
 class TestGenerateScene:
     def test_bitwise_determinism(self):
-        """The desk scene has its pinned bytes on every run and machine: synth
-        makes no BLAS call (test_no_blas.py), and test_golden.py rebuilds it
-        under other OpenBLAS kernels and numpy's dispatch off."""
-        bundle = generate_scene(standard_scene_spec(), BevGridSpec(), DepthBinSpec())
-        assert sha256(*bundle.feats, *bundle.depths, *bundle.masks) == GOLDEN_SCENE
+        """Two runs give the pinned bytes and one gt_bev under any BLAS (test_no_blas.py,
+        test_golden.py); trig is the platform libm's, pinned on x86-64 Linux."""
+        a, b = (generate_scene(standard_scene_spec(), BevGridSpec(), DepthBinSpec()) for _ in "ab")
+        for x in (a, b):
+            assert sha256(*x.feats, *x.depths, *x.masks) == GOLDEN_SCENE
+        assert np.array_equal(a.gt_bev, b.gt_bev)
 
     def test_seed_changes_features(self):
         a = generate_scene(standard_scene_spec(seed=5), GRID, DSPEC)
