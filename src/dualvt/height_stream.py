@@ -5,8 +5,9 @@ every camera and weighted by the depth distribution (projection
 probability) and the instance mask (image probability).  The accelerated
 path rounds all coordinates so the indices become input-independent and
 can be precomputed into a scatter-sum lookup table.  The reference path
-samples every point directly, by rounding (a table-free check of the
-table path) or with interpolating samplers.
+samples every point directly: the depth x mask x feature product at the
+nearest voxel (a table-free check of the table path), or that product
+interpolated trilinearly as one volume.
 
 The BEV occupancy probability is deliberately NOT applied here; the
 fusion stage applies it exactly once to the fused feature.
@@ -17,12 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import BevGridSpec, HeightSet, bev_cell_centers, project_points
-from .sampling import (
-    DepthBinSpec,
-    bilinear_sample_2d_many,
-    depth_to_coord,
-    trilinear_sample_3d_many,
-)
+from .sampling import DepthBinSpec, depth_to_coord, trilinear_product
 from .scatter import support_grid, weighted_scatter
 from .tables import HT_MAGIC, IndexTable, build_table, check_camera_tensors, stack_frame
 from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench's tracer
@@ -125,10 +121,12 @@ def ht_transform_naive(
 
     One loop over cameras and, inside it, heights: every cell's anchor
     point at that height is projected into the camera and sampled there.
-    ROUND takes the nearest depth, mask and feature values (halves away
-    from zero, points outside the feature map or the bin range dropped);
-    INTERP uses the trilinear and bilinear samplers.  Each sample adds
-    ``depth * mask * feature`` to its cell with one row update.  A cell
+    ROUND takes ``(depth * mask) * feature`` at the nearest voxel (halves
+    away from zero, points outside the feature map or the bin range
+    dropped).  INTERP interpolates the same product field trilinearly
+    (`sampling.trilinear_product`, one walk over the eight (depth bin, v, u)
+    corners), so depth and mask always meet at one pixel.  Each sample's
+    contribution goes to its cell with one row update.  A cell
     occurs at most once per (camera, height), so the loop nesting alone
     gives every cell its additions in (camera, height) order from +0.0,
     the order of the table's entries: ROUND equals ht_transform_fast
@@ -148,13 +146,14 @@ def ht_transform_naive(
     for feat, depth, mask, rig in zip(feats, depths, masks, rigs):
         u, v, d, valid = project_points(*points, rig)
         for h in range(len(heights)):
-            rows, w, f = sample(feat, depth, mask, u[h], v[h], d[h], valid[h], dspec)
-            acc[rows] += w[:, None] * f
+            rows, contrib = sample(feat, depth, mask, u[h], v[h], d[h], valid[h], dspec)
+            acc[rows] += contrib
     return acc.T.reshape(C, grid.ny, grid.nx).astype(np.float32)
 
 
 def _nearest_samples(feat, depth, mask, u, v, d, valid, dspec):
-    """Rows of the in-range points, their depth*mask weights and (n, C) features."""
+    """Rows of the in-range points and their (n, C) float64 contributions
+    (depth * mask) * feature, at the nearest voxel."""
     n_bins, H, W = depth.shape
     j = round_half_away(u)
     i = round_half_away(v)
@@ -164,12 +163,10 @@ def _nearest_samples(feat, depth, mask, u, v, d, valid, dspec):
     )
     j, i, k = (a[rows].astype(np.int64) for a in (j, i, k))
     w = depth[k, i, j].astype(np.float64) * mask[0, i, j].astype(np.float64)
-    return rows, w, feat[:, i, j].T
+    return rows, w[:, None] * feat[:, i, j].T
 
 
 def _interp_samples(feat, depth, mask, u, v, d, valid, dspec):
     """As _nearest_samples, for every point in front of the camera, interpolated."""
     rows = np.flatnonzero(valid)
-    u, v, d = u[rows], v[rows], d[rows]
-    w = trilinear_sample_3d_many(depth, u, v, d, dspec) * bilinear_sample_2d_many(mask, u, v)[:, 0]
-    return rows, w, bilinear_sample_2d_many(feat, u, v)
+    return rows, trilinear_product(feat, depth, mask, u[rows], v[rows], d[rows], dspec)

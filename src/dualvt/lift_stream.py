@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import BevGridSpec, back_project
 from .sampling import DepthBinSpec
 from .scatter import support_grid, weighted_scatter
-from .tables import LSS_MAGIC, IndexTable, build_table, stack_frame
+from .tables import LSS_MAGIC, IndexTable, build_table, check_camera_tensors, stack_frame
 from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench's tracer
 
 
@@ -72,7 +72,10 @@ def lss_pool_reference(
     table's cell.  One ``np.add.at`` per bin adds them in pixel order from
     +0.0 in float64; cameras, then bins, run in the table's within-cell
     order (camera, depth index), so the result must match lss_pool bitwise.
+    The inputs are checked as the table path checks them.
     """
+    rig0 = rigs[0]
+    check_camera_tensors(feats, depths, masks, len(rigs), rig0.feat_h, rig0.feat_w, dspec.n_bins)
     C = feats[0].shape[0]
     acc = np.zeros((grid.n_cells, C), dtype=np.float64)
     for feat, depth, mask, rig in zip(feats, depths, masks, rigs):

@@ -1,17 +1,20 @@
-"""Bilinear sampling over feature maps and trilinear sampling over depth volumes.
+"""Depth binning, and the one interpolating sampler: depth x mask x feature
+interpolated trilinearly as one volume.
 
 Coordinates are unnormalized feature-pixel coordinates with pixel centers
-at integers: pixel (row i, col j) sits at (u=j, v=i).  Out-of-range
-samples use zero padding, so a query fully outside [-1, W] x [-1, H]
-returns zeros and border queries blend with implicit zero neighbors.
+at integers: pixel (row i, col j) sits at (u=j, v=i).  Voxel (k, i, j) of
+the product volume holds depth[k, i, j] * mask[0, i, j] * feat[:, i, j],
+the value the rounded height table takes at its nearest voxel.
 
-Both samplers walk the same interpolation corners, in float64: axes
-(v, u) for the bilinear sampler and (depth bin, v, u) for the trilinear
-one.  The 2^k corners run in lexicographic 0/1 order, the last axis
-fastest, and each adds weight * value to the point's sum, from +0.0.  A
-corner's weight is its per-axis factors (1 - frac, or frac for the upper
-corner) multiplied left to right.  A corner out of range reads a one-cell
-zero border, so a point fully outside the map sums to exactly +0.0.
+The sampler walks a point's eight (depth bin, v, u) corners in float64,
+in lexicographic 0/1 order, the last axis fastest.  A corner's weight is
+its per-axis factors (1 - frac, or frac for the upper corner) multiplied
+left to right, and it adds ((weight * depth) * mask) * feature to the
+point's sum, from +0.0, with mask and feature read at the corner's pixel.
+Out-of-range samples use zero padding: a corner outside the volume reads
+a one-cell zero border, so a point fully outside the feature map sums to
+exactly +0.0, and one fully outside the bin range does so for finite
+masks and features.
 """
 
 from __future__ import annotations
@@ -75,30 +78,20 @@ def _corners(shape, *coords):
         yield np.ravel_multi_index(at, padded), functools.reduce(operator.mul, factors)
 
 
-def bilinear_sample_2d_many(feat: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sample (C, H, W) at N points; returns (N, C) float64."""
-    C, H, W = feat.shape
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    flat = np.pad(feat, ((0, 0), (1, 1), (1, 1))).reshape(C, -1).T.astype(np.float64)
-    out = np.zeros((u.shape[0], C), dtype=np.float64)
-    for idx, w in _corners((H, W), v, u):
-        out += w[:, None] * flat[idx]
-    return out
-
-
-def trilinear_sample_3d_many(
-    depth: np.ndarray, u: np.ndarray, v: np.ndarray, d: np.ndarray, spec: DepthBinSpec
+def trilinear_product(
+    feat: np.ndarray, depth: np.ndarray, mask: np.ndarray,
+    u: np.ndarray, v: np.ndarray, d: np.ndarray, spec: DepthBinSpec,
 ) -> np.ndarray:
-    """Sample a (C_D, H, W) depth volume at N (u, v, depth-in-meters) points.
-
-    Linear along the bin axis between the two bilinear slices, zero
-    padded outside the bin range.  Returns (N,) float64.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    flat = np.pad(depth, 1).reshape(-1).astype(np.float64)
-    out = np.zeros(u.shape[0], dtype=np.float64)
-    for idx, w in _corners(depth.shape, depth_to_coord(d, spec), v, u):
-        out += w * flat[idx]
+    """Sample depth x mask x feature at N points, float64 arrays u, v and d
+    (depth in meters), of a (C, H, W) feature map, its (n_bins, H, W) depth
+    volume and (1, H, W) mask; returns (N, C) float64."""
+    shape, C = depth.shape, feat.shape[0]
+    plane = (shape[1] + 2) * (shape[2] + 2)  # a padded voxel index modulo this: its pixel
+    depth = np.pad(depth, 1).reshape(-1).astype(np.float64)
+    mask = np.pad(mask[0], 1).reshape(-1).astype(np.float64)
+    feat = np.pad(feat, ((0, 0), (1, 1), (1, 1))).reshape(C, -1).T.astype(np.float64)
+    out = np.zeros((len(u), C), dtype=np.float64)
+    for idx, w in _corners(shape, depth_to_coord(d, spec), v, u):
+        pix = idx % plane
+        out += ((w * depth[idx]) * mask[pix])[:, None] * feat[pix]
     return out

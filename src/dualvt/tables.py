@@ -236,12 +236,11 @@ def read_table(path, expect_magic: bytes) -> IndexTable:
 
 
 def stack_camera_tensors(per_cam) -> np.ndarray:
-    """Stack per-camera (C, H, W) tensors into (C, n_cams*H*W): a view of
-    (n_cams*H*W, C) memory, whose rows the scatter gathers without a copy."""
+    """Stack per-camera (C, H, W) tensors of one shape (`check_camera_tensors`)
+    into (C, n_cams*H*W): a view of (n_cams*H*W, C) memory, whose rows the
+    scatter gathers without a copy."""
     arrs = [np.asarray(a) for a in per_cam]
     shape = arrs[0].shape
-    if any(a.shape != shape for a in arrs):
-        raise IndexOutOfRange("camera tensors have differing shapes")
     # concatenate alone would keep its inputs' column-major order
     stacked = np.empty((len(arrs) * arrs[0][0].size, shape[0]), dtype=np.result_type(*arrs))
     return np.concatenate([a.reshape(shape[0], -1).T for a in arrs], out=stacked).T
@@ -258,7 +257,9 @@ def stack_frame(feats, depths, masks, *tables):
 
 
 def check_camera_tensors(feats, depths, masks, n_cams, feat_h, feat_w, n_bins) -> None:
-    """Input check shared by both streams: per-camera shapes, camera count, finiteness.
+    """Input check shared by both streams and their oracles: camera count,
+    per-camera shapes (every feature map with camera 0's channel count),
+    finiteness.
 
     Finite inputs are the precondition of the scatter's zero-weight skip
     (``0 * inf`` is NaN, a skipped entry is not), so NaN or Inf anywhere
@@ -268,13 +269,12 @@ def check_camera_tensors(feats, depths, masks, n_cams, feat_h, feat_w, n_bins) -
         raise ShapeMismatch("per-camera tensor lists have different lengths")
     if len(feats) != n_cams:
         raise ShapeMismatch(f"{len(feats)} cameras, geometry has {n_cams}")
-    for f, d, m in zip(feats, depths, masks):
-        if f.shape[1:] != (feat_h, feat_w):
-            raise ShapeMismatch(f"feature shape {f.shape} != (*, {feat_h}, {feat_w})")
-        if d.shape != (n_bins, feat_h, feat_w):
-            raise ShapeMismatch(f"depth shape {d.shape} != ({n_bins}, {feat_h}, {feat_w})")
-        if m.shape != (1, feat_h, feat_w):
-            raise ShapeMismatch(f"mask shape {m.shape} != (1, {feat_h}, {feat_w})")
+    for cam, (f, d, m) in enumerate(zip(feats, depths, masks)):
+        for name, got, want in (("feature", f.shape, (*feats[0].shape[:1], feat_h, feat_w)),
+                                ("depth", d.shape, (n_bins, feat_h, feat_w)),
+                                ("mask", m.shape, (1, feat_h, feat_w))):
+            if got != want:
+                raise ShapeMismatch(f"camera {cam}: {name} shape {got} != {want}")
     for name, arrs in (("feature", feats), ("depth", depths), ("mask", masks)):
         if not all(np.isfinite(a).all() for a in arrs):
             raise NonFiniteValue(f"{name} tensor has NaN or Inf values")

@@ -368,6 +368,18 @@ def test_interp_round_proximity_on_smooth_fields():
     assert gap <= 0.15
 
 
+def test_interp_is_zero_where_depth_times_mask_is(small_bundle):
+    """INTERP interpolates depth x mask x feature as one volume: with the
+    depth zeroed wherever the mask is on, that product is 0 at every voxel,
+    so every cell reads +0.0, though depth and mask are nonzero side by side."""
+    bundle, heights = small_bundle
+    depths = [d * (m == 0) for d, m in zip(bundle.depths, bundle.masks)]
+    assert any(m.any() for m in bundle.masks) and all(d.any() for d in depths)
+    out = ht_transform_naive(bundle.feats, depths, bundle.masks, bundle.rigs, bundle.grid,
+                             heights, bundle.dspec, mode=INTERP)
+    assert not out.view(np.uint32).any()
+
+
 def test_latency_fast_vs_interp(small_bundle):
     """The lookup-table path must clearly outrun interpolation even at small scale."""
     import time

@@ -7,10 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dualvt.errors import ConfigError, IndexOutOfRange
+from dualvt.errors import ConfigError, IndexOutOfRange, ShapeMismatch
+from dualvt.fusion import make_seeded_weights, run_pipeline
 from dualvt.geometry import BevGridSpec
-from dualvt.height_stream import precompute_ht_table
-from dualvt.lift_stream import precompute_lss_table
+from dualvt.height_stream import ROUND, ht_transform_naive, precompute_ht_table
+from dualvt.lift_stream import lss_pool_reference, precompute_lss_table
 from dualvt.sampling import DepthBinSpec
 from dualvt.synth import generate_scene, random_scene_spec
 from dualvt.tables import (
@@ -229,3 +230,38 @@ def test_fingerprint_covers_rigs_grid_bins_and_heights(small_bundle):
     }
     for name, change in changes.items():
         assert geometry_fingerprint(**{**built, **change}) != base, name
+
+
+def camera_one_cut(bundle, which="feats"):
+    """The bundle's (feats, depths, masks) with camera 1's feature cut to 7
+    channels, or its depth volume cut by one bin."""
+    inputs = {"feats": list(bundle.feats), "depths": list(bundle.depths), "masks": bundle.masks}
+    inputs[which][1] = inputs[which][1][:-1]
+    return inputs["feats"], inputs["depths"], inputs["masks"]
+
+
+class TestCameraTensorCheck:
+    """Every entry point refuses a camera whose tensors disagree with the
+    geometry or with camera 0's channel count, in one ShapeMismatch naming it."""
+
+    def test_run_pipeline(self, small_bundle):
+        bundle, heights = small_bundle
+        tables = (precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec),
+                  precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec))
+        weights = make_seeded_weights(11, bundle.spec.channels)
+        with pytest.raises(ShapeMismatch, match=r"camera 1: feature shape \(7, 10, 24\) "
+                                                r"!= \(8, 10, 24\)"):
+            run_pipeline(*camera_one_cut(bundle), *tables, weights)
+
+    def test_ht_transform_naive(self, small_bundle):
+        bundle, heights = small_bundle
+        with pytest.raises(ShapeMismatch, match="camera 1: feature shape"):
+            ht_transform_naive(*camera_one_cut(bundle), bundle.rigs, bundle.grid, heights,
+                               bundle.dspec, mode=ROUND)
+
+    @pytest.mark.parametrize("which, name", [("feats", "feature"), ("depths", "depth")])
+    def test_lss_pool_reference(self, small_bundle, which, name):
+        bundle, _ = small_bundle
+        with pytest.raises(ShapeMismatch, match=f"camera 1: {name} shape"):
+            lss_pool_reference(*camera_one_cut(bundle, which), bundle.rigs, bundle.grid,
+                               bundle.dspec)
