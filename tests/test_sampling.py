@@ -214,6 +214,40 @@ def factor(frac, upper):
     return frac if upper else 1 - frac
 
 
+def bilinear_by_hand(feat, u, v):
+    """One point's bilinear sample in Python floats, a corner at a time:
+    (di, dj) in lexicographic order, weight (v factor) * (u factor) times
+    the corner's value, +0.0 out of range, summed from +0.0."""
+    C, H, W = feat.shape
+    i0, j0 = math.floor(v), math.floor(u)
+    fv, fu = v - i0, u - j0
+    total = [0.0] * C
+    for di in (0, 1):
+        for dj in (0, 1):
+            i, j = i0 + di, j0 + dj
+            w = factor(fv, di) * factor(fu, dj)
+            values = feat[:, i, j].tolist() if 0 <= i < H and 0 <= j < W else [0.0] * C
+            total = [t + w * x for t, x in zip(total, values)]
+    return total
+
+
+def trilinear_by_hand(depth, u, v, d):
+    """As bilinear_by_hand over (dk, di, dj), the depth bin first, under SPEC."""
+    K, H, W = depth.shape
+    c = (d - SPEC.d_min) / SPEC.step - 0.5
+    k0, i0, j0 = math.floor(c), math.floor(v), math.floor(u)
+    fk, fv, fu = c - k0, v - i0, u - j0
+    total = 0.0
+    for dk in (0, 1):
+        for di in (0, 1):
+            for dj in (0, 1):
+                k, i, j = k0 + dk, i0 + di, j0 + dj
+                w = factor(fk, dk) * factor(fv, di) * factor(fu, dj)
+                inside = 0 <= k < K and 0 <= i < H and 0 <= j < W
+                total = total + w * (float(depth[k, i, j]) if inside else 0.0)
+    return total
+
+
 def product_by_hand(feat, depth, mask, u, v, d):
     """One point's sample in Python floats, a corner at a time: (dk, di, dj)
     in lexicographic order, weight (bin factor) * (v factor) * (u factor),
@@ -248,7 +282,33 @@ def with_generic_points(seed, points, lows, highs):
 
 
 class TestCornerBits:
-    """The sampler equals the by-hand corner walk bit for bit."""
+    """The sampler equals the by-hand corner walks bit for bit: in the (v, u)
+    plane, along the depth axis, and over the whole product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(coordinate(-3, 7), coordinate(-3, 6)), max_size=12))
+    def test_bilinear(self, seed, points):
+        """At bin 0's centre, over a depth volume and a mask of ones."""
+        feat = Rng(seed).uniform((3, 4, 5), -2.0, 2.0)
+        points = with_generic_points(seed, points, (-3, -3), (7, 6))
+        u, v = zip(*points)
+        got = sample(feat, ones(SPEC.n_bins, 4, 5), ones(1, 4, 5), u, v,
+                     [SPEC.bin_center(0)] * len(points))
+        want = np.array([bilinear_by_hand(feat, *p) for p in points], dtype=np.float64)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(coordinate(-3, 7), coordinate(-3, 6), depth_in_meters),
+                    max_size=12))
+    def test_trilinear(self, seed, points):
+        """Over the depth volume alone: a mask and a one-channel feature of ones."""
+        depth = Rng(seed).uniform((SPEC.n_bins, 4, 5), 0.0, 1.0)
+        points = with_generic_points(seed, points, (-3, -3, 0), (7, 6, 12))
+        got = sample(ones(1, 4, 5), depth, ones(1, 4, 5), *zip(*points))[:, 0]
+        want = np.array([trilinear_by_hand(depth, *p) for p in points], dtype=np.float64)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1),
