@@ -124,7 +124,10 @@ def conv2d(x: np.ndarray, w: Conv2dWeights) -> np.ndarray:
         raise ShapeMismatch(f"input has {x.shape[0]} channels, kernel expects {c_in}")
     _, H, W = x.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    xp = x  # a 1x1 kernel reads its input in place
+    if ph or pw:
+        xp = np.zeros((c_in, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
+        xp[:, ph:ph + H, pw:pw + W] = x
     kernel = w.kernel.reshape(c_out, -1).astype(np.float64)
     bias = w.bias.astype(np.float64)[:, None]
     out = np.empty((c_out, H, W), dtype=np.float32)

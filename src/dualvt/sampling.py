@@ -11,10 +11,12 @@ in lexicographic 0/1 order, the last axis fastest.  A corner's weight is
 its per-axis factors (1 - frac, or frac for the upper corner) multiplied
 left to right, and it adds ((weight * depth) * mask) * feature to the
 point's sum, from +0.0, with mask and feature read at the corner's pixel.
-Out-of-range samples use zero padding: a corner outside the volume reads
-a one-cell zero border, so a point fully outside the feature map sums to
-exactly +0.0, and one fully outside the bin range does so for finite
-masks and features.
+A corner whose coefficient ``(weight * depth) * mask`` is zero is skipped:
+with a finite feature its term is ±0.0, which moves no bit of a sum
+started at +0.0.  Out-of-range samples use zero padding: a corner outside
+the volume reads a one-cell zero border, so a point fully outside the
+feature map sums to exactly +0.0, and one fully outside the bin range
+does so for finite masks.
 """
 
 from __future__ import annotations
@@ -93,5 +95,7 @@ def trilinear_product(
     out = np.zeros((len(u), C), dtype=np.float64)
     for idx, w in _corners(shape, depth_to_coord(d, spec), v, u):
         pix = idx % plane
-        out += ((w * depth[idx]) * mask[pix])[:, None] * feat[pix]
+        coef = (w * depth[idx]) * mask[pix]
+        live = np.flatnonzero(coef)  # a zero coefficient adds ±0.0, which moves no bit
+        out[live] += coef[live, None] * feat[pix[live]]
     return out

@@ -31,16 +31,20 @@ Accumulation contract:
 - Surviving entries are applied rank by rank: first every cell's first
   survivor, then every cell's second, and so on.  Each worker orders its
   rows by descending run length, ties in cell order, so the runs that
-  reach rank r are its first n_r rows and a rank is one in-place add
-  ``acc[s:e] += contrib`` into contiguous float64 rows.  Each cell adds
-  its survivors in entry order, bit for bit as one sequential pass, and
-  each row is rounded to float32 once, as the worker writes it out.  One
-  ``searchsorted`` gives every cell's run, so no per-entry cell column
-  exists: of the survivors' positions into the offsets while the
+  reach rank r are its first n_r rows.  It walks its survivors
+  rank-major, ``CHUNK_ENTRIES`` at a time: a chunk's positions follow
+  from the ranks' row counts, one gather and one float64 product serve
+  the whole chunk, and each rank's piece of it is one in-place add
+  ``acc[a:b] += prod[piece]`` into contiguous float64 rows.  Each cell
+  adds its survivors in entry order, bit for bit as one sequential pass,
+  and each row is rounded to float32 once, as the worker writes it out.
+  One ``searchsorted`` gives every cell's run, so no per-entry cell
+  column exists: of the survivors' positions into the offsets while the
   survivors are fewer (a masked frame), else of the offsets into them.
-- A rank goes through in chunks of ``CHUNK_ENTRIES`` entries, whose
-  float32 feature gather and float64 product take ``CHUNK_ENTRIES * C *
-  12`` bytes; each worker also holds a float64 accumulator for its rows.
+- A chunk's float32 feature gather and float64 product take
+  ``CHUNK_ENTRIES * C * 12`` bytes.  Each worker writes its products into
+  one buffer that it reuses for every chunk, so no two chunks' products
+  are alive at once; it also holds a float64 accumulator for its rows.
 - The survivors are found on the calling thread.  Threads then split the
   support's rows into ranges of about equal survivors: runs are
   disjoint, so no value depends on the split.
@@ -53,8 +57,8 @@ from contextlib import nullcontext
 
 import numpy as np
 
-# entries per in-place add; at 64 channels a chunk's float32 gather and
-# float64 product take 8192 * 64 * 12 bytes = 6.3 MB
+# survivors per gather and product; at 64 channels a chunk's float32 gather
+# and float64 product take 8192 * 64 * 12 bytes = 6.3 MB
 CHUNK_ENTRIES = 8192
 
 
@@ -151,14 +155,24 @@ def _accumulate(out, feats_t, w, fi, first, end):
     neg_len = first - end  # minus each run's length
     order = np.argsort(neg_len, kind="stable")  # longest run first, ties in row order
     first, neg_len = first[order], neg_len[order]
+    # rank r covers rows [0, n_r), the runs longer than r; walked rank-major,
+    # its entries are the walk's [base[r], base[r + 1])
+    n_r = np.searchsorted(neg_len, -np.arange(-neg_len[0]))
+    base = np.concatenate([[0], np.cumsum(n_r)])
+    bounds = base.tolist()
     acc = np.zeros(out.shape, dtype=np.float64)
-    for r in range(-neg_len[0]):
-        n = np.searchsorted(neg_len, -r)  # the runs longer than r: a prefix
-        for s in range(0, n, CHUNK_ENTRIES):
-            pos = first[s:min(s + CHUNK_ENTRIES, n)] + r
-            # float32 gather upcasts exactly: each add is the float64
-            # reference's acc + w * feature, bit for bit
-            acc[s:s + pos.size] += w[pos, None] * feats_t[fi[pos]]
+    prod = np.empty((min(CHUNK_ENTRIES, bounds[-1]), out.shape[1]), dtype=np.float64)
+    for s in range(0, bounds[-1], CHUNK_ENTRIES):
+        e = min(s + CHUNK_ENTRIES, bounds[-1])
+        at = np.arange(s, e)
+        rank = np.searchsorted(base, at, side="right") - 1
+        pos = first[at - base[rank]] + rank
+        # float32 gather upcasts exactly: each add is the float64
+        # reference's acc + w * feature, bit for bit
+        np.multiply(w[pos, None], feats_t[fi[pos]], out=prod[:e - s])
+        for r in range(int(rank[0]), int(rank[-1]) + 1):  # one add per rank in the chunk
+            a, b = max(bounds[r], s), min(bounds[r + 1], e)
+            acc[a - bounds[r]:b - bounds[r]] += prod[a - s:b - s]
     out[order] = acc  # one float32 rounding per row
 
 

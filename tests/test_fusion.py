@@ -12,6 +12,7 @@ from dualvt.fusion import (
     _PACKED_MAX_SHARE,
     _WRITE_MAX_SHARE,
     _ActiveCells,
+    _reach,
     assemble_final,
     bev_probability,
     default_weight_shapes,
@@ -455,6 +456,34 @@ def placed_cell(place, d, ny, nx, along):
 
 
 PLACES = ["top", "bottom", "left", "right", "tl", "tr", "bl", "br"]
+
+
+def dilation(mask, ry, rx):
+    """Mask of the cells within `ry` rows and `rx` columns of a cell of `mask`."""
+    out = np.zeros_like(mask)
+    for y, x in zip(*np.nonzero(mask)):
+        out[max(y - ry, 0):y + ry + 1, max(x - rx, 0):x + rx + 1] = True
+    return out
+
+
+class TestReach:
+    """`_reach` pads the cells with +0.0 and ORs the kernel's shifts; at every
+    edge and corner, up to a kernel taller or wider than the grid, it is the
+    plain dilation."""
+
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (7, 7), (3, 5), (5, 1)])
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    @pytest.mark.parametrize("ny, nx", [(9, 11), (2, 13)])
+    def test_matches_dilation_at_edges_and_corners(self, kernel, place, d, ny, nx):
+        w = Conv2dWeights(kernel=np.zeros((1, 1) + kernel, dtype=np.float32),
+                          bias=np.zeros(1, dtype=np.float32))
+        one = support_of([placed_cell(place, d, ny, nx, 0.5)], ny, nx)
+        every = support_of([placed_cell(p, d, ny, nx, 0.5) for p in PLACES], ny, nx)
+        for cells in (one, every):
+            got = _reach(cells, w)
+            assert got.dtype == bool and got.shape == (ny, nx)
+            assert np.array_equal(got, dilation(cells, kernel[0] // 2, kernel[1] // 2))
 
 
 class TestBorderBackground:

@@ -135,6 +135,19 @@ class TestConv2d:
         assert out.dtype == np.float32
         assert ulp_distance(out, ref).max() <= 1
 
+    def test_one_by_one_reads_its_input_in_place(self):
+        """A 1x1 layer reads its input without padding it: the input keeps
+        its bytes, and the output is memory of its own."""
+        rng = Rng(6)
+        x = rng.uniform((5, 9, 7), -1.0, 1.0)
+        before = x.copy()
+        w = Conv2dWeights(kernel=rng.uniform((5, 5, 1, 1), -1.0, 1.0),
+                          bias=rng.uniform((5,), -1.0, 1.0))
+        out = conv2d(x, w)
+        assert np.array_equal(x.view(np.uint32), before.view(np.uint32))
+        assert not np.shares_memory(out, x)
+        assert np.array_equal(out.view(np.uint32), conv2d(before, w).view(np.uint32))
+
     def test_memory_is_row_blocked(self):
         """The 3x3 64->16 layer on a 128x128 grid stays below half of one
         unblocked float64 window matrix (C_in*9*H*W*8 bytes)."""

@@ -68,6 +68,17 @@ def _offsets(cells, n_cells):
     return np.concatenate([[0], np.cumsum(np.bincount(cells, minlength=n_cells))])
 
 
+def _rank_edge_chunks(args, n_cells):
+    """CHUNK_ENTRIES values that put chunk edges at rank edges of the one-thread
+    walk, whose rank 0 holds a row for each of the n0 support cells: 1; n0, so
+    a chunk ends exactly where rank 0 does; n0 - 1, so one ends inside rank 0;
+    and n0 // 3, so rank 0 spans three chunks or more."""
+    feats, depth_w, mask_w, cells, feat_idx, depth_idx = args
+    live = (np.asarray(depth_w)[depth_idx] != 0) & (np.asarray(mask_w)[feat_idx] != 0)
+    n0 = np.unique(np.asarray(cells)[live]).size
+    return sorted({1, max(n0, 1), max(n0 - 1, 1), max(n0 // 3, 1)})
+
+
 def _fast(args, n_cells, threads=1):
     """weighted_scatter on a problem given, as scatter_reference takes it, by cells."""
     feats, depth_w, mask_w, cells, feat_idx, depth_idx = args
@@ -143,7 +154,8 @@ def test_zero_weight_skip_is_bitwise(seed, n_entries, n_cells, zero_frac, chunk,
 def test_skewed_runs_are_bitwise(seed, hot_len, n_cells, zero_frac, chunk, threads):
     """One cell with hundreds of entries beside single-entry cells, as in the
     lift table (whose longest run is 400): the hot cell spans hundreds of
-    ranks, every other cell only the first."""
+    ranks, every other cell only the first.  The drawn chunk size runs
+    beside those that put chunk edges on and inside rank 0's end."""
     hot = seed % n_cells
     cells = np.concatenate(
         [np.arange(hot), np.full(hot_len, hot), np.arange(hot + 1, n_cells)]
@@ -152,10 +164,11 @@ def test_skewed_runs_are_bitwise(seed, hot_len, n_cells, zero_frac, chunk, threa
         seed, cells.size, n_cells, zero_frac
     )
     args = (feats, depth_w, mask_w, cells, feat_idx, depth_idx)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scatter, "CHUNK_ENTRIES", chunk)
-        fast = _fast(args, n_cells, threads=threads)
-    assert_matches_reference(fast, args, n_cells)
+    for size in {chunk, *_rank_edge_chunks(args, n_cells)}:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scatter, "CHUNK_ENTRIES", size)
+            fast = _fast(args, n_cells, threads=threads)
+        assert_matches_reference(fast, args, n_cells)
 
 
 @st.composite
@@ -225,7 +238,9 @@ def _tied_runs(draw):
 def test_tied_run_lengths_are_bitwise(problem, chunk):
     """Many runs of one length, a thread cut inside a block of them and ranks
     that span several chunks: threads 1 to 4 give the per-entry reference's
-    bits, so no rank's prefix takes a run that has ended."""
+    bits, so no rank's prefix takes a run that has ended.  Rank 0 holds 12
+    rows or more, so among the rank-edge chunk sizes (one entry a chunk
+    included) it spans three chunks or more."""
     counts, seed = problem
     n_cells = counts.size
     cells = np.repeat(np.arange(n_cells), counts)
@@ -233,11 +248,12 @@ def test_tied_run_lengths_are_bitwise(problem, chunk):
         seed, cells.size, n_cells, 0.0
     )
     args = (feats, depth_w, mask_w, cells, feat_idx, depth_idx)
-    for threads in (1, 2, 3, 4):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scatter, "CHUNK_ENTRIES", chunk)
-            fast = _fast(args, n_cells, threads=threads)
-        assert_matches_reference(fast, args, n_cells)
+    for size in {chunk, *_rank_edge_chunks(args, n_cells)}:
+        for threads in (1, 2, 3, 4):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scatter, "CHUNK_ENTRIES", size)
+                fast = _fast(args, n_cells, threads=threads)
+            assert_matches_reference(fast, args, n_cells)
 
 
 @pytest.fixture(scope="module")
@@ -320,9 +336,11 @@ def test_all_zero_weights_give_positive_zero(threads):
     assert not np.any(np.signbit(out))
 
 
-def test_dense_scatter_memory_is_bounded():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dense_scatter_memory_is_bounded(threads):
     """Peak allocation of a dense scatter stays far below one (N, C) gather
-    plus its float64 product (N * C * 12 bytes)."""
+    plus its float64 product (N * C * 12 bytes), with every worker's chunk
+    buffers live at once."""
     n_entries, channels, pixels, n_cells = 400_000, 64, 4224, 16_384
     rng = np.random.default_rng(0)
     feats = rng.uniform(-1.0, 1.0, (channels, pixels)).astype(np.float32)
@@ -334,7 +352,8 @@ def test_dense_scatter_memory_is_bounded():
 
     tracemalloc.start()
     try:
-        out = weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx)
+        out = weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx,
+                               threads=threads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
