@@ -10,11 +10,14 @@ Both heads compute only where the BEV has input, on one packed image
 (``_ActiveCells``): its first flat columns are the *border image*, the
 values of the cells off a set of cells, column ``n_border + k`` is the
 set's k-th cell, and rows are ``nx`` wide, so ``conv2d`` keeps walking
-row blocks of the grid's width.  A result is expanded to the grid only
-for a global pool and once per output field.  The packed ``dgemm``
-shapes are not the full grid's; the golden head digests, taken from
-full-grid code on a masked and on a ``disable-M`` run, pin them as
-giving the same bits (see ``dualvt.nnops`` for the arithmetic contract).
+row blocks of the grid's width.  The global pools read the image, each
+border-image column weighted by its twin count (`_ActiveCells.pool`), and
+are correctly rounded (`nnops.mean_pool`), so packing cannot move their
+bits.  A result is expanded to the grid only once per output field.  The
+packed ``dgemm`` shapes are not the full grid's; the golden head digests,
+taken from full-grid code on a masked and on a ``disable-M`` run, pin
+them as giving the same bits (see ``dualvt.nnops`` for the arithmetic
+contract).
 
 ``heads`` is their one entry.  The fusion head packs both streams on
 the *support* it is given, which ``run_pipeline`` takes from the scatter
@@ -45,12 +48,13 @@ only while its largest window set is at most ``_PACKED_MAX_SHARE`` of
 the grid (masked desk frames 1-3%, ``disable-M`` 95-98%).  The golden
 digests pin both paths, and a packed frame whose reach meets the border.
 
-An output that is +0.0 off its set (``F_channel``, ``F``) is expanded
-into a fresh ``np.zeros`` grid, and only its cells are written after that.
-The zeroing is not free: in a steady frame loop glibc hands back heap
-memory it used before, and all of it is cleared, ~0.12 ms for a
-64x128x128 float32 grid.  The affinity grid is the CAF pool's, which
-nothing reads after the pool.
+An output that is +0.0 off a small set (``F_channel``, ``F``) is expanded
+into a fresh ``np.zeros`` grid of cell-major memory, as `support_grid`
+writes the streams, and only its cells are written after that.  In a
+frame loop glibc hands each frame fresh pages, which cost about what
+their first write touches: a few pages for the support's cells, not a
+few in each of the 64 channel planes.  The affinity's one-column border
+image is broadcast into a fresh C-contiguous grid.
 """
 
 
@@ -69,7 +73,7 @@ from .nnops import (
     WeightBundle,
     channel_stats,
     conv2d,
-    global_avg_pool,
+    mean_pool,
     one_blas_thread,
     relu,
     sigmoid,
@@ -134,16 +138,14 @@ def caf_fuse(cells, packed, weights: WeightBundle, force_affinity: float | None)
     c = packed.shape[0] // 2
     if force_affinity is None:
         z = conv2d(packed, weights["caf.reduce"])
-        pooled = cells.expand(z, "input")
         logits = _bottleneck(z, weights, "caf.local")
-        del z  # the pool's grid lives on as the affinity's, so free what can be
-        logits += _bottleneck(global_avg_pool(pooled), weights, "caf.global")  # over columns
+        logits += _bottleneck(cells.pool(z, "input"), weights, "caf.global")  # over columns
+        del z
         affinity = sigmoid(logits)
         del logits
-        grid = cells.expand(affinity, "input", out=pooled)  # the pool is done with it
     else:
         affinity = np.full((c,) + packed.shape[1:], force_affinity, dtype=np.float32)
-        grid = cells.expand(affinity, "input")
+    grid = cells.expand(affinity, "input")
     fused = affinity * packed[:c]
     fused += (1.0 - affinity) * packed[c:]  # float32 either way: the same rounding
     return fused, grid
@@ -191,6 +193,11 @@ class _FullGrid:
     def expand(self, x, src):
         return x
 
+    def pool(self, x, src):
+        """(C, 1, 1) `mean_pool` of a (C, ny, nx) grid, every cell weighing 1."""
+        flat = x.reshape(x.shape[0], -1)
+        return mean_pool(flat, np.ones(flat.shape[1], dtype=np.int64))[:, None, None]
+
 
 class _ActiveCells:
     """The one packed image of both heads (module docstring): the fusion
@@ -210,7 +217,7 @@ class _ActiveCells:
         self.border_shape = min(ny, 2 * reach[0] + 1), min(nx, 2 * reach[1] + 1)
         self.n_border = int(np.prod(self.border_shape))
         twin_column = (self.twin[0][:, None] * self.border_shape[1] + self.twin[1]).ravel()
-        self.cells, self.where = {}, {}
+        self.cells, self.where, self.counts = {}, {}, {}
         for name, m in sets.items():
             self.cells[name] = np.flatnonzero(m)
             # each cell's column in the set's image: its twin's, or its own
@@ -275,26 +282,39 @@ class _ActiveCells:
         idx[b:b + self.cells[dst].size] = self.where[src][self.cells[dst]]
         return self._take(x.reshape(x.shape[0], -1), idx)
 
-    def expand(self, x, src: str, out=None):
-        """A value on set `src` onto the whole grid, C-contiguous, written into
-        `out` when given (a C-contiguous grid of that shape).  A set of at most
-        `_WRITE_MAX_SHARE` of the grid writes its columns over the border image,
-        taken along x and then along y; a fresh grid whose border image is
-        bit-for-bit +0.0 starts from `np.zeros` (module docstring), and only
-        its cells are written.  A larger set is one `np.take` through the where map."""
+    def expand(self, x, src: str):
+        """A value on set `src` onto the whole grid, C-contiguous but where it
+        is cell-major.  A set of at most `_WRITE_MAX_SHARE` of the grid writes
+        its columns over the border image: a border image that is bit-for-bit
+        +0.0 is a cell-major `np.zeros` grid (module docstring), a one-column
+        one is broadcast, a larger one taken along x and then along y.  A
+        larger set is one `np.take` through the where map."""
         x2d, cells, where = x.reshape(x.shape[0], -1), self.cells[src], self.where[src]
         c, b = x2d.shape[0], self.n_border
-        grid = None if out is None else out.reshape((c,) + self.shape)
-        # mode "raise" would write through a temporary copy of `out`
         if cells.size > _WRITE_MAX_SHARE * where.size:
-            return np.take(x2d, where.reshape(self.shape), axis=1, out=grid, mode="clip")
-        if grid is None and not np.ascontiguousarray(x2d[:, :b]).view(np.uint8).any():
-            grid = np.zeros((c,) + self.shape, dtype=x.dtype)
+            return np.take(x2d, where.reshape(self.shape), axis=1)
+        if not np.ascontiguousarray(x2d[:, :b]).view(np.uint8).any():
+            grid = np.zeros((where.size, c), dtype=x.dtype)
+            grid[cells] = x2d[:, b:b + cells.size].T
+            return grid.T.reshape((c,) + self.shape)
+        if b == 1:
+            grid = np.empty((c,) + self.shape, dtype=x.dtype)
+            grid[...] = x2d[:, :1, None]
         else:
             rows = np.take(x2d[:, :b].reshape((c,) + self.border_shape), self.twin[1], axis=2)
-            grid = np.take(rows, self.twin[0], axis=1, out=grid, mode="clip")
+            grid = np.take(rows, self.twin[0], axis=1)
         grid.reshape(c, -1)[:, cells] = x2d[:, b:b + cells.size]
         return grid
+
+    def pool(self, x, src: str):
+        """(C, 1, 1) `mean_pool` of a value on set `src` over the whole grid, read
+        from its image: each border-image column weighs the cells off the set
+        that read it (its twin count), each cell of the set 1."""
+        if src not in self.counts:
+            self.counts[src] = np.bincount(self.where[src],
+                                           minlength=self.n_border + self.cells[src].size)
+        counts = self.counts[src]
+        return mean_pool(x.reshape(x.shape[0], -1)[:, :counts.size], counts)[:, None, None]
 
 
 def _active_cells(support: np.ndarray, weights: WeightBundle):
@@ -335,14 +355,12 @@ def bev_probability(f_channel, weights: WeightBundle, support: np.ndarray) -> np
         raise ShapeMismatch(f"F_channel must be float32, got {f_channel.dtype}")
     if support.shape != f_channel.shape[1:]:
         raise ShapeMismatch(f"support shape {support.shape} does not match {f_channel.shape}")
-    # channel_stats' float32 mean sums in an order set by the memory layout
-    f_channel = np.ascontiguousarray(f_channel)
     cells = _active_cells(support, weights)
     x = cells.pack(f_channel)
     h = cells.conv(x, weights["prob.local.reduce"], "input", "reduce")
     t = relu(cells.conv(h, weights["prob.local.res1"], "reduce", "res1"))
     h = cells.move(h, "reduce", "out") + cells.conv(t, weights["prob.local.res2"], "res1", "out")
-    gate = sigmoid(_bottleneck(global_avg_pool(cells.expand(h, "out")), weights, "prob.local.gate"))
+    gate = sigmoid(_bottleneck(cells.pool(h, "out"), weights, "prob.local.gate"))
     local_logits = conv2d(h * gate, weights["prob.local.out"])
     global_logits = cells.conv(channel_stats(x), weights["prob.global.conv"], "input", "out")
     p = sigmoid(local_logits + global_logits)

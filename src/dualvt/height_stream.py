@@ -20,7 +20,9 @@ import numpy as np
 from .geometry import BevGridSpec, HeightSet, bev_cell_centers, project_points
 from .sampling import DepthBinSpec, depth_to_coord, trilinear_product
 from .scatter import support_grid, weighted_scatter
-from .tables import HT_MAGIC, IndexTable, build_table, check_camera_tensors, stack_frame
+from .tables import (
+    HT_MAGIC, IndexTable, build_table, check_camera_tensors, check_finite, stack_frame,
+)
 from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench's tracer
 
 INTERP = "interp"
@@ -109,7 +111,7 @@ def ht_apply(frame, table: IndexTable, threads: int = 1):
     """The table applied to a stacked frame (`tables.stack_frame`): the
     support (cells, sums) of `weighted_scatter`."""
     return weighted_scatter(*frame, table.offsets, table.feat_idx, table.depth_idx,
-                            threads=threads, by_pixel=table.pixel_index)
+                            threads=threads, by_voxel=table.reused_voxel_index)
 
 
 def ht_transform_naive(
@@ -138,6 +140,7 @@ def ht_transform_naive(
     check_camera_tensors(
         feats, depths, masks, len(rigs), rig0.feat_h, rig0.feat_w, dspec.n_bins
     )
+    check_finite(feats, depths, masks)
     sample = _nearest_samples if mode == ROUND else _interp_samples
     # the table build's points and projection, so the coordinates are its bits
     points = _anchor_points(grid, heights)

@@ -16,7 +16,9 @@ import numpy as np
 from .geometry import BevGridSpec, back_project
 from .sampling import DepthBinSpec
 from .scatter import support_grid, weighted_scatter
-from .tables import LSS_MAGIC, IndexTable, build_table, check_camera_tensors, stack_frame
+from .tables import (
+    LSS_MAGIC, IndexTable, build_table, check_camera_tensors, check_finite, stack_frame,
+)
 from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench's tracer
 
 
@@ -60,7 +62,7 @@ def lss_apply(frame, table: IndexTable, threads: int = 1):
     """The table applied to a stacked frame (`tables.stack_frame`): the
     support (cells, sums) of `weighted_scatter`."""
     return weighted_scatter(*frame, table.offsets, table.feat_idx, table.depth_idx,
-                            threads=threads, by_pixel=table.pixel_index)
+                            threads=threads, by_voxel=table.reused_voxel_index)
 
 
 def lss_pool_reference(
@@ -76,6 +78,7 @@ def lss_pool_reference(
     """
     rig0 = rigs[0]
     check_camera_tensors(feats, depths, masks, len(rigs), rig0.feat_h, rig0.feat_w, dspec.n_bins)
+    check_finite(feats, depths, masks)
     C = feats[0].shape[0]
     acc = np.zeros((grid.n_cells, C), dtype=np.float64)
     for feat, depth, mask, rig in zip(feats, depths, masks, rigs):

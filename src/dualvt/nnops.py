@@ -1,9 +1,9 @@
 """Forward-only neural building blocks for the fusion stage.
 
 Just enough machinery for the attention/probability heads: same-padded
-stride-1 2D convolution, channel statistics, global average pooling,
-activations, and seeded weight containers with BTSR-backed persistence.
-No training, no normalization layers.
+stride-1 2D convolution, channel statistics, a correctly rounded mean
+pool, activations, and seeded weight containers with BTSR-backed
+persistence.  No training, no normalization layers.
 
 Arithmetic contract of ``conv2d`` (every kernel size, so the fusion and
 occupancy heads share it):
@@ -25,6 +25,14 @@ occupancy heads share it):
   window matrix takes ``C_in*kh*kw * BLOCK_ROWS * W * 8`` bytes
   whatever the height of the input.
 
+Arithmetic contract of ``mean_pool`` (both heads' global pools and
+``channel_stats``' mean): each output is the float32 nearest, ties to
+even, to the exact weighted mean of its float32 inputs; an exact zero
+is +0.0.  No order, layout, packing or BLAS can move its bits.  The
+fast path sums exact float64 products in any order and keeps the
+rounded mean when the float64 error bound cannot reach a float32
+rounding boundary; otherwise that output is summed exactly in integers.
+
 Thread budget: ``one_blas_thread`` holds numpy's bundled scipy-openblas
 to one thread for the length of a block and then gives back the count it
 found.  The count is process-global, so blocks on several threads share
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -145,13 +154,81 @@ def conv2d(x: np.ndarray, w: Conv2dWeights) -> np.ndarray:
 
 
 def channel_stats(x: np.ndarray) -> np.ndarray:
-    """(2, H, W): per-position mean and max over channels."""
-    return np.stack([x.mean(axis=0), x.max(axis=0)]).astype(np.float32)
+    """(2, H, W): per position the mean over channels (`mean_pool`'s rounding,
+    so the memory layout moves no bit) and the max over channels."""
+    c = x.shape[0]
+    mean = mean_pool(x.reshape(c, -1).T, np.ones(c, dtype=np.int64))
+    return np.stack([mean.reshape(x.shape[1:]), x.max(axis=0)]).astype(np.float32)
 
 
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """(C, 1, 1) spatial mean per channel."""
-    return x.mean(axis=(1, 2), keepdims=True).astype(np.float32)
+def mean_pool(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(R,) float32: for each row of the (R, m) float32 columns `x`, the float32
+    nearest (ties to even) to the exact ``sum(w_i * x_i) / n``, ``n = sum(w_i)``,
+    over the m integer `weights` (each at most 2**24, 1 <= n < 2**39).  A column of
+    weight 0 is left out, and an exact zero is +0.0.  A row holding NaN or
+    Inf gives what a mean gives, without a warning.
+
+    The float64 sum, in any order, takes every column once and each column
+    of weight w > 1 again as ``(w - 1) * x_i``, exact in float64 (24
+    significant bits times at most 24), so no float64 copy of `x` is made.
+    For k such terms its error is at most ``gamma_k * sum(w_i * |x_i|) <=
+    gamma_k * n * max|x_i|``; with the division's rounding that bounds the
+    mean.  Where both ends of the bound round to the same float32, that is
+    the answer; elsewhere the row is summed exactly in integers."""
+    w = np.asarray(weights)
+    if not w.all():  # a column no cell reads
+        x, w = x[:, w != 0], w[w != 0]
+    heavy = np.flatnonzero(w != 1)
+    n = int(w.sum())
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = np.add.reduce(x, axis=1, dtype=np.float64)
+        if heavy.size:
+            s += (x[:, heavy] * (w[heavy] - 1.0)).sum(axis=1)
+        mean = (s + 0.0) / n  # + 0.0: a sum of -0.0 terms is +0.0
+        top = np.maximum(x.max(axis=1), -x.min(axis=1)).astype(np.float64)
+        # twice the bound, so the roundings of e, lo and hi stay inside it
+        e = (2 * (x.shape[1] + heavy.size + 2) * 2.0**-53) * top + 2.0**-51 * np.abs(mean)
+        lo, hi = (mean - e).astype(np.float32), (mean + e).astype(np.float32)
+        out = mean.astype(np.float32)
+    unsettled = np.flatnonzero((lo.view(np.uint32) != hi.view(np.uint32)) & np.isfinite(top))
+    if unsettled.size:
+        out[unsettled] = _exact_means(x[unsettled], w, n)
+    return out
+
+
+def _exact_means(x: np.ndarray, w: np.ndarray, n: int) -> list:
+    """`mean_pool` of each finite row of `x`, in integers: a float32 is its
+    24-bit integer significand times a power of two.  A row's products,
+    shifted to its least exponent, sum in int64 where they stay below 2**62,
+    else in Python integers."""
+    frac, exp = np.frexp(x.astype(np.float64))
+    sig = (frac * 2.0**24).astype(np.int64) * w.astype(np.int64)  # below 2**48
+    live = sig != 0
+    low = np.where(live, exp, exp.max(initial=0) + 1).min(axis=1, initial=2**30)
+    low = np.where(live.any(axis=1), low, 0)
+    shift = np.where(live, exp - low[:, None], 0)
+    fits = np.ldexp(np.abs(sig).astype(np.float64), shift).sum(axis=1) < 2.0**62
+    totals = (np.where(fits[:, None], sig, 0) << np.where(fits[:, None], shift, 0)).sum(axis=1)
+    totals = totals.tolist()
+    for r in np.flatnonzero(~fits).tolist():
+        totals[r] = sum(v << h for v, h in zip(sig[r].tolist(), shift[r].tolist()))
+    return [_round_float32(t, e - 24, n) for t, e in zip(totals, low.tolist())]
+
+
+def _round_float32(t: int, k: int, n: int) -> np.float32:
+    """The float32 nearest to ``t * 2**k / n`` (ties to even, within the float32
+    range; integers t, k and n > 0), signed as t where it rounds to zero."""
+    m = abs(t)
+    # as q * 2**e with q of 24 bits (fewer below 2**-126): q = m * 2**(k - e) / n
+    e = k + m.bit_length() - n.bit_length() - 24  # puts q in (2**23, 2**25)
+    if m << max(k - e, 0) >= (n << max(e - k, 0)) << 24:
+        e += 1
+    e = max(e, -149)
+    den = n << max(e - k, 0)
+    q, rem = divmod(m << max(k - e, 0), den)
+    if 2 * rem > den or (2 * rem == den and q & 1):
+        q += 1
+    return np.float32(math.copysign(math.ldexp(q, e), -1.0 if t < 0 else 1.0))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -14,16 +14,20 @@ Accumulation contract:
   for every finite nonzero ``x`` and ``+0.0 + ±0.0 == +0.0``; an
   accumulator that starts at +0.0 never becomes -0.0, so skipping keeps
   every bit.  Finite inputs are therefore a precondition (``0 * inf`` is
-  NaN); the front ends reject others (``tables.check_camera_tensors``).
+  NaN); the front ends reject others (``tables.check_finite``).
   A float64 product of finite float32 values is zero only when a factor
-  is, so the survivors are found from the mask, the sparse factor,
-  first.  `pixel_index` groups a table's entry positions by feature
-  pixel, with a count per pixel; the positions of the pixels whose mask
-  is nonzero, sorted, are the entries with a nonzero mask in entry
-  order, and only their depth is read.  A masked frame so reads the
-  entries of its masked-in pixels, not every entry.  The index is 4
-  bytes per entry; `tables.IndexTable.pixel_index` builds it on a
-  table's first apply and keeps it.
+  is, so a frame with a zero mask finds its survivors from the mask, the
+  sparse factor, first: through the table's voxel index (`voxel_index`,
+  its entries grouped by voxel), it takes the voxels of the pixels whose
+  mask is nonzero, keeps those whose depth is nonzero, and gathers and
+  sorts the positions of their entries, which are the survivors.  So a
+  masked frame reads its survivors, not its masked-in entries.  A frame
+  whose every mask is nonzero reads the depth of every entry in entry
+  order, and needs no index.  A table builds its index on its second
+  frame with a zero mask (`tables.IndexTable.reused_voxel_index`) and
+  keeps it, 8 bytes per entry at the desk scale; its first such frame
+  tests its masked-in entries in entry order, which costs about what
+  the index's sort does.
 - The result is the *support*: the ascending cells that have a surviving
   entry, and their sums rounded once to float32, as (n, C) rows.  Every
   other cell's sum is +0.0, and float64 accumulators exist only for the
@@ -63,7 +67,7 @@ CHUNK_ENTRIES = 8192
 
 
 def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threads: int = 1,
-                     by_pixel=None):
+                     by_voxel=None):
     """Accumulate depth_w * mask_w * feature into BEV cells.
 
     feats:    (C, P) float32 feature pixels; a view of (P, C) memory is not copied
@@ -72,14 +76,14 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threa
     offsets:  (n_cells + 1,) cell c owns entries [offsets[c], offsets[c+1])
     feat_idx: (N,) index into the P axis
     depth_idx:(N,) index into depth_w
-    by_pixel: `pixel_index(feat_idx, P)`, built here when not given
+    by_voxel: a function giving (`voxel_index(depth_idx, Q)`, pixels per camera)
+              or None, called only on a frame with a zero mask; without an
+              index such a frame tests its masked-in entries in entry order
     All inputs must be finite (see the module docstring).  Returns the support:
     the ascending (n,) intp cells with an entry of nonzero weight, (n, C) float32 sums.
     """
-    if by_pixel is None:
-        by_pixel = pixel_index(feat_idx, mask_w.size)
     cells, w, fi, first, end = _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx,
-                                          by_pixel)
+                                          by_voxel)
     out = np.empty((cells.size, feats.shape[0]), dtype=np.float32)
     feats_t = np.ascontiguousarray(feats.T)  # (P, C), row gathers are cheap
     # split the rows, one per support cell, into ranges of about equal survivors
@@ -91,46 +95,70 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threa
     return cells, out
 
 
-def pixel_index(feat_idx, n_pixels):
-    """The entries grouped by feature pixel: (positions, counts), where pixel p
-    owns the next counts[p] u32 positions, ascending, after those of pixels < p.
+def voxel_index(depth_idx, n_voxels):
+    """The entries grouped by voxel: the sorted unique keys
+    ``(voxel << bits(N - 1)) | position``, so any sort algorithm gives the
+    same bytes, and a voxel's positions, ascending, are its keys' low bits.
 
-    One in-place sort of the unique keys ``(pixel << bits(N - 1)) | position``,
-    so any sort algorithm gives the same bytes; the positions are the keys'
-    low bits.  The keys are u32 when pixel and position bits fit in 32 (both
-    desk tables), else u64.  Needs N < 2**32, which tables keep.  Memory: 4
-    bytes per entry kept; u64 keys take 8 more per entry while they live.
+    The keys are u32 when voxel and position bits fit in 32, else u64 (both
+    desk tables).  They are built in place: one shifted copy of the voxels,
+    the positions ORed in `CHUNK_ENTRIES` at a time, one in-place sort.
+    Needs N < 2**32, which tables keep.  Memory: the keys, 4 or 8 bytes per entry.
     """
-    n = feat_idx.size
+    n = depth_idx.size
     shift = max(n - 1, 0).bit_length()
-    key = np.dtype("<u4" if int(n_pixels - 1).bit_length() + shift <= 32 else "<u8")
-    keys = feat_idx.astype(key)
-    keys <<= key.type(shift)
-    keys |= np.arange(n, dtype=key)
+    key = np.dtype("<u4" if max(n_voxels - 1, 0).bit_length() + shift <= 32 else "<u8")
+    keys = np.left_shift(depth_idx, shift, dtype=key)
+    for s in range(0, n, CHUNK_ENTRIES):
+        keys[s:s + CHUNK_ENTRIES] |= np.arange(s, min(s + CHUNK_ENTRIES, n), dtype=key)
     keys.sort()
-    # pixel p's first key is >= p << shift; pixel 0 starts at 0 and the last
-    # pixel ends at n, so no boundary past the largest pixel is computed
-    starts = np.searchsorted(keys, np.arange(1, n_pixels, dtype=key) << key.type(shift))
-    keys &= key.type((1 << shift) - 1)
-    return keys.astype("<u4", copy=False), np.diff(starts, prepend=0, append=n)
+    return keys
 
 
-def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, by_pixel):
+def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, by_voxel):
     """The support, the survivors' weights and feature indices, and each
     support cell's run of survivors [first, end)."""
-    pos, counts = by_pixel
-    # the masked-in pixels' entries in ascending order, so runs keep entry order;
-    # the positions are unique, so any sort gives the same array
-    keep = np.sort(pos[np.repeat(mask_w != 0, counts)])
-    d = depth_w.take(depth_idx[keep])
-    live = d != 0
-    keep, d = keep[live], d[live]
+    if mask_w.all():  # most entries of a dense frame survive: test each in entry order
+        d = depth_w.take(depth_idx)
+        keep = np.flatnonzero(d != 0)
+        d = d[keep]
+    else:
+        index = by_voxel() if by_voxel else None
+        # the masked-in entries in entry order, or those whose voxel has a nonzero depth
+        keep = (np.flatnonzero((mask_w != 0).take(feat_idx)) if index is None
+                else _survivors_by_voxel(depth_w, mask_w, *index))
+        d = depth_w.take(depth_idx[keep])
+        live = d != 0
+        keep, d = keep[live], d[live]
     fi = feat_idx[keep].astype(np.intp)
     w = d.astype(np.float64) * mask_w.take(fi)
     # one binary search per survivor or per offset, whichever are fewer
     runs = _runs_by_survivor if keep.size < offsets.size else _runs_by_cell
     cells, first, end = runs(keep, offsets)
     return cells, w, fi, first, end
+
+
+def _survivors_by_voxel(depth_w, mask_w, keys, camera_pixels):
+    """The ascending positions of the entries whose voxel has a nonzero depth
+    and lies on a pixel of nonzero mask: those voxels' runs of keys."""
+    n_bins = depth_w.size // mask_w.size
+    # pixel i of camera c, feature pixel c * P + i, has voxels (c * n_bins + bin) * P + i
+    pixels = mask_w.nonzero()[0]
+    first_bin = pixels + pixels // camera_pixels * ((n_bins - 1) * camera_pixels)
+    voxels = (first_bin[:, None] + np.arange(0, n_bins * camera_pixels, camera_pixels)).ravel()
+    # needles of the keys' dtype: numpy would copy the keys to compare others
+    voxels = np.sort(voxels[depth_w.take(voxels) != 0]).astype(keys.dtype)
+    shift = max(keys.size - 1, 0).bit_length()
+    low = keys.dtype.type((1 << shift) - 1)
+    voxels <<= keys.dtype.type(shift)
+    first = np.searchsorted(keys, voxels)
+    end = np.searchsorted(keys, voxels | low, side="right")
+    # every voxel's run of keys, in one gather
+    counts = end - first
+    at = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    keep = keys[at] & low
+    keep.sort()  # unique positions: any sort gives the same array
+    return keep.astype(np.intp)
 
 
 def _runs_by_cell(keep, offsets):

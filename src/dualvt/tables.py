@@ -35,9 +35,10 @@ In memory a table is this layout: `IndexTable` holds the u32 offsets and
 voxels as read-only views of the bytes read by `read_table`.  So
 `build_table` refuses a depth volume or an entry count above 2**32 - 1.
 Two columns are derived in memory, never written to the file: the
-feature pixels (`IndexTable.feat_idx`, u32, 4 bytes an entry) and the
-scatter's pixel index (`IndexTable.pixel_index`), each the first time it
-is read; `read_table` derives neither.
+feature pixels (`IndexTable.feat_idx`, u32, 4 bytes an entry), the first
+time they are read, and the scatter's voxel index
+(`IndexTable.voxel_index`), on the second apply to a frame with a zero
+mask; `read_table` derives neither.
 
 Version 1 files (a cell and a camera column per entry), version 2 files
 (no fingerprint, no heights) and version 3 files (a stored feature
@@ -111,10 +112,23 @@ class IndexTable:
         return np.subtract(d, fi, out=fi)
 
     @cached_property
-    def pixel_index(self):
-        """`scatter.pixel_index` of the feature column: built in memory the first
-        time the table is applied, kept on the table, never written to its file."""
-        return scatter.pixel_index(self.feat_idx, self.n_cams * self.feat_h * self.feat_w)
+    def voxel_index(self):
+        """(`scatter.voxel_index` of the voxel column, pixels per camera): built in
+        memory the first time it is read, kept on the table, never written to
+        its file."""
+        volume = self.n_cams * self.n_bins * self.feat_h * self.feat_w
+        return scatter.voxel_index(self.depth_idx, volume), self.feat_h * self.feat_w
+
+    def reused_voxel_index(self):
+        """`voxel_index` for the table's second frame with a zero mask and every
+        one after it, None for its first.  The scatter then tests that frame's
+        masked-in entries, which costs about what the index's sort does, so a
+        table applied once, as by the CLI, never builds the index."""
+        seen = vars(self)  # the instance dict, where `cached_property` keeps its values
+        if "voxel_index" not in seen and not seen.get("masked_frame_seen"):
+            seen["masked_frame_seen"] = True
+            return None
+        return self.voxel_index
 
     @property
     def n_entries(self) -> int:
@@ -247,24 +261,21 @@ def stack_camera_tensors(per_cam) -> np.ndarray:
 
 
 def stack_frame(feats, depths, masks, *tables):
-    """(feats, depth_w, mask_w) for `weighted_scatter`, checked against every table."""
+    """(feats, depth_w, mask_w) for `weighted_scatter`, checked against every table:
+    the shapes of the per-camera tensors, then the finiteness of the stacked arrays."""
     keys = {(t.n_cams, t.feat_h, t.feat_w, t.n_bins, t.ny, t.nx) for t in tables}
     if len(keys) > 1:
         raise ShapeMismatch(f"the tables were built for different geometries: {sorted(keys)}")
     check_camera_tensors(feats, depths, masks, *next(iter(keys))[:4])
-    depth_w = np.concatenate([d.ravel() for d in depths])
-    return stack_camera_tensors(feats), depth_w, stack_camera_tensors(masks)[0]
+    frame = (stack_camera_tensors(feats), np.concatenate([d.ravel() for d in depths]),
+             stack_camera_tensors(masks)[0])
+    check_finite(*([a] for a in frame))
+    return frame
 
 
 def check_camera_tensors(feats, depths, masks, n_cams, feat_h, feat_w, n_bins) -> None:
-    """Input check shared by both streams and their oracles: camera count,
-    per-camera shapes (every feature map with camera 0's channel count),
-    finiteness.
-
-    Finite inputs are the precondition of the scatter's zero-weight skip
-    (``0 * inf`` is NaN, a skipped entry is not), so NaN or Inf anywhere
-    raises NonFiniteValue.
-    """
+    """Shape check shared by both streams and their oracles: camera count and
+    per-camera shapes (every feature map with camera 0's channel count)."""
     if not (len(feats) == len(depths) == len(masks)):
         raise ShapeMismatch("per-camera tensor lists have different lengths")
     if len(feats) != n_cams:
@@ -275,6 +286,14 @@ def check_camera_tensors(feats, depths, masks, n_cams, feat_h, feat_w, n_bins) -
                                 ("mask", m.shape, (1, feat_h, feat_w))):
             if got != want:
                 raise ShapeMismatch(f"camera {cam}: {name} shape {got} != {want}")
+
+
+def check_finite(feats, depths, masks) -> None:
+    """Finiteness check of the feature, depth and mask arrays, each given as a
+    list: the per-camera tensors (the oracles) or one stacked array
+    (`stack_frame`).  Finite inputs are the precondition of the scatter's
+    zero-weight skip (``0 * inf`` is NaN, a skipped entry is not), so NaN or
+    Inf anywhere raises NonFiniteValue."""
     for name, arrs in (("feature", feats), ("depth", depths), ("mask", masks)):
         if not all(np.isfinite(a).all() for a in arrs):
             raise NonFiniteValue(f"{name} tensor has NaN or Inf values")

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,42 @@ def exact_support(*grids):
     not bit-for-bit +0.0 (a u32 test, so -0.0 and NaN count as input): the
     smallest support the grids allow."""
     return np.logical_or.reduce([g.view(np.uint32).any(axis=0) for g in grids])
+
+
+def exact_mean(x, weights=None) -> np.ndarray:
+    """Oracle of a correctly rounded mean, for finite float32 inputs: for each
+    row of the (R, m) `x`, the float32 nearest (ties to even) to
+    ``sum(w * x) / sum(w)`` over the m integer `weights` (all 1 by default),
+    signed as the sum where it rounds to zero and +0.0 at an exact zero.
+
+    Every float32 is an integer times 2**-149, so each row sums exactly in
+    Python integers.  Python's int division rounds that mean to float64
+    correctly; the float32 nearest to the float64 is the answer unless the
+    float64 lies exactly on a float32 midpoint, which a Fraction settles."""
+    x = np.asarray(x, dtype=np.float32)
+    m = x.shape[1]
+    w = np.ones(m, dtype=object) if weights is None else np.array([int(k) for k in weights],
+                                                                   dtype=object)
+    den = int(w.sum()) << 149
+    units = np.array(list(map(int, np.ldexp(x.astype(np.float64), 149).ravel().tolist())),
+                     dtype=object).reshape(x.shape)  # exact: at most 2**277
+    totals = (units * w).sum(axis=1) if m else np.zeros(x.shape[0], dtype=object)
+    c64 = np.array([t / den for t in totals.tolist()], dtype=np.float64)
+    c32 = c64.astype(np.float32)
+    toward = np.where(c64 > c32, np.inf, -np.inf).astype(np.float32)
+    other = np.nextafter(c32, toward)
+    mid = (c32.astype(np.float64) + other.astype(np.float64)) / 2
+    for r in np.flatnonzero((c32 != c64) & (c64 == mid)).tolist():
+        q, half = Fraction(int(totals[r]), den), Fraction(float(mid[r]))
+        lo, hi = sorted([c32[r], other[r]])
+        if q == half:
+            c32[r] = lo if int(lo.view(np.uint32)) % 2 == 0 else hi
+        else:
+            c32[r] = hi if q > half else lo
+    zero = c32 == 0
+    c32[zero] = np.where(np.array([t < 0 for t in totals.tolist()], dtype=bool)[zero],
+                         np.float32(-0.0), np.float32(0.0))
+    return c32
 
 
 def sha256(*arrays) -> str:

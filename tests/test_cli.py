@@ -503,11 +503,16 @@ class TestTransform:
 
     @pytest.mark.parametrize("index, expected", [(0, 0), (2, 3)])
     def test_overflowing_weight_prints_no_warning(self, workspace, tmp_path, index, expected):
-        """A finite caf.reduce bias of ~1e38 overflows the heads: with a finite
-        output transform exits 0 with nothing on stderr, and with a NaN or Inf
-        one it exits 3 with one line, no numpy warning either way."""
+        """A finite caf.reduce bias of ~1e37 makes a channel of the CAF's input
+        ~1e37 everywhere, and its exact pool stays finite, so transform exits 0
+        with nothing on stderr.  Where both of caf.local.squeeze's weights on
+        that channel are ~1e37 too, both squeezed channels overflow to Inf and
+        their expand meets Inf - Inf: a NaN output, and exit 3 with one line.
+        No numpy warning either way."""
         weights = make_seeded_weights(cli.DEFAULT_WEIGHT_SEED, SCENE_SPEC["channels"])
         weights["caf.reduce"].bias.view(np.uint32)[index] ^= 1 << 30
+        if expected:
+            weights["caf.local.squeeze"].kernel.view(np.uint32)[:, index] ^= 1 << 30
         weights.save(tmp_path / "w")
         code, lines = run_cli(["transform", "--scene", workspace / "scene", "--tables",
                                workspace / "tables", "--out", tmp_path / "o",

@@ -1,4 +1,7 @@
 import itertools
+import sys
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dualvt.fusion
-from conftest import exact_support
+from conftest import exact_mean, exact_support
 from dualvt.errors import ConfigError, ShapeMismatch
 from dualvt.fusion import (
     _PACKED_MAX_SHARE,
@@ -20,19 +23,19 @@ from dualvt.fusion import (
     make_seeded_weights,
     run_pipeline,
 )
-from dualvt.geometry import BevGridSpec
+from dualvt import nnops
+from dualvt.geometry import BevGridSpec, make_height_samples
 from dualvt.height_stream import ht_apply, ht_transform_fast, precompute_ht_table
 from dualvt.lift_stream import lss_apply, lss_pool, precompute_lss_table
 from dualvt.nnops import (
     Conv2dWeights,
     WeightBundle,
-    channel_stats,
     conv2d,
-    global_avg_pool,
     relu,
     sigmoid,
 )
 from dualvt.rng import Rng
+from dualvt.sampling import DepthBinSpec
 from dualvt.synth import generate_scene, random_scene_spec
 from dualvt.tables import stack_frame
 
@@ -131,14 +134,26 @@ class TestCafFuse:
             heads(f_lss, f_ht, EVERYWHERE[:, :-1], weights())
 
 
+def grid_pool(x):
+    """(C, 1, 1): the exact mean of each channel of a (C, ny, nx) grid, rounded once."""
+    return exact_mean(x.reshape(x.shape[0], -1))[:, None, None]
+
+
+def grid_stats(x):
+    """(2, ny, nx): each cell's exact mean over channels, rounded once, and its max."""
+    mean = exact_mean(x.reshape(x.shape[0], -1).T).reshape(x.shape[1:])
+    return np.stack([mean, x.max(axis=0)])
+
+
 def full_grid_caf(f_lss, f_ht, w, force_affinity=None):
-    """Reference: the CAF head with every layer on every cell of the grid."""
+    """Reference: the CAF head with every layer on every cell of the grid, and
+    its pool the exact mean."""
     def bottleneck(x, prefix):
         return conv2d(relu(conv2d(x, w[f"{prefix}.squeeze"])), w[f"{prefix}.expand"])
 
     if force_affinity is None:
         z = conv2d(np.concatenate([f_lss, f_ht], axis=0), w["caf.reduce"])
-        affinity = sigmoid(bottleneck(z, "caf.local") + bottleneck(global_avg_pool(z), "caf.global"))
+        affinity = sigmoid(bottleneck(z, "caf.local") + bottleneck(grid_pool(z), "caf.global"))
     else:
         affinity = np.full(f_lss.shape, force_affinity, dtype=np.float32)
     fused = affinity * f_lss + (1.0 - affinity) * f_ht
@@ -284,52 +299,58 @@ def twin_reference(n, r):
                      for i in range(n)])
 
 
+def expand_case(shape, reach, size, background):
+    """(cells, x, the expanded reference, mask): a 3-channel value on an input
+    set of `size` cells of a `shape` grid at `reach`, its border image all
+    `background` or, for a "value" background, columns that all differ."""
+    ny, nx = shape
+    write_max = int(_WRITE_MAX_SHARE * ny * nx)
+    n = {"empty": 0, "one": 1, "write-max": write_max, "take-min": write_max + 1,
+         "full": ny * nx}[size]
+    mask = np.zeros(ny * nx, dtype=bool)
+    mask[np.argsort(Rng(n).uniform((ny * nx,)))[:n]] = True
+    cells = _ActiveCells({"input": mask.reshape(ny, nx)}, reach)
+    ty, tx = twin_reference(ny, reach[0]), twin_reference(nx, reach[1])
+    b = (ty.max() + 1) * (tx.max() + 1)
+    x = packer_grid(3, -(-(b + n) // nx), nx, n, cell_major=False)
+    border = np.full(b, background, dtype=np.float32)
+    if background:  # every column of the border image differs
+        border += np.arange(b)
+    x.reshape(3, -1)[:, :b] = border
+    ref = x.reshape(3, -1)[:, (ty[:, None] * (tx.max() + 1) + tx).ravel()]
+    ref[:, np.flatnonzero(mask)] = x.reshape(3, -1)[:, b:b + n]
+    return cells, x, ref.reshape(3, ny, nx), mask
+
+
+SIZES = ["empty", "one", "write-max", "take-min", "full"]
+BACKGROUNDS = pytest.mark.parametrize("background", [0.0, -0.0, 0.75],
+                                      ids=["positive-zero", "negative-zero", "value"])
+
+
 class TestActiveCellsExpand:
     """`_ActiveCells.expand` writes a set's columns over its border image
     while the set is at most `_WRITE_MAX_SHARE` of the grid, else takes
-    them in one `np.take`; into a fresh grid, or into the `out=` grid it is
-    given.  Every cell off the set reads its twin's column of the border
-    image: the cell at the same distance to each edge, up to the reach."""
+    them in one `np.take`, into a fresh grid: C-contiguous, or cell-major
+    where the set is written over a +0.0 border image.  Every cell off the
+    set reads its twin's column of the border image: the cell at the same
+    distance to each edge, up to the reach."""
 
     @pytest.mark.parametrize("r", range(4))
     @pytest.mark.parametrize("n", range(1, 13))
     def test_twin_axis_matches_the_distance_search(self, n, r):
         assert np.array_equal(dualvt.fusion._twin_axis(n, r), twin_reference(n, r))
 
-    @pytest.mark.parametrize("size", ["empty", "one", "write-max", "take-min", "full"])
-    @pytest.mark.parametrize("background", [0.0, -0.0, 0.75],
-                             ids=["positive-zero", "negative-zero", "value"])
-    def test_out_gives_the_allocating_bytes(self, size, background):
-        """On 8x8 and 4x12 grids at reach (0, 0) and (2, 2); a "value"
-        border image has columns that all differ."""
+    @pytest.mark.parametrize("size", SIZES)
+    @BACKGROUNDS
+    def test_expand_gives_cells_their_twins(self, size, background):
+        """On 8x8 and 4x12 grids at reach (0, 0), a one-column border image
+        that is broadcast, and at (2, 2)."""
         for shape, reach in itertools.product([(8, 8), (4, 12)], [(0, 0), (2, 2)]):
-            self.check_expand(shape, reach, size, background)
-
-    @staticmethod
-    def check_expand(shape, reach, size, background):
-        ny, nx = shape
-        write_max = int(_WRITE_MAX_SHARE * ny * nx)
-        n = {"empty": 0, "one": 1, "write-max": write_max, "take-min": write_max + 1,
-             "full": ny * nx}[size]
-        mask = np.zeros(ny * nx, dtype=bool)
-        mask[np.argsort(Rng(n).uniform((ny * nx,)))[:n]] = True
-        cells = _ActiveCells({"input": mask.reshape(ny, nx)}, reach)
-        ty, tx = twin_reference(ny, reach[0]), twin_reference(nx, reach[1])
-        b = (ty.max() + 1) * (tx.max() + 1)
-        x = packer_grid(3, -(-(b + n) // nx), nx, n, cell_major=False)
-        border = np.full(b, background, dtype=np.float32)
-        if background:  # every column of the border image differs
-            border += np.arange(b)
-        x.reshape(3, -1)[:, :b] = border
-        ref = x.reshape(3, -1)[:, (ty[:, None] * (tx.max() + 1) + tx).ravel()]
-        ref[:, np.flatnonzero(mask)] = x.reshape(3, -1)[:, b:b + n]
-        ref = ref.reshape(3, ny, nx)
-        got = cells.expand(x, "input")
-        stale = np.full((3, ny, nx), np.nan, dtype=np.float32)  # every byte is written
-        into = cells.expand(x, "input", out=stale)
-        assert np.shares_memory(into, stale)
-        for grid in (got, into):
-            assert grid.shape == ref.shape and grid.flags.c_contiguous
+            cells, x, ref, _ = expand_case(shape, reach, size, background)
+            grid = cells.expand(x, "input")
+            zeros = size in SIZES[:3] and background == 0 and not np.signbit(background)
+            memory = grid.transpose(1, 2, 0) if zeros else grid  # (ny, nx, C) if cell-major
+            assert grid.shape == ref.shape and memory.flags.c_contiguous
             assert np.array_equal(grid.view(np.uint32), ref.view(np.uint32))
 
     @pytest.mark.parametrize("shape", [(8, 8), (4, 12)], ids=["8x8", "4x12"])
@@ -350,15 +371,66 @@ class TestActiveCellsExpand:
         assert np.array_equal(after.view(np.uint32), before.view(np.uint32))
 
 
+def cell_major(grid):
+    """A (C, ny, nx) grid as a channel-major view of (ny*nx, C) memory."""
+    c = grid.shape[0]
+    return np.ascontiguousarray(grid.reshape(c, -1).T).T.reshape(grid.shape)
+
+
+class TestPools:
+    """Both heads' global pools read a value's packed image, each border-image
+    column weighing its twin count, or a full grid: either gives the exact
+    mean of the expanded grid, rounded once (`conftest.exact_mean`)."""
+
+    @pytest.mark.parametrize("size", SIZES)
+    @BACKGROUNDS
+    def test_pool_is_the_exact_mean_of_the_grid(self, size, background):
+        """On 8x8, 4x12 and 7x9 grids (63 cells) at reach (0, 0) and (2, 2):
+        the packed pool, and `_FullGrid`'s on the expanded grid, C-contiguous
+        and cell-major.  NaNs of the drawn values are +0.0 here."""
+        for shape, reach in itertools.product([(8, 8), (4, 12), (7, 9)], [(0, 0), (2, 2)]):
+            cells, x, ref, _ = expand_case(shape, reach, size, background)
+            x, ref = (np.where(np.isnan(a), np.float32(0.0), a) for a in (x, ref))
+            want = exact_mean(ref.reshape(3, -1))
+            full = dualvt.fusion._FullGrid()
+            for got in (cells.pool(x, "input"), full.pool(ref, "input"),
+                        full.pool(cell_major(ref), "input")):
+                assert got.shape == (3, 1, 1) and got.dtype == np.float32
+                assert np.array_equal(got.ravel().view(np.uint32), want.view(np.uint32))
+
+    def test_tied_pool_takes_the_exact_sum(self, monkeypatch):
+        """A 6x10 grid whose set is half its cells, each holding the float32
+        above the one-column border image: each channel's mean over 60 cells
+        is a midpoint, which the packed pool rounds to even, exactly."""
+        exact, summed = [], nnops._exact_means
+
+        def counted(x, *args):
+            exact.append(len(x))
+            return summed(x, *args)
+
+        monkeypatch.setattr(nnops, "_exact_means", counted)
+        mask = np.zeros(60, dtype=bool)
+        mask[::2] = True
+        cells = _ActiveCells({"input": mask.reshape(6, 10)})
+        below = np.array([1.0, -0.3, 5e-39], dtype=np.float32)
+        x = np.repeat(np.nextafter(below, np.float32(np.inf))[:, None], 40, axis=1)
+        x[:, 0] = below
+        got = cells.pool(x.reshape(3, 4, 10), "input").ravel()
+        want = exact_mean(cells.expand(x.reshape(3, 4, 10), "input").reshape(3, -1))
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert np.all(want.view(np.uint32) % 2 == 0) and exact == [3]
+
+
 def full_grid_probability(f, w):
-    """Reference: the occupancy head with every layer on every cell of the grid."""
+    """Reference: the occupancy head with every layer on every cell of the grid,
+    and its means exact."""
     def bottleneck(x, prefix):
         return conv2d(relu(conv2d(x, w[f"{prefix}.squeeze"])), w[f"{prefix}.expand"])
 
     h = conv2d(f, w["prob.local.reduce"])
     h = h + conv2d(relu(conv2d(h, w["prob.local.res1"])), w["prob.local.res2"])
-    gate = sigmoid(bottleneck(global_avg_pool(h), "prob.local.gate"))
-    logits = conv2d(h * gate, w["prob.local.out"]) + conv2d(channel_stats(f), w["prob.global.conv"])
+    gate = sigmoid(bottleneck(grid_pool(h), "prob.local.gate"))
+    logits = conv2d(h * gate, w["prob.local.out"]) + conv2d(grid_stats(f), w["prob.global.conv"])
     return np.clip(sigmoid(logits), np.float32(1e-7), np.nextafter(np.float32(1), np.float32(0)))
 
 
@@ -761,13 +833,15 @@ class TestFuseAndFinalize:
     @pytest.mark.parametrize("force", [None, 0.0, 0.3, 1.0])
     @pytest.mark.parametrize("kind", ["one", "random", "full"])
     def test_affinity_grid_is_the_full_grid_formula(self, kind, force):
-        """The affinity grid is C-contiguous and the full-grid formula's, bit
-        for bit: expanded into the CAF pool's grid, or on its own when forced."""
+        """The affinity grid is the full-grid formula's, bit for bit, computed
+        or forced.  It is C-contiguous, but cell-major where it is +0.0 off a
+        support of at most `_WRITE_MAX_SHARE` of the grid (forced to 0.0)."""
         cells = support_cells(kind, 40 * 40, 40, 3)
         f_lss, f_ht = cell_major_streams(40, 40, cells, 4, neg_zero_cell=False)
         res = heads(f_lss, f_ht, support_of(cells, 40, 40), weights(), force)
         ref_fused, ref_affinity = full_grid_caf(f_lss, f_ht, weights(), force)
-        assert res.affinity.flags.c_contiguous
+        zeros = force == 0.0 and cells.size <= _WRITE_MAX_SHARE * 40 * 40
+        assert (res.affinity.transpose(1, 2, 0) if zeros else res.affinity).flags.c_contiguous
         for got, ref in ((res.affinity, ref_affinity), (res.f_channel, ref_fused)):
             assert got.shape == ref.shape and got.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
@@ -889,3 +963,53 @@ def assert_same_fields(got, ref):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.shape == b.shape and a.dtype == b.dtype == np.float32, name
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32)), name
+
+
+def large_allocations(fn, least=1 << 20):
+    """The sizes of the traced blocks of at least `least` bytes that `fn()`
+    allocates.  At each profiler event where the traced memory has grown by
+    `least` since the last one, a snapshot's blocks of that size are counted
+    against the previous snapshot's, by allocation site and size.  A block
+    that a C call frees before it returns is not seen."""
+    state = {"last": 0, "live": Counter()}
+    found = []
+
+    def profile(frame, event, arg):
+        current = tracemalloc.get_traced_memory()[0]
+        if current - state["last"] >= least:
+            live = Counter((t.traceback, t.size) for t in tracemalloc.take_snapshot().traces
+                           if t.size >= least)
+            found.extend(size for (_, size), k in (live - state["live"]).items()
+                         for _ in range(k))
+            state["live"] = live
+        state["last"] = current
+
+    tracemalloc.start()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return found
+
+
+def test_warm_masked_desk_frame_allocates_no_other_grid():
+    """A census of a warm masked desk frame (seed 1): its allocations of at
+    least 1 MB, one 16-channel grid, are the stacked features and depths and
+    the five 64-channel output grids.  A full-grid temporary, such as a grid
+    expanded only to be pooled, would add to the list."""
+    bundle = generate_scene(random_scene_spec(1), BevGridSpec(), DepthBinSpec())
+    ht = precompute_ht_table(bundle.rigs, bundle.grid, make_height_samples("multires"),
+                             bundle.dspec)
+    lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    w = make_seeded_weights(11, bundle.spec.channels)
+
+    def frame():
+        return run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, w)
+
+    frame()  # warm: the tables' feature columns are built,
+    frame()  # and their voxel indices on a second masked frame
+    feats, depth_w, _ = stack_frame(bundle.feats, bundle.depths, bundle.masks, ht, lss)
+    grid = bundle.spec.channels * ht.n_cells * 4
+    assert sorted(large_allocations(frame)) == sorted([feats.nbytes, depth_w.nbytes] + [grid] * 5)

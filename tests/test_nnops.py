@@ -1,10 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_mean
 from dualvt import nnops
 from dualvt.errors import ConfigError, ShapeMismatch
 from dualvt.nnops import (
@@ -12,7 +14,7 @@ from dualvt.nnops import (
     WeightBundle,
     channel_stats,
     conv2d,
-    global_avg_pool,
+    mean_pool,
     relu,
     sigmoid,
 )
@@ -179,12 +181,102 @@ class TestReductions:
         assert s[0].tolist() == [[2.0, -1.0]]  # mean
         assert s[1].tolist() == [[3.0, 2.0]]  # max
 
-    def test_global_avg_pool(self):
-        x = np.arange(12, dtype=np.float32).reshape(2, 2, 3)
-        g = global_avg_pool(x)
-        assert g.shape == (2, 1, 1)
-        assert g[0, 0, 0] == pytest.approx(2.5)
-        assert g[1, 0, 0] == pytest.approx(8.5)
+    def test_mean_pool_of_a_grid(self):
+        x = np.arange(12, dtype=np.float32).reshape(2, 6)
+        g = mean_pool(x, np.ones(6, dtype=np.int64))
+        assert g.dtype == np.float32 and g.tolist() == [2.5, 8.5]
+
+
+def drawn_rows(rows, m, spread, seed):
+    """(rows, m) float32 values whose magnitudes span `spread` decades, a
+    quarter of them -0.0 or +0.0."""
+    rng = Rng(seed)
+    x = rng.uniform((rows, m), -1.0, 1.0) * np.float32(10.0) ** np.floor(
+        rng.uniform((rows, m), -spread, 1.0))
+    x[rng.uniform((rows, m)) < 0.125] = 0.0
+    x[rng.uniform((rows, m)) < 0.125] = -0.0
+    return x.astype(np.float32)
+
+
+def tied_rows(k):
+    """Rows of k copies of a float32 and of the next one up, so that each
+    mean, over 2k columns, lies exactly halfway between two float32s."""
+    a = np.array([1.0, 0.3, -7.25, 3e-38, 1e-44], dtype=np.float32)
+    b = np.nextafter(a, np.float32(np.inf))
+    return np.tile(np.stack([a, b], axis=1), (1, k))
+
+
+class TestMeanPool:
+    """`mean_pool` is the float32 nearest to the exact weighted mean: the
+    integer oracle `exact_mean`, bit for bit, also on exact ties, which the
+    fast path cannot settle, and on counts that are not powers of two."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 6), m=st.integers(1, 40), spread=st.integers(0, 40),
+           weighted=st.booleans(), seed=st.integers(0, 2**16))
+    @example(rows=3, m=1, spread=0, weighted=False, seed=0)
+    @example(rows=2, m=37, spread=40, weighted=True, seed=1)
+    def test_equals_the_exact_mean(self, rows, m, spread, weighted, seed):
+        x = drawn_rows(rows, m, spread, seed)
+        w = (Rng(seed + 1).integers((m,), 2**24) + 1 if weighted
+             else np.ones(m, dtype=np.int64))
+        got = mean_pool(x, w)
+        assert got.dtype == np.float32 and got.shape == (rows,)
+        assert np.array_equal(got.view(np.uint32), exact_mean(x, w).view(np.uint32))
+
+    @pytest.mark.parametrize("k", [3, 5, 6, 7])
+    @pytest.mark.parametrize("layout", ["columns", "weights"])
+    def test_ties_go_to_even_through_the_exact_sum(self, monkeypatch, k, layout):
+        """2k columns, or two columns of weight k: n = 2k is not a power of two
+        for these k, and every row's mean is a float32 midpoint."""
+        exact, summed = [], nnops._exact_means
+
+        def counted(x, *args):
+            exact.append(len(x))
+            return summed(x, *args)
+
+        monkeypatch.setattr(nnops, "_exact_means", counted)
+        x = tied_rows(k) if layout == "columns" else tied_rows(1)
+        w = np.ones(x.shape[1], dtype=np.int64) if layout == "columns" else np.array([k, k])
+        got = mean_pool(x, w)
+        want = exact_mean(x, w)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert np.all(want.view(np.uint32) % 2 == 0)  # the even neighbour
+        assert exact == [len(x)]  # the fast path settled none of them
+
+    @pytest.mark.parametrize("cell_major", [False, True])
+    def test_channel_mean_is_the_exact_mean_in_any_layout(self, cell_major):
+        """channel_stats' mean over 12 channels is the oracle's, ties included,
+        on a C-contiguous grid and on a channel-major view of cell-major memory."""
+        x = drawn_rows(12, 7 * 9, 6, 3).reshape(12, 7, 9)
+        x[:, 0, :5] = tied_rows(6).T
+        if cell_major:
+            x = np.ascontiguousarray(x.reshape(12, -1).T).T.reshape(x.shape)
+        stats = channel_stats(x)
+        want = exact_mean(x.reshape(12, -1).T).reshape(7, 9)
+        assert np.array_equal(stats[0].view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(stats[1], x.max(axis=0))
+
+    def test_zero_weights_leave_their_columns_out(self):
+        """Also a NaN or Inf column, as no cell reads it."""
+        x = np.array([[1.0, np.nan, 2.0], [np.inf, 5.0, -1.0]], dtype=np.float32)
+        assert mean_pool(x, np.array([1, 0, 2]))[0] == np.float32(5 / 3)
+        assert mean_pool(x, np.array([0, 3, 1]))[1] == np.float32(14 / 4)
+
+    def test_non_finite_rows_give_what_a_mean_gives(self):
+        """NaN, Inf and Inf of both signs, beside finite rows, raise no warning."""
+        x = np.array([[np.inf, 1.0, 2.0], [-np.inf, 1.0, np.inf], [np.nan, 0.0, 1.0],
+                      [1.0, 2.0, 4.0]], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mean_pool(x, np.array([1, 2, 1]))
+        assert got[0] == np.inf and np.isnan(got[1]) and np.isnan(got[2])
+        assert got[3] == np.float32(9 / 4)
+
+    def test_exact_zero_is_positive(self):
+        x = np.array([[-0.0, -0.0], [1.5, -1.5], [-1e-45, 0.0]], dtype=np.float32)
+        got = mean_pool(x, np.array([1, 1]))
+        assert got.view(np.uint32).tolist() == [0, 0, 0x80000000]
 
 
 class TestActivations:

@@ -382,7 +382,7 @@ def test_masked_desk_apply_allocates_less_than_one_grid():
 
 
 def survivors_oracle(depth_w, mask_w, offsets, feat_idx, depth_idx):
-    """`scatter._survivors` without a pixel index: every entry's mask bit read
+    """`scatter._survivors` without a voxel index: every entry's mask bit read
     through its feature index, in entry order."""
     keep = np.flatnonzero((mask_w != 0)[feat_idx])
     keep = keep[depth_w[depth_idx[keep]] != 0]
@@ -393,22 +393,34 @@ def survivors_oracle(depth_w, mask_w, offsets, feat_idx, depth_idx):
     return cells, w, fi, first, first + count
 
 
+def pixel_of(voxels, n_bins, camera_pixels):
+    """Each voxel's feature pixel, as `tables.IndexTable.feat_idx` derives it."""
+    voxels = np.asarray(voxels, dtype=np.int64)
+    return (voxels // (n_bins * camera_pixels) * camera_pixels
+            + voxels % camera_pixels).astype("<u4")
+
+
 def assert_survivors_match_oracle(problem, threads):
-    """The pixel index is the entries stably sorted by pixel; `_survivors` through
-    it equals the oracle, and `weighted_scatter` at `threads` the per-entry reference."""
-    feats, depth_w, mask_w, cells, feat_idx, depth_idx = problem
+    """The voxel index is the entries stably sorted by voxel; `_survivors`
+    through it, and without it, equals the oracle, and `weighted_scatter`
+    through it at `threads` the per-entry reference."""
+    feats, depth_w, mask_w, cells, feat_idx, depth_idx, camera_pixels = problem
     n_cells = int(cells.max()) + 1 if cells.size else 1
     offsets = _offsets(cells, n_cells).astype("<u4")
-    pos, counts = scatter.pixel_index(feat_idx, mask_w.size)
-    assert pos.dtype == "<u4" and np.array_equal(pos, np.argsort(feat_idx, kind="stable"))
-    assert np.array_equal(counts, np.bincount(feat_idx, minlength=mask_w.size))
-    got = scatter._survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, (pos, counts))
+    keys = scatter.voxel_index(depth_idx, depth_w.size)
+    shift = max(depth_idx.size - 1, 0).bit_length()
+    assert keys.dtype in ("<u4", "<u8") and np.array_equal(keys >> shift, np.sort(depth_idx))
+    assert np.array_equal(keys & ((1 << shift) - 1), np.argsort(depth_idx, kind="stable"))
     want = survivors_oracle(depth_w, mask_w, offsets, feat_idx, depth_idx)
-    assert [a.dtype for a in got] == [np.intp, np.float64, np.intp, np.intp, np.intp]
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
-    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
-    assert_matches_reference(_fast(problem, n_cells, threads), problem, n_cells)
+    for by_voxel in (lambda: (keys, camera_pixels), None):
+        got = scatter._survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, by_voxel)
+        assert [a.dtype for a in got] == [np.intp, np.float64, np.intp, np.intp, np.intp]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+    fast = weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx,
+                            threads=threads, by_voxel=lambda: (keys, camera_pixels))
+    assert_matches_reference(fast, problem[:6], n_cells)
 
 
 # float32 mask and depth values: signed zeros, the least subnormal, a larger
@@ -418,23 +430,26 @@ _WEIGHTS = [0.0, -0.0, 1e-45, -1e-45, 1e-40, 0.5, 1.0]
 
 @st.composite
 def _survivor_problems(draw):
-    """A problem over a few pixels: some pixels own no entry, others repeat
-    within a cell; masks all zero, all one or drawn from `_WEIGHTS`."""
-    n_pixels, n = draw(st.integers(1, 12)), draw(st.integers(0, 60))
-    used = draw(st.lists(st.integers(0, n_pixels - 1), min_size=1, max_size=n_pixels))
-    feat_idx = np.array(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)),
-                        dtype="<u4")
+    """A problem on 1-3 cameras of a few pixels and depth bins, whose entries'
+    pixels are their voxels' (`pixel_of`): some voxels own no entry, others
+    repeat within a cell; masks all zero, all one or drawn from `_WEIGHTS`."""
+    n_cams, pixels, n_bins = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(
+        st.integers(1, 4))
+    n_voxels, n = n_cams * n_bins * pixels, draw(st.integers(0, 60))
+    used = draw(st.lists(st.integers(0, n_voxels - 1), min_size=1, max_size=n_voxels))
+    depth_idx = np.array(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)),
+                         dtype="<u4")
     cells = np.sort(np.array(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)),
                              dtype=np.int64))
     fill = draw(st.sampled_from([0.0, 1.0, None]))
+    n_pixels = n_cams * pixels
     mask = draw(st.lists(st.sampled_from(_WEIGHTS), min_size=n_pixels, max_size=n_pixels))
     mask_w = np.array(mask if fill is None else [fill] * n_pixels, dtype=np.float32)
-    depth = draw(st.lists(st.sampled_from(_WEIGHTS), min_size=1, max_size=10))
+    depth = draw(st.lists(st.sampled_from(_WEIGHTS), min_size=n_voxels, max_size=n_voxels))
     depth_w = np.array(depth, dtype=np.float32)
-    depth_idx = np.array(draw(st.lists(st.integers(0, len(depth) - 1), min_size=n,
-                                       max_size=n)), dtype="<u4")
     feats = Rng(draw(st.integers(0, 10_000))).uniform((3, n_pixels), -10.0, 10.0)
-    return feats, depth_w, mask_w, cells, feat_idx, depth_idx
+    return (feats, depth_w, mask_w, cells, pixel_of(depth_idx, n_bins, pixels), depth_idx,
+            pixels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,12 +459,15 @@ def test_survivors_match_index_free_oracle(problem, threads):
 
 
 def _edge_problem(cells, feat_idx, mask, n_pixels=5):
+    """One camera of `n_pixels` pixels and three depth bins, of depth 0.5, 0.0
+    and 1e-45 at every pixel; entry k reads bin k % 3 at pixel feat_idx[k]."""
     mask_w = np.full(n_pixels, mask, dtype=np.float32) if np.isscalar(mask) else mask
     feats = Rng(3).uniform((2, n_pixels), -10.0, 10.0)
-    n = len(feat_idx)
-    return (feats, np.array([0.5, 0.0, 1e-45], dtype=np.float32), mask_w,
-            np.array(cells, dtype=np.int64), np.array(feat_idx, dtype="<u4"),
-            np.arange(n, dtype="<u4") % 3)
+    depth_w = np.repeat(np.array([0.5, 0.0, 1e-45], dtype=np.float32), n_pixels)
+    feat_idx = np.array(feat_idx, dtype="<u4")
+    depth_idx = (np.arange(feat_idx.size, dtype="<u4") % 3) * n_pixels + feat_idx
+    return (feats, depth_w, mask_w, np.array(cells, dtype=np.int64), feat_idx, depth_idx,
+            n_pixels)
 
 
 @pytest.mark.parametrize("problem", [
@@ -488,46 +506,49 @@ def test_run_directions_agree(n_cells, count, seed):
     assert by_cell[0].size == np.unique(np.searchsorted(offsets, keep, side="right")).size
 
 
-@pytest.mark.parametrize("n_pixels,key_bits", [(2**15, 32), (2**15 + 1, 33)])
-def test_pixel_index_at_the_key_width_boundary(n_pixels, key_bits):
-    """2**16 + 1 entries take 17 position bits; 2**15 pixels take 15 pixel bits
-    and fit u32 keys, 2**15 + 1 take 16 and need u64.  Both equal a stable
-    argsort and a bincount, the largest pixel's last key included."""
+@pytest.mark.parametrize("n_voxels,key_bits", [(2**15, 32), (2**15 + 1, 33)])
+def test_voxel_index_at_the_key_width_boundary(n_voxels, key_bits):
+    """2**16 + 1 entries take 17 position bits; 2**15 voxels take 15 voxel bits
+    and fit u32 keys, 2**15 + 1 take 16 and need u64.  Both hold the voxels
+    sorted and their positions as a stable argsort, the largest voxel's last
+    key included."""
     n = 2**16 + 1
-    feat_idx = Rng(key_bits).integers((n,), n_pixels).astype("<u4")
-    feat_idx[[0, -1]] = n_pixels - 1  # the largest pixel, at the first and last position
-    assert (n_pixels - 1).bit_length() + (n - 1).bit_length() == key_bits
-    pos, counts = scatter.pixel_index(feat_idx, n_pixels)
-    assert pos.dtype == "<u4" and np.array_equal(pos, np.argsort(feat_idx, kind="stable"))
-    assert np.array_equal(counts, np.bincount(feat_idx, minlength=n_pixels))
+    depth_idx = Rng(key_bits).integers((n,), n_voxels).astype("<u4")
+    depth_idx[[0, -1]] = n_voxels - 1  # the largest voxel, at the first and last position
+    assert (n_voxels - 1).bit_length() + (n - 1).bit_length() == key_bits
+    keys = scatter.voxel_index(depth_idx, n_voxels)
+    assert keys.dtype == ("<u4" if key_bits == 32 else "<u8")
+    assert np.array_equal(keys >> 17, np.sort(depth_idx))
+    assert np.array_equal(keys & (2**17 - 1), np.argsort(depth_idx, kind="stable"))
 
 
-def test_pixel_index_keys_are_the_narrowest_that_hold_them():
-    """u32 keys where pixel and position bits fit in 32 take 8 bytes per entry
-    less, keys and positions together, than the u64 keys one more pixel needs."""
+def test_voxel_index_keys_are_the_narrowest_that_hold_them():
+    """u32 keys where voxel and position bits fit in 32 take 4 bytes per entry
+    less than the u64 keys one more voxel needs, and the build holds nothing
+    of the entries' size but the keys (and one chunk of positions)."""
     n, peaks = 2**16 + 1, []
-    for n_pixels in (2**15, 2**15 + 1):
-        feat_idx = np.full(n, n_pixels - 1, dtype="<u4")
+    for n_voxels in (2**15, 2**15 + 1):
+        depth_idx = np.full(n, n_voxels - 1, dtype="<u4")
         tracemalloc.start()
         try:
-            scatter.pixel_index(feat_idx, n_pixels)
+            scatter.voxel_index(depth_idx, n_voxels)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] >= 6 * n
+    assert 4 * n <= peaks[1] - peaks[0] and peaks[1] < 8 * n + 16 * scatter.CHUNK_ENTRIES
 
 
-def test_tables_are_built_written_and_read_without_pixel_index(small_bundle, tmp_path,
+def test_tables_are_built_written_and_read_without_voxel_index(small_bundle, tmp_path,
                                                                 monkeypatch):
-    """Building, writing and reading a table never builds its pixel index; the
+    """Building, writing and reading a table never builds its voxel index; the
     index of a table read back equals the index of the table built in memory."""
     bundle, heights = small_bundle
 
     def refuse(*args):
-        raise AssertionError("pixel index built")
+        raise AssertionError("voxel index built")
 
     with monkeypatch.context() as mp:
-        mp.setattr(scatter, "pixel_index", refuse)
+        mp.setattr(scatter, "voxel_index", refuse)
         ht = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
         lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
         read = []
@@ -535,35 +556,64 @@ def test_tables_are_built_written_and_read_without_pixel_index(small_bundle, tmp
             write_table(table, tmp_path / "t")
             read.append(read_table(tmp_path / "t", table.magic))
     for built, back in zip((ht, lss), read):
-        assert "pixel_index" not in vars(built) and "pixel_index" not in vars(back)
+        assert "voxel_index" not in vars(built) and "voxel_index" not in vars(back)
         assert built.n_entries > 0
-        for a, b in zip(built.pixel_index, back.pixel_index):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert built.pixel_index is built.pixel_index  # kept on the table
+        (a, pa), (b, pb) = built.voxel_index, back.voxel_index
+        assert a.dtype == b.dtype and np.array_equal(a, b) and pa == pb == 24 * 10
+        assert built.voxel_index is built.voxel_index  # kept on the table
 
 
-def test_second_apply_builds_no_pixel_index():
-    """A table's second masked desk frame allocates less than the 8 bytes per
-    entry an index build holds at once (its keys and the positions it ORs into
-    them): the index is built once per table, not per frame."""
-    bundle = generate_scene(random_scene_spec(1), BevGridSpec(), DepthBinSpec())
-    ht = precompute_ht_table(bundle.rigs, bundle.grid, make_height_samples("multires"),
-                             bundle.dspec)
-    lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
-    frame = stack_frame(bundle.feats, bundle.depths, bundle.masks, ht, lss)
-    for apply, table in ((ht_apply, ht), (lss_apply, lss)):
+@pytest.fixture(scope="module")
+def desk_masked():
+    """Desk-scale seed-1 scene, with its masks."""
+    return generate_scene(random_scene_spec(1), BevGridSpec(), DepthBinSpec())
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_voxel_index_is_built_on_the_second_masked_frame(desk_masked):
+    """A fresh table's first masked desk frame tests its masked-in entries and
+    builds no voxel index.  The second builds it, in place: its traced peak
+    stays below one (n_cells, C) float64 grid.  The third allocates less than
+    the 8 bytes per entry the index's keys hold: the index is built once per
+    table, not per frame.  All three give the same support and sums."""
+    bundle = desk_masked
+    fresh = (precompute_ht_table(bundle.rigs, bundle.grid, make_height_samples("multires"),
+                                 bundle.dspec),
+             precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec))
+    frame = stack_frame(bundle.feats, bundle.depths, bundle.masks, *fresh)
+    grid_bytes = fresh[0].n_cells * bundle.spec.channels * 8
+    for apply, table in zip((ht_apply, lss_apply), fresh):
         first = apply(frame, table)
-        index = table.pixel_index
-        tracemalloc.start()
-        try:
-            second = apply(frame, table)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert table.pixel_index is index
-        assert peak >= second[1].nbytes  # numpy's allocations are traced
-        assert peak < 8 * table.n_entries
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        assert "voxel_index" not in vars(table)
+        second, build_peak = traced_peak(lambda: apply(frame, table))
+        index = vars(table)["voxel_index"]
+        third, peak = traced_peak(lambda: apply(frame, table))
+        assert table.voxel_index is index
+        assert index[0].nbytes == 8 * table.n_entries < build_peak < grid_bytes
+        assert third[1].nbytes <= peak < 8 * table.n_entries  # numpy's allocations are traced
+        for other in (second, third):
+            assert all(np.array_equal(a, b) for a, b in zip(first, other))
+
+
+def test_dense_apply_builds_no_voxel_index(desk_masked):
+    """A frame whose every mask is nonzero (`disable-M`) tests its entries in
+    entry order: it leaves no voxel index on a fresh table, however often."""
+    bundle = desk_masked
+    lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    ones = [np.ones_like(m) for m in bundle.masks]
+    frame = stack_frame(bundle.feats, bundle.depths, ones, lss)
+    for _ in range(2):
+        cells, _ = lss_apply(frame, lss)
+    assert cells.size > lss.n_cells // 2
+    assert "voxel_index" not in vars(lss)
 
 
 def test_stacked_features_are_pixel_major(small_bundle):

@@ -153,3 +153,22 @@ def test_write_holds_no_copy_of_the_payload(tmp_path):
     assert peak < t.nbytes / 2
     expected = b"BTSR\x01\x03" + b"\x00" * 6 + struct.pack("<3Q", 64, 128, 128)
     assert path.read_bytes() == expected + t.astype("<f4").tobytes()
+
+
+@pytest.mark.parametrize("layout", ["cell-major", "reversed", "strided-1d", "float64"])
+def test_any_layout_writes_its_c_order_bytes(tmp_path, layout):
+    """A channel-major view of cell-major memory (as the streams' grids), a
+    reversed view, a strided vector and a float64 array are written as their
+    C-order float32 copies, bit for bit."""
+    rng = Rng(4)
+    t = {"cell-major": lambda: np.ascontiguousarray(rng.uniform((3, 10, 11)).reshape(3, -1).T)
+                                 .T.reshape(3, 10, 11),
+         "reversed": lambda: rng.uniform((5, 9, 2))[::-1, :, ::-1],
+         "strided-1d": lambda: rng.uniform((40,))[::3],
+         "float64": lambda: rng.uniform((4, 6)).astype(np.float64) / 3}[layout]()
+    want = np.ascontiguousarray(t, dtype=np.float32)
+    got = as_tensor(t)
+    assert got.flags.c_contiguous and got.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    tensor_write(t, tmp_path / "t.btsr")
+    assert np.array_equal(tensor_read(tmp_path / "t.btsr").view(np.uint32), want.view(np.uint32))
