@@ -35,15 +35,15 @@ WEIGHT_SEED = 11
 GOLDEN = {
     "F_channel": "ae525f94464b2a27846b4cfe4d4cf660e5edf035c72a978e61084c293c5befe1",
     "A": "dddb10c3288c11a8a1b9edf50df6ea77eab48eb3fd7abcbdad948856110afd31",
-    "P": "eece4700ec1b9aa314dae3303339deeca4187eb025f6f2022b888256425bd7e4",
+    "P": "ae6e595d4d5ca262d625c508c52b7d14df77759c1e16cb7ffdc5e5c718233470",
     "F": "ad8f2b67cfcdee0c3bff9b8fd4303dab4bc89779610ee5c10e2700e450ff9757",
 }
 # the same with disable-M, at threads 1 and 2
 GOLDEN_DISABLE_M = {
     "F_channel": "05a53e575545f4aa1848eca9d9329a8c02b4f8f7f6a897da97a3630cf1cf77a0",
     "A": "7e36bd85bac6820640a8a42ceace6bc67c840931acdd15a5b506dec7beb33765",
-    "P": "f56b1e259b61974817b15ce7cdb162d8e1b624aaff594a3c1208108b387a4a9a",
-    "F": "b6acff495b46b890b964af047ff0ac66d964bbc18f30304729c3f932ba17ffe7",
+    "P": "67f0cc940ecda722aab78926c3257166bd7808ea0ebb813c0225d2e1cc2e1458",
+    "F": "4fd69993f0cf7bb9a15083a491beb7a48e27ee5519347b93f4baf067b60c72a1",
 }
 
 # heads(*border_streams()) with make_seeded_weights(11, 8)
