@@ -8,11 +8,13 @@ Exit codes: 0 success, 2 configuration error, 3 runtime/shape error.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import math
 import os
 import shutil
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -83,10 +85,20 @@ def cmd_synth(args) -> int:
 
 
 def cmd_precompute(args) -> int:
-    bundle = load_bundle(args.scene)
+    bundle = load_bundle(args.scene)  # loads and checks the scene's tensors too
     heights = make_height_samples(args.heights)
-    ht = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
-    lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    rigs, grid, dspec = bundle.rigs, bundle.grid, bundle.dspec
+    del bundle  # the tables need only the geometry: its tensors go before the builds
+    # the two tables build at once: the height table on a worker, under this
+    # thread's numpy error state, and the lift table here.  The worker's malloc
+    # arena keeps its peak after the thread ends, so it gets the smaller build.
+    with ThreadPoolExecutor(1) as pool:
+        ht = pool.submit(contextvars.copy_context().run,
+                         precompute_ht_table, rigs, grid, heights, dspec)
+        try:
+            lss = precompute_lss_table(rigs, grid, dspec)
+        finally:
+            ht = ht.result()  # the height table's error first, as when they ran in turn
 
     def write(directory):
         write_table(ht, directory / "ht_table.htlt")

@@ -147,18 +147,22 @@ def project_points(x, y, z, cam: CameraRig):
     return u, v, qz, valid
 
 
-def back_project(cam: CameraRig, d):
-    """The ego (x, y, z) of every pixel at camera depth `d`, a float or an
-    array that broadcasts before (feat_h, feat_w): the rigid inverse
-    (R^T, -R^T t) as fixed-order elementwise sums, so no BLAS picks the bits."""
+def back_project(cam: CameraRig, d, axes=(0, 1, 2)):
+    """The ego coordinates `axes` (0 for x, 1 for y, 2 for z) of every pixel
+    at camera depth `d`, a float or an array that broadcasts before
+    (feat_h, feat_w): the rigid inverse (R^T, -R^T t) as fixed-order
+    elementwise sums, so no BLAS picks the bits.  Each is a fresh array."""
     K, R, t = cam.intrinsics, cam.extrinsics[:3, :3], cam.extrinsics[:3, 3]
     x_cam = (np.arange(cam.feat_w) - K[0, 2]) / K[0, 0] * d
     y_cam = (np.arange(cam.feat_h)[:, None] - K[1, 2]) / K[1, 1] * d
-    return tuple(
-        x_cam * R[0, i] + y_cam * R[1, i] + d * R[2, i]
-        - (R[0, i] * t[0] + R[1, i] * t[1] + R[2, i] * t[2])
-        for i in range(3)
-    )
+    coords = []
+    for i in axes:
+        # x_cam R[0, i] + y_cam R[1, i] + d R[2, i] - (R^T t)[i], left to right, in place
+        c = np.add(x_cam * R[0, i], y_cam * R[1, i])
+        c += d * R[2, i]
+        c -= R[0, i] * t[0] + R[1, i] * t[1] + R[2, i] * t[2]
+        coords.append(c)
+    return tuple(coords)
 
 
 def bev_cell_centers(spec: BevGridSpec) -> np.ndarray:

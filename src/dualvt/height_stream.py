@@ -21,12 +21,18 @@ from .geometry import BevGridSpec, HeightSet, bev_cell_centers, project_points
 from .sampling import DepthBinSpec, depth_to_coord, trilinear_product
 from .scatter import support_grid, weighted_scatter
 from .tables import (
-    HT_MAGIC, IndexTable, build_table, check_camera_tensors, check_finite, stack_frame,
+    HT_MAGIC, IndexTable, build_table, cell_dtype, check_camera_tensors, check_finite,
+    stack_frame,
 )
 from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench's tracer
 
 INTERP = "interp"
 ROUND = "round"
+
+# candidate cells projected at once: 2048 x 13 heights x 8 bytes, 213 KB an array
+CANDIDATE_BLOCK = 2048
+# c + 0.5 of -(0.5 - 2**-54), the one c > -0.5 that round_half_away sends to -1
+_HALF_ROUNDS_UP = 2.0 ** -54
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -48,9 +54,13 @@ def precompute_ht_table(
 
     Every valid rounded (cell, camera, height) correspondence becomes one
     entry.  Each camera emits its entries in (cell, height) order, so the
-    table runs by cell, then camera, then height index.  Only points in
-    front of the camera and within one pixel of its map are rounded:
-    rounding moves a coordinate by at most 0.5, so no kept point is culled.
+    table runs by cell, then camera, then height index.  A point is kept
+    where it lies in front of the camera and its pixel and bin coordinates
+    round half away from zero into the map and the bin range: each test
+    is one add and two compares on the sum the rounding takes
+    (`_round_into`), and the kept sums give the entry's u32 voxel.  The
+    candidates are projected a block of `CANDIDATE_BLOCK` cells at a time,
+    so the build's working set stays small.
 
     Every height is projected only for the candidate cells of
     `_reachable_cells`, found from the first and last heights alone.  A
@@ -64,33 +74,61 @@ def precompute_ht_table(
     `project_points`, so every kept point has the bits of projecting them all.
     """
     x, y, z = _anchor_points(grid, heights)
-    nz = len(heights)
+    dtype = cell_dtype(grid)
 
     def emit(rig):
-        W, H = rig.feat_w, rig.feat_h
         cand = _reachable_cells(x, y, z, rig)
-        # candidates as a column, heights as a row: flat, the points run in
-        # (cell, height) order
-        u, v, d, valid = project_points(x[0, cand, None], y[0, cand, None], z.T, rig)
-        pts = np.flatnonzero(valid & (u > -1) & (u < W) & (v > -1) & (v < H))
-        cell = cand[pts // nz]  # ascending, so still (cell, height) order
-        ui, vi = round_half_away(u.take(pts)), round_half_away(v.take(pts))
-        k = round_half_away(depth_to_coord(d.take(pts), dspec))
-        keep = (
-            (ui >= 0) & (ui <= W - 1) & (vi >= 0) & (vi <= H - 1)
-            & (k >= 0) & (k <= dspec.n_bins - 1)
-        )
-        ui, vi, kk = (a[keep].astype(np.int64) for a in (ui, vi, k))
-        return cell[keep], (kk * H + vi) * W + ui
+        # a block of candidates at a time keeps the build's working set small
+        blocks = [_block_entries(x, y, z, rig, dspec, cand[s:s + CANDIDATE_BLOCK], dtype)
+                  for s in range(0, max(cand.size, 1), CANDIDATE_BLOCK)]
+        return tuple(np.concatenate(column) for column in zip(*blocks))
 
     return build_table(HT_MAGIC, grid, rigs, dspec, heights.z_values, map(emit, rigs))
 
 
+def _block_entries(x, y, z, rig, dspec, block, dtype):
+    """The entries of the candidate cells `block` in (cell, height) order:
+    their cells, of `dtype`, and their u32 voxels in the camera's volume."""
+    W, H = rig.feat_w, rig.feat_h
+    # candidates as a column, heights as a row: flat, the points run in
+    # (cell, height) order
+    u, v, d, keep = project_points(x[0, block, None], y[0, block, None], z.T, rig)
+    keep &= _round_into(u, W)
+    keep &= _round_into(v, H)
+    pts = np.flatnonzero(keep)
+    k = depth_to_coord(d.take(pts), dspec)
+    in_bins = _round_into(k, dspec.n_bins)
+    pts = pts[in_bins]
+    # (k * H + v) * W + u of the rounded coordinates, each int(c + 0.5)
+    voxel = k[in_bins].astype("<u4")
+    voxel *= np.uint32(H)
+    voxel += v.take(pts).astype("<u4")
+    voxel *= np.uint32(W)
+    voxel += u.take(pts).astype("<u4")
+    return block.take(pts // z.size).astype(dtype), voxel
+
+
+def _round_into(c, n):
+    """Where round_half_away(c) lies in [0, n - 1]; c becomes c + 0.5, in
+    place, and there int(c + 0.5) is round_half_away(c).
+
+    round_half_away(c) is sign(c) * floor(|c| + 0.5).  For c >= 0 that is
+    floor(c + 0.5), below n exactly when c + 0.5 is.  For c < 0 it is -0.0
+    when |c| + 0.5 < 1 as computed, else at most -1: so for every c > -0.5
+    but -(0.5 - 2**-54), whose |c| + 0.5 rounds up to 1.  On [-1, -0.25]
+    the sum c + 0.5 is exact (Sterbenz), below it negative, above it over
+    0.25, so c + 0.5 > 2**-54 keeps just these c, where int(c + 0.5) is 0.
+    NaN and infinities are never kept."""
+    c += 0.5
+    return (c > _HALF_ROUNDS_UP) & (c < n)
+
+
 def _reachable_cells(x, y, z, rig) -> np.ndarray:
     """The ascending cells whose anchor segment, heights z[0] to z[-1], can
-    reach the cull's window (-1, W) x (-1, H): it crosses the camera plane,
-    or it lies wholly in front and its end rows' bounding box comes within
-    one pixel of the window (see `precompute_ht_table`)."""
+    reach the window (-1, W) x (-1, H), which holds every point that rounds
+    into the map: it crosses the camera plane, or it lies wholly in front
+    and its end rows' bounding box comes within one pixel of the window
+    (see `precompute_ht_table`)."""
     if z.size == 0:
         return np.empty(0, dtype=np.intp)
     u, v, _, valid = project_points(x, y, z[[0, -1]], rig)

@@ -17,7 +17,8 @@ from .geometry import BevGridSpec, back_project
 from .sampling import DepthBinSpec
 from .scatter import support_grid, weighted_scatter
 from .tables import (
-    LSS_MAGIC, IndexTable, build_table, check_camera_tensors, check_finite, stack_frame,
+    LSS_MAGIC, IndexTable, build_table, cell_dtype, check_camera_tensors, check_finite,
+    stack_frame,
 )
 from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench's tracer
 
@@ -25,30 +26,41 @@ from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench
 def lift_frustum(cam, dspec: DepthBinSpec):
     """Lift every (pixel, depth-bin) pair of one camera into the ego frame.
 
-    Returns the ego (x, y, z) arrays, each (n_bins, feat_h, feat_w): entry
-    [k, v, u] is pixel (u, v) lifted to the center of bin k by
-    `geometry.back_project`, with no BLAS call.
+    Returns the ego (x, y) arrays, each (n_bins, feat_h, feat_w), fresh:
+    entry [k, v, u] is pixel (u, v) lifted to the center of bin k by
+    `geometry.back_project`, with no BLAS call.  The table needs no z, so
+    none is computed.
     """
-    return back_project(cam, dspec.bin_center(np.arange(dspec.n_bins))[:, None, None])
+    return back_project(cam, dspec.bin_center(np.arange(dspec.n_bins))[:, None, None],
+                        axes=(0, 1))
 
 
 def precompute_lss_table(rigs, grid: BevGridSpec, dspec: DepthBinSpec) -> IndexTable:
     """Assign in-grid frustum points to cells; half-open cells [min, max).
 
     Each camera emits its entries in ascending depth index, so the table
-    runs by cell, then camera, then depth index.  A point's depth index is
-    its flat position in the frustum, (k * feat_h + v) * feat_w + u.
+    runs by cell, then camera, then depth index, and the voxel alone orders
+    a cell's entries (`build_table`'s voxel_order).  A point's depth index
+    is its flat position in the frustum, (k * feat_h + v) * feat_w + u.
     """
-    def emit(rig):
-        x, y, _ = lift_frustum(rig, dspec)
-        # floor(q) lies in [0, n) exactly when q does, and there it equals int(q)
-        qx = ((x - grid.x_min) / grid.cell_w).ravel()
-        qy = ((y - grid.y_min) / grid.cell_h).ravel()
-        di = np.flatnonzero((qx >= 0) & (qx < grid.nx) & (qy >= 0) & (qy < grid.ny))
-        cells = qy[di].astype(np.int64) * grid.nx + qx[di].astype(np.int64)
-        return cells, di
+    dtype = cell_dtype(grid)
 
-    return build_table(LSS_MAGIC, grid, rigs, dspec, (), map(emit, rigs))
+    def emit(rig):
+        qx, qy = lift_frustum(rig, dspec)
+        # the cell coordinates (x - x_min) / cell_w, in place
+        qx -= grid.x_min
+        qx /= grid.cell_w
+        qy -= grid.y_min
+        qy /= grid.cell_h
+        inside = (qx >= 0) & (qx < grid.nx) & (qy >= 0) & (qy < grid.ny)
+        di = np.flatnonzero(inside)
+        # floor(q) lies in [0, n) exactly when q does, and there it equals int(q)
+        cells = qy.take(di).astype(dtype)
+        cells *= dtype.type(grid.nx)
+        cells += qx.take(di).astype(dtype)
+        return cells, di.astype("<u4")
+
+    return build_table(LSS_MAGIC, grid, rigs, dspec, (), map(emit, rigs), voxel_order=True)
 
 
 def lss_pool(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:

@@ -8,9 +8,11 @@ feature pixel, as a lifted frustum point takes its feature from the
 pixel it was lifted from: with P = feat_h*feat_w pixels a camera, voxel
 d's pixel is ``(d // (n_bins*P))*P + d % P``, an index into all cameras'
 feature pixels stacked the same way.  The streams emit each camera's
-(cell, voxel) pairs in their emission order; `build_table` sorts the
-entries by cell with one stable sort, so every cell owns one contiguous
-run that goes camera by camera and, within a camera, in emission order.
+(cell, voxel) pairs in their emission order.  `build_table` packs each
+entry into one unique u64 key (its cell, its position in that order, its
+camera-stacked voxel) and sorts the keys in place, so every cell owns one
+contiguous run that goes camera by camera and, within a camera, in
+emission order: the order of one stable sort by cell.
 The binary form stores the table's `geometry_fingerprint` and heights,
 then the runs as per-cell offsets, then a checksum:
 
@@ -33,7 +35,9 @@ is the threat it meets, not an adversary.  One pass costs about 0.2 ms
 
 In memory a table is this layout: `IndexTable` holds the u32 offsets and
 voxels as read-only views of the bytes read by `read_table`.  So
-`build_table` refuses a depth volume or an entry count above 2**32 - 1.
+`build_table` refuses a depth volume or an entry count above 2**32 - 1,
+and entries whose key does not fit in 64 bits (a 128x128 grid and the
+desk's 473,088 voxels leave 31 bits, for up to 2**31 entries).
 Two columns are derived in memory, never written to the file: the
 feature pixels (`IndexTable.feat_idx`, u32, 4 bytes an entry), the first
 time they are read, and the scatter's voxel index
@@ -155,15 +159,23 @@ def geometry_fingerprint(rigs, grid, dspec, heights) -> bytes:
     return h.digest()
 
 
-def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam) -> IndexTable:
+def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam,
+                voxel_order: bool = False) -> IndexTable:
     """Stack per-camera entries, sort them by cell and fingerprint the geometry.
 
-    per_cam yields one (cells, depth_idx) pair per rig, in rig order, with
-    voxels of that camera's own depth volume in the stream's emission order.
-    The voxels are shifted to the camera-stacked layout and one stable sort
-    by cell orders the entries by (cell, camera, emission order).  heights are
-    the z values the table was built for, empty for the lift table.  Sizes that
-    u32 cannot index raise ConfigError, the geometry's before per_cam is read.
+    per_cam yields one (cells, depth_idx) pair per rig, in rig order: cells of
+    `cell_dtype(grid)` and u32 voxels of that camera's own depth volume, in the
+    stream's emission order.  Each entry becomes one unique u64 key, its cell,
+    then its stacked position, then its voxel shifted to the camera-stacked
+    layout; one in-place sort of the keys orders the entries by (cell, camera,
+    emission order), the order of a stable sort by cell, and the voxels are
+    the sorted keys' low bits.  With voxel_order (the lift stream, whose
+    voxels ascend in emission order) the voxel alone orders a cell's entries
+    and the key has no position bits.  heights are the z values the table was
+    built for, empty for the lift table.  Sizes that u32 cannot index raise
+    ConfigError, the geometry's before per_cam is read, and so do keys that
+    64 bits cannot hold.  Memory: the keys, 8 bytes an entry, beside the
+    per-camera columns not yet written into them, then the u32 voxels.
     """
     n_cams, feat_h, feat_w = len(rigs), rigs[0].feat_h, rigs[0].feat_w
     volume = dspec.n_bins * feat_h * feat_w
@@ -174,26 +186,45 @@ def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam) -> IndexTable
     n = sum(len(c) for c, _ in per_cam)
     if n > _U32_MAX:
         raise ConfigError(f"{n} table entries exceed the table's u32 limit {_U32_MAX}")
-    cells = np.empty(n, dtype=np.min_scalar_type(grid.n_cells - 1))
-    unsorted = np.empty(n, dtype="<u4")
+    voxel_bits = (n_cams * volume - 1).bit_length()
+    order_bits = voxel_bits + (0 if voxel_order else max(n - 1, 0).bit_length())
+    if (grid.n_cells - 1).bit_length() + order_bits > 64:
+        raise ConfigError(f"{n} table entries over {grid.n_cells} cells exceed the "
+                          "table's 64-bit sort key")
+    keys = np.empty(n, dtype="<u8")
     start = 0
-    for cam, (cell, di) in enumerate(per_cam):
-        run = slice(start, start + len(cell))
-        cells[run] = cell
+    for cam in range(n_cams):
+        cell, voxel = per_cam[cam]
+        per_cam[cam] = None  # each camera's columns go once its keys are written
+        run = keys[start:start + len(cell)]
+        run[:] = cell
+        if not voxel_order:
+            run <<= np.uint64(order_bits - voxel_bits)
+            run |= np.arange(start, start + len(cell), dtype="<u8")
+        run <<= np.uint64(voxel_bits)
         # in range by the limit check: an in-camera voxel plus its camera's shift
-        np.add(di, cam * volume, out=unsorted[run], casting="unsafe")
-        start = run.stop
-    del per_cam  # the emitted int64 columns are not needed through the sort
-    offsets = np.zeros(grid.n_cells + 1, dtype="<u4")
-    np.cumsum(np.bincount(cells, minlength=grid.n_cells), out=offsets[1:])
-    # a stable sort's permutation is unique; on a key of 16 bits or less numpy radix-sorts
-    order = np.argsort(cells, kind="stable")
+        run |= voxel
+        run += np.uint64(cam * volume)
+        start += len(cell)
+    keys.sort()  # unique keys: any sort algorithm gives the same order
+    offsets = np.empty(grid.n_cells + 1, dtype="<u4")
+    offsets[0], offsets[-1] = 0, n
+    offsets[1:-1] = np.searchsorted(
+        keys, np.arange(1, grid.n_cells, dtype="<u8") << np.uint64(order_bits))
+    depth_idx = np.empty(n, dtype="<u4")
+    np.bitwise_and(keys, np.uint64((1 << voxel_bits) - 1), out=depth_idx, casting="unsafe")
     return IndexTable(
         magic=magic, ny=grid.ny, nx=grid.nx, n_cams=n_cams,
         feat_h=feat_h, feat_w=feat_w, n_bins=dspec.n_bins,
-        offsets=offsets, depth_idx=unsorted.take(order),
+        offsets=offsets, depth_idx=depth_idx,
         heights=tuple(heights), geometry_sha256=geometry_fingerprint(rigs, grid, dspec, heights),
     )
+
+
+def cell_dtype(grid) -> np.dtype:
+    """The smallest unsigned dtype that holds every cell of `grid`: u16 at the
+    desk scale.  The streams emit their cells in it."""
+    return np.min_scalar_type(grid.n_cells - 1)
 
 
 def write_table(table: IndexTable, path) -> None:

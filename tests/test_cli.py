@@ -1,10 +1,13 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import shutil
 import struct
 import tempfile
+import threading
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -16,10 +19,17 @@ from hypothesis import strategies as st
 
 from dualvt import cli
 from dualvt.cli import MAX_THREADS, main
+from dualvt.errors import ConfigError
 from dualvt.fusion import make_seeded_weights, run_pipeline
+from dualvt.geometry import BevGridSpec, make_height_samples
+from dualvt.height_stream import precompute_ht_table
+from dualvt.lift_stream import precompute_lss_table
 from dualvt.nnops import WeightBundle
-from dualvt.synth import SceneSpec, load_bundle, random_scene_spec
-from dualvt.tables import HT_MAGIC, LSS_MAGIC, read_table
+from dualvt.sampling import DepthBinSpec
+from dualvt.synth import (
+    SceneSpec, generate_scene, load_bundle, random_scene_spec, save_bundle, standard_scene_spec,
+)
+from dualvt.tables import HT_MAGIC, LSS_MAGIC, read_table, write_table
 from dualvt.tensors import tensor_read, tensor_write
 
 
@@ -294,6 +304,113 @@ class TestPrecompute:
         assert main(
             ["precompute", "--scene", str(tmp_path / "nope"), "--out", str(tmp_path / "t")]
         ) == 3
+
+    def test_huge_fx_prints_only_the_empty_table_line(self, workspace, tmp_path):
+        """fx = 1e308 on every rig overflows the height build's projection to
+        Inf, so its table is empty.  The worker thread that builds it runs under
+        main's numpy error state too: exit 0, and stderr holds only the
+        empty-table line, no numpy warning."""
+        manifest = edited_manifest(workspace, tmp_path, {})
+        doc = json.loads(manifest.read_text())
+        for cam in doc["cameras"]:
+            cam["rig"]["intrinsics"][0][0] = 1e308
+        rewrite_json(manifest, json.dumps(doc))
+        code, lines = run_cli(["precompute", "--scene", manifest.parent, "--out", tmp_path / "t"])
+        assert code == 0
+        assert lines == ["warning: ht table is empty (no points in view)"]
+
+    @pytest.mark.parametrize("ht_error, lss_error", [
+        (ConfigError, ValueError), (ValueError, ConfigError),
+        (ConfigError, None), (ValueError, None), (None, ConfigError), (None, ValueError),
+    ])
+    def test_build_errors_reported_in_table_order(self, workspace, tmp_path, monkeypatch,
+                                                  capsys, ht_error, lss_error):
+        """The two builds run at once, yet a failure is reported as when they ran
+        in turn: the height table's error before the lift table's, even when the
+        lift build fails first, with exit 2 for a ConfigError and 3 otherwise.
+        No file is written and no thread outlives the call."""
+        real_ht, real_lss = cli.precompute_ht_table, cli.precompute_lss_table
+        lift_done = threading.Event()
+
+        def ht(*args):
+            assert lift_done.wait(10)  # the lift build has finished or failed first
+            if ht_error:
+                raise ht_error("height build failed")
+            return real_ht(*args)
+
+        def lss(*args):
+            try:
+                if lss_error:
+                    raise lss_error("lift build failed")
+                return real_lss(*args)
+            finally:
+                lift_done.set()
+
+        monkeypatch.setattr(cli, "precompute_ht_table", ht)
+        monkeypatch.setattr(cli, "precompute_lss_table", lss)
+        threads = threading.active_count()
+        code = main(["precompute", "--scene", str(workspace / "scene"),
+                     "--out", str(tmp_path / "t")])
+        error = ht_error or lss_error
+        assert code == (2 if error is ConfigError else 3)
+        prefix = "config error" if error is ConfigError else "error"
+        table = "height" if ht_error else "lift"
+        assert capsys.readouterr().err.splitlines() == [f"{prefix}: {table} build failed"]
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == threads
+
+    def test_files_equal_sequential_library_builds(self, tmp_path):
+        """precompute's two concurrent builds write the bytes of the library
+        builders called one after the other, on 20 desk rigs jittered as the
+        benchmark's recalibration workload jitters them: camera height within
+        0.2 m of 1.5 m, field of view within 5 degrees of 70."""
+        heights = make_height_samples("multires")
+        for index in range(20):
+            jitter = np.random.default_rng([1, index]).uniform(-1.0, 1.0, 2)
+            spec = random_scene_spec(index, channels=4, cam_height=1.5 + 0.2 * float(jitter[0]),
+                                     hfov_deg=70.0 + 5.0 * float(jitter[1]))
+            bundle = generate_scene(spec, BevGridSpec(), DepthBinSpec())
+            scene, out, ref = (tmp_path / f"{name}{index}" for name in ("scene", "t", "ref"))
+            save_bundle(bundle, scene)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["precompute", "--scene", str(scene), "--out", str(out)]) == 0
+            ref.mkdir()
+            write_table(precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec),
+                        ref / "ht_table.htlt")
+            write_table(precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec),
+                        ref / "lss_table.lspt")
+            assert dir_digest(out) == dir_digest(ref), index
+
+    def test_desk_precompute_memory_is_bounded(self, tmp_path):
+        """The traced peak of `dualvt precompute` on a desk scene at 16 channels
+        (the benchmark's recalibration scene) stays under the measured peak of
+        the sequential int64-column builds, 14,310,931 bytes.  That peak is
+        about the sum of:
+        - the scene's tensors, 2,245,120 bytes (6 cameras of 16x16x44 float32
+          features, 112x16x44 depths and a 16x44 mask, and a 128x128 gt_bev);
+        - the finished height table, 4 * (220,620 entries + 16,385 offsets) =
+          948,020 bytes;
+        - the lift build's stacked columns, 22 bytes per entry: an int64 cell
+          and voxel of every camera, then a u16 cell and a u32 voxel, for
+          22 * 423,168 = 9,309,696 bytes;
+        - one camera's frustum x, y and z, 3 * 8 * 112*16*44 = 1,892,352 bytes;
+        14,395,188 bytes in all.  Both builds at once fit under it only with
+        lean columns: int64 entry columns again break it."""
+        spec = dataclasses.replace(standard_scene_spec(), channels=16)
+        save_bundle(generate_scene(spec, BevGridSpec(), DepthBinSpec()), tmp_path / "scene")
+        argv = ["precompute", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "t")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # first-call allocations (imports, caches) stay out
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        ht = read_table(tmp_path / "t" / "ht_table.htlt", HT_MAGIC)
+        lss = read_table(tmp_path / "t" / "lss_table.lspt", LSS_MAGIC)
+        assert (ht.n_entries, lss.n_entries) == (220_620, 423_168)  # the sizes of the bound
+        assert peak < 14_310_931
 
     @pytest.mark.parametrize("bad, field", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
     def test_out_of_range_manifest_spec_exits_2(self, workspace, tmp_path, capsys, bad, field):

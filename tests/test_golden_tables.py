@@ -2,19 +2,25 @@
 
 The table build is fixed-order elementwise float64 arithmetic with no
 BLAS call (see test_no_blas.py), so the written bytes do not depend on the
-BLAS build, its CPU kernel or its thread count.  The subprocess test
-rebuilds the tables under another OpenBLAS CPU kernel and one BLAS thread.
+BLAS build, its CPU kernel or its thread count.  The digests hold for the
+library builders called one after the other and for `dualvt precompute`,
+which runs them on two threads.  The subprocess test rebuilds the tables
+both ways under another OpenBLAS CPU kernel and one BLAS thread.
 """
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 from pathlib import Path
 
 from conftest import NEHALEM, json_in_child, needs_openblas_x86, small_scene
+from dualvt.cli import main
 from dualvt.geometry import BevGridSpec, make_height_samples
 from dualvt.height_stream import precompute_ht_table
 from dualvt.lift_stream import precompute_lss_table
 from dualvt.sampling import DepthBinSpec
-from dualvt.synth import make_ring_rigs, standard_scene_spec
+from dualvt.synth import generate_scene, make_ring_rigs, save_bundle, standard_scene_spec
 from dualvt.tables import write_table
 
 # SHA-256 of the files `dualvt precompute` writes (multires heights): small_scene(0)'s
@@ -51,11 +57,41 @@ def table_digests(directory) -> dict:
     return digests
 
 
+def precompute_digests(directory) -> dict:
+    """Write a scene of every pinned geometry, run `dualvt precompute` on it
+    and hash the two files it writes.  The scenes' tensors are the fewest
+    channels a scene takes: the tables do not read them."""
+    small, _ = small_scene(0)
+    desk = generate_scene(dataclasses.replace(standard_scene_spec(), channels=4),
+                          BevGridSpec(), DepthBinSpec())
+    digests = {}
+    for name, bundle in (("small", small), ("desk", desk)):
+        scene, out = Path(directory) / f"{name}-scene", Path(directory) / name
+        save_bundle(bundle, scene)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["precompute", "--scene", str(scene), "--out", str(out)]) == 0
+        for path in sorted(out.iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 def test_tables_match_golden_digests(tmp_path):
     assert table_digests(tmp_path) == GOLDEN
 
 
+def test_precompute_matches_golden_digests(tmp_path):
+    assert precompute_digests(tmp_path) == GOLDEN
+
+
+def both_digests(directory) -> list:
+    """`table_digests` and `precompute_digests`, each in a directory of its own."""
+    library, cli = Path(directory) / "library", Path(directory) / "cli"
+    library.mkdir()
+    cli.mkdir()
+    return [table_digests(library), precompute_digests(cli)]
+
+
 @needs_openblas_x86
 def test_table_digests_hold_on_another_openblas_core(tmp_path):
-    assert json_in_child("test_golden_tables", f"table_digests({str(tmp_path)!r})",
-                         **NEHALEM) == GOLDEN
+    assert json_in_child("test_golden_tables", f"both_digests({str(tmp_path)!r})",
+                         **NEHALEM) == [GOLDEN, GOLDEN]

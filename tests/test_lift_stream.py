@@ -3,7 +3,7 @@ import pytest
 
 from conftest import forward_camera, small_geometry, small_scene, table_cells
 from dualvt.errors import NonFiniteValue, ShapeMismatch
-from dualvt.geometry import BevGridSpec, project_points
+from dualvt.geometry import BevGridSpec, back_project, project_points
 from dualvt.lift_stream import (
     lift_frustum,
     lss_pool,
@@ -20,11 +20,11 @@ DSPEC = DepthBinSpec(d_min=2.0, d_max=26.0, step=1.0)
 class TestLiftFrustum:
     def test_frustum_cardinality(self):
         rig = forward_camera(feat_w=12, feat_h=6)
-        assert [a.shape for a in lift_frustum(rig, DSPEC)] == [(DSPEC.n_bins, 6, 12)] * 3
+        assert [a.shape for a in lift_frustum(rig, DSPEC)] == [(DSPEC.n_bins, 6, 12)] * 2
 
     def test_principal_pixel_lifts_along_axis(self):
         rig = forward_camera()
-        x, _, _ = lift_frustum(rig, DSPEC)
+        x, _ = lift_frustum(rig, DSPEC)
         # principal point (7.5, 7.5) is between pixels; use an explicit check
         # on pixel (8, 8): slight offset from the optical axis
         d_c = DSPEC.bin_center(0)
@@ -32,7 +32,10 @@ class TestLiftFrustum:
 
     def test_project_roundtrip(self):
         rig = forward_camera()
-        pu, pv, pd, valid = project_points(*lift_frustum(rig, DSPEC), rig)
+        x, y = lift_frustum(rig, DSPEC)
+        full = back_project(rig, DSPEC.bin_center(np.arange(DSPEC.n_bins))[:, None, None])
+        assert np.array_equal(x, full[0]) and np.array_equal(y, full[1])
+        pu, pv, pd, valid = project_points(x, y, full[2], rig)
         k, v, u = np.indices(pu.shape)
         assert valid.all()
         assert pu == pytest.approx(u, abs=1e-4)
@@ -46,7 +49,7 @@ class TestPrecompute:
         # a grid covering everything the camera can possibly reach
         grid = BevGridSpec(x_min=0.0, x_max=60.0, y_min=-60.0, y_max=60.0, nx=60, ny=120)
         table = precompute_lss_table([rig], grid, DSPEC)
-        x, y, _ = lift_frustum(rig, DSPEC)
+        x, y = lift_frustum(rig, DSPEC)
         in_grid = (x >= grid.x_min) & (x < grid.x_max) & (y >= grid.y_min) & (y < grid.y_max)
         assert table.n_entries == int(in_grid.sum())
         assert table.n_entries > 0
@@ -127,7 +130,7 @@ class TestPool:
                 depth[hot_bins[vv, uu], vv, uu] = 1.0
         out = lss_pool(feats, [depth], masks, table)
         # count one-hot points landing inside the grid
-        x, y, _ = lift_frustum(rig, DSPEC)
+        x, y = lift_frustum(rig, DSPEC)
         hot = hot_bins == np.arange(DSPEC.n_bins)[:, None, None]
         in_grid = (x >= grid.x_min) & (x < grid.x_max) & (y >= grid.y_min) & (y < grid.y_max)
         assert out[0].sum() == pytest.approx(int((hot & in_grid).sum()), rel=1e-6)
