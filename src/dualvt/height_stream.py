@@ -29,8 +29,6 @@ from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench
 INTERP = "interp"
 ROUND = "round"
 
-# candidate cells projected at once: 2048 x 13 heights x 8 bytes, 213 KB an array
-CANDIDATE_BLOCK = 2048
 # c + 0.5 of -(0.5 - 2**-54), the one c > -0.5 that round_half_away sends to -1
 _HALF_ROUNDS_UP = 2.0 ** -54
 
@@ -58,9 +56,7 @@ def precompute_ht_table(
     where it lies in front of the camera and its pixel and bin coordinates
     round half away from zero into the map and the bin range: each test
     is one add and two compares on the sum the rounding takes
-    (`_round_into`), and the kept sums give the entry's u32 voxel.  The
-    candidates are projected a block of `CANDIDATE_BLOCK` cells at a time,
-    so the build's working set stays small.
+    (`_round_into`), and the kept sums give the entry's u32 voxel.
 
     Every height is projected only for the candidate cells of
     `_reachable_cells`, found from the first and last heights alone.  A
@@ -77,35 +73,26 @@ def precompute_ht_table(
     dtype = cell_dtype(grid)
 
     def emit(rig):
+        W, H = rig.feat_w, rig.feat_h
         cand = _reachable_cells(x, y, z, rig)
-        # a block of candidates at a time keeps the build's working set small
-        blocks = [_block_entries(x, y, z, rig, dspec, cand[s:s + CANDIDATE_BLOCK], dtype)
-                  for s in range(0, max(cand.size, 1), CANDIDATE_BLOCK)]
-        return tuple(np.concatenate(column) for column in zip(*blocks))
+        # candidates as a column, heights as a row: flat, the points run in
+        # (cell, height) order
+        u, v, d, keep = project_points(x[0, cand, None], y[0, cand, None], z.T, rig)
+        keep &= _round_into(u, W)
+        keep &= _round_into(v, H)
+        pts = np.flatnonzero(keep)
+        k = depth_to_coord(d.take(pts), dspec)
+        in_bins = _round_into(k, dspec.n_bins)
+        pts = pts[in_bins]
+        # (k * H + v) * W + u of the rounded coordinates, each int(c + 0.5)
+        voxel = k[in_bins].astype("<u4")
+        voxel *= np.uint32(H)
+        voxel += v.take(pts).astype("<u4")
+        voxel *= np.uint32(W)
+        voxel += u.take(pts).astype("<u4")
+        return cand.take(pts // z.size).astype(dtype), voxel
 
     return build_table(HT_MAGIC, grid, rigs, dspec, heights.z_values, map(emit, rigs))
-
-
-def _block_entries(x, y, z, rig, dspec, block, dtype):
-    """The entries of the candidate cells `block` in (cell, height) order:
-    their cells, of `dtype`, and their u32 voxels in the camera's volume."""
-    W, H = rig.feat_w, rig.feat_h
-    # candidates as a column, heights as a row: flat, the points run in
-    # (cell, height) order
-    u, v, d, keep = project_points(x[0, block, None], y[0, block, None], z.T, rig)
-    keep &= _round_into(u, W)
-    keep &= _round_into(v, H)
-    pts = np.flatnonzero(keep)
-    k = depth_to_coord(d.take(pts), dspec)
-    in_bins = _round_into(k, dspec.n_bins)
-    pts = pts[in_bins]
-    # (k * H + v) * W + u of the rounded coordinates, each int(c + 0.5)
-    voxel = k[in_bins].astype("<u4")
-    voxel *= np.uint32(H)
-    voxel += v.take(pts).astype("<u4")
-    voxel *= np.uint32(W)
-    voxel += u.take(pts).astype("<u4")
-    return block.take(pts // z.size).astype(dtype), voxel
 
 
 def _round_into(c, n):

@@ -39,9 +39,8 @@ def precompute_lss_table(rigs, grid: BevGridSpec, dspec: DepthBinSpec) -> IndexT
     """Assign in-grid frustum points to cells; half-open cells [min, max).
 
     Each camera emits its entries in ascending depth index, so the table
-    runs by cell, then camera, then depth index, and the voxel alone orders
-    a cell's entries (`build_table`'s voxel_order).  A point's depth index
-    is its flat position in the frustum, (k * feat_h + v) * feat_w + u.
+    runs by cell, then camera, then depth index.  A point's depth index is
+    its flat position in the frustum, (k * feat_h + v) * feat_w + u.
     """
     dtype = cell_dtype(grid)
 
@@ -60,7 +59,7 @@ def precompute_lss_table(rigs, grid: BevGridSpec, dspec: DepthBinSpec) -> IndexT
         cells += qx.take(di).astype(dtype)
         return cells, di.astype("<u4")
 
-    return build_table(LSS_MAGIC, grid, rigs, dspec, (), map(emit, rigs), voxel_order=True)
+    return build_table(LSS_MAGIC, grid, rigs, dspec, (), map(emit, rigs))
 
 
 def lss_pool(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.ndarray:

@@ -159,8 +159,7 @@ def geometry_fingerprint(rigs, grid, dspec, heights) -> bytes:
     return h.digest()
 
 
-def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam,
-                voxel_order: bool = False) -> IndexTable:
+def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam) -> IndexTable:
     """Stack per-camera entries, sort them by cell and fingerprint the geometry.
 
     per_cam yields one (cells, depth_idx) pair per rig, in rig order: cells of
@@ -169,9 +168,7 @@ def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam,
     then its stacked position, then its voxel shifted to the camera-stacked
     layout; one in-place sort of the keys orders the entries by (cell, camera,
     emission order), the order of a stable sort by cell, and the voxels are
-    the sorted keys' low bits.  With voxel_order (the lift stream, whose
-    voxels ascend in emission order) the voxel alone orders a cell's entries
-    and the key has no position bits.  heights are the z values the table was
+    the sorted keys' low bits.  heights are the z values the table was
     built for, empty for the lift table.  Sizes that u32 cannot index raise
     ConfigError, the geometry's before per_cam is read, and so do keys that
     64 bits cannot hold.  Memory: the keys, 8 bytes an entry, beside the
@@ -187,7 +184,7 @@ def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam,
     if n > _U32_MAX:
         raise ConfigError(f"{n} table entries exceed the table's u32 limit {_U32_MAX}")
     voxel_bits = (n_cams * volume - 1).bit_length()
-    order_bits = voxel_bits + (0 if voxel_order else max(n - 1, 0).bit_length())
+    order_bits = voxel_bits + max(n - 1, 0).bit_length()
     if (grid.n_cells - 1).bit_length() + order_bits > 64:
         raise ConfigError(f"{n} table entries over {grid.n_cells} cells exceed the "
                           "table's 64-bit sort key")
@@ -198,9 +195,8 @@ def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam,
         per_cam[cam] = None  # each camera's columns go once its keys are written
         run = keys[start:start + len(cell)]
         run[:] = cell
-        if not voxel_order:
-            run <<= np.uint64(order_bits - voxel_bits)
-            run |= np.arange(start, start + len(cell), dtype="<u8")
+        run <<= np.uint64(order_bits - voxel_bits)
+        run |= np.arange(start, start + len(cell), dtype="<u8")
         run <<= np.uint64(voxel_bits)
         # in range by the limit check: an in-camera voxel plus its camera's shift
         run |= voxel

@@ -89,7 +89,7 @@ def test_indices_beyond_u32_refused():
 def test_keys_beyond_64_bits_refused():
     """An entry's sort key is its cell, its position and its voxel: a geometry
     whose three fields take more than 64 bits is refused with ConfigError,
-    before any key exists, and a lift table's key has no position bits."""
+    before any key exists."""
     grid = BevGridSpec(nx=65536, ny=65536)  # 32 cell bits
     dspec = DepthBinSpec(d_min=2.0, d_max=4.0, step=1.0)
     rig = forward_camera(feat_w=512, feat_h=1024)  # 2 * 2**19 voxels: 20 voxel bits
@@ -97,9 +97,6 @@ def test_keys_beyond_64_bits_refused():
     with pytest.raises(ConfigError, match="64-bit sort key") as e:
         build_table(HT_MAGIC, grid, [rig], dspec, (0.0,), [(cells, voxels)])
     assert "\n" not in str(e.value)
-    small = BevGridSpec(nx=2**10, ny=2**10)  # 20 cell bits: 53 with the position, 40 without
-    assert build_table(LSS_MAGIC, small, [rig], dspec, (), [(cells[:1], voxels[:1])],
-                       voxel_order=True).n_entries == 1
 
 
 def test_file_layout(tmp_path, small_bundle):
