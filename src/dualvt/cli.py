@@ -32,7 +32,9 @@ from .tables import HT_MAGIC, LSS_MAGIC, geometry_fingerprint, read_table, write
 from .tensors import tensor_write
 
 DEFAULT_WEIGHT_SEED = 11
-MAX_THREADS = 64  # upper bound on --threads; the scatter starts up to this many workers
+# upper bound on --threads: each stream's scatter, and the heads' convolution
+# bands, start up to this many workers
+MAX_THREADS = 64
 
 
 def _parse_ablations(ablate) -> tuple:

@@ -60,6 +60,7 @@ image is broadcast into a fresh C-contiguous grid.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,7 @@ from .lift_stream import lss_apply, lss_pool  # noqa: F401
 from .nnops import (
     Conv2dWeights,
     WeightBundle,
+    WorkerPool,
     channel_stats,
     conv2d,
     mean_pool,
@@ -127,19 +129,22 @@ def make_seeded_weights(seed: int, channels: int) -> WeightBundle:
     return WeightBundle.seeded(seed, default_weight_shapes(channels))
 
 
-def _bottleneck(z: np.ndarray, weights: WeightBundle, prefix: str) -> np.ndarray:
-    return conv2d(relu(conv2d(z, weights[f"{prefix}.squeeze"])), weights[f"{prefix}.expand"])
+def _bottleneck(z: np.ndarray, weights: WeightBundle, prefix: str, workers) -> np.ndarray:
+    squeezed = relu(conv2d(z, weights[f"{prefix}.squeeze"], workers))
+    return conv2d(squeezed, weights[f"{prefix}.expand"], workers)
 
 
 def caf_fuse(cells, packed, weights: WeightBundle, force_affinity: float | None):
     """The CAF head on the packed (2C, rows, nx) image, lift stream first: the packed
     fused feature and the affinity grid.  A forced affinity skips the head.  The
-    fused background, ``a*0 + (1-a)*0``, is +0.0 for any affinity in [0, 1]."""
+    fused background, ``a*0 + (1-a)*0``, is +0.0 for any affinity in [0, 1].
+    The convolutions run on `cells`' workers."""
     c = packed.shape[0] // 2
     if force_affinity is None:
-        z = conv2d(packed, weights["caf.reduce"])
-        logits = _bottleneck(z, weights, "caf.local")
-        logits += _bottleneck(cells.pool(z, "input"), weights, "caf.global")  # over columns
+        z = conv2d(packed, weights["caf.reduce"], cells.workers)
+        logits = _bottleneck(z, weights, "caf.local", cells.workers)
+        logits += _bottleneck(cells.pool(z, "input"), weights, "caf.global",  # over columns
+                              cells.workers)
         del z
         affinity = sigmoid(logits)
         del logits
@@ -147,7 +152,9 @@ def caf_fuse(cells, packed, weights: WeightBundle, force_affinity: float | None)
         affinity = np.full((c,) + packed.shape[1:], force_affinity, dtype=np.float32)
     grid = cells.expand(affinity, "input")
     fused = affinity * packed[:c]
-    fused += (1.0 - affinity) * packed[c:]  # float32 either way: the same rounding
+    rest = 1.0 - affinity  # float32, scaled in place: one temporary, the same roundings
+    rest *= packed[c:]
+    fused += rest
     return fused, grid
 
 
@@ -179,13 +186,17 @@ def _twin_axis(n: int, r: int) -> np.ndarray:
 
 
 class _FullGrid:
-    """The occupancy head's layers on every cell of the grid."""
+    """The occupancy head's layers on every cell of the (ny, nx) grid, their
+    convolutions on `workers` (a `WorkerPool` or None)."""
+
+    def __init__(self, shape: tuple, workers: WorkerPool | None = None):
+        self.shape, self.workers = shape, workers
 
     def pack(self, x):
         return x
 
     def conv(self, x, w, src, dst):
-        return conv2d(x, w)
+        return conv2d(x, w, self.workers)
 
     def move(self, x, src, dst):
         return x
@@ -208,10 +219,12 @@ class _ActiveCells:
     of `border_shape` cells, each cell off the set reading its twin there
     (`_twin_axis` of `reach` on each axis); column ``n_border + k`` is
     ``cells[name][k]``, and the columns after those pad the last row.  At
-    ``reach=(0, 0)`` the border image is one column, the background.
+    ``reach=(0, 0)`` the border image is one column, the background.  The
+    heads' convolutions on the image run on `workers` (a `WorkerPool` or None).
     """
 
-    def __init__(self, sets: dict, reach: tuple = (0, 0)):
+    def __init__(self, sets: dict, reach: tuple = (0, 0), workers: WorkerPool | None = None):
+        self.workers = workers
         self.shape = ny, nx = sets["input"].shape
         self.twin = _twin_axis(ny, reach[0]), _twin_axis(nx, reach[1])
         self.border_shape = min(ny, 2 * reach[0] + 1), min(nx, 2 * reach[1] + 1)
@@ -272,7 +285,8 @@ class _ActiveCells:
         idx[:, b:b + self.cells[dst].size] = windows(self.where[src].reshape(self.shape),
                                                      self.cells[dst])
         gathered = self._take(x2d, idx)  # rows in conv2d's (c_in, i, j) order
-        return conv2d(gathered, Conv2dWeights(w.kernel.reshape(c_out, -1, 1, 1), w.bias))
+        flat = Conv2dWeights(w.kernel.reshape(c_out, -1, 1, 1), w.bias)
+        return conv2d(gathered, flat, self.workers)
 
     def move(self, x, src: str, dst: str):
         """A value on set `src` onto the larger set `dst`, border image and all."""
@@ -317,13 +331,14 @@ class _ActiveCells:
         return mean_pool(x.reshape(x.shape[0], -1)[:, :counts.size], counts)[:, None, None]
 
 
-def _active_cells(support: np.ndarray, weights: WeightBundle):
-    """The occupancy head's active sets, grown from the (ny, nx) `support`, or
-    the full grid when the windows of one would cover more than
-    `_PACKED_MAX_SHARE` of it."""
+def _active_cells(support: np.ndarray, weights: WeightBundle,
+                  workers: WorkerPool | None = None):
+    """The occupancy head's plan: its active sets, grown from the (ny, nx)
+    `support`, or the full grid when the windows of one would cover more than
+    `_PACKED_MAX_SHARE` of it; its convolutions run on `workers`."""
     limit = _PACKED_MAX_SHARE * support.size
     if np.count_nonzero(support) > limit:  # a dense frame pays for no dilation
-        return _FullGrid()
+        return _FullGrid(support.shape, workers)
 
     # f_channel and its channel stats are +0.0 off the support, as the padding is
     w1, w2 = weights["prob.local.res1"], weights["prob.local.res2"]
@@ -333,35 +348,35 @@ def _active_cells(support: np.ndarray, weights: WeightBundle):
     # which the global conv's reach joins (with the default shapes it adds none)
     out = _reach(res1, w2) | _reach(support, weights["prob.global.conv"])
     if np.count_nonzero(out) > limit:
-        return _FullGrid()
+        return _FullGrid(support.shape, workers)
     # off those sets, res1's and res2's inputs are constants (the reduce's
     # bias, and what res1 makes of it), which the zero padding breaks within
     # their reach of the edge: the border image holds them, each at its twin
     (y1, x1), (y2, x2) = _radius(w1), _radius(w2)
     return _ActiveCells(
         {"input": support, "reduce": reduce, "res1": res1, "out": out},
-        reach=(y1 + y2, x1 + x2),
+        reach=(y1 + y2, x1 + x2), workers=workers,
     )
 
 
-def bev_probability(f_channel, weights: WeightBundle, support: np.ndarray) -> np.ndarray:
+def bev_probability(f_channel, weights: WeightBundle, cells) -> np.ndarray:
     """(1, ny, nx) occupancy probability, strictly inside (0, 1).
 
-    `support` is an (ny, nx) bool mask, and `f_channel` must be bit-for-bit
-    +0.0 at every cell off it.  Any larger support gives the same bits: a
+    `cells` is the plan `_active_cells(support, weights, workers)` builds from
+    an (ny, nx) bool support, and `f_channel` must be bit-for-bit +0.0 at
+    every cell off that support.  Any larger support gives the same bits: a
     support cell whose input is +0.0 computes the background's.  The reduce
     refuses a channel count the weights do not take."""
     if f_channel.dtype != np.float32:
         raise ShapeMismatch(f"F_channel must be float32, got {f_channel.dtype}")
-    if support.shape != f_channel.shape[1:]:
-        raise ShapeMismatch(f"support shape {support.shape} does not match {f_channel.shape}")
-    cells = _active_cells(support, weights)
+    if cells.shape != f_channel.shape[1:]:
+        raise ShapeMismatch(f"support shape {cells.shape} does not match {f_channel.shape}")
     x = cells.pack(f_channel)
     h = cells.conv(x, weights["prob.local.reduce"], "input", "reduce")
     t = relu(cells.conv(h, weights["prob.local.res1"], "reduce", "res1"))
     h = cells.move(h, "reduce", "out") + cells.conv(t, weights["prob.local.res2"], "res1", "out")
-    gate = sigmoid(_bottleneck(cells.pool(h, "out"), weights, "prob.local.gate"))
-    local_logits = conv2d(h * gate, weights["prob.local.out"])
+    gate = sigmoid(_bottleneck(cells.pool(h, "out"), weights, "prob.local.gate", cells.workers))
+    local_logits = conv2d(h * gate, weights["prob.local.out"], cells.workers)
     global_logits = cells.conv(channel_stats(x), weights["prob.global.conv"], "input", "out")
     p = sigmoid(local_logits + global_logits)
     return cells.expand(np.clip(p, _P_LO, _P_HI), "out")
@@ -424,27 +439,31 @@ def run_pipeline(
         grids.append(support_grid(cells, sums, ny, nx))
     del frame, cells, sums  # only the grids live on through the heads
     f_ht, f_lss = grids
-    return heads(f_lss, f_ht, support.reshape(ny, nx), weights, force_affinity)
+    return heads(f_lss, f_ht, support.reshape(ny, nx), weights, force_affinity, threads)
 
 
 def heads(f_lss, f_ht, support, weights: WeightBundle,
-          force_affinity: float | None = None) -> PipelineResult:
+          force_affinity: float | None = None, threads: int = 1) -> PipelineResult:
     """Both heads on the (C, ny, nx) float32 stream grids, lift stream first.
     `support` is an (ny, nx) bool mask, and both grids must be bit-for-bit
     +0.0 at every cell off it; any larger support gives the same bits.  The
-    checks read no grid data.  The BLAS runs one thread (`one_blas_thread`)."""
+    checks read no grid data.  The BLAS runs one thread (`one_blas_thread`).
+    Above one thread, one `WorkerPool` of `threads` runs the convolutions'
+    row bands; it is opened per call and joined before the call returns,
+    and the bytes are those of one thread."""
     if f_lss.shape != f_ht.shape:
         raise ShapeMismatch(f"stream shapes differ: {f_lss.shape} vs {f_ht.shape}")
     if f_lss.dtype != np.float32 or f_ht.dtype != np.float32:
         raise ShapeMismatch(f"streams must be float32, got {f_lss.dtype} and {f_ht.dtype}")
     if support.shape != f_lss.shape[1:]:
         raise ShapeMismatch(f"support shape {support.shape} does not match {f_lss.shape}")
-    cells = _ActiveCells({"input": support})
-    # the heads are called by module name, where perfbench's tracer wraps them
-    with one_blas_thread():  # the heads' GEMMs run on the calling thread
+    # the heads are called by module name, where perfbench's tracer wraps them;
+    # their GEMMs run under the calling thread's budget, also on the workers
+    with one_blas_thread(), (WorkerPool(threads) if threads > 1 else nullcontext()) as workers:
+        cells = _ActiveCells({"input": support}, workers=workers)
         fused, affinity = caf_fuse(cells, cells.pack(f_lss, f_ht), weights, force_affinity)
         f_channel = cells.expand(fused, "input")
-        p = bev_probability(f_channel, weights, support)
+        p = bev_probability(f_channel, weights, _active_cells(support, weights, workers))
     return PipelineResult(
         f_final=cells.expand(assemble_final(fused, cells.pack(p)), "input"),
         p_bev=p, f_ht=f_ht, f_lss=f_lss, f_channel=f_channel, affinity=affinity,

@@ -18,12 +18,15 @@ occupancy heads share it):
   bit only when the float64 sum lies within that error of a float32
   rounding boundary.  The tests pin the heads' output digests across
   OpenBLAS core types, check ``conv2d``'s bytes across BLAS thread
-  counts on every layer shape of the heads, and check every kernel size
-  against a fixed-order float64 loop to within one float32 ulp.  No
-  stronger guarantee is made.
+  counts and worker counts on every layer shape of the heads, and check
+  every kernel size against a fixed-order float64 loop to within one
+  float32 ulp.  No stronger guarantee is made.
 - The output is walked in blocks of ``BLOCK_ROWS`` rows, so the float64
   window matrix takes ``C_in*kh*kw * BLOCK_ROWS * W * 8`` bytes
-  whatever the height of the input.
+  whatever the height of the input, once per worker that runs blocks.
+- A ``WorkerPool`` runs contiguous bands of whole blocks, one band per
+  worker.  Every block is the same ``dgemm`` call on the same window
+  matrix as on one thread, so the split moves no bit.
 
 Arithmetic contract of ``mean_pool`` (both heads' global pools and
 ``channel_stats``' mean): each output is the float32 nearest, ties to
@@ -37,9 +40,11 @@ Thread budget: ``one_blas_thread`` holds numpy's bundled scipy-openblas
 to one thread for the length of a block and then gives back the count it
 found.  The count is process-global, so blocks on several threads share
 one budget: the first to enter saves the count and the last to leave
-restores it.  Where numpy links another BLAS, or a build without the
-scipy-openblas symbols, the block runs with the BLAS as the caller left
-it.  Bits do not depend on this (see the contract above).
+restores it.  It also holds for every thread that runs BLAS calls inside
+the block: a ``WorkerPool``'s ``dgemm`` calls run under the budget that
+the calling thread holds.  Where numpy links another BLAS, or a build
+without the scipy-openblas symbols, the block runs with the BLAS as the
+caller left it.  Bits do not depend on this (see the contract above).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import ctypes
 import json
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,13 +126,24 @@ class Conv2dWeights:
             raise ConfigError("bias length must equal C_out")
 
 
-def conv2d(x: np.ndarray, w: Conv2dWeights) -> np.ndarray:
+class WorkerPool(ThreadPoolExecutor):
+    """`size` threads for a caller's bands of work (`conv2d`); a `with` block
+    joins them when it ends, so none outlives the call that opened it."""
+
+    def __init__(self, size: int):
+        super().__init__(max_workers=size)
+        self.size = size
+
+
+def conv2d(x: np.ndarray, w: Conv2dWeights, workers: WorkerPool | None = None) -> np.ndarray:
     """Zero-padded cross-correlation preserving spatial size.
 
     For each block of ``BLOCK_ROWS`` output rows, the float32 input
     windows are copied into a float64 ``(C_in*kh*kw, rows*W)`` matrix,
     multiplied by the float64 kernel and offset by the float64 bias;
     the result is rounded to float32 once (see the module docstring).
+    `workers` runs contiguous bands of whole blocks, one per worker, each
+    with its own window matrix; the bytes are the serial ones.
     """
     c_out, c_in, kh, kw = w.kernel.shape
     if x.shape[0] != c_in:
@@ -140,16 +157,24 @@ def conv2d(x: np.ndarray, w: Conv2dWeights) -> np.ndarray:
     kernel = w.kernel.reshape(c_out, -1).astype(np.float64)
     bias = w.bias.astype(np.float64)[:, None]
     out = np.empty((c_out, H, W), dtype=np.float32)
-    # one window buffer for every block; a short last block uses its head
-    buf = np.empty(c_in * kh * kw * min(BLOCK_ROWS, H) * W, dtype=np.float64)
-    for r0 in range(0, H, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, H - r0)
-        cols = buf[: c_in * kh * kw * rows * W].reshape(c_in, kh, kw, rows, W)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, i, j] = xp[:, r0 + i:r0 + i + rows, j:j + W]  # exact upcast
-        acc = kernel @ cols.reshape(c_in * kh * kw, rows * W) + bias
-        out[:, r0:r0 + rows] = acc.reshape(c_out, rows, W)  # the one float32 rounding
+
+    def band(rows):  # output rows [start, stop), whole blocks but the last
+        # one window buffer for every block; a short last block uses its head
+        buf = np.empty(c_in * kh * kw * min(BLOCK_ROWS, len(rows)) * W, dtype=np.float64)
+        for r0 in rows[::BLOCK_ROWS]:
+            n = min(BLOCK_ROWS, rows.stop - r0)
+            cols = buf[: c_in * kh * kw * n * W].reshape(c_in, kh, kw, n, W)
+            for i in range(kh):
+                for j in range(kw):
+                    cols[:, i, j] = xp[:, r0 + i:r0 + i + n, j:j + W]  # exact upcast
+            acc = kernel @ cols.reshape(c_in * kh * kw, n * W) + bias
+            out[:, r0:r0 + n] = acc.reshape(c_out, n, W)  # the one float32 rounding
+
+    blocks = -(-H // BLOCK_ROWS)
+    n_bands = 1 if workers is None else min(workers.size, blocks)
+    edges = [k * blocks // n_bands * BLOCK_ROWS for k in range(n_bands)] + [H]
+    bands = [range(a, b) for a, b in zip(edges, edges[1:])]
+    list((workers.map if len(bands) > 1 else map)(band, bands))
     return out
 
 

@@ -45,8 +45,17 @@ Accumulation contract:
   One ``searchsorted`` gives every cell's run, so no per-entry cell
   column exists: of the survivors' positions into the offsets while the
   survivors are fewer (a masked frame), else of the offsets into them.
-- A chunk's float32 feature gather and float64 product take
-  ``CHUNK_ENTRIES * C * 12`` bytes.  Each worker writes its products into
+- A chunk's product is ``w * float64(feature)``, whichever way the rows
+  are gathered.  While the survivors are at most the feature pixels (a
+  masked frame), a chunk gathers float32 rows and multiplies them into
+  float64, ``CHUNK_ENTRIES * C * 12`` bytes.  When they outnumber the
+  pixels (a dense frame), the (P, C) features are upcast to float64 once,
+  exactly, and each chunk's rows are taken straight into its product
+  buffer and scaled there, ``CHUNK_ENTRIES * C * 8`` bytes.  That take
+  clips its indices rather than checking them, since a checked ``take``
+  into ``out=`` goes through a temporary copy; `_survivors` has already
+  read every survivor's mask through a checked ``take``, and the features
+  must have the masks' pixel count.  Each worker writes its products into
   one buffer that it reuses for every chunk, so no two chunks' products
   are alive at once; it also holds a float64 accumulator for its rows.
 - The survivors are found on the calling thread.  Threads then split the
@@ -60,6 +69,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
+
+from .errors import ShapeMismatch
 
 # survivors per gather and product; at 64 channels a chunk's float32 gather
 # and float64 product take 8192 * 64 * 12 bytes = 6.3 MB
@@ -79,19 +90,23 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threa
     by_voxel: a function giving (`voxel_index(depth_idx, Q)`, pixels per camera)
               or None, called only on a frame with a zero mask; without an
               index such a frame tests its masked-in entries in entry order
-    All inputs must be finite (see the module docstring).  Returns the support:
-    the ascending (n,) intp cells with an entry of nonzero weight, (n, C) float32 sums.
+    All inputs must be finite (see the module docstring), and feats must have
+    mask_w's pixel count.  Returns the support: the ascending (n,) intp cells
+    with an entry of nonzero weight, (n, C) float32 sums.
     """
+    if feats.shape[1] != mask_w.size:
+        raise ShapeMismatch(f"features have {feats.shape[1]} pixels, masks {mask_w.size}")
     cells, w, fi, first, end = _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx,
                                           by_voxel)
     out = np.empty((cells.size, feats.shape[0]), dtype=np.float32)
-    feats_t = np.ascontiguousarray(feats.T)  # (P, C), row gathers are cheap
+    # (P, C) rows, so row gathers are cheap; float64 once more survivors than pixels read them
+    rows = np.ascontiguousarray(feats.T, dtype=np.float64 if w.size > feats.shape[1] else None)
     # split the rows, one per support cell, into ranges of about equal survivors
     cuts = np.searchsorted(first, np.linspace(0, w.size, max(threads, 1) + 1)[1:-1])
     jobs = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, cells.size]) if a < b]
     with ThreadPoolExecutor(len(jobs)) if len(jobs) > 1 else nullcontext() as pool:
         list((pool.map if pool else map)(
-            lambda j: _accumulate(out[j], feats_t, w, fi, first[j], end[j]), jobs))
+            lambda j: _accumulate(out[j], rows, w, fi, first[j], end[j]), jobs))
     return cells, out
 
 
@@ -178,8 +193,9 @@ def _runs_by_survivor(keep, offsets):
     return cell[bounds[:-1]], bounds[:-1], bounds[1:]
 
 
-def _accumulate(out, feats_t, w, fi, first, end):
-    """Sum each row's run of survivors [first, end), rank by rank, into its row of out."""
+def _accumulate(out, rows, w, fi, first, end):
+    """Sum each row's run of survivors [first, end), rank by rank, into its row of
+    out, from the (P, C) float32 or float64 feature `rows` (module docstring)."""
     neg_len = first - end  # minus each run's length
     order = np.argsort(neg_len, kind="stable")  # longest run first, ties in row order
     first, neg_len = first[order], neg_len[order]
@@ -195,9 +211,13 @@ def _accumulate(out, feats_t, w, fi, first, end):
         at = np.arange(s, e)
         rank = np.searchsorted(base, at, side="right") - 1
         pos = first[at - base[rank]] + rank
-        # float32 gather upcasts exactly: each add is the float64
+        # either gather upcasts exactly: each add is the float64
         # reference's acc + w * feature, bit for bit
-        np.multiply(w[pos, None], feats_t[fi[pos]], out=prod[:e - s])
+        if rows.dtype == np.float64:
+            np.take(rows, fi[pos], axis=0, out=prod[:e - s], mode="clip")
+            prod[:e - s] *= w[pos, None]
+        else:
+            np.multiply(w[pos, None], rows[fi[pos]], out=prod[:e - s])
         for r in range(int(rank[0]), int(rank[-1]) + 1):  # one add per rank in the chunk
             a, b = max(bounds[r], s), min(bounds[r + 1], e)
             acc[a - bounds[r]:b - bounds[r]] += prod[a - s:b - s]

@@ -36,14 +36,17 @@ def set_checked(set_, get, n):
 
 
 def test_heads_run_with_one_blas_thread(blas, monkeypatch):
-    """Every head convolution sees a BLAS at one thread, whatever the caller set."""
+    """Every head convolution sees a BLAS at one thread, whatever the caller
+    set, on the calling thread and on the heads' workers."""
     get, set_ = blas
     set_checked(set_, get, 2)
     seen = []
 
-    def recording(x, w):
+    def recording(x, w, workers=None):
         seen.append(get())
-        return conv2d(x, w)
+        if workers is not None:
+            seen.append(workers.submit(get).result())
+        return conv2d(x, w, workers)
 
     monkeypatch.setattr(fusion, "conv2d", recording)
     bundle, ht, lss, weights = pinned_inputs()
@@ -57,6 +60,17 @@ def test_run_pipeline_restores_the_callers_count(blas, caller):
     set_checked(set_, get, caller)
     bundle, ht, lss, weights = pinned_inputs()
     run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, weights, threads=2)
+    assert get() == caller
+
+
+@pytest.mark.parametrize("caller", [1, 2])
+def test_dense_frame_on_two_threads_restores_the_callers_count(blas, caller):
+    """A `disable-M` frame, whose convolutions run in bands on the heads' workers."""
+    get, set_ = blas
+    set_checked(set_, get, caller)
+    bundle, ht, lss, weights = pinned_inputs()
+    run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, weights, threads=2,
+                 disable_mask=True)
     assert get() == caller
 
 

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -15,9 +16,11 @@ from dualvt.fusion import (
     _PACKED_MAX_SHARE,
     _WRITE_MAX_SHARE,
     _ActiveCells,
+    _active_cells,
     _reach,
     assemble_final,
     bev_probability,
+    caf_fuse,
     default_weight_shapes,
     heads,
     make_seeded_weights,
@@ -63,6 +66,11 @@ def fuse(f_lss, f_ht, w, force_affinity=None, support=EVERYWHERE):
     """The (F_channel, affinity) grids of `heads`."""
     res = heads(f_lss, f_ht, support, w, force_affinity)
     return res.f_channel, res.affinity
+
+
+def probability(f_channel, w, support):
+    """`bev_probability` on the plan that `heads` builds from `support`."""
+    return bev_probability(f_channel, w, _active_cells(support, w))
 
 
 def weights(seed=11):
@@ -392,7 +400,7 @@ class TestPools:
             cells, x, ref, _ = expand_case(shape, reach, size, background)
             x, ref = (np.where(np.isnan(a), np.float32(0.0), a) for a in (x, ref))
             want = exact_mean(ref.reshape(3, -1))
-            full = dualvt.fusion._FullGrid()
+            full = dualvt.fusion._FullGrid(shape)
             for got in (cells.pool(x, "input"), full.pool(ref, "input"),
                         full.pool(cell_major(ref), "input")):
                 assert got.shape == (3, 1, 1) and got.dtype == np.float32
@@ -652,16 +660,16 @@ class TestProbConvAccounting:
         c, ny, nx = f.shape
         calls = {}
 
-        def counted(x, layer):
+        def counted(x, layer, workers=None):
             for name, ref in w.layers.items():
                 if (ref.kernel.size == layer.kernel.size and np.array_equal(
                         ref.kernel.ravel(), layer.kernel.ravel())):
                     calls.setdefault(name, []).append(
                         (x.shape[0], x.shape[1] * x.shape[2], layer.kernel.shape[2:]))
-            return conv2d(x, layer)
+            return conv2d(x, layer, workers)
 
         monkeypatch.setattr(dualvt.fusion, "conv2d", counted)
-        p = bev_probability(f, w, exact_support(f))
+        p = probability(f, w, exact_support(f))
         assert np.array_equal(p.view(np.uint32), full_grid_probability(f, w).view(np.uint32))
 
         support = np.flatnonzero(exact_support(f))
@@ -694,7 +702,7 @@ class TestProbConvAccounting:
 class TestBevProbability:
     def test_strictly_open_interval(self):
         f, _ = streams()
-        p = bev_probability(f, weights(), exact_support(f))
+        p = probability(f, weights(), exact_support(f))
         assert p.shape == (1,) + SHAPE[1:]
         assert np.all(p > 0.0)
         assert np.all(p < 1.0)
@@ -708,31 +716,31 @@ class TestBevProbability:
             bias=np.array([100.0], dtype=np.float32),
         )
         f, _ = streams()
-        p = bev_probability(f, w, exact_support(f))
+        p = probability(f, w, exact_support(f))
         assert np.all(p < 1.0)
         assert p == pytest.approx(np.ones_like(p), abs=1e-6)
         w.layers["prob.local.out"] = Conv2dWeights(
             kernel=np.zeros((1, C // 4, 1, 1), dtype=np.float32),
             bias=np.array([-100.0], dtype=np.float32),
         )
-        p = bev_probability(f, w, exact_support(f))
+        p = probability(f, w, exact_support(f))
         assert np.all(p > 0.0)
         assert p == pytest.approx(np.zeros_like(p), abs=1e-6)
 
     def test_zero_weights_give_half(self):
         f, _ = streams()
-        p = bev_probability(f, zero_weights(), exact_support(f))
+        p = probability(f, zero_weights(), exact_support(f))
         assert np.all(p == 0.5)
 
     def test_input_must_be_float32(self):
         f, _ = streams()
         with pytest.raises(ShapeMismatch, match="float32"):
-            bev_probability(f.astype(np.float64), weights(), exact_support(f))
+            probability(f.astype(np.float64), weights(), exact_support(f))
 
     def test_support_must_match_the_grid(self):
         f, _ = streams()
         with pytest.raises(ShapeMismatch, match="support shape"):
-            bev_probability(f, weights(), exact_support(f)[:, :-1])
+            probability(f, weights(), exact_support(f)[:, :-1])
 
     @pytest.mark.parametrize("kind", ["masked", "over_cut"])
     def test_reduce_refuses_another_channel_count(self, kind):
@@ -741,7 +749,7 @@ class TestBevProbability:
         f, _ = fused_frame(kind)
         f12 = np.concatenate([f, f[:4]])
         with pytest.raises(ShapeMismatch, match="input has 12 channels, kernel expects 8"):
-            bev_probability(f12, weights(), exact_support(f12))
+            probability(f12, weights(), exact_support(f12))
 
     @pytest.mark.parametrize("kind", ["masked", "over_cut"])
     def test_any_larger_support_gives_the_same_bits(self, kind):
@@ -756,11 +764,11 @@ class TestBevProbability:
         extra = exact.copy()
         extra.flat[ring[Rng(0).integers((3,), ring.size)]] = True
         assert np.count_nonzero(extra) > np.count_nonzero(exact)
-        ref = bev_probability(f, w, exact)
+        ref = probability(f, w, exact)
         for support in (exact, extra, np.ones_like(exact)):
             packed = isinstance(dualvt.fusion._active_cells(support, w), _ActiveCells)
             assert packed == (kind == "masked" and not support.all())
-            p = bev_probability(f, w, support)
+            p = probability(f, w, support)
             assert np.array_equal(p.view(np.uint32), ref.view(np.uint32))
 
     @pytest.mark.parametrize("kind", ["one", "full"])
@@ -769,14 +777,14 @@ class TestBevProbability:
         gives the bits of its C-contiguous copy, packed or on the full grid."""
         cells = prob_support(kind, 32, 32, 1)
         f, _ = cell_major_streams(32, 32, cells, 2, neg_zero_cell=False)
-        a = bev_probability(f, weights(), exact_support(f))
-        b = bev_probability(np.ascontiguousarray(f), weights(), exact_support(f))
+        a = probability(f, weights(), exact_support(f))
+        b = probability(np.ascontiguousarray(f), weights(), exact_support(f))
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
     def test_determinism(self):
         f, _ = streams()
-        a = bev_probability(f, weights(), exact_support(f))
-        b = bev_probability(f, weights(), exact_support(f))
+        a = probability(f, weights(), exact_support(f))
+        b = probability(f, weights(), exact_support(f))
         assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
@@ -845,6 +853,52 @@ class TestFuseAndFinalize:
         for got, ref in ((res.affinity, ref_affinity), (res.f_channel, ref_fused)):
             assert got.shape == ref.shape and got.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+    def test_forced_blend_keeps_one_temporary(self):
+        """`caf_fuse`'s blend scales ``1 - a`` in place: at its peak the forced
+        affinity, its grid, the fused feature and one temporary are alive, not
+        a second temporary for the product.  The grid is small enough (under
+        256 KiB an array) that numpy does not elide that temporary itself."""
+        cells = _ActiveCells({"input": np.ones((60, 60), dtype=bool)})
+        f_lss, f_ht = cell_major_streams(60, 60, np.arange(60 * 60), 5, False)
+        packed = cells.pack(f_lss, f_ht)
+        tracemalloc.start()
+        try:
+            fused, _ = caf_fuse(cells, packed, weights(), 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak >= 3 * fused.nbytes  # numpy's allocations are traced
+        assert peak < 4.5 * fused.nbytes
+
+    def test_workers_are_joined_before_heads_return(self, monkeypatch):
+        """At two threads a dense frame's convolutions run in bands on the
+        heads' workers, and `heads` joins them before it returns, also when
+        it raises: no thread outlives the call."""
+        ran = set()
+
+        class Recording(nnops.WorkerPool):
+            def map(self, fn, bands):
+                def recorded(band):
+                    ran.add(threading.get_ident())
+                    return fn(band)
+                return super().map(recorded, bands)
+
+        monkeypatch.setattr(dualvt.fusion, "WorkerPool", Recording)
+        cells = np.arange(40 * 40)
+        f_lss, f_ht = cell_major_streams(40, 40, cells, 4, neg_zero_cell=False)
+        support = support_of(cells, 40, 40)
+        before = threading.active_count()
+        one = heads(f_lss, f_ht, support, weights())
+        assert not ran
+        assert_same_fields(heads(f_lss, f_ht, support, weights(), threads=2), one)
+        assert ran and threading.get_ident() not in ran
+        assert threading.active_count() == before
+        partial = WeightBundle({k: v for k, v in weights().layers.items()
+                                if k != "prob.local.out"})
+        with pytest.raises(ConfigError, match="prob.local.out"):
+            heads(f_lss, f_ht, support, partial, threads=2)
+        assert threading.active_count() == before
 
     def test_result_fields_consistent(self):
         f_lss, f_ht = streams()

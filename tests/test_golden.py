@@ -46,7 +46,7 @@ GOLDEN_DISABLE_M = {
     "F": "4fd69993f0cf7bb9a15083a491beb7a48e27ee5519347b93f4baf067b60c72a1",
 }
 
-# heads(*border_streams()) with make_seeded_weights(11, 8)
+# heads(*border_streams()) with make_seeded_weights(11, 8), at threads 1 and 2
 GOLDEN_BORDER = {
     "F_channel": "76486b85acdb11058104af1c16ea34ff232c1716b6d3fdbf79022309b7d51fae",
     "A": "474ab0a7d14da1f06e0045407637000b2404bb380d141e3c6b2649fea89c02b4",
@@ -83,8 +83,9 @@ def border_streams(n=48, channels=8):
     return out + [support]
 
 
-def border_digests() -> dict:
-    return head_digests(heads(*border_streams(), make_seeded_weights(WEIGHT_SEED, 8)))
+def border_digests(threads=1) -> dict:
+    return head_digests(heads(*border_streams(), make_seeded_weights(WEIGHT_SEED, 8),
+                              threads=threads))
 
 
 @functools.cache
@@ -114,6 +115,10 @@ def test_disable_m_head_matches_golden_digests(threads):
 
 def test_border_head_matches_golden_digests():
     assert border_digests() == GOLDEN_BORDER
+
+
+def test_border_head_matches_golden_digests_on_two_threads():
+    assert border_digests(threads=2) == GOLDEN_BORDER
 
 
 @needs_openblas_x86

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 from conftest import exact_mean
 from dualvt import nnops
 from dualvt.errors import ConfigError, ShapeMismatch
+from dualvt.fusion import default_weight_shapes
 from dualvt.nnops import (
+    BLOCK_ROWS,
     Conv2dWeights,
     WeightBundle,
+    WorkerPool,
     channel_stats,
     conv2d,
     mean_pool,
@@ -169,6 +173,83 @@ class TestConv2d:
         unblocked = c_in * 9 * H * W * 8
         assert peak >= out.nbytes  # numpy's allocations are traced
         assert peak < unblocked / 2
+
+    def test_memory_is_row_blocked_per_worker(self):
+        """On two workers the same layer holds one window matrix per worker,
+        still below half of the unblocked one."""
+        c_in, c_out, H, W = 64, 16, 128, 128
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, (c_in, H, W)).astype(np.float32)
+        w = Conv2dWeights(
+            kernel=rng.uniform(-0.1, 0.1, (c_out, c_in, 3, 3)).astype(np.float32),
+            bias=np.zeros(c_out, dtype=np.float32),
+        )
+        with WorkerPool(2) as pool:
+            tracemalloc.start()
+            try:
+                out = conv2d(x, w, pool)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        window = c_in * 9 * BLOCK_ROWS * W * 8
+        assert peak >= out.nbytes + 2 * window  # both workers' matrices are traced
+        assert peak < c_in * 9 * H * W * 8 / 2
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_bands_give_the_serial_bytes(self, workers):
+        """On 2 and 3 workers, every layer shape of the heads gives the serial
+        bytes at heights of one short block (5), three blocks with a short
+        last one (37), four (64) and five whole blocks (80)."""
+        rng = Rng(4)
+        layers = WeightBundle.seeded(5, default_weight_shapes(64))
+        with WorkerPool(workers) as pool:
+            for height in (5, 37, 64, 80):
+                for name, w in sorted(layers.layers.items()):
+                    x = rng.uniform((w.kernel.shape[1], height, 24), -1.0, 1.0)
+                    serial, banded = conv2d(x, w), conv2d(x, w, pool)
+                    assert np.array_equal(serial.view(np.uint32), banded.view(np.uint32)), \
+                        (name, height)
+
+    def test_worker_bands_under_contention(self):
+        """Six workers, the interpreter switching threads every microsecond: the
+        bands write disjoint rows of one output, which keeps the serial bytes."""
+        rng = Rng(7)
+        x = rng.uniform((16, 128, 32), -1.0, 1.0)
+        w = Conv2dWeights(kernel=rng.uniform((4, 16, 3, 3), -1.0, 1.0),
+                          bias=rng.uniform((4,), -1.0, 1.0))
+        serial = conv2d(x, w).view(np.uint32)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(6) as pool:
+                for _ in range(5):
+                    assert np.array_equal(conv2d(x, w, pool).view(np.uint32), serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("height, workers, bands", [
+        (5, 2, [(0, 5)]),
+        (37, 2, [(0, 16), (16, 37)]),
+        (37, 3, [(0, 16), (16, 32), (32, 37)]),
+        (64, 3, [(0, 16), (16, 32), (32, 64)]),
+        (80, 2, [(0, 32), (32, 80)]),
+    ])
+    def test_bands_are_contiguous_whole_blocks(self, height, workers, bands):
+        """One band per worker, at most one per block, each a run of whole
+        `BLOCK_ROWS` blocks but the grid's last; a single band runs on the
+        calling thread."""
+        seen = []
+
+        class Recording(WorkerPool):
+            def map(self, fn, rows):
+                seen.extend((r.start, r.stop) for r in rows)
+                return super().map(fn, rows)
+
+        x = Rng(1).uniform((2, height, 3), -1.0, 1.0)
+        with Recording(workers) as pool:
+            out = conv2d(x, identity_kernel(2), pool)
+        assert seen == ([] if len(bands) == 1 else bands)
+        assert np.array_equal(out.view(np.uint32), conv2d(x, identity_kernel(2)).view(np.uint32))
 
 
 class TestReductions:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import table_cells
 from dualvt import scatter
+from dualvt.errors import ShapeMismatch
 from dualvt.geometry import BevGridSpec, make_height_samples
 from dualvt.height_stream import ht_apply, precompute_ht_table
 from dualvt.lift_stream import lss_apply, lss_pool, precompute_lss_table
@@ -360,6 +361,47 @@ def test_dense_scatter_memory_is_bounded(threads):
     unchunked = n_entries * channels * 12
     assert peak >= out[1].nbytes  # numpy's allocations are traced
     assert peak < unchunked / 8
+
+
+def test_dense_call_refuses_a_feature_index_past_the_pixels():
+    """More survivors than pixels, so the float64 product path, whose row
+    take clips: an index one past the last pixel still raises, from the
+    checked read of the survivors' masks."""
+    feats, depth_w, mask_w, cells, feat_idx, depth_idx = _random_problem(3, 500, 16)
+    depth_w[:] = 0.5
+    mask_w[:] = 1.0
+    feat_idx[7] = mask_w.size
+    with pytest.raises(IndexError):
+        _fast((feats, depth_w, mask_w, cells, feat_idx, depth_idx), 16)
+
+
+@pytest.mark.parametrize("pixels", [39, 41])
+def test_features_must_have_the_masks_pixel_count(pixels):
+    feats, depth_w, mask_w, cells, feat_idx, depth_idx = _random_problem(3, 500, 16)
+    other = Rng(4).uniform((feats.shape[0], pixels), -1.0, 1.0)
+    with pytest.raises(ShapeMismatch, match="features have"):
+        _fast((other, depth_w, mask_w, cells, feat_idx, depth_idx), 16)
+
+
+@pytest.mark.parametrize("masked", [True, False])
+def test_product_rows_are_float64_only_past_the_pixel_count(desk_masked, monkeypatch, masked):
+    """A masked desk apply, whose survivors are fewer than its feature pixels,
+    gathers float32 rows; a `disable-M` one upcasts them to float64 once."""
+    bundle = desk_masked
+    lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    masks = bundle.masks if masked else [np.ones_like(m) for m in bundle.masks]
+    frame = stack_frame(bundle.feats, bundle.depths, masks, lss)
+    seen, accumulate = [], scatter._accumulate
+
+    def recording(out, rows, *args):
+        seen.append(rows.dtype)
+        return accumulate(out, rows, *args)
+
+    monkeypatch.setattr(scatter, "_accumulate", recording)
+    cells, _ = lss_apply(frame, lss)
+    pixels = frame[0].shape[1]
+    assert (cells.size < pixels) if masked else (cells.size > pixels)
+    assert seen == [np.dtype(np.float32 if masked else np.float64)]
 
 
 def test_masked_desk_apply_allocates_less_than_one_grid():
