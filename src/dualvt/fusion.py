@@ -81,7 +81,7 @@ from .nnops import (
     sigmoid,
 )
 from .scatter import support_grid
-from .tables import stack_frame
+from .tables import stack_camera_tensors, stack_frame
 
 # smallest float32 interval strictly inside (0, 1); sigmoid outputs are
 # clamped here so the open-interval bound survives float32 saturation
@@ -402,13 +402,15 @@ class PipelineResult:
 
 
 def apply_ablations(depths, masks, disable_mask: bool, uniform_depth: bool):
-    """The input ablations: `disable_mask` replaces the instance masks with
-    ones, `uniform_depth` flattens the depth distributions.  Returns
-    (depths, masks); the caller's lists are not changed."""
+    """The input ablations on the camera-first (`tables.stack_camera_tensors`)
+    depths and masks: `disable_mask` replaces the instance masks with ones,
+    `uniform_depth` flattens the depth distributions over their bins.  Returns
+    (depths, masks); the caller's arrays are not changed."""
+    depths, masks = stack_camera_tensors(depths), stack_camera_tensors(masks)
     if disable_mask:
-        masks = [np.ones_like(m) for m in masks]
+        masks = np.ones_like(masks)
     if uniform_depth:
-        depths = [np.full_like(d, 1.0 / d.shape[0]) for d in depths]
+        depths = np.full_like(depths, 1.0 / depths.shape[1])
     return depths, masks
 
 
@@ -422,7 +424,7 @@ def run_pipeline(
     uniform_depth: bool = False,
 ) -> PipelineResult:
     """Full forward pass: both streams, fusion, probability, final feature.
-    The frame is stacked once, and the heads start from the streams' supports.
+    The frame is checked once, and the heads start from the streams' supports.
 
     Ablation switches: `disable_mask` and `uniform_depth` as in
     `apply_ablations`, and `force_affinity` pins the fusion affinity to a

@@ -20,10 +20,7 @@ import numpy as np
 from .geometry import BevGridSpec, HeightSet, bev_cell_centers, project_points
 from .sampling import DepthBinSpec, depth_to_coord, trilinear_product
 from .scatter import support_grid, weighted_scatter
-from .tables import (
-    HT_MAGIC, IndexTable, build_table, cell_dtype, check_camera_tensors, check_finite,
-    stack_frame,
-)
+from .tables import HT_MAGIC, IndexTable, build_table, cell_dtype, check_frame, stack_frame
 from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench's tracer
 
 INTERP = "interp"
@@ -162,14 +159,12 @@ def ht_transform_naive(
     if mode not in (ROUND, INTERP):
         raise ValueError(f"unknown sampler mode {mode!r}")
     rig0 = rigs[0]
-    check_camera_tensors(
-        feats, depths, masks, len(rigs), rig0.feat_h, rig0.feat_w, dspec.n_bins
-    )
-    check_finite(feats, depths, masks)
+    feats, depths, masks = check_frame(feats, depths, masks, len(rigs), rig0.feat_h,
+                                       rig0.feat_w, dspec.n_bins)
     sample = _nearest_samples if mode == ROUND else _interp_samples
     # the table build's points and projection, so the coordinates are its bits
     points = _anchor_points(grid, heights)
-    C = feats[0].shape[0]
+    C = feats.shape[-1]
     acc = np.zeros((grid.n_cells, C), dtype=np.float64)
     for feat, depth, mask, rig in zip(feats, depths, masks, rigs):
         u, v, d, valid = project_points(*points, rig)
@@ -190,8 +185,8 @@ def _nearest_samples(feat, depth, mask, u, v, d, valid, dspec):
         valid & (j >= 0) & (j < W) & (i >= 0) & (i < H) & (k >= 0) & (k < n_bins)
     )
     j, i, k = (a[rows].astype(np.int64) for a in (j, i, k))
-    w = depth[k, i, j].astype(np.float64) * mask[0, i, j].astype(np.float64)
-    return rows, w[:, None] * feat[:, i, j].T
+    w = depth[k, i, j].astype(np.float64) * mask[i, j].astype(np.float64)
+    return rows, w[:, None] * feat[i, j]
 
 
 def _interp_samples(feat, depth, mask, u, v, d, valid, dspec):

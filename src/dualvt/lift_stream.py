@@ -16,10 +16,7 @@ import numpy as np
 from .geometry import BevGridSpec, back_project
 from .sampling import DepthBinSpec
 from .scatter import support_grid, weighted_scatter
-from .tables import (
-    LSS_MAGIC, IndexTable, build_table, cell_dtype, check_camera_tensors, check_finite,
-    stack_frame,
-)
+from .tables import LSS_MAGIC, IndexTable, build_table, cell_dtype, check_frame, stack_frame
 from .tables import stack_camera_tensors  # noqa: F401, a wrap site of perfbench's tracer
 
 
@@ -88,9 +85,9 @@ def lss_pool_reference(
     The inputs are checked as the table path checks them.
     """
     rig0 = rigs[0]
-    check_camera_tensors(feats, depths, masks, len(rigs), rig0.feat_h, rig0.feat_w, dspec.n_bins)
-    check_finite(feats, depths, masks)
-    C = feats[0].shape[0]
+    feats, depths, masks = check_frame(feats, depths, masks, len(rigs), rig0.feat_h,
+                                       rig0.feat_w, dspec.n_bins)
+    C = feats.shape[-1]
     acc = np.zeros((grid.n_cells, C), dtype=np.float64)
     for feat, depth, mask, rig in zip(feats, depths, masks, rigs):
         K, R, t = rig.intrinsics, rig.extrinsics[:3, :3], rig.extrinsics[:3, 3]
@@ -98,7 +95,7 @@ def lss_pool_reference(
         t_inv = [R[0, i] * t[0] + R[1, i] * t[1] + R[2, i] * t[2] for i in range(2)]
         W, H = rig.feat_w, rig.feat_h
         u, v = np.arange(W), np.arange(H)[:, None]
-        feat = feat.reshape(C, -1).T.astype(np.float64)  # (H*W, C), exact
+        feat = feat.reshape(-1, C).astype(np.float64)  # (H*W, C), exact
         mask = mask.ravel().astype(np.float64)
         for k in range(dspec.n_bins):
             d = dspec.d_min + (k + 0.5) * dspec.step

@@ -3,7 +3,7 @@ interpolated trilinearly as one volume.
 
 Coordinates are unnormalized feature-pixel coordinates with pixel centers
 at integers: pixel (row i, col j) sits at (u=j, v=i).  Voxel (k, i, j) of
-the product volume holds depth[k, i, j] * mask[0, i, j] * feat[:, i, j],
+the product volume holds depth[k, i, j] * mask[i, j] * feat[i, j],
 the value the rounded height table takes at its nearest voxel.
 
 The sampler walks a point's eight (depth bin, v, u) corners in float64,
@@ -85,13 +85,13 @@ def trilinear_product(
     u: np.ndarray, v: np.ndarray, d: np.ndarray, spec: DepthBinSpec,
 ) -> np.ndarray:
     """Sample depth x mask x feature at N points, float64 arrays u, v and d
-    (depth in meters), of a (C, H, W) feature map, its (n_bins, H, W) depth
-    volume and (1, H, W) mask; returns (N, C) float64."""
-    shape, C = depth.shape, feat.shape[0]
+    (depth in meters), of one camera's (H, W, C) features, (n_bins, H, W)
+    depths and (H, W) mask; returns (N, C) float64."""
+    shape, C = depth.shape, feat.shape[-1]
     plane = (shape[1] + 2) * (shape[2] + 2)  # a padded voxel index modulo this: its pixel
     depth = np.pad(depth, 1).reshape(-1).astype(np.float64)
-    mask = np.pad(mask[0], 1).reshape(-1).astype(np.float64)
-    feat = np.pad(feat, ((0, 0), (1, 1), (1, 1))).reshape(C, -1).T.astype(np.float64)
+    mask = np.pad(mask, 1).reshape(-1).astype(np.float64)
+    feat = np.pad(feat, ((1, 1), (1, 1), (0, 0))).reshape(-1, C).astype(np.float64)
     out = np.zeros((len(u), C), dtype=np.float64)
     for idx, w in _corners(shape, depth_to_coord(d, spec), v, u):
         pix = idx % plane

@@ -14,7 +14,7 @@ Accumulation contract:
   for every finite nonzero ``x`` and ``+0.0 + ±0.0 == +0.0``; an
   accumulator that starts at +0.0 never becomes -0.0, so skipping keeps
   every bit.  Finite inputs are therefore a precondition (``0 * inf`` is
-  NaN); the front ends reject others (``tables.check_finite``).
+  NaN); the front ends reject others (``tables.check_frame``).
   A float64 product of finite float32 values is zero only when a factor
   is, so a frame with a zero mask finds its survivors from the mask, the
   sparse factor, first: through the table's voxel index (`voxel_index`,

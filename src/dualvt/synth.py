@@ -20,10 +20,11 @@ from .geometry import BevGridSpec, CameraRig, back_project, bev_cell_centers
 from .report import l2
 from .rng import Rng
 from .sampling import DepthBinSpec
+from .tables import check_frame
 from .tensors import parse_manifest, tensor_read, tensor_write
 
 FEATURE_NOISE = 0.05
-# a ring rig is built, written and read one camera at a time
+# a ring rig's cameras are built, ray-cast and drawn one Python loop step each
 MAX_CAMERAS = 256
 
 
@@ -102,10 +103,12 @@ def random_scene_spec(seed: int, **overrides) -> SceneSpec:
 
 @dataclass
 class SceneBundle:
+    """One scene's frame, camera-first (`tables.check_frame`), with its rigs and GT."""
+
     rigs: list
-    feats: list
-    depths: list
-    masks: list
+    feats: np.ndarray  # (n_cams, feat_h, feat_w, channels) float32
+    depths: np.ndarray  # (n_cams, n_bins, feat_h, feat_w) float32
+    masks: np.ndarray  # (n_cams, feat_h, feat_w) float32
     gt_bev: np.ndarray
     spec: SceneSpec
     grid: BevGridSpec
@@ -209,25 +212,23 @@ def generate_scene(spec: SceneSpec, grid: BevGridSpec, dspec: DepthBinSpec) -> S
         raw = root.child(1000 + bi).uniform((spec.channels,), -1.0, 1.0)
         signatures.append((raw / l2(raw)).astype(np.float32))
 
-    feats, depths, masks = [], [], []
+    H, W = spec.feat_h, spec.feat_w
+    feats = np.empty((len(rigs), H, W, spec.channels), dtype=np.float32)
+    depths = np.full((len(rigs), dspec.n_bins, H, W), 1.0 / dspec.n_bins, dtype=np.float32)
+    masks = np.empty((len(rigs), H, W), dtype=np.float32)
     for cam_i, rig in enumerate(rigs):
-        cam_rng = root.child(cam_i)
         hit, t, box_idx = _ray_cast(rig, spec.boxes)
-        H, W = rig.feat_h, rig.feat_w
-
-        noise = cam_rng.uniform((spec.channels, H, W), -FEATURE_NOISE, FEATURE_NOISE)
-        feat = noise.copy()
+        # the noise is drawn channel-first, the order that fixes the stream's bits
+        feat = root.child(cam_i).uniform((spec.channels, H, W), -FEATURE_NOISE,
+                                         FEATURE_NOISE).transpose(1, 2, 0)
         if spec.boxes:
             sig = np.stack(signatures)[np.clip(box_idx, 0, None)]  # (H, W, C)
-            feat = np.where(hit[None], sig.transpose(2, 0, 1) + noise, noise)
-        feats.append(feat.astype(np.float32))
-
-        depth = np.full((dspec.n_bins, H, W), 1.0 / dspec.n_bins, dtype=np.float32)
+            feat = np.where(hit[..., None], sig + feat, feat)
+        feats[cam_i] = feat
         if hit.any():
-            peaked = _triangular_depth_mass(t, dspec, spec.kappa)
-            depth = np.where(hit[None], peaked, depth)
-        depths.append(depth)
-        masks.append(hit[None].astype(np.float32))
+            depths[cam_i] = np.where(hit, _triangular_depth_mass(t, dspec, spec.kappa),
+                                     depths[cam_i])
+        masks[cam_i] = hit
 
     return SceneBundle(
         rigs=rigs, feats=feats, depths=depths, masks=masks,
@@ -239,43 +240,38 @@ def generate_scene(spec: SceneSpec, grid: BevGridSpec, dspec: DepthBinSpec) -> S
 def save_bundle(bundle: SceneBundle, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    cameras = []
-    for i, rig in enumerate(bundle.rigs):
-        entry = {"rig": rig.to_json()}
-        for kind, arr in (
-            ("feat", bundle.feats[i]), ("depth", bundle.depths[i]), ("mask", bundle.masks[i])
-        ):
-            fname = f"cam{i}_{kind}.btsr"
-            tensor_write(arr, directory / fname)
-            entry[kind] = fname
-        cameras.append(entry)
-    tensor_write(bundle.gt_bev, directory / "gt_bev.btsr")
+    for kind in ("feats", "depths", "masks", "gt_bev"):  # one file each, all cameras in one
+        tensor_write(getattr(bundle, kind), directory / f"{kind}.btsr")
     manifest = {
         "spec": bundle.spec.to_json(),
         "grid": bundle.grid.to_json(),
         "dspec": bundle.dspec.to_json(),
-        "cameras": cameras,
-        "gt_bev": "gt_bev.btsr",
+        "cameras": [{"rig": rig.to_json()} for rig in bundle.rigs],
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
 def load_bundle(directory) -> SceneBundle:
+    """Read a scene directory, its tensors checked against its manifest: the
+    frame by `check_frame` and the spec's channel count, the GT by the grid."""
     directory = Path(directory)
 
     def parse(manifest):
-        cams = manifest["cameras"]
         return (from_json(SceneSpec, manifest["spec"]), from_json(BevGridSpec, manifest["grid"]),
                 from_json(DepthBinSpec, manifest["dspec"]),
-                [from_json(CameraRig, cam["rig"]) for cam in cams],
-                [[directory / cam[kind] for cam in cams] for kind in ("feat", "depth", "mask")],
-                directory / manifest["gt_bev"])
+                [from_json(CameraRig, cam["rig"]) for cam in manifest["cameras"]])
 
-    spec, grid, dspec, rigs, files, gt_bev = parse_manifest(directory / "manifest.json", parse)
-    feats, depths, masks = ([tensor_read(path) for path in paths] for paths in files)
-    gt = tensor_read(gt_bev)
-    if gt.shape != (1, grid.ny, grid.nx):
-        raise ShapeMismatch(f"{gt_bev} has shape {gt.shape}, the grid needs "
-                            f"{(1, grid.ny, grid.nx)}")
+    spec, grid, dspec, rigs = parse_manifest(directory / "manifest.json", parse)
+    feats, depths, masks, gt = (tensor_read(directory / f"{kind}.btsr")
+                               for kind in ("feats", "depths", "masks", "gt_bev"))
+    try:
+        check_frame(feats, depths, masks, len(rigs), spec.feat_h, spec.feat_w, dspec.n_bins)
+    except ShapeMismatch as e:
+        raise ShapeMismatch(f"scene {directory}: {e}") from None
+    for name, got, want in (("feats", feats.shape, (*feats.shape[:3], spec.channels)),
+                            ("gt_bev", gt.shape, (1, grid.ny, grid.nx))):
+        if got != want:
+            raise ShapeMismatch(f"{directory / name}.btsr has shape {got}, the manifest "
+                                f"needs {want}")
     return SceneBundle(rigs=rigs, feats=feats, depths=depths, masks=masks,
                        gt_bev=gt, spec=spec, grid=grid, dspec=dspec)

@@ -1,18 +1,22 @@
 """Precomputed index tables mapping BEV cells to feature/depth indices.
 
 This module owns the one entry layout both streams share, the order
-of entries within a cell, and the binding of a table to the geometry it
-was built from.  An entry is a target BEV cell and a voxel: an index into
-all cameras' depth volumes stacked camera-major.  The voxel names its
-feature pixel, as a lifted frustum point takes its feature from the
-pixel it was lifted from: with P = feat_h*feat_w pixels a camera, voxel
-d's pixel is ``(d // (n_bins*P))*P + d % P``, an index into all cameras'
-feature pixels stacked the same way.  The streams emit each camera's
-(cell, voxel) pairs in their emission order.  `build_table` packs each
-entry into one unique u64 key (its cell, its position in that order, its
-camera-stacked voxel) and sorts the keys in place, so every cell owns one
-contiguous run that goes camera by camera and, within a camera, in
-emission order: the order of one stable sort by cell.
+of entries within a cell, the binding of a table to the geometry it
+was built from, and the frame a table is applied to: three camera-first
+arrays, features (n_cams, feat_h, feat_w, C) float32, depths (n_cams,
+n_bins, feat_h, feat_w) and masks (n_cams, feat_h, feat_w), checked by
+`check_frame`.  An entry is a target BEV cell and a voxel: a flat index
+into the depths.  The voxel names its feature pixel, as a lifted frustum
+point takes its feature from the pixel it was lifted from: with
+P = feat_h*feat_w pixels a camera, voxel d's pixel is
+``(d // (n_bins*P))*P + d % P``, a row of the features' (n_cams*P, C)
+memory.  So `stack_frame` hands the scatter views of the frame's arrays.
+The streams emit each camera's (cell, voxel) pairs in their emission
+order.  `build_table` packs each entry into one unique u64 key (its cell,
+its position in that order, its camera-stacked voxel) and sorts the keys
+in place, so every cell owns one contiguous run that goes camera by
+camera and, within a camera, in emission order: the order of one stable
+sort by cell.
 The binary form stores the table's `geometry_fingerprint` and heights,
 then the runs as per-cell offsets, then a checksum:
 
@@ -277,50 +281,43 @@ def read_table(path, expect_magic: bytes) -> IndexTable:
 
 
 def stack_camera_tensors(per_cam) -> np.ndarray:
-    """Stack per-camera (C, H, W) tensors of one shape (`check_camera_tensors`)
-    into (C, n_cams*H*W): a view of (n_cams*H*W, C) memory, whose rows the
-    scatter gathers without a copy."""
-    arrs = [np.asarray(a) for a in per_cam]
-    shape = arrs[0].shape
-    # concatenate alone would keep its inputs' column-major order
-    stacked = np.empty((len(arrs) * arrs[0][0].size, shape[0]), dtype=np.result_type(*arrs))
-    return np.concatenate([a.reshape(shape[0], -1).T for a in arrs], out=stacked).T
+    """The camera-first array of one kind of a frame's tensors: an array as it
+    is, uncopied; a sequence of per-camera arrays of one shape stacked into one.
+    A ragged sequence raises ShapeMismatch."""
+    if isinstance(per_cam, np.ndarray):
+        return per_cam
+    try:
+        return np.stack(per_cam)
+    except ValueError as e:
+        raise ShapeMismatch(f"per-camera tensors do not stack: {e}") from None
 
 
 def stack_frame(feats, depths, masks, *tables):
-    """(feats, depth_w, mask_w) for `weighted_scatter`, checked against every table:
-    the shapes of the per-camera tensors, then the finiteness of the stacked arrays."""
+    """(feats, depth_w, mask_w) for `weighted_scatter`, checked against every table
+    (`check_frame`): views of the frame's arrays, which copy nothing, the (C, P)
+    feature pixels as a view of their (P, C) memory, the depths and masks flat."""
     keys = {(t.n_cams, t.feat_h, t.feat_w, t.n_bins, t.ny, t.nx) for t in tables}
     if len(keys) > 1:
         raise ShapeMismatch(f"the tables were built for different geometries: {sorted(keys)}")
-    check_camera_tensors(feats, depths, masks, *next(iter(keys))[:4])
-    frame = (stack_camera_tensors(feats), np.concatenate([d.ravel() for d in depths]),
-             stack_camera_tensors(masks)[0])
-    check_finite(*([a] for a in frame))
-    return frame
+    feats, depths, masks = check_frame(feats, depths, masks, *next(iter(keys))[:4])
+    return feats.reshape(masks.size, -1).T, depths.reshape(-1), masks.reshape(-1)
 
 
-def check_camera_tensors(feats, depths, masks, n_cams, feat_h, feat_w, n_bins) -> None:
-    """Shape check shared by both streams and their oracles: camera count and
-    per-camera shapes (every feature map with camera 0's channel count)."""
-    if not (len(feats) == len(depths) == len(masks)):
-        raise ShapeMismatch("per-camera tensor lists have different lengths")
-    if len(feats) != n_cams:
-        raise ShapeMismatch(f"{len(feats)} cameras, geometry has {n_cams}")
-    for cam, (f, d, m) in enumerate(zip(feats, depths, masks)):
-        for name, got, want in (("feature", f.shape, (*feats[0].shape[:1], feat_h, feat_w)),
-                                ("depth", d.shape, (n_bins, feat_h, feat_w)),
-                                ("mask", m.shape, (1, feat_h, feat_w))):
-            if got != want:
-                raise ShapeMismatch(f"camera {cam}: {name} shape {got} != {want}")
-
-
-def check_finite(feats, depths, masks) -> None:
-    """Finiteness check of the feature, depth and mask arrays, each given as a
-    list: the per-camera tensors (the oracles) or one stacked array
-    (`stack_frame`).  Finite inputs are the precondition of the scatter's
-    zero-weight skip (``0 * inf`` is NaN, a skipped entry is not), so NaN or
-    Inf anywhere raises NonFiniteValue."""
-    for name, arrs in (("feature", feats), ("depth", depths), ("mask", masks)):
-        if not all(np.isfinite(a).all() for a in arrs):
+def check_frame(feats, depths, masks, n_cams, feat_h, feat_w, n_bins):
+    """A frame's three camera-first arrays (`stack_camera_tensors`), checked for
+    both streams, their oracles and the scene loader: features (n_cams, feat_h,
+    feat_w, C) of any C, depths (n_cams, n_bins, feat_h, feat_w), masks (n_cams,
+    feat_h, feat_w), shapes first; then NaN or Inf anywhere raises
+    NonFiniteValue, since finite inputs are the precondition of the scatter's
+    zero-weight skip (``0 * inf`` is NaN, a skipped entry is not)."""
+    frame = tuple(map(stack_camera_tensors, (feats, depths, masks)))
+    wants = ((n_cams, feat_h, feat_w, *frame[0].shape[-1:]), (n_cams, n_bins, feat_h, feat_w),
+             (n_cams, feat_h, feat_w))
+    names = ("feature", "depth", "mask")
+    for name, a, want in zip(names, frame, wants):
+        if a.shape != want:
+            raise ShapeMismatch(f"{name} shape {a.shape} != {want}")
+    for name, a in zip(names, frame):
+        if not np.isfinite(a).all():
             raise NonFiniteValue(f"{name} tensor has NaN or Inf values")
+    return frame

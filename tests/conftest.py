@@ -72,6 +72,14 @@ def sha256(*arrays) -> str:
     return digest.hexdigest()
 
 
+def scene_digest(bundle) -> str:
+    """`sha256` of a scene's frame: its features channel-first per camera, as
+    (n_cams, C, H, W), then its depths, then its masks.  Those are the bytes
+    of per-camera (C, H, W) features and (1, H, W) masks, one after another,
+    so a scene pin taken on per-camera arrays holds for the camera-first frame."""
+    return sha256(bundle.feats.transpose(0, 3, 1, 2), bundle.depths, bundle.masks)
+
+
 def small_geometry():
     """Desk-scale geometry small enough for exhaustive oracles."""
     grid = BevGridSpec(x_min=-24.0, x_max=24.0, y_min=-24.0, y_max=24.0, nx=48, ny=48)

@@ -79,14 +79,10 @@ def test_criterion_2_conservation():
         bundle, _ = small_scene(seed)
         table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
         out = lss_pool(bundle.feats, bundle.depths, bundle.masks, table)
-        feat_stack = np.concatenate(
-            [f.reshape(f.shape[0], -1) for f in bundle.feats], axis=1
-        )
-        depth_flat = np.concatenate([d.ravel() for d in bundle.depths])
-        mask_flat = np.concatenate([m.ravel() for m in bundle.masks])
+        pixels = bundle.feats.reshape(-1, bundle.spec.channels)
         gf, gd = table.feat_idx, table.depth_idx
-        w = depth_flat[gd].astype(np.float64) * mask_flat[gf].astype(np.float64)
-        direct = (w[None, :] * feat_stack[:, gf].astype(np.float64)).sum(axis=1)
+        w = bundle.depths.ravel()[gd].astype(np.float64) * bundle.masks.ravel()[gf]
+        direct = (w[:, None] * pixels[gf].astype(np.float64)).sum(axis=0)
         pooled = out.reshape(out.shape[0], -1).astype(np.float64).sum(axis=1)
         denom = np.maximum(np.abs(direct), 1e-30)
         worst = max(worst, float(np.abs(pooled - direct).__truediv__(denom).max()))

@@ -155,10 +155,8 @@ def workspace(tmp_path_factory):
 class TestSynth:
     def test_output_file_inventory(self, workspace):
         names = set(dir_digest(workspace / "scene"))
-        expect = {"manifest.json", "gt_bev.btsr"}
-        for i in range(SCENE_SPEC["n_cameras"]):
-            expect |= {f"cam{i}_feat.btsr", f"cam{i}_depth.btsr", f"cam{i}_mask.btsr"}
-        assert names == expect
+        assert names == {"manifest.json", "feats.btsr", "depths.btsr", "masks.btsr",
+                         "gt_bev.btsr"}
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         spec = workspace / "scene.json"
@@ -219,14 +217,14 @@ class TestSynth:
         """A scene is replaced whole or not at all."""
         out = tmp_path / "scA"
         assert main(["synth", "--spec", str(workspace / "scene.json"), "--out", str(out)]) == 0
-        (out / "cam2_depth.btsr").unlink()
-        (out / "cam2_depth.btsr").mkdir()
+        (out / "depths.btsr").unlink()
+        (out / "depths.btsr").mkdir()
         old = dir_digest(out)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({**SCENE_SPEC, "seed": 4}))
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "cam2_depth.btsr" in err and "Traceback" not in err
+        assert "depths.btsr" in err and "Traceback" not in err
         assert dir_digest(out) == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scA", "spec.json"]
 
@@ -600,6 +598,30 @@ class TestTransform:
             err = capsys.readouterr().err
             assert err.startswith("error:") and str(scene / "gt_bev.btsr") in err, argv[0]
             assert str(shape) in err and "(1, 32, 32)" in err, argv[0]
+            assert len(err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["scene"]
+
+    @pytest.mark.parametrize("name, shape, expect", [
+        ("feats", (3, 5, 7, 8), "feature shape (3, 5, 7, 8) != (3, 8, 16, 8)"),
+        ("feats", (3, 8, 16, 4), "feats.btsr has shape (3, 8, 16, 4), the manifest needs "
+                                 "(3, 8, 16, 8)"),
+        ("depths", (3, 17, 8, 16), "depth shape (3, 17, 8, 16) != (3, 18, 8, 16)"),
+        ("masks", (2, 8, 16), "mask shape (2, 8, 16) != (3, 8, 16)"),
+    ], ids=["feats-5x7", "feats-4-channels", "depths-17-bins", "masks-2-cameras"])
+    def test_frame_of_another_shape_exits_3(self, workspace, tmp_path, capsys, name, shape,
+                                            expect):
+        """`load_bundle` checks the scene's frame against its manifest's rigs,
+        spec and depth bins, so precompute refuses it as transform does: exit 3,
+        one line that names the scene and both shapes, and no output."""
+        scene = tmp_path / "scene"
+        shutil.copytree(workspace / "scene", scene)
+        tensor_write(np.zeros(shape, dtype=np.float32), scene / f"{name}.btsr")
+        for argv in (["precompute", "--scene", str(scene), "--out", str(tmp_path / "t")],
+                     ["transform", "--scene", str(scene), "--tables", str(workspace / "tables"),
+                      "--out", str(tmp_path / "o")]):
+            assert main(argv) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(scene) in err and expect in err, argv[0]
             assert len(err.strip().splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 

@@ -21,7 +21,7 @@ import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
 from conftest import (NEHALEM, json_in_child, needs_openblas_x86, numpy_on_openblas_x86,
-                      sha256, small_scene)
+                      scene_digest, sha256, small_scene)
 from dualvt.fusion import heads, make_seeded_weights, run_pipeline
 from dualvt.geometry import BevGridSpec, make_height_samples
 from dualvt.height_stream import precompute_ht_table
@@ -29,6 +29,7 @@ from dualvt.lift_stream import precompute_lss_table
 from dualvt.rng import Rng
 from dualvt.sampling import DepthBinSpec
 from dualvt.synth import generate_scene, standard_scene_spec
+from test_synth import GOLDEN_SCENE
 
 WEIGHT_SEED = 11
 # small_scene(0) with make_seeded_weights(11, 8), at threads 1 and 2
@@ -146,7 +147,7 @@ def standard_scene_digests(cpu_group_off=None) -> dict:
     that CPU feature group is switched off."""
     assert cpu_group_off is None or not __cpu_features__[cpu_group_off]
     bundle = generate_scene(standard_scene_spec(), BevGridSpec(), DepthBinSpec())
-    digests = {"scene": sha256(*bundle.feats, *bundle.depths, *bundle.masks)}
+    digests = {"scene": scene_digest(bundle)}
     ht = precompute_ht_table(bundle.rigs, bundle.grid, make_height_samples("multires"),
                              bundle.dspec)
     lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
@@ -169,5 +170,6 @@ def test_standard_scene_digests_hold_in_another_environment(env):
     group = env.get("NPY_DISABLE_CPU_FEATURES")
     if not (__cpu_features__.get(group) if group else numpy_on_openblas_x86()):
         pytest.skip(f"this CPU has no {group}" if group else "needs numpy on OpenBLAS, x86-64")
+    assert standard_scene_digests()["scene"] == GOLDEN_SCENE
     assert json_in_child("test_golden", f"standard_scene_digests({group!r})",
                          **env) == standard_scene_digests()

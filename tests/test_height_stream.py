@@ -205,9 +205,9 @@ class TestPrecompute:
 class TestTransform:
     def test_zero_mask_zeroes_output(self):
         rig, grid, dspec, heights = one_cell_fixture()
-        feats = [Rng(0).uniform((4, 16, 16), -1.0, 1.0)]
-        depths = [np.full((24, 16, 16), 1.0 / 24, dtype=np.float32)]
-        masks = [np.zeros((1, 16, 16), dtype=np.float32)]
+        feats = Rng(0).uniform((1, 16, 16, 4), -1.0, 1.0)
+        depths = np.full((1, 24, 16, 16), 1.0 / 24, dtype=np.float32)
+        masks = np.zeros((1, 16, 16), dtype=np.float32)
         for mode in (INTERP, ROUND):
             out = ht_transform_naive(
                 feats, depths, masks, [rig], grid, heights, dspec, mode=mode
@@ -217,9 +217,9 @@ class TestTransform:
     def test_constant_fields_closed_form(self):
         rig, grid, dspec, heights = one_cell_fixture()
         n_bins = dspec.n_bins
-        feats = [np.ones((4, 16, 16), dtype=np.float32)]
-        depths = [np.full((n_bins, 16, 16), 1.0 / n_bins, dtype=np.float32)]
-        masks = [np.ones((1, 16, 16), dtype=np.float32)]
+        feats = np.ones((1, 16, 16, 4), dtype=np.float32)
+        depths = np.full((1, n_bins, 16, 16), 1.0 / n_bins, dtype=np.float32)
+        masks = np.ones((1, 16, 16), dtype=np.float32)
         table = precompute_ht_table([rig], grid, heights, dspec)
         out = ht_transform_fast(feats, depths, masks, table)
         # n valid correspondences, each contributing 1/n_bins per channel
@@ -233,12 +233,12 @@ class TestTransform:
         # pick the first table entry; make depth one-hot at exactly that index
         fi = int(table.feat_idx[0])
         di = int(table.depth_idx[0])
-        feats = [Rng(1).uniform((4, 16, 16), -2.0, 2.0)]
-        depths = [np.zeros((dspec.n_bins, 16, 16), dtype=np.float32)]
-        depths[0].ravel()[di] = 1.0
-        masks = [np.ones((1, 16, 16), dtype=np.float32)]
+        feats = Rng(1).uniform((1, 16, 16, 4), -2.0, 2.0)
+        depths = np.zeros((1, dspec.n_bins, 16, 16), dtype=np.float32)
+        depths.ravel()[di] = 1.0
+        masks = np.ones((1, 16, 16), dtype=np.float32)
         out = ht_transform_fast(feats, depths, masks, table)
-        assert out[:, 0, 0] == pytest.approx(feats[0].reshape(4, -1)[:, fi], rel=1e-6)
+        assert out[:, 0, 0] == pytest.approx(feats.reshape(-1, 4)[fi], rel=1e-6)
 
     def test_fast_equals_naive_round_bitwise(self, small_bundle):
         """Small scene, and desk-scale random_scene_spec(1) masked and
@@ -268,7 +268,7 @@ class TestTransform:
         def table_code(*args, **kwargs):
             raise AssertionError("the ROUND oracle called table-path code")
 
-        for name in ("weighted_scatter", "stack_camera_tensors", "precompute_ht_table"):
+        for name in ("weighted_scatter", "stack_frame", "precompute_ht_table"):
             monkeypatch.setattr(height_stream, name, table_code)
         naive = ht_transform_naive(
             bundle.feats, bundle.depths, bundle.masks,
@@ -281,9 +281,9 @@ class TestTransform:
         grid = BevGridSpec(x_min=-20, x_max=-10, y_min=-5, y_max=5, nx=4, ny=4)
         dspec = DepthBinSpec(d_min=2.0, d_max=26.0, step=1.0)
         table = precompute_ht_table([rig], grid, make_height_samples("multires"), dspec)
-        feats = [np.ones((2, 16, 16), dtype=np.float32)]
-        depths = [np.ones((24, 16, 16), dtype=np.float32)]
-        masks = [np.ones((1, 16, 16), dtype=np.float32)]
+        feats = np.ones((1, 16, 16, 2), dtype=np.float32)
+        depths = np.ones((1, 24, 16, 16), dtype=np.float32)
+        masks = np.ones((1, 16, 16), dtype=np.float32)
         out = ht_transform_fast(feats, depths, masks, table)
         assert out.shape == (2, 4, 4)
         assert np.all(out == 0.0)
@@ -292,11 +292,11 @@ class TestTransform:
         rig, grid, dspec, heights = one_cell_fixture()
         table = precompute_ht_table([rig], grid, HeightSet((0.0,)), dspec)
         assert table.n_entries == 1
-        feats = [np.zeros((2, 16, 16), dtype=np.float32)]
-        feats[0].reshape(2, -1)[0, table.feat_idx[0]] = 2.0
-        depths = [np.zeros((dspec.n_bins, 16, 16), dtype=np.float32)]
-        depths[0].ravel()[table.depth_idx[0]] = 0.5
-        masks = [np.ones((1, 16, 16), dtype=np.float32)]
+        feats = np.zeros((1, 16, 16, 2), dtype=np.float32)
+        feats.reshape(-1, 2)[table.feat_idx[0], 0] = 2.0
+        depths = np.zeros((1, dspec.n_bins, 16, 16), dtype=np.float32)
+        depths.ravel()[table.depth_idx[0]] = 0.5
+        masks = np.ones((1, 16, 16), dtype=np.float32)
         out = ht_transform_fast(feats, depths, masks, table)
         assert out[0, 0, 0] == pytest.approx(1.0)
         assert out[1, 0, 0] == 0.0
@@ -315,7 +315,7 @@ class TestTransform:
     def test_shape_mismatch_rejected(self, small_bundle):
         bundle, heights = small_bundle
         table = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
-        bad_masks = [m[:, :5, :] for m in bundle.masks]
+        bad_masks = bundle.masks[:, :5]
         with pytest.raises(ShapeMismatch):
             ht_transform_fast(bundle.feats, bundle.depths, bad_masks, table)
 
@@ -332,7 +332,8 @@ class TestTransform:
 
 
 def smooth_fields(rig, dspec, channels=6):
-    """Bandlimited feature map, smooth depth distribution, smooth mask."""
+    """Bandlimited feature map, smooth depth distribution, smooth mask: one
+    camera's frame, camera-first."""
     H, W = rig.feat_h, rig.feat_w
     v, u = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
     feat = np.stack(
@@ -340,7 +341,7 @@ def smooth_fields(rig, dspec, channels=6):
             1.0 + 0.5 * np.sin(2 * np.pi * (u / W + c / channels))
             * np.cos(2 * np.pi * v / (2 * H))
             for c in range(channels)
-        ]
+        ], axis=-1
     ).astype(np.float32)
     centers = dspec.bin_center(np.arange(dspec.n_bins))
     peak = 8.0 + 6.0 * np.sin(2 * np.pi * u / W) * np.cos(np.pi * v / H)
@@ -348,10 +349,8 @@ def smooth_fields(rig, dspec, channels=6):
         -((centers[:, None, None] - peak[None]) ** 2) / (2 * 6.0**2)
     ).astype(np.float32)
     depth /= depth.sum(axis=0, keepdims=True)
-    mask = (0.6 + 0.4 * np.sin(2 * np.pi * u / W) * np.sin(np.pi * v / H)).astype(
-        np.float32
-    )[None]
-    return [feat], [depth], [np.clip(mask, 0.0, 1.0)]
+    mask = (0.6 + 0.4 * np.sin(2 * np.pi * u / W) * np.sin(np.pi * v / H)).astype(np.float32)
+    return feat[None], depth[None], np.clip(mask, 0.0, 1.0)[None]
 
 
 def test_interp_round_proximity_on_smooth_fields():

@@ -121,14 +121,14 @@ class TestPool:
         rig = forward_camera(feat_w=8, feat_h=6, fx=4.0, fy=3.0)
         grid = BevGridSpec(x_min=0.0, x_max=30.0, y_min=-30.0, y_max=30.0, nx=30, ny=60)
         table = precompute_lss_table([rig], grid, DSPEC)
-        feats = [np.ones((3, 6, 8), dtype=np.float32)]
-        masks = [np.ones((1, 6, 8), dtype=np.float32)]
+        feats = np.ones((1, 6, 8, 3), dtype=np.float32)
+        masks = np.ones((1, 6, 8), dtype=np.float32)
         hot_bins = Rng(2).integers((6, 8), DSPEC.n_bins)
         depth = np.zeros((DSPEC.n_bins, 6, 8), dtype=np.float32)
         for vv in range(6):
             for uu in range(8):
                 depth[hot_bins[vv, uu], vv, uu] = 1.0
-        out = lss_pool(feats, [depth], masks, table)
+        out = lss_pool(feats, depth[None], masks, table)
         # count one-hot points landing inside the grid
         x, y = lift_frustum(rig, DSPEC)
         hot = hot_bins == np.arange(DSPEC.n_bins)[:, None, None]
@@ -140,7 +140,7 @@ class TestPool:
         bundle, _ = small_bundle
         table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
         inputs = {"feats": bundle.feats, "depths": bundle.depths, "masks": bundle.masks}
-        inputs[which] = [t[:, :5, :] for t in inputs[which]]
+        inputs[which] = inputs[which][..., :5, :]
         with pytest.raises(ShapeMismatch):
             lss_pool(**inputs, table=table)
 
@@ -157,12 +157,10 @@ class TestPool:
         bundle, _ = small_bundle
         table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
         out = lss_pool(bundle.feats, bundle.depths, bundle.masks, table)
-        feat_stack = np.concatenate([f.reshape(f.shape[0], -1) for f in bundle.feats], axis=1)
-        depth_flat = np.concatenate([d.ravel() for d in bundle.depths])
-        mask_flat = np.concatenate([m.ravel() for m in bundle.masks])
+        pixels = bundle.feats.reshape(-1, bundle.spec.channels)
         gf, gd = table.feat_idx, table.depth_idx
-        w = depth_flat[gd].astype(np.float64) * mask_flat[gf].astype(np.float64)
-        direct = (w[None, :] * feat_stack[:, gf].astype(np.float64)).sum(axis=1)
+        w = bundle.depths.ravel()[gd].astype(np.float64) * bundle.masks.ravel()[gf]
+        direct = (w[:, None] * pixels[gf].astype(np.float64)).sum(axis=0)
         pooled = out.reshape(out.shape[0], -1).astype(np.float64).sum(axis=1)
         assert pooled == pytest.approx(direct, rel=1e-6)
 

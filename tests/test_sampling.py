@@ -14,9 +14,11 @@ SPEC = DepthBinSpec(d_min=2.0, d_max=10.0, step=0.5)
 
 
 def sample(feat, depth, mask, u, v, d):
-    """trilinear_product at points given as lists, under SPEC."""
-    return trilinear_product(feat, depth, mask, *(np.array(c, dtype=np.float64) for c in (u, v, d)),
-                             SPEC)
+    """trilinear_product at points given as lists, under SPEC.  The tests write
+    a feature map (C, H, W) and a mask (1, H, W), as the by-hand walks index
+    them; the sampler takes one camera's (H, W, C) features and (H, W) mask."""
+    return trilinear_product(np.moveaxis(feat, 0, -1), depth, mask[0],
+                             *(np.array(c, dtype=np.float64) for c in (u, v, d)), SPEC)
 
 
 def ones(*shape):

@@ -15,7 +15,7 @@ from dualvt.rng import Rng
 from dualvt.sampling import DepthBinSpec
 from dualvt.scatter import weighted_scatter
 from dualvt.synth import generate_scene, random_scene_spec
-from dualvt.tables import read_table, stack_camera_tensors, stack_frame, write_table
+from dualvt.tables import read_table, stack_frame, write_table
 
 
 def scatter_reference(feats, depth_w, mask_w, cells, feat_idx, depth_idx, n_cells):
@@ -270,9 +270,7 @@ def test_desk_scale_dense_lift_is_sequential(desk_lift):
     """Every entry carries weight: the rank-major scatter equals one sequential
     np.add.at pass over the table in entry order, rounded to float32, bitwise."""
     bundle, masks, table = desk_lift
-    feats = stack_camera_tensors(bundle.feats)
-    depth_w = np.concatenate([d.ravel() for d in bundle.depths])
-    mask_w = stack_camera_tensors(masks)[0]
+    feats, depth_w, mask_w = stack_frame(bundle.feats, bundle.depths, masks, table)
     feat_idx, depth_idx = table.feat_idx, table.depth_idx
     w = depth_w[depth_idx].astype(np.float64) * mask_w[feat_idx].astype(np.float64)
     assert np.count_nonzero(w) > 0.8 * table.n_entries
@@ -295,9 +293,7 @@ def test_desk_scale_dense_height_is_sequential(desk_lift):
     bundle, masks, _ = desk_lift
     table = precompute_ht_table(bundle.rigs, bundle.grid, make_height_samples("multires"),
                                 bundle.dspec)
-    feats = stack_camera_tensors(bundle.feats)
-    depth_w = np.concatenate([d.ravel() for d in bundle.depths])
-    mask_w = stack_camera_tensors(masks)[0]
+    feats, depth_w, mask_w = stack_frame(bundle.feats, bundle.depths, masks, table)
     feat_idx, depth_idx = table.feat_idx, table.depth_idx
     w = depth_w[depth_idx].astype(np.float64) * mask_w[feat_idx].astype(np.float64)
     assert np.count_nonzero(w) > 0.8 * table.n_entries
@@ -659,10 +655,12 @@ def test_dense_apply_builds_no_voxel_index(desk_masked):
 
 
 def test_stacked_features_are_pixel_major(small_bundle):
-    """`stack_camera_tensors` returns (C, P) as a view of (P, C) rows, so the
-    scatter's row-major features are that memory, not a copy per apply."""
+    """`stack_frame` returns the features as (C, P), a view of the frame's
+    (P, C) rows, so the scatter's row-major features are the frame's own
+    memory, not a copy per apply; pixel p of camera k is column k * P + p."""
     bundle, _ = small_bundle
-    feats = stack_camera_tensors(bundle.feats)
-    assert np.shares_memory(np.ascontiguousarray(feats.T), feats)
-    assert np.array_equal(feats, np.concatenate([f.reshape(f.shape[0], -1)
+    table = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    feats, _, _ = stack_frame(bundle.feats, bundle.depths, bundle.masks, table)
+    assert np.shares_memory(np.ascontiguousarray(feats.T), bundle.feats)
+    assert np.array_equal(feats, np.concatenate([f.reshape(-1, f.shape[-1]).T
                                                  for f in bundle.feats], axis=1))

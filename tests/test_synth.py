@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import sha256, small_geometry
+from conftest import scene_digest, small_geometry
 from dualvt.errors import ConfigError
 from dualvt.geometry import BevGridSpec, project_points
 from dualvt.sampling import DepthBinSpec
@@ -20,7 +20,7 @@ from dualvt.synth import (
 )
 
 GRID, DSPEC, _ = small_geometry()
-# SHA-256 of the desk standard scene's features, then depths, then masks
+# SHA-256 of the desk standard scene's features, then depths, then masks (`scene_digest`)
 GOLDEN_SCENE = "8253b0ec4aefa93011faaf33ba06ab566c40139fa9a725d61252054c7028b344"
 
 
@@ -163,7 +163,7 @@ class TestGenerateScene:
         test_golden.py); trig is the platform libm's, pinned on x86-64 Linux."""
         a, b = (generate_scene(standard_scene_spec(), BevGridSpec(), DepthBinSpec()) for _ in "ab")
         for x in (a, b):
-            assert sha256(*x.feats, *x.depths, *x.masks) == GOLDEN_SCENE
+            assert scene_digest(x) == GOLDEN_SCENE
         assert np.array_equal(a.gt_bev, b.gt_bev)
 
     def test_seed_changes_features(self):
@@ -185,7 +185,7 @@ class TestGenerateScene:
         for rig, m in zip(bundle.rigs, bundle.masks):
             assert set(np.unique(m)) <= {0.0, 1.0}
             hit, _, _ = _ray_cast(rig, spec.boxes)
-            assert np.array_equal(m[0] > 0, hit)
+            assert np.array_equal(m > 0, hit)
             some_hit = some_hit or hit.any()
         assert some_hit
 
@@ -193,11 +193,11 @@ class TestGenerateScene:
         spec = standard_scene_spec()
         bundle = generate_scene(spec, GRID, DSPEC)
         for rig, f, m in zip(bundle.rigs, bundle.feats, bundle.masks):
-            hit = m[0] > 0
+            hit = m > 0
             if not hit.any():
                 continue
             # hit pixels have (near) unit-norm features, misses only noise
-            norms = np.linalg.norm(f, axis=0)
+            norms = np.linalg.norm(f, axis=-1)
             assert norms[hit].min() > 0.5
             assert norms[~hit].max() < 0.5
 
@@ -225,9 +225,10 @@ class TestGenerateScene:
         assert back.spec == bundle.spec
         assert back.grid == bundle.grid
         assert back.dspec == bundle.dspec
-        for xa, xb in zip(bundle.feats + bundle.depths + bundle.masks,
-                          back.feats + back.depths + back.masks):
-            assert np.array_equal(xa.view(np.uint32), xb.view(np.uint32))
+        for name in ("feats", "depths", "masks", "gt_bev"):
+            a, b = getattr(bundle, name), getattr(back, name)
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float32, name
+            assert a.tobytes() == b.tobytes(), name
         for ra, rb in zip(bundle.rigs, back.rigs):
             assert np.array_equal(ra.intrinsics, rb.intrinsics)
             assert np.array_equal(ra.extrinsics, rb.extrinsics)

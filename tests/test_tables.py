@@ -11,8 +11,8 @@ from conftest import forward_camera
 from dualvt.errors import ConfigError, IndexOutOfRange, ShapeMismatch
 from dualvt.fusion import make_seeded_weights, run_pipeline
 from dualvt.geometry import BevGridSpec
-from dualvt.height_stream import ROUND, ht_transform_naive, precompute_ht_table
-from dualvt.lift_stream import lss_pool_reference, precompute_lss_table
+from dualvt.height_stream import ROUND, ht_transform_fast, ht_transform_naive, precompute_ht_table
+from dualvt.lift_stream import lss_pool, lss_pool_reference, precompute_lss_table
 from dualvt.sampling import DepthBinSpec
 from dualvt.synth import generate_scene, random_scene_spec
 from dualvt.tables import (
@@ -247,35 +247,74 @@ def test_fingerprint_covers_rigs_grid_bins_and_heights(small_bundle):
 
 
 def camera_one_cut(bundle, which="feats"):
-    """The bundle's (feats, depths, masks) with camera 1's feature cut to 7
-    channels, or its depth volume cut by one bin."""
-    inputs = {"feats": list(bundle.feats), "depths": list(bundle.depths), "masks": bundle.masks}
-    inputs[which][1] = inputs[which][1][:-1]
+    """The bundle's (feats, depths, masks) as per-camera lists, as perfbench's
+    dense gate passes its masks, with camera 1's feature cut to 7 channels, or
+    its depth volume cut by one bin: a ragged list."""
+    inputs = {name: list(getattr(bundle, name)) for name in ("feats", "depths", "masks")}
+    cam = inputs[which][1]
+    inputs[which][1] = cam[..., :-1] if which == "feats" else cam[:-1]
     return inputs["feats"], inputs["depths"], inputs["masks"]
 
 
 class TestCameraTensorCheck:
-    """Every entry point refuses a camera whose tensors disagree with the
-    geometry or with camera 0's channel count, in one ShapeMismatch naming it."""
+    """Every entry point stacks a per-camera list (`stack_camera_tensors`) and
+    refuses a ragged one in one ShapeMismatch, and a camera-first array whose
+    shape disagrees with the geometry in one that names the whole shape."""
 
     def test_run_pipeline(self, small_bundle):
         bundle, heights = small_bundle
         tables = (precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec),
                   precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec))
         weights = make_seeded_weights(11, bundle.spec.channels)
-        with pytest.raises(ShapeMismatch, match=r"camera 1: feature shape \(7, 10, 24\) "
-                                                r"!= \(8, 10, 24\)"):
+        with pytest.raises(ShapeMismatch, match="per-camera tensors do not stack"):
             run_pipeline(*camera_one_cut(bundle), *tables, weights)
+        with pytest.raises(ShapeMismatch, match=r"^feature shape \(4, 10, 23, 8\) "
+                                                r"!= \(4, 10, 24, 8\)$"):
+            run_pipeline(bundle.feats[:, :, 1:], bundle.depths, bundle.masks, *tables, weights)
 
     def test_ht_transform_naive(self, small_bundle):
         bundle, heights = small_bundle
-        with pytest.raises(ShapeMismatch, match="camera 1: feature shape"):
+        with pytest.raises(ShapeMismatch, match="per-camera tensors do not stack"):
             ht_transform_naive(*camera_one_cut(bundle), bundle.rigs, bundle.grid, heights,
                                bundle.dspec, mode=ROUND)
+        with pytest.raises(ShapeMismatch, match=r"^mask shape \(3, 10, 24\) "
+                                                r"!= \(4, 10, 24\)$"):
+            ht_transform_naive(bundle.feats, bundle.depths, bundle.masks[1:], bundle.rigs,
+                               bundle.grid, heights, bundle.dspec, mode=ROUND)
 
     @pytest.mark.parametrize("which, name", [("feats", "feature"), ("depths", "depth")])
     def test_lss_pool_reference(self, small_bundle, which, name):
         bundle, _ = small_bundle
-        with pytest.raises(ShapeMismatch, match=f"camera 1: {name} shape"):
+        with pytest.raises(ShapeMismatch, match="per-camera tensors do not stack"):
             lss_pool_reference(*camera_one_cut(bundle, which), bundle.rigs, bundle.grid,
                                bundle.dspec)
+        frame = {k: getattr(bundle, k) for k in ("feats", "depths", "masks")}
+        frame[which] = frame[which][:, None]
+        with pytest.raises(ShapeMismatch, match=f"^{name} shape "):
+            lss_pool_reference(*frame.values(), bundle.rigs, bundle.grid, bundle.dspec)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["masked", "disable-M"])
+def test_per_camera_lists_give_the_stacked_bytes(small_bundle, dense):
+    """A frame given as per-camera lists, as perfbench's dense gate passes its
+    masks, gives the bytes of the camera-first arrays through `run_pipeline`,
+    both full-grid transforms and both oracles; `disable-M` as the ablation
+    and as masks of ones."""
+    bundle, heights = small_bundle
+    ht = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
+    lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    weights = make_seeded_weights(11, bundle.spec.channels)
+    geometry = bundle.rigs, bundle.grid
+
+    def outputs(feats, depths, masks, ones):
+        result = run_pipeline(feats, depths, masks, ht, lss, weights, disable_mask=dense)
+        frame = feats, depths, ones if dense else masks
+        return (*(getattr(result, f.name) for f in dataclasses.fields(result)),
+                ht_transform_fast(*frame, ht), lss_pool(*frame, lss),
+                ht_transform_naive(*frame, *geometry, heights, bundle.dspec, mode=ROUND),
+                lss_pool_reference(*frame, *geometry, bundle.dspec))
+
+    arrays = bundle.feats, bundle.depths, bundle.masks
+    from_lists = outputs(*(list(a) for a in arrays), [np.ones_like(m) for m in bundle.masks])
+    for got, want in zip(from_lists, outputs(*arrays, np.ones_like(bundle.masks)), strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
