@@ -48,13 +48,13 @@ only while its largest window set is at most ``_PACKED_MAX_SHARE`` of
 the grid (masked desk frames 1-3%, ``disable-M`` 95-98%).  The golden
 digests pin both paths, and a packed frame whose reach meets the border.
 
-An output that is +0.0 off a small set (``F_channel``, ``F``) is expanded
-into a fresh ``np.zeros`` grid of cell-major memory, as `support_grid`
-writes the streams, and only its cells are written after that.  In a
-frame loop glibc hands each frame fresh pages, which cost about what
-their first write touches: a few pages for the support's cells, not a
-few in each of the 64 channel planes.  The affinity's one-column border
-image is broadcast into a fresh C-contiguous grid.
+An output that is +0.0 off a small set (``F_channel``, ``F``) is written by
+`support_grid`, as the streams are: a fresh ``np.zeros`` grid of cell-major
+memory, then only the set's cells.  In a frame loop glibc hands each frame
+fresh pages, which cost about what their first write touches: a few pages
+for the support's cells, not a few in each of the 64 channel planes.  The
+affinity's one-column border image is broadcast into a fresh C-contiguous
+grid; any other output is one ``np.take`` through its where map.
 """
 
 
@@ -94,8 +94,8 @@ _P_HI = np.nextafter(np.float32(1.0), np.float32(0.0))
 # against conv2d's 12-14 ms, res1 6.5-8 against 3.5-4 and the 7x7 14 against 1.5.
 _PACKED_MAX_SHARE = 0.25
 
-# Largest share of the grid whose columns `_ActiveCells.expand` writes one
-# by one, at ~0.5 us a 64-channel column; one np.take costs ~1 ms at any size.
+# Largest share of the grid whose columns `_ActiveCells.expand` writes over a
+# +0.0 or one-column border image, ~0.5 us a 64-channel column; a take ~1 ms.
 _WRITE_MAX_SHARE = 1 / 8
 
 
@@ -226,11 +226,11 @@ class _ActiveCells:
     def __init__(self, sets: dict, reach: tuple = (0, 0), workers: WorkerPool | None = None):
         self.workers = workers
         self.shape = ny, nx = sets["input"].shape
-        self.twin = _twin_axis(ny, reach[0]), _twin_axis(nx, reach[1])
         self.border_shape = min(ny, 2 * reach[0] + 1), min(nx, 2 * reach[1] + 1)
         self.n_border = int(np.prod(self.border_shape))
-        twin_column = (self.twin[0][:, None] * self.border_shape[1] + self.twin[1]).ravel()
-        self.cells, self.where, self.counts = {}, {}, {}
+        ty, tx = _twin_axis(ny, reach[0]), _twin_axis(nx, reach[1])
+        twin_column = (ty[:, None] * self.border_shape[1] + tx).ravel()
+        self.cells, self.where = {}, {}
         for name, m in sets.items():
             self.cells[name] = np.flatnonzero(m)
             # each cell's column in the set's image: its twin's, or its own
@@ -298,36 +298,27 @@ class _ActiveCells:
 
     def expand(self, x, src: str):
         """A value on set `src` onto the whole grid, C-contiguous but where it
-        is cell-major.  A set of at most `_WRITE_MAX_SHARE` of the grid writes
-        its columns over the border image: a border image that is bit-for-bit
-        +0.0 is a cell-major `np.zeros` grid (module docstring), a one-column
-        one is broadcast, a larger one taken along x and then along y.  A
-        larger set is one `np.take` through the where map."""
+        is cell-major.  A set of at most `_WRITE_MAX_SHARE` of the grid is
+        written by `support_grid` (cell-major) when its border image is
+        bit-for-bit +0.0, or over its broadcast border image when that is one
+        column.  Any other value is one `np.take` through the where map."""
         x2d, cells, where = x.reshape(x.shape[0], -1), self.cells[src], self.where[src]
         c, b = x2d.shape[0], self.n_border
-        if cells.size > _WRITE_MAX_SHARE * where.size:
-            return np.take(x2d, where.reshape(self.shape), axis=1)
-        if not np.ascontiguousarray(x2d[:, :b]).view(np.uint8).any():
-            grid = np.zeros((where.size, c), dtype=x.dtype)
-            grid[cells] = x2d[:, b:b + cells.size].T
-            return grid.T.reshape((c,) + self.shape)
-        if b == 1:
-            grid = np.empty((c,) + self.shape, dtype=x.dtype)
-            grid[...] = x2d[:, :1, None]
-        else:
-            rows = np.take(x2d[:, :b].reshape((c,) + self.border_shape), self.twin[1], axis=2)
-            grid = np.take(rows, self.twin[0], axis=1)
-        grid.reshape(c, -1)[:, cells] = x2d[:, b:b + cells.size]
-        return grid
+        if cells.size <= _WRITE_MAX_SHARE * where.size:
+            if not np.ascontiguousarray(x2d[:, :b]).view(np.uint8).any():
+                return support_grid(cells, x2d[:, b:b + cells.size].T, *self.shape)
+            if b == 1:
+                grid = np.empty((c,) + self.shape, dtype=x.dtype)
+                grid[...] = x2d[:, :1, None]
+                grid.reshape(c, -1)[:, cells] = x2d[:, b:b + cells.size]
+                return grid
+        return np.take(x2d, where.reshape(self.shape), axis=1)
 
     def pool(self, x, src: str):
         """(C, 1, 1) `mean_pool` of a value on set `src` over the whole grid, read
         from its image: each border-image column weighs the cells off the set
         that read it (its twin count), each cell of the set 1."""
-        if src not in self.counts:
-            self.counts[src] = np.bincount(self.where[src],
-                                           minlength=self.n_border + self.cells[src].size)
-        counts = self.counts[src]
+        counts = np.bincount(self.where[src], minlength=self.n_border + self.cells[src].size)
         return mean_pool(x.reshape(x.shape[0], -1)[:, :counts.size], counts)[:, None, None]
 
 
@@ -336,10 +327,6 @@ def _active_cells(support: np.ndarray, weights: WeightBundle,
     """The occupancy head's plan: its active sets, grown from the (ny, nx)
     `support`, or the full grid when the windows of one would cover more than
     `_PACKED_MAX_SHARE` of it; its convolutions run on `workers`."""
-    limit = _PACKED_MAX_SHARE * support.size
-    if np.count_nonzero(support) > limit:  # a dense frame pays for no dilation
-        return _FullGrid(support.shape, workers)
-
     # f_channel and its channel stats are +0.0 off the support, as the padding is
     w1, w2 = weights["prob.local.res1"], weights["prob.local.res2"]
     reduce = _reach(support, weights["prob.local.reduce"])
@@ -347,7 +334,7 @@ def _active_cells(support: np.ndarray, weights: WeightBundle,
     # the add, the gate, `out`, the sigmoid and the clip run on res2's set,
     # which the global conv's reach joins (with the default shapes it adds none)
     out = _reach(res1, w2) | _reach(support, weights["prob.global.conv"])
-    if np.count_nonzero(out) > limit:
+    if np.count_nonzero(out) > _PACKED_MAX_SHARE * support.size:
         return _FullGrid(support.shape, workers)
     # off those sets, res1's and res2's inputs are constants (the reduce's
     # bias, and what res1 makes of it), which the zero padding breaks within

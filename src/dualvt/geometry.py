@@ -20,6 +20,9 @@ from .errors import ConfigError, SpecBlock, check_field_types
 BEHIND_EPS = 1e-6
 
 FULL_HEIGHT_RANGE = (-5.0, 3.0)
+# "uniform:N" heights: each is one Python step in HeightSet and in the height
+# oracle's loop, and ~17k entries of the desk height table (220,620 at 13)
+MAX_HEIGHTS = 1024
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,9 @@ def make_height_samples(spec: str = "multires") -> HeightSet:
     """Height sampling set over [-5, 3] m, from the text of `precompute --heights`.
 
     "multires": the 13 heights -5, -4, -3, then -2 to 2 m by 0.5 m (the
-    region of interest), then 3.  "uniform:N": N >= 2 evenly spaced values
-    including both endpoints, N read by ``int()``.  Other text raises a
-    one-line ConfigError.
+    region of interest), then 3.  "uniform:N": 2 <= N <= `MAX_HEIGHTS` evenly
+    spaced values including both endpoints, N read by ``int()`` and checked
+    before any array is built.  Other text raises a one-line ConfigError.
     """
     if spec == "multires":
         return HeightSet((-5.0, -4.0, -3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0))
@@ -123,8 +126,9 @@ def make_height_samples(spec: str = "multires") -> HeightSet:
         n = int(spec.split(":", 1)[1])
     except ValueError as e:
         raise ConfigError(f"bad heights {spec!r}: {e}") from None
-    if n < 2:
-        raise ConfigError(f"bad heights {spec!r}: uniform height sampling needs N >= 2")
+    if not 2 <= n <= MAX_HEIGHTS:
+        raise ConfigError(f"bad heights {spec!r}: uniform height sampling needs "
+                          f"2 <= N <= {MAX_HEIGHTS}")
     return HeightSet(tuple(np.linspace(FULL_HEIGHT_RANGE[0], FULL_HEIGHT_RANGE[1], n)))
 
 

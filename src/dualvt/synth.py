@@ -253,13 +253,19 @@ def save_bundle(bundle: SceneBundle, directory) -> None:
 
 def load_bundle(directory) -> SceneBundle:
     """Read a scene directory, its tensors checked against its manifest: the
-    frame by `check_frame` and the spec's channel count, the GT by the grid."""
+    frame by `check_frame` and the spec's channel count, the GT by the grid.
+    Each rig's feature size must be the spec's."""
     directory = Path(directory)
 
     def parse(manifest):
-        return (from_json(SceneSpec, manifest["spec"]), from_json(BevGridSpec, manifest["grid"]),
-                from_json(DepthBinSpec, manifest["dspec"]),
-                [from_json(CameraRig, cam["rig"]) for cam in manifest["cameras"]])
+        spec = from_json(SceneSpec, manifest["spec"])
+        rigs = [from_json(CameraRig, cam["rig"]) for cam in manifest["cameras"]]
+        for i, rig in enumerate(rigs):
+            if (rig.feat_h, rig.feat_w) != (spec.feat_h, spec.feat_w):
+                raise ConfigError(f"camera {i}'s rig feat_h x feat_w {rig.feat_h}x{rig.feat_w} "
+                                  f"differs from the spec's {spec.feat_h}x{spec.feat_w}")
+        return (spec, from_json(BevGridSpec, manifest["grid"]),
+                from_json(DepthBinSpec, manifest["dspec"]), rigs)
 
     spec, grid, dspec, rigs = parse_manifest(directory / "manifest.json", parse)
     feats, depths, masks, gt = (tensor_read(directory / f"{kind}.btsr")

@@ -173,13 +173,17 @@ def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam) -> IndexTable
     layout; one in-place sort of the keys orders the entries by (cell, camera,
     emission order), the order of a stable sort by cell, and the voxels are
     the sorted keys' low bits.  heights are the z values the table was
-    built for, empty for the lift table.  Sizes that u32 cannot index raise
-    ConfigError, the geometry's before per_cam is read, and so do keys that
-    64 bits cannot hold.  Memory: the keys, 8 bytes an entry, beside the
-    per-camera columns not yet written into them, then the u32 voxels.
+    built for, empty for the lift table.  Rigs of differing feature sizes
+    and sizes that u32 cannot index raise ConfigError, the geometry's before
+    per_cam is read, and so do keys that 64 bits cannot hold.  Memory: the
+    keys, 8 bytes an entry, beside the per-camera columns not yet written
+    into them, then the u32 voxels.
     """
     n_cams, feat_h, feat_w = len(rigs), rigs[0].feat_h, rigs[0].feat_w
     volume = dspec.n_bins * feat_h * feat_w
+    if any((rig.feat_h, rig.feat_w) != (feat_h, feat_w) for rig in rigs):
+        raise ConfigError(f"rigs differ in feature size: a table takes one size for all "
+                          f"{n_cams} cameras, {feat_h}x{feat_w} first")
     if n_cams * volume > _U32_MAX:
         raise ConfigError(f"{n_cams} cameras x {dspec.n_bins} depth bins x {feat_h}x{feat_w} "
                           f"pixels exceed the table's u32 index limit {_U32_MAX}")

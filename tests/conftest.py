@@ -28,6 +28,24 @@ def exact_support(*grids):
     return np.logical_or.reduce([g.view(np.uint32).any(axis=0) for g in grids])
 
 
+def units(x, shift: int = 149) -> np.ndarray:
+    """Each float32 of `x` as the exact Python integer ``x * 2**shift``, in an
+    object array of x's shape: every float32 is an integer times 2**-149, and
+    its float64 scaled by a power of two is exact (at most 2**(128 + shift))."""
+    x = np.asarray(x, dtype=np.float32)
+    return np.array(list(map(int, np.ldexp(x.astype(np.float64), shift).ravel().tolist())),
+                    dtype=object).reshape(x.shape)
+
+
+def exact_dot(a, b, bias):
+    """Oracle of sums of float32 products plus a bias: for (R, K) `a`, (K, M)
+    `b` and (R,) `bias`, the exact ``a @ b + bias[:, None]`` and the sum of
+    its terms' magnitudes ``|a| @ |b| + |bias|``, each an (R, M) object array
+    of Python integers in units of 2**-298, the unit of a float32 product."""
+    ua, ub, uc = units(a), units(b), units(bias, 298)[:, None]
+    return ua.dot(ub) + uc, np.abs(ua).dot(np.abs(ub)) + np.abs(uc)
+
+
 def exact_mean(x, weights=None) -> np.ndarray:
     """Oracle of a correctly rounded mean, for finite float32 inputs: for each
     row of the (R, m) `x`, the float32 nearest (ties to even) to
@@ -43,9 +61,7 @@ def exact_mean(x, weights=None) -> np.ndarray:
     w = np.ones(m, dtype=object) if weights is None else np.array([int(k) for k in weights],
                                                                    dtype=object)
     den = int(w.sum()) << 149
-    units = np.array(list(map(int, np.ldexp(x.astype(np.float64), 149).ravel().tolist())),
-                     dtype=object).reshape(x.shape)  # exact: at most 2**277
-    totals = (units * w).sum(axis=1) if m else np.zeros(x.shape[0], dtype=object)
+    totals = (units(x) * w).sum(axis=1) if m else np.zeros(x.shape[0], dtype=object)
     c64 = np.array([t / den for t in totals.tolist()], dtype=np.float64)
     c32 = c64.astype(np.float32)
     toward = np.where(c64 > c32, np.inf, -np.inf).astype(np.float32)

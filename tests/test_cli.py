@@ -21,7 +21,7 @@ from dualvt import cli
 from dualvt.cli import MAX_THREADS, main
 from dualvt.errors import ConfigError
 from dualvt.fusion import make_seeded_weights, run_pipeline
-from dualvt.geometry import BevGridSpec, make_height_samples
+from dualvt.geometry import MAX_HEIGHTS, BevGridSpec, make_height_samples
 from dualvt.height_stream import precompute_ht_table
 from dualvt.lift_stream import precompute_lss_table
 from dualvt.nnops import WeightBundle
@@ -133,10 +133,14 @@ BAD_RIG = [
     (("extrinsics", 0, 3), "0.5", "extrinsics"),
     (("intrinsics",), [[21.5, 0, 7.5], [0, 21.5, 3.5]], "intrinsics"),
     (("bogus",), 1, "unknown key 'bogus'"),
+    # a valid rig whose feature size is not the spec's (and the frame's)
+    (("feat_w",), 15, "feat_w"),
+    (("feat_h",), 7, "feat_h"),
 ]
 BAD_RIG_IDS = ["fx-nan", "fx-0", "fx-neg", "fx-inf", "fy-0", "translation-nan",
                "feat-w-float", "feat-w-str", "feat-w-bool", "cam-id-float", "fx-bool",
-               "fx-str", "translation-str", "intrinsics-2x3", "unknown-key"]
+               "fx-str", "translation-str", "intrinsics-2x3", "unknown-key",
+               "feat-w-not-the-spec", "feat-h-not-the-spec"]
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +293,8 @@ class TestPrecompute:
         assert [p.name for p in tmp_path.iterdir()] == ["t"]
 
     def test_bad_heights_exits_2(self, workspace, tmp_path, capsys):
-        for heights in ("nonsense", "uniform:abc", "uniform:1", "uniform:"):
+        for heights in ("nonsense", "uniform:abc", "uniform:1", "uniform:",
+                        f"uniform:{MAX_HEIGHTS + 1}"):
             code = main(["precompute", "--scene", str(workspace / "scene"),
                          "--out", str(tmp_path / "t"), "--heights", heights])
             err = capsys.readouterr().err

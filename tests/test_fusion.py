@@ -336,12 +336,14 @@ BACKGROUNDS = pytest.mark.parametrize("background", [0.0, -0.0, 0.75],
 
 
 class TestActiveCellsExpand:
-    """`_ActiveCells.expand` writes a set's columns over its border image
-    while the set is at most `_WRITE_MAX_SHARE` of the grid, else takes
-    them in one `np.take`, into a fresh grid: C-contiguous, or cell-major
-    where the set is written over a +0.0 border image.  Every cell off the
-    set reads its twin's column of the border image: the cell at the same
-    distance to each edge, up to the reach."""
+    """`_ActiveCells.expand` writes a value into a fresh grid in one of three
+    layouts.  A set of at most `_WRITE_MAX_SHARE` of the grid whose border
+    image is bit-for-bit +0.0 is written by `support_grid`, cell-major; one
+    whose border image is one column has it broadcast and its columns
+    written over it, C-contiguous.  Every other value is one `np.take`
+    through the where map, C-contiguous.  Every cell off the set reads its
+    twin's column of the border image: the cell at the same distance to
+    each edge, up to the reach."""
 
     @pytest.mark.parametrize("r", range(4))
     @pytest.mark.parametrize("n", range(1, 13))

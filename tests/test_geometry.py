@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dualvt.errors import ConfigError
 from dualvt.geometry import (
+    MAX_HEIGHTS,
     BevGridSpec,
     CameraRig,
     bev_cell_centers,
@@ -103,6 +104,14 @@ class TestHeightSamples:
     def test_uniform_too_few(self):
         with pytest.raises(ConfigError):
             make_height_samples("uniform:1")
+
+    def test_uniform_bound(self):
+        """`MAX_HEIGHTS` heights are taken, one more is a one-line ConfigError."""
+        z = make_height_samples(f"uniform:{MAX_HEIGHTS}").z_values
+        assert len(z) == MAX_HEIGHTS and (z[0], z[-1]) == (-5.0, 3.0)
+        with pytest.raises(ConfigError, match=f"N <= {MAX_HEIGHTS}") as e:
+            make_height_samples(f"uniform:{MAX_HEIGHTS + 1}")
+        assert "\n" not in str(e.value)
 
 
 class TestBevGrid:

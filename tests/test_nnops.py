@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_mean
+from conftest import exact_dot, exact_mean, units
 from dualvt import nnops
 from dualvt.errors import ConfigError, ShapeMismatch
 from dualvt.fusion import default_weight_shapes
@@ -250,6 +251,46 @@ class TestConv2d:
             out = conv2d(x, identity_kernel(2), pool)
         assert seen == ([] if len(bands) == 1 else bands)
         assert np.array_equal(out.view(np.uint32), conv2d(x, identity_kernel(2)).view(np.uint32))
+
+
+def windows(x, kh, kw):
+    """(C_in*kh*kw, H*W) float32 windows of the zero-padded (C_in, H, W) `x`,
+    rows in conv2d's (c_in, i, j) order: copies, no arithmetic."""
+    c, H, W = x.shape
+    xp = np.zeros((c, H + kh - 1, W + kw - 1), dtype=np.float32)
+    xp[:, kh // 2:kh // 2 + H, kw // 2:kw // 2 + W] = x
+    taps = [xp[:, i:i + H, j:j + W] for i in range(kh) for j in range(kw)]
+    return np.stack(taps, axis=1).reshape(c * kh * kw, H * W)
+
+
+class TestConv2dErrorBound:
+    """The module docstring's bound, checked against an exact oracle
+    (`conftest.exact_dot`): each output is within ``1/2 ulp(out) +
+    gamma_n * sum|terms|`` of its exact value, the float32 rounding plus a
+    float64 sum of n = C_in*kh*kw + 1 terms in any order (Higham, ch. 3),
+    ``gamma_n = n u / (1 - n u)``, ``u = 2**-53``."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_every_head_layer_within_the_bound(self, workers):
+        """Every layer shape of `default_weight_shapes(8)`, on a 19x9 grid of
+        two row blocks, where the 3x3 and 7x7 windows meet the zero padding.
+        The inputs' magnitudes spread over 2**-8 to 2**8, so sums cancel."""
+        H, W = BLOCK_ROWS + 3, 9
+        layers = WeightBundle.seeded(7, default_weight_shapes(8))
+        with WorkerPool(2) if workers else contextlib.nullcontext() as pool:
+            for k, (name, w) in enumerate(sorted(layers.layers.items())):
+                c_out, c_in, kh, kw = w.kernel.shape
+                rng = Rng(k)
+                scale = np.floor(rng.uniform((c_in, H, W), -8.0, 9.0)).astype(np.int32)
+                x = np.ldexp(rng.uniform((c_in, H, W), -1.0, 1.0), scale).astype(np.float32)
+                out = conv2d(x, w, pool).reshape(c_out, -1)
+                exact, magnitude = exact_dot(w.kernel.reshape(c_out, -1), windows(x, kh, kw),
+                                             w.bias)
+                n = c_in * kh * kw + 1
+                den = 2**53 - n
+                err = np.abs(units(out, 298) - exact)
+                ulp = units(np.abs(np.spacing(out)), 298)
+                assert (2 * err * den <= ulp * den + 2 * n * magnitude).all(), name
 
 
 class TestReductions:

@@ -334,6 +334,33 @@ def test_all_zero_weights_give_positive_zero(threads):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+def test_negative_zero_features_sum_to_positive_zero(threads):
+    """Survivors whose features are all -0.0 add ``+0.0 + -0.0``: the
+    accumulators start at +0.0, so every support row is +0.0, not -0.0."""
+    args = _random_problem(6, 500, 16)
+    args[0][:] = -0.0
+    support = _fast(args, 16, threads=threads)
+    assert support[0].size == 16 and not np.signbit(support[1]).any()
+    assert_matches_reference(support, args, 16)
+
+
+def test_threads_split_the_rows(monkeypatch):
+    """At n threads a problem with enough support cells is accumulated in n
+    row ranges, which together cover every support row once."""
+    seen, accumulate = [], scatter._accumulate
+
+    def recording(out, *args):
+        seen.append(len(out))
+        return accumulate(out, *args)
+
+    monkeypatch.setattr(scatter, "_accumulate", recording)
+    for threads in (1, 2, 3):
+        seen.clear()
+        cells, _ = _fast(_random_problem(99, 5000, 64), 64, threads=threads)
+        assert len(seen) == threads and sum(seen) == cells.size
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 def test_dense_scatter_memory_is_bounded(threads):
     """Peak allocation of a dense scatter stays far below one (N, C) gather
     plus its float64 product (N * C * 12 bytes), with every worker's chunk

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import os
 import re
 import subprocess
@@ -11,6 +12,8 @@ from dualvt.cli import build_parser
 
 REPO = Path(__file__).resolve().parents[1]
 SCRIPTS = ["run_demo.py", "run_ablations.py"]
+# runs the test suite itself, once per mutant; its table is checked below
+MUTANTS = "mutants.py"
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[Path(s).stem for s in SCRIPTS])
@@ -47,11 +50,42 @@ def subcommands() -> dict:
 
 def test_readme_names_every_subcommand_and_script():
     """The README's CLI and Scripts blocks follow the parser and scripts/,
-    and this file runs every script."""
+    and this file runs every script end to end but the mutation suite,
+    whose table and runner the tests below check."""
     assert set(re.findall(r"^dualvt (\w+)", readme_block("CLI"), re.M)) == set(subcommands())
     files = {p.name for p in (REPO / "scripts").iterdir() if p.is_file()}
     assert set(re.findall(r"^python3 scripts/(\S+)", readme_block("Scripts"), re.M)) == files
-    assert set(SCRIPTS) == files
+    assert set(SCRIPTS) | {MUTANTS} == files
+
+
+def mutants_module():
+    spec = importlib.util.spec_from_file_location("mutants", REPO / "scripts" / MUTANTS)
+    module = sys.modules["mutants"] = importlib.util.module_from_spec(spec)  # for dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_snippet_occurs_once():
+    """Each row of the mutation table names a snippet that occurs exactly
+    once in its module, and a test that is not a golden-digest test; so a
+    refactor that moves a snippet updates its mutant on purpose."""
+    mutants = mutants_module()
+    assert len(mutants.MUTANTS) >= 12
+    assert mutants.check_table() == []
+    for m in mutants.MUTANTS:
+        for test in m.tests:
+            assert (REPO / test.split("::")[0]).is_file(), (m.name, test)
+
+
+def test_mutant_runner_kills_a_row():
+    """The runner end to end on one row: the copy of src/ takes the mutant,
+    its tests fail there, and the row is reported killed."""
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / MUTANTS), "table-rig-sizes-unchecked"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 of 1 mutants killed" in proc.stdout
 
 
 def test_readme_names_every_flag():

@@ -10,7 +10,7 @@ import pytest
 from conftest import forward_camera
 from dualvt.errors import ConfigError, IndexOutOfRange, ShapeMismatch
 from dualvt.fusion import make_seeded_weights, run_pipeline
-from dualvt.geometry import BevGridSpec
+from dualvt.geometry import BevGridSpec, make_height_samples
 from dualvt.height_stream import ROUND, ht_transform_fast, ht_transform_naive, precompute_ht_table
 from dualvt.lift_stream import lss_pool, lss_pool_reference, precompute_lss_table
 from dualvt.sampling import DepthBinSpec
@@ -97,6 +97,19 @@ def test_keys_beyond_64_bits_refused():
     with pytest.raises(ConfigError, match="64-bit sort key") as e:
         build_table(HT_MAGIC, grid, [rig], dspec, (0.0,), [(cells, voxels)])
     assert "\n" not in str(e.value)
+
+
+@pytest.mark.parametrize("size", [(8, 7), (7, 8)], ids=["feat-w", "feat-h"])
+def test_rigs_of_differing_feature_sizes_refused(size):
+    """One table indexes every camera's depth volume at one feature size, so
+    both builds refuse rigs whose sizes differ, with a one-line ConfigError."""
+    grid, dspec = BevGridSpec(nx=4, ny=4), DepthBinSpec(d_min=2.0, d_max=4.0, step=1.0)
+    rigs = [forward_camera(feat_w=8, feat_h=8), forward_camera(*size)]
+    for build in (lambda: precompute_ht_table(rigs, grid, make_height_samples(), dspec),
+                  lambda: precompute_lss_table(rigs, grid, dspec)):
+        with pytest.raises(ConfigError, match="rigs differ in feature size") as e:
+            build()
+        assert "\n" not in str(e.value)
 
 
 def test_file_layout(tmp_path, small_bundle):
