@@ -62,6 +62,10 @@ MUTANTS = [
            "    ny, nx = ht_table.ny, ht_table.nx",
            "    nx, ny = ht_table.ny, ht_table.nx",
            ("tests/test_fusion.py::TestRunPipeline::test_non_square_grid",)),
+    Mutant("caf-fuse-bound-at-definition", FUSION,
+           "          workers: WorkerPool | None = None) -> PipelineResult:",
+           "          workers: WorkerPool | None = None, caf_fuse=caf_fuse) -> PipelineResult:",
+           ("tests/test_trace_sites.py::test_a_pipeline_frame_records_every_stream_site",)),
     Mutant("heads-without-float32-check", FUSION,
            "    if f_lss.dtype != np.float32 or f_ht.dtype != np.float32:",
            "    if False:",
@@ -70,6 +74,24 @@ MUTANTS = [
            "    rows = np.logical_or.reduce([padded[i:i + ny] for i in range(2 * ry + 1)])",
            "    rows = np.logical_or.reduce([padded[i:i + ny] for i in range(2 * ry)])",
            ("tests/test_fusion.py::TestReach",)),
+    Mutant("full-grid-conv-on-a-worker", FUSION,
+           "        return conv2d(x, w, self.workers)",
+           "        return (self.workers.submit(conv2d, x, w).result() if self.workers\n"
+           "                else conv2d(x, w))",
+           ("tests/test_trace_sites.py::test_every_wrapped_call_runs_on_the_calling_thread",)),
+    # the frame's one pool
+    Mutant("run-pipeline-pool-unjoined", FUSION,
+           "    with WorkerPool(threads) as workers:",
+           "    for workers in [WorkerPool(threads)]:",
+           ("tests/test_fusion.py::TestRunPipeline::"
+            "test_workers_are_joined_before_run_pipeline_returns",)),
+    Mutant("worker-pool-drops-callers-context", NNOPS,
+           "        return super().submit(contextvars.copy_context().run, fn, *args, **kwargs)",
+           "        return super().submit(fn, *args, **kwargs)",
+           ("tests/test_nnops.py::TestConv2d::test_bands_run_under_the_callers_errstate",
+            "tests/test_scatter.py::test_rows_accumulate_under_the_callers_errstate",
+            "tests/test_cli.py::TestTransform::"
+            "test_overflow_prints_one_line_at_every_thread_count")),
     # the inputs' checks
     Mutant("manifest-rig-size-unchecked", "synth.py",
            "            if (rig.feat_h, rig.feat_w) != (spec.feat_h, spec.feat_w):",
@@ -129,7 +151,7 @@ MUTANTS = [
            "(np.flatnonzero((mask_w > 0).take(feat_idx))",
            ("tests/test_scatter.py::test_survivors_edge_cases_match_oracle",)),
     Mutant("scatter-never-splits", SCATTER,
-           "np.linspace(0, w.size, max(threads, 1) + 1)[1:-1]",
+           "np.linspace(0, w.size, parts + 1)[1:-1]",
            "np.linspace(0, w.size, 2)[1:-1]",
            ("tests/test_scatter.py::test_threads_split_the_rows",)),
     # geometry and the oracles
@@ -146,6 +168,15 @@ MUTANTS = [
            "    return rows, w[:, None] * feat[i, j]",
            "    return rows, w.astype(np.float32)[:, None] * feat[i, j]",
            ("tests/test_height_stream.py::TestTransform::test_fast_equals_naive_round_bitwise",)),
+    Mutant("round-oracle-float32-weight", "height_stream.py",
+           "    w = depth[k, i, j].astype(np.float64) * mask[i, j].astype(np.float64)",
+           "    w = (depth[k, i, j] * mask[i, j]).astype(np.float64)",
+           ("tests/test_height_stream.py::TestTransform::test_fast_equals_naive_round_bitwise",)),
+    Mutant("height-cull-without-plane-crossing", "height_stream.py",
+           "    return np.flatnonzero(near | (valid[0] != valid[1]))",
+           "    return np.flatnonzero(near)",
+           ("tests/test_height_stream.py::TestPrecompute::"
+            "test_candidate_cull_equals_round_then_filter",)),
 ]
 
 

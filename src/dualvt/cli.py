@@ -8,13 +8,11 @@ Exit codes: 0 success, 2 configuration error, 3 runtime/shape error.
 from __future__ import annotations
 
 import argparse
-import contextvars
 import json
 import math
 import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +22,7 @@ from .fusion import default_weight_shapes, run_pipeline
 from .geometry import BevGridSpec, make_height_samples
 from .height_stream import precompute_ht_table
 from .lift_stream import precompute_lss_table
-from .nnops import WeightBundle
+from .nnops import WeightBundle, WorkerPool
 from .report import diff_directories, summarize_outputs
 from .sampling import DepthBinSpec
 from .synth import SceneSpec, generate_scene, load_bundle, save_bundle
@@ -32,8 +30,8 @@ from .tables import HT_MAGIC, LSS_MAGIC, geometry_fingerprint, read_table, write
 from .tensors import tensor_write
 
 DEFAULT_WEIGHT_SEED = 11
-# upper bound on --threads: each stream's scatter, and the heads' convolution
-# bands, start up to this many workers
+# upper bound on --threads: the frame's one pool, which splits both scatters and
+# the heads' convolution bands, starts up to this many workers
 MAX_THREADS = 64
 
 
@@ -94,9 +92,8 @@ def cmd_precompute(args) -> int:
     # the two tables build at once: the height table on a worker, under this
     # thread's numpy error state, and the lift table here.  The worker's malloc
     # arena keeps its peak after the thread ends, so it gets the smaller build.
-    with ThreadPoolExecutor(1) as pool:
-        ht = pool.submit(contextvars.copy_context().run,
-                         precompute_ht_table, rigs, grid, heights, dspec)
+    with WorkerPool(1) as pool:
+        ht = pool.submit(precompute_ht_table, rigs, grid, heights, dspec)
         try:
             lss = precompute_lss_table(rigs, grid, dspec)
         finally:

@@ -60,7 +60,6 @@ grid; any other output is one ``np.take`` through its where map.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,7 +372,7 @@ def assemble_final(f_channel: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Apply the occupancy probability to the fused feature."""
     if p.shape != (1,) + f_channel.shape[1:]:
         raise ShapeMismatch(f"probability shape {p.shape} does not match {f_channel.shape}")
-    return (p * f_channel).astype(np.float32)
+    return p * f_channel
 
 
 @dataclass
@@ -412,6 +411,9 @@ def run_pipeline(
 ) -> PipelineResult:
     """Full forward pass: both streams, fusion, probability, final feature.
     The frame is checked once, and the heads start from the streams' supports.
+    The frame opens one `WorkerPool` of `threads`, whose workers split both
+    scatters' rows and the heads' convolution bands; it is joined before the
+    call returns, also when it raises, and the bytes are those of one thread.
 
     Ablation switches: `disable_mask` and `uniform_depth` as in
     `apply_ablations`, and `force_affinity` pins the fusion affinity to a
@@ -422,24 +424,25 @@ def run_pipeline(
     ny, nx = ht_table.ny, ht_table.nx
     support = np.zeros(ny * nx, dtype=bool)
     grids = []
-    for apply, table in ((ht_apply, ht_table), (lss_apply, lss_table)):
-        cells, sums = apply(frame, table, threads)
-        support[cells] = True
-        grids.append(support_grid(cells, sums, ny, nx))
-    del frame, cells, sums  # only the grids live on through the heads
-    f_ht, f_lss = grids
-    return heads(f_lss, f_ht, support.reshape(ny, nx), weights, force_affinity, threads)
+    with WorkerPool(threads) as workers:
+        for apply, table in ((ht_apply, ht_table), (lss_apply, lss_table)):
+            cells, sums = apply(frame, table, workers)
+            support[cells] = True
+            grids.append(support_grid(cells, sums, ny, nx))
+        del frame, cells, sums  # only the grids live on through the heads
+        f_ht, f_lss = grids
+        return heads(f_lss, f_ht, support.reshape(ny, nx), weights, force_affinity, workers)
 
 
-def heads(f_lss, f_ht, support, weights: WeightBundle,
-          force_affinity: float | None = None, threads: int = 1) -> PipelineResult:
+def heads(f_lss, f_ht, support, weights: WeightBundle, force_affinity: float | None = None,
+          workers: WorkerPool | None = None) -> PipelineResult:
     """Both heads on the (C, ny, nx) float32 stream grids, lift stream first.
     `support` is an (ny, nx) bool mask, and both grids must be bit-for-bit
     +0.0 at every cell off it; any larger support gives the same bits.  The
     checks read no grid data.  The BLAS runs one thread (`one_blas_thread`).
-    Above one thread, one `WorkerPool` of `threads` runs the convolutions'
-    row bands; it is opened per call and joined before the call returns,
-    and the bytes are those of one thread."""
+    The convolutions' row bands run on `workers`, the caller's `WorkerPool`
+    (in `run_pipeline`, the frame's) or None, and the bytes are those of
+    one thread."""
     if f_lss.shape != f_ht.shape:
         raise ShapeMismatch(f"stream shapes differ: {f_lss.shape} vs {f_ht.shape}")
     if f_lss.dtype != np.float32 or f_ht.dtype != np.float32:
@@ -448,7 +451,7 @@ def heads(f_lss, f_ht, support, weights: WeightBundle,
         raise ShapeMismatch(f"support shape {support.shape} does not match {f_lss.shape}")
     # the heads are called by module name, where perfbench's tracer wraps them;
     # their GEMMs run under the calling thread's budget, also on the workers
-    with one_blas_thread(), (WorkerPool(threads) if threads > 1 else nullcontext()) as workers:
+    with one_blas_thread():
         cells = _ActiveCells({"input": support}, workers=workers)
         fused, affinity = caf_fuse(cells, cells.pack(f_lss, f_ht), weights, force_affinity)
         f_channel = cells.expand(fused, "input")

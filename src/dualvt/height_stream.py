@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import BevGridSpec, HeightSet, bev_cell_centers, project_points
+from .nnops import WorkerPool
 from .sampling import DepthBinSpec, depth_to_coord, trilinear_product
 from .scatter import support_grid, weighted_scatter
 from .tables import HT_MAGIC, IndexTable, build_table, cell_dtype, check_frame, stack_frame
@@ -126,14 +127,16 @@ def ht_transform_fast(feats, depths, masks, table: IndexTable, threads: int = 1)
     """Scatter-sum over the precomputed table: `ht_apply`'s support as a (C, ny, nx)
     float32 grid (`scatter.support_grid`)."""
     frame = stack_frame(feats, depths, masks, table)
-    return support_grid(*ht_apply(frame, table, threads), table.ny, table.nx)
+    with WorkerPool(threads) as workers:
+        return support_grid(*ht_apply(frame, table, workers), table.ny, table.nx)
 
 
-def ht_apply(frame, table: IndexTable, threads: int = 1):
+def ht_apply(frame, table: IndexTable, workers=None):
     """The table applied to a stacked frame (`tables.stack_frame`): the
-    support (cells, sums) of `weighted_scatter`."""
+    support (cells, sums) of `weighted_scatter`, its rows split over
+    `workers` (a `nnops.WorkerPool` or None)."""
     return weighted_scatter(*frame, table.offsets, table.feat_idx, table.depth_idx,
-                            threads=threads, by_voxel=table.reused_voxel_index)
+                            workers, by_voxel=table.reused_voxel_index)
 
 
 def ht_transform_naive(

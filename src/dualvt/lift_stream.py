@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import BevGridSpec, back_project
+from .nnops import WorkerPool
 from .sampling import DepthBinSpec
 from .scatter import support_grid, weighted_scatter
 from .tables import LSS_MAGIC, IndexTable, build_table, cell_dtype, check_frame, stack_frame
@@ -63,14 +64,16 @@ def lss_pool(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.nd
     """Weighted scatter-sum pooling: `lss_apply`'s support as a (C, ny, nx)
     float32 grid (`scatter.support_grid`)."""
     frame = stack_frame(feats, depths, masks, table)
-    return support_grid(*lss_apply(frame, table, threads), table.ny, table.nx)
+    with WorkerPool(threads) as workers:
+        return support_grid(*lss_apply(frame, table, workers), table.ny, table.nx)
 
 
-def lss_apply(frame, table: IndexTable, threads: int = 1):
+def lss_apply(frame, table: IndexTable, workers=None):
     """The table applied to a stacked frame (`tables.stack_frame`): the
-    support (cells, sums) of `weighted_scatter`."""
+    support (cells, sums) of `weighted_scatter`, its rows split over
+    `workers` (a `nnops.WorkerPool` or None)."""
     return weighted_scatter(*frame, table.offsets, table.feat_idx, table.depth_idx,
-                            threads=threads, by_voxel=table.reused_voxel_index)
+                            workers, by_voxel=table.reused_voxel_index)
 
 
 def lss_pool_reference(

@@ -36,7 +36,12 @@ fast path sums exact float64 products in any order and keeps the
 rounded mean when the float64 error bound cannot reach a float32
 rounding boundary; otherwise that output is summed exactly in integers.
 
-Thread budget: ``one_blas_thread`` holds numpy's bundled scipy-openblas
+Thread budget: ``WorkerPool`` is the package's one thread type, and
+``fusion.run_pipeline`` opens one per frame.  Each task it runs, a
+``conv2d`` band or a scatter's range of rows, runs in a copy of the
+submitting thread's context, so under the caller's ``np.errstate``: a
+worker warns, raises or stays silent on a floating-point error as the
+caller would.  ``one_blas_thread`` holds numpy's bundled scipy-openblas
 to one thread for the length of a block and then gives back the count it
 found.  The count is process-global, so blocks on several threads share
 one budget: the first to enter saves the count and the last to leave
@@ -49,6 +54,7 @@ caller left it.  Bits do not depend on this (see the contract above).
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import json
 import math
@@ -127,12 +133,18 @@ class Conv2dWeights:
 
 
 class WorkerPool(ThreadPoolExecutor):
-    """`size` threads for a caller's bands of work (`conv2d`); a `with` block
-    joins them when it ends, so none outlives the call that opened it."""
+    """The package's one thread type: up to `size` threads for a caller's bands
+    or ranges of work (`conv2d`, `scatter.weighted_scatter`).  Each task runs
+    in a copy of the submitting thread's context, so under its `np.errstate`;
+    a `with` block joins the threads when it ends, so none outlives the call
+    that opened it."""
 
     def __init__(self, size: int):
         super().__init__(max_workers=size)
         self.size = size
+
+    def submit(self, fn, /, *args, **kwargs):  # `map` submits through it too
+        return super().submit(contextvars.copy_context().run, fn, *args, **kwargs)
 
 
 def conv2d(x: np.ndarray, w: Conv2dWeights, workers: WorkerPool | None = None) -> np.ndarray:
@@ -183,7 +195,7 @@ def channel_stats(x: np.ndarray) -> np.ndarray:
     so the memory layout moves no bit) and the max over channels."""
     c = x.shape[0]
     mean = mean_pool(x.reshape(c, -1).T, np.ones(c, dtype=np.int64))
-    return np.stack([mean.reshape(x.shape[1:]), x.max(axis=0)]).astype(np.float32)
+    return np.stack([mean.reshape(x.shape[1:]), x.max(axis=0)])
 
 
 def mean_pool(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -277,7 +289,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0).astype(np.float32)
+    return np.maximum(x, 0)  # a Python 0 does not promote float32
 
 
 class WeightBundle:

@@ -58,15 +58,13 @@ Accumulation contract:
   must have the masks' pixel count.  Each worker writes its products into
   one buffer that it reuses for every chunk, so no two chunks' products
   are alive at once; it also holds a float64 accumulator for its rows.
-- The survivors are found on the calling thread.  Threads then split the
-  support's rows into ranges of about equal survivors: runs are
-  disjoint, so no value depends on the split.
+- The survivors are found on the calling thread.  The workers of the
+  caller's ``nnops.WorkerPool``, if it has more than one, then split the
+  support's rows into ranges of about equal survivors, one range each:
+  runs are disjoint, so no value depends on the split.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -77,7 +75,7 @@ from .errors import ShapeMismatch
 CHUNK_ENTRIES = 8192
 
 
-def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threads: int = 1,
+def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, workers=None,
                      by_voxel=None):
     """Accumulate depth_w * mask_w * feature into BEV cells.
 
@@ -87,7 +85,8 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threa
     offsets:  (n_cells + 1,) cell c owns entries [offsets[c], offsets[c+1])
     feat_idx: (N,) index into the P axis
     depth_idx:(N,) index into depth_w
-    by_voxel: a function giving (`voxel_index(depth_idx, Q)`, pixels per camera)
+    workers:  a `nnops.WorkerPool` whose workers split the support's rows, or None
+    by_voxel: a function giving (`voxel_index(depth_idx)`, pixels per camera)
               or None, called only on a frame with a zero mask; without an
               index such a frame tests its masked-in entries in entry order
     All inputs must be finite (see the module docstring), and feats must have
@@ -102,30 +101,29 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, threa
     # (P, C) rows, so row gathers are cheap; float64 once more survivors than pixels read them
     rows = np.ascontiguousarray(feats.T, dtype=np.float64 if w.size > feats.shape[1] else None)
     # split the rows, one per support cell, into ranges of about equal survivors
-    cuts = np.searchsorted(first, np.linspace(0, w.size, max(threads, 1) + 1)[1:-1])
+    parts = 1 if workers is None else workers.size
+    cuts = np.searchsorted(first, np.linspace(0, w.size, parts + 1)[1:-1])
     jobs = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, cells.size]) if a < b]
-    with ThreadPoolExecutor(len(jobs)) if len(jobs) > 1 else nullcontext() as pool:
-        list((pool.map if pool else map)(
-            lambda j: _accumulate(out[j], rows, w, fi, first[j], end[j]), jobs))
+    list((workers.map if len(jobs) > 1 else map)(
+        lambda j: _accumulate(out[j], rows, w, fi, first[j], end[j]), jobs))
     return cells, out
 
 
-def voxel_index(depth_idx, n_voxels):
+def voxel_index(depth_idx):
     """The entries grouped by voxel: the sorted unique keys
     ``(voxel << bits(N - 1)) | position``, so any sort algorithm gives the
     same bytes, and a voxel's positions, ascending, are its keys' low bits.
 
-    The keys are u32 when voxel and position bits fit in 32, else u64 (both
-    desk tables).  They are built in place: one shifted copy of the voxels,
-    the positions ORed in `CHUNK_ENTRIES` at a time, one in-place sort.
-    Needs N < 2**32, which tables keep.  Memory: the keys, 4 or 8 bytes per entry.
+    The keys are u64, built in place: one shifted copy of the voxels, the
+    positions ORed in `CHUNK_ENTRIES` at a time, one in-place sort.  Needs
+    N < 2**32 and u32 voxels, which tables keep.  Memory: the keys, 8 bytes
+    per entry.
     """
     n = depth_idx.size
     shift = max(n - 1, 0).bit_length()
-    key = np.dtype("<u4" if max(n_voxels - 1, 0).bit_length() + shift <= 32 else "<u8")
-    keys = np.left_shift(depth_idx, shift, dtype=key)
+    keys = np.left_shift(depth_idx, shift, dtype="<u8")
     for s in range(0, n, CHUNK_ENTRIES):
-        keys[s:s + CHUNK_ENTRIES] |= np.arange(s, min(s + CHUNK_ENTRIES, n), dtype=key)
+        keys[s:s + CHUNK_ENTRIES] |= np.arange(s, min(s + CHUNK_ENTRIES, n), dtype="<u8")
     keys.sort()
     return keys
 

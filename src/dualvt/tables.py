@@ -124,8 +124,7 @@ class IndexTable:
         """(`scatter.voxel_index` of the voxel column, pixels per camera): built in
         memory the first time it is read, kept on the table, never written to
         its file."""
-        volume = self.n_cams * self.n_bins * self.feat_h * self.feat_w
-        return scatter.voxel_index(self.depth_idx, volume), self.feat_h * self.feat_w
+        return scatter.voxel_index(self.depth_idx), self.feat_h * self.feat_w
 
     def reused_voxel_index(self):
         """`voxel_index` for the table's second frame with a zero mask and every

@@ -37,7 +37,7 @@ def set_checked(set_, get, n):
 
 def test_heads_run_with_one_blas_thread(blas, monkeypatch):
     """Every head convolution sees a BLAS at one thread, whatever the caller
-    set, on the calling thread and on the heads' workers."""
+    set, on the calling thread and on the frame's workers."""
     get, set_ = blas
     set_checked(set_, get, 2)
     seen = []
@@ -65,7 +65,7 @@ def test_run_pipeline_restores_the_callers_count(blas, caller):
 
 @pytest.mark.parametrize("caller", [1, 2])
 def test_dense_frame_on_two_threads_restores_the_callers_count(blas, caller):
-    """A `disable-M` frame, whose convolutions run in bands on the heads' workers."""
+    """A `disable-M` frame, whose convolutions run in bands on the frame's workers."""
     get, set_ = blas
     set_checked(set_, get, caller)
     bundle, ht, lss, weights = pinned_inputs()

@@ -664,6 +664,36 @@ class TestTransform:
         assert code == expected and len(lines) == (code != 0), lines
         assert (tmp_path / "o").exists() == (code == 0)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("ablate", [[], ["--ablate", "disable-M"]],
+                             ids=["masked", "disable-M"])
+    @pytest.mark.parametrize("huge", ["weights", "features"])
+    def test_overflow_prints_one_line_at_every_thread_count(self, workspace, tmp_path,
+                                                            huge, ablate, threads):
+        """Every kernel and bias of the seeded bundle times 1e30, or every
+        feature 3e38, overflows to a NaN or Inf output, which transform refuses:
+        exit 3 with one line.  The frame's workers, which split the scatters'
+        rows and, on a `disable-M` frame, the convolutions' bands, compute
+        under the CLI's numpy error state, so no warning reaches stderr at
+        one thread or at two."""
+        weights = make_seeded_weights(cli.DEFAULT_WEIGHT_SEED, SCENE_SPEC["channels"])
+        scene = workspace / "scene"
+        if huge == "weights":
+            for w in weights.layers.values():
+                w.kernel[...] *= np.float32(1e30)
+                w.bias[...] *= np.float32(1e30)
+        else:
+            scene = tmp_path / "scene"
+            shutil.copytree(workspace / "scene", scene)
+            feats = tensor_read(scene / "feats.btsr")
+            tensor_write(np.full_like(feats, 3e38), scene / "feats.btsr")
+        weights.save(tmp_path / "w")
+        code, lines = run_cli(["transform", "--scene", scene, "--tables", workspace / "tables",
+                               "--out", tmp_path / "o", "--weights", tmp_path / "w",
+                               "--threads", threads, *ablate])
+        assert code == 3 and len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert not (tmp_path / "o").exists()
+
     def test_channels_not_divisible_by_4_exits_2(self, tmp_path, capsys):
         tables = other_tables(tmp_path / "six", channels=6)
         wdir = tmp_path / "weights"

@@ -802,6 +802,21 @@ class TestAssembleFinal:
         with pytest.raises(ShapeMismatch):
             assemble_final(f, np.ones((1, 3, 3), dtype=np.float32))
 
+    def test_allocates_one_output(self):
+        """On float32 inputs the float32 product is the result: the call's traced
+        peak is about one output, not a product and its copy."""
+        f = Rng(3).uniform((16, 64, 64), -1.0, 1.0)
+        p = Rng(4).uniform((1, 64, 64), 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            out = assemble_final(f, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.float32
+        assert np.array_equal(out.view(np.uint32), np.multiply(p, f).view(np.uint32))
+        assert out.nbytes <= peak < 1.5 * out.nbytes
+
 
 class TestFuseAndFinalize:
     """`heads`: fuse the streams, then the probability and the final feature."""
@@ -873,35 +888,6 @@ class TestFuseAndFinalize:
         assert peak >= 3 * fused.nbytes  # numpy's allocations are traced
         assert peak < 4.5 * fused.nbytes
 
-    def test_workers_are_joined_before_heads_return(self, monkeypatch):
-        """At two threads a dense frame's convolutions run in bands on the
-        heads' workers, and `heads` joins them before it returns, also when
-        it raises: no thread outlives the call."""
-        ran = set()
-
-        class Recording(nnops.WorkerPool):
-            def map(self, fn, bands):
-                def recorded(band):
-                    ran.add(threading.get_ident())
-                    return fn(band)
-                return super().map(recorded, bands)
-
-        monkeypatch.setattr(dualvt.fusion, "WorkerPool", Recording)
-        cells = np.arange(40 * 40)
-        f_lss, f_ht = cell_major_streams(40, 40, cells, 4, neg_zero_cell=False)
-        support = support_of(cells, 40, 40)
-        before = threading.active_count()
-        one = heads(f_lss, f_ht, support, weights())
-        assert not ran
-        assert_same_fields(heads(f_lss, f_ht, support, weights(), threads=2), one)
-        assert ran and threading.get_ident() not in ran
-        assert threading.active_count() == before
-        partial = WeightBundle({k: v for k, v in weights().layers.items()
-                                if k != "prob.local.out"})
-        with pytest.raises(ConfigError, match="prob.local.out"):
-            heads(f_lss, f_ht, support, partial, threads=2)
-        assert threading.active_count() == before
-
     def test_result_fields_consistent(self):
         f_lss, f_ht = streams()
         res = heads(f_lss, f_ht, EVERYWHERE, weights())
@@ -948,6 +934,55 @@ class TestRunPipeline:
         flat = [np.full_like(d, 1.0 / d.shape[0]) for d in bundle.depths]
         b = run_pipeline(bundle.feats, flat, bundle.masks, ht, lss, w)
         assert np.array_equal(a.f_final.view(np.uint32), b.f_final.view(np.uint32))
+
+    def test_workers_are_joined_before_run_pipeline_returns(self, monkeypatch):
+        """At two threads a dense frame's scatters and convolutions run on the
+        frame's one pool, and `run_pipeline` joins it before it returns, also
+        when it raises: no thread outlives the call."""
+        pools, ran = [], set()
+
+        class Recording(nnops.WorkerPool):
+            def __init__(self, size):
+                super().__init__(size)
+                pools.append(self)  # kept alive, so only a join ends its threads
+
+            def submit(self, fn, /, *args):
+                def recorded(*a):
+                    ran.add(threading.get_ident())
+                    return fn(*a)
+                return super().submit(recorded, *args)
+
+        monkeypatch.setattr(dualvt.fusion, "WorkerPool", Recording)
+        bundle, ht, lss = self.fixture()
+        frame = (bundle.feats, bundle.depths, bundle.masks, ht, lss)
+        before = threading.active_count()
+        one = run_pipeline(*frame, weights(), disable_mask=True)
+        assert len(pools) == 1 and not ran
+        assert_same_fields(run_pipeline(*frame, weights(), threads=2, disable_mask=True), one)
+        assert len(pools) == 2 and ran and threading.get_ident() not in ran
+        assert threading.active_count() == before
+        partial = WeightBundle({k: v for k, v in weights().layers.items()
+                                if k != "prob.local.out"})
+        with pytest.raises(ConfigError, match="prob.local.out"):
+            run_pipeline(*frame, partial, threads=2, disable_mask=True)
+        assert len(pools) == 3 and threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_frame_starts_at_most_its_thread_count(self, monkeypatch, threads):
+        """One pool serves the frame: a two-thread `disable-M` frame, whose two
+        scatters and heads' bands all split over workers, starts one or two
+        threads, and a one-thread frame starts none."""
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        bundle, ht, lss = self.fixture()
+        run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, weights(),
+                     threads=threads, disable_mask=True)
+        assert (0 < len(started) <= 2) if threads == 2 else not started
 
     def test_threads_bitwise_stable(self):
         bundle, ht, lss = self.fixture()

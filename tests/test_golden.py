@@ -26,6 +26,7 @@ from dualvt.fusion import heads, make_seeded_weights, run_pipeline
 from dualvt.geometry import BevGridSpec, make_height_samples
 from dualvt.height_stream import precompute_ht_table
 from dualvt.lift_stream import precompute_lss_table
+from dualvt.nnops import WorkerPool
 from dualvt.rng import Rng
 from dualvt.sampling import DepthBinSpec
 from dualvt.synth import generate_scene, standard_scene_spec
@@ -85,8 +86,9 @@ def border_streams(n=48, channels=8):
 
 
 def border_digests(threads=1) -> dict:
-    return head_digests(heads(*border_streams(), make_seeded_weights(WEIGHT_SEED, 8),
-                              threads=threads))
+    with WorkerPool(threads) as pool:
+        return head_digests(heads(*border_streams(), make_seeded_weights(WEIGHT_SEED, 8),
+                                  workers=pool))
 
 
 @functools.cache

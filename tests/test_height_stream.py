@@ -242,13 +242,23 @@ class TestTransform:
 
     def test_fast_equals_naive_round_bitwise(self, small_bundle):
         """Small scene, and desk-scale random_scene_spec(1) masked and
-        with the masks disabled, at threads 1 and 2."""
+        with the masks disabled, at threads 1 and 2.  Synth masks are exactly
+        0 or 1, so a three-camera scene also runs with fractional masks, where
+        a float32 ``depth * mask`` would round and the float64 weight does not."""
         bundle, heights = small_bundle
         desk = generate_scene(random_scene_spec(1), BevGridSpec(), DepthBinSpec())
+        grid, dspec, _ = small_geometry()
+        frac = generate_scene(random_scene_spec(1, n_cameras=3, feat_w=16, feat_h=8,
+                                                channels=8), grid, dspec)
+        rng = Rng(5)
+        fractional = (frac.masks * rng.uniform(frac.masks.shape)
+                      + rng.uniform(frac.masks.shape))
+        assert fractional.dtype == np.float32
         cases = [
             (bundle, bundle.masks, (1,)),
             (desk, desk.masks, (1, 2)),
             (desk, [np.ones_like(m) for m in desk.masks], (1, 2)),
+            (frac, fractional, (1, 2)),
         ]
         for b, masks, thread_counts in cases:
             table = precompute_ht_table(b.rigs, b.grid, heights, b.dspec)

@@ -228,6 +228,19 @@ class TestConv2d:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_bands_run_under_the_callers_errstate(self, workers):
+        """The caller's ``np.errstate(over="raise")`` reaches every band: sums
+        past the float32 range on an input of two row blocks raise
+        `FloatingPointError` on the calling thread and on two workers alike,
+        where a worker outside the caller's context would only warn."""
+        x = np.ones((2, 2 * BLOCK_ROWS, 5), dtype=np.float32)
+        w = Conv2dWeights(kernel=np.full((1, 2, 3, 3), 1e38, dtype=np.float32),
+                          bias=np.zeros(1, dtype=np.float32))
+        with WorkerPool(2) if workers else contextlib.nullcontext() as pool:
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                conv2d(x, w, pool)
+
     @pytest.mark.parametrize("height, workers, bands", [
         (5, 2, [(0, 5)]),
         (37, 2, [(0, 16), (16, 37)]),
@@ -299,7 +312,7 @@ class TestReductions:
             [[[1.0, 2.0]], [[3.0, -4.0]]], dtype=np.float32
         )  # (2 channels, 1, 2)
         s = channel_stats(x)
-        assert s.shape == (2, 1, 2)
+        assert s.shape == (2, 1, 2) and s.dtype == np.float32
         assert s[0].tolist() == [[2.0, -1.0]]  # mean
         assert s[1].tolist() == [[3.0, 2.0]]  # max
 
@@ -440,7 +453,7 @@ class TestActivations:
 
     def test_relu(self):
         x = np.array([-1.0, 0.0, 2.5], dtype=np.float32)
-        assert relu(x).tolist() == [0.0, 0.0, 2.5]
+        assert relu(x).dtype == np.float32 and relu(x).tolist() == [0.0, 0.0, 2.5]
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-50, 50), st.floats(-50, 50))

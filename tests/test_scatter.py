@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from dualvt.errors import ShapeMismatch
 from dualvt.geometry import BevGridSpec, make_height_samples
 from dualvt.height_stream import ht_apply, precompute_ht_table
 from dualvt.lift_stream import lss_apply, lss_pool, precompute_lss_table
+from dualvt.nnops import WorkerPool
 from dualvt.rng import Rng
 from dualvt.sampling import DepthBinSpec
 from dualvt.scatter import weighted_scatter
@@ -81,10 +83,12 @@ def _rank_edge_chunks(args, n_cells):
 
 
 def _fast(args, n_cells, threads=1):
-    """weighted_scatter on a problem given, as scatter_reference takes it, by cells."""
+    """weighted_scatter on a problem given, as scatter_reference takes it, by cells,
+    on a `WorkerPool` of `threads`."""
     feats, depth_w, mask_w, cells, feat_idx, depth_idx = args
-    return weighted_scatter(feats, depth_w, mask_w, _offsets(cells, n_cells),
-                            feat_idx, depth_idx, threads=threads)
+    with WorkerPool(threads) as pool:
+        return weighted_scatter(feats, depth_w, mask_w, _offsets(cells, n_cells),
+                                feat_idx, depth_idx, workers=pool)
 
 
 @settings(max_examples=20, deadline=None)
@@ -210,10 +214,10 @@ def test_offsets_walk_matches_reference_bitwise(problem, chunk):
     if zero_range is not None:  # every entry of that range reads the zero depth
         depth_idx[offsets[edges[zero_range]]:offsets[edges[zero_range + 1]]] = depth_w.size - 1
     records = np.stack([feat_idx, depth_idx], axis=1).astype("<u4")
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, WorkerPool(threads) as pool:
         mp.setattr(scatter, "CHUNK_ENTRIES", chunk)
         fast = weighted_scatter(feats, depth_w, mask_w, offsets.astype("<u4"),
-                                records[:, 0], records[:, 1], threads=threads)
+                                records[:, 0], records[:, 1], workers=pool)
     args = (feats, depth_w, mask_w, cells, records[:, 0], records[:, 1])
     assert_matches_reference(fast, args, n_cells)
 
@@ -306,8 +310,9 @@ def test_desk_scale_dense_height_is_sequential(desk_lift):
                   w[a:b, None] * feats[:, feat_idx[a:b]].T.astype(np.float64))
     expected = expected.astype(np.float32)
     for threads in (1, 2):
-        got = weighted_scatter(feats, depth_w, mask_w, table.offsets, feat_idx, depth_idx,
-                               threads=threads)
+        with WorkerPool(threads) as pool:
+            got = weighted_scatter(feats, depth_w, mask_w, table.offsets, feat_idx, depth_idx,
+                                   workers=pool)
         assert np.array_equal(expand(got, table.n_cells).view(np.uint32),
                               expected.view(np.uint32))
 
@@ -360,6 +365,19 @@ def test_threads_split_the_rows(monkeypatch):
         assert len(seen) == threads and sum(seen) == cells.size
 
 
+@pytest.mark.parametrize("workers", [None, 2])
+def test_rows_accumulate_under_the_callers_errstate(workers):
+    """The caller's ``np.errstate(over="raise")`` reaches every range of rows:
+    sums past the float32 range raise `FloatingPointError` where the rows are
+    rounded, on the calling thread and on two workers alike."""
+    feats, depth_w, mask_w, cells, feat_idx, depth_idx = _random_problem(99, 5000, 64)
+    feats[:], depth_w[:], mask_w[:] = 3e38, 1.0, 1.0
+    offsets = _offsets(cells, 64)
+    with WorkerPool(2) if workers else contextlib.nullcontext() as pool:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, workers=pool)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_dense_scatter_memory_is_bounded(threads):
     """Peak allocation of a dense scatter stays far below one (N, C) gather
@@ -374,13 +392,14 @@ def test_dense_scatter_memory_is_bounded(threads):
     feat_idx = rng.integers(0, pixels, n_entries)
     depth_idx = rng.integers(0, depth_w.size, n_entries)
 
-    tracemalloc.start()
-    try:
-        out = weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx,
-                               threads=threads)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with WorkerPool(threads) as pool:
+        tracemalloc.start()
+        try:
+            out = weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx,
+                                   workers=pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     unchunked = n_entries * channels * 12
     assert peak >= out[1].nbytes  # numpy's allocations are traced
     assert peak < unchunked / 8
@@ -472,9 +491,9 @@ def assert_survivors_match_oracle(problem, threads):
     feats, depth_w, mask_w, cells, feat_idx, depth_idx, camera_pixels = problem
     n_cells = int(cells.max()) + 1 if cells.size else 1
     offsets = _offsets(cells, n_cells).astype("<u4")
-    keys = scatter.voxel_index(depth_idx, depth_w.size)
+    keys = scatter.voxel_index(depth_idx)
     shift = max(depth_idx.size - 1, 0).bit_length()
-    assert keys.dtype in ("<u4", "<u8") and np.array_equal(keys >> shift, np.sort(depth_idx))
+    assert keys.dtype == "<u8" and np.array_equal(keys >> shift, np.sort(depth_idx))
     assert np.array_equal(keys & ((1 << shift) - 1), np.argsort(depth_idx, kind="stable"))
     want = survivors_oracle(depth_w, mask_w, offsets, feat_idx, depth_idx)
     for by_voxel in (lambda: (keys, camera_pixels), None):
@@ -483,8 +502,9 @@ def assert_survivors_match_oracle(problem, threads):
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
-    fast = weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx,
-                            threads=threads, by_voxel=lambda: (keys, camera_pixels))
+    with WorkerPool(threads) as pool:
+        fast = weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx,
+                                workers=pool, by_voxel=lambda: (keys, camera_pixels))
     assert_matches_reference(fast, problem[:6], n_cells)
 
 
@@ -573,34 +593,24 @@ def test_run_directions_agree(n_cells, count, seed):
 
 @pytest.mark.parametrize("n_voxels,key_bits", [(2**15, 32), (2**15 + 1, 33)])
 def test_voxel_index_at_the_key_width_boundary(n_voxels, key_bits):
-    """2**16 + 1 entries take 17 position bits; 2**15 voxels take 15 voxel bits
-    and fit u32 keys, 2**15 + 1 take 16 and need u64.  Both hold the voxels
-    sorted and their positions as a stable argsort, the largest voxel's last
-    key included."""
+    """2**16 + 1 entries take 17 position bits; 2**15 voxels take 15 voxel bits,
+    which fill 32 key bits, and 2**15 + 1 take 16.  Either way the u64 keys
+    hold the voxels sorted and their positions as a stable argsort, the
+    largest voxel's last key included, and the build holds nothing of the
+    entries' size but the keys (and one chunk of positions)."""
     n = 2**16 + 1
     depth_idx = Rng(key_bits).integers((n,), n_voxels).astype("<u4")
     depth_idx[[0, -1]] = n_voxels - 1  # the largest voxel, at the first and last position
     assert (n_voxels - 1).bit_length() + (n - 1).bit_length() == key_bits
-    keys = scatter.voxel_index(depth_idx, n_voxels)
-    assert keys.dtype == ("<u4" if key_bits == 32 else "<u8")
+    tracemalloc.start()
+    try:
+        keys = scatter.voxel_index(depth_idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.dtype == "<u8" and peak < 8 * n + 16 * scatter.CHUNK_ENTRIES
     assert np.array_equal(keys >> 17, np.sort(depth_idx))
     assert np.array_equal(keys & (2**17 - 1), np.argsort(depth_idx, kind="stable"))
-
-
-def test_voxel_index_keys_are_the_narrowest_that_hold_them():
-    """u32 keys where voxel and position bits fit in 32 take 4 bytes per entry
-    less than the u64 keys one more voxel needs, and the build holds nothing
-    of the entries' size but the keys (and one chunk of positions)."""
-    n, peaks = 2**16 + 1, []
-    for n_voxels in (2**15, 2**15 + 1):
-        depth_idx = np.full(n, n_voxels - 1, dtype="<u4")
-        tracemalloc.start()
-        try:
-            scatter.voxel_index(depth_idx, n_voxels)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert 4 * n <= peaks[1] - peaks[0] and peaks[1] < 8 * n + 16 * scatter.CHUNK_ENTRIES
 
 
 def test_tables_are_built_written_and_read_without_voxel_index(small_bundle, tmp_path,
