@@ -92,7 +92,26 @@ MUTANTS = [
             "tests/test_scatter.py::test_rows_accumulate_under_the_callers_errstate",
             "tests/test_cli.py::TestTransform::"
             "test_overflow_prints_one_line_at_every_thread_count")),
+    Mutant("heads-force-affinity-unchecked", FUSION,
+           "    if force_affinity is not None and not 0.0 <= force_affinity <= 1.0:",
+           "    if False:",
+           ("tests/test_fusion.py::TestFuseAndFinalize::"
+            "test_forced_affinity_must_lie_in_the_unit_interval",
+            "tests/test_cli.py::TestTransformOptions::test_force_affinity_must_be_finite_unit")),
     # the inputs' checks
+    Mutant("table-fingerprint-unchecked", "tables.py",
+           "        if self.geometry_sha256 != geometry_fingerprint(rigs, grid, dspec, "
+           "self.heights):",
+           "        if False:",
+           ("tests/test_tables.py::test_table_swapped_in_from_other_rigs_refused",
+            "tests/test_tables.py::test_table_with_an_edited_height_refused",
+            "tests/test_cli.py::TestTablesBoundToGeometry::"
+            "test_table_swapped_in_from_other_rigs_exits_2")),
+    Mutant("weight-load-shapes-unchecked", NNOPS,
+           "            if bundle[name].kernel.shape != layer_shapes[name]:",
+           "            if False:",
+           ("tests/test_nnops.py::TestWeightBundle::test_load_takes_exactly_the_layer_shapes",
+            "tests/test_cli.py::TestTransform::test_weights_must_match_the_heads")),
     Mutant("manifest-rig-size-unchecked", "synth.py",
            "            if (rig.feat_h, rig.feat_w) != (spec.feat_h, spec.feat_w):",
            "            if False:",
@@ -150,6 +169,10 @@ MUTANTS = [
            "(np.flatnonzero((mask_w != 0).take(feat_idx))",
            "(np.flatnonzero((mask_w > 0).take(feat_idx))",
            ("tests/test_scatter.py::test_survivors_edge_cases_match_oracle",)),
+    Mutant("scatter-ranks-from-run-end", SCATTER,
+           "        pos = first[at - base[rank]] + rank",
+           "        pos = first[at - base[rank]] - neg_len[at - base[rank]] - 1 - rank",
+           ("tests/test_scatter.py::test_each_cell_adds_its_entries_in_entry_order",)),
     Mutant("scatter-never-splits", SCATTER,
            "np.linspace(0, w.size, parts + 1)[1:-1]",
            "np.linspace(0, w.size, 2)[1:-1]",
@@ -160,6 +183,10 @@ MUTANTS = [
            "        c = np.add(x_cam * R[i, 0], y_cam * R[i, 1])\n        c += d * R[i, 2]",
            ("tests/test_lift_stream.py::TestLiftFrustum::test_project_roundtrip",
             "tests/test_synth.py::TestRayCast::test_box_ahead_hits_center_pixel")),
+    Mutant("ring-rig-negative-zero-translation", "synth.py",
+           "        T[:3, 3] = 0.0 - spec.cam_height * R[:, 2]",
+           "        T[:3, 3] = -spec.cam_height * R[:, 2]",
+           ("tests/test_synth.py::TestRig::test_ring_rig_translations_hold_no_negative_zero",)),
     Mutant("synth-signature-blas-norm", "synth.py",
            "        signatures.append((raw / l2(raw)).astype(np.float32))",
            "        signatures.append((raw / np.linalg.norm(raw)).astype(np.float32))",

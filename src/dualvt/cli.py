@@ -3,13 +3,17 @@
 Every option is a flag.  synth, precompute and transform write their files
 beside --out and rename them into place, so a failed run changes no output.
 Exit codes: 0 success, 2 configuration error, 3 runtime/shape error.
+Each input is checked by the module that defines it: a scene spec by
+`synth.read_scene_spec`, a scene by `synth.load_bundle`, a table's binding
+to the scene by `IndexTable.check_built_for`, a weight bundle by
+`WeightBundle.load` against the heads' layer shapes, and a forced affinity
+by `fusion.heads`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import shutil
 import sys
@@ -17,16 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DualVtError, from_json
+from .errors import ConfigError, DualVtError
 from .fusion import default_weight_shapes, run_pipeline
-from .geometry import BevGridSpec, make_height_samples
+from .geometry import make_height_samples
 from .height_stream import precompute_ht_table
 from .lift_stream import precompute_lss_table
 from .nnops import WeightBundle, WorkerPool
 from .report import diff_directories, summarize_outputs
-from .sampling import DepthBinSpec
-from .synth import SceneSpec, generate_scene, load_bundle, save_bundle
-from .tables import HT_MAGIC, LSS_MAGIC, geometry_fingerprint, read_table, write_table
+from .synth import generate_scene, load_bundle, read_scene_spec, save_bundle
+from .tables import HT_MAGIC, LSS_MAGIC, read_table, write_table
 from .tensors import tensor_write
 
 DEFAULT_WEIGHT_SEED = 11
@@ -36,7 +39,8 @@ MAX_THREADS = 64
 
 
 def _parse_ablations(ablate) -> tuple:
-    """The repeatable --ablate values as (disable_mask, uniform_depth, force_affinity)."""
+    """The repeatable --ablate values as (disable_mask, uniform_depth, force_affinity);
+    `fusion.heads` checks the forced affinity's range."""
     disable_mask, uniform_depth, force_affinity = False, False, None
     for value in ablate or []:
         if value == "disable-M":
@@ -48,36 +52,13 @@ def _parse_ablations(ablate) -> tuple:
                 force_affinity = float(value.split("=", 1)[1])
             except ValueError as e:
                 raise ConfigError(f"bad ablation {value!r}: {e}") from e
-            if not (math.isfinite(force_affinity) and 0.0 <= force_affinity <= 1.0):
-                raise ConfigError(f"force-A must be finite and in [0, 1], got {force_affinity}")
         else:
             raise ConfigError(f"unknown ablation {value!r}")
     return disable_mask, uniform_depth, force_affinity
 
 
-def _load_scene_spec(path) -> tuple:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
-        raise ConfigError(f"cannot read scene spec {path}: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError(f"scene spec {path} is not a JSON object")
-    blocks = {}
-    for key, cls in (("grid", BevGridSpec), ("dspec", DepthBinSpec)):
-        try:
-            blocks[key] = from_json(cls, doc.pop(key)) if key in doc else cls()
-        except ConfigError as e:
-            raise ConfigError(f"scene spec {path}: {key!r} block: {e}") from None
-    try:
-        # a scene field left out of a spec file takes its default; a manifest holds them all
-        spec = from_json(SceneSpec, {**SceneSpec().to_json(), **doc})
-    except ConfigError as e:
-        raise ConfigError(f"scene spec {path}: {e}") from None
-    return spec, blocks["grid"], blocks["dspec"]
-
-
 def cmd_synth(args) -> int:
-    spec, grid, dspec = _load_scene_spec(args.spec)
+    spec, grid, dspec = read_scene_spec(args.spec)
     bundle = generate_scene(spec, grid, dspec)
     _write_outputs(args.out, lambda d: save_bundle(bundle, d))
     print(f"wrote scene with {len(bundle.rigs)} cameras to {args.out}")
@@ -141,38 +122,12 @@ def _load_run_inputs(args):
     tables = Path(args.tables)
     ht_table = read_table(tables / "ht_table.htlt", HT_MAGIC)
     lss_table = read_table(tables / "lss_table.lspt", LSS_MAGIC)
-    _check_tables_match_scene(bundle, (ht_table, lss_table))
+    for table in (ht_table, lss_table):
+        table.check_built_for(bundle.rigs, bundle.grid, bundle.dspec)
     shapes = default_weight_shapes(bundle.spec.channels)  # refuses a count the heads cannot take
-    if not args.weights_dir:
-        return bundle, ht_table, lss_table, WeightBundle.seeded(args.weight_seed, shapes)
-    weights = WeightBundle.load(args.weights_dir)
-    for name in sorted(shapes.keys() | weights.layers.keys()):
-        if name not in shapes:
-            raise ConfigError(f"weight bundle has unknown layer {name!r}")
-        if weights[name].kernel.shape != shapes[name]:  # weights[name] names a missing one
-            raise ConfigError(f"weight layer {name!r} has kernel shape "
-                              f"{weights[name].kernel.shape}, the heads take {shapes[name]}")
+    weights = (WeightBundle.load(args.weights_dir, shapes) if args.weights_dir
+               else WeightBundle.seeded(args.weight_seed, shapes))
     return bundle, ht_table, lss_table, weights
-
-
-def _check_tables_match_scene(bundle, tables) -> None:
-    """Tables are bound to the geometry they were built for: refuse a table
-    whose header sizes differ from the scene's, or whose geometry fingerprint
-    is not that of the scene's rigs, grid and depth bins and its own heights."""
-    spec = bundle.spec
-    scene = {"ny": bundle.grid.ny, "nx": bundle.grid.nx, "n_cams": len(bundle.rigs),
-             "feat_h": spec.feat_h, "feat_w": spec.feat_w, "n_bins": bundle.dspec.n_bins}
-    for table in tables:
-        name = table.magic.decode()
-        for key, value in scene.items():
-            if getattr(table, key) != value:
-                raise ConfigError(f"{name} table has {key}={getattr(table, key)}, "
-                                  f"scene has {value}")
-        if table.geometry_sha256 != geometry_fingerprint(
-            bundle.rigs, bundle.grid, bundle.dspec, table.heights
-        ):
-            raise ConfigError(f"{name} table was built for another geometry (geometry "
-                              "fingerprint differs); rebuild it with precompute")
 
 
 def cmd_transform(args) -> int:

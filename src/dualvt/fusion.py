@@ -417,7 +417,8 @@ def run_pipeline(
 
     Ablation switches: `disable_mask` and `uniform_depth` as in
     `apply_ablations`, and `force_affinity` pins the fusion affinity to a
-    constant (1.0 yields a pure lift-stream pipeline).
+    constant in [0, 1] (1.0 yields a pure lift-stream pipeline; `heads`
+    refuses any other value).
     """
     depths, masks = apply_ablations(depths, masks, disable_mask, uniform_depth)
     frame = stack_frame(feats, depths, masks, ht_table, lss_table)
@@ -442,7 +443,10 @@ def heads(f_lss, f_ht, support, weights: WeightBundle, force_affinity: float | N
     checks read no grid data.  The BLAS runs one thread (`one_blas_thread`).
     The convolutions' row bands run on `workers`, the caller's `WorkerPool`
     (in `run_pipeline`, the frame's) or None, and the bytes are those of
-    one thread."""
+    one thread.  A forced affinity must lie in [0, 1], where the blend is
+    convex; anything else, NaN included, is a ConfigError."""
+    if force_affinity is not None and not 0.0 <= force_affinity <= 1.0:
+        raise ConfigError(f"force-A must be finite and in [0, 1], got {force_affinity}")
     if f_lss.shape != f_ht.shape:
         raise ShapeMismatch(f"stream shapes differ: {f_lss.shape} vs {f_ht.shape}")
     if f_lss.dtype != np.float32 or f_ht.dtype != np.float32:

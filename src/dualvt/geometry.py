@@ -27,14 +27,13 @@ MAX_HEIGHTS = 1024
 
 @dataclass(frozen=True)
 class CameraRig(SpecBlock):
-    """One camera: intrinsics K (3x3), extrinsics T (4x4, ego -> camera),
-    feature-map extents, and an id."""
+    """One camera: intrinsics K (3x3), extrinsics T (4x4, ego -> camera)
+    and feature-map extents."""
 
     intrinsics: np.ndarray = field(metadata={"shape": (3, 3)})
     extrinsics: np.ndarray = field(metadata={"shape": (4, 4)})
     feat_w: int
     feat_h: int
-    cam_id: int = 0
 
     def __post_init__(self):
         check_field_types(self)

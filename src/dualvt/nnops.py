@@ -331,14 +331,24 @@ class WeightBundle:
         (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
     @classmethod
-    def load(cls, directory) -> "WeightBundle":
+    def load(cls, directory, layer_shapes: dict) -> "WeightBundle":
+        """The bundle saved in `directory`, which must hold exactly the layers of
+        `layer_shapes` at their kernel shapes: else a ConfigError names the
+        first layer, in name order, that is unknown, missing or misshapen."""
         directory = Path(directory)
         files = parse_manifest(directory / "manifest.json", lambda manifest: {
             name: (directory / entry["kernel"], directory / entry["bias"])
             for name, entry in manifest["layers"].items()
         })
-        layers = {
+        bundle = cls({
             name: Conv2dWeights(kernel=tensor_read(kernel), bias=tensor_read(bias))
             for name, (kernel, bias) in files.items()
-        }
-        return cls(layers)
+        })
+        for name in sorted(layer_shapes.keys() | bundle.layers.keys()):
+            if name not in layer_shapes:
+                raise ConfigError(f"weight bundle has unknown layer {name!r}")
+            if bundle[name].kernel.shape != layer_shapes[name]:  # bundle[name] names a missing one
+                raise ConfigError(f"weight layer {name!r} has kernel shape "
+                                  f"{bundle[name].kernel.shape}, the heads take "
+                                  f"{layer_shapes[name]}")
+        return bundle

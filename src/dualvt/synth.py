@@ -73,6 +73,31 @@ class SceneSpec(SpecBlock):
             raise ConfigError("kappa must be positive")
 
 
+def read_scene_spec(path) -> tuple:
+    """(spec, grid, dspec) from a scene spec file: a JSON object of scene fields,
+    each left out taking its default, and optional `grid` and `dspec` blocks,
+    each left out taking its defaults.  Any problem is a ConfigError naming
+    the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
+        raise ConfigError(f"cannot read scene spec {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"scene spec {path} is not a JSON object")
+    blocks = {}
+    for key, cls in (("grid", BevGridSpec), ("dspec", DepthBinSpec)):
+        try:
+            blocks[key] = from_json(cls, doc.pop(key)) if key in doc else cls()
+        except ConfigError as e:
+            raise ConfigError(f"scene spec {path}: {key!r} block: {e}") from None
+    try:
+        # a scene field left out of a spec file takes its default; a manifest holds them all
+        spec = from_json(SceneSpec, {**SceneSpec().to_json(), **doc})
+    except ConfigError as e:
+        raise ConfigError(f"scene spec {path}: {e}") from None
+    return spec, blocks["grid"], blocks["dspec"]
+
+
 def standard_scene_spec(seed: int = 5) -> SceneSpec:
     """The pinned 3-box scene used by fixtures and the ablation checks."""
     return SceneSpec(
@@ -129,7 +154,7 @@ def make_ring_rigs(spec: SceneSpec) -> list:
         T = np.eye(4)
         T[:3, :3] = R
         T[:3, 3] = 0.0 - spec.cam_height * R[:, 2]  # -R (0, 0, h), +0.0 where it is zero
-        rigs.append(CameraRig(intrinsics=K, extrinsics=T, feat_w=W, feat_h=H, cam_id=i))
+        rigs.append(CameraRig(intrinsics=K, extrinsics=T, feat_w=W, feat_h=H))
     return rigs
 
 
@@ -246,7 +271,7 @@ def save_bundle(bundle: SceneBundle, directory) -> None:
         "spec": bundle.spec.to_json(),
         "grid": bundle.grid.to_json(),
         "dspec": bundle.dspec.to_json(),
-        "cameras": [{"rig": rig.to_json()} for rig in bundle.rigs],
+        "rigs": [rig.to_json() for rig in bundle.rigs],
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
@@ -254,12 +279,16 @@ def save_bundle(bundle: SceneBundle, directory) -> None:
 def load_bundle(directory) -> SceneBundle:
     """Read a scene directory, its tensors checked against its manifest: the
     frame by `check_frame` and the spec's channel count, the GT by the grid.
-    Each rig's feature size must be the spec's."""
+    Each rig's feature size must be the spec's.  A manifest that lists its
+    rigs under "cameras", the layout before "rigs", is refused."""
     directory = Path(directory)
 
     def parse(manifest):
+        if "cameras" in manifest:
+            raise ConfigError("its rigs are under 'cameras', an older scene layout; "
+                              "run synth again")
         spec = from_json(SceneSpec, manifest["spec"])
-        rigs = [from_json(CameraRig, cam["rig"]) for cam in manifest["cameras"]]
+        rigs = [from_json(CameraRig, rig) for rig in manifest["rigs"]]
         for i, rig in enumerate(rigs):
             if (rig.feat_h, rig.feat_w) != (spec.feat_h, spec.feat_w):
                 raise ConfigError(f"camera {i}'s rig feat_h x feat_w {rig.feat_h}x{rig.feat_w} "

@@ -17,8 +17,9 @@ its position in that order, its camera-stacked voxel) and sorts the keys
 in place, so every cell owns one contiguous run that goes camera by
 camera and, within a camera, in emission order: the order of one stable
 sort by cell.
-The binary form stores the table's `geometry_fingerprint` and heights,
-then the runs as per-cell offsets, then a checksum:
+The binary form stores the table's `geometry_fingerprint` and heights, which
+`IndexTable.check_built_for` compares with a scene's geometry, then the
+runs as per-cell offsets, then a checksum:
 
     4 bytes  magic ("HTLT" or "LSPT")
     1 byte   version = 4
@@ -136,6 +137,21 @@ class IndexTable:
             seen["masked_frame_seen"] = True
             return None
         return self.voxel_index
+
+    def check_built_for(self, rigs, grid, dspec) -> None:
+        """Refuse, with a ConfigError naming the table, a table whose header sizes
+        differ from those of the scene's rigs, grid and depth bins, or whose
+        fingerprint is not theirs with the table's own heights."""
+        name = self.magic.decode()
+        scene = {"ny": grid.ny, "nx": grid.nx, "n_cams": len(rigs),
+                 "feat_h": rigs[0].feat_h, "feat_w": rigs[0].feat_w, "n_bins": dspec.n_bins}
+        for key, value in scene.items():
+            if getattr(self, key) != value:
+                raise ConfigError(f"{name} table has {key}={getattr(self, key)}, "
+                                  f"scene has {value}")
+        if self.geometry_sha256 != geometry_fingerprint(rigs, grid, dspec, self.heights):
+            raise ConfigError(f"{name} table was built for another geometry (geometry "
+                              "fingerprint differs); rebuild it with precompute")
 
     @property
     def n_entries(self) -> int:

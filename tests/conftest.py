@@ -127,7 +127,7 @@ def forward_camera(feat_w=16, feat_h=16, fx=8.0, fy=4.0) -> CameraRig:
     R = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
     T = np.eye(4)
     T[:3, :3] = R
-    return CameraRig(intrinsics=K, extrinsics=T, feat_w=feat_w, feat_h=feat_h, cam_id=0)
+    return CameraRig(intrinsics=K, extrinsics=T, feat_w=feat_w, feat_h=feat_h)
 
 
 def numpy_on_openblas_x86() -> bool:

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -16,7 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 
+from conftest import json_in_child, numpy_on_openblas_x86
 from dualvt import cli
 from dualvt.cli import MAX_THREADS, main
 from dualvt.errors import ConfigError
@@ -127,7 +130,7 @@ BAD_RIG = [
     (("feat_w",), 44.9, "feat_w"),
     (("feat_w",), "44", "feat_w"),
     (("feat_w",), True, "feat_w"),
-    (("cam_id",), 1.5, "cam_id"),
+    (("cam_id",), 0, "unknown key 'cam_id'"),  # a rig field no longer declared
     (("intrinsics", 0, 0), True, "intrinsics"),
     (("intrinsics", 0, 0), "10", "intrinsics"),
     (("extrinsics", 0, 3), "0.5", "extrinsics"),
@@ -138,7 +141,7 @@ BAD_RIG = [
     (("feat_h",), 7, "feat_h"),
 ]
 BAD_RIG_IDS = ["fx-nan", "fx-0", "fx-neg", "fx-inf", "fy-0", "translation-nan",
-               "feat-w-float", "feat-w-str", "feat-w-bool", "cam-id-float", "fx-bool",
+               "feat-w-float", "feat-w-str", "feat-w-bool", "cam-id-unknown", "fx-bool",
                "fx-str", "translation-str", "intrinsics-2x3", "unknown-key",
                "feat-w-not-the-spec", "feat-h-not-the-spec"]
 
@@ -315,8 +318,8 @@ class TestPrecompute:
         empty-table line, no numpy warning."""
         manifest = edited_manifest(workspace, tmp_path, {})
         doc = json.loads(manifest.read_text())
-        for cam in doc["cameras"]:
-            cam["rig"]["intrinsics"][0][0] = 1e308
+        for rig in doc["rigs"]:
+            rig["intrinsics"][0][0] = 1e308
         rewrite_json(manifest, json.dumps(doc))
         code, lines = run_cli(["precompute", "--scene", manifest.parent, "--out", tmp_path / "t"])
         assert code == 0
@@ -430,7 +433,7 @@ class TestPrecompute:
         manifest = edited_manifest(workspace, tmp_path, {})
         doc = json.loads(manifest.read_text())
         *where, last = path
-        target = doc["cameras"][1]["rig"]
+        target = doc["rigs"][1]
         for key in where:
             target = target[key]
         target[last] = value
@@ -459,6 +462,15 @@ class TestPrecompute:
             assert "config error" in err and str(manifest) in err, argv[0]
             assert len(err.strip().splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["scene"]
+
+    def test_old_manifest_layout_exits_2(self, workspace, tmp_path, capsys):
+        """A manifest that lists its rigs in the older layout, a "cameras" list
+        of {"rig": ...} wrappers, is refused as old table versions are."""
+        manifest = edited_manifest(workspace, tmp_path, {})
+        doc = json.loads(manifest.read_text())
+        doc["cameras"] = [{"rig": rig} for rig in doc.pop("rigs")]
+        rewrite_json(manifest, json.dumps(doc))
+        assert_manifest_refused(workspace, tmp_path, capsys, manifest, "run synth again")
 
     @pytest.mark.parametrize("spec", [5, [], "spec"], ids=["int", "list", "str"])
     def test_manifest_spec_not_an_object_exits_2(self, workspace, tmp_path, capsys, spec):
@@ -1033,6 +1045,59 @@ class TestTransformOptions:
         code = run_transform(workspace, tmp_path / "x", "--ablate", f"force-A={value}")
         self.assert_config_error(code, capsys)
         assert not (tmp_path / "x").exists()
+
+
+def cli_file_digests(cpu_group_off=None) -> dict:
+    """SHA-256 of every file that `synth`, `precompute` and `transform` write for
+    SCENE_SPEC, the transforms masked and `disable-M` at `--threads` 1 and 2, by
+    path under one root.  With `cpu_group_off`, first checks that numpy's
+    dispatch to that CPU feature group is switched off."""
+    assert cpu_group_off is None or not __cpu_features__[cpu_group_off]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        root = Path(tmp)
+        (root / "spec.json").write_text(json.dumps(SCENE_SPEC))
+        runs = [["synth", "--spec", root / "spec.json", "--out", root / "scene"],
+                ["precompute", "--scene", root / "scene", "--out", root / "tables"]]
+        for mode, ablate in (("masked", []), ("disable-M", ["--ablate", "disable-M"])):
+            runs += [["transform", "--scene", root / "scene", "--tables", root / "tables",
+                      "--out", root / f"{mode}-{threads}", "--threads", threads, *ablate]
+                     for threads in (1, 2)]
+        for argv in runs:
+            assert main([str(arg) for arg in argv]) == 0, argv
+        return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(root.rglob("*")) if path.is_file() and path.name != "spec.json"}
+
+
+@functools.cache
+def own_cli_file_digests() -> dict:
+    """`cli_file_digests` of this process, whose two thread counts agree."""
+    digests = cli_file_digests()
+    assert len(digests) == 5 + 2 + 4 * 7  # the scene, the tables, 4 x (6 tensors + summary)
+    for name, digest in digests.items():
+        assert digests.get(name.replace("-2/", "-1/")) == digest, name
+    return digests
+
+
+@pytest.mark.parametrize("env", [
+    {},
+    {"OPENBLAS_CORETYPE": "Nehalem"},
+    {"OPENBLAS_NUM_THREADS": "1"},
+    *({"NPY_DISABLE_CPU_FEATURES": group}
+      for group in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")),
+], ids=["default", "nehalem", "blas-1-thread", "no-x86-v3", "no-x86-v4", "no-avx512-icl",
+        "no-avx512-spr"])
+def test_every_written_file_holds_in_another_environment(env):
+    """The CLI matrix: in a child process under each environment, every file
+    that synth, precompute and transform write has the SHA-256 of this
+    process's own run.  A CPU group this machine lacks, or an OpenBLAS
+    setting without numpy on OpenBLAS, skips its row."""
+    group = env.get("NPY_DISABLE_CPU_FEATURES")
+    if group and not __cpu_features__.get(group):
+        pytest.skip(f"this CPU has no {group}")
+    if env.keys() & {"OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS"} and not numpy_on_openblas_x86():
+        pytest.skip("needs numpy on OpenBLAS, x86-64")
+    assert json_in_child("test_cli", f"cli_file_digests({group!r})", **env) == \
+        own_cli_file_digests()
 
 
 class TestCompare:

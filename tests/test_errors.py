@@ -138,8 +138,8 @@ GRID = BevGridSpec().to_json()
     (BevGridSpec, {"nx": 4, "ny": 4, "bogus": 1}, "^BevGridSpec is missing key 'x_min'$"),
     (BevGridSpec, {k: v for k, v in GRID.items() if k != "ny"},
      "^BevGridSpec is missing key 'ny'$"),
-    (CameraRig, {k: v for k, v in RIG.to_json().items() if k != "cam_id"},
-     "^CameraRig is missing key 'cam_id'$"),
+    (SceneSpec, {k: v for k, v in SceneSpec().to_json().items() if k != "hfov_deg"},
+     "^SceneSpec is missing key 'hfov_deg'$"),
     (BevGridSpec, {**GRID, "bogus": 1, "other": 2}, "^BevGridSpec has unknown key 'bogus'$"),
     (BevGridSpec, {**GRID, "NX": 4}, "^BevGridSpec has unknown key 'NX'$"),
     (SceneSpec, {**SceneSpec().to_json(), "boxes": 5},
@@ -158,7 +158,7 @@ NUMPY_BOX = Box(center=(np.float32(0.1), np.float64(-2), np.int64(3)), size=(1, 
 
 @pytest.mark.parametrize("spec", [
     BOX, BevGridSpec(), DepthBinSpec(d_min=0, d_max=3, step=0.25),
-    dataclasses.replace(RIG, cam_id=5, feat_h=2), SceneSpec(boxes=(BOX, NUMPY_BOX)),
+    dataclasses.replace(RIG, feat_w=5, feat_h=2), SceneSpec(boxes=(BOX, NUMPY_BOX)),
     NUMPY_BOX, SceneSpec(seed=np.int64(3)), BevGridSpec(x_min=np.float64(-8), nx=np.int32(4)),
 ], ids=["box", "grid", "dspec", "rig", "scene-with-boxes", "box-numpy", "scene-numpy-seed",
         "grid-numpy"])

@@ -2,6 +2,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -846,6 +847,21 @@ class TestFuseAndFinalize:
         blend = (a * f_lss + (1.0 - a) * f_ht).astype(np.float32)
         assert np.array_equal(res.f_channel.view(np.uint32), blend.view(np.uint32))
 
+    @pytest.mark.parametrize("force", [np.nan, np.inf, 2.0, -0.5, 0.0, 1.0],
+                             ids=["nan", "inf", "2", "-0.5", "0", "1"])
+    def test_forced_affinity_must_lie_in_the_unit_interval(self, force):
+        """A forced affinity in [0, 1] blends the streams convexly.  Outside it
+        the blend is not convex, and NaN or Inf makes `F` non-finite, so `heads`
+        refuses it with the CLI's message; NaN fails the range test too."""
+        f_lss, f_ht = streams()
+        if 0.0 <= force <= 1.0:
+            res = heads(f_lss, f_ht, EVERYWHERE, weights(), force_affinity=force)
+            assert np.all(res.affinity == force) and np.isfinite(res.f_final).all()
+            return
+        with pytest.raises(ConfigError,
+                           match=rf"^force-A must be finite and in \[0, 1\], got {force}$"):
+            heads(f_lss, f_ht, EVERYWHERE, weights(), force_affinity=force)
+
     def test_channels_not_divisible_by_4_rejected(self):
         """The heads' reduce ratio fixes the channel count: a 6-channel bundle
         is a config error, and the heads' conv2d refuses 6-channel streams."""
@@ -934,6 +950,19 @@ class TestRunPipeline:
         flat = [np.full_like(d, 1.0 / d.shape[0]) for d in bundle.depths]
         b = run_pipeline(bundle.feats, flat, bundle.masks, ht, lss, w)
         assert np.array_equal(a.f_final.view(np.uint32), b.f_final.view(np.uint32))
+
+    @pytest.mark.parametrize("force", [np.nan, np.inf, 2.0, -0.5],
+                             ids=["nan", "inf", "2", "-0.5"])
+    def test_forced_affinity_outside_the_unit_interval_refused(self, force):
+        """A library caller meets the rule that `dualvt transform` applies:
+        `run_pipeline` refuses a forced affinity outside [0, 1], with no
+        warning on the way."""
+        bundle, ht, lss = self.fixture()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^force-A must be finite and in "):
+                run_pipeline(bundle.feats, bundle.depths, bundle.masks, ht, lss, weights(),
+                             force_affinity=force)
 
     def test_workers_are_joined_before_run_pipeline_returns(self, monkeypatch):
         """At two threads a dense frame's scatters and convolutions run on the

@@ -487,7 +487,7 @@ class TestWeightBundle:
     def test_save_load_roundtrip(self, tmp_path):
         bundle = WeightBundle.seeded(42, self.SHAPES)
         bundle.save(tmp_path / "w")
-        back = WeightBundle.load(tmp_path / "w")
+        back = WeightBundle.load(tmp_path / "w", self.SHAPES)
         for name in self.SHAPES:
             assert np.array_equal(
                 back[name].kernel.view(np.uint32), bundle[name].kernel.view(np.uint32)
@@ -495,6 +495,26 @@ class TestWeightBundle:
             assert np.array_equal(
                 back[name].bias.view(np.uint32), bundle[name].bias.view(np.uint32)
             )
+
+    @pytest.mark.parametrize("edit, message", [
+        ("unknown", "^weight bundle has unknown layer 'layer.c'$"),
+        ("missing", "^weight bundle is missing layer 'layer.b'$"),
+        ("misshapen", r"^weight layer 'layer.b' has kernel shape \(2, 4, 1, 1\), "
+                      r"the heads take \(2, 4, 3, 3\)$"),
+    ])
+    def test_load_takes_exactly_the_layer_shapes(self, tmp_path, edit, message):
+        """`load` refuses a bundle with a layer its shapes do not name, one
+        without a layer they name, or one whose kernel has another shape."""
+        saved = dict(self.SHAPES)
+        if edit == "unknown":
+            saved["layer.c"] = (1, 1, 1, 1)
+        elif edit == "missing":
+            del saved["layer.b"]
+        else:
+            saved["layer.b"] = (2, 4, 1, 1)
+        WeightBundle.seeded(1, saved).save(tmp_path / "w")
+        with pytest.raises(ConfigError, match=message):
+            WeightBundle.load(tmp_path / "w", self.SHAPES)
 
     def test_missing_layer_rejected(self):
         bundle = WeightBundle.seeded(1, self.SHAPES)

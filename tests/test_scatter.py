@@ -349,6 +349,26 @@ def test_negative_zero_features_sum_to_positive_zero(threads):
     assert_matches_reference(support, args, 16)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+def test_each_cell_adds_its_entries_in_entry_order(threads, masked):
+    """Float64 addition does not associate: entries of features 1, 2**60 and
+    -2**60, in that order, sum to 0, and in reverse order to 1.  Runs of one
+    to four such entries, so of several ranks, each sum in entry order, as
+    the oracle does, on the dense path and on the masked one (a fourth
+    pixel, masked out)."""
+    runs = [[0, 1, 2], [1, 2, 0], [0], [0, 1, 2, 0], [2, 1, 0], [1, 0, 2]] * 4
+    feats = np.array([[1.0, 2.0**60, -2.0**60, 5.0]], dtype=np.float32)
+    mask_w = np.array([1.0, 1.0, 1.0, 0.0 if masked else 1.0], dtype=np.float32)
+    feat_idx = np.concatenate(runs)
+    cells = np.repeat(np.arange(len(runs)), [len(r) for r in runs])
+    args = (feats, np.ones(1, dtype=np.float32), mask_w, cells, feat_idx,
+            np.zeros(feat_idx.size, dtype=np.intp))
+    support = _fast(args, len(runs), threads=threads)
+    assert support[1][:6, 0].tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 0.0]
+    assert_matches_reference(support, args, len(runs))
+
+
 def test_threads_split_the_rows(monkeypatch):
     """At n threads a problem with enough support cells is accumulated in n
     row ranges, which together cover every support row once."""

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from dualvt.synth import (
     load_bundle,
     make_ring_rigs,
     random_scene_spec,
+    read_scene_spec,
     save_bundle,
     standard_scene_spec,
 )
@@ -47,6 +51,40 @@ class TestRig:
         forwards = [np.linalg.inv(r.extrinsics)[:3, :3][:, 2] for r in rigs]
         dots = sorted(float(f @ np.array([1.0, 0.0, 0.0])) for f in forwards)
         assert dots == pytest.approx([-1.0, 0.0, 0.0, 1.0], abs=1e-9)
+
+    def test_ring_rig_translations_hold_no_negative_zero(self):
+        """Each ring camera's translation is -R (0, 0, h) with +0.0 where it is
+        zero, so a rig's JSON and fingerprint bytes hold no -0.0."""
+        for rig in make_ring_rigs(SceneSpec(n_cameras=6)):
+            t = rig.extrinsics[:3, 3]
+            assert not np.signbit(t[t == 0]).any()
+
+
+class TestReadSceneSpec:
+    def test_left_out_fields_and_blocks_take_their_defaults(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"seed": 4, "grid": GRID.to_json()}))
+        assert read_scene_spec(path) == (SceneSpec(seed=4), GRID, DepthBinSpec())
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "^cannot read scene spec {}: Expecting property name"),
+        ("[1, 2]", "^scene spec {} is not a JSON object$"),
+        ('{"grid": {"nx": 4}}', "^scene spec {}: 'grid' block: BevGridSpec is missing key "
+                                "'x_min'$"),
+        ('{"dspec": 5}', "^scene spec {}: 'dspec' block: DepthBinSpec must be a JSON "
+                         "object, got int$"),
+        ('{"channels": 0}', "^scene spec {}: channels must be at least 1, got 0$"),
+        ('{"bogus": 1}', "^scene spec {}: SceneSpec has unknown key 'bogus'$"),
+    ], ids=["not-json", "not-an-object", "grid-block", "dspec-block", "field", "unknown-key"])
+    def test_refusal_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message.format(re.escape(str(path)))):
+            read_scene_spec(path)
+
+    def test_missing_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="^cannot read scene spec "):
+            read_scene_spec(tmp_path / "none.json")
 
 
 class TestRayCast:
@@ -232,3 +270,21 @@ class TestGenerateScene:
         for ra, rb in zip(bundle.rigs, back.rigs):
             assert np.array_equal(ra.intrinsics, rb.intrinsics)
             assert np.array_equal(ra.extrinsics, rb.extrinsics)
+
+    def test_manifest_lists_its_rigs(self, tmp_path):
+        """A manifest holds its rigs as one list of rig objects, "rigs"; one
+        in the older layout, a "cameras" list of {"rig": ...} wrappers, is
+        refused in one line that names it."""
+        bundle = generate_scene(random_scene_spec(2, n_cameras=2, feat_w=8, feat_h=4,
+                                                  channels=3), GRID, DSPEC)
+        save_bundle(bundle, tmp_path)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert list(doc) == ["spec", "grid", "dspec", "rigs"]
+        assert doc["rigs"] == [rig.to_json() for rig in bundle.rigs]
+        doc["cameras"] = [{"rig": rig} for rig in doc.pop("rigs")]
+        manifest.write_text(json.dumps(doc))
+        message = (f"^bad manifest {re.escape(str(manifest))} \\(ConfigError: its rigs are "
+                   "under 'cameras', an older scene layout; run synth again\\)$")
+        with pytest.raises(ConfigError, match=message):
+            load_bundle(tmp_path)

@@ -7,14 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import forward_camera
+from conftest import forward_camera, small_geometry
 from dualvt.errors import ConfigError, IndexOutOfRange, ShapeMismatch
 from dualvt.fusion import make_seeded_weights, run_pipeline
 from dualvt.geometry import BevGridSpec, make_height_samples
 from dualvt.height_stream import ROUND, ht_transform_fast, ht_transform_naive, precompute_ht_table
 from dualvt.lift_stream import lss_pool, lss_pool_reference, precompute_lss_table
 from dualvt.sampling import DepthBinSpec
-from dualvt.synth import generate_scene, random_scene_spec
+from dualvt.synth import generate_scene, make_ring_rigs, random_scene_spec
 from dualvt.tables import (
     HT_MAGIC, LSS_MAGIC, IndexTable, build_table, geometry_fingerprint, read_table, write_table,
 )
@@ -257,6 +257,71 @@ def test_fingerprint_covers_rigs_grid_bins_and_heights(small_bundle):
     }
     for name, change in changes.items():
         assert geometry_fingerprint(**{**built, **change}) != base, name
+
+
+@pytest.fixture(scope="module")
+def tables_at_two_heights():
+    """Rigs and both tables of one small scene spec with its cameras 1.5 m and
+    1.8 m high: the same grid, depth bins, camera count and feature size,
+    other rigs."""
+    grid, dspec, heights = small_geometry()
+    built = {}
+    for height in (1.5, 1.8):
+        rigs = make_ring_rigs(random_scene_spec(0, n_cameras=4, feat_w=24, feat_h=10,
+                                                cam_height=height))
+        built[height] = rigs, {"HTLT": precompute_ht_table(rigs, grid, heights, dspec),
+                               "LSPT": precompute_lss_table(rigs, grid, dspec)}
+    return grid, dspec, built
+
+
+FINGERPRINT_REFUSED = ("^{} table was built for another geometry \\(geometry fingerprint "
+                       "differs\\); rebuild it with precompute$")
+
+
+@pytest.mark.parametrize("magic", ["HTLT", "LSPT"])
+def test_table_swapped_in_from_other_rigs_refused(tables_at_two_heights, magic):
+    """A table passes `check_built_for` on the geometry it was built for, and a
+    table built for other rigs of the same sizes is refused by its fingerprint,
+    with a message that names it."""
+    grid, dspec, built = tables_at_two_heights
+    (rigs, tables), (_, other) = built[1.5], built[1.8]
+    tables[magic].check_built_for(rigs, grid, dspec)
+    with pytest.raises(ConfigError, match=FINGERPRINT_REFUSED.format(magic)):
+        other[magic].check_built_for(rigs, grid, dspec)
+
+
+def test_table_with_an_edited_height_refused(tables_at_two_heights):
+    grid, dspec, built = tables_at_two_heights
+    rigs, tables = built[1.5]
+    ht = tables["HTLT"]
+    edited = dataclasses.replace(ht, heights=(ht.heights[0] + 0.25, *ht.heights[1:]))
+    with pytest.raises(ConfigError, match=FINGERPRINT_REFUSED.format("HTLT")):
+        edited.check_built_for(rigs, grid, dspec)
+
+
+@pytest.mark.parametrize("change, message", [
+    ("grid-ny", "^HTLT table has ny=48, scene has 49$"),
+    ("grid-nx", "^HTLT table has nx=48, scene has 47$"),
+    ("rig-count", "^HTLT table has n_cams=4, scene has 3$"),
+    ("rig-feat-h", "^HTLT table has feat_h=10, scene has 9$"),
+    ("rig-feat-w", "^HTLT table has feat_w=24, scene has 25$"),
+    ("bins", "^HTLT table has n_bins=24, scene has 25$"),
+])
+def test_table_of_other_sizes_refused_by_its_header(tables_at_two_heights, change, message):
+    """Header sizes that differ from the scene's are named before the fingerprint."""
+    grid, dspec, built = tables_at_two_heights
+    rigs, tables = built[1.5]
+    scene = {"rigs": rigs, "grid": grid, "dspec": dspec}
+    scene.update({
+        "grid-ny": {"grid": dataclasses.replace(grid, ny=49)},
+        "grid-nx": {"grid": dataclasses.replace(grid, nx=47)},
+        "rig-count": {"rigs": rigs[:3]},
+        "rig-feat-h": {"rigs": [dataclasses.replace(r, feat_h=9) for r in rigs]},
+        "rig-feat-w": {"rigs": [dataclasses.replace(r, feat_w=25) for r in rigs]},
+        "bins": {"dspec": dataclasses.replace(dspec, d_max=dspec.d_max + dspec.step)},
+    }[change])
+    with pytest.raises(ConfigError, match=message):
+        tables["HTLT"].check_built_for(**scene)
 
 
 def camera_one_cut(bundle, which="feats"):
