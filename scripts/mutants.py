@@ -41,7 +41,7 @@ class Mutant:
     tests: tuple  # pytest node ids, relative to the repo root
 
 
-FUSION, NNOPS, SCATTER = "fusion.py", "nnops.py", "scatter.py"
+FUSION, NNOPS, SCATTER, TABLES = "fusion.py", "nnops.py", "scatter.py", "tables.py"
 T_EXPAND = "tests/test_fusion.py::TestActiveCellsExpand::test_expand_gives_cells_their_twins"
 
 MUTANTS = [
@@ -99,7 +99,7 @@ MUTANTS = [
             "test_forced_affinity_must_lie_in_the_unit_interval",
             "tests/test_cli.py::TestTransformOptions::test_force_affinity_must_be_finite_unit")),
     # the inputs' checks
-    Mutant("table-fingerprint-unchecked", "tables.py",
+    Mutant("table-fingerprint-unchecked", TABLES,
            "        if self.geometry_sha256 != geometry_fingerprint(rigs, grid, dspec, "
            "self.heights):",
            "        if False:",
@@ -116,7 +116,15 @@ MUTANTS = [
            "            if (rig.feat_h, rig.feat_w) != (spec.feat_h, spec.feat_w):",
            "            if False:",
            ("tests/test_cli.py::TestPrecompute::test_bad_manifest_rig_exits_2",)),
-    Mutant("table-rig-sizes-unchecked", "tables.py",
+    Mutant("manifest-rig-count-unchecked", "synth.py",
+           "        if len(rigs) != spec.n_cameras:",
+           "        if False:",
+           ("tests/test_cli.py::TestPrecompute::test_rig_count_other_than_the_spec_exits_2",)),
+    Mutant("table-empty-rigs-unchecked", TABLES,
+           "    if not rigs:",
+           "    if False:",
+           ("tests/test_tables.py::test_a_build_without_rigs_refused",)),
+    Mutant("table-rig-sizes-unchecked", TABLES,
            "    if any((rig.feat_h, rig.feat_w) != (feat_h, feat_w) for rig in rigs):",
            "    if False:",
            ("tests/test_tables.py::test_rigs_of_differing_feature_sizes_refused",)),
@@ -166,8 +174,8 @@ MUTANTS = [
            "    acc = np.full(out.shape, -0.0)",
            ("tests/test_scatter.py::test_negative_zero_features_sum_to_positive_zero",)),
     Mutant("scatter-mask-positive-only", SCATTER,
-           "(np.flatnonzero((mask_w != 0).take(feat_idx))",
-           "(np.flatnonzero((mask_w > 0).take(feat_idx))",
+           "np.flatnonzero((mask_w != 0).take(feat_idx))",
+           "np.flatnonzero((mask_w > 0).take(feat_idx))",
            ("tests/test_scatter.py::test_survivors_edge_cases_match_oracle",)),
     Mutant("scatter-ranks-from-run-end", SCATTER,
            "        pos = first[at - base[rank]] + rank",
@@ -177,6 +185,23 @@ MUTANTS = [
            "np.linspace(0, w.size, parts + 1)[1:-1]",
            "np.linspace(0, w.size, 2)[1:-1]",
            ("tests/test_scatter.py::test_threads_split_the_rows",)),
+    # the table's voxel layout: its voxel index and the masked survivor walk
+    Mutant("voxel-index-on-first-masked-frame", TABLES,
+           '        if "voxel_index" not in seen and not seen.get("masked_frame_seen"):',
+           "        if False:",
+           ("tests/test_scatter.py::test_voxel_index_is_built_on_the_second_masked_frame",)),
+    Mutant("survivor-walk-camera-stride-one-bin-long", TABLES,
+           "        first_bin = pixels + pixels // P * ((n_bins - 1) * P)",
+           "        first_bin = pixels + pixels // P * (n_bins * P)",
+           ("tests/test_scatter.py::test_voxel_index_is_built_on_the_second_masked_frame",)),
+    Mutant("voxel-keys-position-mask-dropped", TABLES,
+           "        return np.sort(keys[at] & low).astype(np.intp)",
+           "        return np.sort(keys[at]).astype(np.intp)",
+           ("tests/test_scatter.py::test_survivors_edge_cases_match_oracle",)),
+    Mutant("table-stream-magic-unchecked", TABLES,
+           "        if self.magic != magic:",
+           "        if False:",
+           ("tests/test_tables.py::test_a_table_of_the_other_stream_refused",)),
     # geometry and the oracles
     Mutant("back-project-rotation-transposed", "geometry.py",
            "        c = np.add(x_cam * R[0, i], y_cam * R[1, i])\n        c += d * R[2, i]",

@@ -134,9 +134,11 @@ def ht_transform_fast(feats, depths, masks, table: IndexTable, threads: int = 1)
 def ht_apply(frame, table: IndexTable, workers=None):
     """The table applied to a stacked frame (`tables.stack_frame`): the
     support (cells, sums) of `weighted_scatter`, its rows split over
-    `workers` (a `nnops.WorkerPool` or None)."""
+    `workers` (a `nnops.WorkerPool` or None).  A table of the other stream
+    raises ConfigError."""
+    table.check_stream(HT_MAGIC)
     return weighted_scatter(*frame, table.offsets, table.feat_idx, table.depth_idx,
-                            workers, by_voxel=table.reused_voxel_index)
+                            workers, table.masked_survivors)
 
 
 def ht_transform_naive(
@@ -161,9 +163,8 @@ def ht_transform_naive(
     """
     if mode not in (ROUND, INTERP):
         raise ValueError(f"unknown sampler mode {mode!r}")
-    rig0 = rigs[0]
-    feats, depths, masks = check_frame(feats, depths, masks, len(rigs), rig0.feat_h,
-                                       rig0.feat_w, dspec.n_bins)
+    feats, depths, masks = check_frame(feats, depths, masks, len(rigs), rigs[0].feat_h,
+                                       rigs[0].feat_w, dspec.n_bins)
     sample = _nearest_samples if mode == ROUND else _interp_samples
     # the table build's points and projection, so the coordinates are its bits
     points = _anchor_points(grid, heights)

@@ -71,9 +71,11 @@ def lss_pool(feats, depths, masks, table: IndexTable, threads: int = 1) -> np.nd
 def lss_apply(frame, table: IndexTable, workers=None):
     """The table applied to a stacked frame (`tables.stack_frame`): the
     support (cells, sums) of `weighted_scatter`, its rows split over
-    `workers` (a `nnops.WorkerPool` or None)."""
+    `workers` (a `nnops.WorkerPool` or None).  A table of the other stream
+    raises ConfigError."""
+    table.check_stream(LSS_MAGIC)
     return weighted_scatter(*frame, table.offsets, table.feat_idx, table.depth_idx,
-                            workers, by_voxel=table.reused_voxel_index)
+                            workers, table.masked_survivors)
 
 
 def lss_pool_reference(
@@ -87,9 +89,8 @@ def lss_pool_reference(
     order (camera, depth index), so the result must match lss_pool bitwise.
     The inputs are checked as the table path checks them.
     """
-    rig0 = rigs[0]
-    feats, depths, masks = check_frame(feats, depths, masks, len(rigs), rig0.feat_h,
-                                       rig0.feat_w, dspec.n_bins)
+    feats, depths, masks = check_frame(feats, depths, masks, len(rigs), rigs[0].feat_h,
+                                       rigs[0].feat_w, dspec.n_bins)
     C = feats.shape[-1]
     acc = np.zeros((grid.n_cells, C), dtype=np.float64)
     for feat, depth, mask, rig in zip(feats, depths, masks, rigs):

@@ -16,18 +16,14 @@ Accumulation contract:
   every bit.  Finite inputs are therefore a precondition (``0 * inf`` is
   NaN); the front ends reject others (``tables.check_frame``).
   A float64 product of finite float32 values is zero only when a factor
-  is, so a frame with a zero mask finds its survivors from the mask, the
-  sparse factor, first: through the table's voxel index (`voxel_index`,
-  its entries grouped by voxel), it takes the voxels of the pixels whose
-  mask is nonzero, keeps those whose depth is nonzero, and gathers and
-  sorts the positions of their entries, which are the survivors.  So a
-  masked frame reads its survivors, not its masked-in entries.  A frame
-  whose every mask is nonzero reads the depth of every entry in entry
-  order, and needs no index.  A table builds its index on its second
-  frame with a zero mask (`tables.IndexTable.reused_voxel_index`) and
-  keeps it, 8 bytes per entry at the desk scale; its first such frame
-  tests its masked-in entries in entry order, which costs about what
-  the index's sort does.
+  is, so a frame with a zero mask takes its candidates from the caller's
+  `masked_survivors` (`tables.IndexTable.masked_survivors`): the
+  ascending positions of the entries whose mask and depth are nonzero,
+  found from the masked-in pixels, so a masked frame reads its
+  survivors, not its masked-in entries.  Where that gives None, or there
+  is none, the frame tests its masked-in entries in entry order.  A
+  frame whose every mask is nonzero reads the depth of every entry in
+  entry order.  The scatter tests every candidate's depth itself.
 - The result is the *support*: the ascending cells that have a surviving
   entry, and their sums rounded once to float32, as (n, C) rows.  Every
   other cell's sum is +0.0, and float64 accumulators exist only for the
@@ -76,7 +72,7 @@ CHUNK_ENTRIES = 8192
 
 
 def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, workers=None,
-                     by_voxel=None):
+                     masked_survivors=None):
     """Accumulate depth_w * mask_w * feature into BEV cells.
 
     feats:    (C, P) float32 feature pixels; a view of (P, C) memory is not copied
@@ -86,9 +82,10 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, worke
     feat_idx: (N,) index into the P axis
     depth_idx:(N,) index into depth_w
     workers:  a `nnops.WorkerPool` whose workers split the support's rows, or None
-    by_voxel: a function giving (`voxel_index(depth_idx)`, pixels per camera)
-              or None, called only on a frame with a zero mask; without an
-              index such a frame tests its masked-in entries in entry order
+    masked_survivors: a function of (depth_w, mask_w) giving the ascending
+              positions of the entries of nonzero depth and mask, or None;
+              called only on a frame with a zero mask, which tests its
+              masked-in entries in entry order where there is none or it gives None
     All inputs must be finite (see the module docstring), and feats must have
     mask_w's pixel count.  Returns the support: the ascending (n,) intp cells
     with an entry of nonzero weight, (n, C) float32 sums.
@@ -96,7 +93,7 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, worke
     if feats.shape[1] != mask_w.size:
         raise ShapeMismatch(f"features have {feats.shape[1]} pixels, masks {mask_w.size}")
     cells, w, fi, first, end = _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx,
-                                          by_voxel)
+                                          masked_survivors)
     out = np.empty((cells.size, feats.shape[0]), dtype=np.float32)
     # (P, C) rows, so row gathers are cheap; float64 once more survivors than pixels read them
     rows = np.ascontiguousarray(feats.T, dtype=np.float64 if w.size > feats.shape[1] else None)
@@ -109,26 +106,7 @@ def weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx, worke
     return cells, out
 
 
-def voxel_index(depth_idx):
-    """The entries grouped by voxel: the sorted unique keys
-    ``(voxel << bits(N - 1)) | position``, so any sort algorithm gives the
-    same bytes, and a voxel's positions, ascending, are its keys' low bits.
-
-    The keys are u64, built in place: one shifted copy of the voxels, the
-    positions ORed in `CHUNK_ENTRIES` at a time, one in-place sort.  Needs
-    N < 2**32 and u32 voxels, which tables keep.  Memory: the keys, 8 bytes
-    per entry.
-    """
-    n = depth_idx.size
-    shift = max(n - 1, 0).bit_length()
-    keys = np.left_shift(depth_idx, shift, dtype="<u8")
-    for s in range(0, n, CHUNK_ENTRIES):
-        keys[s:s + CHUNK_ENTRIES] |= np.arange(s, min(s + CHUNK_ENTRIES, n), dtype="<u8")
-    keys.sort()
-    return keys
-
-
-def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, by_voxel):
+def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, masked_survivors):
     """The support, the survivors' weights and feature indices, and each
     support cell's run of survivors [first, end)."""
     if mask_w.all():  # most entries of a dense frame survive: test each in entry order
@@ -136,10 +114,9 @@ def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, by_voxel):
         keep = np.flatnonzero(d != 0)
         d = d[keep]
     else:
-        index = by_voxel() if by_voxel else None
-        # the masked-in entries in entry order, or those whose voxel has a nonzero depth
-        keep = (np.flatnonzero((mask_w != 0).take(feat_idx)) if index is None
-                else _survivors_by_voxel(depth_w, mask_w, *index))
+        keep = masked_survivors(depth_w, mask_w) if masked_survivors else None
+        if keep is None:  # the masked-in entries in entry order
+            keep = np.flatnonzero((mask_w != 0).take(feat_idx))
         d = depth_w.take(depth_idx[keep])
         live = d != 0
         keep, d = keep[live], d[live]
@@ -149,29 +126,6 @@ def _survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, by_voxel):
     runs = _runs_by_survivor if keep.size < offsets.size else _runs_by_cell
     cells, first, end = runs(keep, offsets)
     return cells, w, fi, first, end
-
-
-def _survivors_by_voxel(depth_w, mask_w, keys, camera_pixels):
-    """The ascending positions of the entries whose voxel has a nonzero depth
-    and lies on a pixel of nonzero mask: those voxels' runs of keys."""
-    n_bins = depth_w.size // mask_w.size
-    # pixel i of camera c, feature pixel c * P + i, has voxels (c * n_bins + bin) * P + i
-    pixels = mask_w.nonzero()[0]
-    first_bin = pixels + pixels // camera_pixels * ((n_bins - 1) * camera_pixels)
-    voxels = (first_bin[:, None] + np.arange(0, n_bins * camera_pixels, camera_pixels)).ravel()
-    # needles of the keys' dtype: numpy would copy the keys to compare others
-    voxels = np.sort(voxels[depth_w.take(voxels) != 0]).astype(keys.dtype)
-    shift = max(keys.size - 1, 0).bit_length()
-    low = keys.dtype.type((1 << shift) - 1)
-    voxels <<= keys.dtype.type(shift)
-    first = np.searchsorted(keys, voxels)
-    end = np.searchsorted(keys, voxels | low, side="right")
-    # every voxel's run of keys, in one gather
-    counts = end - first
-    at = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
-    keep = keys[at] & low
-    keep.sort()  # unique positions: any sort gives the same array
-    return keep.astype(np.intp)
 
 
 def _runs_by_cell(keep, offsets):

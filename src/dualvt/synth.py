@@ -279,8 +279,9 @@ def save_bundle(bundle: SceneBundle, directory) -> None:
 def load_bundle(directory) -> SceneBundle:
     """Read a scene directory, its tensors checked against its manifest: the
     frame by `check_frame` and the spec's channel count, the GT by the grid.
-    Each rig's feature size must be the spec's.  A manifest that lists its
-    rigs under "cameras", the layout before "rigs", is refused."""
+    There must be the spec's n_cameras rigs, each of the spec's feature size.
+    A manifest that lists its rigs under "cameras", the layout before
+    "rigs", is refused."""
     directory = Path(directory)
 
     def parse(manifest):
@@ -289,6 +290,8 @@ def load_bundle(directory) -> SceneBundle:
                               "run synth again")
         spec = from_json(SceneSpec, manifest["spec"])
         rigs = [from_json(CameraRig, rig) for rig in manifest["rigs"]]
+        if len(rigs) != spec.n_cameras:
+            raise ConfigError(f"{len(rigs)} rigs, the spec's n_cameras is {spec.n_cameras}")
         for i, rig in enumerate(rigs):
             if (rig.feat_h, rig.feat_w) != (spec.feat_h, spec.feat_w):
                 raise ConfigError(f"camera {i}'s rig feat_h x feat_w {rig.feat_h}x{rig.feat_w} "

@@ -43,11 +43,13 @@ voxels as read-only views of the bytes read by `read_table`.  So
 `build_table` refuses a depth volume or an entry count above 2**32 - 1,
 and entries whose key does not fit in 64 bits (a 128x128 grid and the
 desk's 473,088 voxels leave 31 bits, for up to 2**31 entries).
-Two columns are derived in memory, never written to the file: the
+Two columns are derived in memory, never written to the file, and with
+them this module holds both directions of the voxel/pixel relation: the
 feature pixels (`IndexTable.feat_idx`, u32, 4 bytes an entry), the first
-time they are read, and the scatter's voxel index
-(`IndexTable.voxel_index`), on the second apply to a frame with a zero
-mask; `read_table` derives neither.
+time they are read, and the voxel index (`IndexTable.voxel_index`, the
+entries grouped by voxel), on the second apply to a frame with a zero
+mask, from which `IndexTable.masked_survivors` walks the voxels of each
+masked-in pixel; `read_table` derives neither.
 
 Version 1 files (a cell and a camera column per entry), version 2 files
 (no fingerprint, no heights) and version 3 files (a stored feature
@@ -68,7 +70,7 @@ import numpy as np
 from .errors import (
     BadMagic, ConfigError, IndexOutOfRange, NonFiniteValue, ShapeMismatch, TruncatedPayload,
 )
-from . import scatter
+from .scatter import CHUNK_ENTRIES
 
 HT_MAGIC = b"HTLT"
 LSS_MAGIC = b"LSPT"
@@ -121,22 +123,53 @@ class IndexTable:
         return np.subtract(d, fi, out=fi)
 
     @cached_property
-    def voxel_index(self):
-        """(`scatter.voxel_index` of the voxel column, pixels per camera): built in
-        memory the first time it is read, kept on the table, never written to
-        its file."""
-        return scatter.voxel_index(self.depth_idx), self.feat_h * self.feat_w
+    def voxel_index(self) -> np.ndarray:
+        """The entries grouped by voxel: the sorted unique u64 keys
+        ``(voxel << bits(N - 1)) | position``, so any sort algorithm gives the
+        same bytes, and a voxel's positions, ascending, are its keys' low bits.
+        Built in memory the first time it is read, in place (one shifted copy of
+        the voxels, the positions ORed in `CHUNK_ENTRIES` at a time, one
+        in-place sort), kept on the table, never written to its file: 8 bytes
+        per entry."""
+        n = self.depth_idx.size
+        keys = np.left_shift(self.depth_idx, max(n - 1, 0).bit_length(), dtype="<u8")
+        for s in range(0, n, CHUNK_ENTRIES):
+            keys[s:s + CHUNK_ENTRIES] |= np.arange(s, min(s + CHUNK_ENTRIES, n), dtype="<u8")
+        keys.sort()
+        return keys
 
-    def reused_voxel_index(self):
-        """`voxel_index` for the table's second frame with a zero mask and every
-        one after it, None for its first.  The scatter then tests that frame's
-        masked-in entries, which costs about what the index's sort does, so a
-        table applied once, as by the CLI, never builds the index."""
+    def masked_survivors(self, depth_w, mask_w):
+        """The ascending positions of the entries whose voxel has a nonzero depth
+        and lies on a pixel of nonzero mask, `weighted_scatter`'s candidates on a
+        frame with a zero mask: those voxels' runs of `voxel_index`.  None on
+        the table's first such frame, whose masked-in entries the scatter then
+        tests in entry order, at about the cost of the index's sort: so a table
+        applied once, as by the CLI, never builds the index."""
         seen = vars(self)  # the instance dict, where `cached_property` keeps its values
         if "voxel_index" not in seen and not seen.get("masked_frame_seen"):
             seen["masked_frame_seen"] = True
             return None
-        return self.voxel_index
+        keys, P, n_bins = self.voxel_index, self.feat_h * self.feat_w, self.n_bins
+        # pixel i of camera c, feature pixel c * P + i, has voxels (c * n_bins + bin) * P + i
+        pixels = mask_w.nonzero()[0]
+        first_bin = pixels + pixels // P * ((n_bins - 1) * P)
+        voxels = first_bin[:, None] + np.arange(0, n_bins * P, P)
+        shift = max(keys.size - 1, 0).bit_length()
+        low = np.uint64((1 << shift) - 1)
+        # each voxel's first key, u64 needles: numpy would copy the keys to compare others
+        voxels = np.sort(voxels[depth_w.take(voxels) != 0]).astype("<u8") << np.uint64(shift)
+        first = np.searchsorted(keys, voxels)
+        counts = np.searchsorted(keys, voxels | low, side="right") - first
+        # every voxel's run of keys, in one gather; unique positions, so any sort
+        # gives the same array
+        at = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
+        return np.sort(keys[at] & low).astype(np.intp)
+
+    def check_stream(self, magic: bytes) -> None:
+        """Refuse, with a ConfigError naming both magics, a table of another stream."""
+        if self.magic != magic:
+            raise ConfigError(f"a {self.magic.decode()} table cannot be applied as a "
+                              f"{magic.decode()} table")
 
     def check_built_for(self, rigs, grid, dspec) -> None:
         """Refuse, with a ConfigError naming the table, a table whose header sizes
@@ -188,12 +221,14 @@ def build_table(magic: bytes, grid, rigs, dspec, heights, per_cam) -> IndexTable
     layout; one in-place sort of the keys orders the entries by (cell, camera,
     emission order), the order of a stable sort by cell, and the voxels are
     the sorted keys' low bits.  heights are the z values the table was
-    built for, empty for the lift table.  Rigs of differing feature sizes
-    and sizes that u32 cannot index raise ConfigError, the geometry's before
-    per_cam is read, and so do keys that 64 bits cannot hold.  Memory: the
-    keys, 8 bytes an entry, beside the per-camera columns not yet written
-    into them, then the u32 voxels.
+    built for, empty for the lift table.  No rigs, rigs of differing
+    feature sizes and sizes that u32 cannot index raise ConfigError, the
+    geometry's before per_cam is read, and so do keys that 64 bits cannot
+    hold.  Memory: the keys, 8 bytes an entry, beside the per-camera
+    columns not yet written into them, then the u32 voxels.
     """
+    if not rigs:
+        raise ConfigError("a table needs at least one rig, got none")
     n_cams, feat_h, feat_w = len(rigs), rigs[0].feat_h, rigs[0].feat_w
     volume = dspec.n_bins * feat_h * feat_w
     if any((rig.feat_h, rig.feat_w) != (feat_h, feat_w) for rig in rigs):

@@ -440,6 +440,21 @@ class TestPrecompute:
         rewrite_json(manifest, json.dumps(doc))
         assert_manifest_refused(workspace, tmp_path, capsys, manifest, field)
 
+    @pytest.mark.parametrize("n_rigs", [2, 0])
+    def test_rig_count_other_than_the_spec_exits_2(self, workspace, tmp_path, capsys, n_rigs):
+        """A 3-camera scene whose manifest lists `n_rigs` rigs, and whose frame
+        tensors hold as many cameras, is refused in one line naming the
+        manifest: its rigs and tensors agree, but not with its spec."""
+        manifest = edited_manifest(workspace, tmp_path, {})
+        doc = json.loads(manifest.read_text())
+        assert doc["spec"]["n_cameras"] == len(doc["rigs"]) == 3
+        doc["rigs"] = doc["rigs"][:n_rigs]
+        rewrite_json(manifest, json.dumps(doc))
+        for kind in ("feats", "depths", "masks"):
+            path = manifest.parent / f"{kind}.btsr"
+            tensor_write(tensor_read(path)[:n_rigs], path)
+        assert_manifest_refused(workspace, tmp_path, capsys, manifest, "n_cameras")
+
     @pytest.mark.parametrize("edit", [
         {"grid": 5},
         "{not json",

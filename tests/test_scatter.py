@@ -17,7 +17,7 @@ from dualvt.rng import Rng
 from dualvt.sampling import DepthBinSpec
 from dualvt.scatter import weighted_scatter
 from dualvt.synth import generate_scene, random_scene_spec
-from dualvt.tables import read_table, stack_frame, write_table
+from dualvt.tables import LSS_MAGIC, IndexTable, read_table, stack_frame, write_table
 
 
 def scatter_reference(feats, depth_w, mask_w, cells, feat_idx, depth_idx, n_cells):
@@ -504,27 +504,42 @@ def pixel_of(voxels, n_bins, camera_pixels):
             + voxels % camera_pixels).astype("<u4")
 
 
+def raw_table(offsets, depth_idx, n_cams, n_bins, camera_pixels):
+    """An `IndexTable` over one row of cells from raw columns: `n_cams` cameras
+    of one row of `camera_pixels` pixels and `n_bins` depth bins."""
+    return IndexTable(magic=LSS_MAGIC, ny=1, nx=offsets.size - 1, n_cams=n_cams, feat_h=1,
+                      feat_w=camera_pixels, n_bins=n_bins, offsets=np.asarray(offsets, "<u4"),
+                      depth_idx=np.asarray(depth_idx, "<u4"), heights=(),
+                      geometry_sha256=bytes(32))
+
+
 def assert_survivors_match_oracle(problem, threads):
-    """The voxel index is the entries stably sorted by voxel; `_survivors`
-    through it, and without it, equals the oracle, and `weighted_scatter`
-    through it at `threads` the per-entry reference."""
+    """The table's voxel index is the entries stably sorted by voxel;
+    `masked_survivors` walks it to the positions of the entries of nonzero
+    depth and mask; `_survivors` through it, and without it, equals the
+    oracle, and `weighted_scatter` through it at `threads` the per-entry
+    reference."""
     feats, depth_w, mask_w, cells, feat_idx, depth_idx, camera_pixels = problem
     n_cells = int(cells.max()) + 1 if cells.size else 1
     offsets = _offsets(cells, n_cells).astype("<u4")
-    keys = scatter.voxel_index(depth_idx)
+    table = raw_table(offsets, depth_idx, mask_w.size // camera_pixels,
+                      depth_w.size // mask_w.size, camera_pixels)
+    keys = table.voxel_index
     shift = max(depth_idx.size - 1, 0).bit_length()
     assert keys.dtype == "<u8" and np.array_equal(keys >> shift, np.sort(depth_idx))
     assert np.array_equal(keys & ((1 << shift) - 1), np.argsort(depth_idx, kind="stable"))
+    live = np.flatnonzero((mask_w != 0)[feat_idx] & (depth_w[depth_idx] != 0))
+    assert np.array_equal(table.masked_survivors(depth_w, mask_w), live)
     want = survivors_oracle(depth_w, mask_w, offsets, feat_idx, depth_idx)
-    for by_voxel in (lambda: (keys, camera_pixels), None):
-        got = scatter._survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, by_voxel)
+    for masked in (table.masked_survivors, None):
+        got = scatter._survivors(depth_w, mask_w, offsets, feat_idx, depth_idx, masked)
         assert [a.dtype for a in got] == [np.intp, np.float64, np.intp, np.intp, np.intp]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
     with WorkerPool(threads) as pool:
         fast = weighted_scatter(feats, depth_w, mask_w, offsets, feat_idx, depth_idx,
-                                workers=pool, by_voxel=lambda: (keys, camera_pixels))
+                                workers=pool, masked_survivors=table.masked_survivors)
     assert_matches_reference(fast, problem[:6], n_cells)
 
 
@@ -622,9 +637,10 @@ def test_voxel_index_at_the_key_width_boundary(n_voxels, key_bits):
     depth_idx = Rng(key_bits).integers((n,), n_voxels).astype("<u4")
     depth_idx[[0, -1]] = n_voxels - 1  # the largest voxel, at the first and last position
     assert (n_voxels - 1).bit_length() + (n - 1).bit_length() == key_bits
+    table = raw_table(np.array([0, n]), depth_idx, 1, 1, n_voxels)
     tracemalloc.start()
     try:
-        keys = scatter.voxel_index(depth_idx)
+        keys = table.voxel_index
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -639,11 +655,11 @@ def test_tables_are_built_written_and_read_without_voxel_index(small_bundle, tmp
     index of a table read back equals the index of the table built in memory."""
     bundle, heights = small_bundle
 
-    def refuse(*args):
+    def refuse(table):
         raise AssertionError("voxel index built")
 
     with monkeypatch.context() as mp:
-        mp.setattr(scatter, "voxel_index", refuse)
+        mp.setattr(IndexTable, "voxel_index", property(refuse))
         ht = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
         lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
         read = []
@@ -653,8 +669,9 @@ def test_tables_are_built_written_and_read_without_voxel_index(small_bundle, tmp
     for built, back in zip((ht, lss), read):
         assert "voxel_index" not in vars(built) and "voxel_index" not in vars(back)
         assert built.n_entries > 0
-        (a, pa), (b, pb) = built.voxel_index, back.voxel_index
-        assert a.dtype == b.dtype and np.array_equal(a, b) and pa == pb == 24 * 10
+        a, b = built.voxel_index, back.voxel_index
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert built.feat_h * built.feat_w == back.feat_h * back.feat_w == 24 * 10
         assert built.voxel_index is built.voxel_index  # kept on the table
 
 
@@ -692,7 +709,7 @@ def test_voxel_index_is_built_on_the_second_masked_frame(desk_masked):
         index = vars(table)["voxel_index"]
         third, peak = traced_peak(lambda: apply(frame, table))
         assert table.voxel_index is index
-        assert index[0].nbytes == 8 * table.n_entries < build_peak < grid_bytes
+        assert index.nbytes == 8 * table.n_entries < build_peak < grid_bytes
         assert third[1].nbytes <= peak < 8 * table.n_entries  # numpy's allocations are traced
         for other in (second, third):
             assert all(np.array_equal(a, b) for a, b in zip(first, other))

@@ -112,6 +112,43 @@ def test_rigs_of_differing_feature_sizes_refused(size):
         assert "\n" not in str(e.value)
 
 
+def test_a_build_without_rigs_refused():
+    """An empty rig list is a one-line ConfigError, raised before a rig is read,
+    from `build_table` and from both streams' builds."""
+    grid, dspec = BevGridSpec(nx=4, ny=4), DepthBinSpec(d_min=2.0, d_max=4.0, step=1.0)
+    for build in (lambda: build_table(LSS_MAGIC, grid, [], dspec, (), []),
+                  lambda: precompute_ht_table([], grid, make_height_samples(), dspec),
+                  lambda: precompute_lss_table([], grid, dspec)):
+        with pytest.raises(ConfigError, match="at least one rig") as e:
+            build()
+        assert "\n" not in str(e.value)
+
+
+@pytest.mark.parametrize("call", ["run_pipeline", "run_pipeline-disable-M", "ht_transform_fast",
+                                  "lss_pool"])
+def test_a_table_of_the_other_stream_refused(small_bundle, call):
+    """Each stream's apply refuses the other stream's table with one ConfigError
+    that names both magics, on a masked frame and on a `disable-M` one: the
+    tables swapped in `run_pipeline`, a lift table in `ht_transform_fast`, a
+    height table in `lss_pool`."""
+    bundle, heights = small_bundle
+    ht = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
+    lss = precompute_lss_table(bundle.rigs, bundle.grid, bundle.dspec)
+    frame = (bundle.feats, bundle.depths, bundle.masks)
+    weights = make_seeded_weights(11, bundle.spec.channels)
+    calls = {
+        "run_pipeline": lambda: run_pipeline(*frame, lss, ht, weights),
+        "run_pipeline-disable-M": lambda: run_pipeline(*frame, lss, ht, weights,
+                                                       disable_mask=True),
+        "ht_transform_fast": lambda: ht_transform_fast(*frame, lss),
+        "lss_pool": lambda: lss_pool(*frame, ht),
+    }
+    with pytest.raises(ConfigError, match="table cannot be applied as") as e:
+        calls[call]()
+    message = str(e.value)
+    assert "HTLT" in message and "LSPT" in message and "\n" not in message
+
+
 def test_file_layout(tmp_path, small_bundle):
     bundle, heights = small_bundle
     table = precompute_ht_table(bundle.rigs, bundle.grid, heights, bundle.dspec)
